@@ -147,7 +147,7 @@ def _cmd_verify(args):
         params = spaces.SpaceParams(params.z, params.kappa2, gamma=0.5)
     seed = _seed(args)
     reports = _run_suites(args.suite, params, args.samples, seed, args.perturb)
-    worst = max(r.max_residual for r in reports)
+    worst = float(np.max([r.max_residual for r in reports]))  # NaN wins
     passed = worst < args.threshold
     doc = {
         "schema": 1,
@@ -232,6 +232,7 @@ def _cmd_simulate(args):
         "terminated_early": tr.terminated_early,
         "termination_reason": tr.termination_reason,
         "drift": dynamics.drift_report(tr),
+        "stats": tr.stats.as_dict(),
     }
     if args.summary:
         _dump_json(summary, args.summary)

@@ -17,6 +17,7 @@ Hamiltonian built from the three-site generators shares.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -191,13 +192,14 @@ class BracketReport:
 
     @property
     def max_residual(self):
-        return max((r.max_residual for r in self.results), default=0.0)
+        """Worst residual over the identities; NaN if any of them is NaN."""
+        return float(np.max([r.max_residual for r in self.results], initial=0.0))
 
     def passed(self, threshold=1e-8):
         return self.max_residual < threshold
 
     def failing(self, threshold=1e-8):
-        return [r for r in self.results if r.max_residual >= threshold]
+        return [r for r in self.results if not r.max_residual < threshold]
 
     def as_dict(self):
         return {
@@ -258,7 +260,8 @@ def run_table(suite, table, sampler, samples, seed, params=None):
                 lhs = vg(ident.f)[0]
             rhs = vg(ident.rhs)[0] if isinstance(ident.rhs, Observable) else float(ident.rhs)
             res = abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs), scale)
-            if res > worst[i][0]:
+            # A NaN residual is the worst one; the first NaN point is kept.
+            if res > worst[i][0] or (math.isnan(res) and not math.isnan(worst[i][0])):
                 worst[i] = (res, state)
     results = [
         IdentityResult(ident.name, ident.group, samples, w, s.coords if isinstance(s, PhaseState) else tuple(s))

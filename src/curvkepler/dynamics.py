@@ -2,11 +2,12 @@
 
 The right-hand side comes straight from the dual-number gradient of the
 Hamiltonian observable, so any observable the library can build can also be
-integrated.  The default stepper is an embedded Dormand-Prince 5(4) pair;
-a fixed-step implicit midpoint rule is available behind the same interface
-for long symplectic-ish runs.  Conservation is asserted by monitoring, not
-by structure: every sampled step evaluates the requested monitor
-observables and the trajectory carries their maximum relative drift.
+integrated.  The default stepper is an embedded Dormand-Prince 5(4) pair
+that reuses its last stage as the next step's first (six RHS evaluations
+per step); a fixed-step implicit midpoint rule is available behind the
+same interface for long symplectic-ish runs.  Conservation is asserted by
+monitoring, not by structure: every sampled step evaluates the requested
+monitor observables and the trajectory carries their maximum relative drift.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -22,15 +23,19 @@ from .kernel import DomainError
 from .phase import Chart, Observable, PhaseState
 
 __all__ = [
-    "rhs", "IntegratorConfig", "Trajectory", "StepUnderflowError",
+    "rhs", "IntegratorConfig", "StepStats", "Trajectory", "StepUnderflowError",
     "integrate", "drift_report", "trajectory_csv", "write_trajectory_csv",
 ]
+
+
+_SWAP = np.array([3, 4, 5, 0, 1, 2])
+_SIGN = np.array([1.0, 1.0, 1.0, -1.0, -1.0, -1.0])
 
 
 def rhs(h, state):
     """Hamiltonian vector field (dq/dt, dp/dt) = (dH/dp, -dH/dq)."""
     g = h.gradient(state) if isinstance(h, Observable) else h(state)
-    return np.concatenate((g[3:], -g[:3]))
+    return g[_SWAP] * _SIGN
 
 
 class StepUnderflowError(RuntimeError):
@@ -56,16 +61,55 @@ class IntegratorConfig:
     max_steps: int = 5_000_000
 
     def __post_init__(self):
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
-            raise DomainError("tolerances must be positive")
-        if self.t_end < 0:
-            raise DomainError("t_end must be >= 0")
+        if not (0 < self.rel_tol < math.inf and 0 < self.abs_tol < math.inf):
+            raise DomainError("tolerances must be positive and finite")
+        if not 0 <= self.t_end < math.inf:
+            raise DomainError("t_end must be finite and >= 0")
+        if math.isnan(self.max_step):
+            raise DomainError("max_step must not be NaN")
+        if not math.isfinite(self.fixed_step):
+            raise DomainError("fixed_step must be finite")
         if self.sample_stride < 1:
             raise DomainError("sample_stride must be >= 1")
         if self.method not in ("dopri54", "implicit-midpoint"):
             raise DomainError(f"unknown method {self.method!r}")
         if self.method == "implicit-midpoint" and self.fixed_step <= 0:
             raise DomainError("implicit midpoint needs fixed_step > 0")
+
+
+@dataclass
+class StepStats:
+    """What one integration run did, step by step.
+
+    ``rejected`` counts steps refused by the error control or for a
+    non-finite result; ``eval_failures`` counts steps abandoned because an
+    RHS evaluation raised, with ``failure_types`` counting them by exception
+    class name.  ``h_min`` / ``h_max`` range over accepted steps (None until
+    one is accepted).  A failure-free dopri54 run costs
+    ``rhs_evals == 1 + 6 * (accepted + rejected)``.
+    """
+
+    accepted: int = 0
+    rejected: int = 0
+    eval_failures: int = 0
+    failure_types: dict = field(default_factory=dict)
+    rhs_evals: int = 0
+    h_min: float | None = None
+    h_max: float | None = None
+
+    def accept(self, h):
+        h = float(h)
+        self.accepted += 1
+        self.h_min = h if self.h_min is None else min(self.h_min, h)
+        self.h_max = h if self.h_max is None else max(self.h_max, h)
+
+    def eval_failure(self, err):
+        self.eval_failures += 1
+        name = type(err).__name__
+        self.failure_types[name] = self.failure_types.get(name, 0) + 1
+
+    def as_dict(self):
+        return asdict(self)
 
 
 @dataclass
@@ -78,6 +122,7 @@ class Trajectory:
     monitors: dict = field(default_factory=dict)
     terminated_early: bool = False
     termination_reason: str = ""
+    stats: StepStats = field(default_factory=StepStats)
 
     def __post_init__(self):
         if len(self.times) != len(self.states):
@@ -112,16 +157,23 @@ _DP_A = [
 _DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
 _DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
                    -92097 / 339200, 187 / 2100, 1 / 40])
+_DP_E = _DP_B5 - _DP_B4
 
 
-def _dp_step(f, t, y, h):
+def _dp_step(f, t, y, h, k0):
+    """One Dormand-Prince step from y with k0 = f(t, y) already known.
+
+    The pair is first-same-as-last: the fifth-order solution is the stage-7
+    argument, so the returned f(t + h, y5) is the next step's k0 and a step
+    costs six RHS evaluations.  Returns (y5, error estimate, f(t + h, y5)).
+    """
     k = np.empty((7, y.size))
-    k[0] = f(t, y)
-    for i in range(1, 7):
+    k[0] = k0
+    for i in range(1, 6):
         k[i] = f(t + _DP_C[i] * h, y + h * (_DP_A[i] @ k[:i]))
-    y5 = y + h * (_DP_B5 @ k)
-    y4 = y + h * (_DP_B4 @ k)
-    return y5, y5 - y4
+    y5 = y + h * (_DP_A[6] @ k[:6])
+    k[6] = f(t + h, y5)
+    return y5, h * (_DP_E @ k), k[6]
 
 
 def _midpoint_step(f, t, y, h, tol=1e-14, iters=60):
@@ -136,11 +188,13 @@ def _midpoint_step(f, t, y, h, tol=1e-14, iters=60):
 
 
 def _initial_step(f, t0, y0, cfg):
+    """Starting step size, and f(t0, y0) for the first Dormand-Prince step."""
     sc = cfg.abs_tol + cfg.rel_tol * np.abs(y0)
+    f0 = f(t0, y0)
     d0 = np.sqrt(np.mean((y0 / sc) ** 2))
-    d1 = np.sqrt(np.mean((f(t0, y0) / sc) ** 2))
+    d1 = np.sqrt(np.mean((f0 / sc) ** 2))
     h0 = 0.01 * d0 / d1 if d0 > 1e-5 and d1 > 1e-5 else 1e-6
-    return min(h0, cfg.max_step, cfg.t_end if cfg.t_end > 0 else h0)
+    return min(h0, cfg.max_step, cfg.t_end if cfg.t_end > 0 else h0), f0
 
 
 def integrate(h, s0, cfg, monitors=None, domain_guard=None):
@@ -155,10 +209,13 @@ def integrate(h, s0, cfg, monitors=None, domain_guard=None):
     """
     monitors = dict(monitors or {})
     chart = s0.chart
+    stats = StepStats()
 
+    # States are rebuilt from y.tolist(): observables run faster on Python
+    # floats than on np.float64 coordinates, with identical values.
     def f(t, y):
-        g = h.gradient(PhaseState(chart, tuple(y)))
-        return np.concatenate((g[3:], -g[:3]))
+        stats.rhs_evals += 1
+        return rhs(h, PhaseState(chart, tuple(y.tolist())))
 
     y = s0.asarray()
     t = 0.0
@@ -169,7 +226,7 @@ def integrate(h, s0, cfg, monitors=None, domain_guard=None):
     def record(t, y):
         times.append(t)
         states.append(y.copy())
-        st = PhaseState(chart, tuple(y))
+        st = PhaseState(chart, tuple(y.tolist()))
         for name, ob in monitors.items():
             series[name].append(ob(st))
 
@@ -177,15 +234,19 @@ def integrate(h, s0, cfg, monitors=None, domain_guard=None):
         return Trajectory(chart, np.asarray(times),
                           np.asarray(states),
                           {n: np.asarray(v) for n, v in series.items()},
-                          terminated_early=early, termination_reason=reason)
+                          terminated_early=early, termination_reason=reason,
+                          stats=stats)
 
     if cfg.t_end == 0.0:
         return build()
 
     fixed = cfg.fixed_step > 0
-    hstep = cfg.fixed_step if fixed else _initial_step(f, t, y, cfg)
+    k0 = None                 # f(t, y), carried between Dormand-Prince steps
+    if fixed:
+        hstep = cfg.fixed_step
+    else:
+        hstep, k0 = _initial_step(f, t, y, cfg)
     underflow = 1e-14 * cfg.t_end
-    accepted = 0
     for _ in range(cfg.max_steps):
         remaining = cfg.t_end - t
         if remaining <= underflow:      # done up to float resolution
@@ -198,34 +259,40 @@ def integrate(h, s0, cfg, monitors=None, domain_guard=None):
         try:
             if cfg.method == "implicit-midpoint":
                 ynew = _midpoint_step(f, t, y, hstep)
-                err_ratio = 0.0
+                knew, err_ratio = None, 0.0
             else:
-                ynew, err = _dp_step(f, t, y, hstep)
+                if k0 is None:
+                    k0 = f(t, y)
+                ynew, err, knew = _dp_step(f, t, y, hstep, k0)
                 sc = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(ynew))
                 err_ratio = math.sqrt(float(np.mean((err / sc) ** 2)))
         except (ValueError, FloatingPointError, ZeroDivisionError,
-                OverflowError):
+                OverflowError) as exc:
             # A trial stage left the observable's domain: reject and retry.
+            stats.eval_failure(exc)
             if fixed:
                 return build(early=True, reason="evaluation-failure")
             hstep *= 0.25
             continue
         if not np.all(np.isfinite(ynew)):
+            stats.rejected += 1
             if fixed:
                 return build(early=True, reason="non-finite state")
             hstep *= 0.25
             continue
         if fixed or err_ratio <= 1.0:
             t += hstep
-            y = ynew
-            accepted += 1
+            y, k0 = ynew, knew
+            stats.accept(hstep)
             if domain_guard is not None:
                 reason = domain_guard(y)
                 if reason is not None:
                     record(t, y)
                     return build(early=True, reason=reason)
-            if accepted % cfg.sample_stride == 0 or t >= cfg.t_end:
+            if stats.accepted % cfg.sample_stride == 0 or t >= cfg.t_end:
                 record(t, y)
+        else:
+            stats.rejected += 1
         if not fixed:
             factor = 0.9 * err_ratio ** -0.2 if err_ratio > 0 else 5.0
             hstep *= min(5.0, max(0.2, factor))

@@ -46,6 +46,8 @@ class DomainError(KernelError, ValueError):
 
 
 _ZEROS = (0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+# Unit tangent e_i of slot i: the derivative lanes of a seeded coordinate.
+_UNIT = tuple(tuple(float(i == j) for j in range(NVARS)) for i in range(NVARS))
 
 
 class KScalar:
@@ -64,9 +66,7 @@ class KScalar:
 
     @staticmethod
     def seed(val, slot):
-        d = [0.0] * NVARS
-        d[slot] = 1.0
-        return KScalar(val, tuple(d))
+        return KScalar(val, _UNIT[slot])
 
     # -- arithmetic -------------------------------------------------------
     def __add__(self, o):
@@ -159,6 +159,11 @@ def _chain(x, val, dval):
     a = x.d
     return KScalar(val, (dval * a[0], dval * a[1], dval * a[2],
                          dval * a[3], dval * a[4], dval * a[5]))
+
+
+def seeded(coords):
+    """One dual per coordinate, slot i carrying d/dx_i = 1 (up to six)."""
+    return [KScalar(float(c), e) for c, e in zip(coords, _UNIT)]
 
 
 def value_of(x):
@@ -285,13 +290,24 @@ def _circ_sinc(u):
     return sinh(s) / s
 
 
+# For a dual x and a plain kappa the four functions below evaluate S and C on
+# the float path and apply the closed-form derivative in one chain step:
+#   S' = C,  C' = -kappa S,  T' = 1/C**2,  cot' = -1/S**2.
+# A dual kappa takes the generic composite path.
+
 def ckappa(kappa, x):
     """Generalized cosine C_kappa(x); total in both arguments."""
+    if type(x) is KScalar and not isinstance(kappa, KScalar):
+        v = x.val
+        return _chain(x, ckappa(kappa, v), -kappa * skappa(kappa, v))
     return _circ_cos(kappa * x * x)
 
 
 def skappa(kappa, x):
     """Generalized sine S_kappa(x); S_0(x) = x."""
+    if type(x) is KScalar and not isinstance(kappa, KScalar):
+        v = x.val
+        return _chain(x, skappa(kappa, v), ckappa(kappa, v))
     return x * _circ_sinc(kappa * x * x)
 
 
@@ -302,6 +318,12 @@ _POLE_EPS = 1e-14
 
 def tkappa(kappa, x):
     """Generalized tangent S_kappa/C_kappa; raises PoleError at C = 0."""
+    if type(x) is KScalar and not isinstance(kappa, KScalar):
+        v = x.val
+        c = ckappa(kappa, v)
+        if abs(c) < _POLE_EPS:
+            raise PoleError(f"tkappa pole: C_kappa vanishes at kappa={kappa}, x={x}")
+        return _chain(x, skappa(kappa, v) / c, 1.0 / (c * c))
     c = ckappa(kappa, x)
     if abs(value_of(c)) < _POLE_EPS:
         raise PoleError(f"tkappa pole: C_kappa vanishes at kappa={kappa}, x={x}")
@@ -314,6 +336,12 @@ def cotkappa(kappa, x):
     This is the factor written as lambda/tan(lambda x) in curved-Kepler
     potentials; it stays real for every real curvature label.
     """
+    if type(x) is KScalar and not isinstance(kappa, KScalar):
+        v = x.val
+        s = skappa(kappa, v)
+        if abs(s) < _POLE_EPS:
+            raise PoleError(f"cotkappa pole: S_kappa vanishes at kappa={kappa}, x={x}")
+        return _chain(x, ckappa(kappa, v) / s, -1.0 / (s * s))
     s = skappa(kappa, x)
     if abs(value_of(s)) < _POLE_EPS:
         raise PoleError(f"cotkappa pole: S_kappa vanishes at kappa={kappa}, x={x}")

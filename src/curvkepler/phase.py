@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernel
-from .kernel import NVARS, DomainError, KScalar
+from .kernel import NVARS, DomainError, KScalar, seeded
 
 
 class Chart(enum.Enum):
@@ -101,17 +101,13 @@ class Observable:
 
     def gradient(self, state):
         """Exact gradient via one 6-lane dual evaluation."""
-        coords = _coords_of(state, self.chart)
-        duals = [KScalar.seed(float(c), i) for i, c in enumerate(coords)]
-        out = self.fn(*duals)
+        out = self.fn(*seeded(_coords_of(state, self.chart)))
         if isinstance(out, KScalar):
             return np.asarray(out.d, dtype=float)
         return np.zeros(NVARS)
 
     def value_and_gradient(self, state):
-        coords = _coords_of(state, self.chart)
-        duals = [KScalar.seed(float(c), i) for i, c in enumerate(coords)]
-        out = self.fn(*duals)
+        out = self.fn(*seeded(_coords_of(state, self.chart)))
         if isinstance(out, KScalar):
             return out.val, np.asarray(out.d, dtype=float)
         return float(out), np.zeros(NVARS)
@@ -147,6 +143,13 @@ class Observable:
         return Observable(lambda *s: o - f(*s), chart=self.chart)
 
     def __mul__(self, o):
+        if o is self:
+            f = self.fn
+
+            def square(*s):
+                v = f(*s)
+                return v * v
+            return Observable(square, chart=self.chart)
         if isinstance(o, Observable):
             f, g = self.fn, o.fn
             return Observable(lambda *s: f(*s) * g(*s), chart=self._merge_chart(o))
@@ -238,9 +241,7 @@ def grad(f, state):
     """Exact gradient of an observable at a state (dual-number propagation)."""
     if isinstance(f, Observable):
         return f.gradient(state)
-    coords = _coords_of(state, None)
-    duals = [KScalar.seed(float(c), i) for i, c in enumerate(coords)]
-    out = f(*duals)
+    out = f(*seeded(_coords_of(state, None)))
     if isinstance(out, KScalar):
         return np.asarray(out.d, dtype=float)
     return np.zeros(NVARS)

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import kernel
 from .coalgebra import three_site_closed_form
-from .kernel import DomainError, KScalar
+from .kernel import DomainError
 from .phase import (Chart, ChartMismatchError, ChartSingularityError,
                     Observable, PhaseState, ckappa, coordinate, cotkappa,
                     exp, expm1c, skappa, sqrt)
@@ -63,6 +63,10 @@ class SpaceParams:
     gamma: float = 0.0
 
     def __post_init__(self):
+        for name in ("z", "kappa2", "gamma"):
+            if not math.isfinite(getattr(self, name)):
+                raise DomainError(f"{name} must be finite, got "
+                                  f"{getattr(self, name)!r}")
         if self.kappa2 == 0.0:
             raise DomainError("kappa2 = 0 is a degenerate (non-relativistic) "
                               "metric and is not supported")
@@ -239,8 +243,7 @@ def _beltrami_positions(kind, c, params):
 
 def _position_jacobian(kind, pos, params):
     """d q_i / d polar_a, exactly, by dual-number differentiation."""
-    duals = [KScalar.seed(float(pos[a]), a) for a in range(3)]
-    out = _beltrami_positions(kind, duals, params)
+    out = _beltrami_positions(kind, kernel.seeded(pos), params)
     jac = np.empty((3, 3))
     for i in range(3):
         jac[i, :] = out[i].d[:3]

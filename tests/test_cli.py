@@ -2,10 +2,13 @@
 
 import json
 import math
+import time
 
 import pytest
 
+from curvkepler import cli
 from curvkepler.cli import main
+from curvkepler.coalgebra import BracketReport, IdentityResult
 
 
 def run_cli(capsys, *argv):
@@ -98,6 +101,11 @@ def test_simulate_circular_benchmark(capsys, tmp_path):
     summary = json.loads(summary_path.read_text())
     assert summary["terminated_early"] is False
     assert max(v["max_drift"] for v in summary["drift"].values()) < 1e-9
+    stats = summary["stats"]
+    assert set(stats) == {"accepted", "rejected", "eval_failures",
+                          "failure_types", "rhs_evals", "h_min", "h_max"}
+    assert stats["rhs_evals"] == 1 + 6 * (stats["accepted"] + stats["rejected"])
+    assert 0.0 < stats["h_min"] <= stats["h_max"]
 
 
 def test_simulate_zero_time(capsys, tmp_path):
@@ -303,3 +311,41 @@ def test_seed_env_fallback(capsys, monkeypatch):
                            "--samples", "10")
     assert code == 0
     assert json.loads(out)["seed"] == 21
+
+
+_ORBIT = ("--family", "kepler-cc", "--preset", "spherical", "--gamma", "0.5",
+          "--state", "1.1,1.2,0.4,0.2,0.4,0.9")
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--suite", "sl2z", "--z", "nan"),
+    ("verify", "--suite", "so4", "--z", "nan", "--kappa2", "1"),
+    ("verify", "--suite", "lrl", "--z", "1", "--kappa2", "inf"),
+    ("verify", "--preset", "spherical", "--gamma", "nan"),
+    ("rank", "--family", "kepler-cc", "--preset", "spherical", "--gamma=-inf"),
+    ("simulate", *_ORBIT, "--t-end", "nan"),
+    ("simulate", *_ORBIT, "--t-end", "inf"),
+    ("simulate", *_ORBIT, "--rel-tol", "nan"),
+    ("simulate", *_ORBIT, "--abs-tol", "inf"),
+    ("simulate", *_ORBIT, "--max-step", "nan"),
+], ids=lambda argv: " ".join(argv[:1] + argv[-2:]))
+def test_non_finite_inputs_exit_2_quickly(capsys, argv):
+    t0 = time.perf_counter()
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error:") and ("finite" in err or "NaN" in err)
+    assert time.perf_counter() - t0 < 5.0
+
+
+def test_verify_nan_residual_fails_the_run(capsys, monkeypatch):
+    def reports(*args):
+        rows = [IdentityResult("ok", "g", 1, 1e-12, ()),
+                IdentityResult("nan", "g", 1, math.nan, ())]
+        return [BracketReport("a", 1, 0, results=rows[:1]),
+                BracketReport("b", 1, 0, results=rows)]
+
+    monkeypatch.setattr(cli, "_run_suites", reports)
+    code, out, _ = run_cli(capsys, "verify", "--preset", "spherical")
+    assert code == 1
+    doc = json.loads(out)
+    assert math.isnan(doc["max_residual"]) and doc["passed"] is False

@@ -6,12 +6,13 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from curvkepler.coalgebra import (Identity, casimir_of, casimirs,
+from curvkepler.coalgebra import (BracketReport, Identity, IdentityResult,
+                                  casimir_of, casimirs,
                                   coproduct_join, one_site, pbracket,
                                   run_table, sample_beltrami, three_site,
                                   three_site_closed_form, verify_casimirs,
                                   verify_sl2z)
-from curvkepler.phase import P1, Q1, Chart, PhaseState
+from curvkepler.phase import P1, Q1, Chart, Observable, PhaseState
 from curvkepler.symmetry import independence_rank
 
 
@@ -225,3 +226,37 @@ def test_run_table_value_identity():
     assert report.max_residual == 0.0
     with pytest.raises(ValueError):
         run_table("adhoc", table, sample_beltrami, 0, 0)
+
+
+def _alternating_nan_table():
+    calls = [0]
+
+    def fn(*s):
+        calls[0] += 1
+        return math.nan if calls[0] % 2 == 0 else s[0]
+
+    return [Identity("NaN at every other sample", Observable(fn), None, Q1)]
+
+
+def test_run_table_nan_residual_is_the_worst():
+    report = run_table("adhoc", _alternating_nan_table(), sample_beltrami, 6, 0)
+    assert math.isnan(report.max_residual)
+    assert not report.passed()
+    assert len(report.failing()) == 1
+    assert len(report.results[0].worst_point) == 6
+
+
+def test_run_table_all_nan_keeps_a_worst_point():
+    table = [Identity("always NaN", Observable(lambda *s: math.nan), None, Q1)]
+    report = run_table("adhoc", table, sample_beltrami, 3, 0)
+    assert math.isnan(report.max_residual)
+    assert len(report.as_dict()["results"][0]["worst_point"]) == 6
+
+
+def test_bracket_report_max_residual_sees_nan():
+    rows = [IdentityResult("a", "g", 1, 1.0, ()),
+            IdentityResult("b", "g", 1, math.nan, ())]
+    report = BracketReport("adhoc", 1, 0, results=rows)
+    assert math.isnan(report.max_residual)
+    assert not report.passed(1e300)
+    assert BracketReport("empty", 1, 0).max_residual == 0.0

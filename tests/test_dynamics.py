@@ -11,7 +11,7 @@ from curvkepler.dynamics import (IntegratorConfig, StepUnderflowError,
                                  trajectory_csv)
 from curvkepler.kernel import DomainError
 from curvkepler.phase import (P1, P2, P3, Q1, Q2, Q3, Chart, PhaseState,
-                              coordinate)
+                              coordinate, sqrt)
 from curvkepler.spaces import (Family, HamiltonianSpec, SpaceParams,
                                chart_guard, hamiltonian, radial_reduction)
 from curvkepler.symmetry import constants
@@ -134,6 +134,7 @@ def test_step_underflow_without_guard():
     partial = err.value.trajectory
     assert partial.terminated_early
     assert len(partial.times) >= 1
+    assert partial.stats.h_min < 1e-12
 
 
 def test_convergence_order_fixed_step():
@@ -250,6 +251,41 @@ def test_config_validation():
         IntegratorConfig(t_end=-2.0)
     with pytest.raises(DomainError):
         IntegratorConfig(sample_stride=0)
+    for bad in ({"t_end": math.nan}, {"t_end": math.inf},
+                {"rel_tol": math.nan}, {"rel_tol": math.inf},
+                {"abs_tol": math.nan}, {"abs_tol": math.inf},
+                {"max_step": math.nan}, {"fixed_step": math.nan}):
+        with pytest.raises(DomainError):
+            IntegratorConfig(**bad)
+    assert IntegratorConfig().max_step == math.inf
+
+
+def test_stats_pin_first_same_as_last():
+    """A failure-free dopri54 step costs six RHS evaluations after the first."""
+    params, spec, h = euclidean_kepler()
+    s0 = PhaseState.polar_constant(1.3, math.pi / 2, 0.0, 0.1, 0.0, 0.5)
+    tr = integrate(h, s0, IntegratorConfig(rel_tol=1e-8, abs_tol=1e-10,
+                                           t_end=8.0, sample_stride=7))
+    st = tr.stats
+    assert st.eval_failures == 0 and st.failure_types == {}
+    assert st.accepted > 100 and st.rejected > 10
+    assert st.rhs_evals == 1 + 6 * (st.accepted + st.rejected)
+    assert 0.0 < st.h_min <= st.h_max
+    assert st.as_dict()["rhs_evals"] == st.rhs_evals
+    assert integrate(h, s0, IntegratorConfig(t_end=0.0)).stats.h_min is None
+
+
+def test_stats_record_swallowed_evaluation_failures():
+    """Trial stages past |q1| = 1 leave the domain of sqrt(1 - q1^2); the
+    integrator retries with a smaller step and counts what it caught."""
+    h = 0.5 * P1 * P1 - sqrt(1.0 - Q1 * Q1)
+    tr = integrate(h, PhaseState.beltrami(0.0, 0, 0, 0.9, 0, 0),
+                   IntegratorConfig(rel_tol=1e-2, abs_tol=1e-2, t_end=20.0))
+    st = tr.stats
+    assert not tr.terminated_early
+    assert st.eval_failures > 0
+    assert st.failure_types == {"ValueError": st.eval_failures}
+    assert st.rhs_evals > 1 + 6 * (st.accepted + st.rejected)
 
 
 def test_every_family_conserves_its_constants():

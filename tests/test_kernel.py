@@ -240,3 +240,95 @@ def test_kscalar_arithmetic_edge_ops():
     val = (1.0 - 2.0) * 3.0 / 2.0 + 2.0 / 3.0 - 1.0 + 2.0
     assert expr.val == pytest.approx(val, rel=1e-15)
     assert x < y and y > x and x <= 2.0 and y >= 3.0
+
+
+# -- closed-form dual rules of the kappa-trig functions ---------------------
+
+_KAPPAS = (1.0, 0.3, 1e-12, 0.0, -1e-12, -0.3, -1.0)
+_TRIG = {"skappa": skappa, "ckappa": ckappa, "tkappa": tkappa,
+         "cotkappa": cotkappa}
+
+
+def _trig_points(kappa, name):
+    """Regular points, a point in the Taylor branch |kappa x^2| < 1e-8, and
+    a point 2e-3 from a pole where the pole is at moderate x."""
+    taylor = min(0.5e-4 / math.sqrt(abs(kappa)), 5.0) if kappa else 3.0
+    assert abs(kappa * taylor ** 2) < 1e-8
+    points = [0.7, -1.3, taylor]
+    if name == "cotkappa":                           # S_kappa(0) = 0
+        points.append(2e-3)
+    if name == "tkappa" and kappa > 0 and math.pi / (2.0 * math.sqrt(kappa)) < 10.0:
+        # On a 2**-30 grid, so that x +- h is exact for the steps used below.
+        pole = math.pi / (2.0 * math.sqrt(kappa))
+        points.append(round((pole - 2e-3) * 2.0 ** 30) / 2.0 ** 30)
+    return points
+
+
+def _richardson_fd(fn, kappa, x):
+    """Richardson-extrapolated fd_grad (error O(h**4)) and the scale on which
+    fn varies near x: max(1, |x|), or the first-order distance to a pole of
+    tkappa / cotkappa when that is less.  h is a power of two near 1e-3 of
+    that scale."""
+    scale = max(1.0, abs(x))
+    if fn is tkappa and kappa:
+        scale = min(scale, abs(ckappa(kappa, x) / (kappa * skappa(kappa, x))))
+    if fn is cotkappa:
+        scale = min(scale, abs(skappa(kappa, x) / ckappa(kappa, x)))
+    h = 2.0 ** math.floor(math.log2(1e-3 * scale))
+    call = lambda *s: fn(kappa, s[0])
+    s = (x, 0.0, 0.0, 0.0, 0.0, 0.0)
+    fd = (4.0 * fd_grad(call, s, h=0.5 * h)[0] - fd_grad(call, s, h=h)[0]) / 3.0
+    return fd, scale
+
+
+@pytest.mark.parametrize("kappa", _KAPPAS)
+@pytest.mark.parametrize("name", sorted(_TRIG))
+def test_kappa_trig_dual_rules_match_generic_path_and_fd(name, kappa):
+    fn = _TRIG[name]
+    for x in _trig_points(kappa, name):
+        dual = fn(kappa, KScalar.seed(x, 0))
+        # A dual kappa (zero tangent) takes the generic composite path.
+        generic = fn(KScalar(kappa), KScalar.seed(x, 0))
+        d = dual.d[0]
+        assert dual.d[1:] == (0.0,) * 5
+        assert abs(d - generic.d[0]) <= 1e-12 * max(1.0, abs(d)), (x, d, generic.d[0])
+        fd, scale = _richardson_fd(fn, kappa, x)
+        # At a distance `scale` from a pole the float function is accurate
+        # only to about eps |x| / scale relative, and differencing with
+        # h = 1e-3 scale multiplies that by 1e3: the oracle's own floor.
+        floor = max(1.0, abs(x) / scale)
+        assert abs(d - fd) <= 1e-12 * floor * max(1.0, abs(d)), (x, d, fd)
+
+
+@pytest.mark.parametrize("kappa", _KAPPAS)
+@pytest.mark.parametrize("name", sorted(_TRIG))
+def test_kappa_trig_dual_value_is_the_float_value(name, kappa):
+    fn = _TRIG[name]
+    for x in _trig_points(kappa, name):
+        assert fn(kappa, KScalar.seed(x, 0)).val == fn(kappa, x)
+
+
+def test_kappa_trig_dual_input_at_pole_raises():
+    with pytest.raises(PoleError):
+        tkappa(1.0, KScalar.seed(math.pi / 2, 0))
+    with pytest.raises(PoleError):
+        tkappa(0.3, KScalar.seed(math.pi / (2.0 * math.sqrt(0.3)), 2))
+    for kappa in _KAPPAS:
+        with pytest.raises(PoleError):
+            cotkappa(kappa, KScalar.seed(0.0, 1))
+
+
+def test_observable_square_evaluates_once():
+    calls = []
+
+    def fn(*s):
+        calls.append(s)
+        return s[0] * s[4]
+
+    x = Observable(fn)
+    sq = x * x
+    s = (1.5, 0.0, 0.0, 0.0, -2.0, 0.0)
+    assert sq(s) == 9.0
+    assert len(calls) == 1
+    npt.assert_array_equal(grad(sq, s), [12.0, 0.0, 0.0, 0.0, -9.0, 0.0])
+    assert len(calls) == 2

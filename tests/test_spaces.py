@@ -43,6 +43,10 @@ def test_space_params():
         SpaceParams(z=0.1, kappa2=0.0)
     with pytest.raises(DomainError):
         SpaceParams.preset("torus")
+    for bad in ({"z": math.nan}, {"kappa2": math.inf}, {"gamma": -math.inf},
+                {"gamma": math.nan}):
+        with pytest.raises(DomainError):
+            SpaceParams(**{"z": 0.1, "kappa2": 1.0, **bad})
 
 
 def test_presets_table():
