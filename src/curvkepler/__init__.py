@@ -8,7 +8,7 @@ bracket table by randomized sampling, integrates orbits with invariant
 monitoring, and checks the metric curvatures numerically.
 """
 
-from .kernel import (DomainError, KappaLabel, KScalar, PoleError, asink,
+from .kernel import (DomainError, KScalar, PoleError, asink,
                      atank, ckappa, cotkappa, skappa, tkappa)
 from .phase import (Chart, ChartMismatchError, ChartSingularityError,
                     Observable, PhaseState, fd_grad, grad)
@@ -24,7 +24,6 @@ from .symmetry import (GeneratorSet, LRLVector, constants, independence_rank,
                        lrl, sample_polar, so4_generators, transported,
                        verify_lrl_algebra, verify_so4)
 from .dynamics import (IntegratorConfig, StepUnderflowError, Trajectory,
-                       drift_report, integrate, rhs, trajectory_csv,
-                       write_trajectory_csv)
+                       drift_report, integrate, rhs, trajectory_csv)
 
 __version__ = "0.1.0"

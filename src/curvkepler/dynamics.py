@@ -1,13 +1,15 @@
 """Hamiltonian flows: exact-gradient vector fields and adaptive integration.
 
-The right-hand side comes straight from the dual-number gradient of the
+The right-hand side comes straight from the exact gradient of the
 Hamiltonian observable, so any observable the library can build can also be
-integrated.  The default stepper is an embedded Dormand-Prince 5(4) pair
-that reuses its last stage as the next step's first (six RHS evaluations
-per step); a fixed-step implicit midpoint rule is available behind the
-same interface for long symplectic-ish runs.  Conservation is asserted by
-monitoring, not by structure: every sampled step evaluates the requested
-monitor observables and the trajectory carries their maximum relative drift.
+integrated; ``integrate`` compiles that gradient to straight-line code once
+per Hamiltonian (opaque observables keep the dual-number evaluation).  The
+default stepper is an embedded Dormand-Prince 5(4) pair that reuses its last
+stage as the next step's first (six RHS evaluations per step); a fixed-step
+implicit midpoint rule is available behind the same interface for long
+symplectic-ish runs.  Conservation is asserted by monitoring, not by
+structure: every sampled step evaluates the requested monitor observables
+and the trajectory carries their maximum relative drift.
 """
 
 from __future__ import annotations
@@ -20,11 +22,11 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .kernel import DomainError
-from .phase import Chart, Observable, PhaseState
+from .phase import Chart, ChartSingularityError, Observable, PhaseState
 
 __all__ = [
     "rhs", "IntegratorConfig", "StepStats", "Trajectory", "StepUnderflowError",
-    "integrate", "drift_report", "trajectory_csv", "write_trajectory_csv",
+    "integrate", "drift_report", "trajectory_csv",
 ]
 
 
@@ -67,6 +69,8 @@ class IntegratorConfig:
             raise DomainError("t_end must be finite and >= 0")
         if math.isnan(self.max_step):
             raise DomainError("max_step must not be NaN")
+        if self.max_step <= 0:
+            raise DomainError("max_step must be > 0 (inf for no limit)")
         if not math.isfinite(self.fixed_step):
             raise DomainError("fixed_step must be finite")
         if self.sample_stride < 1:
@@ -177,14 +181,15 @@ def _dp_step(f, t, y, h, k0):
 
 
 def _midpoint_step(f, t, y, h, tol=1e-14, iters=60):
+    """One implicit midpoint step; None if the fixed-point iteration for the
+    midpoint does not converge to ``tol`` within ``iters`` updates."""
     ym = y + 0.5 * h * f(t, y)
     for _ in range(iters):
         ynew = y + 0.5 * h * f(t + 0.5 * h, ym)
         if np.max(np.abs(ynew - ym)) < tol:
-            ym = ynew
-            break
+            return y + h * f(t + 0.5 * h, ynew)
         ym = ynew
-    return y + h * f(t + 0.5 * h, ym)
+    return None
 
 
 def _initial_step(f, t0, y0, cfg):
@@ -203,10 +208,21 @@ def integrate(h, s0, cfg, monitors=None, domain_guard=None):
     ``monitors`` maps names to observables evaluated every sampled step.
     ``domain_guard`` maps raw coordinates to a reason string when the state
     has entered the epsilon-neighborhood of a chart singularity; the run
-    then terminates cleanly with the reason recorded.  A step-size underflow
-    (h < 1e-14 t_end) raises :class:`StepUnderflowError` carrying the
-    partial trajectory.
+    then terminates cleanly with the reason recorded.  A start state the
+    guard rejects raises :class:`ChartSingularityError` before anything is
+    evaluated.  A step-size underflow (h < 1e-14 t_end) raises
+    :class:`StepUnderflowError` carrying the partial trajectory; an implicit
+    midpoint step that does not converge ends the run early.
+
+    An :class:`Observable` ``h`` gets its gradient compiled (once; the
+    result is kept on ``h``), so the RHS runs straight-line code.
     """
+    if domain_guard is not None:
+        reason = domain_guard(s0.coords)
+        if reason is not None:
+            raise ChartSingularityError(f"start state is singular: {reason}")
+    if isinstance(h, Observable):
+        h.compile_gradient()
     monitors = dict(monitors or {})
     chart = s0.chart
     stats = StepStats()
@@ -259,6 +275,8 @@ def integrate(h, s0, cfg, monitors=None, domain_guard=None):
         try:
             if cfg.method == "implicit-midpoint":
                 ynew = _midpoint_step(f, t, y, hstep)
+                if ynew is None:
+                    return build(early=True, reason="midpoint-not-converged")
                 knew, err_ratio = None, 0.0
             else:
                 if k0 is None:
@@ -335,7 +353,3 @@ def trajectory_csv(trajectory):
         writer.writerow(f"{v:.17g}" for v in row)
     return buf.getvalue()
 
-
-def write_trajectory_csv(trajectory, path):
-    with open(path, "w", newline="") as fh:
-        fh.write(trajectory_csv(trajectory))

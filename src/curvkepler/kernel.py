@@ -171,73 +171,57 @@ def value_of(x):
 
 
 # -- elementary functions (float | KScalar) -------------------------------
+#
+# Each unary function has one float rule v -> (value, derivative).  A dual
+# argument applies it in one chain step; the straight-line gradients of
+# :mod:`.codegen` call the same rules, so both paths do the same arithmetic.
 
-def exp(x):
-    if isinstance(x, KScalar):
-        v = math.exp(x.val)
-        return _chain(x, v, v)
-    return math.exp(x)
+def _unary(name, float_fn, rule):
+    def fn(x):
+        if isinstance(x, KScalar):
+            val, dval = rule(x.val)
+            return _chain(x, val, dval)
+        return float_fn(x)
 
-
-def log(x):
-    if isinstance(x, KScalar):
-        return _chain(x, math.log(x.val), 1.0 / x.val)
-    return math.log(x)
-
-
-def sqrt(x):
-    if isinstance(x, KScalar):
-        v = math.sqrt(x.val)
-        return _chain(x, v, 0.5 / v)
-    return math.sqrt(x)
+    fn.__name__ = name
+    return fn
 
 
-def sin(x):
-    if isinstance(x, KScalar):
-        return _chain(x, math.sin(x.val), math.cos(x.val))
-    return math.sin(x)
+def _exp_rule(v):
+    e = math.exp(v)
+    return e, e
 
 
-def cos(x):
-    if isinstance(x, KScalar):
-        return _chain(x, math.cos(x.val), -math.sin(x.val))
-    return math.cos(x)
+def _sqrt_rule(v):
+    r = math.sqrt(v)
+    return r, 0.5 / r
 
 
-def sinh(x):
-    if isinstance(x, KScalar):
-        return _chain(x, math.sinh(x.val), math.cosh(x.val))
-    return math.sinh(x)
+RULES = {
+    "exp": _exp_rule,
+    "log": lambda v: (math.log(v), 1.0 / v),
+    "sqrt": _sqrt_rule,
+    "sin": lambda v: (math.sin(v), math.cos(v)),
+    "cos": lambda v: (math.cos(v), -math.sin(v)),
+    "sinh": lambda v: (math.sinh(v), math.cosh(v)),
+    "cosh": lambda v: (math.cosh(v), math.sinh(v)),
+    "arcsin": lambda v: (math.asin(v), 1.0 / math.sqrt(1.0 - v * v)),
+    "arcsinh": lambda v: (math.asinh(v), 1.0 / math.sqrt(1.0 + v * v)),
+    "arctan": lambda v: (math.atan(v), 1.0 / (1.0 + v * v)),
+    "arctanh": lambda v: (math.atanh(v), 1.0 / (1.0 - v * v)),
+}
 
-
-def cosh(x):
-    if isinstance(x, KScalar):
-        return _chain(x, math.cosh(x.val), math.sinh(x.val))
-    return math.cosh(x)
-
-
-def arcsin(x):
-    if isinstance(x, KScalar):
-        return _chain(x, math.asin(x.val), 1.0 / math.sqrt(1.0 - x.val * x.val))
-    return math.asin(x)
-
-
-def arcsinh(x):
-    if isinstance(x, KScalar):
-        return _chain(x, math.asinh(x.val), 1.0 / math.sqrt(1.0 + x.val * x.val))
-    return math.asinh(x)
-
-
-def arctan(x):
-    if isinstance(x, KScalar):
-        return _chain(x, math.atan(x.val), 1.0 / (1.0 + x.val * x.val))
-    return math.atan(x)
-
-
-def arctanh(x):
-    if isinstance(x, KScalar):
-        return _chain(x, math.atanh(x.val), 1.0 / (1.0 - x.val * x.val))
-    return math.atanh(x)
+exp = _unary("exp", math.exp, RULES["exp"])
+log = _unary("log", math.log, RULES["log"])
+sqrt = _unary("sqrt", math.sqrt, RULES["sqrt"])
+sin = _unary("sin", math.sin, RULES["sin"])
+cos = _unary("cos", math.cos, RULES["cos"])
+sinh = _unary("sinh", math.sinh, RULES["sinh"])
+cosh = _unary("cosh", math.cosh, RULES["cosh"])
+arcsin = _unary("arcsin", math.asin, RULES["arcsin"])
+arcsinh = _unary("arcsinh", math.asinh, RULES["arcsinh"])
+arctan = _unary("arctan", math.atan, RULES["arctan"])
+arctanh = _unary("arctanh", math.atanh, RULES["arctanh"])
 
 
 def sinhc(u):
@@ -248,6 +232,17 @@ def sinhc(u):
     return sinh(u) / u
 
 
+def _sinhc_rule(v):
+    if abs(v) < _SINHC_TAYLOR:
+        v2 = v * v
+        return (1.0 + v2 * (1.0 / 6.0) + v2 * v2 * (1.0 / 120.0),
+                v * (1.0 / 3.0 + v2 * (1.0 / 30.0)))
+    s = math.sinh(v)
+    ch = math.cosh(v)
+    w = 1.0 / v
+    return s * w, w * ch - s * w * w
+
+
 def expm1c(u):
     """(exp(u) - 1)/u with its removable singularity at u = 0 handled."""
     v = value_of(u)
@@ -256,6 +251,22 @@ def expm1c(u):
     if isinstance(u, KScalar):
         return (exp(u) - 1.0) / u
     return math.expm1(u) / u
+
+
+def _expm1c_rule(v):
+    if abs(v) < _EXPM1C_TAYLOR:
+        return (1.0 + v * (0.5 + v * (1.0 / 6.0 + v * (1.0 / 24.0 + v * (1.0 / 120.0)))),
+                0.5 + v * (1.0 / 3.0 + v * (1.0 / 8.0 + v * (1.0 / 30.0))))
+    e = math.exp(v)
+    w = 1.0 / v
+    return (e - 1.0) * w, w * e - (e - 1.0) * w * w
+
+
+# The dual sinhc and expm1c stay composite (their values match the rules
+# bitwise); the rules form the derivative once instead of lane by lane, which
+# moves gradients by rounding only.
+RULES["sinhc"] = _sinhc_rule
+RULES["expm1c"] = _expm1c_rule
 
 
 def log1pc(u):
@@ -290,25 +301,28 @@ def _circ_sinc(u):
     return sinh(s) / s
 
 
-# For a dual x and a plain kappa the four functions below evaluate S and C on
-# the float path and apply the closed-form derivative in one chain step:
-#   S' = C,  C' = -kappa S,  T' = 1/C**2,  cot' = -1/S**2.
-# A dual kappa takes the generic composite path.
+# Float-only S_kappa and C_kappa: the same arithmetic as the composite path
+# (u = kappa x**2, then the Taylor branch or circular/hyperbolic functions)
+# without the dual dispatch.  They dominate the compiled gradients.
 
-def ckappa(kappa, x):
-    """Generalized cosine C_kappa(x); total in both arguments."""
-    if type(x) is KScalar and not isinstance(kappa, KScalar):
-        v = x.val
-        return _chain(x, ckappa(kappa, v), -kappa * skappa(kappa, v))
-    return _circ_cos(kappa * x * x)
+def _ckappa_f(kappa, x):
+    u = kappa * x * x
+    if abs(u) < _KTRIG_TAYLOR:
+        return 1.0 + u * (-0.5 + u * (1.0 / 24.0 - u / 720.0))
+    if u > 0.0:
+        return math.cos(math.sqrt(u))
+    return math.cosh(math.sqrt(-u))
 
 
-def skappa(kappa, x):
-    """Generalized sine S_kappa(x); S_0(x) = x."""
-    if type(x) is KScalar and not isinstance(kappa, KScalar):
-        v = x.val
-        return _chain(x, skappa(kappa, v), ckappa(kappa, v))
-    return x * _circ_sinc(kappa * x * x)
+def _skappa_f(kappa, x):
+    u = kappa * x * x
+    if abs(u) < _KTRIG_TAYLOR:
+        return x * (1.0 + u * (-1.0 / 6.0 + u * (1.0 / 120.0 - u / 5040.0)))
+    if u > 0.0:
+        s = math.sqrt(u)
+        return x * (math.sin(s) / s)
+    s = math.sqrt(-u)
+    return x * (math.sinh(s) / s)
 
 
 # A trig factor below this is indistinguishable from an exact pole in
@@ -316,18 +330,68 @@ def skappa(kappa, x):
 _POLE_EPS = 1e-14
 
 
+def _tkappa_rule(kappa, x):
+    c = _ckappa_f(kappa, x)
+    if abs(c) < _POLE_EPS:
+        raise PoleError(f"tkappa pole: C_kappa vanishes at kappa={kappa}, x={x}")
+    return _skappa_f(kappa, x) / c, 1.0 / (c * c)
+
+
+def _cotkappa_rule(kappa, x):
+    s = _skappa_f(kappa, x)
+    if abs(s) < _POLE_EPS:
+        raise PoleError(f"cotkappa pole: S_kappa vanishes at kappa={kappa}, x={x}")
+    return _ckappa_f(kappa, x) / s, -1.0 / (s * s)
+
+
+def _ckappa_rule(kappa, x):
+    return _ckappa_f(kappa, x), -kappa * _skappa_f(kappa, x)
+
+
+def _skappa_rule(kappa, x):
+    return _skappa_f(kappa, x), _ckappa_f(kappa, x)
+
+
+# Float rules (kappa, x) -> (value, d/dx) for a plain kappa:
+#   S' = C,  C' = -kappa S,  T' = 1/C**2,  cot' = -1/S**2.
+# A dual x applies them in one chain step; a dual kappa takes the generic
+# composite path.
+KAPPA_RULES = {
+    "ckappa": _ckappa_rule,
+    "skappa": _skappa_rule,
+    "tkappa": _tkappa_rule,
+    "cotkappa": _cotkappa_rule,
+}
+
+
+def ckappa(kappa, x):
+    """Generalized cosine C_kappa(x); total in both arguments."""
+    if isinstance(kappa, KScalar):
+        return _circ_cos(kappa * x * x)
+    if isinstance(x, KScalar):
+        return _chain(x, *_ckappa_rule(kappa, x.val))
+    return _ckappa_f(kappa, x)
+
+
+def skappa(kappa, x):
+    """Generalized sine S_kappa(x); S_0(x) = x."""
+    if isinstance(kappa, KScalar):
+        return x * _circ_sinc(kappa * x * x)
+    if isinstance(x, KScalar):
+        return _chain(x, *_skappa_rule(kappa, x.val))
+    return _skappa_f(kappa, x)
+
+
 def tkappa(kappa, x):
     """Generalized tangent S_kappa/C_kappa; raises PoleError at C = 0."""
-    if type(x) is KScalar and not isinstance(kappa, KScalar):
-        v = x.val
-        c = ckappa(kappa, v)
-        if abs(c) < _POLE_EPS:
+    if isinstance(kappa, KScalar):
+        c = ckappa(kappa, x)
+        if abs(value_of(c)) < _POLE_EPS:
             raise PoleError(f"tkappa pole: C_kappa vanishes at kappa={kappa}, x={x}")
-        return _chain(x, skappa(kappa, v) / c, 1.0 / (c * c))
-    c = ckappa(kappa, x)
-    if abs(value_of(c)) < _POLE_EPS:
-        raise PoleError(f"tkappa pole: C_kappa vanishes at kappa={kappa}, x={x}")
-    return skappa(kappa, x) / c
+        return skappa(kappa, x) / c
+    if isinstance(x, KScalar):
+        return _chain(x, *_tkappa_rule(kappa, x.val))
+    return _tkappa_rule(kappa, x)[0]
 
 
 def cotkappa(kappa, x):
@@ -336,16 +400,14 @@ def cotkappa(kappa, x):
     This is the factor written as lambda/tan(lambda x) in curved-Kepler
     potentials; it stays real for every real curvature label.
     """
-    if type(x) is KScalar and not isinstance(kappa, KScalar):
-        v = x.val
-        s = skappa(kappa, v)
-        if abs(s) < _POLE_EPS:
+    if isinstance(kappa, KScalar):
+        s = skappa(kappa, x)
+        if abs(value_of(s)) < _POLE_EPS:
             raise PoleError(f"cotkappa pole: S_kappa vanishes at kappa={kappa}, x={x}")
-        return _chain(x, ckappa(kappa, v) / s, -1.0 / (s * s))
-    s = skappa(kappa, x)
-    if abs(value_of(s)) < _POLE_EPS:
-        raise PoleError(f"cotkappa pole: S_kappa vanishes at kappa={kappa}, x={x}")
-    return ckappa(kappa, x) / s
+        return ckappa(kappa, x) / s
+    if isinstance(x, KScalar):
+        return _chain(x, *_cotkappa_rule(kappa, x.val))
+    return _cotkappa_rule(kappa, x)[0]
 
 
 # -- inverse maps (plain floats only; used by chart transforms) ------------
@@ -374,24 +436,3 @@ def atank(kappa, t):
     if abs(arg) >= 1.0:
         raise DomainError(f"atank: |sqrt(-kappa) t| = {arg} >= 1")
     return math.atanh(arg) / math.sqrt(-kappa)
-
-
-class KappaLabel:
-    """A real curvature label with its trig pair bundled for convenience."""
-
-    __slots__ = ("kappa",)
-
-    def __init__(self, kappa):
-        self.kappa = float(kappa)
-
-    def c(self, x):
-        return ckappa(self.kappa, x)
-
-    def s(self, x):
-        return skappa(self.kappa, x)
-
-    def t(self, x):
-        return tkappa(self.kappa, x)
-
-    def __repr__(self):
-        return f"KappaLabel({self.kappa})"

@@ -3,7 +3,10 @@
 An ``Observable`` wraps a scalar function of the six phase-space slots.  The
 same function body is evaluated with floats (values) or with ``KScalar``
 duals (exact gradients), so every observable built from the arithmetic
-operators and the lifted functions below is differentiable for free.
+operators and the lifted functions below is differentiable for free.  Those
+observables also record an expression graph (:mod:`.codegen`), from which
+:meth:`Observable.compile_gradient` builds straight-line gradient code for
+observables evaluated many times, such as an integrated Hamiltonian.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernel
+from . import codegen, kernel
 from .kernel import NVARS, DomainError, KScalar, seeded
 
 
@@ -67,9 +70,6 @@ class PhaseState:
     def asarray(self):
         return np.asarray(self.coords, dtype=float)
 
-    def replace_coords(self, coords):
-        return PhaseState(self.chart, tuple(float(c) for c in coords))
-
 
 def _coords_of(state, chart):
     """Extract the 6 coordinates, enforcing the chart when one is declared."""
@@ -81,33 +81,59 @@ def _coords_of(state, chart):
     return tuple(state)
 
 
+def _node_of(o):
+    return o.node if isinstance(o, Observable) else codegen.const(o)
+
+
 class Observable:
     """A differentiable scalar field on phase space.
 
     Supports ``+ - * / **`` against other observables and plain numbers; the
     result is again an observable.  ``chart`` (when not None) restricts which
-    states the observable accepts.
+    states the observable accepts.  ``node`` is the expression graph of an
+    observable built by this module's operators and functions; an
+    ``Observable(fn)`` around another callable has none and is never
+    compiled.
     """
 
-    __slots__ = ("fn", "name", "chart")
+    __slots__ = ("fn", "name", "chart", "node", "_compiled")
 
-    def __init__(self, fn, name="", chart=None):
+    def __init__(self, fn, name="", chart=None, node=None):
         self.fn = fn
         self.name = name
         self.chart = chart
+        self.node = node
+        self._compiled = None      # None: not tried; False: not compilable
 
     def __call__(self, state):
         return self.fn(*_coords_of(state, self.chart))
 
+    def compile_gradient(self):
+        """Build straight-line value-and-gradient code once; True if built.
+
+        Afterwards :meth:`gradient` and :meth:`value_and_gradient` run the
+        compiled code, which returns what the dual evaluation returns.
+        """
+        if self._compiled is None:
+            self._compiled = codegen.compile_gradient(self.node) or False
+        return bool(self._compiled)
+
     def gradient(self, state):
-        """Exact gradient via one 6-lane dual evaluation."""
-        out = self.fn(*seeded(_coords_of(state, self.chart)))
+        """Exact gradient: compiled code if built, else one 6-lane dual evaluation."""
+        coords = _coords_of(state, self.chart)
+        if self._compiled:
+            return np.asarray(self._compiled(*coords)[1], dtype=float)
+        out = self.fn(*seeded(coords))
         if isinstance(out, KScalar):
             return np.asarray(out.d, dtype=float)
         return np.zeros(NVARS)
 
     def value_and_gradient(self, state):
-        out = self.fn(*seeded(_coords_of(state, self.chart)))
+        coords = _coords_of(state, self.chart)
+        if self._compiled:
+            val, d = self._compiled(*coords)
+            return val, np.asarray(d, dtype=float)
+        out = self.fn(*seeded(coords))
         if isinstance(out, KScalar):
             return out.val, np.asarray(out.d, dtype=float)
         return float(out), np.zeros(NVARS)
@@ -123,24 +149,28 @@ class Observable:
             f"cannot combine observables on {self.chart.value} and {oc.value}")
 
     def __add__(self, o):
+        node = codegen.node("add", self.node, _node_of(o))
         if isinstance(o, Observable):
             f, g = self.fn, o.fn
-            return Observable(lambda *s: f(*s) + g(*s), chart=self._merge_chart(o))
+            return Observable(lambda *s: f(*s) + g(*s), chart=self._merge_chart(o),
+                              node=node)
         f = self.fn
-        return Observable(lambda *s: f(*s) + o, chart=self.chart)
+        return Observable(lambda *s: f(*s) + o, chart=self.chart, node=node)
 
     __radd__ = __add__
 
     def __neg__(self):
         f = self.fn
-        return Observable(lambda *s: -f(*s), chart=self.chart)
+        return Observable(lambda *s: -f(*s), chart=self.chart,
+                          node=codegen.node("neg", self.node))
 
     def __sub__(self, o):
         return self + (-o)
 
     def __rsub__(self, o):
         f = self.fn
-        return Observable(lambda *s: o - f(*s), chart=self.chart)
+        return Observable(lambda *s: o - f(*s), chart=self.chart,
+                          node=codegen.node("sub", _node_of(o), self.node))
 
     def __mul__(self, o):
         if o is self:
@@ -149,35 +179,42 @@ class Observable:
             def square(*s):
                 v = f(*s)
                 return v * v
-            return Observable(square, chart=self.chart)
+            return Observable(square, chart=self.chart,
+                              node=codegen.node("square", self.node))
+        node = codegen.node("mul", self.node, _node_of(o))
         if isinstance(o, Observable):
             f, g = self.fn, o.fn
-            return Observable(lambda *s: f(*s) * g(*s), chart=self._merge_chart(o))
+            return Observable(lambda *s: f(*s) * g(*s), chart=self._merge_chart(o),
+                              node=node)
         f = self.fn
-        return Observable(lambda *s: f(*s) * o, chart=self.chart)
+        return Observable(lambda *s: f(*s) * o, chart=self.chart, node=node)
 
     __rmul__ = __mul__
 
     def __truediv__(self, o):
+        node = codegen.node("div", self.node, _node_of(o))
         if isinstance(o, Observable):
             f, g = self.fn, o.fn
-            return Observable(lambda *s: f(*s) / g(*s), chart=self._merge_chart(o))
+            return Observable(lambda *s: f(*s) / g(*s), chart=self._merge_chart(o),
+                              node=node)
         f = self.fn
-        return Observable(lambda *s: f(*s) / o, chart=self.chart)
+        return Observable(lambda *s: f(*s) / o, chart=self.chart, node=node)
 
     def __rtruediv__(self, o):
         f = self.fn
-        return Observable(lambda *s: o / f(*s), chart=self.chart)
+        return Observable(lambda *s: o / f(*s), chart=self.chart,
+                          node=codegen.node("div", _node_of(o), self.node))
 
     def __pow__(self, n):
         f = self.fn
-        return Observable(lambda *s: f(*s) ** n, chart=self.chart)
+        node = codegen.node("pow", self.node, param=n) if codegen.number(n) else None
+        return Observable(lambda *s: f(*s) ** n, chart=self.chart, node=node)
 
     def renamed(self, name):
-        return Observable(self.fn, name=name, chart=self.chart)
+        return Observable(self.fn, name=name, chart=self.chart, node=self.node)
 
     def with_chart(self, chart):
-        return Observable(self.fn, name=self.name, chart=chart)
+        return Observable(self.fn, name=self.name, chart=chart, node=self.node)
 
     def __repr__(self):
         tag = f" on {self.chart.value}" if self.chart else ""
@@ -185,11 +222,12 @@ class Observable:
 
 
 def constant(c):
-    return Observable(lambda *s: c, name=f"{c}")
+    return Observable(lambda *s: c, name=f"{c}", node=codegen.const(c))
 
 
 def coordinate(slot, name="", chart=None):
-    return Observable(lambda *s: s[slot], name=name, chart=chart)
+    return Observable(lambda *s: s[slot], name=name, chart=chart,
+                      node=codegen.coord(slot))
 
 
 # Canonical coordinate observables on the raw (q, p) slots; chart-agnostic so
@@ -202,7 +240,8 @@ def _lift1(scalar_fn, fname):
     def lifted(x):
         if isinstance(x, Observable):
             f = x.fn
-            return Observable(lambda *s: scalar_fn(f(*s)), chart=x.chart)
+            return Observable(lambda *s: scalar_fn(f(*s)), chart=x.chart,
+                              node=codegen.node("fn", x.node, param=fname))
         return scalar_fn(x)
 
     lifted.__name__ = fname
@@ -224,7 +263,10 @@ def _lift_kappa(scalar_fn, fname):
     def lifted(kappa, x):
         if isinstance(x, Observable):
             f = x.fn
-            return Observable(lambda *s: scalar_fn(kappa, f(*s)), chart=x.chart)
+            node = (codegen.node("kfn", x.node, param=(fname, kappa))
+                    if codegen.number(kappa) else None)
+            return Observable(lambda *s: scalar_fn(kappa, f(*s)), chart=x.chart,
+                              node=node)
         return scalar_fn(kappa, x)
 
     lifted.__name__ = fname

@@ -337,6 +337,33 @@ def test_non_finite_inputs_exit_2_quickly(capsys, argv):
     assert time.perf_counter() - t0 < 5.0
 
 
+@pytest.mark.parametrize("flags", [
+    ("--max-step", "0"),
+    ("--max-step", "-1"),
+    ("--state", "1,0,0,0,0,1"),        # theta = 0: polar axis
+    ("--state", "0,1,0,0,0,1"),        # r = 0: radial pole
+], ids=lambda flags: " ".join(flags))
+def test_invalid_step_or_singular_start_exits_2(capsys, tmp_path, flags):
+    t0 = time.perf_counter()
+    code, _, err = run_cli(capsys, "simulate", *_ORBIT, "--t-end", "1", *flags,
+                           "--csv", str(tmp_path / "o.csv"),
+                           "--summary", str(tmp_path / "s.json"))
+    assert code == 2
+    assert err.startswith("error:") and "Traceback" not in err
+    assert ("max_step" in err) if flags[0] == "--max-step" else ("singular" in err)
+    assert time.perf_counter() - t0 < 5.0
+
+
+def test_simulate_midpoint_divergence_exits_3(capsys, tmp_path):
+    code, _, _ = run_cli(capsys, "simulate", *_ORBIT, "--t-end", "4",
+                         "--method", "implicit-midpoint", "--fixed-step", "2.0",
+                         "--csv", str(tmp_path / "m.csv"),
+                         "--summary", str(tmp_path / "m.json"))
+    assert code == 3
+    summary = json.loads((tmp_path / "m.json").read_text())
+    assert summary["termination_reason"] == "midpoint-not-converged"
+
+
 def test_verify_nan_residual_fails_the_run(capsys, monkeypatch):
     def reports(*args):
         rows = [IdentityResult("ok", "g", 1, 1e-12, ()),

@@ -10,7 +10,8 @@ from curvkepler.dynamics import (IntegratorConfig, StepUnderflowError,
                                  Trajectory, drift_report, integrate, rhs,
                                  trajectory_csv)
 from curvkepler.kernel import DomainError
-from curvkepler.phase import (P1, P2, P3, Q1, Q2, Q3, Chart, PhaseState,
+from curvkepler.phase import (P1, P2, P3, Q1, Q2, Q3, Chart,
+                              ChartSingularityError, Observable, PhaseState,
                               coordinate, sqrt)
 from curvkepler.spaces import (Family, HamiltonianSpec, SpaceParams,
                                chart_guard, hamiltonian, radial_reduction)
@@ -254,10 +255,71 @@ def test_config_validation():
     for bad in ({"t_end": math.nan}, {"t_end": math.inf},
                 {"rel_tol": math.nan}, {"rel_tol": math.inf},
                 {"abs_tol": math.nan}, {"abs_tol": math.inf},
-                {"max_step": math.nan}, {"fixed_step": math.nan}):
+                {"max_step": math.nan}, {"max_step": 0.0},
+                {"max_step": -1.0}, {"fixed_step": math.nan}):
         with pytest.raises(DomainError):
             IntegratorConfig(**bad)
     assert IntegratorConfig().max_step == math.inf
+
+
+def test_singular_start_state_is_rejected_before_any_evaluation():
+    params = SpaceParams.preset("spherical", gamma=0.5)
+    h = hamiltonian(HamiltonianSpec(Family.KEPLER_CC, params), Chart.POLAR_CONSTANT)
+    calls = []
+    counted = Observable(lambda *s: calls.append(s) or h.fn(*s))
+    guard = chart_guard(Chart.POLAR_CONSTANT, params)
+    for state, word in (((1.0, 0.0, 0.0, 0.0, 0.0, 1.0), "axis"),
+                        ((0.0, 1.0, 0.0, 0.0, 0.0, 1.0), "pole")):
+        with pytest.raises(ChartSingularityError, match=word):
+            integrate(counted, PhaseState(Chart.POLAR_CONSTANT, state),
+                      IntegratorConfig(t_end=1.0), monitors={"H": counted},
+                      domain_guard=guard)
+    assert calls == []
+
+
+_MIDPOINT_STATE = (1.1, 1.2, 0.4, 0.2, 0.4, 0.9)
+
+
+def _kepler_midpoint(fixed_step):
+    params = SpaceParams.preset("spherical", gamma=0.5)
+    h = hamiltonian(HamiltonianSpec(Family.KEPLER_CC, params), Chart.POLAR_CONSTANT)
+    cfg = IntegratorConfig(t_end=4.0, method="implicit-midpoint",
+                           fixed_step=fixed_step)
+    return h, integrate(h, PhaseState(Chart.POLAR_CONSTANT, _MIDPOINT_STATE), cfg,
+                        domain_guard=chart_guard(Chart.POLAR_CONSTANT, params))
+
+
+def test_implicit_midpoint_stops_when_the_fixed_point_diverges():
+    """At h = 2 the midpoint iteration runs away (last update ~3e4); the
+    step must not be accepted."""
+    _, tr = _kepler_midpoint(2.0)
+    assert tr.terminated_early
+    assert tr.termination_reason == "midpoint-not-converged"
+    assert tr.stats.accepted == 0 and len(tr.times) == 1
+
+
+def test_implicit_midpoint_converged_run_is_unchanged():
+    """At h = 0.05 every step converges, and the run equals a reference loop
+    that accepts the last fixed-point iterate (the earlier behaviour)."""
+    h, tr = _kepler_midpoint(0.05)
+    assert not tr.terminated_early
+    f = lambda y: rhs(h, PhaseState(Chart.POLAR_CONSTANT, tuple(y.tolist())))
+    t, y = 0.0, np.array(_MIDPOINT_STATE)
+    ref = [y]
+    while 4.0 - t > 4e-14:
+        step = min(0.05, 4.0 - t)
+        ym = y + 0.5 * step * f(y)
+        for _ in range(60):
+            ynew = y + 0.5 * step * f(ym)
+            done = np.max(np.abs(ynew - ym)) < 1e-14
+            ym = ynew
+            if done:
+                break
+        y = y + step * f(ym)
+        t += step
+        ref.append(y)
+    assert len(ref) == 81
+    assert np.array_equal(tr.states, np.array(ref))
 
 
 def test_stats_pin_first_same_as_last():

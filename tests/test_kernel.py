@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from curvkepler import kernel
-from curvkepler.kernel import (KappaLabel, KScalar, PoleError, asink, atank,
+from curvkepler.kernel import (KScalar, PoleError, asink, atank,
                                ckappa, cotkappa, skappa, tkappa)
 from curvkepler.phase import (P1, P2, Q1, Q2, Q3, Observable, cos, exp,
                               fd_grad, grad, sin, sinhc, sqrt)
@@ -89,13 +89,6 @@ def test_inverse_maps_round_trip():
             x = rng.uniform(0.05, 1.2)
             npt.assert_allclose(asink(kappa, skappa(kappa, x)), x, rtol=1e-12)
             npt.assert_allclose(atank(kappa, tkappa(kappa, x)), x, rtol=1e-12)
-
-
-def test_kappalabel_bundles_trig():
-    lab = KappaLabel(-0.5)
-    assert lab.c(0.7) == ckappa(-0.5, 0.7)
-    assert lab.s(0.7) == skappa(-0.5, 0.7)
-    assert lab.t(0.7) == tkappa(-0.5, 0.7)
 
 
 # -- dual-number gradients against the finite-difference oracle ------------
@@ -306,6 +299,23 @@ def test_kappa_trig_dual_value_is_the_float_value(name, kappa):
     fn = _TRIG[name]
     for x in _trig_points(kappa, name):
         assert fn(kappa, KScalar.seed(x, 0)).val == fn(kappa, x)
+
+
+@pytest.mark.parametrize("kappa", _KAPPAS)
+def test_kappa_trig_float_fast_path_is_the_composite_arithmetic(kappa):
+    """The float S/C/T/cot equal, bit for bit, the composite evaluation
+    through _circ_cos / _circ_sinc, Taylor branch included."""
+    points = {x for name in _TRIG for x in _trig_points(kappa, name)} | {0.0}
+    for x in sorted(points):
+        u = kappa * x * x
+        c = kernel._circ_cos(u)
+        s = x * kernel._circ_sinc(u)
+        assert ckappa(kappa, x).hex() == c.hex(), x
+        assert skappa(kappa, x).hex() == s.hex(), x
+        if abs(c) >= 1e-14:
+            assert tkappa(kappa, x).hex() == (s / c).hex(), x
+        if abs(s) >= 1e-14:
+            assert cotkappa(kappa, x).hex() == (c / s).hex(), x
 
 
 def test_kappa_trig_dual_input_at_pole_raises():
