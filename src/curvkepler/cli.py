@@ -173,7 +173,10 @@ def _parse_state(text):
     parts = [p for p in text.replace(";", ",").split(",") if p.strip()]
     if len(parts) != 6:
         raise DomainError("--state needs 6 comma-separated numbers")
-    return tuple(float(p) for p in parts)
+    coords = tuple(float(p) for p in parts)
+    if not all(math.isfinite(c) for c in coords):
+        raise DomainError(f"--state coordinates must be finite, got {text!r}")
+    return coords
 
 
 def _family_of(args):
@@ -194,9 +197,7 @@ def _cmd_simulate(args):
     if not args.state:
         raise DomainError("--state is required")
     spec = spaces.HamiltonianSpec(family, params)
-    polar = (Chart.POLAR_VARIABLE if family in (spaces.Family.FREE_NC,
-                                                spaces.Family.KEPLER_NC)
-             else Chart.POLAR_CONSTANT)
+    polar = family.polar_chart
     chart = _chart_of(args) if args.chart else polar
     state = PhaseState(chart, _parse_state(args.state))
     if chart is Chart.BELTRAMI:
@@ -255,6 +256,8 @@ def _parse_grid(text):
         if len(bits) != 3:
             raise DomainError(f"bad grid axis {axis!r}; want lo:hi:n")
         lo, hi, n = float(bits[0]), float(bits[1]), int(bits[2])
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise DomainError(f"grid bounds must be finite, got {axis!r}")
         if n < 1:
             raise DomainError("grid axis needs n >= 1")
         out.append(np.linspace(lo, hi, n))
@@ -279,7 +282,7 @@ def _cmd_curvature(args):
     axes = _parse_grid(args.grid)
     guard = spaces.chart_guard(chart, params)
     lines = ["x1,x2,x3,K12,K13,K23,K,closed_K,abs_err"]
-    max_err = 0.0
+    errs = []
     for x1 in axes[0]:
         for x2 in axes[1]:
             for x3 in axes[2]:
@@ -292,11 +295,12 @@ def _cmd_curvature(args):
                 closed = res.closed.get("kscalar")
                 err = abs(res.kscalar - closed) if closed is not None else ""
                 if err != "":
-                    max_err = max(max_err, err)
+                    errs.append(err)
                 row = [x1, x2, x3, res.k12, res.k13, res.k23, res.kscalar]
                 row.append("" if closed is None else closed)
                 row.append(err)
                 lines.append(",".join("" if v == "" else f"{v:.17g}" for v in row))
+    max_err = float(np.max(errs, initial=0.0))  # NaN if any row's is NaN
     lines.append(f"max_abs_err,,,,,,,,{max_err:.17g}")
     _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
@@ -309,10 +313,10 @@ def _cmd_curvature(args):
 def _cmd_rank(args):
     params = _space_params(args)
     family = _family_of(args)
+    if args.samples < 1:
+        raise DomainError("samples must be >= 1")
     spec = spaces.HamiltonianSpec(family, params)
-    polar = (Chart.POLAR_VARIABLE if family in (spaces.Family.FREE_NC,
-                                                spaces.Family.KEPLER_NC)
-             else Chart.POLAR_CONSTANT)
+    polar = family.polar_chart
     consts = symmetry.constants(spec, polar)
     obs = [consts["C2"], consts["C2mid"], consts["C3"],
            spaces.hamiltonian(spec, polar)]
@@ -481,10 +485,18 @@ def main(argv=None):
             sub.set_defaults(**overrides)
     args = parser.parse_args(argv)  # argparse exits with code 2 on bad flags
     try:
-        return args.func(args)
+        # numpy overflow and invalid operations raise instead of warning
+        # their way into a NaN.
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return args.func(args)
     except (DomainError, ChartMismatchError, ChartSingularityError,
             ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
+        return EXIT_CONFIG
+    except ArithmeticError as err:
+        # Inputs for which the arithmetic itself breaks down: a kernel
+        # PoleError, a float OverflowError, a numpy FloatingPointError.
+        print(f"error: {type(err).__name__}: {err}", file=sys.stderr)
         return EXIT_CONFIG
 
 

@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .phase import (Chart, Observable, PhaseState, coordinate, cosh, exp,
-                    grad, sinhc)
+from .phase import (P1, P2, P3, Q1, Q2, Q3, Chart, Observable, PhaseState,
+                    cosh, exp, grad, sinhc)
 
 __all__ = [
     "Realization", "CasimirSet", "one_site", "coproduct_join", "three_site",
@@ -66,8 +66,8 @@ def one_site(z, site=1):
     """One-pair realization: J- = q^2, J+ = sinhc(z q^2) p^2, J3 = sinhc(z q^2) q p."""
     if site not in (1, 2, 3):
         raise ValueError("site must be 1, 2 or 3")
-    q = coordinate(site - 1)
-    p = coordinate(site + 2)
+    q = (Q1, Q2, Q3)[site - 1]
+    p = (P1, P2, P3)[site - 1]
     jm = q * q
     w = sinhc(z * q * q)
     return Realization(z, 1, (site,), jm, w * p * p, w * q * p)
@@ -104,32 +104,27 @@ def three_site(z):
 
 
 def _sinhc_exp_factors(z):
-    q1, q2, q3 = (coordinate(i) for i in range(3))
-    s = tuple(sinhc(z * q * q) for q in (q1, q2, q3))
-    e = tuple(exp(z * q * q) for q in (q1, q2, q3))
+    s = tuple(sinhc(z * q * q) for q in (Q1, Q2, Q3))
+    e = tuple(exp(z * q * q) for q in (Q1, Q2, Q3))
     return s, e
 
 
 def three_site_closed_form(z):
     """The explicit three-site generators; independent oracle for the coproduct."""
-    q1, q2, q3 = (coordinate(i) for i in range(3))
-    p1, p2, p3 = (coordinate(i + 3) for i in range(3))
     (s1, s2, s3), (e1, e2, e3) = _sinhc_exp_factors(z)
-    jm = q1 * q1 + q2 * q2 + q3 * q3
-    jp = s1 * p1 * p1 * e2 * e3 + s2 * p2 * p2 * e3 / e1 + s3 * p3 * p3 / (e1 * e2)
-    j3 = (s1 * q1 * p1 * e2 * e3 + s2 * q2 * p2 * e3 / e1
-          + s3 * q3 * p3 / (e1 * e2))
+    jm = Q1 * Q1 + Q2 * Q2 + Q3 * Q3
+    jp = s1 * P1 * P1 * e2 * e3 + s2 * P2 * P2 * e3 / e1 + s3 * P3 * P3 / (e1 * e2)
+    j3 = (s1 * Q1 * P1 * e2 * e3 + s2 * Q2 * P2 * e3 / e1
+          + s3 * Q3 * P3 / (e1 * e2))
     return Realization(z, 3, (1, 2, 3), jm, jp, j3)
 
 
 def casimirs(z):
     """Closed-form Casimir images on sites (1,2), (2,3) and (1,2,3)."""
-    q1, q2, q3 = (coordinate(i) for i in range(3))
-    p1, p2, p3 = (coordinate(i + 3) for i in range(3))
     (s1, s2, s3), (e1, e2, e3) = _sinhc_exp_factors(z)
-    m12 = q1 * p2 - q2 * p1
-    m13 = q1 * p3 - q3 * p1
-    m23 = q2 * p3 - q3 * p2
+    m12 = Q1 * P2 - Q2 * P1
+    m13 = Q1 * P3 - Q3 * P1
+    m23 = Q2 * P3 - Q3 * P2
     c12 = s1 * s2 * m12 * m12 * e2 / e1
     c23 = s2 * s3 * m23 * m23 * e3 / e2
     c123 = (s1 * s2 * m12 * m12 * (e2 / e1) * e3 * e3
@@ -144,11 +139,14 @@ def casimir_of(r):
     return r.jminus * sinhc(r.z * r.jminus) * r.jplus - r.jthree * r.jthree
 
 
+def _bracket(gf, gg):
+    """Canonical Poisson bracket {f, g} from the gradients of f and g."""
+    return float(gf[:3] @ gg[3:] - gg[:3] @ gf[3:])
+
+
 def pbracket(f, g, state):
     """Canonical Poisson bracket {f, g} at a state, from exact gradients."""
-    gf = grad(f, state)
-    gg = grad(g, state)
-    return float(gf[:3] @ gg[3:] - gg[:3] @ gf[3:])
+    return _bracket(grad(f, state), grad(g, state))
 
 
 # --------------------------------------------------------------------------
@@ -254,7 +252,7 @@ def run_table(suite, table, sampler, samples, seed, params=None):
             if ident.g is not None:
                 _, gf = vg(ident.f)
                 _, gg = vg(ident.g)
-                lhs = float(gf[:3] @ gg[3:] - gg[:3] @ gf[3:])
+                lhs = _bracket(gf, gg)
                 scale = _GRAD_SCALE * float(np.linalg.norm(gf) * np.linalg.norm(gg))
             else:
                 lhs = vg(ident.f)[0]

@@ -18,9 +18,7 @@ Each retained lane applies the float operations of the ``KScalar`` rule its
 node replaces, in the same order, so the results equal the dual path's.  A
 skipped lane is an exact zero that the dual path adds or multiplies in,
 which can change the sign of a zero and nothing else (barring an infinite
-operand, where the dual lane turns NaN).  ``sinhc`` and ``expm1c`` are the
-exception: the dual path composes them from smaller steps, while their float
-rules form the derivative once, so their gradients differ by rounding.
+operand, where the dual lane turns NaN).
 """
 
 from __future__ import annotations

@@ -140,11 +140,7 @@ class Trajectory:
     @property
     def drift(self):
         """Max relative drift per monitor: max |v(t) - v(0)| / max(|v(0)|, 1)."""
-        out = {}
-        for name, series in self.monitors.items():
-            ref = series[0]
-            out[name] = float(np.max(np.abs(series - ref)) / max(abs(ref), 1.0))
-        return out
+        return {name: rep["max_drift"] for name, rep in drift_report(self).items()}
 
 
 # Dormand-Prince 5(4) tableau (the ode45 pair).

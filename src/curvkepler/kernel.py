@@ -224,49 +224,39 @@ arctan = _unary("arctan", math.atan, RULES["arctan"])
 arctanh = _unary("arctanh", math.atanh, RULES["arctanh"])
 
 
-def sinhc(u):
-    """sinh(u)/u with its removable singularity at u = 0 handled."""
-    if abs(value_of(u)) < _SINHC_TAYLOR:
-        u2 = u * u
-        return 1.0 + u2 * (1.0 / 6.0) + u2 * u2 * (1.0 / 120.0)
-    return sinh(u) / u
+def _sinhc_f(v):
+    """sinh(v)/v with its removable singularity at v = 0 handled."""
+    if abs(v) < _SINHC_TAYLOR:
+        v2 = v * v
+        return 1.0 + v2 * (1.0 / 6.0) + v2 * v2 * (1.0 / 120.0)
+    return math.sinh(v) / v
 
 
 def _sinhc_rule(v):
+    val = _sinhc_f(v)
     if abs(v) < _SINHC_TAYLOR:
-        v2 = v * v
-        return (1.0 + v2 * (1.0 / 6.0) + v2 * v2 * (1.0 / 120.0),
-                v * (1.0 / 3.0 + v2 * (1.0 / 30.0)))
-    s = math.sinh(v)
-    ch = math.cosh(v)
-    w = 1.0 / v
-    return s * w, w * ch - s * w * w
+        return val, v * (1.0 / 3.0 + v * v * (1.0 / 30.0))
+    return val, (math.cosh(v) - val) / v
 
 
-def expm1c(u):
-    """(exp(u) - 1)/u with its removable singularity at u = 0 handled."""
-    v = value_of(u)
+def _expm1c_f(v):
+    """(exp(v) - 1)/v with its removable singularity at v = 0 handled."""
     if abs(v) < _EXPM1C_TAYLOR:
-        return 1.0 + u * (0.5 + u * (1.0 / 6.0 + u * (1.0 / 24.0 + u / 120.0)))
-    if isinstance(u, KScalar):
-        return (exp(u) - 1.0) / u
-    return math.expm1(u) / u
+        return 1.0 + v * (0.5 + v * (1.0 / 6.0 + v * (1.0 / 24.0 + v / 120.0)))
+    return math.expm1(v) / v
 
 
 def _expm1c_rule(v):
+    val = _expm1c_f(v)
     if abs(v) < _EXPM1C_TAYLOR:
-        return (1.0 + v * (0.5 + v * (1.0 / 6.0 + v * (1.0 / 24.0 + v * (1.0 / 120.0)))),
-                0.5 + v * (1.0 / 3.0 + v * (1.0 / 8.0 + v * (1.0 / 30.0))))
-    e = math.exp(v)
-    w = 1.0 / v
-    return (e - 1.0) * w, w * e - (e - 1.0) * w * w
+        return val, 0.5 + v * (1.0 / 3.0 + v * (1.0 / 8.0 + v * (1.0 / 30.0)))
+    return val, (math.exp(v) - val) / v
 
 
-# The dual sinhc and expm1c stay composite (their values match the rules
-# bitwise); the rules form the derivative once instead of lane by lane, which
-# moves gradients by rounding only.
 RULES["sinhc"] = _sinhc_rule
 RULES["expm1c"] = _expm1c_rule
+sinhc = _unary("sinhc", _sinhc_f, _sinhc_rule)
+expm1c = _unary("expm1c", _expm1c_f, _expm1c_rule)
 
 
 def log1pc(u):

@@ -81,6 +81,19 @@ def _coords_of(state, chart):
     return tuple(state)
 
 
+def _value_and_gradient(fn, compiled, coords):
+    """(value, gradient) of ``fn`` at ``coords``: the compiled code when there
+    is one, else one evaluation on seeded duals; a result that is not a dual
+    (the function ignores the coordinates) has a zero gradient."""
+    if compiled:
+        val, d = compiled(*coords)
+        return val, np.asarray(d, dtype=float)
+    out = fn(*seeded(coords))
+    if isinstance(out, KScalar):
+        return out.val, np.asarray(out.d, dtype=float)
+    return float(out), np.zeros(NVARS)
+
+
 def _node_of(o):
     return o.node if isinstance(o, Observable) else codegen.const(o)
 
@@ -120,23 +133,12 @@ class Observable:
 
     def gradient(self, state):
         """Exact gradient: compiled code if built, else one 6-lane dual evaluation."""
-        coords = _coords_of(state, self.chart)
-        if self._compiled:
-            return np.asarray(self._compiled(*coords)[1], dtype=float)
-        out = self.fn(*seeded(coords))
-        if isinstance(out, KScalar):
-            return np.asarray(out.d, dtype=float)
-        return np.zeros(NVARS)
+        return _value_and_gradient(self.fn, self._compiled,
+                                   _coords_of(state, self.chart))[1]
 
     def value_and_gradient(self, state):
-        coords = _coords_of(state, self.chart)
-        if self._compiled:
-            val, d = self._compiled(*coords)
-            return val, np.asarray(d, dtype=float)
-        out = self.fn(*seeded(coords))
-        if isinstance(out, KScalar):
-            return out.val, np.asarray(out.d, dtype=float)
-        return float(out), np.zeros(NVARS)
+        return _value_and_gradient(self.fn, self._compiled,
+                                   _coords_of(state, self.chart))
 
     # -- combination helpers ----------------------------------------------
     def _merge_chart(self, other):
@@ -283,10 +285,7 @@ def grad(f, state):
     """Exact gradient of an observable at a state (dual-number propagation)."""
     if isinstance(f, Observable):
         return f.gradient(state)
-    out = f(*seeded(_coords_of(state, None)))
-    if isinstance(out, KScalar):
-        return np.asarray(out.d, dtype=float)
-    return np.zeros(NVARS)
+    return _value_and_gradient(f, None, _coords_of(state, None))[1]
 
 
 def fd_grad(f, state, h=1e-6):

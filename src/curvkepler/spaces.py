@@ -97,9 +97,14 @@ class Family(enum.Enum):
     KEPLER_CC = "kepler-cc"
     CUSTOM = "custom"
 
-
-_NC_FAMILIES = (Family.FREE_NC, Family.KEPLER_NC)
-_CC_FAMILIES = (Family.FREE_CC, Family.KEPLER_CC)
+    @property
+    def polar_chart(self):
+        """The polar chart the family lives on; None for CUSTOM (Beltrami only)."""
+        if self in (Family.FREE_NC, Family.KEPLER_NC):
+            return Chart.POLAR_VARIABLE
+        if self in (Family.FREE_CC, Family.KEPLER_CC):
+            return Chart.POLAR_CONSTANT
+        return None
 
 
 @dataclass(frozen=True)
@@ -130,11 +135,8 @@ class HamiltonianSpec:
                                       "-gamma/sqrt(q^2) as z -> 0")
 
     def compatible_charts(self):
-        if self.family in _NC_FAMILIES:
-            return (Chart.BELTRAMI, Chart.POLAR_VARIABLE)
-        if self.family in _CC_FAMILIES:
-            return (Chart.BELTRAMI, Chart.POLAR_CONSTANT)
-        return (Chart.BELTRAMI,)
+        polar = self.family.polar_chart
+        return (Chart.BELTRAMI,) if polar is None else (Chart.BELTRAMI, polar)
 
 
 def _check_chart(spec, chart):
@@ -164,7 +166,7 @@ def hamiltonian(spec, chart):
     """The family Hamiltonian as an observable on the requested chart."""
     _check_chart(spec, chart)
     params = spec.params
-    z, kappa2, k = params.z, params.kappa2, params.k
+    z = params.z
 
     if chart is Chart.BELTRAMI:
         r3 = three_site_closed_form(z)
@@ -184,20 +186,32 @@ def hamiltonian(spec, chart):
             h = 0.25 * jp * exp(z * jm) + _beltrami_kepler_potential(params)
         return h.renamed(f"H[{spec.family.value}]").with_chart(Chart.BELTRAMI)
 
-    s2 = skappa(kappa2, _TH)
+    s2 = skappa(params.kappa2, _TH)
     angular = _PTH * _PTH + _PPH * _PPH / (s2 * s2)
-    if chart is Chart.POLAR_VARIABLE:
-        cm = ckappa(-z, _RAD)
-        sm = skappa(-z, _RAD)
-        h = 0.5 * cm * (_PRAD * _PRAD + angular / (kappa2 * sm * sm))
-        if spec.family is Family.KEPLER_NC:
-            h = h - k * cm * cm / sm
-    else:  # POLAR_CONSTANT
-        sz = skappa(z, _RAD)
-        h = 0.5 * (_PRAD * _PRAD + angular / (kappa2 * sz * sz))
-        if spec.family is Family.KEPLER_CC:
-            h = h - k * cotkappa(z, _RAD)
+    h = _polar_hamiltonian(spec.family, params, _RAD, _PRAD, angular)
     return h.renamed(f"H[{spec.family.value}]").with_chart(chart)
+
+
+def _polar_hamiltonian(family, params, rad, prad, angular):
+    """H on the family's polar chart from the radial pair and the angular
+    term p_theta^2 + p_phi^2 / S_kappa2(theta)^2 (the constant C^(3)).
+
+    Takes observables or floats alike; one formula for :func:`hamiltonian`
+    and :class:`RadialSystem`.
+    """
+    z, kappa2, k = params.z, params.kappa2, params.k
+    if family.polar_chart is Chart.POLAR_VARIABLE:
+        cm = ckappa(-z, rad)
+        sm = skappa(-z, rad)
+        h = 0.5 * cm * (prad * prad + angular / (kappa2 * sm * sm))
+        if family is Family.KEPLER_NC:
+            h = h - k * cm * cm / sm
+        return h
+    sz = skappa(z, rad)
+    h = 0.5 * (prad * prad + angular / (kappa2 * sz * sz))
+    if family is Family.KEPLER_CC:
+        h = h - k * cotkappa(z, rad)
+    return h
 
 
 # --------------------------------------------------------------------------
@@ -406,6 +420,8 @@ def curvature(chart, kind, point, params, h=1e-4):
     their derivatives), so the result carries an O(h^2) truncation error;
     closed-form values are attached for the charts where they are known.
     """
+    if not (math.isfinite(h) and h > 0):
+        raise DomainError(f"finite-difference step must be finite and > 0, got {h!r}")
     x = np.asarray(point, dtype=float)
     gfn = lambda y: metric(chart, kind, y, params)
     g, gamma = _christoffel(gfn, x, h)
@@ -479,38 +495,21 @@ class RadialSystem:
     c3: float
     chart: Chart
 
-    def kinetic_coeff(self, r):
-        if self.chart is Chart.POLAR_VARIABLE:
-            return 0.5 * kernel.ckappa(-self.params.z, r)
-        return 0.5
-
     def potential(self, r):
-        z, kappa2, k = self.params.z, self.params.kappa2, self.params.k
-        if self.chart is Chart.POLAR_VARIABLE:
-            cm = kernel.ckappa(-z, r)
-            sm = kernel.skappa(-z, r)
-            v = 0.5 * cm * self.c3 / (kappa2 * sm * sm)
-            if self.family is Family.KEPLER_NC:
-                v -= k * cm * cm / sm
-            return v
-        sz = kernel.skappa(z, r)
-        v = 0.5 * self.c3 / (kappa2 * sz * sz)
-        if self.family is Family.KEPLER_CC:
-            v -= k * kernel.cotkappa(z, r)
-        return v
+        """The effective radial potential h(r, 0)."""
+        return self.hamiltonian(r, 0.0)
 
     def hamiltonian(self, r, pr):
-        return self.kinetic_coeff(r) * pr * pr + self.potential(r)
+        return _polar_hamiltonian(self.family, self.params, r, pr, self.c3)
 
 
 def radial_reduction(spec, c3):
     """Reduce a family to its radial canonical pair with C^(3) frozen at c3."""
     if c3 < 0:
         raise DomainError("c3 must be >= 0")
-    if spec.family is Family.CUSTOM:
+    chart = spec.family.polar_chart
+    if chart is None:
         raise DomainError("no radial closed form for custom families")
-    chart = Chart.POLAR_VARIABLE if spec.family in _NC_FAMILIES \
-        else Chart.POLAR_CONSTANT
     return RadialSystem(spec.family, spec.params, float(c3), chart)
 
 

@@ -22,24 +22,17 @@ import numpy as np
 from .coalgebra import (BracketReport, Identity, casimirs, run_table,
                         three_site_closed_form)
 from .kernel import DomainError
-from .phase import (Chart, ChartMismatchError, Observable, PhaseState,
-                    ckappa, coordinate, cos, cotkappa, grad, sin, sinhc,
-                    skappa, exp)
-from .spaces import Family, HamiltonianSpec, SpaceParams, hamiltonian, to_polar
+from .phase import (P1, Q1, Chart, Observable, PhaseState, ckappa, cos,
+                    cotkappa, exp, grad, sin, sinhc, skappa)
+from .spaces import (_PH, _PPH, _PRAD, _PTH, _RAD, _TH, Family,
+                     HamiltonianSpec, SpaceParams, _check_chart, hamiltonian,
+                     to_polar)
 
 __all__ = [
     "GeneratorSet", "LRLVector", "so4_generators", "constants", "lrl",
     "verify_so4", "verify_lrl_algebra", "independence_rank",
     "sample_polar", "transported",
 ]
-
-_RAD = coordinate(0, "r")
-_TH = coordinate(1, "theta")
-_PH = coordinate(2, "phi")
-_PRAD = coordinate(3, "p_r")
-_PTH = coordinate(4, "p_theta")
-_PPH = coordinate(5, "p_phi")
-
 
 @dataclass(frozen=True)
 class GeneratorSet:
@@ -56,9 +49,6 @@ class GeneratorSet:
     def named(self):
         return {"j01": self.j01, "j02": self.j02, "j03": self.j03,
                 "j12": self.j12, "j13": self.j13, "j23": self.j23}
-
-    def rotations(self):
-        return {"j12": self.j12, "j13": self.j13, "j23": self.j23}
 
 
 def so4_generators(params, perturb=None):
@@ -154,9 +144,7 @@ def constants(spec, chart):
     L_i have no closed Beltrami-chart form; use :func:`transported` there).
     Every returned observable Poisson-commutes with hamiltonian(spec, chart).
     """
-    if chart not in spec.compatible_charts():
-        raise ChartMismatchError(
-            f"{spec.family.value} is not defined on chart {chart.value}")
+    _check_chart(spec, chart)
     params = spec.params
     kappa2 = params.kappa2
     out = {}
@@ -166,10 +154,8 @@ def constants(spec, chart):
         out["C2mid"] = (kappa2 * cs.c23).renamed("C2mid")
         out["C3"] = (kappa2 * cs.c123).renamed("C3")
         if spec.family is Family.FREE_CC:
-            q1 = coordinate(0)
-            p1 = coordinate(3)
             z = params.z
-            i2 = 0.5 * sinhc(z * q1 * q1) * exp(z * q1 * q1) * p1 * p1
+            i2 = 0.5 * sinhc(z * Q1 * Q1) * exp(z * Q1 * Q1) * P1 * P1
             out["I2"] = (kappa2 * i2).renamed("I2")
         return {name: ob.renamed(name).with_chart(Chart.BELTRAMI)
                 for name, ob in out.items()}

@@ -1,12 +1,16 @@
 """CLI tests: subcommands, exit codes, determinism, config handling."""
 
+import contextlib
+import dataclasses
+import io
 import json
 import math
 import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from curvkepler import cli
+from curvkepler import cli, spaces
 from curvkepler.cli import main
 from curvkepler.coalgebra import BracketReport, IdentityResult
 
@@ -376,3 +380,151 @@ def test_verify_nan_residual_fails_the_run(capsys, monkeypatch):
     assert code == 1
     doc = json.loads(out)
     assert math.isnan(doc["max_residual"]) and doc["passed"] is False
+
+
+_CURVATURE_CC = ("curvature", "--kind", "cc", "--chart", "polar-constant",
+                 "--preset", "spherical")
+_GRID = "0.5:0.6:2,1:1.1:1,0.3:0.3:1"
+
+
+@pytest.mark.parametrize("grid, step", [
+    (_GRID, "0"),
+    (_GRID, "-1e-4"),
+    (_GRID, "nan"),
+    (_GRID, "inf"),
+    ("0.5:nan:2,1:1.1:1,0.3:0.3:1", "1e-4"),
+    ("0.5:0.6:2,1:1.1:1,-inf:0.3:1", "1e-4"),
+], ids=["step 0", "step -1e-4", "step nan", "step inf", "grid nan", "grid -inf"])
+def test_curvature_bad_step_or_non_finite_grid_exits_2(capsys, grid, step):
+    code, out, err = run_cli(capsys, *_CURVATURE_CC, "--grid", grid, f"--step={step}")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_curvature_nan_row_makes_max_abs_err_nan(capsys, monkeypatch):
+    real = spaces.curvature
+
+    def curvature(chart, kind, point, params, h=1e-4):
+        res = real(chart, kind, point, params, h=h)
+        if point[0] > 0.55:             # the second of the two rows
+            res = dataclasses.replace(res, kscalar=math.nan)
+        return res
+
+    monkeypatch.setattr(spaces, "curvature", curvature)
+    code, out, _ = run_cli(capsys, *_CURVATURE_CC, "--grid", _GRID)
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert float(lines[1].split(",")[-1]) < 1e-4
+    assert math.isnan(float(lines[2].split(",")[-1]))
+    assert lines[-1] == "max_abs_err,,,,,,,,nan"
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--suite", "sl2z", "--z", "1e300", "--samples", "2"),
+    ("verify", "--suite", "so4", "--z", "1e300", "--kappa2", "1", "--samples", "2"),
+    ("rank", "--family", "kepler-cc", "--z", "1e300", "--kappa2", "1",
+     "--samples", "2"),
+    ("curvature", "--kind", "nc", "--chart", "beltrami", "--z", "800",
+     "--kappa2", "1", "--grid", "1:1:1,1:1:1,1:1:1"),
+], ids=["sl2z overflow", "so4 pole", "rank pole", "curvature overflow"])
+def test_arithmetic_breakdown_exits_2_with_one_error_line(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+def test_rank_zero_samples_exits_2(capsys):
+    code, _, err = run_cli(capsys, "rank", "--family", "kepler-cc",
+                           "--preset", "spherical", "--samples", "0")
+    assert code == 2
+    assert err == "error: samples must be >= 1\n"
+
+
+# -- every command over a bounded flag space --------------------------------
+
+# Numeric flags draw a valid value three times in four, otherwise zero, a
+# negative, NaN, an infinity or 1e300.  Sample counts stay <= 3, --t-end
+# <= 0.5 and grid axes <= 2 points, so every example runs in milliseconds.
+_BAD = ["0", "-1", "nan", "inf", "-inf", "1e300"]
+
+
+def _num(*valid):
+    return st.sampled_from(list(valid) * (3 * len(_BAD) // len(valid)) + _BAD)
+
+
+def _flag(flag, values):
+    """``flag=value`` (the ``=`` form lets argparse take ``-inf``)."""
+    return values.map(lambda v: (f"{flag}={v}",))
+
+
+def _opt(flag, values):
+    return st.one_of(st.just(()), _flag(flag, values))
+
+
+def _flags(*parts):
+    return st.tuples(*parts).map(lambda ps: sum(ps, ()))
+
+
+def _space(z="0.3", kappa2="1", gamma="0.5"):
+    explicit = _flags(_flag("--z", _num(z, "-0.3")),
+                      _flag("--kappa2", _num(kappa2, "-1")))
+    preset = _flag("--preset", st.sampled_from(sorted(spaces.PRESETS)))
+    return _flags(st.one_of(preset, explicit), _opt("--gamma", _num(gamma)))
+
+
+def _state():
+    """A regular start state with at most one coordinate replaced."""
+    good = ("1.1", "1.2", "0.4", "0.2", "0.4", "0.9")
+    return st.tuples(st.integers(0, 8), st.sampled_from(_BAD)).map(
+        lambda ib: ",".join(ib[1] if i == ib[0] else v for i, v in enumerate(good)))
+
+
+_FAMILY = st.sampled_from(["kepler-cc", "free-cc", "kepler-nc", "free-nc",
+                           "custom", "bogus"])
+_CHART = st.sampled_from(["polar-constant", "polar-variable", "beltrami"])
+_SAMPLES = st.sampled_from(["1", "3", "0", "-1"])
+
+_VERIFY = _flags(
+    st.just(("verify",)),
+    _flag("--suite", st.sampled_from(["sl2z", "casimirs", "so4", "lrl", "all"])),
+    _space(), _flag("--samples", _SAMPLES), _opt("--threshold", _num("1e-8")),
+    _opt("--perturb", st.sampled_from(["jplus", "j02", "bogus"])),
+    _opt("--seed", st.sampled_from(["0", "7"])))
+
+_SIMULATE = _flags(
+    st.just(("simulate",)), _flag("--family", _FAMILY), _space(),
+    _flag("--state", _state()), _opt("--chart", _CHART),
+    _flag("--t-end", st.sampled_from(["0.5", "0.1", "0", "-1", "nan", "-inf"])),
+    _opt("--rel-tol", _num("1e-6")), _opt("--abs-tol", _num("1e-8")),
+    _opt("--max-step", _num("0.05")), _opt("--stride", st.sampled_from(["3", "0"])),
+    _opt("--method", st.sampled_from(["dopri54", "implicit-midpoint"])),
+    _opt("--fixed-step", _num("0.1")))
+
+_AXIS = st.tuples(_num("0.5", "0.9"), _num("0.7", "1.1"),
+                  st.sampled_from(["1", "2", "0"])).map(":".join)
+_CURVATURE = _flags(
+    st.just(("curvature",)), _flag("--kind", st.sampled_from(["cc", "nc", "bogus"])),
+    _flag("--chart", _CHART), _space(),
+    _flag("--grid", st.lists(_AXIS, min_size=3, max_size=3).map(",".join)),
+    _opt("--step", _num("1e-4")))
+
+_RANK = _flags(
+    st.just(("rank",)), _flag("--family", _FAMILY), _space(),
+    _flag("--samples", _SAMPLES),
+    _opt("--append-lrl", st.sampled_from(["L1", "L3", "none"])),
+    _opt("--seed", st.sampled_from(["0", "7"])))
+
+_COMMANDS = st.one_of(_VERIFY, _SIMULATE, _CURVATURE, _RANK,
+                      st.just(("export-presets",)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(argv=_COMMANDS)
+def test_every_command_returns_a_documented_exit_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    assert code in (0, 1, 2, 3), (argv, code)
+    if code == 2:
+        assert err.getvalue().startswith("error:"), (argv, err.getvalue())

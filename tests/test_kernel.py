@@ -318,6 +318,20 @@ def test_kappa_trig_float_fast_path_is_the_composite_arithmetic(kappa):
             assert cotkappa(kappa, x).hex() == (c / s).hex(), x
 
 
+@pytest.mark.parametrize("v", [0.0, 1e-7, -9e-6, 0.3, -2.5, 2.0])
+def test_sinhc_and_expm1c_duals_apply_their_float_rules(v):
+    """The float value and one chain step with the kernel.RULES derivative,
+    Taylor branch included; the derivative against the series of
+    d/dv sinh(v)/v and d/dv (e^v - 1)/v."""
+    dsinhc = sum(2 * n * v ** (2 * n - 1) / math.factorial(2 * n + 1) for n in range(1, 30))
+    dexpm1c = sum(n * v ** (n - 1) / math.factorial(n + 1) for n in range(1, 40))
+    for fn, want in ((kernel.sinhc, dsinhc), (kernel.expm1c, dexpm1c)):
+        out = fn(KScalar.seed(v, 2))
+        assert out.val == fn(v)
+        assert out.d == (0.0, 0.0, kernel.RULES[fn.__name__](v)[1], 0.0, 0.0, 0.0)
+        assert abs(out.d[2] - want) <= 1e-14 * max(1.0, abs(want)), (fn, v)
+
+
 def test_kappa_trig_dual_input_at_pole_raises():
     with pytest.raises(PoleError):
         tkappa(1.0, KScalar.seed(math.pi / 2, 0))

@@ -336,6 +336,13 @@ def test_curvature_flat_everywhere():
     assert abs(res.kscalar) < 1e-10
 
 
+@pytest.mark.parametrize("h", [0.0, -1e-4, math.nan, math.inf])
+def test_curvature_rejects_a_step_that_is_not_finite_and_positive(h):
+    with pytest.raises(DomainError, match="step"):
+        curvature(Chart.POLAR_CONSTANT, "cc", (0.9, 1.0, 0.7),
+                  SpaceParams(0.3, 1.0), h=h)
+
+
 def test_curvature_nc_beltrami_closed_forms():
     """Numeric Riemann pipeline against the variable-curvature closed forms."""
     params = SpaceParams(0.3, 1.0)
@@ -417,6 +424,16 @@ def test_radial_reduction_matches_full_hamiltonian():
         rad = radial_reduction(spec, c3(s))
         npt.assert_allclose(rad.hamiltonian(s.coords[0], s.coords[3]), h3(s),
                             rtol=1e-10)
+
+
+def test_family_polar_chart_is_the_compatible_polar_chart():
+    params = SpaceParams(0.1, 1.0, 0.3)
+    for family, chart in ALL_FAMILIES:
+        assert family.polar_chart is chart
+        assert HamiltonianSpec(family, params).compatible_charts() == \
+            (Chart.BELTRAMI, chart)
+        assert radial_reduction(HamiltonianSpec(family, params), 1.0).chart is chart
+    assert Family.CUSTOM.polar_chart is None
 
 
 def test_radial_reduction_guards():
