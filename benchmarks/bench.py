@@ -1,0 +1,231 @@
+"""Time each row of curvkepler's cost table and write the medians to JSON.
+
+Usage (from the repository root):
+
+    python3 benchmarks/bench.py --label change --out bench.json
+    python3 benchmarks/bench.py --src ../parent/src --label parent --out bench.json
+
+Every row is timed ``--repeats`` times (default 5); the file keeps each
+repeat and their median.  A run is stored under its ``--label``, and the
+runs with other labels already in the file are kept, so one file holds the
+parent and the change measured on the same machine.  A run records the git
+SHA of the tree that holds ``--src`` (``-dirty`` when tracked files differ
+from it), the Python and numpy versions and the host.  The script needs
+only the library and numpy; the ``tier1_suite`` row runs pytest on that
+tree's ``tests/`` in a fresh interpreter.
+
+In-process rows run once untimed first, so lazily built state (compiled
+code, caches) is warm, as it is for a library caller that repeats a call;
+``verify_all_fresh_process`` times the same call as the first one in a new
+interpreter (imports excluded), as one CLI invocation pays it.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+
+_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _git(src, *args):
+    try:
+        out = subprocess.run(["git", "-C", src, *args], capture_output=True,
+                             text=True, check=True)
+    except (OSError, subprocess.CalledProcessError):
+        return ""
+    return out.stdout.strip()
+
+
+def _per_call(fn, number):
+    """Seconds per call of ``fn`` over ``number`` back-to-back calls."""
+    t0 = time.perf_counter()
+    for _ in range(number):
+        fn()
+    return (time.perf_counter() - t0) / number
+
+
+def _timed(fn):
+    t0 = time.perf_counter()
+    fn()
+    return time.perf_counter() - t0
+
+
+class Rows:
+    """The cost-table rows; each method times one repeat of its row."""
+
+    def __init__(self, src, tmp):
+        from curvkepler import cli, kernel
+        from curvkepler.dynamics import IntegratorConfig, integrate
+        from curvkepler.phase import Chart, Observable, PhaseState
+        from curvkepler.spaces import (Family, HamiltonianSpec, SpaceParams,
+                                       chart_guard, hamiltonian)
+        from curvkepler.symmetry import constants, verify_lrl_algebra
+
+        self.src, self.tmp, self.cli = src, tmp, cli
+        self.integrate, self.config = integrate, IntegratorConfig
+        self.lrl_suite = verify_lrl_algebra
+        self.params = SpaceParams.preset("spherical", gamma=0.45)
+        spec = HamiltonianSpec(Family.KEPLER_CC, self.params)
+        self.h = hamiltonian(spec, Chart.POLAR_CONSTANT)
+        self.h.compile_gradient()
+        self.h_dual = Observable(self.h.fn, chart=self.h.chart)
+        self.monitors = dict(constants(spec, Chart.POLAR_CONSTANT), H=self.h)
+        self.guard = chart_guard(Chart.POLAR_CONSTANT, self.params)
+        self.state = PhaseState.polar_constant(1.1, 1.2, 0.4, 0.2, 0.4, 0.9)
+        self.a = kernel.KScalar.seed(1.3, 0)
+        self.b = kernel.KScalar.seed(0.7, 1)
+
+    # micro rows, in microseconds per call
+    def kscalar_mul(self):
+        a, b = self.a, self.b
+        return 1e6 * _per_call(lambda: a * b, 20000)
+
+    def h_gradient_compiled(self):
+        h, s = self.h, self.state
+        return 1e6 * _per_call(lambda: h.gradient(s), 5000)
+
+    def h_gradient_dual(self):
+        h, s = self.h_dual, self.state
+        return 1e6 * _per_call(lambda: h.gradient(s), 2000)
+
+    def monitors_7_values(self):
+        mons, s = list(self.monitors.values()), self.state
+        return 1e6 * _per_call(lambda: [m(s) for m in mons], 500)
+
+    # orbit rows: the README orbit (spherical, rtol 1e-12)
+    def _orbit(self, t_end, stride, monitors):
+        cfg = self.config(rel_tol=1e-12, abs_tol=1e-14, t_end=t_end,
+                          sample_stride=stride)
+        return self.integrate(self.h, self.state, cfg, monitors=monitors,
+                              domain_guard=self.guard)
+
+    def dp54_step(self):
+        t0 = time.perf_counter()
+        tr = self._orbit(2.0, 10, None)
+        steps = tr.stats.accepted + tr.stats.rejected
+        return 1e3 * (time.perf_counter() - t0) / steps
+
+    def orbit_t20_monitors(self):
+        return _timed(lambda: self._orbit(20.0, 10, self.monitors))
+
+    def orbit_t20(self):
+        return _timed(lambda: self._orbit(20.0, 10, None))
+
+    # verification and curvature, in seconds
+    def _cli(self, *argv):
+        code = self.cli.main([*argv, "--out", os.path.join(self.tmp, "out")])
+        if code != 0:
+            raise RuntimeError(f"{' '.join(argv)} exited {code}")
+
+    _VERIFY = ("verify", "--suite", "all", "--preset", "spherical",
+               "--samples", "100", "--seed", "7")
+
+    def verify_all_in_process(self):
+        return _timed(lambda: self._cli(*self._VERIFY))
+
+    def verify_lrl_algebra(self):
+        return _timed(lambda: self.lrl_suite(self.params, samples=100, seed=7))
+
+    def verify_all_fresh_process(self):
+        """The first call in a new interpreter (imports excluded): cold caches."""
+        code = ("import sys, time; from curvkepler.cli import main; "
+                "t = time.perf_counter(); code = main(sys.argv[1:]); "
+                "print(time.perf_counter() - t); sys.exit(code)")
+        argv = [sys.executable, "-c", code, *self._VERIFY,
+                "--out", os.path.join(self.tmp, "fresh")]
+        env = dict(os.environ, PYTHONPATH=self.src)
+        out = subprocess.run(argv, env=env, check=True, capture_output=True, text=True)
+        return float(out.stdout)
+
+    def curvature_5x5x5(self):
+        return _timed(lambda: self._cli(
+            "curvature", "--kind", "cc", "--chart", "polar-constant", "--z", "0.5",
+            "--kappa2", "1", "--grid", "0.5:1.2:5,0.6:1.4:5,0.2:1.2:5"))
+
+    def tier1_suite(self):
+        root = os.path.dirname(os.path.abspath(self.src))
+        env = dict(os.environ, PYTHONPATH=self.src)
+        argv = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                "--continue-on-collection-errors", "tests"]
+        return _timed(lambda: subprocess.run(argv, cwd=root, env=env, check=True,
+                                             stdout=subprocess.DEVNULL))
+
+
+# (row, unit, warm-up first); the order of the cost table
+ROWS = (
+    ("kscalar_mul", "us", False),
+    ("h_gradient_compiled", "us", False),
+    ("h_gradient_dual", "us", False),
+    ("monitors_7_values", "us", False),
+    ("dp54_step", "ms", False),
+    ("orbit_t20_monitors", "s", False),
+    ("orbit_t20", "s", False),
+    ("verify_all_in_process", "s", True),
+    ("verify_lrl_algebra", "s", True),
+    ("verify_all_fresh_process", "s", False),
+    ("curvature_5x5x5", "s", True),
+    ("tier1_suite", "s", False),
+)
+
+
+def measure(src, repeats):
+    sys.path.insert(0, src)
+    import numpy
+
+    sha = _git(src, "rev-parse", "HEAD")
+    if sha and _git(src, "status", "--porcelain", "--untracked-files=no"):
+        sha += "-dirty"
+    run = {
+        "git_sha": sha,
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+        "host": {"machine": platform.machine(), "cpus": os.cpu_count()},
+        "repeats": repeats,
+        "rows": {},
+    }
+    with tempfile.TemporaryDirectory() as tmp:
+        rows = Rows(src, tmp)
+        for name, unit, warm in ROWS:
+            fn = getattr(rows, name)
+            if warm:
+                fn()
+            times = [fn() for _ in range(repeats)]
+            run["rows"][name] = {"unit": unit, "median": statistics.median(times),
+                                 "repeats": times}
+            print(f"{name:28s} {statistics.median(times):12.6g} {unit}", flush=True)
+    return run
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--src", default=os.path.join(_ROOT, "src"),
+                    help="library source tree to time (default: this checkout's src/)")
+    ap.add_argument("--label", default="change", help="name the run is stored under")
+    ap.add_argument("--repeats", type=int, default=5, help="timed repeats per row")
+    ap.add_argument("--out", required=True, help="JSON file to write or update")
+    args = ap.parse_args(argv)
+    if args.repeats < 1:
+        ap.error("--repeats must be >= 1")
+    src = os.path.abspath(args.src)
+    run = measure(src, args.repeats)
+    doc = {"schema": 1, "runs": {}}
+    if os.path.exists(args.out):
+        with open(args.out) as fh:
+            doc = json.load(fh)
+    doc["runs"][args.label] = run
+    with open(args.out, "w") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -326,6 +326,8 @@ def _cmd_rank(args):
             raise DomainError("--append-lrl applies to kepler-cc only")
         obs.append(consts[args.append_lrl])
         expected = 5
+    for ob in obs:
+        ob.compile_gradient()
     rng = np.random.default_rng(_seed(args))
     histogram = {}
     for _ in range(args.samples):

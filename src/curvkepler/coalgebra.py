@@ -17,13 +17,12 @@ Hamiltonian built from the three-site generators shares.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .phase import (P1, P2, P3, Q1, Q2, Q3, Chart, Observable, PhaseState,
-                    cosh, exp, grad, sinhc)
+                    cosh, exp, grad, sinhc, values_and_gradients)
 
 __all__ = [
     "Realization", "CasimirSet", "one_site", "coproduct_join", "three_site",
@@ -139,14 +138,26 @@ def casimir_of(r):
     return r.jminus * sinhc(r.z * r.jminus) * r.jplus - r.jthree * r.jthree
 
 
+def _dot(a, b):
+    """Dot products over the last axis; each equals ``a @ b`` of its rows.
+
+    ``matmul`` over stacked 1 x n by n x 1 blocks takes the same dot product
+    as ``@`` on one pair of vectors, so a batch rounds as single calls do.
+    """
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+
+
 def _bracket(gf, gg):
-    """Canonical Poisson bracket {f, g} from the gradients of f and g."""
-    return float(gf[:3] @ gg[3:] - gg[:3] @ gf[3:])
+    """Canonical Poisson bracket {f, g} from the gradients of f and g.
+
+    The last axis holds the six partials; leading axes are a batch.
+    """
+    return _dot(gf[..., :3], gg[..., 3:]) - _dot(gg[..., :3], gf[..., 3:])
 
 
 def pbracket(f, g, state):
     """Canonical Poisson bracket {f, g} at a state, from exact gradients."""
-    return _bracket(grad(f, state), grad(g, state))
+    return float(_bracket(grad(f, state), grad(g, state)))
 
 
 # --------------------------------------------------------------------------
@@ -171,10 +182,12 @@ class IdentityResult:
     samples: int
     max_residual: float
     worst_point: tuple
+    nan_samples: int = 0          # samples whose residual is NaN
 
     def as_dict(self):
         return {"identity": self.identity, "group": self.group,
                 "samples": self.samples, "max_residual": self.max_residual,
+                "nan_samples": self.nan_samples,
                 "worst_point": list(self.worst_point)}
 
 
@@ -227,44 +240,50 @@ _GRAD_SCALE = 1e-4
 def run_table(suite, table, sampler, samples, seed, params=None):
     """Evaluate every identity of a table at `samples` random points.
 
-    Gradients and values of each distinct observable are computed once per
-    sample point and shared across identities, so a 15-row table costs six
-    dual evaluations per point, not thirty.  Residuals are relative: the
-    mismatch is scaled by the magnitudes of both sides and (for brackets) by
-    the gradient product that bounds the achievable precision.
+    The table's distinct observables are compiled together once, before
+    the samples are evaluated, and one compiled call per point gives all
+    their values and gradients (:func:`.phase.values_and_gradients`; an
+    opaque observable takes the dual path).  Brackets, gradient norms and
+    residuals then come from one numpy pass over all points.  Residuals are
+    relative: the mismatch is scaled by the magnitudes of both sides and
+    (for brackets) by the gradient product that bounds the achievable
+    precision.  A NaN residual is the worst one; its first point is kept.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     rng = np.random.default_rng(seed)
-    worst = [(-1.0, None)] * len(table)
-    for _ in range(samples):
-        state = sampler(rng)
-        cache = {}
+    states = [sampler(rng) for _ in range(samples)]
+    obs = {id(o): o for ident in table for o in (ident.f, ident.g, ident.rhs)
+           if isinstance(o, Observable)}
+    col = {key: j for j, key in enumerate(obs)}
+    vg = values_and_gradients(list(obs.values()), states)
+    values, grads = vg[..., 0], vg[..., 1:]
 
-        def vg(obs, _state=state, _cache=cache):
-            key = id(obs)
-            if key not in _cache:
-                _cache[key] = obs.value_and_gradient(_state)
-            return _cache[key]
-
-        for i, ident in enumerate(table):
-            scale = 1.0
-            if ident.g is not None:
-                _, gf = vg(ident.f)
-                _, gg = vg(ident.g)
-                lhs = _bracket(gf, gg)
-                scale = _GRAD_SCALE * float(np.linalg.norm(gf) * np.linalg.norm(gg))
-            else:
-                lhs = vg(ident.f)[0]
-            rhs = vg(ident.rhs)[0] if isinstance(ident.rhs, Observable) else float(ident.rhs)
-            res = abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs), scale)
-            # A NaN residual is the worst one; the first NaN point is kept.
-            if res > worst[i][0] or (math.isnan(res) and not math.isnan(worst[i][0])):
-                worst[i] = (res, state)
-    results = [
-        IdentityResult(ident.name, ident.group, samples, w, s.coords if isinstance(s, PhaseState) else tuple(s))
-        for ident, (w, s) in zip(table, worst)
-    ]
+    f = [col[id(ident.f)] for ident in table]
+    lhs = values[:, f]
+    scale = np.ones_like(lhs)
+    rows = [i for i, ident in enumerate(table) if ident.g is not None]
+    if rows:
+        gf = grads[:, [f[i] for i in rows]]
+        gg = grads[:, [col[id(table[i].g)] for i in rows]]
+        lhs[:, rows] = _bracket(gf, gg)
+        norm_f, norm_g = np.sqrt(_dot(gf, gf)), np.sqrt(_dot(gg, gg))
+        scale[:, rows] = _GRAD_SCALE * (norm_f * norm_g)
+    rhs = np.array([values[:, col[id(ident.rhs)]] if isinstance(ident.rhs, Observable)
+                    else np.full(samples, float(ident.rhs)) for ident in table]).T
+    # Float arithmetic as on Python floats: inf and NaN pass silently (a NaN
+    # residual fails the report), and fmax skips a NaN operand as max() does.
+    with np.errstate(invalid="ignore", over="ignore"):
+        res = np.abs(lhs - rhs) / np.fmax(np.fmax(np.fmax(1.0, np.abs(lhs)),
+                                                  np.abs(rhs)), scale)
+    worst = np.argmax(res, axis=0)       # the first NaN, else the first maximum
+    nans = np.isnan(res).sum(axis=0)
+    results = []
+    for i, ident in enumerate(table):
+        s = states[worst[i]]
+        results.append(IdentityResult(
+            ident.name, ident.group, samples, float(res[worst[i], i]),
+            s.coords if isinstance(s, PhaseState) else tuple(s), int(nans[i])))
     return BracketReport(suite, samples, seed, params or {}, results)
 
 

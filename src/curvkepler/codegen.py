@@ -3,27 +3,42 @@
 Observables built from coordinates, constants, the arithmetic operators and
 the lifted kernel functions record an expression graph of :class:`Node`
 objects next to their closure; an ``Observable(fn)`` around a user callable
-records none and stays opaque.  :func:`compile_gradient` turns a graph into
-one Python function of the six coordinates that returns what a 6-lane
-``KScalar`` evaluation returns, ``(value, six partials)``, and gets there
-with less work:
+records none and stays opaque.  :func:`compile_gradients` turns the graphs
+of several observables (the roots) into one Python function of the six
+coordinates.  For each root in order it returns what a 6-lane ``KScalar``
+evaluation returns, the value and then six partials, in one flat tuple of
+``7 * len(roots)`` floats.  It gets there with less work:
 
 * it computes only the derivative lanes a node structurally depends on
   (sparse forward mode, Griewank-Walther, *Evaluating Derivatives*, ch. 7);
-* a node shared by several parents is evaluated once (node identity);
+* a node shared by several parents or several roots is evaluated once
+  (node identity), so the so(4) generators inside every observable of a
+  bracket table are computed once per point;
 * subtrees that do not depend on the coordinates are folded at compile time
   with the float operations a dual evaluation applies to them.
+
+``Observable.compile_gradient`` is the one-root case.
 
 Each retained lane applies the float operations of the ``KScalar`` rule its
 node replaces, in the same order, so the results equal the dual path's.  A
 skipped lane is an exact zero that the dual path adds or multiplies in,
 which can change the sign of a zero and nothing else (barring an infinite
 operand, where the dual lane turns NaN).
+
+Structure key and code cache.  No constant appears in the source text:
+every number, folded subtree, exponent, curvature label and kernel rule is
+bound in the compiled function's globals as ``k0, k1, ...`` in order of
+first use.  The source therefore depends only on the graph's structure
+(its operations, their wiring and sharing, and the coordinate slots), not on
+``z``, ``kappa2`` or ``gamma``.  One process-wide LRU cache of fixed size,
+keyed by the source, keeps the compiled code objects.  A graph of a known
+structure with new parameters costs one walk of the graph and no call to
+Python's ``compile()``.
 """
 
 from __future__ import annotations
 
-import math
+import functools
 import operator
 
 from . import kernel
@@ -99,10 +114,7 @@ class _Emitter:
         return name
 
     def lit(self, c):
-        """Source text for a constant: a literal for finite ints and floats."""
-        if type(c) is int or (type(c) is float and math.isfinite(c)):
-            text = repr(c)
-            return f"({text})" if text.startswith("-") else text
+        """The name a constant is bound to; the source never holds its value."""
         name = f"k{len(self.env)}"
         self.env[name] = c
         return name
@@ -253,24 +265,32 @@ class _Emitter:
         return self._rule_call(kernel.KAPPA_RULES[name], f"{self.lit(kappa)}, {ea}", la)
 
 
-def compile_gradient(root):
-    """Compile an expression graph to ``f(x0, ..., x5) -> (value, partials)``.
+# Compiled code objects by source text, i.e. by graph structure.  One pass
+# of the verify benchmark needs about ten; the bound keeps memory fixed.
+@functools.lru_cache(maxsize=64)
+def _code(source):
+    return compile(source, "<compiled gradient>", "exec")
 
-    Returns None when the graph cannot be compiled: an opaque operand, a root
+
+def compile_gradients(roots):
+    """Compile several graphs to ``f(x0, ..., x5) -> (value, 6 partials) * n``.
+
+    The flat tuple holds, root by root, the value and the six partials.
+    Returns None when a root cannot be compiled: an opaque operand, a root
     that does not depend on the coordinates, a coordinate-free subtree that
     raises when folded (the dual path then raises when it evaluates), or a
     graph too deep for the recursive walk (the dual path nests less deeply).
     """
-    if root is None or not root.dual:
+    if not roots or any(r is None or not r.dual for r in roots):
         return None
     em = _Emitter()
     try:
-        val, lanes = em.emit(root)
+        outs = [em.emit(r) for r in roots]
     except (ArithmeticError, ValueError, RecursionError):
         return None
-    grad = ", ".join(lanes.get(i, "0.0") for i in range(NVARS))
+    flat = ", ".join(f"{val}, " + ", ".join(lanes.get(i, "0.0") for i in range(NVARS))
+                     for val, lanes in outs)
     args = ", ".join(f"x{i}" for i in range(NVARS))
-    body = "\n    ".join(em.lines + [f"return {val}, ({grad})"])
-    source = f"def value_and_gradient({args}):\n    {body}\n"
-    exec(compile(source, "<compiled gradient>", "exec"), em.env)
-    return em.env["value_and_gradient"]
+    body = "\n    ".join(em.lines + [f"return ({flat})"])
+    exec(_code(f"def values_and_gradients({args}):\n    {body}\n"), em.env)
+    return em.env["values_and_gradients"]

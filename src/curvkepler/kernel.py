@@ -31,6 +31,10 @@ NVARS = 6
 _KTRIG_TAYLOR = 1e-8     # on u = kappa * x**2
 _SINHC_TAYLOR = 1e-5     # on u = z * q**2
 _EXPM1C_TAYLOR = 1e-5
+# The derivatives of sinhc and expm1c take their series below this: the
+# closed forms (cosh v - sinhc v)/v and (exp v - expm1c v)/v cancel and lose
+# about 3 eps/v**2 relative, which is below 3e-15 only from |v| = 0.5 on.
+_DERIV_SERIES = 0.5
 
 
 class KernelError(Exception):
@@ -232,10 +236,25 @@ def _sinhc_f(v):
     return math.sinh(v) / v
 
 
+def _horner(x, coeffs):
+    """sum_k coeffs[k] x**k."""
+    acc = 0.0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+# sinhc'(v) = v sum_{k>=1} 2k/(2k+1)! v**(2k-2) and
+# expm1c'(v) = sum_{k>=1} k/(k+1)! v**(k-1), cut where the next term is below
+# 1e-17 of the sum for |v| < _DERIV_SERIES.
+_SINHC_D = tuple(2 * k / math.factorial(2 * k + 1) for k in range(1, 9))
+_EXPM1C_D = tuple(k / math.factorial(k + 1) for k in range(1, 17))
+
+
 def _sinhc_rule(v):
     val = _sinhc_f(v)
-    if abs(v) < _SINHC_TAYLOR:
-        return val, v * (1.0 / 3.0 + v * v * (1.0 / 30.0))
+    if abs(v) < _DERIV_SERIES:
+        return val, v * _horner(v * v, _SINHC_D)
     return val, (math.cosh(v) - val) / v
 
 
@@ -248,8 +267,8 @@ def _expm1c_f(v):
 
 def _expm1c_rule(v):
     val = _expm1c_f(v)
-    if abs(v) < _EXPM1C_TAYLOR:
-        return val, 0.5 + v * (1.0 / 3.0 + v * (1.0 / 8.0 + v * (1.0 / 30.0)))
+    if abs(v) < _DERIV_SERIES:
+        return val, _horner(v, _EXPM1C_D)
     return val, (math.exp(v) - val) / v
 
 

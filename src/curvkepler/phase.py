@@ -86,12 +86,43 @@ def _value_and_gradient(fn, compiled, coords):
     is one, else one evaluation on seeded duals; a result that is not a dual
     (the function ignores the coordinates) has a zero gradient."""
     if compiled:
-        val, d = compiled(*coords)
-        return val, np.asarray(d, dtype=float)
+        out = compiled(*coords)
+        return out[0], np.asarray(out[1:], dtype=float)
     out = fn(*seeded(coords))
     if isinstance(out, KScalar):
         return out.val, np.asarray(out.d, dtype=float)
     return float(out), np.zeros(NVARS)
+
+
+def values_and_gradients(observables, states):
+    """Values and gradients of several observables at several states.
+
+    Returns an array of shape ``(len(states), len(observables), 7)``: the
+    value and the six partials of each observable at each state, as
+    :meth:`Observable.value_and_gradient` gives them.  The observables with an
+    expression graph are compiled together (:func:`.codegen.compile_gradients`)
+    and cost one call per state; the others, and all of them when the
+    compile fails, take one dual evaluation each.
+    """
+    charts = {o.chart for o in observables} - {None}
+    coords = []
+    for state in states:
+        for chart in charts:                # raises on a chart mismatch
+            _coords_of(state, chart)
+        coords.append(_coords_of(state, None))
+    out = np.empty((len(states), len(observables), 1 + NVARS))
+    graphs = [j for j, o in enumerate(observables) if o.node is not None and o.node.dual]
+    compiled = codegen.compile_gradients([observables[j].node for j in graphs])
+    if compiled:
+        rows = [compiled(*c) for c in coords]
+        out[:, graphs] = np.reshape(rows, (len(states), len(graphs), 1 + NVARS))
+    else:
+        graphs = []
+    for j, o in enumerate(observables):
+        if j not in graphs:
+            for i, c in enumerate(coords):
+                out[i, j, 0], out[i, j, 1:] = _value_and_gradient(o.fn, None, c)
+    return out
 
 
 def _node_of(o):
@@ -128,7 +159,7 @@ class Observable:
         compiled code, which returns what the dual evaluation returns.
         """
         if self._compiled is None:
-            self._compiled = codegen.compile_gradient(self.node) or False
+            self._compiled = codegen.compile_gradients([self.node]) or False
         return bool(self._compiled)
 
     def gradient(self, state):

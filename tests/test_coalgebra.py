@@ -215,7 +215,7 @@ def test_report_serialization_schema():
     assert doc["schema"] == 1
     for row in doc["results"]:
         assert set(row) == {"identity", "group", "samples", "max_residual",
-                            "worst_point"}
+                            "nan_samples", "worst_point"}
     assert "sl2z" in report.to_json()
 
 
@@ -246,11 +246,21 @@ def test_run_table_nan_residual_is_the_worst():
     assert len(report.results[0].worst_point) == 6
 
 
+def test_run_table_counts_nan_samples():
+    report = run_table("adhoc", _alternating_nan_table(), sample_beltrami, 7, 0)
+    assert report.results[0].nan_samples == 3           # samples 2, 4 and 6
+    assert report.as_dict()["results"][0]["nan_samples"] == 3
+    mixed = _alternating_nan_table() + [Identity("Q1 = Q1", Q1, None, Q1)]
+    assert [r.nan_samples for r in run_table("adhoc", mixed, sample_beltrami, 4, 0).results] \
+        == [2, 0]
+
+
 def test_run_table_all_nan_keeps_a_worst_point():
     table = [Identity("always NaN", Observable(lambda *s: math.nan), None, Q1)]
     report = run_table("adhoc", table, sample_beltrami, 3, 0)
     assert math.isnan(report.max_residual)
     assert len(report.as_dict()["results"][0]["worst_point"]) == 6
+    assert report.results[0].nan_samples == 3
 
 
 def test_bracket_report_max_residual_sees_nan():

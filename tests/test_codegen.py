@@ -1,11 +1,13 @@
 """Compiled straight-line gradients against the 6-lane dual evaluation."""
 
+import dataclasses
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from curvkepler import kernel
+from curvkepler import codegen, coalgebra, kernel, symmetry
 from curvkepler.coalgebra import sample_beltrami
 from curvkepler.dynamics import IntegratorConfig, integrate
 from curvkepler.phase import (P1, P3, Q1, Q2, Chart, Observable, PhaseState,
@@ -131,3 +133,115 @@ def test_compiled_integration_is_bitwise_the_dual_integration(family, chart, par
     assert np.array_equal(fast.states, slow.states)
     assert np.array_equal(fast.monitors["H"], slow.monitors["H"])
     assert fast.stats == slow.stats
+
+
+# -- compiled bracket tables and the code cache ------------------------------
+
+def _captured_tables(monkeypatch):
+    """(suite, table, sampler) of each run_table call of the four suites."""
+    seen = []
+    real = coalgebra.run_table
+
+    def capture(suite, table, sampler, samples, seed, params=None):
+        seen.append((suite, table, sampler))
+        return real(suite, table, sampler, samples, seed, params)
+
+    monkeypatch.setattr(coalgebra, "run_table", capture)
+    monkeypatch.setattr(symmetry, "run_table", capture)
+    params = SpaceParams.preset("spherical", gamma=0.5)
+    coalgebra.verify_sl2z(coalgebra.three_site(0.4), samples=1)
+    coalgebra.verify_casimirs(0.4, samples=1)
+    symmetry.verify_so4(params, samples=1)
+    symmetry.verify_lrl_algebra(params, samples=1)
+    monkeypatch.undo()
+    return seen
+
+
+def _opaque_table(table, wrap):
+    """The same identities with the observables for which ``wrap`` holds
+    replaced by graph-free copies, which run on duals."""
+    memo = {}
+
+    def op(o):
+        if not isinstance(o, Observable) or not wrap(o):
+            return o
+        return memo.setdefault(id(o), _dual(o))
+    return [dataclasses.replace(t, f=op(t.f), g=op(t.g), rhs=op(t.rhs)) for t in table]
+
+
+def _reference_run_table(table, sampler, samples, seed):
+    """The per-sample loop run_table replaced: (residual, worst point) per row."""
+    rng = np.random.default_rng(seed)
+    worst = [(-1.0, None)] * len(table)
+    for _ in range(samples):
+        state = sampler(rng)
+        for i, t in enumerate(table):
+            scale = 1.0
+            if t.g is not None:
+                gf, gg = t.f.gradient(state), t.g.gradient(state)
+                lhs = float(gf[:3] @ gg[3:] - gg[:3] @ gf[3:])
+                scale = 1e-4 * float(np.linalg.norm(gf) * np.linalg.norm(gg))
+            else:
+                lhs = t.f.value_and_gradient(state)[0]
+            rhs = (t.rhs.value_and_gradient(state)[0] if isinstance(t.rhs, Observable)
+                   else float(t.rhs))
+            res = abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs), scale)
+            if res > worst[i][0] or (math.isnan(res) and not math.isnan(worst[i][0])):
+                worst[i] = (res, state.coords)
+    return worst
+
+
+def test_compiled_tables_equal_dual_tables_and_the_per_sample_loop(monkeypatch):
+    """Every suite's table: compiled, all-opaque (dual) and half-opaque runs
+    give the same residuals, NaN counts and worst points, and those of the
+    per-sample reference loop (the same float operations, so exactly)."""
+    for suite, table, sampler in _captured_tables(monkeypatch):
+        compiled = coalgebra.run_table(suite, table, sampler, 25, 3)
+        flip = itertools.cycle((True, False))
+        for variant in (_opaque_table(table, lambda o: True),
+                        _opaque_table(table, lambda o: next(flip))):
+            dual = coalgebra.run_table(suite, variant, sampler, 25, 3)
+            assert [r.as_dict() for r in dual.results] == \
+                [r.as_dict() for r in compiled.results], suite
+        ref = _reference_run_table(table, sampler, 25, 3)
+        got = [(r.max_residual, r.worst_point) for r in compiled.results]
+        assert got == ref, suite
+        assert all(r.nan_samples == 0 for r in compiled.results)
+
+
+def _compile_calls(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args[0])
+        return compile(*args)
+
+    monkeypatch.setattr(codegen, "compile", counting, raising=False)
+    return calls
+
+
+def test_structure_cache_compiles_each_table_structure_once(monkeypatch):
+    codegen._code.cache_clear()
+    calls = _compile_calls(monkeypatch)
+    first = symmetry.verify_lrl_algebra(SpaceParams.preset("spherical", 0.5), samples=3)
+    assert len(calls) == 1 and codegen._code.cache_info().currsize == 1
+    for params in (SpaceParams(0.3, -0.7, 1.1), SpaceParams(0.0, 1.0, 0.5),
+                   SpaceParams.preset("hyperbolic", 0.25)):
+        report = symmetry.verify_lrl_algebra(params, samples=3)
+        assert report.passed()
+    assert len(calls) == 1                       # no compile() at new parameters
+    assert first.passed()
+    control = symmetry.verify_lrl_algebra(SpaceParams.preset("spherical", 0.5),
+                                          samples=3, perturb="j02")
+    assert not control.passed(1e-3)
+    assert len(calls) == 2 and codegen._code.cache_info().currsize == 2
+
+
+def test_structure_cache_stays_at_its_bound():
+    bound = codegen._code.cache_info().maxsize
+    chain = Q1
+    for _ in range(bound + 5):                  # one new structure each time
+        chain = chain * Q2 + P1
+        assert chain.compile_gradient()
+        assert codegen._code.cache_info().currsize <= bound
+    assert codegen._code.cache_info().currsize == bound

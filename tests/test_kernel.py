@@ -1,6 +1,7 @@
 """Kernel tests: curvature-labeled trig, dual arithmetic, gradient oracles."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import numpy.testing as npt
@@ -330,6 +331,32 @@ def test_sinhc_and_expm1c_duals_apply_their_float_rules(v):
         assert out.val == fn(v)
         assert out.d == (0.0, 0.0, kernel.RULES[fn.__name__](v)[1], 0.0, 0.0, 0.0)
         assert abs(out.d[2] - want) <= 1e-14 * max(1.0, abs(want)), (fn, v)
+
+
+def _exact_series(v, coeff, powers, terms):
+    """sum_k coeff(k) v**powers(k), summed in exact rational arithmetic."""
+    x = Fraction(v)
+    return sum(coeff(k) * x ** powers(k) for k in range(1, terms))
+
+
+_SERIES_POINTS = sorted({*np.logspace(-6, math.log10(3.0), 60).tolist(),
+                         0.99e-5, 1.0e-5, 1.01e-5, 1.2e-5, 0.1, 0.4999999,
+                         math.nextafter(0.5, 0.0), 0.5, math.nextafter(0.5, 1.0),
+                         0.5000001, 0.7, 3.0})
+
+
+def test_sinhc_and_expm1c_derivatives_are_accurate_across_the_series_switch():
+    """Relative error <= 1e-14 against the derivative series summed exactly,
+    on 1e-6 <= |v| <= 3, both sides of the Taylor switch of the values
+    (1e-5) and of the derivative series (0.5) included."""
+    for v in (s * p for p in _SERIES_POINTS for s in (1.0, -1.0)):
+        dsinhc = _exact_series(v, lambda k: Fraction(2 * k, math.factorial(2 * k + 1)),
+                               lambda k: 2 * k - 1, 40)
+        dexpm1c = _exact_series(v, lambda k: Fraction(k, math.factorial(k + 1)),
+                                lambda k: k - 1, 60)
+        for name, want in (("sinhc", dsinhc), ("expm1c", dexpm1c)):
+            got = Fraction(kernel.RULES[name](v)[1])
+            assert abs(float((got - want) / want)) <= 1e-14, (name, v)
 
 
 def test_kappa_trig_dual_input_at_pole_raises():
