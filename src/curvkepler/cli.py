@@ -20,6 +20,7 @@ invocations (including seed) produce byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -471,11 +472,17 @@ def _coerce(text):
     return text
 
 
+# The parser of calls without --config, built on first use; parsing leaves
+# it unchanged.  A --config call changes its parser's defaults, so it builds
+# its own.
+_shared_parser = functools.cache(build_parser)
+
+
 def main(argv=None):
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser()
     cfg_path = _extract_config_path(argv)
+    parser = build_parser() if cfg_path else _shared_parser()
     if cfg_path:
         try:
             overrides = {k: _coerce(v)

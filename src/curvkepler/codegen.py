@@ -25,15 +25,31 @@ skipped lane is an exact zero that the dual path adds or multiplies in,
 which can change the sign of a zero and nothing else (barring an infinite
 operand, where the dual lane turns NaN).
 
-Structure key and code cache.  No constant appears in the source text:
-every number, folded subtree, exponent, curvature label and kernel rule is
-bound in the compiled function's globals as ``k0, k1, ...`` in order of
-first use.  The source therefore depends only on the graph's structure
-(its operations, their wiring and sharing, and the coordinate slots), not on
-``z``, ``kappa2`` or ``gamma``.  One process-wide LRU cache of fixed size,
-keyed by the source, keeps the compiled code objects.  A graph of a known
-structure with new parameters costs one walk of the graph and no call to
-Python's ``compile()``.
+Two stages: lower, then emit on a miss.  :func:`_lower` walks the graphs
+once.  It folds the coordinate-free subtrees, turns each other node into one
+instruction (its op, its operands, a function name), and pulls every
+constant into slot order: numbers, folded subtrees, the curvature labels,
+the exponents ``n`` and ``n - 1`` of a power and the reciprocal ``1.0 / c``
+of a constant divisor.  The instructions and the roots form the structure
+key, a tuple that holds no constant, so it depends only on the graph's
+structure (its operations, their wiring and sharing, the coordinate slots,
+and which curvature labels on one argument are equal), not on ``z``,
+``kappa2`` or ``gamma``.  Emission reads only that
+key: it writes the source and Python's ``compile()`` turns it into a code
+object.  One process-wide LRU cache of fixed size (:func:`_code`), keyed by
+the structure, keeps the code objects, so emission and ``compile()`` run
+only on a miss.  A graph of a known structure at new parameters costs one
+lowering walk and one ``exec`` of the cached code, with the constants bound
+in the function's globals as ``k0, k1, ...`` and the kernel rules by name.
+
+Curvature-labelled trigonometry shares its work: every ``skappa``,
+``ckappa``, ``tkappa`` and ``cotkappa`` node on one ``(kappa, x)`` reads one
+pair instruction, a single call of ``kernel._kappa_pair`` for ``S`` and
+``C``, and then applies its ``kernel.KAPPA_RULES`` entry to that pair, the
+rule the dual path applies.  Labels are compared by their type and bits,
+so ``0.0``, ``-0.0`` and the int ``0`` (whose ``C' = -kappa S`` differ in
+the sign of a zero) never share a pair.  Nothing else is merged by value: two equal subexpressions
+built as separate nodes are evaluated twice.
 """
 
 from __future__ import annotations
@@ -94,44 +110,36 @@ _FOLD = {
     "square": lambda a: a * a,
 }
 
-_ONE = "1.0"      # the lane of a seeded coordinate; x * 1.0 == x exactly
 
+class _Lowering:
+    """One walk of the graphs: the structure and the constants in slot order.
 
-class _Emitter:
-    """Writes the straight-line body, one statement per float operation."""
+    Each coordinate-dependent node becomes one instruction, a tuple of its
+    op, its operands and any name it needs; an operand is the index of an
+    earlier instruction, or ``~slot`` (a negative number) for constant
+    ``slot``.  Instructions are appended in the order the walk finishes
+    them, which is the order the emitter writes them in.
+    """
 
     def __init__(self):
-        self.lines = []
-        self.env = {}
-        self.vars = set()
-        self.done = {}      # id(node) -> (value expr, {slot: lane expr})
+        self.ins = []
+        self.consts = []
+        self.refs = {}      # id(node) -> operand
         self.folded = {}    # id(node) -> value of a coordinate-free node
+        self.coords = {}    # slot -> instruction
+        self.pairs = {}     # (kappa type, bits, x operand) -> "pair" instruction
 
-    def var(self, expr):
-        name = f"t{len(self.vars)}"
-        self.vars.add(name)
-        self.lines.append(f"{name} = {expr}")
-        return name
+    def const(self, value):
+        self.consts.append(value)
+        return ~(len(self.consts) - 1)
 
-    def lit(self, c):
-        """The name a constant is bound to; the source never holds its value."""
-        name = f"k{len(self.env)}"
-        self.env[name] = c
-        return name
-
-    def times(self, c, lane):
-        """Source text for c * lane; a unit lane gives c itself."""
-        return c if lane == _ONE and c in self.vars else f"{c} * {lane}"
-
-    def mul(self, c, lane):
-        """A variable (or c itself) holding c * lane."""
-        text = self.times(c, lane)
-        return text if text == c else self.var(text)
-
-    def scaled(self, c, lanes):
-        return {i: self.mul(c, l) for i, l in lanes.items()}
+    def add(self, *instr):
+        self.ins.append(instr)
+        return len(self.ins) - 1
 
     def fold(self, nd):
+        """The value of a coordinate-free subtree, with the float operations
+        a dual evaluation applies to it."""
         key = id(nd)
         if key not in self.folded:
             if nd.op == "const":
@@ -150,33 +158,97 @@ class _Emitter:
             self.folded[key] = val
         return self.folded[key]
 
-    def operand(self, nd):
-        """(expr, lanes, value): lanes None and the folded value for a constant."""
-        if nd.dual:
-            expr, lanes = self.emit(nd)
-            return expr, lanes, None
-        val = self.fold(nd)
-        return self.lit(val), None, val
-
-    def emit(self, nd):
+    def walk(self, nd):
         key = id(nd)
-        if key not in self.done:
-            if nd.op == "coord":
-                name = f"x{nd.param}"
-                if name not in self.vars:     # seeded() takes float(coordinate)
-                    self.lines.append(f"{name} = float({name})")
-                    self.vars.add(name)
-                self.done[key] = name, {nd.param: _ONE}
-            else:
-                self.done[key] = getattr(self, "op_" + nd.op)(
-                    nd, *(self.operand(k) for k in nd.kids))
-        return self.done[key]
+        if key not in self.refs:
+            self.refs[key] = self.lower(nd)
+        return self.refs[key]
+
+    def lower(self, nd):
+        if not nd.dual:
+            return self.const(self.fold(nd))
+        op = nd.op
+        if op == "coord":
+            if nd.param not in self.coords:
+                self.coords[nd.param] = self.add("coord", nd.param)
+            return self.coords[nd.param]
+        if op == "div" and not nd.kids[1].dual:
+            # KScalar / o multiplies by the float 1.0 / o.
+            a = self.walk(nd.kids[0])
+            return self.add("mul", a, self.const(1.0 / self.fold(nd.kids[1])))
+        args = [self.walk(k) for k in nd.kids]
+        if op == "pow":
+            return self.add("pow", args[0], self.const(nd.param), self.const(nd.param - 1))
+        if op == "fn":
+            return self.add("fn", args[0], nd.param)
+        if op == "kfn":
+            # One (S, C) pair per curvature label and argument.  The label is
+            # keyed by its type and bits, so 0.0, -0.0 and the int 0 (whose
+            # C' = -kappa S differ in the sign of a zero) never share a pair.
+            name, kappa = nd.param
+            key = (type(kappa), float(kappa).hex(), args[0])
+            if key not in self.pairs:
+                self.pairs[key] = self.add("pair", args[0], self.const(kappa))
+            return self.add("kfn", self.pairs[key], name)
+        return self.add(op, *args)
+
+
+_ONE = "1.0"      # the lane of a seeded coordinate; x * 1.0 == x exactly
+
+
+class _Emitter:
+    """Writes the straight-line body of a structure, one statement per float
+    operation.  A value is (expr, lanes): lanes maps a slot to the name of
+    its partial, and is None for a constant."""
+
+    def __init__(self):
+        self.lines = []
+        self.vars = set()
+
+    def fresh(self):
+        name = f"t{len(self.vars)}"
+        self.vars.add(name)
+        return name
+
+    def var(self, expr):
+        name = self.fresh()
+        self.lines.append(f"{name} = {expr}")
+        return name
+
+    def times(self, c, lane):
+        """Source text for c * lane; a unit lane gives c itself."""
+        return c if lane == _ONE and c in self.vars else f"{c} * {lane}"
+
+    def mul(self, c, lane):
+        """A variable (or c itself) holding c * lane."""
+        text = self.times(c, lane)
+        return text if text == c else self.var(text)
+
+    def scaled(self, c, lanes):
+        return {i: self.mul(c, l) for i, l in lanes.items()}
+
+    def body(self, structure):
+        ins, roots = structure
+        done = []
+        for op, *args in ins:
+            if op != "coord":
+                args = [a if isinstance(a, str) else
+                        (f"k{~a}", None) if a < 0 else done[a] for a in args]
+            done.append(getattr(self, "op_" + op)(*args))
+        flat = ", ".join(f"{val}, " + ", ".join(lanes.get(i, "0.0") for i in range(NVARS))
+                         for val, lanes in (done[r] for r in roots))
+        return self.lines + [f"return ({flat})"]
 
     # -- one method per KScalar rule ----------------------------------------
-    # Operands are (expr, lanes, value); a constant operand has lanes None.
 
-    def op_add(self, nd, a, b):
-        (ea, la, _), (eb, lb, _) = a, b
+    def op_coord(self, slot):
+        name = f"x{slot}"           # seeded() takes float(coordinate)
+        self.lines.append(f"{name} = float({name})")
+        self.vars.add(name)
+        return name, {slot: _ONE}
+
+    def op_add(self, a, b):
+        (ea, la), (eb, lb) = a, b
         if la is None:
             return self.var(f"{eb} + {ea}"), lb
         if lb is None:
@@ -186,17 +258,17 @@ class _Emitter:
             lanes[i] = self.var(f"{la[i]} + {l}") if i in la else l
         return self.var(f"{ea} + {eb}"), lanes
 
-    def op_sub(self, nd, a, b):
+    def op_sub(self, a, b):
         # Only ``number - observable`` builds a sub node (see Observable).
-        (ea, _, _), (eb, lb, _) = a, b
+        (ea, _), (eb, lb) = a, b
         return self.var(f"{ea} - {eb}"), {i: self.var(f"-{l}") for i, l in lb.items()}
 
-    def op_neg(self, nd, a):
-        ea, la, _ = a
+    def op_neg(self, a):
+        ea, la = a
         return self.var(f"-{ea}"), {i: self.var(f"-{l}") for i, l in la.items()}
 
-    def op_mul(self, nd, a, b):
-        (ea, la, _), (eb, lb, _) = a, b
+    def op_mul(self, a, b):
+        (ea, la), (eb, lb) = a, b
         if la is None:
             return self.var(f"{eb} * {ea}"), self.scaled(ea, lb)
         if lb is None:
@@ -212,20 +284,17 @@ class _Emitter:
                 lanes[i] = self.mul(ea, lb[i])
         return val, lanes
 
-    def op_square(self, nd, a):
-        ea, la, _ = a
+    def op_square(self, a):
+        ea, la = a
         lanes = {}
         for i, l in la.items():
             t = self.times(ea, l)
             lanes[i] = self.var(f"{t} + {t}")
         return self.var(f"{ea} * {ea}"), lanes
 
-    def op_div(self, nd, a, b):
-        (ea, la, _), (eb, lb, vb) = a, b
-        if lb is None:
-            # KScalar / o multiplies by the float 1.0 / o.
-            r = self.lit(1.0 / vb)
-            return self.var(f"{ea} * {r}"), self.scaled(r, la)
+    def op_div(self, a, b):
+        # A constant divisor was lowered to a product with its reciprocal.
+        (ea, la), (eb, lb) = a, b
         if la is None:
             c = self.var(f"-{ea} / ({eb} * {eb})")
             return self.var(f"{ea} / {eb}"), self.scaled(c, lb)
@@ -242,34 +311,56 @@ class _Emitter:
                 lanes[i] = self.mul(c, lb[i])
         return val, lanes
 
-    def op_pow(self, nd, a):
-        ea, la, _ = a
-        n = nd.param
-        c = self.var(f"{self.lit(n)} * {ea} ** {self.lit(n - 1)}")
-        return self.var(f"{ea} ** {self.lit(n)}"), self.scaled(c, la)
+    def op_pow(self, a, n, n1):
+        (ea, la), (n, _), (n1, _) = a, n, n1
+        c = self.var(f"{n} * {ea} ** {n1}")
+        return self.var(f"{ea} ** {n}"), self.scaled(c, la)
 
-    def _rule_call(self, rule, args, la):
-        fname = self.lit(rule)
-        val, d = f"t{len(self.vars)}", f"t{len(self.vars) + 1}"
-        self.vars.update((val, d))
-        self.lines.append(f"{val}, {d} = {fname}({args})")
+    def _rule_call(self, call, la):
+        val, d = self.fresh(), self.fresh()
+        self.lines.append(f"{val}, {d} = {call}")
         return val, self.scaled(d, la)
 
-    def op_fn(self, nd, a):
-        ea, la, _ = a
-        return self._rule_call(kernel.RULES[nd.param], ea, la)
+    def op_fn(self, a, name):
+        ea, la = a
+        return self._rule_call(f"{name}_rule({ea})", la)
 
-    def op_kfn(self, nd, a):
-        ea, la, _ = a
-        name, kappa = nd.param
-        return self._rule_call(kernel.KAPPA_RULES[name], f"{self.lit(kappa)}, {ea}", la)
+    def op_pair(self, x, kappa):
+        s, c = self.fresh(), self.fresh()
+        self.lines.append(f"{s}, {c} = kappa_pair({kappa[0]}, {x[0]})")
+        return s, c, kappa[0], x
+
+    def op_kfn(self, pair, name):
+        s, c, kappa, (ex, lx) = pair
+        return self._rule_call(f"{name}_rule({kappa}, {ex}, {s}, {c})", lx)
 
 
-# Compiled code objects by source text, i.e. by graph structure.  One pass
-# of the verify benchmark needs about ten; the bound keeps memory fixed.
+# Compiled code objects by lowered structure.  One pass of the verify
+# benchmark needs about ten; the bound keeps memory fixed.
 @functools.lru_cache(maxsize=64)
-def _code(source):
-    return compile(source, "<compiled gradient>", "exec")
+def _code(structure):
+    args = ", ".join(f"x{i}" for i in range(NVARS))
+    body = "\n    ".join(_Emitter().body(structure))
+    return compile(f"def values_and_gradients({args}):\n    {body}\n",
+                   "<compiled gradient>", "exec")
+
+
+def _globals(consts):
+    """The compiled function's globals: the kernel rules by name and the
+    constants as ``k0, k1, ...``."""
+    env = {f"{name}_rule": rule for name, rule in kernel.RULES.items()}
+    env.update((f"{name}_rule", rule) for name, rule in kernel.KAPPA_RULES.items())
+    env["kappa_pair"] = kernel._kappa_pair
+    env.update((f"k{i}", c) for i, c in enumerate(consts))
+    return env
+
+
+def _lower(roots):
+    """(structure, constants) of several graphs: the hashable structure key
+    (instructions and root operands) and the constants in slot order."""
+    low = _Lowering()
+    refs = tuple(low.walk(r) for r in roots)
+    return (tuple(low.ins), refs), low.consts
 
 
 def compile_gradients(roots):
@@ -283,14 +374,10 @@ def compile_gradients(roots):
     """
     if not roots or any(r is None or not r.dual for r in roots):
         return None
-    em = _Emitter()
     try:
-        outs = [em.emit(r) for r in roots]
+        structure, consts = _lower(roots)
     except (ArithmeticError, ValueError, RecursionError):
         return None
-    flat = ", ".join(f"{val}, " + ", ".join(lanes.get(i, "0.0") for i in range(NVARS))
-                     for val, lanes in outs)
-    args = ", ".join(f"x{i}" for i in range(NVARS))
-    body = "\n    ".join(em.lines + [f"return ({flat})"])
-    exec(_code(f"def values_and_gradients({args}):\n    {body}\n"), em.env)
-    return em.env["values_and_gradients"]
+    env = _globals(consts)
+    exec(_code(structure), env)
+    return env["values_and_gradients"]

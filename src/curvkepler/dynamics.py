@@ -22,7 +22,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .kernel import DomainError
-from .phase import Chart, ChartSingularityError, Observable, PhaseState
+from .phase import (Chart, ChartSingularityError, Observable, PhaseState,
+                    _coords_of)
 
 __all__ = [
     "rhs", "IntegratorConfig", "StepStats", "Trajectory", "StepUnderflowError",
@@ -30,20 +31,23 @@ __all__ = [
 ]
 
 
-_SWAP = np.array([3, 4, 5, 0, 1, 2])
-_SIGN = np.array([1.0, 1.0, 1.0, -1.0, -1.0, -1.0])
+def _flow(g):
+    """(dH/dp, -dH/dq) from the gradient (dH/dq, dH/dp)."""
+    return np.concatenate((g[3:], -g[:3]))
 
 
 def rhs(h, state):
     """Hamiltonian vector field (dq/dt, dp/dt) = (dH/dp, -dH/dq)."""
-    g = h.gradient(state) if isinstance(h, Observable) else h(state)
-    return g[_SWAP] * _SIGN
+    return _flow(h.gradient(state) if isinstance(h, Observable) else h(state))
 
 
 class StepUnderflowError(RuntimeError):
-    """The step size underflowed; a singularity was reached.
+    """The step size fell below 1e-14 t_end.
 
-    Carries the partial trajectory accumulated so far in ``.trajectory``.
+    The message says why: the error control shrank the step (a singularity
+    is near), or evaluations kept failing, with the last failure's class and
+    message.  Carries the partial trajectory accumulated so far in
+    ``.trajectory``.
     """
 
     def __init__(self, message, trajectory):
@@ -206,9 +210,11 @@ def integrate(h, s0, cfg, monitors=None, domain_guard=None):
     has entered the epsilon-neighborhood of a chart singularity; the run
     then terminates cleanly with the reason recorded.  A start state the
     guard rejects raises :class:`ChartSingularityError` before anything is
-    evaluated.  A step-size underflow (h < 1e-14 t_end) raises
-    :class:`StepUnderflowError` carrying the partial trajectory; an implicit
-    midpoint step that does not converge ends the run early.
+    evaluated; a Hamiltonian observable declared on another chart than
+    ``s0``'s raises ``ChartMismatchError`` there too.  A step-size
+    underflow (h < 1e-14 t_end) raises :class:`StepUnderflowError` carrying
+    the partial trajectory and the reason; an implicit midpoint step that
+    does not converge ends the run early.
 
     An :class:`Observable` ``h`` gets its gradient compiled (once; the
     result is kept on ``h``), so the RHS runs straight-line code.
@@ -217,17 +223,23 @@ def integrate(h, s0, cfg, monitors=None, domain_guard=None):
         reason = domain_guard(s0.coords)
         if reason is not None:
             raise ChartSingularityError(f"start state is singular: {reason}")
+    chart = s0.chart
     if isinstance(h, Observable):
         h.compile_gradient()
+        _coords_of(s0, h.chart)         # a chart mismatch raises here, once
+        gradient = h.gradient
+    else:
+        def gradient(coords):
+            return h(PhaseState(chart, tuple(coords)))
     monitors = dict(monitors or {})
-    chart = s0.chart
     stats = StepStats()
+    last_failure = None
 
-    # States are rebuilt from y.tolist(): observables run faster on Python
+    # Coordinates go in as y.tolist(): observables run faster on Python
     # floats than on np.float64 coordinates, with identical values.
     def f(t, y):
         stats.rhs_evals += 1
-        return rhs(h, PhaseState(chart, tuple(y.tolist())))
+        return _flow(gradient(y.tolist()))
 
     y = s0.asarray()
     t = 0.0
@@ -265,9 +277,15 @@ def integrate(h, s0, cfg, monitors=None, domain_guard=None):
             break
         hstep = min(hstep, remaining, cfg.max_step)
         if not fixed and hstep < underflow:
+            if last_failure is None:
+                why = (": the error control shrank the step over "
+                       f"{stats.accepted} accepted and {stats.rejected} rejected steps")
+            else:
+                why = (f" after {stats.eval_failures} evaluation failures (last: "
+                       f"{type(last_failure).__name__}: {last_failure})")
             raise StepUnderflowError(
-                f"step size {hstep:.3e} underflowed at t = {t:.6g} "
-                "(singularity reached)", build(early=True, reason="step-underflow"))
+                f"step size {hstep:.3e} underflowed at t = {t:.6g}{why}",
+                build(early=True, reason="step-underflow"))
         try:
             if cfg.method == "implicit-midpoint":
                 ynew = _midpoint_step(f, t, y, hstep)
@@ -284,6 +302,7 @@ def integrate(h, s0, cfg, monitors=None, domain_guard=None):
                 OverflowError) as exc:
             # A trial stage left the observable's domain: reject and retry.
             stats.eval_failure(exc)
+            last_failure = exc
             if fixed:
                 return build(early=True, reason="evaluation-failure")
             hstep *= 0.25

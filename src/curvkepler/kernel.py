@@ -310,28 +310,23 @@ def _circ_sinc(u):
     return sinh(s) / s
 
 
-# Float-only S_kappa and C_kappa: the same arithmetic as the composite path
-# (u = kappa x**2, then the Taylor branch or circular/hyperbolic functions)
-# without the dual dispatch.  They dominate the compiled gradients.
+# Float S_kappa and C_kappa together: the same arithmetic as the composite
+# path (u = kappa x**2, then the Taylor branch or circular/hyperbolic
+# functions) without the dual dispatch, computing u and sqrt(u) once.  The
+# plain float functions, every rule below and the compiled gradients of
+# :mod:`.codegen` take S and C from here.
 
-def _ckappa_f(kappa, x):
+def _kappa_pair(kappa, x):
+    """(S_kappa(x), C_kappa(x)) for a float kappa and x."""
     u = kappa * x * x
     if abs(u) < _KTRIG_TAYLOR:
-        return 1.0 + u * (-0.5 + u * (1.0 / 24.0 - u / 720.0))
-    if u > 0.0:
-        return math.cos(math.sqrt(u))
-    return math.cosh(math.sqrt(-u))
-
-
-def _skappa_f(kappa, x):
-    u = kappa * x * x
-    if abs(u) < _KTRIG_TAYLOR:
-        return x * (1.0 + u * (-1.0 / 6.0 + u * (1.0 / 120.0 - u / 5040.0)))
+        return (x * (1.0 + u * (-1.0 / 6.0 + u * (1.0 / 120.0 - u / 5040.0))),
+                1.0 + u * (-0.5 + u * (1.0 / 24.0 - u / 720.0)))
     if u > 0.0:
         s = math.sqrt(u)
-        return x * (math.sin(s) / s)
+        return x * (math.sin(s) / s), math.cos(s)
     s = math.sqrt(-u)
-    return x * (math.sinh(s) / s)
+    return x * (math.sinh(s) / s), math.cosh(s)
 
 
 # A trig factor below this is indistinguishable from an exact pole in
@@ -339,29 +334,28 @@ def _skappa_f(kappa, x):
 _POLE_EPS = 1e-14
 
 
-def _tkappa_rule(kappa, x):
-    c = _ckappa_f(kappa, x)
+def _tkappa_rule(kappa, x, s, c):
     if abs(c) < _POLE_EPS:
         raise PoleError(f"tkappa pole: C_kappa vanishes at kappa={kappa}, x={x}")
-    return _skappa_f(kappa, x) / c, 1.0 / (c * c)
+    return s / c, 1.0 / (c * c)
 
 
-def _cotkappa_rule(kappa, x):
-    s = _skappa_f(kappa, x)
+def _cotkappa_rule(kappa, x, s, c):
     if abs(s) < _POLE_EPS:
         raise PoleError(f"cotkappa pole: S_kappa vanishes at kappa={kappa}, x={x}")
-    return _ckappa_f(kappa, x) / s, -1.0 / (s * s)
+    return c / s, -1.0 / (s * s)
 
 
-def _ckappa_rule(kappa, x):
-    return _ckappa_f(kappa, x), -kappa * _skappa_f(kappa, x)
+def _ckappa_rule(kappa, x, s, c):
+    return c, -kappa * s
 
 
-def _skappa_rule(kappa, x):
-    return _skappa_f(kappa, x), _ckappa_f(kappa, x)
+def _skappa_rule(kappa, x, s, c):
+    return s, c
 
 
-# Float rules (kappa, x) -> (value, d/dx) for a plain kappa:
+# Float rules (kappa, x, S, C) -> (value, d/dx) for a plain kappa, with
+# (S, C) = _kappa_pair(kappa, x):
 #   S' = C,  C' = -kappa S,  T' = 1/C**2,  cot' = -1/S**2.
 # A dual x applies them in one chain step; a dual kappa takes the generic
 # composite path.
@@ -373,13 +367,18 @@ KAPPA_RULES = {
 }
 
 
+def _kappa_chain(rule, kappa, x):
+    v = x.val
+    return _chain(x, *rule(kappa, v, *_kappa_pair(kappa, v)))
+
+
 def ckappa(kappa, x):
     """Generalized cosine C_kappa(x); total in both arguments."""
     if isinstance(kappa, KScalar):
         return _circ_cos(kappa * x * x)
     if isinstance(x, KScalar):
-        return _chain(x, *_ckappa_rule(kappa, x.val))
-    return _ckappa_f(kappa, x)
+        return _kappa_chain(_ckappa_rule, kappa, x)
+    return _kappa_pair(kappa, x)[1]
 
 
 def skappa(kappa, x):
@@ -387,8 +386,8 @@ def skappa(kappa, x):
     if isinstance(kappa, KScalar):
         return x * _circ_sinc(kappa * x * x)
     if isinstance(x, KScalar):
-        return _chain(x, *_skappa_rule(kappa, x.val))
-    return _skappa_f(kappa, x)
+        return _kappa_chain(_skappa_rule, kappa, x)
+    return _kappa_pair(kappa, x)[0]
 
 
 def tkappa(kappa, x):
@@ -399,8 +398,8 @@ def tkappa(kappa, x):
             raise PoleError(f"tkappa pole: C_kappa vanishes at kappa={kappa}, x={x}")
         return skappa(kappa, x) / c
     if isinstance(x, KScalar):
-        return _chain(x, *_tkappa_rule(kappa, x.val))
-    return _tkappa_rule(kappa, x)[0]
+        return _kappa_chain(_tkappa_rule, kappa, x)
+    return _tkappa_rule(kappa, x, *_kappa_pair(kappa, x))[0]
 
 
 def cotkappa(kappa, x):
@@ -415,8 +414,8 @@ def cotkappa(kappa, x):
             raise PoleError(f"cotkappa pole: S_kappa vanishes at kappa={kappa}, x={x}")
         return ckappa(kappa, x) / s
     if isinstance(x, KScalar):
-        return _chain(x, *_cotkappa_rule(kappa, x.val))
-    return _cotkappa_rule(kappa, x)[0]
+        return _kappa_chain(_cotkappa_rule, kappa, x)
+    return _cotkappa_rule(kappa, x, *_kappa_pair(kappa, x))[0]
 
 
 # -- inverse maps (plain floats only; used by chart transforms) ------------

@@ -232,6 +232,24 @@ def test_config_file_and_flag_override(capsys, tmp_path):
     assert json.loads(out)["samples"] == 10
 
 
+def test_config_defaults_do_not_leak_into_later_calls(capsys, tmp_path, monkeypatch):
+    """Calls without --config share one parser; a --config call in between
+    must not change the defaults it hands out."""
+    monkeypatch.delenv("CURVKEPLER_SEED", raising=False)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("samples = 3\nseed = 5\nthreshold = 0.5\n")
+    plain = ("verify", "--suite", "so4", "--preset", "hyperbolic")
+    code, before, _ = run_cli(capsys, *plain)
+    assert code == 0
+    code, out, _ = run_cli(capsys, *plain, "--config", str(cfg))
+    assert code == 0
+    assert (json.loads(out)["samples"], json.loads(out)["seed"]) == (3, 5)
+    code, after, _ = run_cli(capsys, *plain)
+    assert code == 0 and after == before
+    doc = json.loads(after)
+    assert (doc["samples"], doc["seed"], doc["threshold"]) == (100, 0, 1e-8)
+
+
 def test_config_file_bad_line(capsys, tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("samples 20\n")

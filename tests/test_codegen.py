@@ -7,11 +7,11 @@ import math
 import numpy as np
 import pytest
 
-from curvkepler import codegen, coalgebra, kernel, symmetry
+from curvkepler import cli, codegen, coalgebra, kernel, symmetry
 from curvkepler.coalgebra import sample_beltrami
 from curvkepler.dynamics import IntegratorConfig, integrate
 from curvkepler.phase import (P1, P3, Q1, Q2, Chart, Observable, PhaseState,
-                              constant, exp, tkappa)
+                              ckappa, constant, cotkappa, exp, skappa, tkappa)
 from curvkepler.spaces import (PRESETS, Family, HamiltonianSpec, SpaceParams,
                                chart_guard, hamiltonian)
 from curvkepler.symmetry import constants, sample_polar
@@ -78,6 +78,53 @@ def test_compiled_raises_what_the_dual_path_raises():
             assert _raised(getattr(ob, method), state) is want
     assert _raised(pole.gradient, PhaseState.beltrami(math.pi / 2, 0, 0, 0, 0, 0)) \
         is kernel.PoleError
+
+
+def _counted(monkeypatch, name):
+    """Count the calls of kernel.<name> made from here on."""
+    calls = []
+    real = getattr(kernel, name)
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(kernel, name, counting)
+    return calls
+
+
+def test_compiled_kepler_gradient_evaluates_one_kappa_pair_per_argument(monkeypatch):
+    """skappa(z, r) and cotkappa(z, r) share one (S, C) pair, and
+    skappa(kappa2, theta) has its own: two pairs per gradient, where each
+    of the three kappa-trig nodes used to evaluate S and C itself."""
+    pairs = _counted(monkeypatch, "_kappa_pair")
+    params = SpaceParams.preset("spherical", 0.5)
+    h = hamiltonian(HamiltonianSpec(Family.KEPLER_CC, params), Chart.POLAR_CONSTANT)
+    assert h.compile_gradient()
+    s = PhaseState.polar_constant(1.1, 1.2, 0.4, 0.2, 0.4, 0.9)
+    del pairs[:]
+    h.gradient(s)
+    assert sorted(pairs) == [(params.z, 1.1), (params.kappa2, 1.2)]
+
+
+def test_kappa_pairs_are_keyed_by_the_label_bits():
+    """Labels 0.0, -0.0 and the int 0 give the same S and C but derivatives
+    C' = -kappa S of different zero sign, so they must not share a pair."""
+    roots = [ckappa(0.0, Q1), ckappa(-0.0, Q1), skappa(0.3, Q1) * cotkappa(0.3, Q1),
+             tkappa(0.3, Q2) + skappa(-0.0, Q1), ckappa(0, Q1)]
+    (ins, _), _ = codegen._lower([r.node for r in roots])
+    assert sum(op == "pair" for op, *_ in ins) == 5
+    f = codegen.compile_gradients([r.node for r in roots])
+    s = (0.7, 0.4, 0.0, 0.0, 0.0, 0.0)
+    out = f(*s)
+    for j, ob in enumerate(roots):
+        val, g = _dual(ob).value_and_gradient(s)
+        assert out[7 * j] == val and np.array_equal(out[7 * j + 1: 7 * j + 7], g), j
+    # d/dq1 of ckappa(0.0, q1), ckappa(-0.0, q1) and ckappa(0, q1), as the
+    # dual path gives them
+    signs = [math.copysign(1.0, out[7 * j + 1]) for j in (0, 1, 4)]
+    assert signs == [-1.0, 1.0, 1.0]
+    assert [math.copysign(1.0, _dual(roots[j]).gradient(s)[0]) for j in (0, 1, 4)] == signs
 
 
 def test_constant_subtrees_fold_and_raising_ones_stay_on_duals():
@@ -235,6 +282,27 @@ def test_structure_cache_compiles_each_table_structure_once(monkeypatch):
                                           samples=3, perturb="j02")
     assert not control.passed(1e-3)
     assert len(calls) == 2 and codegen._code.cache_info().currsize == 2
+
+
+def test_verify_all_at_new_parameters_emits_and_compiles_nothing(monkeypatch):
+    """A second `verify --suite all` in the process, at new (z, kappa2,
+    gamma), finds all five table structures in the cache: it lowers each
+    graph and emits no source and calls no compile()."""
+    codegen._code.cache_clear()
+    calls = _compile_calls(monkeypatch)
+    emitted = []
+    real = codegen._Emitter.body
+    monkeypatch.setattr(codegen._Emitter, "body",
+                        lambda self, structure: emitted.append(structure) or real(self, structure))
+    argv = ["verify", "--suite", "all", "--samples", "3"]
+    assert cli.main(argv + ["--preset", "spherical"]) == 0
+    assert len(calls) == len(emitted) == 5
+    for params in (["--z", "0.3", "--kappa2", "-0.7", "--gamma", "1.1"],
+                   ["--z", "0.0", "--kappa2", "1.0"],
+                   ["--preset", "hyperbolic", "--gamma", "0.25"]):
+        assert cli.main(argv + params) == 0
+    assert len(calls) == len(emitted) == 5
+    assert codegen._code.cache_info().currsize == 5
 
 
 def test_structure_cache_stays_at_its_bound():

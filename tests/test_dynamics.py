@@ -10,7 +10,7 @@ from curvkepler.dynamics import (IntegratorConfig, StepUnderflowError,
                                  Trajectory, drift_report, integrate, rhs,
                                  trajectory_csv)
 from curvkepler.kernel import DomainError
-from curvkepler.phase import (P1, P2, P3, Q1, Q2, Q3, Chart,
+from curvkepler.phase import (P1, P2, P3, Q1, Q2, Q3, Chart, ChartMismatchError,
                               ChartSingularityError, Observable, PhaseState,
                               coordinate, sqrt)
 from curvkepler.spaces import (Family, HamiltonianSpec, SpaceParams,
@@ -126,7 +126,8 @@ def test_radial_plunge_terminates_cleanly():
 
 
 def test_step_underflow_without_guard():
-    """Without a domain guard the collision shows up as step underflow."""
+    """Without a domain guard the collision shows up as step underflow, which
+    nothing raised: the error control shrank the step."""
     params, spec, h = euclidean_kepler()
     s0 = PhaseState.polar_constant(0.6, math.pi / 2, 0.0, -1.0, 0.0, 0.0)
     with pytest.raises(StepUnderflowError) as err:
@@ -136,6 +137,47 @@ def test_step_underflow_without_guard():
     assert partial.terminated_early
     assert len(partial.times) >= 1
     assert partial.stats.h_min < 1e-12
+    stats = partial.stats
+    assert stats.eval_failures == 0
+    assert str(err.value).endswith(
+        f": the error control shrank the step over {stats.accepted} accepted "
+        f"and {stats.rejected} rejected steps")
+
+
+def test_step_underflow_reports_the_swallowed_exception():
+    """An observable that starts raising mid-run is reported by what it
+    raised, not as a singularity."""
+    calls = [0]
+
+    def buggy(q1, q2, q3, p1, p2, p3):
+        calls[0] += 1
+        if calls[0] > 8:
+            raise ZeroDivisionError("bug in observable")
+        return 0.5 * (p1 * p1 + q1 * q1)
+
+    with pytest.raises(StepUnderflowError) as err:
+        integrate(Observable(buggy), PhaseState.beltrami(1.0, 0, 0, 0, 0, 0),
+                  IntegratorConfig(t_end=1.0))
+    stats = err.value.trajectory.stats
+    assert stats.failure_types == {"ZeroDivisionError": stats.eval_failures}
+    message = str(err.value)
+    assert f"after {stats.eval_failures} evaluation failures" in message
+    assert "last: ZeroDivisionError: bug in observable" in message
+    assert "singularity" not in message
+
+
+@pytest.mark.parametrize("fixed_step", [0.0, 0.1], ids=["dopri54", "fixed-step"])
+def test_chart_mismatch_raises_before_the_first_step(fixed_step):
+    """The Hamiltonian's chart is checked once, up front, on every method
+    (a fixed-step run used to swallow the mismatch as an evaluation failure)."""
+    params, spec, h = euclidean_kepler()
+    evals = []
+    monitor = Observable(lambda *s: evals.append(s) or 0.0)
+    with pytest.raises(ChartMismatchError):
+        integrate(h, PhaseState.beltrami(0.3, 0.2, 0.1, 0.0, 0.1, 0.2),
+                  IntegratorConfig(t_end=1.0, fixed_step=fixed_step),
+                  monitors={"m": monitor})
+    assert evals == []
 
 
 def test_convergence_order_fixed_step():

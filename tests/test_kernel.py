@@ -304,8 +304,9 @@ def test_kappa_trig_dual_value_is_the_float_value(name, kappa):
 
 @pytest.mark.parametrize("kappa", _KAPPAS)
 def test_kappa_trig_float_fast_path_is_the_composite_arithmetic(kappa):
-    """The float S/C/T/cot equal, bit for bit, the composite evaluation
-    through _circ_cos / _circ_sinc, Taylor branch included."""
+    """The float S/C/T/cot and the (S, C) pair the rules use equal, bit for
+    bit, the composite evaluation through _circ_cos / _circ_sinc, Taylor
+    branch included."""
     points = {x for name in _TRIG for x in _trig_points(kappa, name)} | {0.0}
     for x in sorted(points):
         u = kappa * x * x
@@ -313,6 +314,7 @@ def test_kappa_trig_float_fast_path_is_the_composite_arithmetic(kappa):
         s = x * kernel._circ_sinc(u)
         assert ckappa(kappa, x).hex() == c.hex(), x
         assert skappa(kappa, x).hex() == s.hex(), x
+        assert [v.hex() for v in kernel._kappa_pair(kappa, x)] == [s.hex(), c.hex()], x
         if abs(c) >= 1e-14:
             assert tkappa(kappa, x).hex() == (s / c).hex(), x
         if abs(s) >= 1e-14:
