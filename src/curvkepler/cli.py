@@ -463,15 +463,6 @@ def _extract_config_path(argv):
     return None
 
 
-def _coerce(text):
-    for caster in (int, float):
-        try:
-            return caster(text)
-        except ValueError:
-            continue
-    return text
-
-
 # The parser of calls without --config, built on first use; parsing leaves
 # it unchanged.  A --config call changes its parser's defaults, so it builds
 # its own.
@@ -485,8 +476,8 @@ def main(argv=None):
     parser = build_parser() if cfg_path else _shared_parser()
     if cfg_path:
         try:
-            overrides = {k: _coerce(v)
-                         for k, v in _load_config(cfg_path).items()}
+            # Strings, which argparse converts with each option's own type.
+            overrides = _load_config(cfg_path)
         except (OSError, DomainError) as err:
             print(f"error: {err}", file=sys.stderr)
             return EXIT_CONFIG

@@ -1,9 +1,9 @@
-"""Straight-line sparse forward mode: compiled value-and-gradient functions.
+"""Expression graphs of observables: their evaluator and compiled gradients.
 
-Observables built from coordinates, constants, the arithmetic operators and
-the lifted kernel functions record an expression graph of :class:`Node`
-objects next to their closure; an ``Observable(fn)`` around a user callable
-records none and stays opaque.  :func:`compile_gradients` turns the graphs
+An observable is a graph of :class:`Node` objects over coordinates,
+constants and ``opaque`` leaves (user callables).  :func:`evaluator` gives
+its value on floats or ``KScalar`` duals alike in one post-order pass that
+evaluates a shared node once.  :func:`compile_gradients` turns the graphs
 of several observables (the roots) into one Python function of the six
 coordinates.  For each root in order it returns what a 6-lane ``KScalar``
 evaluation returns, the value and then six partials, in one flat tuple of
@@ -15,9 +15,7 @@ evaluation returns, the value and then six partials, in one flat tuple of
   (node identity), so the so(4) generators inside every observable of a
   bracket table are computed once per point;
 * subtrees that do not depend on the coordinates are folded at compile time
-  with the float operations a dual evaluation applies to them.
-
-``Observable.compile_gradient`` is the one-root case.
+  with the operations the evaluator applies to them (``_OPS``).
 
 Each retained lane applies the float operations of the ``KScalar`` rule its
 node replaces, in the same order, so the results equal the dual path's.  A
@@ -26,15 +24,15 @@ which can change the sign of a zero and nothing else (barring an infinite
 operand, where the dual lane turns NaN).
 
 Two stages: lower, then emit on a miss.  :func:`_lower` walks the graphs
-once.  It folds the coordinate-free subtrees, turns each other node into one
-instruction (its op, its operands, a function name), and pulls every
-constant into slot order: numbers, folded subtrees, the curvature labels,
-the exponents ``n`` and ``n - 1`` of a power and the reciprocal ``1.0 / c``
-of a constant divisor.  The instructions and the roots form the structure
-key, a tuple that holds no constant, so it depends only on the graph's
-structure (its operations, their wiring and sharing, the coordinate slots,
-and which curvature labels on one argument are equal), not on ``z``,
-``kappa2`` or ``gamma``.  Emission reads only that
+once, in post-order.  It folds the coordinate-free subtrees, turns each
+other node into one instruction (its op, its operands, a function name),
+and pulls every constant into slot order: numbers, folded subtrees, the
+curvature labels, the exponents ``n`` and ``n - 1`` of a power and the
+reciprocal ``1.0 / c`` of a constant divisor.  The instructions and the
+roots form the structure key, a tuple that holds no constant, so it depends
+only on the graph's structure (its operations, their wiring and sharing,
+the coordinate slots, and which curvature labels on one argument are
+equal), not on ``z``, ``kappa2`` or ``gamma``.  Emission reads only that
 key: it writes the source and Python's ``compile()`` turns it into a code
 object.  One process-wide LRU cache of fixed size (:func:`_code`), keyed by
 the structure, keeps the code objects, so emission and ``compile()`` run
@@ -60,55 +58,95 @@ import operator
 from . import kernel
 from .kernel import NVARS
 
-
-class Node:
-    """One operation of an observable's expression graph.
-
-    ``op`` is one of coord, const, add, sub, mul, square, div, neg, pow, fn,
-    kfn; ``kids`` are the operand nodes; ``param`` is the operand that is not
-    a node (slot, constant, exponent, function name, or (name, kappa)).
-    ``dual`` is true when the node depends on the coordinates, i.e. when a
-    dual evaluation makes its value a ``KScalar``.
-    """
-
-    __slots__ = ("op", "kids", "param", "dual")
-
-    def __init__(self, op, kids=(), param=None):
-        self.op = op
-        self.kids = kids
-        self.param = param
-        self.dual = op == "coord" or any(k.dual for k in kids)
-
-
-def node(op, *kids, param=None):
-    """A node over ``kids``, or None (opaque) when any of them is opaque."""
-    if any(k is None for k in kids):
-        return None
-    return Node(op, kids, param)
-
-
-def number(c):
-    """True for the constants a graph may hold: ints and floats."""
-    return isinstance(c, (int, float))
-
-
-def const(c):
-    """A constant node, or None (opaque) for a value that is not a number."""
-    return Node("const", param=c) if number(c) else None
-
-
-def coord(slot):
-    return Node("coord", param=slot)
-
-
-_FOLD = {
+# The Python operation of each arithmetic op on its operands' values: the
+# one map the evaluator and constant folding apply.  Only
+# ``number - observable`` builds a sub node, and ``x * x`` is a mul node
+# whose two operands are one node.
+_OPS = {
     "add": operator.add,
     "sub": operator.sub,
     "mul": operator.mul,
     "div": operator.truediv,
     "neg": operator.neg,
-    "square": lambda a: a * a,
+    "pow": operator.pow,
 }
+
+
+class Node:
+    """One operation of an observable's expression graph.
+
+    ``op`` is one of coord, const, opaque, add, sub, mul, div, neg, pow, fn,
+    kfn; ``kids`` are the operand nodes (the exponent of pow and the
+    curvature label of kfn are const kids).  ``param`` is the slot of a
+    coord, the value of a const, and the operation of every other node: its
+    ``_OPS`` entry, the kernel function of fn and kfn, or the callable of
+    the six coordinates of an opaque leaf.  ``dual`` is true when the node
+    depends on the coordinates, i.e. when a dual evaluation makes its value
+    a ``KScalar``.  ``fn`` caches the node's :func:`evaluator`.
+    """
+
+    __slots__ = ("op", "kids", "param", "dual", "fn")
+
+    def __init__(self, op, kids=(), param=None):
+        self.op = op
+        self.kids = kids
+        self.param = _OPS.get(op, param)
+        self.dual = op in ("coord", "opaque") or any(k.dual for k in kids)
+        self.fn = None
+
+
+def _postorder(roots):
+    """Every node reachable from ``roots`` once, kids before parents, in
+    the order a depth-first walk (kids left to right, roots in order)
+    finishes them.  Iterative, so a graph of any depth is walked."""
+    order, seen = [], set()
+    stack = [(root, False) for root in reversed(roots)]
+    while stack:
+        nd, finished = stack.pop()
+        if finished:
+            order.append(nd)
+        elif nd not in seen:
+            seen.add(nd)
+            stack.append((nd, True))
+            for k in reversed(nd.kids):
+                stack.append((k, False))
+    return order
+
+
+def evaluator(root):
+    """``root``'s value as a function ``f(x0, ..., x5)`` of the coordinates,
+    on floats or duals alike; built on first use and kept on the node, so
+    observables sharing a graph share it.  An opaque leaf's evaluator is its
+    callable."""
+    if root.op == "opaque":
+        return root.param
+    if root.fn is not None:
+        return root.fn
+    # The value list holds the coordinates, the constants, the values of
+    # the opaque leaves (each called once, first) and one value per
+    # operation, in post-order.
+    order = _postorder([root])
+    index = {nd: nd.param for nd in order if nd.op == "coord"}
+    consts = [nd for nd in order if nd.op == "const"]
+    leaves = [nd for nd in order if nd.op == "opaque"]
+    ops = [nd for nd in order if nd.kids]
+    index.update((nd, i) for i, nd in enumerate(consts + leaves + ops, NVARS))
+    values = [nd.param for nd in consts]
+    calls = [nd.param for nd in leaves]
+    steps = [(nd.param, index[nd.kids[0]], index[nd.kids[1]] if len(nd.kids) > 1 else None)
+             for nd in ops]
+    out = index[root]
+
+    def evaluate(x0, x1, x2, x3, x4, x5):
+        v = [x0, x1, x2, x3, x4, x5, *values]
+        push = v.append
+        for f in calls:
+            push(f(x0, x1, x2, x3, x4, x5))
+        for f, a, b in steps:
+            push(f(v[a]) if b is None else f(v[a], v[b]))
+        return v[out]
+    root.fn = evaluate
+    return evaluate
 
 
 class _Lowering:
@@ -124,8 +162,9 @@ class _Lowering:
     def __init__(self):
         self.ins = []
         self.consts = []
-        self.refs = {}      # id(node) -> operand
-        self.folded = {}    # id(node) -> value of a coordinate-free node
+        self.refs = {}      # node -> operand
+        self.folded = {}    # coordinate-free node -> its value
+        self.bad = set()    # nodes that cannot be compiled
         self.coords = {}    # slot -> instruction
         self.pairs = {}     # (kappa type, bits, x operand) -> "pair" instruction
 
@@ -137,60 +176,57 @@ class _Lowering:
         self.ins.append(instr)
         return len(self.ins) - 1
 
-    def fold(self, nd):
-        """The value of a coordinate-free subtree, with the float operations
-        a dual evaluation applies to it."""
-        key = id(nd)
-        if key not in self.folded:
-            if nd.op == "const":
-                val = nd.param
-            else:
-                args = [self.fold(k) for k in nd.kids]
-                if nd.op == "pow":
-                    val = args[0] ** nd.param
-                elif nd.op == "fn":
-                    val = getattr(kernel, nd.param)(args[0])
-                elif nd.op == "kfn":
-                    name, kappa = nd.param
-                    val = getattr(kernel, name)(kappa, args[0])
-                else:
-                    val = _FOLD[nd.op](*args)
-            self.folded[key] = val
-        return self.folded[key]
-
-    def walk(self, nd):
-        key = id(nd)
-        if key not in self.refs:
-            self.refs[key] = self.lower(nd)
-        return self.refs[key]
+    def operand(self, nd):
+        """A lowered node's operand; a folded node takes a constant slot on
+        first use."""
+        if nd not in self.refs:
+            self.refs[nd] = self.const(self.folded[nd])
+        return self.refs[nd]
 
     def lower(self, nd):
-        if not nd.dual:
-            return self.const(self.fold(nd))
-        op = nd.op
+        """Lower one node whose kids are lowered: fold it, make it an
+        instruction, or mark it as not compilable."""
+        if nd.op == "opaque" or not self.bad.isdisjoint(nd.kids):
+            self.bad.add(nd)
+            return
+        try:
+            if nd.dual:
+                self.refs[nd] = self.instruction(nd)
+                return
+            val = (nd.param if nd.op == "const"
+                   else nd.param(*[self.folded[k] for k in nd.kids]))
+        except (ArithmeticError, ValueError):
+            val = None          # the evaluator raises here too
+        if isinstance(val, (int, float)):
+            self.folded[nd] = val
+        else:
+            self.bad.add(nd)
+
+    def instruction(self, nd):
+        op, kids = nd.op, nd.kids
         if op == "coord":
             if nd.param not in self.coords:
                 self.coords[nd.param] = self.add("coord", nd.param)
             return self.coords[nd.param]
-        if op == "div" and not nd.kids[1].dual:
+        if op == "div" and not kids[1].dual:
             # KScalar / o multiplies by the float 1.0 / o.
-            a = self.walk(nd.kids[0])
-            return self.add("mul", a, self.const(1.0 / self.fold(nd.kids[1])))
-        args = [self.walk(k) for k in nd.kids]
+            return self.add("mul", self.operand(kids[0]),
+                            self.const(1.0 / self.folded[kids[1]]))
         if op == "pow":
-            return self.add("pow", args[0], self.const(nd.param), self.const(nd.param - 1))
+            n = self.folded[kids[1]]
+            return self.add("pow", self.operand(kids[0]), self.const(n), self.const(n - 1))
         if op == "fn":
-            return self.add("fn", args[0], nd.param)
+            return self.add("fn", self.operand(kids[0]), nd.param.__name__)
         if op == "kfn":
             # One (S, C) pair per curvature label and argument.  The label is
             # keyed by its type and bits, so 0.0, -0.0 and the int 0 (whose
             # C' = -kappa S differ in the sign of a zero) never share a pair.
-            name, kappa = nd.param
-            key = (type(kappa), float(kappa).hex(), args[0])
+            kappa, x = self.folded[kids[0]], self.operand(kids[1])
+            key = (type(kappa), float(kappa).hex(), x)
             if key not in self.pairs:
-                self.pairs[key] = self.add("pair", args[0], self.const(kappa))
-            return self.add("kfn", self.pairs[key], name)
-        return self.add(op, *args)
+                self.pairs[key] = self.add("pair", x, self.const(kappa))
+            return self.add("kfn", self.pairs[key], nd.param.__name__)
+        return self.add(op, *map(self.operand, kids))
 
 
 _ONE = "1.0"      # the lane of a seeded coordinate; x * 1.0 == x exactly
@@ -284,14 +320,6 @@ class _Emitter:
                 lanes[i] = self.mul(ea, lb[i])
         return val, lanes
 
-    def op_square(self, a):
-        ea, la = a
-        lanes = {}
-        for i, l in la.items():
-            t = self.times(ea, l)
-            lanes[i] = self.var(f"{t} + {t}")
-        return self.var(f"{ea} * {ea}"), lanes
-
     def op_div(self, a, b):
         # A constant divisor was lowered to a product with its reciprocal.
         (ea, la), (eb, lb) = a, b
@@ -357,27 +385,41 @@ def _globals(consts):
 
 def _lower(roots):
     """(structure, constants) of several graphs: the hashable structure key
-    (instructions and root operands) and the constants in slot order."""
+    (instructions and root operands) and the constants in slot order.  The
+    operand of a root that cannot be compiled is None."""
     low = _Lowering()
-    refs = tuple(low.walk(r) for r in roots)
+    for nd in _postorder(roots):
+        low.lower(nd)
+    refs = tuple(low.refs.get(r) if r.dual else None for r in roots)
     return (tuple(low.ins), refs), low.consts
 
 
-def compile_gradients(roots):
-    """Compile several graphs to ``f(x0, ..., x5) -> (value, 6 partials) * n``.
+def compile_some(roots):
+    """``(f, kept)``: one compiled function for the roots that can be
+    compiled, and their indices in ``roots``.
 
-    The flat tuple holds, root by root, the value and the six partials.
-    Returns None when a root cannot be compiled: an opaque operand, a root
-    that does not depend on the coordinates, a coordinate-free subtree that
-    raises when folded (the dual path then raises when it evaluates), or a
-    graph too deep for the recursive walk (the dual path nests less deeply).
+    ``f(x0, ..., x5)`` returns, for each kept root in order, the value and
+    the six partials in one flat tuple; it is None when no root can be
+    compiled.  :func:`_lower` leaves out, once per node, a root that holds
+    an opaque leaf, a constant, exponent or curvature label that is not a
+    number, or a coordinate-free subtree that raises when folded (the
+    evaluator raises there too), and a root that does not depend on the
+    coordinates.
     """
-    if not roots or any(r is None or not r.dual for r in roots):
-        return None
-    try:
-        structure, consts = _lower(roots)
-    except (ArithmeticError, ValueError, RecursionError):
-        return None
+    structure, consts = _lower(roots)
+    kept = [i for i, r in enumerate(structure[1]) if r is not None]
+    if not kept:
+        return None, kept
+    if len(kept) < len(roots):
+        # Lowered again, without the instructions only the others need.
+        structure, consts = _lower([roots[i] for i in kept])
     env = _globals(consts)
     exec(_code(structure), env)
-    return env["values_and_gradients"]
+    return env["values_and_gradients"], kept
+
+
+def compile_gradients(roots):
+    """Compile several graphs to ``f(x0, ..., x5) -> (value, 6 partials) * n``,
+    or None when one of them cannot be compiled (see :func:`compile_some`)."""
+    f, kept = compile_some(roots)
+    return f if len(kept) == len(roots) else None

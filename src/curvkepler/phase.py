@@ -1,12 +1,13 @@
 """Phase-space states, chart tags, and differentiable observables.
 
-An ``Observable`` wraps a scalar function of the six phase-space slots.  The
-same function body is evaluated with floats (values) or with ``KScalar``
-duals (exact gradients), so every observable built from the arithmetic
-operators and the lifted functions below is differentiable for free.  Those
-observables also record an expression graph (:mod:`.codegen`), from which
-:meth:`Observable.compile_gradient` builds straight-line gradient code for
-observables evaluated many times, such as an integrated Hamiltonian.
+An ``Observable`` is a scalar field of the six phase-space slots, held as
+one expression graph (:mod:`.codegen`): the arithmetic operators and the
+lifted functions below build nodes, and ``Observable(fn)`` around any other
+callable is an opaque leaf.  The graph's evaluator runs on floats (values)
+or on ``KScalar`` duals (exact gradients), so every observable is
+differentiable for free, and :meth:`Observable.compile_gradient` builds
+straight-line gradient code from the graph for observables evaluated many
+times, such as an integrated Hamiltonian.
 """
 
 from __future__ import annotations
@@ -81,14 +82,14 @@ def _coords_of(state, chart):
     return tuple(state)
 
 
-def _value_and_gradient(fn, compiled, coords):
-    """(value, gradient) of ``fn`` at ``coords``: the compiled code when there
-    is one, else one evaluation on seeded duals; a result that is not a dual
-    (the function ignores the coordinates) has a zero gradient."""
+def _value_and_gradient(node, compiled, coords):
+    """(value, gradient) of a graph at ``coords``: the compiled code when
+    there is one, else one evaluation on seeded duals; a result that is not
+    a dual (the graph ignores the coordinates) has a zero gradient."""
     if compiled:
         out = compiled(*coords)
         return out[0], np.asarray(out[1:], dtype=float)
-    out = fn(*seeded(coords))
+    out = codegen.evaluator(node)(*seeded(coords))
     if isinstance(out, KScalar):
         return out.val, np.asarray(out.d, dtype=float)
     return float(out), np.zeros(NVARS)
@@ -99,10 +100,9 @@ def values_and_gradients(observables, states):
 
     Returns an array of shape ``(len(states), len(observables), 7)``: the
     value and the six partials of each observable at each state, as
-    :meth:`Observable.value_and_gradient` gives them.  The observables with an
-    expression graph are compiled together (:func:`.codegen.compile_gradients`)
-    and cost one call per state; the others, and all of them when the
-    compile fails, take one dual evaluation each.
+    :meth:`Observable.value_and_gradient` gives them.  The observables that
+    can be compiled are compiled together (:func:`.codegen.compile_some`)
+    and cost one call per state; the others take one dual evaluation each.
     """
     charts = {o.chart for o in observables} - {None}
     coords = []
@@ -111,22 +111,19 @@ def values_and_gradients(observables, states):
             _coords_of(state, chart)
         coords.append(_coords_of(state, None))
     out = np.empty((len(states), len(observables), 1 + NVARS))
-    graphs = [j for j, o in enumerate(observables) if o.node is not None and o.node.dual]
-    compiled = codegen.compile_gradients([observables[j].node for j in graphs])
+    compiled, graphs = codegen.compile_some([o._node for o in observables])
     if compiled:
         rows = [compiled(*c) for c in coords]
         out[:, graphs] = np.reshape(rows, (len(states), len(graphs), 1 + NVARS))
-    else:
-        graphs = []
     for j, o in enumerate(observables):
         if j not in graphs:
             for i, c in enumerate(coords):
-                out[i, j, 0], out[i, j, 1:] = _value_and_gradient(o.fn, None, c)
+                out[i, j, 0], out[i, j, 1:] = _value_and_gradient(o._node, None, c)
     return out
 
 
 def _node_of(o):
-    return o.node if isinstance(o, Observable) else codegen.const(o)
+    return o._node if isinstance(o, Observable) else codegen.Node("const", param=o)
 
 
 class Observable:
@@ -134,20 +131,31 @@ class Observable:
 
     Supports ``+ - * / **`` against other observables and plain numbers; the
     result is again an observable.  ``chart`` (when not None) restricts which
-    states the observable accepts.  ``node`` is the expression graph of an
-    observable built by this module's operators and functions; an
-    ``Observable(fn)`` around another callable has none and is never
-    compiled.
+    states the observable accepts.  An observable is an expression graph
+    (:mod:`.codegen`): ``Observable(fn)`` around a callable of the six
+    coordinates is an opaque leaf, and this module's operators and
+    functions build nodes over their operands' graphs.
     """
 
-    __slots__ = ("fn", "name", "chart", "node", "_compiled")
+    __slots__ = ("_node", "name", "chart", "_compiled")
 
-    def __init__(self, fn, name="", chart=None, node=None):
-        self.fn = fn
+    def __init__(self, fn=None, name="", chart=None, node=None):
+        self._node = codegen.Node("opaque", param=fn) if node is None else node
         self.name = name
         self.chart = chart
-        self.node = node
         self._compiled = None      # None: not tried; False: not compilable
+
+    @property
+    def node(self):
+        """The expression graph; None for an ``Observable(fn)``, which is
+        one opaque leaf and never compiled."""
+        return None if self._node.op == "opaque" else self._node
+
+    @property
+    def fn(self):
+        """The value as a function of the six coordinates, on floats or
+        duals: the graph's evaluator (:func:`.codegen.evaluator`)."""
+        return codegen.evaluator(self._node)
 
     def __call__(self, state):
         return self.fn(*_coords_of(state, self.chart))
@@ -159,16 +167,16 @@ class Observable:
         compiled code, which returns what the dual evaluation returns.
         """
         if self._compiled is None:
-            self._compiled = codegen.compile_gradients([self.node]) or False
+            self._compiled = codegen.compile_gradients([self._node]) or False
         return bool(self._compiled)
 
     def gradient(self, state):
         """Exact gradient: compiled code if built, else one 6-lane dual evaluation."""
-        return _value_and_gradient(self.fn, self._compiled,
+        return _value_and_gradient(self._node, self._compiled,
                                    _coords_of(state, self.chart))[1]
 
     def value_and_gradient(self, state):
-        return _value_and_gradient(self.fn, self._compiled,
+        return _value_and_gradient(self._node, self._compiled,
                                    _coords_of(state, self.chart))
 
     # -- combination helpers ----------------------------------------------
@@ -181,73 +189,44 @@ class Observable:
         raise ChartMismatchError(
             f"cannot combine observables on {self.chart.value} and {oc.value}")
 
+    def _op(self, op, *kids, other=None, param=None):
+        """``op`` over ``kids``, on the chart this observable shares with ``other``."""
+        return Observable(chart=self._merge_chart(other),
+                          node=codegen.Node(op, kids, param))
+
     def __add__(self, o):
-        node = codegen.node("add", self.node, _node_of(o))
-        if isinstance(o, Observable):
-            f, g = self.fn, o.fn
-            return Observable(lambda *s: f(*s) + g(*s), chart=self._merge_chart(o),
-                              node=node)
-        f = self.fn
-        return Observable(lambda *s: f(*s) + o, chart=self.chart, node=node)
+        return self._op("add", self._node, _node_of(o), other=o)
 
     __radd__ = __add__
 
     def __neg__(self):
-        f = self.fn
-        return Observable(lambda *s: -f(*s), chart=self.chart,
-                          node=codegen.node("neg", self.node))
+        return self._op("neg", self._node)
 
     def __sub__(self, o):
         return self + (-o)
 
     def __rsub__(self, o):
-        f = self.fn
-        return Observable(lambda *s: o - f(*s), chart=self.chart,
-                          node=codegen.node("sub", _node_of(o), self.node))
+        return self._op("sub", _node_of(o), self._node)
 
     def __mul__(self, o):
-        if o is self:
-            f = self.fn
-
-            def square(*s):
-                v = f(*s)
-                return v * v
-            return Observable(square, chart=self.chart,
-                              node=codegen.node("square", self.node))
-        node = codegen.node("mul", self.node, _node_of(o))
-        if isinstance(o, Observable):
-            f, g = self.fn, o.fn
-            return Observable(lambda *s: f(*s) * g(*s), chart=self._merge_chart(o),
-                              node=node)
-        f = self.fn
-        return Observable(lambda *s: f(*s) * o, chart=self.chart, node=node)
+        return self._op("mul", self._node, _node_of(o), other=o)
 
     __rmul__ = __mul__
 
     def __truediv__(self, o):
-        node = codegen.node("div", self.node, _node_of(o))
-        if isinstance(o, Observable):
-            f, g = self.fn, o.fn
-            return Observable(lambda *s: f(*s) / g(*s), chart=self._merge_chart(o),
-                              node=node)
-        f = self.fn
-        return Observable(lambda *s: f(*s) / o, chart=self.chart, node=node)
+        return self._op("div", self._node, _node_of(o), other=o)
 
     def __rtruediv__(self, o):
-        f = self.fn
-        return Observable(lambda *s: o / f(*s), chart=self.chart,
-                          node=codegen.node("div", _node_of(o), self.node))
+        return self._op("div", _node_of(o), self._node)
 
     def __pow__(self, n):
-        f = self.fn
-        node = codegen.node("pow", self.node, param=n) if codegen.number(n) else None
-        return Observable(lambda *s: f(*s) ** n, chart=self.chart, node=node)
+        return self._op("pow", self._node, codegen.Node("const", param=n))
 
     def renamed(self, name):
-        return Observable(self.fn, name=name, chart=self.chart, node=self.node)
+        return Observable(name=name, chart=self.chart, node=self._node)
 
     def with_chart(self, chart):
-        return Observable(self.fn, name=self.name, chart=chart, node=self.node)
+        return Observable(name=self.name, chart=chart, node=self._node)
 
     def __repr__(self):
         tag = f" on {self.chart.value}" if self.chart else ""
@@ -255,12 +234,11 @@ class Observable:
 
 
 def constant(c):
-    return Observable(lambda *s: c, name=f"{c}", node=codegen.const(c))
+    return Observable(name=f"{c}", node=codegen.Node("const", param=c))
 
 
 def coordinate(slot, name="", chart=None):
-    return Observable(lambda *s: s[slot], name=name, chart=chart,
-                      node=codegen.coord(slot))
+    return Observable(name=name, chart=chart, node=codegen.Node("coord", param=slot))
 
 
 # Canonical coordinate observables on the raw (q, p) slots; chart-agnostic so
@@ -269,60 +247,44 @@ Q1, Q2, Q3 = (coordinate(i, n) for i, n in enumerate(("q1", "q2", "q3")))
 P1, P2, P3 = (coordinate(i + 3, n) for i, n in enumerate(("p1", "p2", "p3")))
 
 
-def _lift1(scalar_fn, fname):
-    def lifted(x):
+def _lift(scalar_fn, op="fn"):
+    """``scalar_fn`` on floats and duals; on an observable (the last
+    argument) an ``op`` node, with a leading curvature label as a const kid."""
+    def lifted(*args):
+        *labels, x = args
         if isinstance(x, Observable):
-            f = x.fn
-            return Observable(lambda *s: scalar_fn(f(*s)), chart=x.chart,
-                              node=codegen.node("fn", x.node, param=fname))
-        return scalar_fn(x)
+            labels = [codegen.Node("const", param=k) for k in labels]
+            return x._op(op, *labels, x._node, param=scalar_fn)
+        return scalar_fn(*args)
 
-    lifted.__name__ = fname
+    lifted.__name__ = scalar_fn.__name__
     return lifted
 
 
-exp = _lift1(kernel.exp, "exp")
-log = _lift1(kernel.log, "log")
-sqrt = _lift1(kernel.sqrt, "sqrt")
-sin = _lift1(kernel.sin, "sin")
-cos = _lift1(kernel.cos, "cos")
-sinh = _lift1(kernel.sinh, "sinh")
-cosh = _lift1(kernel.cosh, "cosh")
-sinhc = _lift1(kernel.sinhc, "sinhc")
-expm1c = _lift1(kernel.expm1c, "expm1c")
-
-
-def _lift_kappa(scalar_fn, fname):
-    def lifted(kappa, x):
-        if isinstance(x, Observable):
-            f = x.fn
-            node = (codegen.node("kfn", x.node, param=(fname, kappa))
-                    if codegen.number(kappa) else None)
-            return Observable(lambda *s: scalar_fn(kappa, f(*s)), chart=x.chart,
-                              node=node)
-        return scalar_fn(kappa, x)
-
-    lifted.__name__ = fname
-    return lifted
-
-
-ckappa = _lift_kappa(kernel.ckappa, "ckappa")
-skappa = _lift_kappa(kernel.skappa, "skappa")
-tkappa = _lift_kappa(kernel.tkappa, "tkappa")
-cotkappa = _lift_kappa(kernel.cotkappa, "cotkappa")
+exp = _lift(kernel.exp)
+log = _lift(kernel.log)
+sqrt = _lift(kernel.sqrt)
+sin = _lift(kernel.sin)
+cos = _lift(kernel.cos)
+sinh = _lift(kernel.sinh)
+cosh = _lift(kernel.cosh)
+sinhc = _lift(kernel.sinhc)
+expm1c = _lift(kernel.expm1c)
+ckappa = _lift(kernel.ckappa, "kfn")
+skappa = _lift(kernel.skappa, "kfn")
+tkappa = _lift(kernel.tkappa, "kfn")
+cotkappa = _lift(kernel.cotkappa, "kfn")
 
 
 def grad(f, state):
     """Exact gradient of an observable at a state (dual-number propagation)."""
-    if isinstance(f, Observable):
-        return f.gradient(state)
-    return _value_and_gradient(f, None, _coords_of(state, None))[1]
+    return (f if isinstance(f, Observable) else Observable(f)).gradient(state)
 
 
 def fd_grad(f, state, h=1e-6):
     """Independent central-difference gradient oracle, error O(h^2)."""
-    if h <= 0:
-        raise ValueError("fd_grad needs h > 0")
+    if not 0 < h < np.inf:
+        raise ValueError("fd_grad needs 0 < h < inf")
     coords = list(_coords_of(state, f.chart if isinstance(f, Observable) else None))
     call = f.fn if isinstance(f, Observable) else f
     out = np.empty(NVARS)

@@ -173,8 +173,9 @@ def hamiltonian(spec, chart):
         jm, jp = r3.jminus, r3.jplus
         if spec.family is Family.CUSTOM:
             f, pot = spec.f, spec.potential
-            fn_f = Observable(lambda *s: f((z * jm).fn(*s)))
-            fn_u = Observable(lambda *s: pot(z, jm.fn(*s)))
+            zjm, jm_of = (z * jm).fn, jm.fn
+            fn_f = Observable(lambda *s: f(zjm(*s)))
+            fn_u = Observable(lambda *s: pot(z, jm_of(*s)))
             h = jp * fn_f + 2.0 * fn_u
         elif spec.family is Family.FREE_NC:
             h = 0.25 * jp

@@ -250,6 +250,24 @@ def test_config_defaults_do_not_leak_into_later_calls(capsys, tmp_path, monkeypa
     assert (doc["samples"], doc["seed"], doc["threshold"]) == (100, 0, 1e-8)
 
 
+def test_config_values_are_parsed_by_their_option_type(capsys, tmp_path, monkeypatch):
+    """A config value goes through its option's own type: a bad int is a
+    usage error (exit 2, no traceback), and a numeric path stays a path."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("samples = 2.5\n")
+    with pytest.raises(SystemExit) as exit_info:
+        main(["verify", "--suite", "so4", "--preset", "hyperbolic", "--config", str(cfg)])
+    err = capsys.readouterr().err
+    assert exit_info.value.code == 2
+    assert "invalid int value" in err and "Traceback" not in err
+    monkeypatch.chdir(tmp_path)
+    cfg.write_text("out = 7\nsamples = 3\n")
+    code, out, _ = run_cli(capsys, "verify", "--suite", "so4", "--preset",
+                           "hyperbolic", "--config", str(cfg))
+    assert code == 0 and out == ""
+    assert json.loads((tmp_path / "7").read_text())["samples"] == 3
+
+
 def test_config_file_bad_line(capsys, tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("samples 20\n")

@@ -7,10 +7,10 @@ import math
 import numpy as np
 import pytest
 
-from curvkepler import cli, codegen, coalgebra, kernel, symmetry
+from curvkepler import cli, codegen, coalgebra, kernel, phase, symmetry
 from curvkepler.coalgebra import sample_beltrami
 from curvkepler.dynamics import IntegratorConfig, integrate
-from curvkepler.phase import (P1, P3, Q1, Q2, Chart, Observable, PhaseState,
+from curvkepler.phase import (P1, P2, P3, Q1, Q2, Chart, Observable, PhaseState,
                               ckappa, constant, cotkappa, exp, skappa, tkappa)
 from curvkepler.spaces import (PRESETS, Family, HamiltonianSpec, SpaceParams,
                                chart_guard, hamiltonian)
@@ -313,3 +313,81 @@ def test_structure_cache_stays_at_its_bound():
         assert chain.compile_gradient()
         assert codegen._code.cache_info().currsize <= bound
     assert codegen._code.cache_info().currsize == bound
+
+
+# -- the graph evaluator -------------------------------------------------------
+
+_FORMS = {
+    "ob + 2": lambda x: x + 2, "2 + ob": lambda x: 2 + x,
+    "ob - 2": lambda x: x - 2, "2 - ob": lambda x: 2 - x,
+    "2 * ob": lambda x: 2 * x, "ob / 2": lambda x: x / 2,
+    "2 / ob": lambda x: 2 / x, "ob ** 3": lambda x: x ** 3,
+    "-ob": lambda x: -x, "ob * ob": lambda x: x * x,
+}
+_UNARY = ("exp", "log", "sqrt", "sin", "cos", "sinh", "cosh", "sinhc", "expm1c")
+_KAPPA = ("ckappa", "skappa", "tkappa", "cotkappa")
+
+
+# Each case builds its expression from a module's functions: phase's lifted
+# ones on an observable, kernel's on a float or a dual.
+_CASES = ([(name, lambda lib, x, form=form: form(x)) for name, form in _FORMS.items()]
+          + [(name, lambda lib, x, name=name: getattr(lib, name)(x)) for name in _UNARY]
+          + [(f"{name}({kappa})", lambda lib, x, name=name, kappa=kappa:
+              getattr(lib, name)(kappa, x)) for name in _KAPPA for kappa in (0.3, 0.0, -0.0)])
+
+
+def _hex(x):
+    """float.hex of a float, or of a dual's value and partials."""
+    if isinstance(x, kernel.KScalar):
+        return [float.hex(x.val)] + [float.hex(d) for d in x.d]
+    return float.hex(x)
+
+
+@pytest.mark.parametrize("case", [c for _, c in _CASES], ids=[n for n, _ in _CASES])
+def test_evaluator_applies_the_operations_the_expression_applies(case):
+    """Each operator form and lifted function, evaluated from the graph on
+    floats and on duals, gives bit for bit what the same expression gives
+    when written with floats and KScalars."""
+    ob = case(phase, 0.5 * Q1 + P2)
+    s = (0.6, 0.0, 0.0, 0.0, 0.5, 0.0)
+    for coords in (s, kernel.seeded(s)):
+        assert _hex(ob.fn(*coords)) == _hex(case(kernel, 0.5 * coords[0] + coords[4]))
+
+
+def test_deep_graph_evaluates_on_floats_and_duals_and_compiles():
+    """A 3,000-term sum: the evaluator and the lowering walk iteratively."""
+    ob, ref = Q1, 0.6
+    s = (0.6, 0.0, 0.0, 0.0, 0.5, 0.0)
+    for k in range(3000):
+        ob = ob + (k % 7) * P2
+        ref = ref + 0.5 * (k % 7)
+    assert ob(s) == ref
+    val, g = ob.value_and_gradient(s)
+    assert val == ref and np.array_equal(g, [1.0, 0, 0, 0, sum(k % 7 for k in range(3000)), 0])
+    assert ob.compile_gradient()
+    got = ob.value_and_gradient(s)
+    assert got[0] == val and np.array_equal(got[1], g)
+
+
+def test_opaque_leaf_joins_a_graph_and_keeps_the_rest_compiled(monkeypatch):
+    opaque = Observable(lambda *s: s[0] * s[4])
+    ob = opaque + Q1
+    s = PhaseState.beltrami(0.6, 0.2, -0.3, 0.1, 0.5, 0.7)
+    (v1, g1), (v2, g2) = opaque.value_and_gradient(s), Q1.value_and_gradient(s)
+    val, g = ob.value_and_gradient(s)
+    assert ob(s) == val == v1 + v2 and np.array_equal(g, g1 + g2)
+    assert not ob.compile_gradient()
+
+    calls = []
+    real = codegen.compile_some
+    monkeypatch.setattr(codegen, "compile_some",
+                        lambda roots: calls.append(roots) or real(roots))
+    pure = [Q1 * P2, exp(Q2) + P3, Q1 * Q1]
+    table = [coalgebra.Identity("pure", pure[0], pure[1], rhs=pure[2]),
+             coalgebra.Identity("mixed", ob, rhs=ob)]
+    report = coalgebra.run_table("t", table, sample_beltrami, 5, 1)
+    assert [(r.max_residual, r.worst_point) for r in report.results] == \
+        _reference_run_table(table, sample_beltrami, 5, 1)
+    assert len(calls) == 1
+    f, kept = real(calls[0])
+    assert [calls[0][i] for i in kept] == [p.node for p in pure]

@@ -113,6 +113,12 @@ def test_fd_grad_trivials():
         fd_grad(Q1, (0,) * 6, h=0.0)
 
 
+@pytest.mark.parametrize("h", [math.nan, math.inf])
+def test_fd_grad_rejects_a_step_that_is_not_positive_and_finite(h):
+    with pytest.raises(ValueError):
+        fd_grad(Q1, (0.5,) * 6, h=h)
+
+
 def test_fd_grad_propagates_domain_errors():
     """A stencil point falling on a pole surfaces as the kernel error."""
     ob = Observable(lambda *s: kernel.cotkappa(1.0, s[0]))
