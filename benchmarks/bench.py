@@ -119,11 +119,20 @@ class Rows:
     def orbit_t20(self):
         return _timed(lambda: self._orbit(20.0, 10, None))
 
-    # verification and curvature, in seconds
+    # CLI calls, in seconds
     def _cli(self, *argv):
         code = self.cli.main([*argv, "--out", os.path.join(self.tmp, "out")])
         if code != 0:
             raise RuntimeError(f"{' '.join(argv)} exited {code}")
+
+    def simulate_in_process(self):
+        """The README orbit through `simulate`: every step sampled, with the
+        seven monitors, the CSV and the summary written."""
+        return _timed(lambda: self._cli(
+            "simulate", "--family", "kepler-cc", "--preset", "spherical",
+            "--gamma", "0.45", "--state", "1.1,1.2,0.4,0.2,0.4,0.9", "--t-end", "20",
+            "--stride", "1", "--csv", os.path.join(self.tmp, "orbit.csv"),
+            "--summary", os.path.join(self.tmp, "summary.json")))
 
     _VERIFY = ("verify", "--suite", "all", "--preset", "spherical",
                "--samples", "100", "--seed", "7")
@@ -168,6 +177,7 @@ ROWS = (
     ("dp54_step", "ms", False),
     ("orbit_t20_monitors", "s", False),
     ("orbit_t20", "s", False),
+    ("simulate_in_process", "s", True),
     ("verify_all_in_process", "s", True),
     ("verify_lrl_algebra", "s", True),
     ("verify_all_fresh_process", "s", False),

@@ -481,6 +481,16 @@ def main(argv=None):
         except (OSError, DomainError) as err:
             print(f"error: {err}", file=sys.stderr)
             return EXIT_CONFIG
+        # A key may name an option of another subcommand, so one file can
+        # serve several; a key that names no option at all is a typo.
+        known = {a.dest for sub in parser.command_parsers for a in sub._actions
+                 if a.option_strings and a.default is not argparse.SUPPRESS}
+        unknown = sorted(set(overrides) - known)
+        if unknown:
+            names = ", ".join(map(repr, unknown))
+            print(f"error: {cfg_path}: no option is named {names}",
+                  file=sys.stderr)
+            return EXIT_CONFIG
         for sub in parser.command_parsers:
             sub.set_defaults(**overrides)
     args = parser.parse_args(argv)  # argparse exits with code 2 on bad flags

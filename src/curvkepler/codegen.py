@@ -1,4 +1,4 @@
-"""Expression graphs of observables: their evaluator and compiled gradients.
+"""Expression graphs of observables: their evaluator, compiled gradients and values.
 
 An observable is a graph of :class:`Node` objects over coordinates,
 constants and ``opaque`` leaves (user callables).  :func:`evaluator` gives
@@ -39,6 +39,18 @@ the structure, keeps the code objects, so emission and ``compile()`` run
 only on a miss.  A graph of a known structure at new parameters costs one
 lowering walk and one ``exec`` of the cached code, with the constants bound
 in the function's globals as ``k0, k1, ...`` and the kernel rules by name.
+
+Values-only mode (``compile_some(roots, values=True)``) lowers and emits
+the same graphs without derivative lanes: ``f`` returns the roots' values
+and nothing else.  Each statement applies the float operation the
+evaluator applies to its node, so every value is bit for bit what
+:func:`evaluator` gives on the same floats.  Division stays a true ``a / b``
+also for a constant divisor (the gradient mode's ``a * (1.0 / c)`` can
+differ from ``a / c`` in the last bit), a power is ``a ** n``, a unary is
+its kernel float function and ``tkappa``/``cotkappa`` take the value of
+their rule, which raises at a pole as the evaluator does.  The mode is part
+of the code cache's key.  Monitors evaluated at every sample of an orbit
+use it.
 
 Curvature-labelled trigonometry shares its work: every ``skappa``,
 ``ckappa``, ``tkappa`` and ``cotkappa`` node on one ``(kappa, x)`` reads one
@@ -156,10 +168,14 @@ class _Lowering:
     op, its operands and any name it needs; an operand is the index of an
     earlier instruction, or ``~slot`` (a negative number) for constant
     ``slot``.  Instructions are appended in the order the walk finishes
-    them, which is the order the emitter writes them in.
+    them, which is the order the emitter writes them in.  ``values`` lowers
+    for the values-only emitter: division and power keep the evaluator's
+    operands (``a / c``, ``a ** n``) instead of the dual rules' ``a * (1/c)``
+    and ``n * a ** (n - 1)``.
     """
 
-    def __init__(self):
+    def __init__(self, values=False):
+        self.values = values
         self.ins = []
         self.consts = []
         self.refs = {}      # node -> operand
@@ -208,6 +224,8 @@ class _Lowering:
             if nd.param not in self.coords:
                 self.coords[nd.param] = self.add("coord", nd.param)
             return self.coords[nd.param]
+        if self.values and op in ("div", "pow"):
+            return self.add(op, *map(self.operand, kids))
         if op == "div" and not kids[1].dual:
             # KScalar / o multiplies by the float 1.0 / o.
             return self.add("mul", self.operand(kids[0]),
@@ -271,9 +289,11 @@ class _Emitter:
                 args = [a if isinstance(a, str) else
                         (f"k{~a}", None) if a < 0 else done[a] for a in args]
             done.append(getattr(self, "op_" + op)(*args))
-        flat = ", ".join(f"{val}, " + ", ".join(lanes.get(i, "0.0") for i in range(NVARS))
-                         for val, lanes in (done[r] for r in roots))
-        return self.lines + [f"return ({flat})"]
+        return self.lines + [f"return ({self.result(done[r] for r in roots)})"]
+
+    def result(self, roots):
+        return ", ".join(f"{val}, " + ", ".join(lanes.get(i, "0.0") for i in range(NVARS))
+                         for val, lanes in roots)
 
     # -- one method per KScalar rule ----------------------------------------
 
@@ -363,38 +383,87 @@ class _Emitter:
         return self._rule_call(f"{name}_rule({kappa}, {ex}, {s}, {c})", lx)
 
 
-# Compiled code objects by lowered structure.  One pass of the verify
-# benchmark needs about ten; the bound keeps memory fixed.
+class _ValueEmitter(_Emitter):
+    """Writes the values-only body: one statement per node, the float
+    operation the evaluator applies to it, and no derivative lanes."""
+
+    def apply(self, template, *args):
+        return self.var(template.format(*(expr for expr, _ in args))), None
+
+    def result(self, roots):
+        return "".join(f"{val}, " for val, _ in roots)
+
+    def op_coord(self, slot):
+        return f"x{slot}", None
+
+    def op_add(self, a, b):
+        return self.apply("{} + {}", a, b)
+
+    def op_sub(self, a, b):
+        return self.apply("{} - {}", a, b)
+
+    def op_neg(self, a):
+        return self.apply("-{}", a)
+
+    def op_mul(self, a, b):
+        return self.apply("{} * {}", a, b)
+
+    def op_div(self, a, b):
+        return self.apply("{} / {}", a, b)
+
+    def op_pow(self, a, n):
+        return self.apply("{} ** {}", a, n)
+
+    def op_fn(self, a, name):
+        return self.apply(name + "_float({})", a)
+
+    def op_kfn(self, pair, name):
+        # What the float kernel functions return: S or C of the pair, or
+        # the value of the ratio's rule, which raises at a pole.
+        s, c, kappa, (ex, _) = pair
+        if name == "skappa":
+            return s, None
+        if name == "ckappa":
+            return c, None
+        return self.var(f"{name}_rule({kappa}, {ex}, {s}, {c})[0]"), None
+
+
+# Compiled code objects by lowered structure and mode.  One pass of the
+# verify benchmark needs about ten; the bound keeps memory fixed.  Callers
+# pass both arguments positionally, so each structure has one key per mode.
 @functools.lru_cache(maxsize=64)
-def _code(structure):
+def _code(structure, values):
     args = ", ".join(f"x{i}" for i in range(NVARS))
-    body = "\n    ".join(_Emitter().body(structure))
-    return compile(f"def values_and_gradients({args}):\n    {body}\n",
-                   "<compiled gradient>", "exec")
+    emitter = _ValueEmitter() if values else _Emitter()
+    body = "\n    ".join(emitter.body(structure))
+    return compile(f"def compiled({args}):\n    {body}\n",
+                   "<compiled values>" if values else "<compiled gradient>", "exec")
 
 
 def _globals(consts):
-    """The compiled function's globals: the kernel rules by name and the
-    constants as ``k0, k1, ...``."""
+    """The compiled function's globals: the kernel rules and float functions
+    by name and the constants as ``k0, k1, ...``."""
     env = {f"{name}_rule": rule for name, rule in kernel.RULES.items()}
     env.update((f"{name}_rule", rule) for name, rule in kernel.KAPPA_RULES.items())
+    env.update((f"{name}_float", fn) for name, fn in kernel.FLOAT_FNS.items())
     env["kappa_pair"] = kernel._kappa_pair
     env.update((f"k{i}", c) for i, c in enumerate(consts))
     return env
 
 
-def _lower(roots):
+def _lower(roots, values=False):
     """(structure, constants) of several graphs: the hashable structure key
     (instructions and root operands) and the constants in slot order.  The
-    operand of a root that cannot be compiled is None."""
-    low = _Lowering()
+    operand of a root that cannot be compiled is None.  ``values`` lowers
+    for the values-only mode (see :class:`_Lowering`)."""
+    low = _Lowering(values)
     for nd in _postorder(roots):
         low.lower(nd)
     refs = tuple(low.refs.get(r) if r.dual else None for r in roots)
     return (tuple(low.ins), refs), low.consts
 
 
-def compile_some(roots):
+def compile_some(roots, values=False):
     """``(f, kept)``: one compiled function for the roots that can be
     compiled, and their indices in ``roots``.
 
@@ -405,17 +474,20 @@ def compile_some(roots):
     number, or a coordinate-free subtree that raises when folded (the
     evaluator raises there too), and a root that does not depend on the
     coordinates.
+
+    With ``values`` true, ``f`` returns only the kept roots' values, each
+    bit for bit what :func:`evaluator` gives on the same floats.
     """
-    structure, consts = _lower(roots)
+    structure, consts = _lower(roots, values)
     kept = [i for i, r in enumerate(structure[1]) if r is not None]
     if not kept:
         return None, kept
     if len(kept) < len(roots):
         # Lowered again, without the instructions only the others need.
-        structure, consts = _lower([roots[i] for i in kept])
+        structure, consts = _lower([roots[i] for i in kept], values)
     env = _globals(consts)
-    exec(_code(structure), env)
-    return env["values_and_gradients"], kept
+    exec(_code(structure, values), env)
+    return env["compiled"], kept
 
 
 def compile_gradients(roots):

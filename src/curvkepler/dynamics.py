@@ -8,8 +8,10 @@ default stepper is an embedded Dormand-Prince 5(4) pair that reuses its last
 stage as the next step's first (six RHS evaluations per step); a fixed-step
 implicit midpoint rule is available behind the same interface for long
 symplectic-ish runs.  Conservation is asserted by monitoring, not by
-structure: every sampled step evaluates the requested monitor observables
-and the trajectory carries their maximum relative drift.
+structure: every sampled step evaluates the requested monitor observables,
+each compiled once to straight-line values-only code (:mod:`.codegen`) that
+gives what its evaluator gives, and the trajectory carries their maximum
+relative drift.
 """
 
 from __future__ import annotations
@@ -31,9 +33,15 @@ __all__ = [
 ]
 
 
+# The flow (dH/dp, -dH/dq) as slots of the gradient (dH/dq, dH/dp) and
+# their signs; multiplying by -1.0 negates exactly.
+_FLOW_SLOTS = np.array([3, 4, 5, 0, 1, 2])
+_FLOW_SIGNS = np.array([1.0, 1.0, 1.0, -1.0, -1.0, -1.0])
+
+
 def _flow(g):
-    """(dH/dp, -dH/dq) from the gradient (dH/dq, dH/dp)."""
-    return np.concatenate((g[3:], -g[:3]))
+    """(dH/dp, -dH/dq) from the gradient array (dH/dq, dH/dp)."""
+    return g[_FLOW_SLOTS] * _FLOW_SIGNS
 
 
 def rhs(h, state):
@@ -210,14 +218,17 @@ def integrate(h, s0, cfg, monitors=None, domain_guard=None):
     has entered the epsilon-neighborhood of a chart singularity; the run
     then terminates cleanly with the reason recorded.  A start state the
     guard rejects raises :class:`ChartSingularityError` before anything is
-    evaluated; a Hamiltonian observable declared on another chart than
-    ``s0``'s raises ``ChartMismatchError`` there too.  A step-size
-    underflow (h < 1e-14 t_end) raises :class:`StepUnderflowError` carrying
-    the partial trajectory and the reason; an implicit midpoint step that
-    does not converge ends the run early.
+    evaluated; a Hamiltonian or monitor observable declared on another
+    chart than ``s0``'s raises ``ChartMismatchError`` there too.  A
+    step-size underflow (h < 1e-14 t_end) raises :class:`StepUnderflowError`
+    carrying the partial trajectory and the reason; an implicit midpoint
+    step that does not converge ends the run early.
 
-    An :class:`Observable` ``h`` gets its gradient compiled (once; the
-    result is kept on ``h``), so the RHS runs straight-line code.
+    An :class:`Observable` ``h`` gets its gradient compiled and every
+    monitor its values-only code (once each; the code is kept on the
+    observable), so each RHS evaluation is one ``h.gradient`` call and each
+    sample one call per monitor, all running straight-line code on
+    ``y.tolist()``.
     """
     if domain_guard is not None:
         reason = domain_guard(s0.coords)
@@ -225,13 +236,16 @@ def integrate(h, s0, cfg, monitors=None, domain_guard=None):
             raise ChartSingularityError(f"start state is singular: {reason}")
     chart = s0.chart
     if isinstance(h, Observable):
-        h.compile_gradient()
         _coords_of(s0, h.chart)         # a chart mismatch raises here, once
+        h.compile_gradient()
         gradient = h.gradient
     else:
         def gradient(coords):
             return h(PhaseState(chart, tuple(coords)))
     monitors = dict(monitors or {})
+    for ob in monitors.values():
+        _coords_of(s0, ob.chart)        # and here for a monitor
+        ob.compile_values()
     stats = StepStats()
     last_failure = None
 
@@ -241,18 +255,15 @@ def integrate(h, s0, cfg, monitors=None, domain_guard=None):
         stats.rhs_evals += 1
         return _flow(gradient(y.tolist()))
 
-    y = s0.asarray()
-    t = 0.0
-    times = [0.0]
-    states = [y.copy()]
-    series = {name: [ob(s0)] for name, ob in monitors.items()}
+    times, states = [], []
+    series = {name: [] for name in monitors}
 
     def record(t, y):
         times.append(t)
         states.append(y.copy())
-        st = PhaseState(chart, tuple(y.tolist()))
+        coords = y.tolist()
         for name, ob in monitors.items():
-            series[name].append(ob(st))
+            series[name].append(ob(coords))
 
     def build(early=False, reason=""):
         return Trajectory(chart, np.asarray(times),
@@ -260,6 +271,10 @@ def integrate(h, s0, cfg, monitors=None, domain_guard=None):
                           {n: np.asarray(v) for n, v in series.items()},
                           terminated_early=early, termination_reason=reason,
                           stats=stats)
+
+    y = s0.asarray()
+    t = 0.0
+    record(t, y)
 
     if cfg.t_end == 0.0:
         return build()
@@ -359,12 +374,13 @@ def trajectory_csv(trajectory):
         raise DomainError("CSV export is defined for polar-chart trajectories; "
                           "transform Beltrami states first")
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
     names = list(trajectory.monitors)
-    writer.writerow(list(_POLAR_HEADER) + names)
-    cols = [trajectory.monitors[n] for n in names]
-    for i, t in enumerate(trajectory.times):
-        row = [t, *trajectory.states[i]] + [c[i] for c in cols]
-        writer.writerow(f"{v:.17g}" for v in row)
+    csv.writer(buf, lineterminator="\n").writerow(list(_POLAR_HEADER) + names)
+    # A number written with %.17g never needs quoting, so each data row is
+    # one format operation over the columns' Python floats.
+    row = ",".join(["%.17g"] * (len(_POLAR_HEADER) + len(names))) + "\n"
+    cols = [trajectory.times, *np.transpose(trajectory.states),
+            *(trajectory.monitors[n] for n in names)]
+    buf.writelines(row % r for r in zip(*(np.asarray(c).tolist() for c in cols)))
     return buf.getvalue()
 

@@ -180,7 +180,13 @@ def value_of(x):
 # argument applies it in one chain step; the straight-line gradients of
 # :mod:`.codegen` call the same rules, so both paths do the same arithmetic.
 
+# The float function of each unary, by name: what it applies to a float.
+FLOAT_FNS = {}
+
+
 def _unary(name, float_fn, rule):
+    FLOAT_FNS[name] = float_fn
+
     def fn(x):
         if isinstance(x, KScalar):
             val, dval = rule(x.val)

@@ -5,9 +5,11 @@ one expression graph (:mod:`.codegen`): the arithmetic operators and the
 lifted functions below build nodes, and ``Observable(fn)`` around any other
 callable is an opaque leaf.  The graph's evaluator runs on floats (values)
 or on ``KScalar`` duals (exact gradients), so every observable is
-differentiable for free, and :meth:`Observable.compile_gradient` builds
-straight-line gradient code from the graph for observables evaluated many
-times, such as an integrated Hamiltonian.
+differentiable for free.  For observables evaluated many times,
+:meth:`Observable.compile_gradient` builds straight-line gradient code from
+the graph (an integrated Hamiltonian) and :meth:`Observable.compile_values`
+straight-line values-only code (the monitors of an orbit); a compiled
+observable gives what its evaluator gives, bit for bit.
 """
 
 from __future__ import annotations
@@ -137,13 +139,14 @@ class Observable:
     functions build nodes over their operands' graphs.
     """
 
-    __slots__ = ("_node", "name", "chart", "_compiled")
+    __slots__ = ("_node", "name", "chart", "_compiled", "_values")
 
     def __init__(self, fn=None, name="", chart=None, node=None):
         self._node = codegen.Node("opaque", param=fn) if node is None else node
         self.name = name
         self.chart = chart
         self._compiled = None      # None: not tried; False: not compilable
+        self._values = None        # the same, for the values-only code
 
     @property
     def node(self):
@@ -158,7 +161,21 @@ class Observable:
         return codegen.evaluator(self._node)
 
     def __call__(self, state):
-        return self.fn(*_coords_of(state, self.chart))
+        coords = _coords_of(state, self.chart)
+        if self._values:
+            return self._values(*coords)[0]
+        return codegen.evaluator(self._node)(*coords)
+
+    def compile_values(self):
+        """Build straight-line values-only code once; True if built.
+
+        Afterwards calling the observable on a state runs the compiled code,
+        which returns the evaluator's value on floats bit for bit.  Only
+        float coordinates may then be passed; ``fn`` still takes duals.
+        """
+        if self._values is None:
+            self._values = codegen.compile_some([self._node], values=True)[0] or False
+        return bool(self._values)
 
     def compile_gradient(self):
         """Build straight-line value-and-gradient code once; True if built.

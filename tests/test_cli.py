@@ -268,6 +268,21 @@ def test_config_values_are_parsed_by_their_option_type(capsys, tmp_path, monkeyp
     assert json.loads((tmp_path / "7").read_text())["samples"] == 3
 
 
+def test_config_key_that_names_no_option_is_a_usage_error(capsys, tmp_path):
+    """A typo in a config key used to be ignored silently (the default ran);
+    a key of another subcommand's option stays accepted."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("sampels = 3\nseed = 5\n")
+    code, out, err = run_cli(capsys, "verify", "--suite", "so4", "--preset",
+                             "hyperbolic", "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert "'sampels'" in err and "Traceback" not in err
+    cfg.write_text("samples = 3\nstride = 7\nt-end = 0.5\n")
+    code, out, _ = run_cli(capsys, "verify", "--suite", "so4", "--preset",
+                           "hyperbolic", "--config", str(cfg))
+    assert code == 0 and json.loads(out)["samples"] == 3
+
+
 def test_config_file_bad_line(capsys, tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("samples 20\n")

@@ -391,3 +391,49 @@ def test_opaque_leaf_joins_a_graph_and_keeps_the_rest_compiled(monkeypatch):
     assert len(calls) == 1
     f, kept = real(calls[0])
     assert [calls[0][i] for i in kept] == [p.node for p in pure]
+
+
+# -- values-only mode ------------------------------------------------------------
+
+def _values_only(roots):
+    f, kept = codegen.compile_some([r.node for r in roots], values=True)
+    assert kept == list(range(len(roots)))
+    return f
+
+
+def test_values_only_mode_matches_the_evaluator_bit_for_bit():
+    """Every operator form (division by a constant and by an observable,
+    pow), unary and kappa function (labels 0.3, 0.0, -0.0 and int 0), and
+    sinhc/expm1c on either side of their series switch, compiled as the
+    roots of one values-only function: each value is the evaluator's, bit
+    for bit.  At x = 0.8, x / 10 differs from the gradient mode's
+    x * (1 / 10), which the values mode must not use."""
+    x = 0.5 * Q1 + P2
+    u = Q1 * P3
+    roots = ([case(phase, x) for _, case in _CASES]
+             + [getattr(phase, name)(0, x) for name in _KAPPA]
+             + [x / 10, Q1 / P2, phase.sinhc(u), phase.expm1c(u)])
+    f = _values_only(roots)
+    points = [(0.6, 0.0, 0.0, 0.0, 0.5, 0.0)]
+    points += [(0.5, 0.0, 0.0, 0.0, 0.7, w / 0.5) for w in (4e-6, -4e-6, 2e-5, -2e-5, 0.3, 0.6)]
+    for s in points:
+        got = f(*s)
+        assert len(got) == len(roots)
+        assert [float.hex(v) for v in got] == [float.hex(ob(s)) for ob in roots], s
+    grad = codegen.compile_gradients([roots[-4].node])
+    assert grad(*points[0])[0] != f(*points[0])[-4] == 0.8 / 10
+
+
+def test_values_only_mode_is_part_of_the_structure_key():
+    roots = [(Q1 * P2 + 1) / 3, phase.tkappa(0.4, Q2)]
+    nodes = [r.node for r in roots]
+    (ins, refs), consts = codegen._lower(nodes, values=True)
+    assert [op for op, *_ in ins].count("div") == 1 and len(refs) == 2
+    assert codegen._lower(nodes)[0] != (ins, refs)
+    codegen._code.cache_clear()
+    codegen.compile_some(nodes)
+    codegen.compile_some(nodes, values=True)
+    codegen.compile_some(nodes, values=True)
+    assert codegen._code.cache_info().currsize == 2
+    with pytest.raises(kernel.PoleError):
+        _values_only(roots[1:])(0.0, math.pi / 2 / math.sqrt(0.4), 0.0, 0.0, 0.0, 0.0)

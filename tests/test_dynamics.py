@@ -1,11 +1,14 @@
 """Dynamics tests: vector fields, adaptive integration, drift monitoring."""
 
+import csv
+import io
 import math
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from curvkepler import codegen
 from curvkepler.dynamics import (IntegratorConfig, StepUnderflowError,
                                  Trajectory, drift_report, integrate, rhs,
                                  trajectory_csv)
@@ -463,3 +466,91 @@ def test_kepler_nc_orbit_conserves_its_constants():
     assert not tr.terminated_early
     for name, d in tr.drift.items():
         assert d < 1e-9, (name, d)
+
+
+def _spherical_kepler():
+    params = SpaceParams.preset("spherical", gamma=0.5)
+    spec = HamiltonianSpec(Family.KEPLER_CC, params)
+    h = hamiltonian(spec, Chart.POLAR_CONSTANT)
+    mon = dict(constants(spec, Chart.POLAR_CONSTANT))
+    mon["H"] = h
+    return h, mon, chart_guard(Chart.POLAR_CONSTANT, params)
+
+
+_KEPLER_STATE = PhaseState.polar_constant(1.1, 1.2, 0.4, 0.2, 0.4, 0.9)
+_KEPLER_CFG = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12, t_end=2.0)
+
+
+def test_monitor_series_are_each_observable_at_each_sample(monkeypatch):
+    """The compiled values-only monitors give, at every sample, what each
+    monitor's evaluator gives on that state, bit for bit; a second run with
+    the same monitors lowers and compiles nothing."""
+    h, mon, guard = _spherical_kepler()
+    tr = integrate(h, _KEPLER_STATE, _KEPLER_CFG, monitors=mon, domain_guard=guard)
+    assert len(tr.times) > 20 and list(tr.monitors) == list(mon)
+    assert all(ob._values for ob in mon.values())
+    for name, ob in mon.items():
+        want = [ob.fn(*y.tolist()) for y in tr.states]
+        assert [v.hex() for v in tr.monitors[name]] == [v.hex() for v in want], name
+
+    lowered = []
+    real = codegen._lower
+    monkeypatch.setattr(codegen, "_lower", lambda *a: lowered.append(a) or real(*a))
+    again = integrate(h, _KEPLER_STATE, _KEPLER_CFG, monitors=mon, domain_guard=guard)
+    assert lowered == []
+    assert all(np.array_equal(again.monitors[n], tr.monitors[n]) for n in mon)
+
+
+def test_opaque_hamiltonians_and_monitors_follow_the_compiled_run():
+    """An Observable(fn) Hamiltonian (dual evaluation) and a callable
+    h(state) -> gradient, with an opaque monitor among graph monitors, give
+    the compiled run's trajectory, series and stats bit for bit."""
+    h, mon, guard = _spherical_kepler()
+    ref = integrate(h, _KEPLER_STATE, _KEPLER_CFG, monitors=mon, domain_guard=guard)
+    mixed = {name: Observable(ob.fn, chart=ob.chart) if name == "C2mid" else ob
+             for name, ob in mon.items()}
+    assert mixed["C2mid"].node is None
+    for hamiltonian_ in (Observable(h.fn, chart=h.chart), h.gradient):
+        tr = integrate(hamiltonian_, _KEPLER_STATE, _KEPLER_CFG, monitors=mixed,
+                       domain_guard=guard)
+        assert np.array_equal(tr.times, ref.times)
+        assert np.array_equal(tr.states, ref.states)
+        assert list(tr.monitors) == list(mon)
+        for name in mon:
+            assert np.array_equal(tr.monitors[name], ref.monitors[name]), name
+        st = tr.stats
+        assert st == ref.stats
+        assert st.rhs_evals == 1 + 6 * (st.accepted + st.rejected)
+
+
+def test_monitor_on_another_chart_raises_before_anything_is_evaluated():
+    h, _, guard = _spherical_kepler()
+    calls = []
+    counted = Observable(lambda *s: calls.append(s) or h.fn(*s), chart=Chart.POLAR_CONSTANT)
+    monitors = {"H": counted, "q1": Q1.with_chart(Chart.BELTRAMI)}
+    for fixed_step in (0.0, 0.1):
+        with pytest.raises(ChartMismatchError):
+            integrate(counted, _KEPLER_STATE,
+                      IntegratorConfig(t_end=1.0, fixed_step=fixed_step),
+                      monitors=monitors, domain_guard=guard)
+    assert calls == []
+
+
+def test_csv_rows_are_each_number_with_17_significant_digits():
+    """Every field is what ``f"{v:.17g}"`` gives, with signed zeros,
+    non-finite and integer values, and a header name that needs quoting."""
+    times = np.array([0.0, 1e-300, 0.1, 3.0])
+    states = np.array([[1.0, -0.0, np.inf, -np.inf, np.nan, 5e-324],
+                       [0.1, 0.2, 0.3, 1e17, 123456789.125, -2.5],
+                       [1 / 3, 2 / 3, 1e-5, 1e-4, 1e16, 7.0],
+                       [0.0, 0.0, 0.0, 0.0, 0.0, 0.0]])
+    monitors = {"H": np.array([-0.5, np.nan, 0.1 + 0.2, 1e308]),
+                "a,b": np.array([1, 2, -3, 0])}
+    tr = Trajectory(Chart.POLAR_CONSTANT, times, states, monitors)
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["t", "r", "theta", "phi", "p_r", "p_theta", "p_phi", "H", "a,b"])
+    for i, t in enumerate(times):
+        writer.writerow(f"{v:.17g}" for v in [t, *states[i], monitors["H"][i],
+                                              monitors["a,b"][i]])
+    assert trajectory_csv(tr) == buf.getvalue()
