@@ -7,11 +7,13 @@ per Hamiltonian (opaque observables keep the dual-number evaluation).  The
 default stepper is an embedded Dormand-Prince 5(4) pair that reuses its last
 stage as the next step's first (six RHS evaluations per step); a fixed-step
 implicit midpoint rule is available behind the same interface for long
-symplectic-ish runs.  Conservation is asserted by monitoring, not by
-structure: every sampled step evaluates the requested monitor observables,
-each compiled once to straight-line values-only code (:mod:`.codegen`) that
-gives what its evaluator gives, and the trajectory carries their maximum
-relative drift.
+symplectic-ish runs.  Both steppers run on lists of six Python floats, with
+each stage sum written out and added left to right, so a trajectory's bits
+depend on neither numpy's BLAS nor the Python version.  Conservation is
+asserted by monitoring, not by structure: every sampled step evaluates the
+requested monitor observables, each compiled once to straight-line
+values-only code (:mod:`.codegen`) that gives what its evaluator gives, and
+the trajectory carries their maximum relative drift.
 """
 
 from __future__ import annotations
@@ -33,29 +35,25 @@ __all__ = [
 ]
 
 
-# The flow (dH/dp, -dH/dq) as slots of the gradient (dH/dq, dH/dp) and
-# their signs; multiplying by -1.0 negates exactly.
-_FLOW_SLOTS = np.array([3, 4, 5, 0, 1, 2])
-_FLOW_SIGNS = np.array([1.0, 1.0, 1.0, -1.0, -1.0, -1.0])
-
-
 def _flow(g):
-    """(dH/dp, -dH/dq) from the gradient array (dH/dq, dH/dp)."""
-    return g[_FLOW_SLOTS] * _FLOW_SIGNS
+    """(dH/dp, -dH/dq) as a list of floats from the gradient array (dH/dq, dH/dp)."""
+    g0, g1, g2, g3, g4, g5 = g.tolist()
+    return [g3, g4, g5, -g0, -g1, -g2]
 
 
 def rhs(h, state):
-    """Hamiltonian vector field (dq/dt, dp/dt) = (dH/dp, -dH/dq)."""
-    return _flow(h.gradient(state) if isinstance(h, Observable) else h(state))
+    """Hamiltonian vector field (dq/dt, dp/dt) = (dH/dp, -dH/dq) as an array."""
+    return np.array(_flow(h.gradient(state) if isinstance(h, Observable) else h(state)))
 
 
 class StepUnderflowError(RuntimeError):
     """The step size fell below 1e-14 t_end.
 
-    The message says why: the error control shrank the step (a singularity
-    is near), or evaluations kept failing, with the last failure's class and
-    message.  Carries the partial trajectory accumulated so far in
-    ``.trajectory``.
+    The message says why: the starting step estimate was already too small
+    (the vector field at the start state is too large), the error control
+    shrank the step (a singularity is near), or evaluations kept failing,
+    with the last failure's class and message.  Carries the partial
+    trajectory accumulated so far in ``.trajectory``.
     """
 
     def __init__(self, message, trajectory):
@@ -81,8 +79,9 @@ class IntegratorConfig:
             raise DomainError("t_end must be finite and >= 0")
         if math.isnan(self.max_step):
             raise DomainError("max_step must not be NaN")
-        if self.max_step <= 0:
-            raise DomainError("max_step must be > 0 (inf for no limit)")
+        if self.max_step <= 0 or self.max_step < 1e-14 * self.t_end:
+            raise DomainError("max_step must be > 0 and >= 1e-14 t_end "
+                              "(inf for no limit)")
         if not math.isfinite(self.fixed_step):
             raise DomainError("fixed_step must be finite")
         if self.sample_stride < 1:
@@ -155,59 +154,62 @@ class Trajectory:
         return {name: rep["max_drift"] for name, rep in drift_report(self).items()}
 
 
-# Dormand-Prince 5(4) tableau (the ode45 pair).
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_DP_A = [
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
-]
-_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
-                   -92097 / 339200, 187 / 2100, 1 / 40])
-_DP_E = _DP_B5 - _DP_B4
-
-
-def _dp_step(f, t, y, h, k0):
-    """One Dormand-Prince step from y with k0 = f(t, y) already known.
+def _dp_step(f, y, h, k1):
+    """One Dormand-Prince 5(4) step from y with k1 = f(y) already known.
 
     The pair is first-same-as-last: the fifth-order solution is the stage-7
-    argument, so the returned f(t + h, y5) is the next step's k0 and a step
-    costs six RHS evaluations.  Returns (y5, error estimate, f(t + h, y5)).
+    argument, so the returned f(y5) is the next step's k1 and a step costs
+    six RHS evaluations.  Each stage sum (Hairer-Norsett-Wanner, Table
+    II.5.2) is added left to right.  Returns (y5, error estimate, f(y5)).
     """
-    k = np.empty((7, y.size))
-    k[0] = k0
-    for i in range(1, 6):
-        k[i] = f(t + _DP_C[i] * h, y + h * (_DP_A[i] @ k[:i]))
-    y5 = y + h * (_DP_A[6] @ k[:6])
-    k[6] = f(t + h, y5)
-    return y5, h * (_DP_E @ k), k[6]
+    k2 = f([a + h * (1 / 5 * b1) for a, b1 in zip(y, k1)])
+    k3 = f([a + h * (3 / 40 * b1 + 9 / 40 * b2) for a, b1, b2 in zip(y, k1, k2)])
+    k4 = f([a + h * (44 / 45 * b1 - 56 / 15 * b2 + 32 / 9 * b3)
+            for a, b1, b2, b3 in zip(y, k1, k2, k3)])
+    k5 = f([a + h * (19372 / 6561 * b1 - 25360 / 2187 * b2 + 64448 / 6561 * b3
+                     - 212 / 729 * b4)
+            for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)])
+    k6 = f([a + h * (9017 / 3168 * b1 - 355 / 33 * b2 + 46732 / 5247 * b3
+                     + 49 / 176 * b4 - 5103 / 18656 * b5)
+            for a, b1, b2, b3, b4, b5 in zip(y, k1, k2, k3, k4, k5)])
+    y5 = [a + h * (35 / 384 * b1 + 500 / 1113 * b3 + 125 / 192 * b4
+                   - 2187 / 6784 * b5 + 11 / 84 * b6)
+          for a, b1, b3, b4, b5, b6 in zip(y, k1, k3, k4, k5, k6)]
+    k7 = f(y5)
+    err = [h * (71 / 57600 * b1 - 71 / 16695 * b3 + 71 / 1920 * b4
+                - 17253 / 339200 * b5 + 22 / 525 * b6 - 1 / 40 * b7)
+           for b1, b3, b4, b5, b6, b7 in zip(k1, k3, k4, k5, k6, k7)]
+    return y5, err, k7
 
 
-def _midpoint_step(f, t, y, h, tol=1e-14, iters=60):
+def _midpoint_step(f, y, h, tol=1e-14, iters=60):
     """One implicit midpoint step; None if the fixed-point iteration for the
     midpoint does not converge to ``tol`` within ``iters`` updates."""
-    ym = y + 0.5 * h * f(t, y)
+    ym = [a + 0.5 * h * b for a, b in zip(y, f(y))]
     for _ in range(iters):
-        ynew = y + 0.5 * h * f(t + 0.5 * h, ym)
-        if np.max(np.abs(ynew - ym)) < tol:
-            return y + h * f(t + 0.5 * h, ynew)
+        ynew = [a + 0.5 * h * b for a, b in zip(y, f(ym))]
+        if all(abs(a - b) < tol for a, b in zip(ynew, ym)):
+            return [a + h * b for a, b in zip(y, f(ynew))]
         ym = ynew
     return None
 
 
-def _initial_step(f, t0, y0, cfg):
-    """Starting step size, and f(t0, y0) for the first Dormand-Prince step."""
-    sc = cfg.abs_tol + cfg.rel_tol * np.abs(y0)
-    f0 = f(t0, y0)
-    d0 = np.sqrt(np.mean((y0 / sc) ** 2))
-    d1 = np.sqrt(np.mean((f0 / sc) ** 2))
-    h0 = 0.01 * d0 / d1 if d0 > 1e-5 and d1 > 1e-5 else 1e-6
-    return min(h0, cfg.max_step, cfg.t_end if cfg.t_end > 0 else h0), f0
+def _rms(v):
+    """Root mean square of six floats (inf if a square overflows)."""
+    v0, v1, v2, v3, v4, v5 = v
+    return math.sqrt((v0 * v0 + v1 * v1 + v2 * v2 + v3 * v3 + v4 * v4 + v5 * v5) / 6)
+
+
+def _initial_step(f, y0, cfg):
+    """Starting step size, and f(y0) for the first Dormand-Prince step; only
+    a vector field too large for the state gives a step below 1e-14 t_end."""
+    sc = [cfg.abs_tol + cfg.rel_tol * abs(a) for a in y0]
+    f0 = f(y0)
+    d0 = _rms([a / s for a, s in zip(y0, sc)])
+    d1 = _rms([a / s for a, s in zip(f0, sc)])
+    h0 = (0.01 * d0 / d1 if d0 > 1e-5 and d1 > 1e-5
+          else max(1e-6, 1e-14 * cfg.t_end))
+    return min(h0, cfg.max_step, cfg.t_end), f0
 
 
 def integrate(h, s0, cfg, monitors=None, domain_guard=None):
@@ -227,8 +229,9 @@ def integrate(h, s0, cfg, monitors=None, domain_guard=None):
     An :class:`Observable` ``h`` gets its gradient compiled and every
     monitor its values-only code (once each; the code is kept on the
     observable), so each RHS evaluation is one ``h.gradient`` call and each
-    sample one call per monitor, all running straight-line code on
-    ``y.tolist()``.
+    sample one call per monitor, all running straight-line code on the
+    state, a list of six floats (as are the stages: a step makes no numpy
+    call).  A callable ``h`` maps a :class:`PhaseState` to the gradient array.
     """
     if domain_guard is not None:
         reason = domain_guard(s0.coords)
@@ -249,30 +252,26 @@ def integrate(h, s0, cfg, monitors=None, domain_guard=None):
     stats = StepStats()
     last_failure = None
 
-    # Coordinates go in as y.tolist(): observables run faster on Python
-    # floats than on np.float64 coordinates, with identical values.
-    def f(t, y):
+    def f(y):
         stats.rhs_evals += 1
-        return _flow(gradient(y.tolist()))
+        return _flow(gradient(y))
 
     times, states = [], []
     series = {name: [] for name in monitors}
 
     def record(t, y):
         times.append(t)
-        states.append(y.copy())
-        coords = y.tolist()
+        states.append(y)
         for name, ob in monitors.items():
-            series[name].append(ob(coords))
+            series[name].append(ob(y))
 
     def build(early=False, reason=""):
-        return Trajectory(chart, np.asarray(times),
-                          np.asarray(states),
+        return Trajectory(chart, np.asarray(times), np.asarray(states),
                           {n: np.asarray(v) for n, v in series.items()},
                           terminated_early=early, termination_reason=reason,
                           stats=stats)
 
-    y = s0.asarray()
+    y = s0.asarray().tolist()
     t = 0.0
     record(t, y)
 
@@ -280,11 +279,8 @@ def integrate(h, s0, cfg, monitors=None, domain_guard=None):
         return build()
 
     fixed = cfg.fixed_step > 0
-    k0 = None                 # f(t, y), carried between Dormand-Prince steps
-    if fixed:
-        hstep = cfg.fixed_step
-    else:
-        hstep, k0 = _initial_step(f, t, y, cfg)
+    # k1 = f(y), carried between Dormand-Prince steps
+    hstep, k1 = (cfg.fixed_step, None) if fixed else _initial_step(f, y, cfg)
     underflow = 1e-14 * cfg.t_end
     for _ in range(cfg.max_steps):
         remaining = cfg.t_end - t
@@ -292,27 +288,30 @@ def integrate(h, s0, cfg, monitors=None, domain_guard=None):
             break
         hstep = min(hstep, remaining, cfg.max_step)
         if not fixed and hstep < underflow:
-            if last_failure is None:
+            if last_failure is not None:
+                why = (f" after {stats.eval_failures} evaluation failures (last: "
+                       f"{type(last_failure).__name__}: {last_failure})")
+            elif stats.accepted or stats.rejected:
                 why = (": the error control shrank the step over "
                        f"{stats.accepted} accepted and {stats.rejected} rejected steps")
             else:
-                why = (f" after {stats.eval_failures} evaluation failures (last: "
-                       f"{type(last_failure).__name__}: {last_failure})")
+                why = (": the starting step estimate underflowed because the "
+                       "vector field at the start state is too large")
             raise StepUnderflowError(
                 f"step size {hstep:.3e} underflowed at t = {t:.6g}{why}",
                 build(early=True, reason="step-underflow"))
         try:
             if cfg.method == "implicit-midpoint":
-                ynew = _midpoint_step(f, t, y, hstep)
+                ynew = _midpoint_step(f, y, hstep)
                 if ynew is None:
                     return build(early=True, reason="midpoint-not-converged")
                 knew, err_ratio = None, 0.0
             else:
-                if k0 is None:
-                    k0 = f(t, y)
-                ynew, err, knew = _dp_step(f, t, y, hstep, k0)
-                sc = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(ynew))
-                err_ratio = math.sqrt(float(np.mean((err / sc) ** 2)))
+                if k1 is None:
+                    k1 = f(y)
+                ynew, err, knew = _dp_step(f, y, hstep, k1)
+                err_ratio = _rms([e / (cfg.abs_tol + cfg.rel_tol * max(abs(a), abs(b)))
+                                  for e, a, b in zip(err, y, ynew)])
         except (ValueError, FloatingPointError, ZeroDivisionError,
                 OverflowError) as exc:
             # A trial stage left the observable's domain: reject and retry.
@@ -322,7 +321,7 @@ def integrate(h, s0, cfg, monitors=None, domain_guard=None):
                 return build(early=True, reason="evaluation-failure")
             hstep *= 0.25
             continue
-        if not np.all(np.isfinite(ynew)):
+        if not all(map(math.isfinite, ynew)):
             stats.rejected += 1
             if fixed:
                 return build(early=True, reason="non-finite state")
@@ -330,7 +329,7 @@ def integrate(h, s0, cfg, monitors=None, domain_guard=None):
             continue
         if fixed or err_ratio <= 1.0:
             t += hstep
-            y, k0 = ynew, knew
+            y, k1 = ynew, knew
             stats.accept(hstep)
             if domain_guard is not None:
                 reason = domain_guard(y)

@@ -3,19 +3,20 @@
 import csv
 import io
 import math
+from fractions import Fraction as Fr
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from curvkepler import codegen
+from curvkepler import codegen, dynamics
 from curvkepler.dynamics import (IntegratorConfig, StepUnderflowError,
                                  Trajectory, drift_report, integrate, rhs,
                                  trajectory_csv)
 from curvkepler.kernel import DomainError
 from curvkepler.phase import (P1, P2, P3, Q1, Q2, Q3, Chart, ChartMismatchError,
                               ChartSingularityError, Observable, PhaseState,
-                              coordinate, sqrt)
+                              coordinate, exp, sqrt)
 from curvkepler.spaces import (Family, HamiltonianSpec, SpaceParams,
                                chart_guard, hamiltonian, radial_reduction)
 from curvkepler.symmetry import constants
@@ -169,6 +170,32 @@ def test_step_underflow_reports_the_swallowed_exception():
     assert "singularity" not in message
 
 
+def test_starting_step_underflow_blames_the_vector_field():
+    """At q1 = 25 the force is ~1e272: the starting-step estimate is 0, and
+    the run says so (it used to print an overflow warning and blame the
+    error control over 0 accepted and 0 rejected steps)."""
+    h = 0.5 * P1 * P1 + exp(Q1 * Q1)
+    with pytest.raises(StepUnderflowError) as err:
+        integrate(h, PhaseState.beltrami(25, 0, 0, 0, 0, 0),
+                  IntegratorConfig(t_end=1, rel_tol=1e-6, abs_tol=1e-8))
+    stats = err.value.trajectory.stats
+    assert (stats.accepted, stats.rejected, stats.eval_failures) == (0, 0, 0)
+    assert str(err.value).endswith(
+        ": the starting step estimate underflowed because the vector field "
+        "at the start state is too large")
+
+
+def test_long_run_from_an_equilibrium_starts_above_the_underflow():
+    """At rest at the origin the starting estimate falls back to a fixed
+    step; for t_end = 1e9 that must not be below 1e-14 t_end (it was 1e-6,
+    and the run stopped at t = 0 blaming the error control)."""
+    tr = integrate(0.5 * P1 * P1 + 0.5 * Q1 * Q1, PhaseState.beltrami(0, 0, 0, 0, 0, 0),
+                   IntegratorConfig(t_end=1e9))
+    assert not tr.terminated_early and tr.times[-1] == 1e9
+    assert not tr.states.any()
+    assert tr.stats.h_min == 1e-5
+
+
 @pytest.mark.parametrize("fixed_step", [0.0, 0.1], ids=["dopri54", "fixed-step"])
 def test_chart_mismatch_raises_before_the_first_step(fixed_step):
     """The Hamiltonian's chart is checked once, up front, on every method
@@ -301,7 +328,8 @@ def test_config_validation():
                 {"rel_tol": math.nan}, {"rel_tol": math.inf},
                 {"abs_tol": math.nan}, {"abs_tol": math.inf},
                 {"max_step": math.nan}, {"max_step": 0.0},
-                {"max_step": -1.0}, {"fixed_step": math.nan}):
+                {"max_step": -1.0}, {"max_step": 1e-20, "t_end": 1.0},
+                {"fixed_step": math.nan}):
         with pytest.raises(DomainError):
             IntegratorConfig(**bad)
     assert IntegratorConfig().max_step == math.inf
@@ -365,6 +393,70 @@ def test_implicit_midpoint_converged_run_is_unchanged():
         ref.append(y)
     assert len(ref) == 81
     assert np.array_equal(tr.states, np.array(ref))
+
+
+# Dormand-Prince 5(4) (Hairer-Norsett-Wanner, Table II.5.2): the stage rows,
+# the fifth-order weights (also the last row) and the fourth-order weights.
+_DP_ROWS = [
+    [Fr(1, 5)],
+    [Fr(3, 40), Fr(9, 40)],
+    [Fr(44, 45), Fr(-56, 15), Fr(32, 9)],
+    [Fr(19372, 6561), Fr(-25360, 2187), Fr(64448, 6561), Fr(-212, 729)],
+    [Fr(9017, 3168), Fr(-355, 33), Fr(46732, 5247), Fr(49, 176), Fr(-5103, 18656)],
+]
+_DP_B5 = [Fr(35, 384), 0, Fr(500, 1113), Fr(125, 192), Fr(-2187, 6784), Fr(11, 84), 0]
+_DP_B4 = [Fr(5179, 57600), 0, Fr(7571, 16695), Fr(393, 640), Fr(-92097, 339200),
+          Fr(187, 2100), Fr(1, 40)]
+
+
+def _left_to_right(coeffs, terms):
+    """sum(c * k) over the nonzero coefficients, one addition at a time."""
+    total = None
+    for c, k in zip(coeffs, terms):
+        if c:
+            total = float(c) * k if total is None else total + float(c) * k
+    return total
+
+
+def test_dp_step_adds_each_stage_left_to_right():
+    """One step on a fixed linear field equals, bit for bit, the tableau
+    applied with each stage sum added left to right (no compensated sum, no
+    BLAS), so trajectories do not depend on numpy or the Python version."""
+    rng = np.random.default_rng(10)
+    m = rng.uniform(-2.0, 2.0, (6, 6)).tolist()
+    y = rng.uniform(-1.0, 1.0, 6).tolist()
+    h = 0.37
+
+    def f(v):
+        return [_left_to_right(row, v) for row in m]
+
+    ks = [f(y)]
+    for row in _DP_ROWS:
+        ks.append(f([a + h * _left_to_right(row, col) for a, *col in zip(y, *ks)]))
+    y5 = [a + h * _left_to_right(_DP_B5, col) for a, *col in zip(y, *ks)]
+    ks.append(f(y5))
+    err = [h * _left_to_right([b5 - b4 for b5, b4 in zip(_DP_B5, _DP_B4)], col)
+           for col in zip(*ks)]
+
+    got = dynamics._dp_step(f, y, h, ks[0])
+    for got_v, want_v in zip(got, (y5, err, ks[-1])):
+        assert [v.hex() for v in got_v] == [v.hex() for v in want_v]
+
+
+def test_rhs_is_the_integrators_flow(monkeypatch):
+    """``rhs`` returns, as an array, the vector field every Dormand-Prince
+    step of ``integrate`` starts from, bit for bit."""
+    h, _, guard = _spherical_kepler()
+    seen = []
+    step = dynamics._dp_step
+    monkeypatch.setattr(dynamics, "_dp_step",
+                        lambda f, y, hs, k1: seen.append((y, k1)) or step(f, y, hs, k1))
+    integrate(h, _KEPLER_STATE, IntegratorConfig(t_end=0.5), domain_guard=guard)
+    assert len(seen) > 5
+    for y, k1 in seen:
+        v = rhs(h, PhaseState(Chart.POLAR_CONSTANT, tuple(y)))
+        assert isinstance(v, np.ndarray) and v.shape == (6,)
+        assert [x.hex() for x in v.tolist()] == [x.hex() for x in k1]
 
 
 def test_stats_pin_first_same_as_last():
