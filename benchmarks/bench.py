@@ -17,12 +17,15 @@ tree's ``tests/`` in a fresh interpreter.
 In-process rows run once untimed first, so lazily built state (compiled
 code, caches) is warm, as it is for a library caller that repeats a call;
 ``verify_all_fresh_process`` times the same call as the first one in a new
-interpreter (imports excluded), as one CLI invocation pays it.
+interpreter (imports excluded), as one CLI invocation pays it, and
+``verify_all_new_params_in_process`` at a ``z`` the process has never seen,
+so work moved into the per-process caches still shows.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import platform
@@ -82,6 +85,7 @@ class Rows:
         self.state = PhaseState.polar_constant(1.1, 1.2, 0.4, 0.2, 0.4, 0.9)
         self.a = kernel.KScalar.seed(1.3, 0)
         self.b = kernel.KScalar.seed(0.7, 1)
+        self.new_z = (0.2 + i / 997 for i in itertools.count())
 
     # micro rows, in microseconds per call
     def kscalar_mul(self):
@@ -140,6 +144,18 @@ class Rows:
     def verify_all_in_process(self):
         return _timed(lambda: self._cli(*self._VERIFY))
 
+    def verify_all_new_params_in_process(self):
+        """verify --suite all at a z this process has not seen: the builder
+        and lowering caches miss, the compiled-code cache hits by structure."""
+        z = f"{next(self.new_z):.6f}"
+        return _timed(lambda: self._cli("verify", "--suite", "all", "--z", z, "--kappa2", "1",
+                                        "--samples", "100", "--seed", "7"))
+
+    def rank_in_process(self):
+        return _timed(lambda: self._cli(
+            "rank", "--family", "kepler-cc", "--preset", "spherical", "--gamma", "0.45",
+            "--samples", "200", "--append-lrl", "L1", "--seed", "7"))
+
     def verify_lrl_algebra(self):
         return _timed(lambda: self.lrl_suite(self.params, samples=100, seed=7))
 
@@ -179,6 +195,8 @@ ROWS = (
     ("orbit_t20", "s", False),
     ("simulate_in_process", "s", True),
     ("verify_all_in_process", "s", True),
+    ("verify_all_new_params_in_process", "s", True),
+    ("rank_in_process", "s", True),
     ("verify_lrl_algebra", "s", True),
     ("verify_all_fresh_process", "s", False),
     ("curvature_5x5x5", "s", True),
@@ -210,7 +228,7 @@ def measure(src, repeats):
             times = [fn() for _ in range(repeats)]
             run["rows"][name] = {"unit": unit, "median": statistics.median(times),
                                  "repeats": times}
-            print(f"{name:28s} {statistics.median(times):12.6g} {unit}", flush=True)
+            print(f"{name:34s} {statistics.median(times):12.6g} {unit}", flush=True)
     return run
 
 

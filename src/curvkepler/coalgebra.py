@@ -17,12 +17,12 @@ Hamiltonian built from the three-site generators shares.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .phase import (P1, P2, P3, Q1, Q2, Q3, Chart, Observable, PhaseState,
-                    cosh, exp, grad, sinhc, values_and_gradients)
+                    cosh, exp, grad, memo, sinhc, values_and_gradients)
 
 __all__ = [
     "Realization", "CasimirSet", "one_site", "coproduct_join", "three_site",
@@ -61,6 +61,7 @@ class CasimirSet:
         return {"c12": self.c12, "c23": self.c23, "c123": self.c123}
 
 
+@memo
 def one_site(z, site=1):
     """One-pair realization: J- = q^2, J+ = sinhc(z q^2) p^2, J3 = sinhc(z q^2) q p."""
     if site not in (1, 2, 3):
@@ -68,10 +69,11 @@ def one_site(z, site=1):
     q = (Q1, Q2, Q3)[site - 1]
     p = (P1, P2, P3)[site - 1]
     jm = q * q
-    w = sinhc(z * q * q)
+    w = _sinhc_exp_factors(z)[0][site - 1]      # the closed forms' node
     return Realization(z, 1, (site,), jm, w * p * p, w * q * p)
 
 
+@memo
 def coproduct_join(a, b):
     """Join two realizations on disjoint pairs via the deformed coproduct.
 
@@ -96,18 +98,21 @@ def coproduct_join(a, b):
     )
 
 
+@memo
 def three_site(z):
     """Three-site realization built by iterating the coproduct."""
     return coproduct_join(coproduct_join(one_site(z, 1), one_site(z, 2)),
                           one_site(z, 3))
 
 
+@memo
 def _sinhc_exp_factors(z):
     s = tuple(sinhc(z * q * q) for q in (Q1, Q2, Q3))
     e = tuple(exp(z * q * q) for q in (Q1, Q2, Q3))
     return s, e
 
 
+@memo
 def three_site_closed_form(z):
     """The explicit three-site generators; independent oracle for the coproduct."""
     (s1, s2, s3), (e1, e2, e3) = _sinhc_exp_factors(z)
@@ -118,6 +123,7 @@ def three_site_closed_form(z):
     return Realization(z, 3, (1, 2, 3), jm, jp, j3)
 
 
+@memo
 def casimirs(z):
     """Closed-form Casimir images on sites (1,2), (2,3) and (1,2,3)."""
     (s1, s2, s3), (e1, e2, e3) = _sinhc_exp_factors(z)
@@ -295,17 +301,16 @@ def sample_beltrami(rng, lo=-2.0, hi=2.0, min_abs=1e-3):
             return PhaseState(Chart.BELTRAMI, tuple(coords))
 
 
+@memo
 def _perturbed(r, perturb):
     if perturb is None:
         return r
-    scaled = {name: r.generator(name) for name in ("jminus", "jplus", "jthree")}
-    if perturb not in scaled:
+    if perturb not in ("jminus", "jplus", "jthree"):
         raise ValueError(f"unknown generator {perturb!r}")
-    scaled[perturb] = scaled[perturb] * 1.01
-    return Realization(r.z, r.sites, r.indices,
-                       scaled["jminus"], scaled["jplus"], scaled["jthree"])
+    return replace(r, **{perturb: r.generator(perturb) * 1.01})
 
 
+@memo
 def sl2z_table(r):
     """The three deformed commutation rules for a realization."""
     z = r.z
@@ -324,11 +329,8 @@ def verify_sl2z(r, samples=100, seed=0, perturb=None):
     must then report a residual above the detection floor (negative control).
     """
     r = _perturbed(r, perturb)
-    table = sl2z_table(r)
-    report = run_table("sl2z", table, sample_beltrami, samples, seed,
-                       params={"z": r.z, "sites": r.sites,
-                               "perturb": perturb or ""})
-    return report
+    return run_table("sl2z", sl2z_table(r), sample_beltrami, samples, seed,
+                     params={"z": r.z, "sites": r.sites, "perturb": perturb or ""})
 
 
 def verify_casimirs(z, samples=100, seed=0, perturb=None):
@@ -341,6 +343,12 @@ def verify_casimirs(z, samples=100, seed=0, perturb=None):
     three-site generators).  `perturb` scales one generator of the
     coproduct-built realizations by 1.01.
     """
+    return run_table("casimirs", _casimir_table(z, perturb), sample_beltrami,
+                     samples, seed, params={"z": z, "perturb": perturb or ""})
+
+
+@memo
+def _casimir_table(z, perturb):
     cs = casimirs(z)
     closed = three_site_closed_form(z)
     r12 = _perturbed(coproduct_join(one_site(z, 1), one_site(z, 2)), perturb)
@@ -364,5 +372,4 @@ def verify_casimirs(z, samples=100, seed=0, perturb=None):
         table.append(Identity(f"coproduct {jname} = closed form",
                               r123.generator(jname), None,
                               closed.generator(jname), group="coproduct"))
-    return run_table("casimirs", table, sample_beltrami, samples, seed,
-                     params={"z": z, "perturb": perturb or ""})
+    return table

@@ -38,7 +38,8 @@ object.  One process-wide LRU cache of fixed size (:func:`_code`), keyed by
 the structure, keeps the code objects, so emission and ``compile()`` run
 only on a miss.  A graph of a known structure at new parameters costs one
 lowering walk and one ``exec`` of the cached code, with the constants bound
-in the function's globals as ``k0, k1, ...`` and the kernel rules by name.
+in the function's globals as ``k0, k1, ...`` and the kernel rules by name;
+a graph lowered before costs the ``exec`` alone.
 
 Values-only mode (``compile_some(roots, values=True)``) lowers and emits
 the same graphs without derivative lanes: ``f`` returns the roots' values
@@ -58,8 +59,16 @@ pair instruction, a single call of ``kernel._kappa_pair`` for ``S`` and
 ``C``, and then applies its ``kernel.KAPPA_RULES`` entry to that pair, the
 rule the dual path applies.  Labels are compared by their type and bits,
 so ``0.0``, ``-0.0`` and the int ``0`` (whose ``C' = -kappa S`` differ in
-the sign of a zero) never share a pair.  Nothing else is merged by value: two equal subexpressions
-built as separate nodes are evaluated twice.
+the sign of a zero) never share a pair.
+
+Nothing else is merged by value: two equal subexpressions built as
+separate nodes are evaluated twice, so the builders (:func:`.phase.memo`)
+build each subexpression once per parameter set and share it.  Interning by
+value would let parameters into the structure key: at ``kappa1 = kappa2 =
+1.0`` equal constants would merge and rewire a table.  :func:`_lowered`
+memoizes :func:`_lower` by root nodes (identity) and mode instead;
+:func:`compile_some` still binds the constants and kernel rules and runs
+``exec`` at every call, so each caller gets its own function.
 """
 
 from __future__ import annotations
@@ -460,7 +469,13 @@ def _lower(roots, values=False):
     for nd in _postorder(roots):
         low.lower(nd)
     refs = tuple(low.refs.get(r) if r.dual else None for r in roots)
-    return (tuple(low.ins), refs), low.consts
+    return (tuple(low.ins), refs), tuple(low.consts)
+
+
+# A verify, rank or simulate call lowers 5 to 8 root sets; the bound keeps memory fixed.
+@functools.lru_cache(maxsize=256)
+def _lowered(roots, values):
+    return _lower(roots, values)
 
 
 def compile_some(roots, values=False):
@@ -478,13 +493,13 @@ def compile_some(roots, values=False):
     With ``values`` true, ``f`` returns only the kept roots' values, each
     bit for bit what :func:`evaluator` gives on the same floats.
     """
-    structure, consts = _lower(roots, values)
+    structure, consts = _lowered(tuple(roots), values)
     kept = [i for i, r in enumerate(structure[1]) if r is not None]
     if not kept:
         return None, kept
     if len(kept) < len(roots):
         # Lowered again, without the instructions only the others need.
-        structure, consts = _lower([roots[i] for i in kept], values)
+        structure, consts = _lowered(tuple(roots[i] for i in kept), values)
     env = _globals(consts)
     exec(_code(structure, values), env)
     return env["compiled"], kept

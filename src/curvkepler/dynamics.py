@@ -202,12 +202,14 @@ def _rms(v):
 
 def _initial_step(f, y0, cfg):
     """Starting step size, and f(y0) for the first Dormand-Prince step; only
-    a vector field too large for the state gives a step below 1e-14 t_end."""
+    a vector field too large for the state gives a step below 1e-14 t_end.
+    A state norm that overflows (tolerances near 1e-300) takes the fallback
+    step, where ``inf / inf`` made it NaN."""
     sc = [cfg.abs_tol + cfg.rel_tol * abs(a) for a in y0]
     f0 = f(y0)
     d0 = _rms([a / s for a, s in zip(y0, sc)])
     d1 = _rms([a / s for a, s in zip(f0, sc)])
-    h0 = (0.01 * d0 / d1 if d0 > 1e-5 and d1 > 1e-5
+    h0 = (0.01 * d0 / d1 if 1e-5 < d0 < math.inf and d1 > 1e-5
           else max(1e-6, 1e-14 * cfg.t_end))
     return min(h0, cfg.max_step, cfg.t_end), f0
 

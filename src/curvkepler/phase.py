@@ -14,7 +14,10 @@ observable gives what its evaluator gives, bit for bit.
 
 from __future__ import annotations
 
+import dataclasses
 import enum
+import functools
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -248,6 +251,51 @@ class Observable:
     def __repr__(self):
         tag = f" on {self.chart.value}" if self.chart else ""
         return f"<Observable {self.name or '<anon>'}{tag}>"
+
+
+_MEMO_SIZE = 64     # per builder: the parameter sets a session revisits
+
+
+def _memo_key(arg):
+    """A key equal only for interchangeable arguments: a float by type and
+    bits (0.0, -0.0, the int 0 and each NaN payload differ), an Observable
+    by identity, a tuple or frozen dataclass field by field.  Anything
+    without one (a ``CUSTOM`` callable) raises TypeError."""
+    if isinstance(arg, float):
+        return type(arg), struct.pack("<d", arg)
+    if arg is None or isinstance(arg, (int, str, enum.Enum, Observable)):
+        return type(arg), arg
+    if isinstance(arg, tuple):
+        return (tuple, *map(_memo_key, arg))
+    if not dataclasses.is_dataclass(arg) or not arg.__dataclass_params__.frozen:
+        raise TypeError(f"no memo key for {type(arg).__name__}")
+    return (type(arg), *map(_memo_key, vars(arg).values()))
+
+
+def memo(fn):
+    """``fn`` keeping its results for the last ``_MEMO_SIZE`` argument keys
+    in ``cache``; an argument without a key bypasses it.  A repeated call
+    returns the same objects, except that an Observable, or a dict of them,
+    comes back as a new one on the same graph, so compiled code and edits
+    stay with the caller.  Callers must not mutate any other result."""
+    cache = {}
+
+    @functools.wraps(fn)
+    def cached(*args, **kwargs):
+        try:
+            key = _memo_key((args, tuple(sorted(kwargs.items()))))
+        except TypeError:
+            return fn(*args, **kwargs)
+        out = cache.pop(key) if key in cache else fn(*args, **kwargs)
+        if len(cache) >= _MEMO_SIZE:
+            del cache[next(iter(cache))]        # the least recently used
+        cache[key] = out
+        if isinstance(out, dict):
+            return {name: ob.renamed(ob.name) for name, ob in out.items()}
+        return out.renamed(out.name) if isinstance(out, Observable) else out
+
+    cached.cache = cache
+    return cached
 
 
 def constant(c):

@@ -35,7 +35,7 @@ from .coalgebra import three_site_closed_form
 from .kernel import DomainError
 from .phase import (Chart, ChartMismatchError, ChartSingularityError,
                     Observable, PhaseState, ckappa, coordinate, cotkappa,
-                    exp, expm1c, skappa, sqrt)
+                    exp, expm1c, memo, skappa, sqrt)
 
 __all__ = [
     "SpaceParams", "PRESETS", "Family", "HamiltonianSpec", "hamiltonian",
@@ -162,6 +162,7 @@ def _beltrami_kepler_potential(params):
     return -2.0 * gamma / sqrt(jm * expm1c(2.0 * z * jm))
 
 
+@memo
 def hamiltonian(spec, chart):
     """The family Hamiltonian as an observable on the requested chart."""
     _check_chart(spec, chart)

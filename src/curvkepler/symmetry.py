@@ -23,7 +23,7 @@ from .coalgebra import (BracketReport, Identity, casimirs, run_table,
                         three_site_closed_form)
 from .kernel import DomainError
 from .phase import (P1, Q1, Chart, Observable, PhaseState, ckappa, cos,
-                    cotkappa, exp, grad, sin, sinhc, skappa)
+                    cotkappa, exp, grad, memo, sin, sinhc, skappa)
 from .spaces import (_PH, _PPH, _PRAD, _PTH, _RAD, _TH, Family,
                      HamiltonianSpec, SpaceParams, _check_chart, hamiltonian,
                      to_polar)
@@ -51,6 +51,7 @@ class GeneratorSet:
                 "j12": self.j12, "j13": self.j13, "j23": self.j23}
 
 
+@memo
 def so4_generators(params, perturb=None):
     """The six generators on the polar chart; closes so_{kappa1,kappa2}(4).
 
@@ -112,6 +113,7 @@ class LRLVector:
                 "P3": l2 * self.l3}
 
 
+@memo
 def lrl(params, gens=None):
     """Runge-Lenz vector built on the so(4) generators, plus the cubic mu.
 
@@ -136,6 +138,7 @@ def lrl(params, gens=None):
                      mu.with_chart(Chart.POLAR_CONSTANT))
 
 
+@memo
 def constants(spec, chart):
     """Constants of motion of a family, as named observables on a chart.
 
@@ -210,6 +213,7 @@ def sample_polar(params, rng, chart=Chart.POLAR_CONSTANT, momentum_scale=2.0):
     return PhaseState(chart, (r, th, ph) + tuple(mom))
 
 
+@memo
 def _so4_table(gens, params):
     k1, k2 = params.kappa1, params.kappa2
     j01, j02, j03 = gens.j01, gens.j02, gens.j03
@@ -252,6 +256,7 @@ def verify_so4(params, samples=100, seed=0, perturb=None):
                              "perturb": perturb or ""})
 
 
+@memo
 def _lrl_table(params, perturb=None):
     k1, k2 = params.kappa1, params.kappa2
     gens = so4_generators(params, perturb=perturb)

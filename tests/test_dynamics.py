@@ -196,6 +196,20 @@ def test_long_run_from_an_equilibrium_starts_above_the_underflow():
     assert tr.stats.h_min == 1e-5
 
 
+def test_tolerances_whose_scale_overflows_fall_back_to_a_finite_start_step():
+    """At rel_tol = abs_tol = 1e-300 the scaled norms of y0 and f(y0)
+    overflow to inf, and inf / inf made the starting step NaN: every step
+    was then rejected until max-steps-exceeded (2,000 rejections).  The
+    fallback step is taken instead, and the error control shrinks it to an
+    underflow after a few rejections and says so."""
+    cfg = IntegratorConfig(t_end=1, rel_tol=1e-300, abs_tol=1e-300, max_steps=2000)
+    with pytest.raises(StepUnderflowError) as err:
+        integrate(0.5 * P1 * P1 + 0.5 * Q1 * Q1, PhaseState.beltrami(1, 0, 0, 0, 0, 0), cfg)
+    stats = err.value.trajectory.stats
+    assert 0 < stats.rejected and stats.accepted + stats.rejected < 20
+    assert "the error control shrank the step" in str(err.value)
+
+
 @pytest.mark.parametrize("fixed_step", [0.0, 0.1], ids=["dopri54", "fixed-step"])
 def test_chart_mismatch_raises_before_the_first_step(fixed_step):
     """The Hamiltonian's chart is checked once, up front, on every method

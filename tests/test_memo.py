@@ -1,0 +1,158 @@
+"""The process-wide memos: observable builders by parameter bits, lowering by root nodes."""
+
+import contextlib
+import io
+import os
+import struct
+import subprocess
+import sys
+
+import pytest
+
+from curvkepler import cli, codegen, coalgebra, kernel, phase, spaces, symmetry
+from curvkepler.phase import Chart
+from curvkepler.spaces import Family, HamiltonianSpec, SpaceParams
+
+_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+MEMOS = (coalgebra.one_site, coalgebra.coproduct_join, coalgebra.three_site,
+         coalgebra._sinhc_exp_factors, coalgebra.three_site_closed_form,
+         coalgebra.casimirs, coalgebra._perturbed, coalgebra.sl2z_table,
+         coalgebra._casimir_table, symmetry.so4_generators, symmetry.lrl,
+         symmetry._so4_table, symmetry._lrl_table, symmetry.constants,
+         spaces.hamiltonian)
+
+
+def test_memo_keys_tell_apart_what_compares_equal():
+    """0.0, -0.0 and the int 0 compare equal, and NaNs compare unequal to
+    everything; the keys go by type and bits instead."""
+    nan2 = struct.unpack("<d", struct.pack("<Q", 0x7FF8000000000002))[0]
+    keys = [phase._memo_key(v) for v in (0.0, -0.0, 0, False, float("nan"), nan2)]
+    assert len(set(keys)) == 6
+    assert phase._memo_key(float("nan")) == phase._memo_key(float("nan"))
+    assert coalgebra.casimirs(0.0) is coalgebra.casimirs(0.0)
+    assert len({id(coalgebra.casimirs(z)) for z in (0.0, -0.0, 0)}) == 3
+    assert phase._memo_key(SpaceParams(0.0, 1.0)) != phase._memo_key(SpaceParams(0, 1.0))
+
+
+def test_a_custom_spec_bypasses_the_cache():
+    spec = HamiltonianSpec(Family.CUSTOM, SpaceParams(0.1, 1.0, 0.4), f=kernel.exp,
+                           potential=lambda z, jm: -0.4 / kernel.sqrt(jm))
+    size = len(spaces.hamiltonian.cache)
+    first = spaces.hamiltonian(spec, Chart.BELTRAMI)
+    assert spaces.hamiltonian(spec, Chart.BELTRAMI)._node is not first._node
+    assert len(spaces.hamiltonian.cache) == size
+
+
+_PRELUDE = "from curvkepler import cli\nfrom curvkepler.spaces import SpaceParams\n"
+_CASES = (
+    "cli.main(['verify', '--suite', 'all', '--z', '0.0', '--kappa2', '1', '--samples', '5'])",
+    "cli.main(['verify', '--suite', 'all', '--z', '-0.0', '--kappa2', '1', '--samples', '5'])",
+    "print([r.to_json() for r in cli._run_suites('all', SpaceParams(0, 1, 0.5), 5, 0, None)])",
+    "print([r.to_json() for r in cli._run_suites('all', SpaceParams(0.0, 1, 0.5), 5, 0, None)])",
+)
+
+
+def _in_this_process(case):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(_PRELUDE + case, {})
+    return out.getvalue()
+
+
+def _in_a_fresh_process(case):
+    env = dict(os.environ, PYTHONPATH=_SRC)
+    return subprocess.run([sys.executable, "-c", _PRELUDE + case], env=env, check=True,
+                          capture_output=True, text=True).stdout
+
+
+def test_signed_and_integer_zeros_give_what_a_fresh_process_gives():
+    """z = 0.0, then -0.0, then the int 0 and 0.0 again, in one process:
+    each output is byte for byte that of the same call in a new process."""
+    here = [_in_this_process(case) for case in _CASES]
+    assert len(set(here)) == len(_CASES)
+    assert here == [_in_a_fresh_process(case) for case in _CASES]
+
+
+def test_returned_constants_and_hamiltonians_are_fresh():
+    """Callers share the graphs, never the dict, the observables or their
+    compiled code."""
+    spec = HamiltonianSpec(Family.KEPLER_CC, SpaceParams.preset("spherical", 0.5))
+    chart = Chart.POLAR_CONSTANT
+    first = symmetry.constants(spec, chart)
+    names = list(first)
+    assert first["C3"].compile_gradient() and first["C3"].compile_values()
+    del first["L1"]
+    first["C2"] = phase.Q1
+    h = spaces.hamiltonian(spec, chart)
+    assert h.compile_gradient() and h.compile_values()
+
+    again = symmetry.constants(spec, chart)
+    assert list(again) == names and again["C2"].name == "C2"
+    assert again["C3"] is not first["C3"] and again["C3"].node is first["C3"].node
+    assert again["C3"]._compiled is None and again["C3"]._values is None
+    h2 = spaces.hamiltonian(spec, chart)
+    assert h2 is not h and h2.node is h.node and h2.name == h.name and h2.chart is chart
+    assert h2._compiled is None and h2._values is None
+
+
+def test_every_memo_stays_at_its_bound():
+    """More new z values than any bound: every builder memo and the
+    lowering memo fill up and stay there."""
+    lowered = codegen._lowered.cache_info().maxsize
+    steps = max(phase._MEMO_SIZE, lowered // 5) + 5     # verify all lowers 5 tables
+    for i in range(steps):
+        params = SpaceParams(0.01 + i / 1024, 1.0, 0.5)  # z values no other test uses
+        cli._run_suites("all", params, 1, 0, None)
+        symmetry.constants(HamiltonianSpec(Family.FREE_CC, params), Chart.POLAR_CONSTANT)
+        assert all(len(m.cache) <= phase._MEMO_SIZE for m in MEMOS)
+        assert codegen._lowered.cache_info().currsize <= lowered
+    assert [len(m.cache) for m in MEMOS] == [phase._MEMO_SIZE] * len(MEMOS)
+    assert codegen._lowered.cache_info().currsize == lowered
+
+
+def _counted_builds(monkeypatch):
+    """Lowering walks and Node constructions made from here on."""
+    walks, nodes = [], []
+    real_lower, real_init = codegen._lower, codegen.Node.__init__
+    monkeypatch.setattr(codegen, "_lower", lambda *a: walks.append(a) or real_lower(*a))
+
+    def init(self, *args, **kwargs):
+        nodes.append(args)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(codegen.Node, "__init__", init)
+    return walks, nodes
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "all", "--z", "0.35", "--kappa2", "-1", "--samples", "3"],
+    ["verify", "--suite", "sl2z", "--z", "0.35", "--samples", "3", "--perturb", "jplus"],
+    ["rank", "--family", "kepler-cc", "--preset", "hyperbolic", "--gamma", "0.4",
+     "--samples", "3", "--append-lrl", "L2"],
+    ["simulate", "--family", "kepler-nc", "--z", "0.35", "--kappa2", "1", "--gamma", "0.2",
+     "--state", "1.0,1.2,0.4,0.15,0.4,0.8", "--t-end", "0.2"],
+], ids=["verify-all", "verify-perturbed", "rank", "simulate"])
+def test_a_repeated_call_builds_and_lowers_nothing(argv, monkeypatch, tmp_path):
+    if argv[0] == "simulate":
+        argv = argv + ["--csv", str(tmp_path / "t.csv"), "--summary", str(tmp_path / "s.json")]
+    else:
+        argv = argv + ["--out", str(tmp_path / "out.json")]
+    code = cli.main(argv)
+    walks, nodes = _counted_builds(monkeypatch)
+    assert cli.main(argv) == code
+    assert walks == [] and nodes == []
+
+
+def test_warm_verify_all_evaluates_few_sinhc_per_sample(monkeypatch, tmp_path):
+    """one_site, the closed forms and the Casimirs share one sinhc(z q_i^2)
+    node per site: 12 calls per sample (22 when each built its own)."""
+    samples = 100
+    argv = ["verify", "--suite", "all", "--preset", "spherical", "--samples", str(samples),
+            "--out", str(tmp_path / "out.json")]
+    assert cli.main(argv) == 0
+    calls = []
+    real = kernel.RULES["sinhc"]
+    monkeypatch.setitem(kernel.RULES, "sinhc", lambda v: calls.append(v) or real(v))
+    assert cli.main(argv) == 0
+    assert 0 < len(calls) <= 12 * samples
