@@ -2,13 +2,18 @@
 
 Usage (from the repository root):
 
+    python3 benchmarks/bench.py --against ../parent/src --out bench.json
     python3 benchmarks/bench.py --label change --out bench.json
     python3 benchmarks/bench.py --src ../parent/src --label parent --out bench.json
 
 Every row is timed ``--repeats`` times (default 5); the file keeps each
 repeat and their median.  A run is stored under its ``--label``, and the
 runs with other labels already in the file are kept, so one file holds the
-parent and the change measured on the same machine.  A run records the git
+parent and the change measured on the same machine.  With ``--against``,
+the tree given there (stored as ``parent``) and ``--src`` are timed
+alternately, one fresh interpreter per repeat and tree, so drift of the host
+over the minutes of a session moves both runs alike; use that mode for any
+comparison between two trees.  A run records the git
 SHA of the tree that holds ``--src`` (``-dirty`` when tracked files differ
 from it), the Python and numpy versions and the host.  The script needs
 only the library and numpy; the ``tier1_suite`` row runs pytest on that
@@ -53,6 +58,12 @@ def _per_call(fn, number):
     for _ in range(number):
         fn()
     return (time.perf_counter() - t0) / number
+
+
+def _median_call(fn, number):
+    """Median seconds of ``number`` calls of ``fn``, each timed on its own:
+    for calls of a few ms, where a burst of host load would move a mean."""
+    return statistics.median(_timed(fn) for _ in range(number))
 
 
 def _timed(fn):
@@ -144,6 +155,18 @@ class Rows:
     def verify_all_in_process(self):
         return _timed(lambda: self._cli(*self._VERIFY))
 
+    def verify_all_samples10_in_process(self):
+        """A verify-sweep item's shape: all suites at 10 samples (median call)."""
+        return 1e3 * _median_call(lambda: self._cli(
+            "verify", "--suite", "all", "--preset", "hyperbolic", "--samples", "10",
+            "--seed", "7"), 100)
+
+    def rank_samples50_in_process(self):
+        """A verify-sweep rank item's shape: 50 samples (median call)."""
+        return 1e3 * _median_call(lambda: self._cli(
+            "rank", "--family", "kepler-cc", "--preset", "spherical", "--gamma", "0.5",
+            "--samples", "50", "--append-lrl", "L2", "--seed", "7"), 100)
+
     def verify_all_new_params_in_process(self):
         """verify --suite all at a z this process has not seen: the builder
         and lowering caches miss, the compiled-code cache hits by structure."""
@@ -196,7 +219,9 @@ ROWS = (
     ("simulate_in_process", "s", True),
     ("verify_all_in_process", "s", True),
     ("verify_all_new_params_in_process", "s", True),
+    ("verify_all_samples10_in_process", "ms", True),
     ("rank_in_process", "s", True),
+    ("rank_samples50_in_process", "ms", True),
     ("verify_lrl_algebra", "s", True),
     ("verify_all_fresh_process", "s", False),
     ("curvature_5x5x5", "s", True),
@@ -232,23 +257,58 @@ def measure(src, repeats):
     return run
 
 
+def alternate(trees, repeats):
+    """Time each ``(label, src)`` of ``trees`` once per repeat, in turn (the
+    order reversed every other repeat), each in a fresh interpreter; the runs
+    gather every tree's repeats."""
+    runs = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for i in range(repeats):
+            for label, src in trees[::-1] if i % 2 else trees:
+                print(f"== {label} ({src}), repeat {i + 1} of {repeats}", flush=True)
+                out = os.path.join(tmp, "run.json")
+                subprocess.run([sys.executable, os.path.abspath(__file__), "--src", src,
+                                "--label", label, "--repeats", "1", "--out", out], check=True)
+                with open(out) as fh:
+                    one = json.load(fh)["runs"][label]
+                os.remove(out)
+                run = runs.setdefault(label, dict(one, repeats=0, rows={}, alternated=True))
+                run["repeats"] += 1
+                for name, row in one["rows"].items():
+                    run["rows"].setdefault(name, {"unit": row["unit"], "repeats": []})
+                    run["rows"][name]["repeats"] += row["repeats"]
+    for run in runs.values():
+        for row in run["rows"].values():
+            row["median"] = statistics.median(row["repeats"])
+    return runs
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--src", default=os.path.join(_ROOT, "src"),
                     help="library source tree to time (default: this checkout's src/)")
     ap.add_argument("--label", default="change", help="name the run is stored under")
     ap.add_argument("--repeats", type=int, default=5, help="timed repeats per row")
+    ap.add_argument("--against", metavar="SRC",
+                    help="also time this source tree, stored as 'parent', alternating "
+                         "with --src repeat by repeat")
     ap.add_argument("--out", required=True, help="JSON file to write or update")
     args = ap.parse_args(argv)
     if args.repeats < 1:
         ap.error("--repeats must be >= 1")
+    if args.against and args.label == "parent":
+        ap.error("--against stores its tree as 'parent'; give --src another --label")
     src = os.path.abspath(args.src)
-    run = measure(src, args.repeats)
+    if args.against:
+        runs = alternate([("parent", os.path.abspath(args.against)), (args.label, src)],
+                         args.repeats)
+    else:
+        runs = {args.label: measure(src, args.repeats)}
     doc = {"schema": 1, "runs": {}}
     if os.path.exists(args.out):
         with open(args.out) as fh:
             doc = json.load(fh)
-    doc["runs"][args.label] = run
+    doc["runs"].update(runs)
     with open(args.out, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -21,8 +21,8 @@ from .spaces import (PRESETS, CurvatureResult, Family, HamiltonianSpec,
                      from_polar, hamiltonian, metric, radial_reduction,
                      to_polar)
 from .symmetry import (GeneratorSet, LRLVector, constants, independence_rank,
-                       lrl, sample_polar, so4_generators, transported,
-                       verify_lrl_algebra, verify_so4)
+                       independence_ranks, lrl, sample_polar, so4_generators,
+                       transported, verify_lrl_algebra, verify_so4)
 from .dynamics import (IntegratorConfig, StepUnderflowError, Trajectory,
                        drift_report, integrate, rhs, trajectory_csv)
 

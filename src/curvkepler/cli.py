@@ -89,8 +89,35 @@ def _emit(text, path):
             fh.write(text)
 
 
+_ENCODE_STR = json.encoder.encode_basestring_ascii
+_SCALAR_JSON = {str: _ENCODE_STR, int: int.__repr__, type(None): lambda _: "null",
+                bool: lambda b: "true" if b else "false",
+                float: lambda x: float.__repr__(x) if -math.inf < x < math.inf
+                else "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"}
+
+
+def _json_text(o, pad="\n"):
+    """``json.dumps(o, indent=2, sort_keys=True)`` byte for byte (str keys
+    only), without the pure-Python encoder that ``indent`` selects.  Scalars
+    go by exact type, then in json's ``isinstance`` order, so ``np.float64``
+    writes as a float; any other type raises TypeError, as in json."""
+    write = _SCALAR_JSON.get(type(o)) or next(
+        (_SCALAR_JSON[t] for t in (str, int, float) if isinstance(o, t)), None)
+    if write:
+        return write(o)
+    inner = pad + "  "
+    if isinstance(o, (list, tuple)):
+        ends, items = "[]", [_json_text(v, inner) for v in o]
+    elif isinstance(o, dict):
+        ends, items = "{}", [_ENCODE_STR(k) + ": " + _json_text(v, inner)
+                             for k, v in sorted(o.items())]
+    else:
+        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+    return ends[0] + inner + ("," + inner).join(items) + pad + ends[1] if items else ends
+
+
 def _dump_json(doc, path):
-    _emit(json.dumps(doc, indent=2, sort_keys=True), path)
+    _emit(_json_text(doc), path)
 
 
 # --------------------------------------------------------------------------
@@ -239,7 +266,7 @@ def _cmd_simulate(args):
     if args.summary:
         _dump_json(summary, args.summary)
     else:
-        print(json.dumps(summary, indent=2, sort_keys=True), file=sys.stderr)
+        print(_json_text(summary), file=sys.stderr)
     return code
 
 
@@ -327,13 +354,11 @@ def _cmd_rank(args):
             raise DomainError("--append-lrl applies to kepler-cc only")
         obs.append(consts[args.append_lrl])
         expected = 5
-    for ob in obs:
-        ob.compile_gradient()
     rng = np.random.default_rng(_seed(args))
+    states = [symmetry.sample_polar(params, rng, chart=polar)
+              for _ in range(args.samples)]
     histogram = {}
-    for _ in range(args.samples):
-        s = symmetry.sample_polar(params, rng, chart=polar)
-        r = symmetry.independence_rank(obs, s)
+    for r in symmetry.independence_ranks(obs, states):
         histogram[r] = histogram.get(r, 0) + 1
     modal = max(sorted(histogram), key=lambda k: histogram[k])
     doc = {

@@ -17,6 +17,7 @@ Hamiltonian built from the three-site generators shares.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -27,7 +28,7 @@ from .phase import (P1, P2, P3, Q1, Q2, Q3, Chart, Observable, PhaseState,
 __all__ = [
     "Realization", "CasimirSet", "one_site", "coproduct_join", "three_site",
     "three_site_closed_form", "casimirs", "casimir_of", "pbracket",
-    "Identity", "IdentityResult", "BracketReport", "run_table",
+    "Identity", "IdentityResult", "BracketReport", "run_table", "uniform_coords",
     "sample_beltrami", "verify_sl2z", "verify_casimirs", "sl2z_table",
 ]
 
@@ -293,12 +294,36 @@ def run_table(suite, table, sampler, samples, seed, params=None):
     return BracketReport(suite, samples, seed, params or {}, results)
 
 
+def uniform_coords(rng, bounds):
+    """One point uniform in the box ``bounds``, one ``(lo, hi)`` per
+    coordinate, from one ``rng.random`` call.
+
+    ``lo + (hi - lo) * u`` on floats is ``Generator.uniform``'s own formula,
+    so the coordinates (Python floats), their bits and the generator's next
+    state are those of one ``rng.uniform(lo, hi)`` per coordinate, as are the
+    errors: OverflowError when ``hi - lo`` is not finite, ValueError when it
+    is negative.
+    """
+    spans = [hi - lo for lo, hi in bounds]
+    for span in spans:
+        if not math.isfinite(span):
+            raise OverflowError("high - low range exceeds valid bounds")
+        if span < 0:
+            raise ValueError("high - low < 0")
+    return tuple([b[0] + span * u for b, span, u in
+                  zip(bounds, spans, rng.random(len(spans)).tolist())])
+
+
 def sample_beltrami(rng, lo=-2.0, hi=2.0, min_abs=1e-3):
     """Random regular point: uniform in [lo, hi], positions away from zero."""
+    bounds = ((lo, hi),) * 6
     while True:
-        coords = rng.uniform(lo, hi, 6)
-        if np.all(np.abs(coords[:3]) > min_abs):
-            return PhaseState(Chart.BELTRAMI, tuple(coords))
+        coords = uniform_coords(rng, bounds)
+        if abs(coords[0]) > min_abs and abs(coords[1]) > min_abs \
+                and abs(coords[2]) > min_abs:
+            return PhaseState(Chart.BELTRAMI, coords)
+        if not max(abs(lo), abs(hi)) > min_abs:     # NaN fails too
+            raise ValueError(f"no point of [{lo}, {hi}] has |q| > {min_abs}")
 
 
 @memo

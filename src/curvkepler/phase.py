@@ -17,6 +17,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import functools
+import inspect
 import struct
 from dataclasses import dataclass
 
@@ -274,19 +275,34 @@ def _memo_key(arg):
 
 def memo(fn):
     """``fn`` keeping its results for the last ``_MEMO_SIZE`` argument keys
-    in ``cache``; an argument without a key bypasses it.  A repeated call
-    returns the same objects, except that an Observable, or a dict of them,
-    comes back as a new one on the same graph, so compiled code and edits
-    stay with the caller.  Callers must not mutate any other result."""
+    in ``cache``; an argument without a key bypasses it.  A call is keyed by
+    its arguments bound to ``fn``'s parameters, defaults applied, so
+    ``f(x)``, ``f(x, default)`` and ``f(x, name=default)`` share an entry; a
+    call that does not bind (a missing or unknown argument) goes to ``fn``
+    uncached, to raise there.  A repeated call returns the same objects,
+    except that an Observable, or a dict of them, comes back as a new one on
+    the same graph, so compiled code and edits stay with the caller.
+    Callers must not mutate any other result."""
     cache = {}
+    params = inspect.signature(fn).parameters
+    if any(p.kind is not p.POSITIONAL_OR_KEYWORD for p in params.values()):
+        raise TypeError("memo needs plain positional-or-keyword parameters")
+    names, defaults = tuple(params), tuple(p.default for p in params.values())
 
     @functools.wraps(fn)
     def cached(*args, **kwargs):
+        # A missing argument stays Parameter.empty, which has no key, and an
+        # unknown or repeated one fails the subset test: fn raises for both.
+        n = len(args)
+        bound = args + tuple([kwargs.get(name, d) for name, d in
+                              zip(names[n:], defaults[n:])])
         try:
-            key = _memo_key((args, tuple(sorted(kwargs.items()))))
+            if not kwargs.keys() <= set(names[n:]):
+                raise TypeError
+            key = _memo_key(bound)
         except TypeError:
             return fn(*args, **kwargs)
-        out = cache.pop(key) if key in cache else fn(*args, **kwargs)
+        out = cache.pop(key) if key in cache else fn(*bound)
         if len(cache) >= _MEMO_SIZE:
             del cache[next(iter(cache))]        # the least recently used
         cache[key] = out

@@ -20,10 +20,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coalgebra import (BracketReport, Identity, casimirs, run_table,
-                        three_site_closed_form)
+                        three_site_closed_form, uniform_coords)
 from .kernel import DomainError
+from .phase import grad  # noqa: F401  (kept: perfbench/spans.py wraps symmetry.grad)
 from .phase import (P1, Q1, Chart, Observable, PhaseState, ckappa, cos,
-                    cotkappa, exp, grad, memo, sin, sinhc, skappa)
+                    cotkappa, exp, memo, sin, sinhc, skappa,
+                    values_and_gradients)
 from .spaces import (_PH, _PPH, _PRAD, _PTH, _RAD, _TH, Family,
                      HamiltonianSpec, SpaceParams, _check_chart, hamiltonian,
                      to_polar)
@@ -31,7 +33,7 @@ from .spaces import (_PH, _PPH, _PRAD, _PTH, _RAD, _TH, Family,
 __all__ = [
     "GeneratorSet", "LRLVector", "so4_generators", "constants", "lrl",
     "verify_so4", "verify_lrl_algebra", "independence_rank",
-    "sample_polar", "transported",
+    "independence_ranks", "sample_polar", "transported",
 ]
 
 @dataclass(frozen=True)
@@ -206,11 +208,9 @@ def sample_polar(params, rng, chart=Chart.POLAR_CONSTANT, momentum_scale=2.0):
     rlo = min(0.25, 0.3 * rmax)
     tmax = 0.85 * math.pi / math.sqrt(k2) if k2 > 0 else 1.5
     tlo = min(0.25, 0.3 * tmax)
-    r = rng.uniform(rlo, rmax)
-    th = rng.uniform(tlo, tmax)
-    ph = rng.uniform(0.0, 2.0 * math.pi)
-    mom = rng.uniform(-momentum_scale, momentum_scale, 3)
-    return PhaseState(chart, (r, th, ph) + tuple(mom))
+    mom = (-momentum_scale, momentum_scale)
+    return PhaseState(chart, uniform_coords(
+        rng, ((rlo, rmax), (tlo, tmax), (0.0, 2.0 * math.pi), mom, mom, mom)))
 
 
 @memo
@@ -331,10 +331,19 @@ def verify_lrl_algebra(params, samples=100, seed=0, perturb=None):
                              "gamma": params.gamma, "perturb": perturb or ""})
 
 
+def independence_ranks(observables, states, threshold=1e-8):
+    """Numerical rank of the Jacobian of a list of observables at each state.
+
+    One compiled call per state gives every gradient
+    (:func:`.phase.values_and_gradients`), and one stacked SVD all the
+    singular values; a rank counts those above ``threshold`` times the
+    largest (0 for a zero Jacobian).
+    """
+    jac = values_and_gradients(observables, states)[..., 1:]
+    sv = np.linalg.svd(jac, compute_uv=False)
+    return np.sum(sv > threshold * sv[:, :1], axis=1).tolist()
+
+
 def independence_rank(observables, state, threshold=1e-8):
     """Numerical rank of the Jacobian of a list of observables at a state."""
-    rows = [grad(ob, state) for ob in observables]
-    sv = np.linalg.svd(np.asarray(rows), compute_uv=False)
-    if sv.size == 0 or sv[0] == 0.0:
-        return 0
-    return int(np.sum(sv > threshold * sv[0]))
+    return independence_ranks(observables, [state], threshold)[0]

@@ -7,6 +7,7 @@ import json
 import math
 import time
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -579,3 +580,43 @@ def test_every_command_returns_a_documented_exit_code(argv):
     assert code in (0, 1, 2, 3), (argv, code)
     if code == 2:
         assert err.getvalue().startswith("error:"), (argv, err.getvalue())
+
+
+_FLOATS = st.one_of(
+    st.floats(), st.floats().map(np.float64),
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324,
+                     2.2250738585072014e-308 / 3, 1e300, np.float64(-0.0), np.float64(math.nan)]))
+_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.integers(-10**80, 10**80),
+                     _FLOATS, st.text(), st.sampled_from(['"', "\\", "\x00\x1f\x7f", "é€😀", ""]))
+_DOCS = st.recursive(_SCALARS, lambda kids: st.one_of(
+    st.lists(kids, max_size=4), st.lists(kids, max_size=4).map(tuple),
+    st.dictionaries(st.text(max_size=6), kids, max_size=4)), max_leaves=25)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(doc=_DOCS)
+def test_report_writer_writes_what_json_dumps_writes(doc):
+    assert cli._json_text(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("bad", [np.int64(3), {1, 2}, [0.5, {"a": np.int64(1)}],
+                                 {"a": (1, {2})}, np.bool_(True), object()])
+def test_report_writer_rejects_what_json_rejects(bad):
+    with pytest.raises(TypeError):
+        json.dumps(bad, indent=2, sort_keys=True)
+    with pytest.raises(TypeError):
+        cli._json_text(bad)
+
+
+def test_reports_and_summaries_are_json_dumps_bytes(tmp_path, capsys):
+    """The files and the stderr summary hold exactly json.dumps's text."""
+    out = tmp_path / "v.json"
+    assert main(["verify", "--suite", "all", "--preset", "hyperbolic", "--samples", "7",
+                 "--out", str(out)]) == 0
+    text = out.read_text()
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True)
+    assert main(["simulate", "--family", "free-cc", "--preset", "spherical", "--state",
+                 "1.0,1.2,0.4,0.15,0.4,0.8", "--t-end", "0.2",
+                 "--csv", str(tmp_path / "o.csv")]) == 0
+    err = capsys.readouterr().err
+    assert err == json.dumps(json.loads(err), indent=2, sort_keys=True) + "\n"

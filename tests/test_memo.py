@@ -1,6 +1,8 @@
 """The process-wide memos: observable builders by parameter bits, lowering by root nodes."""
 
 import contextlib
+import importlib.util
+import inspect
 import io
 import os
 import struct
@@ -156,3 +158,82 @@ def test_warm_verify_all_evaluates_few_sinhc_per_sample(monkeypatch, tmp_path):
     monkeypatch.setitem(kernel.RULES, "sinhc", lambda v: calls.append(v) or real(v))
     assert cli.main(argv) == 0
     assert 0 < len(calls) <= 12 * samples
+
+
+def test_a_call_is_keyed_by_its_bound_arguments(monkeypatch):
+    """Defaults applied, positional or by name: one entry per call, and the
+    names and defaults are read once, when the builder is decorated."""
+    z = 0.0123                                          # a z no other test uses
+    first = coalgebra.one_site(z)
+    params = SpaceParams(z, 1.0)
+    gens = symmetry.so4_generators(params)
+    size = len(coalgebra.one_site.cache)
+    monkeypatch.setattr(inspect, "signature", None)     # a hit needs no signature
+    for again in (coalgebra.one_site(z, 1), coalgebra.one_site(z, site=1),
+                  coalgebra.one_site(site=1, z=z)):
+        assert again is first
+    assert len(coalgebra.one_site.cache) == size
+    assert symmetry.so4_generators(params, None) is gens
+    assert symmetry.so4_generators(params, perturb=None) is gens
+
+
+@pytest.mark.parametrize("args, kwargs", [((), {}), ((0.1, 1, 2), {}), ((0.1,), {"sit": 1}),
+                                          ((0.1,), {"z": 0.1}), ((0.1, 1), {"site": 1})])
+def test_a_call_that_does_not_bind_raises_as_the_builder_does(args, kwargs):
+    size = len(coalgebra.one_site.cache)
+    with pytest.raises(TypeError):
+        coalgebra.one_site(*args, **kwargs)
+    with pytest.raises(TypeError):
+        coalgebra.one_site.__wrapped__(*args, **kwargs)
+    assert len(coalgebra.one_site.cache) == size
+
+
+def test_memo_rejects_a_builder_with_variadic_parameters():
+    with pytest.raises(TypeError):
+        phase.memo(lambda *args: args)
+
+
+def _verify_sweep_invocations(seed, monkeypatch):
+    """The verify-sweep benchmark's calls, from its input generator."""
+    path = os.path.join(os.path.dirname(_SRC), "perfbench", "inputs.py")
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    inputs = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, inputs)
+    spec.loader.exec_module(inputs)
+    return inputs.verify_invocations(seed)
+
+
+def _recording(monkeypatch, module, name):
+    """Every call of ``module.name``, bound with its defaults applied."""
+    real, calls = getattr(module, name), []
+    signature = inspect.signature(real.__wrapped__)
+
+    def spy(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        calls.append(phase._memo_key(tuple(bound.arguments.values())))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+def test_a_verify_sweep_keeps_one_entry_per_bound_call(monkeypatch, tmp_path):
+    """The benchmark's 104 verify, control and rank calls for one seed spell
+    one_site(z) and one_site(z, 1), and so4_generators(params) and
+    so4_generators(params, perturb=None), both ways; each pair is one entry."""
+    for m in MEMOS:
+        m.cache.clear()
+    one_site, so4_generators = coalgebra.one_site, symmetry.so4_generators
+    sites = _recording(monkeypatch, coalgebra, "one_site")
+    gens = _recording(monkeypatch, symmetry, "so4_generators")
+    invocations = _verify_sweep_invocations(3, monkeypatch)
+    assert len(invocations) == 104
+    with contextlib.redirect_stdout(io.StringIO()):
+        for inv in invocations:
+            assert cli.main(inv.resolve(str(tmp_path))[0]) == inv.expect_code
+    assert len(set(sites)) < phase._MEMO_SIZE and len(set(gens)) < phase._MEMO_SIZE
+    assert len(one_site.cache) == len(set(sites))
+    zs = {key[1] for key in one_site.cache}             # (tuple, z key, site key)
+    assert len(one_site.cache) == 3 * len(zs)
+    assert len(so4_generators.cache) == len(set(gens)) > 0
