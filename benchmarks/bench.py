@@ -30,6 +30,7 @@ so work moved into the per-process caches still shows.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import os
@@ -80,7 +81,7 @@ class Rows:
         from curvkepler.dynamics import IntegratorConfig, integrate
         from curvkepler.phase import Chart, Observable, PhaseState
         from curvkepler.spaces import (Family, HamiltonianSpec, SpaceParams,
-                                       chart_guard, hamiltonian)
+                                       chart_guard, curvature, hamiltonian)
         from curvkepler.symmetry import constants, verify_lrl_algebra
 
         self.src, self.tmp, self.cli = src, tmp, cli
@@ -97,6 +98,8 @@ class Rows:
         self.a = kernel.KScalar.seed(1.3, 0)
         self.b = kernel.KScalar.seed(0.7, 1)
         self.new_z = (0.2 + i / 997 for i in itertools.count())
+        self.curvature_point = functools.partial(
+            curvature, Chart.POLAR_VARIABLE, "nc", (1.0, 1.1, 0.8), SpaceParams(-0.4, 1.0))
 
     # micro rows, in microseconds per call
     def kscalar_mul(self):
@@ -198,6 +201,10 @@ class Rows:
             "curvature", "--kind", "cc", "--chart", "polar-constant", "--z", "0.5",
             "--kappa2", "1", "--grid", "0.5:1.2:5,0.6:1.4:5,0.2:1.2:5"))
 
+    def curvature_point_in_process(self):
+        """One variable-curvature point on the polar-variable chart (median call)."""
+        return 1e6 * _median_call(self.curvature_point, 200)
+
     def tier1_suite(self):
         root = os.path.dirname(os.path.abspath(self.src))
         env = dict(os.environ, PYTHONPATH=self.src)
@@ -225,6 +232,7 @@ ROWS = (
     ("verify_lrl_algebra", "s", True),
     ("verify_all_fresh_process", "s", False),
     ("curvature_5x5x5", "s", True),
+    ("curvature_point_in_process", "us", True),
     ("tier1_suite", "s", False),
 )
 

@@ -294,6 +294,9 @@ def run_table(suite, table, sampler, samples, seed, params=None):
     return BracketReport(suite, samples, seed, params or {}, results)
 
 
+_MAX_REDRAWS = 1000    # rejected draws in a row; ~1e-2800 on the default box
+
+
 def uniform_coords(rng, bounds):
     """One point uniform in the box ``bounds``, one ``(lo, hi)`` per
     coordinate, from one ``rng.random`` call.
@@ -317,13 +320,15 @@ def uniform_coords(rng, bounds):
 def sample_beltrami(rng, lo=-2.0, hi=2.0, min_abs=1e-3):
     """Random regular point: uniform in [lo, hi], positions away from zero."""
     bounds = ((lo, hi),) * 6
-    while True:
+    for _ in range(_MAX_REDRAWS):
         coords = uniform_coords(rng, bounds)
         if abs(coords[0]) > min_abs and abs(coords[1]) > min_abs \
                 and abs(coords[2]) > min_abs:
             return PhaseState(Chart.BELTRAMI, coords)
         if not max(abs(lo), abs(hi)) > min_abs:     # NaN fails too
             raise ValueError(f"no point of [{lo}, {hi}] has |q| > {min_abs}")
+    raise ValueError(f"{_MAX_REDRAWS} draws in a row from [{lo}, {hi}] had "
+                     f"some |q| <= {min_abs}")
 
 
 @memo

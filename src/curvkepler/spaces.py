@@ -387,21 +387,22 @@ def metric(chart, kind, point, params):
 def _christoffel(gfn, x, h):
     g = gfn(x)
     try:
-        ginv = np.linalg.inv(g)
+        ginv = np.linalg.inv(g).tolist()
     except np.linalg.LinAlgError:
         raise ChartSingularityError("metric degenerate at evaluation point")
-    dg = np.empty((3, 3, 3))
+    dg = []
     for k in range(3):
         xp = x.copy(); xp[k] += h
         xm = x.copy(); xm[k] -= h
-        dg[k] = (gfn(xp) - gfn(xm)) / (2.0 * h)
+        dg.append(((gfn(xp) - gfn(xm)) / (2.0 * h)).tolist())
+    # On Python floats: numpy scalars' IEEE operations, same order, less cost.
     gamma = np.empty((3, 3, 3))
     for i in range(3):
         for j in range(3):
             for k in range(3):
                 acc = 0.0
                 for l in range(3):
-                    acc += ginv[i, l] * (dg[j][k, l] + dg[k][j, l] - dg[l][j, k])
+                    acc += ginv[i][l] * (dg[j][k][l] + dg[k][j][l] - dg[l][j][k])
                 gamma[i, j, k] = 0.5 * acc
     return g, gamma
 
@@ -424,7 +425,13 @@ def curvature(chart, kind, point, params, h=1e-4):
     """
     if not (math.isfinite(h) and h > 0):
         raise DomainError(f"finite-difference step must be finite and > 0, got {h!r}")
-    x = np.asarray(point, dtype=float)
+    try:
+        x = np.asarray(point, dtype=float)
+        ok = x.shape == (3,) and bool(np.isfinite(x).all())
+    except (TypeError, ValueError):
+        ok = False
+    if not ok:
+        raise DomainError(f"curvature needs a point of three finite numbers, got {point!r}")
     gfn = lambda y: metric(chart, kind, y, params)
     g, gamma = _christoffel(gfn, x, h)
     dgamma = np.empty((3, 3, 3, 3))

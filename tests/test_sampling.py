@@ -3,6 +3,7 @@ per batch, against references written as one ``rng.uniform`` per coordinate
 and one SVD per state."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -116,6 +117,23 @@ def test_beltrami_rejects_a_box_with_no_regular_point(kwargs):
     with pytest.raises(ValueError):
         sample_beltrami(rng, **kwargs)
     assert rng.calls == 1
+
+
+@pytest.mark.parametrize("kwargs", [{"lo": 0.0, "hi": 1.0, "min_abs": 0.9999999999999999},
+                                    {"lo": -1.0, "hi": 1.0, "min_abs": 1.0 - 1e-12}])
+def test_beltrami_gives_up_on_a_box_it_cannot_draw_from(kwargs):
+    """A box whose regular part the draws never (u < 1 keeps lo + (hi - lo) u
+    below 1 - 2**-53) or all but never reach used to redraw forever; now the
+    sampler raises after 1,000 rejected draws in a row and names the box."""
+    rng = _BoundedRng()
+    box = f"[{kwargs['lo']}, {kwargs['hi']}]"
+    with pytest.raises(ValueError, match=re.escape(box)):
+        sample_beltrami(rng, **kwargs)
+    assert rng.calls == 1000
+    ref = np.random.default_rng(0)
+    for _ in range(1000):
+        ref.random(6)
+    assert rng.rng.random() == ref.random()
 
 
 def _family_observables(family):
