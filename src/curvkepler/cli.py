@@ -307,6 +307,8 @@ def _cmd_curvature(args):
         raise DomainError("--grid is required")
     if args.kind not in ("nc", "cc"):
         raise DomainError("--kind must be nc or cc")
+    if not (math.isfinite(args.step) and args.step > 0):
+        raise DomainError(f"--step must be finite and > 0, got {args.step!r}")
     axes = _parse_grid(args.grid)
     guard = spaces.chart_guard(chart, params)
     lines = ["x1,x2,x3,K12,K13,K23,K,closed_K,abs_err"]
@@ -314,12 +316,16 @@ def _cmd_curvature(args):
     for x1 in axes[0]:
         for x2 in axes[1]:
             for x3 in axes[2]:
+                where = f"grid point ({x1:g}, {x2:g}, {x3:g})"
                 reason = guard((x1, x2, x3, 0.0, 0.0, 0.0))
                 if reason is not None:
-                    raise ChartSingularityError(
-                        f"grid point ({x1:g}, {x2:g}, {x3:g}): {reason}")
-                res = spaces.curvature(chart, args.kind, (x1, x2, x3),
-                                       params, h=args.step)
+                    raise ChartSingularityError(f"{where}: {reason}")
+                try:
+                    res = spaces.curvature(chart, args.kind, (x1, x2, x3),
+                                           params, h=args.step)
+                except (ValueError, ArithmeticError) as exc:
+                    name = "" if isinstance(exc, ValueError) else f"{type(exc).__name__}: "
+                    raise DomainError(f"{where}: {name}{exc}") from None
                 closed = res.closed.get("kscalar")
                 err = abs(res.kscalar - closed) if closed is not None else ""
                 if err != "":

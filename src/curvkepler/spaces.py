@@ -385,6 +385,9 @@ def metric(chart, kind, point, params):
 
 
 def _christoffel(gfn, x, h):
+    """Metric and Christoffel symbols at ``x``.  Every chart's :func:`metric` is
+    diagonal, so only ``l = i`` is nonzero in the sum over ``l``; ``0.0 +``
+    keeps the sign of zero that the full sum gave."""
     g = gfn(x)
     try:
         ginv = np.linalg.inv(g).tolist()
@@ -398,12 +401,11 @@ def _christoffel(gfn, x, h):
     # On Python floats: numpy scalars' IEEE operations, same order, less cost.
     gamma = np.empty((3, 3, 3))
     for i in range(3):
+        gii = ginv[i][i]
         for j in range(3):
             for k in range(3):
-                acc = 0.0
-                for l in range(3):
-                    acc += ginv[i][l] * (dg[j][k][l] + dg[k][j][l] - dg[l][j][k])
-                gamma[i, j, k] = 0.5 * acc
+                gamma[i, j, k] = 0.5 * (0.0 + gii * (dg[j][k][i] + dg[k][j][i]
+                                                     - dg[i][j][k]))
     return g, gamma
 
 
@@ -422,6 +424,8 @@ def curvature(chart, kind, point, params, h=1e-4):
     The metric is differenced twice (step h for Christoffel symbols and for
     their derivatives), so the result carries an O(h^2) truncation error;
     closed-form values are attached for the charts where they are known.
+    A step with x + h == x - h for some coordinate raises DomainError; one
+    that moves x by a few ulps (1e-16 at x ~ 1) is not caught and gives noise.
     """
     if not (math.isfinite(h) and h > 0):
         raise DomainError(f"finite-difference step must be finite and > 0, got {h!r}")
@@ -432,24 +436,31 @@ def curvature(chart, kind, point, params, h=1e-4):
         ok = False
     if not ok:
         raise DomainError(f"curvature needs a point of three finite numbers, got {point!r}")
+    for k, xk in enumerate(x.tolist()):
+        if xk + h == xk - h:
+            raise DomainError(f"finite-difference step {h!r} does not move "
+                              f"coordinate x{k + 1} = {xk!r}")
     gfn = lambda y: metric(chart, kind, y, params)
     g, gamma = _christoffel(gfn, x, h)
-    dgamma = np.empty((3, 3, 3, 3))
+    dgamma = []
     for k in range(3):
         xp = x.copy(); xp[k] += h
         xm = x.copy(); xm[k] -= h
-        dgamma[k] = (_christoffel(gfn, xp, h)[1] - _christoffel(gfn, xm, h)[1]) / (2.0 * h)
+        dgamma.append(((_christoffel(gfn, xp, h)[1] - _christoffel(gfn, xm, h)[1])
+                       / (2.0 * h)).tolist())
+    gam = gamma.tolist()
     # R^i_{jkl} = d_k G^i_{lj} - d_l G^i_{kj} + G^i_{km} G^m_{lj} - G^i_{lm} G^m_{kj}
-    riem = np.empty((3, 3, 3, 3))
+    riem = []
     for i in range(3):
         for j in range(3):
             for k in range(3):
                 for l in range(3):
-                    acc = dgamma[k][i, l, j] - dgamma[l][i, k, j]
+                    acc = dgamma[k][i][l][j] - dgamma[l][i][k][j]
                     for m in range(3):
-                        acc += gamma[i, k, m] * gamma[m, l, j] \
-                             - gamma[i, l, m] * gamma[m, k, j]
-                    riem[i, j, k, l] = acc
+                        acc += gam[i][k][m] * gam[m][l][j] \
+                             - gam[i][l][m] * gam[m][k][j]
+                    riem.append(acc)
+    riem = np.array(riem).reshape(3, 3, 3, 3)
     low = np.einsum("im,mjkl->ijkl", g, riem)
 
     def sec(i, j):

@@ -1,9 +1,11 @@
-"""Christoffel symbols on Python floats against the numpy-scalar contraction.
+"""Christoffel symbols and the Riemann tensor on Python floats against the
+numpy-scalar contractions.
 
-``spaces._christoffel`` contracts the inverse metric with the metric's
-difference quotients on nested lists of Python floats.  Each operation is
-the IEEE operation the numpy scalars performed, so Γ and every curvature
-field must match the numpy-scalar reference below bit for bit.
+``spaces._christoffel`` contracts the inverse metric's diagonal with the
+metric's difference quotients, and ``spaces.curvature`` sums the Riemann
+tensor, on nested lists of Python floats.  Each operation is the IEEE
+operation the numpy scalars performed, so Γ and every curvature field must
+match the numpy-scalar references below bit for bit.
 """
 
 import math
@@ -122,3 +124,99 @@ def test_curvature_rejects_a_point_that_is_not_three_finite_numbers(monkeypatch,
     with pytest.raises(DomainError, match=re.escape(repr(point))):
         curvature(Chart.POLAR_VARIABLE, "nc", point, SpaceParams(0.3, 1.0))
     assert calls == []
+
+
+def reference_curvature(chart, kind, point, params, h=1e-4):
+    """``curvature`` as it ran on numpy scalars: the full Christoffel sum over
+    ``l`` and the Riemann loop indexing numpy arrays element by element."""
+    x = np.asarray(point, dtype=float)
+    gfn = lambda y: spaces.metric(chart, kind, y, params)
+    g, gamma = reference_christoffel(gfn, x, h)
+    dgamma = np.empty((3, 3, 3, 3))
+    for k in range(3):
+        xp = x.copy(); xp[k] += h
+        xm = x.copy(); xm[k] -= h
+        dgamma[k] = (reference_christoffel(gfn, xp, h)[1]
+                     - reference_christoffel(gfn, xm, h)[1]) / (2.0 * h)
+    riem = np.empty((3, 3, 3, 3))
+    for i in range(3):
+        for j in range(3):
+            for k in range(3):
+                for l in range(3):
+                    acc = dgamma[k][i, l, j] - dgamma[l][i, k, j]
+                    for m in range(3):
+                        acc += gamma[i, k, m] * gamma[m, l, j] \
+                             - gamma[i, l, m] * gamma[m, k, j]
+                    riem[i, j, k, l] = acc
+    low = np.einsum("im,mjkl->ijkl", g, riem)
+
+    def sec(i, j):
+        return low[i, j, i, j] / (g[i, i] * g[j, j] - g[i, j] ** 2)
+
+    ric = np.einsum("ijil->jl", riem)
+    kscal = float(np.einsum("jl,jl->", np.linalg.inv(g), ric))
+    closed = spaces._closed_curvature(chart, kind, x, params)
+    return spaces.CurvatureResult(float(sec(0, 1)), float(sec(0, 2)),
+                                  float(sec(1, 2)), kscal, closed)
+
+
+# The polar charts also carry Lorentzian signatures; the Beltrami chart only
+# exists for kappa2 > 0.
+SIGNED = [(chart, kind, ranges, z, kappa2)
+          for chart, kind, ranges in PAIRS for z in ZS
+          for kappa2 in ((1.0,) if chart is Chart.BELTRAMI else (1.0, -1.0))]
+SIGNED_IDS = [f"{c.value}-{k}-z{z}-k2{k2}" for c, k, _, z, k2 in SIGNED]
+
+
+@pytest.mark.parametrize("chart, kind, ranges, z, kappa2", SIGNED, ids=SIGNED_IDS)
+def test_curvature_fields_match_the_numpy_scalar_riemann_loop(chart, kind, ranges, z, kappa2):
+    params = SpaceParams(z, kappa2)
+    points = jittered_grid(ranges, seed=20 + ZS.index(z))
+    got = [_fields(curvature(chart, kind, p, params)) for p in points]
+    want = [_fields(reference_curvature(chart, kind, p, params)) for p in points]
+    assert got == want
+
+
+NEGATIVE = [(chart, kind, ranges, z, kappa2)
+            for chart, kind, ranges in PAIRS if chart is not Chart.BELTRAMI
+            for z in ZS for kappa2 in (-1.0, -2.0)]
+
+
+@pytest.mark.parametrize("chart, kind, ranges, z, kappa2", NEGATIVE,
+                         ids=[f"{c.value}-z{z}-k2{k2}" for c, _, _, z, k2 in NEGATIVE])
+def test_christoffel_keeps_the_sign_of_zero_on_negative_kappa2(chart, kind, ranges, z, kappa2):
+    """Negative metric entries make ginv_ii * +0.0 a -0.0; the full sum over
+    l added it to +0.0, and the diagonal contraction must give the same bits."""
+    params = SpaceParams(z, kappa2)
+    gfn = lambda y: spaces.metric(chart, kind, y, params)
+    for point in jittered_grid(ranges, seed=30 + ZS.index(z)):
+        x = np.asarray(point)
+        assert _hex(spaces._christoffel(gfn, x, 1e-4)[1]) == \
+            _hex(reference_christoffel(gfn, x, 1e-4)[1])
+
+
+@pytest.mark.parametrize("chart, kind, ranges, z, kappa2", SIGNED, ids=SIGNED_IDS)
+def test_metric_is_exactly_diagonal(chart, kind, ranges, z, kappa2):
+    """The diagonal Christoffel contraction rests on this premise."""
+    params = SpaceParams(z, kappa2)
+    off = ~np.eye(3, dtype=bool)
+    for point in jittered_grid(ranges, seed=40 + ZS.index(z)):
+        g = spaces.metric(chart, kind, point, params)
+        assert g.shape == (3, 3) and (g[off] == 0.0).all()
+
+
+@pytest.mark.parametrize("h", [1e-300, 1e-17])
+def test_curvature_rejects_a_step_that_does_not_move_the_point(monkeypatch, h):
+    """x + h == x - h made every difference quotient zero, so the point came
+    back flat (k12 = kscalar = 0.0) on the sphere; now a DomainError names the
+    step and the coordinate, before any metric call."""
+    calls = []
+    monkeypatch.setattr(spaces, "metric", lambda *a: calls.append(a))
+    with pytest.raises(DomainError, match=re.escape(f"step {h!r}") + ".*x1 = 0.9"):
+        curvature(Chart.POLAR_CONSTANT, "cc", (0.9, 1.0, 0.7), SpaceParams(0.3, 1.0), h=h)
+    assert calls == []
+
+
+def test_a_step_that_moves_only_a_large_coordinate_is_rejected_on_that_coordinate():
+    with pytest.raises(DomainError, match="x2 = 40.0"):
+        curvature(Chart.POLAR_CONSTANT, "cc", (0.9, 40.0, 0.7), SpaceParams(0.3, 1.0), h=1e-15)

@@ -471,6 +471,34 @@ def test_curvature_nan_row_makes_max_abs_err_nan(capsys, monkeypatch):
     assert lines[-1] == "max_abs_err,,,,,,,,nan"
 
 
+def test_curvature_step_that_does_not_move_a_coordinate_exits_2(capsys):
+    code, out, err = run_cli(capsys, "curvature", "--preset", "spherical",
+                             "--chart", "polar-constant", "--kind", "cc",
+                             "--grid", "0.5:1.2:2,0.6:1.4:2,0.2:1.2:2", "--step", "1e-300")
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert err == ("error: grid point (0.5, 0.6, 0.2): finite-difference step "
+                   "1e-300 does not move coordinate x1 = 0.5\n")
+
+
+@pytest.mark.parametrize("kind, reason", [
+    ("cc", "OverflowError: math range error"),
+    ("nc", "metric degenerate at evaluation point"),
+])
+def test_curvature_error_names_its_grid_point(capsys, kind, reason):
+    code, out, err = run_cli(capsys, "curvature", "--kind", kind, "--chart", "beltrami",
+                             "--z", "-400", "--kappa2", "1",
+                             "--grid", "0.9:0.95:2,0.9:0.95:1,0.9:0.95:1")
+    assert code == 2 and out == ""
+    assert err == f"error: grid point (0.9, 0.9, 0.9): {reason}\n"
+
+
+def test_curvature_bad_step_is_not_blamed_on_a_grid_point(capsys, monkeypatch):
+    monkeypatch.setattr(spaces, "curvature", lambda *a, **k: pytest.fail("point evaluated"))
+    code, out, err = run_cli(capsys, *_CURVATURE_CC, "--grid", _GRID, "--step", "0")
+    assert code == 2 and out == ""
+    assert err == "error: --step must be finite and > 0, got 0.0\n"
+
+
 @pytest.mark.parametrize("argv", [
     ("verify", "--suite", "sl2z", "--z", "1e300", "--samples", "2"),
     ("verify", "--suite", "so4", "--z", "1e300", "--kappa2", "1", "--samples", "2"),
