@@ -55,11 +55,14 @@ use it.
 
 Curvature-labelled trigonometry shares its work: every ``skappa``,
 ``ckappa``, ``tkappa`` and ``cotkappa`` node on one ``(kappa, x)`` reads one
-pair instruction, a single call of ``kernel._kappa_pair`` for ``S`` and
-``C``, and then applies its ``kernel.KAPPA_RULES`` entry to that pair, the
-rule the dual path applies.  Labels are compared by their type and bits,
-so ``0.0``, ``-0.0`` and the int ``0`` (whose ``C' = -kappa S`` differ in
-the sign of a zero) never share a pair.
+pair instruction.  Both modes write it as the statements of
+``kernel._kappa_pair`` (``u = kappa * x * x``, then the Taylor, ``sin``/``cos``
+or ``sinh``/``cosh`` branch), not as a call.  From the pair ``skappa`` is
+``(S, C)`` and ``ckappa`` is ``(C, -kappa * S)``, what the dual path's rules
+give; ``tkappa`` and ``cotkappa`` call their ``kernel.KAPPA_RULES`` entry,
+which raises at a pole.  Labels are compared by their type and bits, so
+``0.0``, ``-0.0`` and the int ``0`` (whose ``C' = -kappa S`` differ in the
+sign of a zero) never share a pair.
 
 Nothing else is merged by value: two equal subexpressions built as
 separate nodes are evaluated twice, so the builders (:func:`.phase.memo`)
@@ -74,6 +77,7 @@ memoizes :func:`_lower` by root nodes (identity) and mode instead;
 from __future__ import annotations
 
 import functools
+import math
 import operator
 
 from . import kernel
@@ -258,6 +262,15 @@ class _Lowering:
 
 _ONE = "1.0"      # the lane of a seeded coordinate; x * 1.0 == x exactly
 
+# kernel._kappa_pair as statements: S into {s}, C into {c}, r = sqrt(|u|).
+_PAIR = (
+    "{u} = {k} * {x} * {x}\n"
+    f"if abs({{u}}) < {kernel._KTRIG_TAYLOR!r}: "
+    "{s} = {x} * (1.0 + {u} * (-1.0 / 6.0 + {u} * (1.0 / 120.0 - {u} / 5040.0))); "
+    "{c} = 1.0 + {u} * (-0.5 + {u} * (1.0 / 24.0 - {u} / 720.0))\n"
+    "elif {u} > 0.0: {r} = sqrt({u}); {s} = {x} * (sin({r}) / {r}); {c} = cos({r})\n"
+    "else: {r} = sqrt(-{u}); {s} = {x} * (sinh({r}) / {r}); {c} = cosh({r})")
+
 
 class _Emitter:
     """Writes the straight-line body of a structure, one statement per float
@@ -383,12 +396,17 @@ class _Emitter:
         return self._rule_call(f"{name}_rule({ea})", la)
 
     def op_pair(self, x, kappa):
-        s, c = self.fresh(), self.fresh()
-        self.lines.append(f"{s}, {c} = kappa_pair({kappa[0]}, {x[0]})")
+        u, r, s, c = (self.fresh() for _ in range(4))
+        self.lines += _PAIR.format(u=u, r=r, s=s, c=c, k=kappa[0], x=x[0]).split("\n")
         return s, c, kappa[0], x
 
     def op_kfn(self, pair, name):
+        # S' = C and C' = -kappa S; a ratio's rule raises at its pole.
         s, c, kappa, (ex, lx) = pair
+        if name == "skappa":
+            return s, self.scaled(c, lx)
+        if name == "ckappa":
+            return c, self.scaled(self.var(f"-{kappa} * {s}"), lx)
         return self._rule_call(f"{name}_rule({kappa}, {ex}, {s}, {c})", lx)
 
 
@@ -451,11 +469,12 @@ def _code(structure, values):
 
 def _globals(consts):
     """The compiled function's globals: the kernel rules and float functions
-    by name and the constants as ``k0, k1, ...``."""
+    by name, the ``math`` functions of the (S, C) pairs and the constants as
+    ``k0, k1, ...``."""
     env = {f"{name}_rule": rule for name, rule in kernel.RULES.items()}
     env.update((f"{name}_rule", rule) for name, rule in kernel.KAPPA_RULES.items())
     env.update((f"{name}_float", fn) for name, fn in kernel.FLOAT_FNS.items())
-    env["kappa_pair"] = kernel._kappa_pair
+    env.update((name, getattr(math, name)) for name in ("sqrt", "sin", "cos", "sinh", "cosh"))
     env.update((f"k{i}", c) for i, c in enumerate(consts))
     return env
 

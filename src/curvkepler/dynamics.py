@@ -7,9 +7,10 @@ per Hamiltonian (opaque observables keep the dual-number evaluation).  The
 default stepper is an embedded Dormand-Prince 5(4) pair that reuses its last
 stage as the next step's first (six RHS evaluations per step); a fixed-step
 implicit midpoint rule is available behind the same interface for long
-symplectic-ish runs.  Both steppers run on lists of six Python floats, with
-each stage sum written out and added left to right, so a trajectory's bits
-depend on neither numpy's BLAS nor the Python version.  Conservation is
+symplectic-ish runs.  Both steppers run on lists of six Python floats; the
+Dormand-Prince step is straight-line code generated from its tableau, each
+stage sum written out slot by slot and added left to right, so a trajectory's
+bits depend on neither numpy's BLAS nor the Python version.  Conservation is
 asserted by monitoring, not by structure: every sampled step evaluates the
 requested monitor observables, each compiled once to straight-line
 values-only code (:mod:`.codegen`) that gives what its evaluator gives, and
@@ -154,32 +155,45 @@ class Trajectory:
         return {name: rep["max_drift"] for name, rep in drift_report(self).items()}
 
 
-def _dp_step(f, y, h, k1):
-    """One Dormand-Prince 5(4) step from y with k1 = f(y) already known.
+# The Dormand-Prince 5(4) tableau (Hairer-Norsett-Wanner, Table II.5.2) as
+# the sums over k1..k7 of stages 2 to 6, the fifth-order solution and the
+# error estimate.  Python folds each p / q to one float.
+_DP_SUMS = (
+    "1 / 5 * {1}",
+    "3 / 40 * {1} + 9 / 40 * {2}",
+    "44 / 45 * {1} - 56 / 15 * {2} + 32 / 9 * {3}",
+    "19372 / 6561 * {1} - 25360 / 2187 * {2} + 64448 / 6561 * {3} - 212 / 729 * {4}",
+    "9017 / 3168 * {1} - 355 / 33 * {2} + 46732 / 5247 * {3} + 49 / 176 * {4}"
+    " - 5103 / 18656 * {5}",
+    "35 / 384 * {1} + 500 / 1113 * {3} + 125 / 192 * {4} - 2187 / 6784 * {5}"
+    " + 11 / 84 * {6}",
+    "71 / 57600 * {1} - 71 / 16695 * {3} + 71 / 1920 * {4} - 17253 / 339200 * {5}"
+    " + 22 / 525 * {6} - 1 / 40 * {7}",
+)
 
-    The pair is first-same-as-last: the fifth-order solution is the stage-7
-    argument, so the returned f(y5) is the next step's k1 and a step costs
-    six RHS evaluations.  Each stage sum (Hairer-Norsett-Wanner, Table
-    II.5.2) is added left to right.  Returns (y5, error estimate, f(y5)).
-    """
-    k2 = f([a + h * (1 / 5 * b1) for a, b1 in zip(y, k1)])
-    k3 = f([a + h * (3 / 40 * b1 + 9 / 40 * b2) for a, b1, b2 in zip(y, k1, k2)])
-    k4 = f([a + h * (44 / 45 * b1 - 56 / 15 * b2 + 32 / 9 * b3)
-            for a, b1, b2, b3 in zip(y, k1, k2, k3)])
-    k5 = f([a + h * (19372 / 6561 * b1 - 25360 / 2187 * b2 + 64448 / 6561 * b3
-                     - 212 / 729 * b4)
-            for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)])
-    k6 = f([a + h * (9017 / 3168 * b1 - 355 / 33 * b2 + 46732 / 5247 * b3
-                     + 49 / 176 * b4 - 5103 / 18656 * b5)
-            for a, b1, b2, b3, b4, b5 in zip(y, k1, k2, k3, k4, k5)])
-    y5 = [a + h * (35 / 384 * b1 + 500 / 1113 * b3 + 125 / 192 * b4
-                   - 2187 / 6784 * b5 + 11 / 84 * b6)
-          for a, b1, b3, b4, b5, b6 in zip(y, k1, k3, k4, k5, k6)]
-    k7 = f(y5)
-    err = [h * (71 / 57600 * b1 - 71 / 16695 * b3 + 71 / 1920 * b4
-                - 17253 / 339200 * b5 + 22 / 525 * b6 - 1 / 40 * b7)
-           for b1, b3, b4, b5, b6, b7 in zip(k1, k3, k4, k5, k6, k7)]
-    return y5, err, k7
+
+def _dp_source():
+    """Source of ``_dp_step(f, y, h, k1)``: one Dormand-Prince 5(4) step from y
+    with k1 = f(y) known, returning (y5, error estimate, f(y5)).  First same
+    as last: f(y5) is the next step's k1, so a step costs six RHS evaluations.
+    y and each stage are unpacked into named floats (``y_i``, ``kj_i``) and
+    each sum of ``_DP_SUMS`` is written out slot by slot, left to right."""
+    def names(v):
+        return ", ".join(f"{v}_{i}" for i in range(6))
+
+    def vector(head, terms):
+        return "[" + ", ".join(head.format(i) + "(" + terms.format(
+            *(f"k{j}_{i}" for j in range(8))) + ")" for i in range(6)) + "]"
+    *stages, fifth, error = _DP_SUMS
+    lines = [f"{names('y')} = y", f"{names('k1')} = k1"]
+    lines += [f"{names(f'k{j}')} = f({vector('y_{} + h * ', terms)})"
+              for j, terms in enumerate(stages, 2)]
+    lines += [f"ynew = {vector('y_{} + h * ', fifth)}", "k7 = f(ynew)",
+              f"{names('k7')} = k7", f"return ynew, {vector('h * ', error)}, k7"]
+    return "def _dp_step(f, y, h, k1):\n    " + "\n    ".join(lines)
+
+
+exec(compile(_dp_source(), "<dormand-prince step>", "exec"), globals())
 
 
 def _midpoint_step(f, y, h, tol=1e-14, iters=60):

@@ -319,8 +319,8 @@ def _circ_sinc(u):
 # Float S_kappa and C_kappa together: the same arithmetic as the composite
 # path (u = kappa x**2, then the Taylor branch or circular/hyperbolic
 # functions) without the dual dispatch, computing u and sqrt(u) once.  The
-# plain float functions, every rule below and the compiled gradients of
-# :mod:`.codegen` take S and C from here.
+# plain float functions and every rule below take S and C from here; the
+# compiled code of :mod:`.codegen` writes these statements out.
 
 def _kappa_pair(kappa, x):
     """(S_kappa(x), C_kappa(x)) for a float kappa and x."""

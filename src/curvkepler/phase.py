@@ -193,8 +193,10 @@ class Observable:
 
     def gradient(self, state):
         """Exact gradient: compiled code if built, else one 6-lane dual evaluation."""
-        return _value_and_gradient(self._node, self._compiled,
-                                   _coords_of(state, self.chart))[1]
+        coords = _coords_of(state, self.chart)
+        if self._compiled:
+            return np.asarray(self._compiled(*coords)[1:], dtype=float)
+        return _value_and_gradient(self._node, None, coords)[1]
 
     def value_and_gradient(self, state):
         return _value_and_gradient(self._node, self._compiled,

@@ -367,8 +367,7 @@ def metric(chart, kind, point, params):
             raise ChartMismatchError("polar-variable chart carries the "
                                      "variable-curvature metric")
         rho, th, _ = x
-        cm = kernel.ckappa(-z, rho)
-        sm = kernel.skappa(-z, rho)
+        sm, cm = kernel._kappa_pair(-z, rho)
         s2 = kernel.skappa(kappa2, th)
         if cm == 0.0:
             raise ChartSingularityError("chart edge: C_{-z}(rho) = 0")
@@ -424,8 +423,9 @@ def curvature(chart, kind, point, params, h=1e-4):
     The metric is differenced twice (step h for Christoffel symbols and for
     their derivatives), so the result carries an O(h^2) truncation error;
     closed-form values are attached for the charts where they are known.
-    A step with x + h == x - h for some coordinate raises DomainError; one
-    that moves x by a few ulps (1e-16 at x ~ 1) is not caught and gives noise.
+    A step with x + h == x - h for some coordinate raises DomainError, and
+    so does any step below 1e-6 max(1, |x_k|): its rounding noise, about
+    eps/h**2, is above the 1e-4 curvature tolerance.
     """
     if not (math.isfinite(h) and h > 0):
         raise DomainError(f"finite-difference step must be finite and > 0, got {h!r}")
@@ -440,6 +440,10 @@ def curvature(chart, kind, point, params, h=1e-4):
         if xk + h == xk - h:
             raise DomainError(f"finite-difference step {h!r} does not move "
                               f"coordinate x{k + 1} = {xk!r}")
+    for k, xk in enumerate(x.tolist()):
+        if h < 1e-6 * max(1.0, abs(xk)):
+            raise DomainError(f"finite-difference step {h!r} is below 1e-6 max(1, |x{k + 1}|) "
+                              f"at x{k + 1} = {xk!r}: its rounding noise swamps the curvature")
     gfn = lambda y: metric(chart, kind, y, params)
     g, gamma = _christoffel(gfn, x, h)
     dgamma = []
@@ -495,8 +499,7 @@ def _closed_curvature(chart, kind, x, params):
         }
     if chart is Chart.POLAR_VARIABLE:
         rho = x[0]
-        sm = kernel.skappa(-z, rho)
-        cm = kernel.ckappa(-z, rho)
+        sm, cm = kernel._kappa_pair(-z, rho)
         k12 = -0.5 * z * z * sm * sm / cm
         return {"k12": k12, "k13": k12, "k23": 0.5 * k12, "kscalar": 5.0 * k12}
     return {}
@@ -539,23 +542,24 @@ def radial_reduction(spec, c3):
 
 def chart_guard(chart, params, eps=1e-6):
     """A callable mapping raw coordinates to a singularity reason or None."""
-    z, kappa2 = params.z, params.kappa2
+    z, kappa2, pair = params.z, params.kappa2, kernel._kappa_pair     # pair: (S, C)
 
     if chart is Chart.POLAR_CONSTANT:
         def guard(c):
-            if abs(kernel.skappa(z, c[0])) < eps:
+            if abs(pair(z, c[0])[0]) < eps:
                 return "radial pole: S_kappa1(r) ~ 0"
-            if abs(kernel.skappa(kappa2, c[1])) < eps:
+            if abs(pair(kappa2, c[1])[0]) < eps:
                 return "polar axis: S_kappa2(theta) ~ 0"
             return None
         return guard
     if chart is Chart.POLAR_VARIABLE:
         def guard(c):
-            if abs(kernel.skappa(-z, c[0])) < eps:
+            s, cm = pair(-z, c[0])
+            if abs(s) < eps:
                 return "radial pole: S_{-kappa1}(rho) ~ 0"
-            if abs(kernel.skappa(kappa2, c[1])) < eps:
+            if abs(pair(kappa2, c[1])[0]) < eps:
                 return "polar axis: S_kappa2(theta) ~ 0"
-            if abs(kernel.ckappa(-z, c[0])) < eps:
+            if abs(cm) < eps:
                 return "chart edge: C_{-kappa1}(rho) ~ 0"
             return None
         return guard

@@ -220,3 +220,29 @@ def test_curvature_rejects_a_step_that_does_not_move_the_point(monkeypatch, h):
 def test_a_step_that_moves_only_a_large_coordinate_is_rejected_on_that_coordinate():
     with pytest.raises(DomainError, match="x2 = 40.0"):
         curvature(Chart.POLAR_CONSTANT, "cc", (0.9, 40.0, 0.7), SpaceParams(0.3, 1.0), h=1e-15)
+
+
+@pytest.mark.parametrize("point, h, where", [
+    ((0.9, 1.0, 0.7), 1e-16, "x1 = 0.9"),
+    ((0.9, 1.0, 0.7), 1e-8, "x1 = 0.9"),
+    ((0.9, 40.0, 0.7), 1e-5, "x2 = 40.0"),
+])
+def test_curvature_rejects_a_step_whose_rounding_noise_swamps_the_result(monkeypatch, point, h,
+                                                                          where):
+    """A step that moves the point by a few ulps gave k12 = -1.86e15 on the
+    z = 0.3 sphere (h = 1e-16), and h = 1e-8 gave -0.45 for 0.3: the
+    rounding noise eps/h**2 of the differenced metric is above the 1e-4
+    curvature tolerance below about h = 1e-6 max(1, |x_k|).  Such a step
+    raises a DomainError naming the step and the coordinate, before any
+    metric call."""
+    calls = []
+    monkeypatch.setattr(spaces, "metric", lambda *a: calls.append(a))
+    with pytest.raises(DomainError, match=re.escape(f"step {h!r}") + ".*" + where):
+        curvature(Chart.POLAR_CONSTANT, "cc", point, SpaceParams(0.3, 1.0), h=h)
+    assert calls == []
+
+
+def test_curvature_accepts_the_smallest_allowed_step():
+    for point, h in (((0.9, 1.0, 0.7), 1e-6), ((0.9, 40.0, 0.7), 4e-5)):
+        res = curvature(Chart.POLAR_CONSTANT, "cc", point, SpaceParams(0.3, 1.0), h=h)
+        assert abs(res.k12 - 0.3) < 1e-2, (point, res)

@@ -480,6 +480,15 @@ def test_curvature_step_that_does_not_move_a_coordinate_exits_2(capsys):
                    "1e-300 does not move coordinate x1 = 0.5\n")
 
 
+def test_curvature_step_below_the_rounding_floor_exits_2_naming_the_grid_point(capsys):
+    code, out, err = run_cli(capsys, "curvature", "--preset", "spherical",
+                             "--chart", "polar-constant", "--kind", "cc",
+                             "--grid", "0.5:1.2:2,0.6:1.4:2,0.2:1.2:2", "--step", "1e-8")
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert err.startswith("error: grid point (0.5, 0.6, 0.2): finite-difference step "
+                          "1e-08 is below 1e-6 max(1, |x1|)")
+
+
 @pytest.mark.parametrize("kind, reason", [
     ("cc", "OverflowError: math range error"),
     ("nc", "metric degenerate at evaluation point"),

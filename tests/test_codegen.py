@@ -80,31 +80,54 @@ def test_compiled_raises_what_the_dual_path_raises():
         is kernel.PoleError
 
 
-def _counted(monkeypatch, name):
-    """Count the calls of kernel.<name> made from here on."""
-    calls = []
-    real = getattr(kernel, name)
-
-    def counting(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(kernel, name, counting)
-    return calls
-
-
-def test_compiled_kepler_gradient_evaluates_one_kappa_pair_per_argument(monkeypatch):
+def test_compiled_kepler_gradient_evaluates_one_kappa_pair_per_argument():
     """skappa(z, r) and cotkappa(z, r) share one (S, C) pair, and
-    skappa(kappa2, theta) has its own: two pairs per gradient, where each
-    of the three kappa-trig nodes used to evaluate S and C itself."""
-    pairs = _counted(monkeypatch, "_kappa_pair")
+    skappa(kappa2, theta) has its own: two pair instructions per gradient,
+    where each of the three kappa-trig nodes used to evaluate S and C
+    itself.  Both modes write each pair out as statements, with no call of
+    kernel._kappa_pair."""
     params = SpaceParams.preset("spherical", 0.5)
     h = hamiltonian(HamiltonianSpec(Family.KEPLER_CC, params), Chart.POLAR_CONSTANT)
-    assert h.compile_gradient()
-    s = PhaseState.polar_constant(1.1, 1.2, 0.4, 0.2, 0.4, 0.9)
-    del pairs[:]
-    h.gradient(s)
-    assert sorted(pairs) == [(params.z, 1.1), (params.kappa2, 1.2)]
+    for values, emitter in ((False, codegen._Emitter), (True, codegen._ValueEmitter)):
+        structure, consts = codegen._lower([h.node], values)
+        ins = structure[0]
+        pairs = sorted((ins[i[1]], consts[~i[2]]) for i in ins if i[0] == "pair")
+        assert pairs == [(("coord", 0), params.z), (("coord", 1), params.kappa2)]
+        source = "\n".join(emitter().body(structure))
+        assert "kappa_pair(" not in source and source.count("sqrt(") == 4
+
+
+@pytest.mark.parametrize("kappa", [0.3, -0.3, 1e-12, 0.0, -0.0, 0], ids=repr)
+def test_written_out_pair_is_kernel_kappa_pair_and_the_dual_path_bit_for_bit(kappa):
+    """The emitted (S, C) statements give kernel._kappa_pair's S and C, and
+    the gradient mode the dual path's S' = C and C' = -kappa S, bit for bit:
+    on the Taylor branch (|u| < 1e-8, u > 0 and u < 0), at x = +-0.0, on
+    both sides of it, and where u or sinh(sqrt(-u)) overflows.  Where the
+    pair raises, both modes raise the same class."""
+    roots = [skappa(kappa, Q1), ckappa(kappa, Q1)]
+    grad = codegen.compile_gradients([r.node for r in roots])
+    vals = _values_only(roots)
+    # 1e-5: Taylor at kappa = +-0.3; 1e155: u = +-inf (sin raises at +inf,
+    # S = NaN and C = inf at -inf); 2e3: sinh overflows at kappa = -0.3.
+    for x in np.linspace(-4.0, 4.0, 41).tolist() + [1e-5, -1e-5, -0.0, 1e155, 2e3]:
+        s = (x, 0.0, 0.0, 0.0, 0.0, 0.0)
+        try:
+            pair = kernel._kappa_pair(kappa, x)
+        except (ValueError, OverflowError) as exc:
+            for f in (grad, vals):
+                with pytest.raises(type(exc)):
+                    f(*s)
+            continue
+        want = [v.hex() for v in pair]
+        assert [v.hex() for v in vals(*s)] == want, x
+        out = grad(*s)
+        assert [out[0].hex(), out[7].hex()] == want, x
+        dual = [kernel.skappa(kappa, kernel.KScalar.seed(x, 0)),
+                kernel.ckappa(kappa, kernel.KScalar.seed(x, 0))]
+        assert [d.val.hex() for d in dual] == want, x
+        # the q1 lane; the others are exact zeros (NaN on the dual path
+        # when the derivative is infinite)
+        assert [out[1].hex(), out[8].hex()] == [d.d[0].hex() for d in dual], x
 
 
 def test_kappa_pairs_are_keyed_by_the_label_bits():

@@ -7,6 +7,7 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from curvkepler import kernel, spaces
 from curvkepler.kernel import DomainError, expm1c
 from curvkepler.phase import (Chart, ChartMismatchError, ChartSingularityError,
                               PhaseState, grad)
@@ -450,3 +451,43 @@ def test_chart_guard_reports_reasons():
     assert guard((1.0, 1.0, 0.0, 0, 0, 0)) is None
     guard_b = chart_guard(Chart.BELTRAMI, params)
     assert guard_b((1e-9, 1e-9, 1e-9, 0, 0, 0)) is not None
+
+
+def _old_polar_variable_guard(params, c, eps=1e-6):
+    """chart_guard on the polar-variable chart as separate S and C calls."""
+    z = params.z
+    if abs(kernel.skappa(-z, c[0])) < eps:
+        return "radial pole: S_{-kappa1}(rho) ~ 0"
+    if abs(kernel.skappa(params.kappa2, c[1])) < eps:
+        return "polar axis: S_kappa2(theta) ~ 0"
+    if abs(kernel.ckappa(-z, c[0])) < eps:
+        return "chart edge: C_{-kappa1}(rho) ~ 0"
+    return None
+
+
+@pytest.mark.parametrize("z", [0.3, -0.3, 0.0, -0.0, 1e-12, -2.0])
+def test_one_kappa_pair_per_radius_is_the_separate_s_and_c_calls(z):
+    """metric, chart_guard and the closed-form curvature on the polar-variable
+    chart take S_{-z}(rho) and C_{-z}(rho) from one kernel._kappa_pair call:
+    bit for bit what separate skappa and ckappa calls gave, on the Taylor
+    branch, both trig branches, at the radial pole and at the chart edge."""
+    params = SpaceParams(z, 1.3)
+    guard = chart_guard(Chart.POLAR_VARIABLE, params)
+    edge = math.pi / 2 / math.sqrt(-z) if z < 0 else 1.0
+    for rho in (1e-7, 1e-5, 0.4, 1.1, edge, edge * (1 + 1e-9), edge * (1 - 1e-9)):
+        s, c = kernel.skappa(-z, rho), kernel.ckappa(-z, rho)
+        assert [v.hex() for v in kernel._kappa_pair(-z, rho)] == [s.hex(), c.hex()]
+        for th in (1e-8, 0.8):
+            point = (rho, th, 0.3, 0.0, 0.0, 0.0)
+            assert guard(point) == _old_polar_variable_guard(params, point), point
+            if c == 0.0:
+                continue
+            s2 = kernel.skappa(1.3, th)
+            want = np.diag((1.0, 1.3 * s * s, 1.3 * s * s * s2 * s2)) / c
+            got = metric(Chart.POLAR_VARIABLE, "nc", point[:3], params)
+            assert [v.hex() for v in got.ravel().tolist()] == \
+                [v.hex() for v in want.ravel().tolist()], point
+        if c != 0.0:
+            k12 = -0.5 * z * z * s * s / c
+            closed = spaces._closed_curvature(Chart.POLAR_VARIABLE, "nc", (rho, 0.8, 0.3), params)
+            assert closed["k12"].hex() == k12.hex()
