@@ -93,6 +93,12 @@ class Rows:
         self.h.compile_gradient()
         self.h_dual = Observable(self.h.fn, chart=self.h.chart)
         self.monitors = dict(constants(spec, Chart.POLAR_CONSTANT), H=self.h)
+        # Copies on the same graphs: the first never compiled, the second
+        # with the values-only code that integrate runs at each sample.
+        self.evaluated = [m.renamed(m.name) for m in self.monitors.values()]
+        self.compiled = [m.renamed(m.name) for m in self.monitors.values()]
+        if not all(m.compile_values() for m in self.compiled):
+            raise RuntimeError("a monitor has no values-only code")
         self.guard = chart_guard(Chart.POLAR_CONSTANT, self.params)
         self.state = PhaseState.polar_constant(1.1, 1.2, 0.4, 0.2, 0.4, 0.9)
         self.a = kernel.KScalar.seed(1.3, 0)
@@ -114,9 +120,13 @@ class Rows:
         h, s = self.h_dual, self.state
         return 1e6 * _per_call(lambda: h.gradient(s), 2000)
 
-    def monitors_7_values(self):
-        mons, s = list(self.monitors.values()), self.state
+    def monitors_7_evaluator(self):
+        mons, s = self.evaluated, self.state
         return 1e6 * _per_call(lambda: [m(s) for m in mons], 500)
+
+    def monitors_7_compiled(self):
+        mons, s = self.compiled, self.state
+        return 1e6 * _per_call(lambda: [m(s) for m in mons], 2000)
 
     # orbit rows: the README orbit (spherical, rtol 1e-12)
     def _orbit(self, t_end, stride, monitors):
@@ -219,7 +229,8 @@ ROWS = (
     ("kscalar_mul", "us", False),
     ("h_gradient_compiled", "us", False),
     ("h_gradient_dual", "us", False),
-    ("monitors_7_values", "us", False),
+    ("monitors_7_evaluator", "us", False),
+    ("monitors_7_compiled", "us", False),
     ("dp54_step", "ms", False),
     ("orbit_t20_monitors", "s", False),
     ("orbit_t20", "s", False),

@@ -17,8 +17,12 @@ evaluation returns, the value and then six partials, in one flat tuple of
 * subtrees that do not depend on the coordinates are folded at compile time
   with the operations the evaluator applies to them (``_OPS``).
 
+One value per observable: a node's value is the float operation the
+evaluator applies to it (a quotient is ``a / b``, a power ``a ** n``), and
+a ``KScalar``'s value follows the same rule, so the evaluator on floats or
+duals and the compiled code in either mode give every value bit for bit.
 Each retained lane applies the float operations of the ``KScalar`` rule its
-node replaces, in the same order, so the results equal the dual path's.  A
+node replaces, in the same order, so the partials equal the dual path's.  A
 skipped lane is an exact zero that the dual path adds or multiplies in,
 which can change the sign of a zero and nothing else (barring an infinite
 operand, where the dual lane turns NaN).
@@ -27,31 +31,28 @@ Two stages: lower, then emit on a miss.  :func:`_lower` walks the graphs
 once, in post-order.  It folds the coordinate-free subtrees, turns each
 other node into one instruction (its op, its operands, a function name),
 and pulls every constant into slot order: numbers, folded subtrees, the
-curvature labels, the exponents ``n`` and ``n - 1`` of a power and the
-reciprocal ``1.0 / c`` of a constant divisor.  The instructions and the
-roots form the structure key, a tuple that holds no constant, so it depends
-only on the graph's structure (its operations, their wiring and sharing,
-the coordinate slots, and which curvature labels on one argument are
-equal), not on ``z``, ``kappa2`` or ``gamma``.  Emission reads only that
-key: it writes the source and Python's ``compile()`` turns it into a code
-object.  One process-wide LRU cache of fixed size (:func:`_code`), keyed by
-the structure, keeps the code objects, so emission and ``compile()`` run
-only on a miss.  A graph of a known structure at new parameters costs one
-lowering walk and one ``exec`` of the cached code, with the constants bound
-in the function's globals as ``k0, k1, ...`` and the kernel rules by name;
-a graph lowered before costs the ``exec`` alone.
+curvature labels, the exponents ``n`` and ``n - 1`` of a power and a
+constant divisor ``c`` with its reciprocal ``1.0 / c``.  The instructions
+and the roots form the structure key, a tuple that holds no constant, so it
+depends only on the graph's structure (its operations, their wiring and
+sharing, the coordinate slots, and which curvature labels on one argument
+are equal), not on ``z``, ``kappa2`` or ``gamma``.  Emission reads only
+that key and the mode: it writes the source and Python's ``compile()``
+turns it into a code object.  One process-wide LRU cache of fixed size
+(:func:`_code`), keyed by the structure and the mode, keeps the code
+objects, so emission and ``compile()`` run only on a miss.  A graph of a
+known structure at new parameters costs one lowering walk and one ``exec``
+of the cached code, with the constants bound in the function's globals as
+``k0, k1, ...`` and the kernel rules by name; a graph lowered before costs
+the ``exec`` alone.
 
-Values-only mode (``compile_some(roots, values=True)``) lowers and emits
-the same graphs without derivative lanes: ``f`` returns the roots' values
-and nothing else.  Each statement applies the float operation the
-evaluator applies to its node, so every value is bit for bit what
-:func:`evaluator` gives on the same floats.  Division stays a true ``a / b``
-also for a constant divisor (the gradient mode's ``a * (1.0 / c)`` can
-differ from ``a / c`` in the last bit), a power is ``a ** n``, a unary is
-its kernel float function and ``tkappa``/``cotkappa`` take the value of
-their rule, which raises at a pole as the evaluator does.  The mode is part
-of the code cache's key.  Monitors evaluated at every sample of an orbit
-use it.
+Values-only mode (``compile_some(roots, values=True)``) emits the same
+lowering with no coordinate seeded: every node's lanes are empty, so no
+derivative factor is written (``n - 1`` and ``1.0 / c`` go unread), a
+unary is its kernel float function and ``tkappa``/``cotkappa`` take the
+value of their rule, which raises at a pole as the evaluator does.  ``f``
+returns the roots' values and nothing else.  Monitors evaluated at every
+sample of an orbit use it.
 
 Curvature-labelled trigonometry shares its work: every ``skappa``,
 ``ckappa``, ``tkappa`` and ``cotkappa`` node on one ``(kappa, x)`` reads one
@@ -69,7 +70,7 @@ separate nodes are evaluated twice, so the builders (:func:`.phase.memo`)
 build each subexpression once per parameter set and share it.  Interning by
 value would let parameters into the structure key: at ``kappa1 = kappa2 =
 1.0`` equal constants would merge and rewire a table.  :func:`_lowered`
-memoizes :func:`_lower` by root nodes (identity) and mode instead;
+memoizes :func:`_lower` by root nodes (identity) instead, for both modes;
 :func:`compile_some` still binds the constants and kernel rules and runs
 ``exec`` at every call, so each caller gets its own function.
 """
@@ -181,14 +182,12 @@ class _Lowering:
     op, its operands and any name it needs; an operand is the index of an
     earlier instruction, or ``~slot`` (a negative number) for constant
     ``slot``.  Instructions are appended in the order the walk finishes
-    them, which is the order the emitter writes them in.  ``values`` lowers
-    for the values-only emitter: division and power keep the evaluator's
-    operands (``a / c``, ``a ** n``) instead of the dual rules' ``a * (1/c)``
-    and ``n * a ** (n - 1)``.
+    them, which is the order the emitter writes them in.  One lowering
+    serves both modes: a constant divisor ``c`` brings its reciprocal and a
+    power ``n`` brings ``n - 1``, which only a derivative lane reads.
     """
 
-    def __init__(self, values=False):
-        self.values = values
+    def __init__(self):
         self.ins = []
         self.consts = []
         self.refs = {}      # node -> operand
@@ -237,12 +236,10 @@ class _Lowering:
             if nd.param not in self.coords:
                 self.coords[nd.param] = self.add("coord", nd.param)
             return self.coords[nd.param]
-        if self.values and op in ("div", "pow"):
-            return self.add(op, *map(self.operand, kids))
         if op == "div" and not kids[1].dual:
-            # KScalar / o multiplies by the float 1.0 / o.
-            return self.add("mul", self.operand(kids[0]),
-                            self.const(1.0 / self.folded[kids[1]]))
+            # KScalar / o scales the partials by the float 1.0 / o.
+            w = 1.0 / self.folded[kids[1]]
+            return self.add("div", *map(self.operand, kids), self.const(w))
         if op == "pow":
             n = self.folded[kids[1]]
             return self.add("pow", self.operand(kids[0]), self.const(n), self.const(n - 1))
@@ -275,9 +272,12 @@ _PAIR = (
 class _Emitter:
     """Writes the straight-line body of a structure, one statement per float
     operation.  A value is (expr, lanes): lanes maps a slot to the name of
-    its partial, and is None for a constant."""
+    its partial, and is None for a constant.  Only the coordinates in
+    ``seed`` get lanes: all six for gradients, none for values only, where
+    every node's lanes are empty and no derivative factor is written."""
 
-    def __init__(self):
+    def __init__(self, seed):
+        self.seed = tuple(seed)
         self.lines = []
         self.vars = set()
 
@@ -303,6 +303,21 @@ class _Emitter:
     def scaled(self, c, lanes):
         return {i: self.mul(c, l) for i, l in lanes.items()}
 
+    def combined(self, x, la, y, lb):
+        """The lanes of ``x * la + y * lb``, slot by slot."""
+        lanes = {}
+        for i in sorted(la.keys() | lb.keys()):
+            if i in la and i in lb:
+                lanes[i] = self.var(f"{self.times(x, la[i])} + {self.times(y, lb[i])}")
+            else:
+                lanes[i] = self.mul(x, la[i]) if i in la else self.mul(y, lb[i])
+        return lanes
+
+    def chained(self, val, factor, lanes):
+        """``val`` with ``lanes`` times the derivative ``factor``, which is
+        written only when there are lanes."""
+        return val, self.scaled(self.var(factor), lanes) if lanes else {}
+
     def body(self, structure):
         ins, roots = structure
         done = []
@@ -314,27 +329,28 @@ class _Emitter:
         return self.lines + [f"return ({self.result(done[r] for r in roots)})"]
 
     def result(self, roots):
-        return ", ".join(f"{val}, " + ", ".join(lanes.get(i, "0.0") for i in range(NVARS))
-                         for val, lanes in roots)
+        return "".join(f"{name}, " for val, lanes in roots
+                       for name in (val, *(lanes.get(i, "0.0") for i in self.seed)))
 
     # -- one method per KScalar rule ----------------------------------------
 
     def op_coord(self, slot):
-        name = f"x{slot}"           # seeded() takes float(coordinate)
-        self.lines.append(f"{name} = float({name})")
+        name = f"x{slot}"
+        if slot not in self.seed:
+            return name, {}
+        self.lines.append(f"{name} = float({name})")     # seeded() takes float(coordinate)
         self.vars.add(name)
         return name, {slot: _ONE}
 
     def op_add(self, a, b):
         (ea, la), (eb, lb) = a, b
-        if la is None:
-            return self.var(f"{eb} + {ea}"), lb
-        if lb is None:
-            return self.var(f"{ea} + {eb}"), la
+        val = self.var(f"{ea} + {eb}")
+        if la is None or lb is None:
+            return val, la if lb is None else lb
         lanes = dict(la)
         for i, l in lb.items():
             lanes[i] = self.var(f"{la[i]} + {l}") if i in la else l
-        return self.var(f"{ea} + {eb}"), lanes
+        return val, lanes
 
     def op_sub(self, a, b):
         # Only ``number - observable`` builds a sub node (see Observable).
@@ -347,53 +363,41 @@ class _Emitter:
 
     def op_mul(self, a, b):
         (ea, la), (eb, lb) = a, b
-        if la is None:
-            return self.var(f"{eb} * {ea}"), self.scaled(ea, lb)
-        if lb is None:
-            return self.var(f"{ea} * {eb}"), self.scaled(eb, la)
         val = self.var(f"{ea} * {eb}")
-        lanes = {}
-        for i in sorted(la.keys() | lb.keys()):
-            if i in la and i in lb:
-                lanes[i] = self.var(f"{self.times(eb, la[i])} + {self.times(ea, lb[i])}")
-            elif i in la:
-                lanes[i] = self.mul(eb, la[i])
-            else:
-                lanes[i] = self.mul(ea, lb[i])
-        return val, lanes
+        if la is None or lb is None:
+            return val, self.scaled(ea, lb) if la is None else self.scaled(eb, la)
+        return val, self.combined(eb, la, ea, lb)
 
-    def op_div(self, a, b):
-        # A constant divisor was lowered to a product with its reciprocal.
+    def op_div(self, a, b, w=None):
+        # A constant divisor comes with its reciprocal w, which scales the lanes.
         (ea, la), (eb, lb) = a, b
+        val = self.var(f"{ea} / {eb}")
+        if lb is None:
+            return val, self.scaled(w[0], la)
         if la is None:
-            c = self.var(f"-{ea} / ({eb} * {eb})")
-            return self.var(f"{ea} / {eb}"), self.scaled(c, lb)
+            return self.chained(val, f"-{ea} / ({eb} * {eb})", lb)
+        if not (la or lb):
+            return val, {}
         w = self.var(f"1.0 / {eb}")
         c = self.var(f"-{ea} * {w} * {w}")
-        val = self.var(f"{ea} * {w}")
-        lanes = {}
-        for i in sorted(la.keys() | lb.keys()):
-            if i in la and i in lb:
-                lanes[i] = self.var(f"{self.times(w, la[i])} + {self.times(c, lb[i])}")
-            elif i in la:
-                lanes[i] = self.mul(w, la[i])
-            else:
-                lanes[i] = self.mul(c, lb[i])
-        return val, lanes
+        return val, self.combined(w, la, c, lb)
 
     def op_pow(self, a, n, n1):
         (ea, la), (n, _), (n1, _) = a, n, n1
-        c = self.var(f"{n} * {ea} ** {n1}")
-        return self.var(f"{ea} ** {n}"), self.scaled(c, la)
+        return self.chained(self.var(f"{ea} ** {n}"), f"{n} * {ea} ** {n1}", la)
 
-    def _rule_call(self, call, la):
+    def _rule_call(self, call, value, la):
+        """A kernel rule's (value, derivative) call, or ``value`` alone
+        when there are no lanes."""
+        if not la:
+            return self.var(value), {}
         val, d = self.fresh(), self.fresh()
         self.lines.append(f"{val}, {d} = {call}")
         return val, self.scaled(d, la)
 
     def op_fn(self, a, name):
         ea, la = a
-        return self._rule_call(f"{name}_rule({ea})", la)
+        return self._rule_call(f"{name}_rule({ea})", f"{name}_float({ea})", la)
 
     def op_pair(self, x, kappa):
         u, r, s, c = (self.fresh() for _ in range(4))
@@ -406,53 +410,9 @@ class _Emitter:
         if name == "skappa":
             return s, self.scaled(c, lx)
         if name == "ckappa":
-            return c, self.scaled(self.var(f"-{kappa} * {s}"), lx)
-        return self._rule_call(f"{name}_rule({kappa}, {ex}, {s}, {c})", lx)
-
-
-class _ValueEmitter(_Emitter):
-    """Writes the values-only body: one statement per node, the float
-    operation the evaluator applies to it, and no derivative lanes."""
-
-    def apply(self, template, *args):
-        return self.var(template.format(*(expr for expr, _ in args))), None
-
-    def result(self, roots):
-        return "".join(f"{val}, " for val, _ in roots)
-
-    def op_coord(self, slot):
-        return f"x{slot}", None
-
-    def op_add(self, a, b):
-        return self.apply("{} + {}", a, b)
-
-    def op_sub(self, a, b):
-        return self.apply("{} - {}", a, b)
-
-    def op_neg(self, a):
-        return self.apply("-{}", a)
-
-    def op_mul(self, a, b):
-        return self.apply("{} * {}", a, b)
-
-    def op_div(self, a, b):
-        return self.apply("{} / {}", a, b)
-
-    def op_pow(self, a, n):
-        return self.apply("{} ** {}", a, n)
-
-    def op_fn(self, a, name):
-        return self.apply(name + "_float({})", a)
-
-    def op_kfn(self, pair, name):
-        # What the float kernel functions return: S or C of the pair, or
-        # the value of the ratio's rule, which raises at a pole.
-        s, c, kappa, (ex, _) = pair
-        if name == "skappa":
-            return s, None
-        if name == "ckappa":
-            return c, None
-        return self.var(f"{name}_rule({kappa}, {ex}, {s}, {c})[0]"), None
+            return self.chained(c, f"-{kappa} * {s}", lx)
+        call = f"{name}_rule({kappa}, {ex}, {s}, {c})"
+        return self._rule_call(call, call + "[0]", lx)
 
 
 # Compiled code objects by lowered structure and mode.  One pass of the
@@ -461,8 +421,7 @@ class _ValueEmitter(_Emitter):
 @functools.lru_cache(maxsize=64)
 def _code(structure, values):
     args = ", ".join(f"x{i}" for i in range(NVARS))
-    emitter = _ValueEmitter() if values else _Emitter()
-    body = "\n    ".join(emitter.body(structure))
+    body = "\n    ".join(_Emitter(() if values else range(NVARS)).body(structure))
     return compile(f"def compiled({args}):\n    {body}\n",
                    "<compiled values>" if values else "<compiled gradient>", "exec")
 
@@ -479,12 +438,11 @@ def _globals(consts):
     return env
 
 
-def _lower(roots, values=False):
+def _lower(roots):
     """(structure, constants) of several graphs: the hashable structure key
     (instructions and root operands) and the constants in slot order.  The
-    operand of a root that cannot be compiled is None.  ``values`` lowers
-    for the values-only mode (see :class:`_Lowering`)."""
-    low = _Lowering(values)
+    operand of a root that cannot be compiled is None."""
+    low = _Lowering()
     for nd in _postorder(roots):
         low.lower(nd)
     refs = tuple(low.refs.get(r) if r.dual else None for r in roots)
@@ -493,8 +451,8 @@ def _lower(roots, values=False):
 
 # A verify, rank or simulate call lowers 5 to 8 root sets; the bound keeps memory fixed.
 @functools.lru_cache(maxsize=256)
-def _lowered(roots, values):
-    return _lower(roots, values)
+def _lowered(roots):
+    return _lower(roots)
 
 
 def compile_some(roots, values=False):
@@ -505,20 +463,21 @@ def compile_some(roots, values=False):
     the six partials in one flat tuple; it is None when no root can be
     compiled.  :func:`_lower` leaves out, once per node, a root that holds
     an opaque leaf, a constant, exponent or curvature label that is not a
-    number, or a coordinate-free subtree that raises when folded (the
-    evaluator raises there too), and a root that does not depend on the
-    coordinates.
+    number, or a coordinate-free subtree or divisor that raises when folded
+    (the evaluator raises there too), and a root that does not depend on
+    the coordinates.
 
-    With ``values`` true, ``f`` returns only the kept roots' values, each
-    bit for bit what :func:`evaluator` gives on the same floats.
+    With ``values`` true, ``f`` returns only the kept roots' values.  In
+    both modes each value is bit for bit what :func:`evaluator` gives on
+    the same floats.
     """
-    structure, consts = _lowered(tuple(roots), values)
+    structure, consts = _lowered(tuple(roots))
     kept = [i for i, r in enumerate(structure[1]) if r is not None]
     if not kept:
         return None, kept
     if len(kept) < len(roots):
         # Lowered again, without the instructions only the others need.
-        structure, consts = _lowered(tuple(roots[i] for i in kept), values)
+        structure, consts = _lowered(tuple(roots[i] for i in kept))
     env = _globals(consts)
     exec(_code(structure, values), env)
     return env["compiled"], kept

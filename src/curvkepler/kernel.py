@@ -59,7 +59,8 @@ class KScalar:
 
     ``val`` is the value, ``d`` a 6-tuple of partials with respect to the
     phase-space slots (q1, q2, q3, p1, p2, p3) or their chart equivalents.
-    Arithmetic follows the product/quotient/chain rules exactly.
+    Arithmetic follows the product/quotient/chain rules exactly, and a value
+    is the float operation's result: a quotient's is ``u / v``.
     """
 
     __slots__ = ("val", "d")
@@ -119,11 +120,11 @@ class KScalar:
             u, v = self.val, o.val
             w = 1.0 / v
             c = -u * w * w
-            return KScalar(u * w,
+            return KScalar(u / v,
                            (w * a[0] + c * b[0], w * a[1] + c * b[1],
                             w * a[2] + c * b[2], w * a[3] + c * b[3],
                             w * a[4] + c * b[4], w * a[5] + c * b[5]))
-        return self * (1.0 / o)
+        return KScalar(self.val / o, (self * (1.0 / o)).d)
 
     def __rtruediv__(self, o):
         a = self.d

@@ -8,8 +8,10 @@ or on ``KScalar`` duals (exact gradients), so every observable is
 differentiable for free.  For observables evaluated many times,
 :meth:`Observable.compile_gradient` builds straight-line gradient code from
 the graph (an integrated Hamiltonian) and :meth:`Observable.compile_values`
-straight-line values-only code (the monitors of an orbit); a compiled
-observable gives what its evaluator gives, bit for bit.
+straight-line values-only code (the monitors of an orbit), both from one
+lowering.  An observable has one value: the evaluator on floats or duals
+and both kinds of compiled code give it bit for bit, and compiled partials
+are the dual evaluation's.
 """
 
 from __future__ import annotations

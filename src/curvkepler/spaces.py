@@ -126,11 +126,11 @@ class HamiltonianSpec:
             if self.f is None or self.potential is None:
                 raise DomainError("custom family needs both f and potential")
             for jm in (0.5, 1.7, 3.2):
-                if abs(self.f(1e-10 * jm) - 1.0) > 1e-8:
+                if not abs(self.f(1e-10 * jm) - 1.0) <= 1e-8:  # NaN fails
                     raise DomainError("custom f does not tend to 1 as z -> 0")
                 want = -self.params.gamma / math.sqrt(jm)
                 got = self.potential(1e-10, jm)
-                if abs(got - want) > 1e-8 * max(1.0, abs(want)):
+                if not abs(got - want) <= 1e-8 * max(1.0, abs(want)):
                     raise DomainError("custom potential does not tend to "
                                       "-gamma/sqrt(q^2) as z -> 0")
 
@@ -528,7 +528,7 @@ class RadialSystem:
 
 def radial_reduction(spec, c3):
     """Reduce a family to its radial canonical pair with C^(3) frozen at c3."""
-    if c3 < 0:
+    if not c3 >= 0:  # NaN fails
         raise DomainError("c3 must be >= 0")
     chart = spec.family.polar_chart
     if chart is None:

@@ -84,16 +84,17 @@ def test_compiled_kepler_gradient_evaluates_one_kappa_pair_per_argument():
     """skappa(z, r) and cotkappa(z, r) share one (S, C) pair, and
     skappa(kappa2, theta) has its own: two pair instructions per gradient,
     where each of the three kappa-trig nodes used to evaluate S and C
-    itself.  Both modes write each pair out as statements, with no call of
-    kernel._kappa_pair."""
+    itself.  One lowering serves both modes, and both seeds (all six
+    coordinates for the gradient, none for values only) write each pair out
+    as statements, with no call of kernel._kappa_pair."""
     params = SpaceParams.preset("spherical", 0.5)
     h = hamiltonian(HamiltonianSpec(Family.KEPLER_CC, params), Chart.POLAR_CONSTANT)
-    for values, emitter in ((False, codegen._Emitter), (True, codegen._ValueEmitter)):
-        structure, consts = codegen._lower([h.node], values)
-        ins = structure[0]
-        pairs = sorted((ins[i[1]], consts[~i[2]]) for i in ins if i[0] == "pair")
-        assert pairs == [(("coord", 0), params.z), (("coord", 1), params.kappa2)]
-        source = "\n".join(emitter().body(structure))
+    structure, consts = codegen._lower([h.node])
+    ins = structure[0]
+    pairs = sorted((ins[i[1]], consts[~i[2]]) for i in ins if i[0] == "pair")
+    assert pairs == [(("coord", 0), params.z), (("coord", 1), params.kappa2)]
+    for seed in (range(6), ()):
+        source = "\n".join(codegen._Emitter(seed).body(structure))
         assert "kappa_pair(" not in source and source.count("sqrt(") == 4
 
 
@@ -157,9 +158,10 @@ def test_constant_subtrees_fold_and_raising_ones_stay_on_duals():
     assert ob.value_and_gradient(s)[0] == _dual(ob).value_and_gradient(s)[0]
     assert np.array_equal(ob.gradient(s), [math.exp(0.5), 0, 0, 0, 0, 0.25])
     bad = Q1 / constant(0.0)
-    assert not bad.compile_gradient()
-    with pytest.raises(ZeroDivisionError):
-        bad.gradient(s)
+    assert not bad.compile_gradient() and not bad.compile_values()
+    for call in (bad.gradient, bad):
+        with pytest.raises(ZeroDivisionError):
+            call(s)
 
 
 def test_opaque_and_custom_hamiltonians_are_not_compiled_and_still_integrate():
@@ -429,8 +431,8 @@ def test_values_only_mode_matches_the_evaluator_bit_for_bit():
     pow), unary and kappa function (labels 0.3, 0.0, -0.0 and int 0), and
     sinhc/expm1c on either side of their series switch, compiled as the
     roots of one values-only function: each value is the evaluator's, bit
-    for bit.  At x = 0.8, x / 10 differs from the gradient mode's
-    x * (1 / 10), which the values mode must not use."""
+    for bit.  The gradient mode's value is the same: at x = 0.8, x / 10 is
+    the true quotient in both (x * (1 / 10) would differ in the last bit)."""
     x = 0.5 * Q1 + P2
     u = Q1 * P3
     roots = ([case(phase, x) for _, case in _CASES]
@@ -444,19 +446,24 @@ def test_values_only_mode_matches_the_evaluator_bit_for_bit():
         assert len(got) == len(roots)
         assert [float.hex(v) for v in got] == [float.hex(ob(s)) for ob in roots], s
     grad = codegen.compile_gradients([roots[-4].node])
-    assert grad(*points[0])[0] != f(*points[0])[-4] == 0.8 / 10
+    assert grad(*points[0])[0] == f(*points[0])[-4] == 0.8 / 10 != 0.8 * (1 / 10)
 
 
-def test_values_only_mode_is_part_of_the_structure_key():
+def test_one_lowering_serves_both_modes(monkeypatch):
+    """The gradient and values-only code of the same roots come from one
+    lowering walk; the mode is part of the code cache's key only."""
     roots = [(Q1 * P2 + 1) / 3, phase.tkappa(0.4, Q2)]
     nodes = [r.node for r in roots]
-    (ins, refs), consts = codegen._lower(nodes, values=True)
+    (ins, refs), consts = codegen._lower(nodes)
     assert [op for op, *_ in ins].count("div") == 1 and len(refs) == 2
-    assert codegen._lower(nodes)[0] != (ins, refs)
+    walks = []
+    real = codegen._lower
+    monkeypatch.setattr(codegen, "_lower", lambda *a: walks.append(a) or real(*a))
+    codegen._lowered.cache_clear()
     codegen._code.cache_clear()
     codegen.compile_some(nodes)
     codegen.compile_some(nodes, values=True)
     codegen.compile_some(nodes, values=True)
-    assert codegen._code.cache_info().currsize == 2
+    assert len(walks) == 1 and codegen._code.cache_info().currsize == 2
     with pytest.raises(kernel.PoleError):
         _values_only(roots[1:])(0.0, math.pi / 2 / math.sqrt(0.4), 0.0, 0.0, 0.0, 0.0)

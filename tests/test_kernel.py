@@ -240,6 +240,9 @@ def test_kscalar_arithmetic_edge_ops():
     val = (1.0 - 2.0) * 3.0 / 2.0 + 2.0 / 3.0 - 1.0 + 2.0
     assert expr.val == pytest.approx(val, rel=1e-15)
     assert x < y and y > x and x <= 2.0 and y >= 3.0
+    # A quotient's value is the float quotient, for a dual and a float divisor.
+    u = KScalar.seed(0.8, 0)
+    assert (u / KScalar.seed(10.0, 1)).val == (u / 10.0).val == 0.8 / 10 != 0.8 * (1 / 10)
 
 
 # -- closed-form dual rules of the kappa-trig functions ---------------------

@@ -100,12 +100,12 @@ def test_custom_family_contraction():
 
 def test_custom_family_validation():
     params = SpaceParams(0.1, 1.0, 0.4)
-    with pytest.raises(DomainError):
-        HamiltonianSpec(Family.CUSTOM, params, f=lambda u: 2.0,
-                        potential=lambda z, jm: -0.4 / math.sqrt(jm))
-    with pytest.raises(DomainError):
-        HamiltonianSpec(Family.CUSTOM, params, f=lambda u: 1.0,
-                        potential=lambda z, jm: 0.0)
+    good_f, good_potential = (lambda u: 1.0), (lambda z, jm: -0.4 / math.sqrt(jm))
+    for f, potential in ((lambda u: 2.0, good_potential), (good_f, lambda z, jm: 0.0),
+                         (lambda u: math.nan, good_potential),
+                         (good_f, lambda z, jm: math.nan)):
+        with pytest.raises(DomainError):
+            HamiltonianSpec(Family.CUSTOM, params, f=f, potential=potential)
     with pytest.raises(DomainError):
         HamiltonianSpec(Family.CUSTOM, params, f=None, potential=None)
 
@@ -439,8 +439,9 @@ def test_family_polar_chart_is_the_compatible_polar_chart():
 
 def test_radial_reduction_guards():
     spec = HamiltonianSpec(Family.KEPLER_CC, SpaceParams(0.1, 1.0, 0.3))
-    with pytest.raises(DomainError):
-        radial_reduction(spec, -1.0)
+    for c3 in (-1.0, math.nan):
+        with pytest.raises(DomainError):
+            radial_reduction(spec, c3)
 
 
 def test_chart_guard_reports_reasons():
