@@ -15,7 +15,9 @@ alternately, one fresh interpreter per repeat and tree, so drift of the host
 over the minutes of a session moves both runs alike; use that mode for any
 comparison between two trees.  A run records the git
 SHA of the tree that holds ``--src`` (``-dirty`` when tracked files differ
-from it), the Python and numpy versions and the host.  The script needs
+from it; empty outside a git checkout), the SHA-256 of the tree's ``*.py``
+files (``src_sha256``, the recipe ``perfbench/run.py`` uses), the Python and
+numpy versions and the host.  The script needs
 only the library and numpy; the ``tier1_suite`` row runs pytest on that
 tree's ``tests/`` in a fresh interpreter.
 
@@ -31,9 +33,11 @@ from __future__ import annotations
 
 import argparse
 import functools
+import hashlib
 import itertools
 import json
 import os
+import pathlib
 import platform
 import statistics
 import subprocess
@@ -51,6 +55,18 @@ def _git(src, *args):
     except (OSError, subprocess.CalledProcessError):
         return ""
     return out.stdout.strip()
+
+
+def _tree_sha256(src):
+    """SHA-256 over the ``*.py`` files under ``src``, each file's path
+    relative to ``src`` and then its bytes, in sorted path order: the
+    ``src_sha256`` recipe of ``perfbench/run.py``, so it names a tree that
+    is not a git checkout too."""
+    h = hashlib.sha256()
+    for path in sorted(pathlib.Path(src).rglob("*.py")):
+        h.update(str(path.relative_to(src)).encode())
+        h.update(path.read_bytes())
+    return h.hexdigest()
 
 
 def _per_call(fn, number):
@@ -149,7 +165,9 @@ class Rows:
 
     # CLI calls, in seconds
     def _cli(self, *argv):
-        code = self.cli.main([*argv, "--out", os.path.join(self.tmp, "out")])
+        # simulate takes no --out: it writes --csv and --summary
+        out = [] if argv[0] == "simulate" else ["--out", os.path.join(self.tmp, "out")]
+        code = self.cli.main([*argv, *out])
         if code != 0:
             raise RuntimeError(f"{' '.join(argv)} exited {code}")
 
@@ -257,6 +275,7 @@ def measure(src, repeats):
         sha += "-dirty"
     run = {
         "git_sha": sha,
+        "src_sha256": _tree_sha256(src),
         "python": platform.python_version(),
         "numpy": numpy.__version__,
         "host": {"machine": platform.machine(), "cpus": os.cpu_count()},

@@ -96,7 +96,9 @@ def _cli(argv, digested="out"):
         for path in paths.values():
             if os.path.exists(path):
                 os.remove(path)
-        args = [a.format(**paths) for a in argv] + ["--out", paths["out"]]
+        # simulate takes no --out: it writes --csv and --summary
+        out = [] if argv[0] == "simulate" else ["--out", paths["out"]]
+        args = [a.format(**paths) for a in argv] + out
         sha.update(f"exit {cli.main(args)}\n".encode())
         if os.path.exists(paths[digested]):
             with open(paths[digested], "rb") as fh:

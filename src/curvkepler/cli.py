@@ -407,12 +407,13 @@ def _add_space_args(p, gamma_default=0.0):
                    help="Kepler coupling gamma (k = 2 sqrt(2) gamma)")
 
 
-def _add_common(p):
+def _add_common(p, out=True):
     p.add_argument("--config", default=None,
                    help="flat key = value file preloading any long option")
     p.add_argument("--seed", type=int, default=None,
                    help="RNG seed (fallback: CURVKEPLER_SEED, then 0)")
-    p.add_argument("--out", default=None, help="output path (default stdout)")
+    if out:     # simulate writes --csv and --summary instead
+        p.add_argument("--out", default=None, help="output path (default stdout)")
 
 
 def build_parser():
@@ -453,7 +454,7 @@ def build_parser():
     p.add_argument("--fixed-step", type=float, default=0.0)
     p.add_argument("--csv", default=None, help="trajectory CSV path")
     p.add_argument("--summary", default=None, help="drift summary JSON path")
-    _add_common(p)
+    _add_common(p, out=False)
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("curvature", help="curvature scan over a grid")

@@ -60,8 +60,11 @@ pair instruction.  Both modes write it as the statements of
 ``kernel._kappa_pair`` (``u = kappa * x * x``, then the Taylor, ``sin``/``cos``
 or ``sinh``/``cosh`` branch), not as a call.  From the pair ``skappa`` is
 ``(S, C)`` and ``ckappa`` is ``(C, -kappa * S)``, what the dual path's rules
-give; ``tkappa`` and ``cotkappa`` call their ``kernel.KAPPA_RULES`` entry,
-which raises at a pole.  Labels are compared by their type and bits, so
+give.  ``tkappa`` and ``cotkappa`` take the value of their
+``kernel.KAPPA_RULES`` entry in values-only mode; in gradient mode the
+rule's quotient and derivative are written out, and the rule is called only
+where its denominator is below ``kernel._POLE_EPS``, so it raises the same
+``PoleError`` at a pole.  Labels are compared by their type and bits, so
 ``0.0``, ``-0.0`` and the int ``0`` (whose ``C' = -kappa S`` differ in the
 sign of a zero) never share a pair.
 
@@ -412,7 +415,15 @@ class _Emitter:
         if name == "ckappa":
             return self.chained(c, f"-{kappa} * {s}", lx)
         call = f"{name}_rule({kappa}, {ex}, {s}, {c})"
-        return self._rule_call(call, call + "[0]", lx)
+        if not lx:
+            return self.var(call + "[0]"), {}
+        # The rule's float operations written out; it is called only at its
+        # pole, to raise what it raises there.  T' = 1/C**2, cot' = -1/S**2.
+        num, den, sign = (s, c, "") if name == "tkappa" else (c, s, "-")
+        val, d = self.fresh(), self.fresh()
+        self.lines += [f"if abs({den}) < {kernel._POLE_EPS!r}: {call}",
+                       f"{val} = {num} / {den}", f"{d} = {sign}1.0 / ({den} * {den})"]
+        return val, self.scaled(d, lx)
 
 
 # Compiled code objects by lowered structure and mode.  One pass of the

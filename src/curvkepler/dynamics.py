@@ -10,7 +10,9 @@ implicit midpoint rule is available behind the same interface for long
 symplectic-ish runs.  Both steppers run on lists of six Python floats; the
 Dormand-Prince step is straight-line code generated from its tableau, each
 stage sum written out slot by slot and added left to right, so a trajectory's
-bits depend on neither numpy's BLAS nor the Python version.  Conservation is
+bits depend on neither numpy's BLAS nor the Python version; the step's error
+ratio (the RMS of the scaled error estimate that the step-size control
+reads) is generated into the same code.  Conservation is
 asserted by monitoring, not by structure: every sampled step evaluates the
 requested monitor observables, each compiled once to straight-line
 values-only code (:mod:`.codegen`) that gives what its evaluator gives, and
@@ -114,10 +116,14 @@ class StepStats:
     h_max: float | None = None
 
     def accept(self, h):
+        # What min() and max() keep, without the calls: the old bound
+        # unless h is strictly beyond it.
         h = float(h)
         self.accepted += 1
-        self.h_min = h if self.h_min is None else min(self.h_min, h)
-        self.h_max = h if self.h_max is None else max(self.h_max, h)
+        if self.h_min is None or h < self.h_min:
+            self.h_min = h
+        if self.h_max is None or h > self.h_max:
+            self.h_max = h
 
     def eval_failure(self, err):
         self.eval_failures += 1
@@ -173,24 +179,33 @@ _DP_SUMS = (
 
 
 def _dp_source():
-    """Source of ``_dp_step(f, y, h, k1)``: one Dormand-Prince 5(4) step from y
-    with k1 = f(y) known, returning (y5, error estimate, f(y5)).  First same
-    as last: f(y5) is the next step's k1, so a step costs six RHS evaluations.
-    y and each stage are unpacked into named floats (``y_i``, ``kj_i``) and
-    each sum of ``_DP_SUMS`` is written out slot by slot, left to right."""
+    """Source of ``_dp_step(f, y, h, k1, atol, rtol)``: one Dormand-Prince 5(4)
+    step from y with k1 = f(y) known, returning (y5, error ratio, f(y5)).
+    First same as last: f(y5) is the next step's k1, so a step costs six RHS
+    evaluations.  y and each stage are unpacked into named floats (``y_i``,
+    ``kj_i``) and each sum of ``_DP_SUMS`` is written out slot by slot, left
+    to right.  The error ratio is the RMS over the slots of
+    ``e_i / (atol + rtol * m_i)``, where e_i is the error estimate and m_i is
+    ``max(abs(y_i), abs(y5_i))`` written as ``max`` computes it (the first
+    argument unless the second is greater, so a NaN in y_i wins)."""
     def names(v):
         return ", ".join(f"{v}_{i}" for i in range(6))
 
-    def vector(head, terms):
-        return "[" + ", ".join(head.format(i) + "(" + terms.format(
-            *(f"k{j}_{i}" for j in range(8))) + ")" for i in range(6)) + "]"
+    def sums(head, terms):
+        return [head.format(i) + "(" + terms.format(*(f"k{j}_{i}" for j in range(8))) + ")"
+                for i in range(6)]
     *stages, fifth, error = _DP_SUMS
     lines = [f"{names('y')} = y", f"{names('k1')} = k1"]
-    lines += [f"{names(f'k{j}')} = f({vector('y_{} + h * ', terms)})"
+    lines += [f"{names(f'k{j}')} = f([{', '.join(sums('y_{} + h * ', terms))}])"
               for j, terms in enumerate(stages, 2)]
-    lines += [f"ynew = {vector('y_{} + h * ', fifth)}", "k7 = f(ynew)",
-              f"{names('k7')} = k7", f"return ynew, {vector('h * ', error)}, k7"]
-    return "def _dp_step(f, y, h, k1):\n    " + "\n    ".join(lines)
+    lines += [f"{names('n')} = {', '.join(sums('y_{} + h * ', fifth))}",
+              f"ynew = [{names('n')}]", "k7 = f(ynew)", f"{names('k7')} = k7"]
+    for i, e in enumerate(sums("h * ", error)):
+        lines += [f"a_{i} = abs(y_{i})", f"b_{i} = abs(n_{i})",
+                  f"s_{i} = {e} / (atol + rtol * (b_{i} if b_{i} > a_{i} else a_{i}))"]
+    squares = " + ".join(f"s_{i} * s_{i}" for i in range(6))
+    lines.append(f"return ynew, math.sqrt(({squares}) / 6), k7")
+    return "def _dp_step(f, y, h, k1, atol, rtol):\n    " + "\n    ".join(lines)
 
 
 exec(compile(_dp_source(), "<dormand-prince step>", "exec"), globals())
@@ -295,14 +310,17 @@ def integrate(h, s0, cfg, monitors=None, domain_guard=None):
         return build()
 
     fixed = cfg.fixed_step > 0
+    midpoint = cfg.method == "implicit-midpoint"
+    t_end, max_step, stride = cfg.t_end, cfg.max_step, cfg.sample_stride
+    atol, rtol = cfg.abs_tol, cfg.rel_tol
     # k1 = f(y), carried between Dormand-Prince steps
     hstep, k1 = (cfg.fixed_step, None) if fixed else _initial_step(f, y, cfg)
-    underflow = 1e-14 * cfg.t_end
+    underflow = 1e-14 * t_end
     for _ in range(cfg.max_steps):
-        remaining = cfg.t_end - t
+        remaining = t_end - t
         if remaining <= underflow:      # done up to float resolution
             break
-        hstep = min(hstep, remaining, cfg.max_step)
+        hstep = min(hstep, remaining, max_step)
         if not fixed and hstep < underflow:
             if last_failure is not None:
                 why = (f" after {stats.eval_failures} evaluation failures (last: "
@@ -317,7 +335,7 @@ def integrate(h, s0, cfg, monitors=None, domain_guard=None):
                 f"step size {hstep:.3e} underflowed at t = {t:.6g}{why}",
                 build(early=True, reason="step-underflow"))
         try:
-            if cfg.method == "implicit-midpoint":
+            if midpoint:
                 ynew = _midpoint_step(f, y, hstep)
                 if ynew is None:
                     return build(early=True, reason="midpoint-not-converged")
@@ -325,9 +343,7 @@ def integrate(h, s0, cfg, monitors=None, domain_guard=None):
             else:
                 if k1 is None:
                     k1 = f(y)
-                ynew, err, knew = _dp_step(f, y, hstep, k1)
-                err_ratio = _rms([e / (cfg.abs_tol + cfg.rel_tol * max(abs(a), abs(b)))
-                                  for e, a, b in zip(err, y, ynew)])
+                ynew, err_ratio, knew = _dp_step(f, y, hstep, k1, atol, rtol)
         except (ValueError, FloatingPointError, ZeroDivisionError,
                 OverflowError) as exc:
             # A trial stage left the observable's domain: reject and retry.
@@ -352,7 +368,7 @@ def integrate(h, s0, cfg, monitors=None, domain_guard=None):
                 if reason is not None:
                     record(t, y)
                     return build(early=True, reason=reason)
-            if stats.accepted % cfg.sample_stride == 0 or t >= cfg.t_end:
+            if stats.accepted % stride == 0 or t >= t_end:
                 record(t, y)
         else:
             stats.rejected += 1

@@ -320,8 +320,10 @@ def _circ_sinc(u):
 # Float S_kappa and C_kappa together: the same arithmetic as the composite
 # path (u = kappa x**2, then the Taylor branch or circular/hyperbolic
 # functions) without the dual dispatch, computing u and sqrt(u) once.  The
-# plain float functions and every rule below take S and C from here; the
-# compiled code of :mod:`.codegen` writes these statements out.
+# plain float functions and every rule below take S and C from here, except
+# that the float ``skappa`` and the chart guards take S alone from
+# ``_kappa_s``, the same statements less the cosine; the compiled code of
+# :mod:`.codegen` writes these statements out.
 
 def _kappa_pair(kappa, x):
     """(S_kappa(x), C_kappa(x)) for a float kappa and x."""
@@ -334,6 +336,19 @@ def _kappa_pair(kappa, x):
         return x * (math.sin(s) / s), math.cos(s)
     s = math.sqrt(-u)
     return x * (math.sinh(s) / s), math.cosh(s)
+
+
+def _kappa_s(kappa, x):
+    """S_kappa(x) alone, ``_kappa_pair(kappa, x)[0]`` without the cosine;
+    it raises where the pair raises (its S is computed first)."""
+    u = kappa * x * x
+    if abs(u) < _KTRIG_TAYLOR:
+        return x * (1.0 + u * (-1.0 / 6.0 + u * (1.0 / 120.0 - u / 5040.0)))
+    if u > 0.0:
+        s = math.sqrt(u)
+        return x * (math.sin(s) / s)
+    s = math.sqrt(-u)
+    return x * (math.sinh(s) / s)
 
 
 # A trig factor below this is indistinguishable from an exact pole in
@@ -394,7 +409,7 @@ def skappa(kappa, x):
         return x * _circ_sinc(kappa * x * x)
     if isinstance(x, KScalar):
         return _kappa_chain(_skappa_rule, kappa, x)
-    return _kappa_pair(kappa, x)[0]
+    return _kappa_s(kappa, x)
 
 
 def tkappa(kappa, x):

@@ -542,22 +542,22 @@ def radial_reduction(spec, c3):
 
 def chart_guard(chart, params, eps=1e-6):
     """A callable mapping raw coordinates to a singularity reason or None."""
-    z, kappa2, pair = params.z, params.kappa2, kernel._kappa_pair     # pair: (S, C)
+    z, kappa2, sk = params.z, params.kappa2, kernel._kappa_s
 
     if chart is Chart.POLAR_CONSTANT:
         def guard(c):
-            if abs(pair(z, c[0])[0]) < eps:
+            if abs(sk(z, c[0])) < eps:
                 return "radial pole: S_kappa1(r) ~ 0"
-            if abs(pair(kappa2, c[1])[0]) < eps:
+            if abs(sk(kappa2, c[1])) < eps:
                 return "polar axis: S_kappa2(theta) ~ 0"
             return None
         return guard
     if chart is Chart.POLAR_VARIABLE:
         def guard(c):
-            s, cm = pair(-z, c[0])
+            s, cm = kernel._kappa_pair(-z, c[0])
             if abs(s) < eps:
                 return "radial pole: S_{-kappa1}(rho) ~ 0"
-            if abs(pair(kappa2, c[1])[0]) < eps:
+            if abs(sk(kappa2, c[1])) < eps:
                 return "polar axis: S_kappa2(theta) ~ 0"
             if abs(cm) < eps:
                 return "chart edge: C_{-kappa1}(rho) ~ 0"

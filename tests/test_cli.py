@@ -155,6 +155,27 @@ def test_simulate_invalid_state(capsys):
     assert "6" in err
 
 
+def test_simulate_rejects_out(capsys, tmp_path, monkeypatch):
+    """simulate writes only --csv (stdout without it) and --summary.  An
+    --out, which it used to accept and ignore (the CSV went to stdout and no
+    file was made), is a usage error, exit 2.  --seed and --config stay,
+    and a config file's out key, which serves the other subcommands, is
+    still accepted."""
+    monkeypatch.chdir(tmp_path)
+    argv = ["simulate", "--family", "free-cc", "--preset", "spherical",
+            "--state", "1.1,1.2,0.4,0.2,0.4,0.9", "--t-end", "0.01"]
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv + ["--out", "o.txt"])
+    err = capsys.readouterr().err
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --out" in err and "Traceback" not in err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("out = o.txt\nseed = 3\n")
+    code, out, _ = run_cli(capsys, *argv, "--seed", "4", "--config", str(cfg))
+    assert code == 0 and out.startswith("t,r,theta,phi,")
+    assert not (tmp_path / "o.txt").exists()
+
+
 def test_curvature_constant_grid(capsys):
     code, out, _ = run_cli(
         capsys, "curvature", "--kind", "cc", "--chart", "polar-constant",

@@ -80,6 +80,36 @@ def test_compiled_raises_what_the_dual_path_raises():
         is kernel.PoleError
 
 
+@pytest.mark.parametrize("kfn, kappa, x", [
+    (tkappa, 1.0, math.pi / 2), (tkappa, 4.0, math.pi / 4),
+    (cotkappa, 1.0, 0.0), (cotkappa, 1.0, math.pi), (cotkappa, -0.5, -0.0),
+    (cotkappa, 0, 0.0),
+], ids=["tkappa-1", "tkappa-4", "cotkappa-0", "cotkappa-pi", "cotkappa-hyperbolic",
+        "cotkappa-int-label"])
+def test_compiled_ratio_calls_its_rule_only_at_the_pole(kfn, kappa, x, monkeypatch):
+    """The compiled gradient writes a ratio's quotient and derivative out and
+    calls its kernel rule only where the denominator is below the pole
+    threshold: there it raises the PoleError of the dual path (the
+    observable's gradient before compile_gradient), message included."""
+    ob = kfn(kappa, Q1) * P1 + Q2
+    pole = PhaseState.beltrami(x, 0.4, 0.0, 0.3, 0.0, 0.0)
+    with pytest.raises(kernel.PoleError) as dual:
+        ob.gradient(pole)
+    name = kfn.__name__
+    calls = []
+    rule = kernel.KAPPA_RULES[name]
+    monkeypatch.setitem(kernel.KAPPA_RULES, name, lambda *a: calls.append(a) or rule(*a))
+    assert ob.compile_gradient()
+    regular = PhaseState.beltrami(x + 0.25, 0.4, 0.0, 0.3, 0.0, 0.0)
+    assert np.array_equal(ob.gradient(regular), _dual(ob).gradient(regular))
+    assert calls == []
+    with pytest.raises(kernel.PoleError) as compiled:
+        ob.gradient(pole)
+    assert type(compiled.value) is type(dual.value)
+    assert str(compiled.value) == str(dual.value)
+    assert len(calls) == 1
+
+
 def test_compiled_kepler_gradient_evaluates_one_kappa_pair_per_argument():
     """skappa(z, r) and cotkappa(z, r) share one (S, C) pair, and
     skappa(kappa2, theta) has its own: two pair instructions per gradient,

@@ -432,29 +432,82 @@ def _left_to_right(coeffs, terms):
     return total
 
 
-def test_dp_step_adds_each_stage_left_to_right():
-    """One step on a fixed linear field equals, bit for bit, the tableau
-    applied with each stage sum added left to right (no compensated sum, no
-    BLAS), so trajectories do not depend on numpy or the Python version."""
-    rng = np.random.default_rng(10)
-    m = rng.uniform(-2.0, 2.0, (6, 6)).tolist()
-    y = rng.uniform(-1.0, 1.0, 6).tolist()
-    h = 0.37
-
-    def f(v):
-        return [_left_to_right(row, v) for row in m]
-
-    ks = [f(y)]
+def _dp_reference(f, y, h, k1, atol, rtol):
+    """The tableau applied with each stage sum added left to right, and the
+    error ratio as the integrator's list comprehension computed it."""
+    ks = [k1]
     for row in _DP_ROWS:
         ks.append(f([a + h * _left_to_right(row, col) for a, *col in zip(y, *ks)]))
     y5 = [a + h * _left_to_right(_DP_B5, col) for a, *col in zip(y, *ks)]
     ks.append(f(y5))
     err = [h * _left_to_right([b5 - b4 for b5, b4 in zip(_DP_B5, _DP_B4)], col)
            for col in zip(*ks)]
+    ratio = dynamics._rms([e / (atol + rtol * max(abs(a), abs(b)))
+                           for e, a, b in zip(err, y, y5)])
+    return y5, ratio, ks[-1]
 
-    got = dynamics._dp_step(f, y, h, ks[0])
-    for got_v, want_v in zip(got, (y5, err, ks[-1])):
-        assert [v.hex() for v in got_v] == [v.hex() for v in want_v]
+
+def _linear_field(seed, y_at=None):
+    """A fixed linear field and a start state (with ``y_at = (slot,
+    value)`` put into it); the field spreads a NaN or inf to every slot."""
+    rng = np.random.default_rng(seed)
+    m = rng.uniform(-2.0, 2.0, (6, 6)).tolist()
+    y = rng.uniform(-1.0, 1.0, 6).tolist()
+    if y_at is not None:
+        y[y_at[0]] = y_at[1]
+
+    def make():
+        def f(v):
+            return [_left_to_right(row, v) for row in m]
+        return f
+    return make, y, make()(y)
+
+
+def _scripted_stages(**at):
+    """A field that ignores its argument and returns k2, ..., k7 in turn,
+    with ``k<j>=(slot, value)`` put into stage j (k1 is returned as the
+    start stage).  Stages are finite unless a keyword says otherwise."""
+    rng = np.random.default_rng(11)
+    ks = rng.uniform(-1.0, 1.0, (7, 6)).tolist()
+    for name, (slot, value) in at.items():
+        ks[int(name[1:]) - 1][slot] = value
+
+    def make():
+        stages = iter(ks[1:])
+        return lambda v: next(stages)
+    return make, rng.uniform(-1.0, 1.0, 6).tolist(), ks[0]
+
+
+_DP_CASES = {
+    "linear": _linear_field(10),
+    "nan-state": _linear_field(10, (2, math.nan)),
+    "inf-state": _linear_field(10, (4, -math.inf)),
+    "finite-stages": _scripted_stages(),
+    "nan-error": _scripted_stages(k7=(1, math.nan)),
+    "inf-error": _scripted_stages(k7=(3, math.inf)),
+    # k1_0 = inf and k3_0 = -inf: y5_0 is inf - inf = NaN while the error
+    # e_0 is inf + inf = inf.  max(abs(y_0), NaN) is abs(y_0), so the ratio
+    # is inf; the other argument order would make it NaN.
+    "nan-y5-inf-error": _scripted_stages(k1=(0, math.inf), k3=(0, -math.inf)),
+}
+
+
+@pytest.mark.parametrize("case", _DP_CASES)
+def test_dp_step_adds_each_stage_left_to_right(case):
+    """One step equals, bit for bit, the tableau applied with each stage sum
+    added left to right (no compensated sum, no BLAS), so trajectories do
+    not depend on numpy or the Python version; its error ratio is bit for
+    bit the RMS of ``e / (atol + rtol * max(abs(y), abs(y5)))``, with
+    ``max``'s choice where a NaN or inf enters the state or the error."""
+    make, y, k1 = _DP_CASES[case]
+    h, atol, rtol = 0.37, 1e-11, 1e-9
+    y5, ratio, k7 = _dp_reference(make(), y, h, k1, atol, rtol)
+    got = dynamics._dp_step(make(), y, h, k1, atol, rtol)
+    assert [v.hex() for v in got[0]] == [v.hex() for v in y5]
+    assert got[1].hex() == ratio.hex()
+    assert [v.hex() for v in got[2]] == [v.hex() for v in k7]
+    if case == "nan-y5-inf-error":
+        assert math.isnan(got[0][0]) and got[1] == math.inf
 
 
 def test_rhs_is_the_integrators_flow(monkeypatch):
@@ -463,8 +516,8 @@ def test_rhs_is_the_integrators_flow(monkeypatch):
     h, _, guard = _spherical_kepler()
     seen = []
     step = dynamics._dp_step
-    monkeypatch.setattr(dynamics, "_dp_step",
-                        lambda f, y, hs, k1: seen.append((y, k1)) or step(f, y, hs, k1))
+    monkeypatch.setattr(dynamics, "_dp_step", lambda f, y, hs, k1, atol, rtol:
+                        seen.append((y, k1)) or step(f, y, hs, k1, atol, rtol))
     integrate(h, _KEPLER_STATE, IntegratorConfig(t_end=0.5), domain_guard=guard)
     assert len(seen) > 5
     for y, k1 in seen:

@@ -311,6 +311,28 @@ def test_kappa_trig_dual_value_is_the_float_value(name, kappa):
         assert fn(kappa, KScalar.seed(x, 0)).val == fn(kappa, x)
 
 
+@pytest.mark.parametrize("kappa", _KAPPAS + (-0.0, 0, 4.0, -4.0), ids=repr)
+def test_s_only_helper_is_the_pairs_s_bit_for_bit(kappa):
+    """kernel._kappa_s, which the float skappa and the chart guards use, is
+    _kappa_pair's S bit for bit on the Taylor, sin and sinh branches and at
+    +-0.0, and raises what the pair raises (sin of inf, sinh overflow)."""
+    branches = set()
+    for x in (0.0, -0.0, 1e-5, -1e-5, 1e-9, 0.7, -1.3, 2.0, math.pi, 1e3, 1e155,
+              math.inf, math.nan):
+        try:
+            want = kernel._kappa_pair(kappa, x)[0]
+        except (ValueError, OverflowError) as exc:
+            with pytest.raises(type(exc)):
+                kernel._kappa_s(kappa, x)
+            continue
+        assert kernel._kappa_s(kappa, x).hex() == want.hex(), x
+        u = kappa * x * x
+        branches.add("taylor" if abs(u) < 1e-8 else "sin" if u > 0 else "sinh" if u < 0
+                     else "nan")
+    trig = {"taylor", "sin" if kappa > 0 else "sinh"} if kappa else {"taylor"}
+    assert trig <= branches
+
+
 @pytest.mark.parametrize("kappa", _KAPPAS)
 def test_kappa_trig_float_fast_path_is_the_composite_arithmetic(kappa):
     """The float S/C/T/cot and the (S, C) pair the rules use equal, bit for

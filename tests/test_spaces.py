@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from curvkepler import kernel, spaces
+from curvkepler.dynamics import IntegratorConfig, StepUnderflowError, integrate
 from curvkepler.kernel import DomainError, expm1c
 from curvkepler.phase import (Chart, ChartMismatchError, ChartSingularityError,
                               PhaseState, grad)
@@ -452,6 +453,75 @@ def test_chart_guard_reports_reasons():
     assert guard((1.0, 1.0, 0.0, 0, 0, 0)) is None
     guard_b = chart_guard(Chart.BELTRAMI, params)
     assert guard_b((1e-9, 1e-9, 1e-9, 0, 0, 0)) is not None
+
+
+def _pair_guard(chart, params, eps=1e-6):
+    """chart_guard on a polar chart written on kernel._kappa_pair, reading
+    S (and C) from the pair, as it was before the S-only helper."""
+    z, kappa2, pair = params.z, params.kappa2, kernel._kappa_pair
+
+    def guard(c):
+        if chart is Chart.POLAR_CONSTANT:
+            if abs(pair(z, c[0])[0]) < eps:
+                return "radial pole: S_kappa1(r) ~ 0"
+            if abs(pair(kappa2, c[1])[0]) < eps:
+                return "polar axis: S_kappa2(theta) ~ 0"
+            return None
+        s, cm = pair(-z, c[0])
+        if abs(s) < eps:
+            return "radial pole: S_{-kappa1}(rho) ~ 0"
+        if abs(pair(kappa2, c[1])[0]) < eps:
+            return "polar axis: S_kappa2(theta) ~ 0"
+        if abs(cm) < eps:
+            return "chart edge: C_{-kappa1}(rho) ~ 0"
+        return None
+    return guard
+
+
+def test_s_only_polar_constant_guard_is_the_pair_guard():
+    """On every preset, near the radial pole, the polar axis and theta = pi,
+    the guard on kernel._kappa_s gives the pair guard's answer."""
+    for name in PRESETS:
+        params = SpaceParams.preset(name, gamma=0.3)
+        guard = chart_guard(Chart.POLAR_CONSTANT, params)
+        old = _pair_guard(Chart.POLAR_CONSTANT, params)
+        for r in (0.0, -0.0, 5e-7, 2e-6, 0.9, math.pi, 2.5):
+            for th in (1e-7, 0.8, math.pi - 5e-7, math.pi, 3.0):
+                point = (r, th, 0.3, 0.0, 0.0, 0.0)
+                assert guard(point) == old(point), (name, point)
+
+
+# The simulate presets of tests/test_cli.py that end early: a radial plunge
+# on the sphere and a z > 0 variable-curvature escape (step underflow).
+_ENDINGS = {
+    "collision": (Family.KEPLER_CC, SpaceParams.preset("spherical", gamma=0.5),
+                  (0.6, 1.5707963, 0.0, -1.0, 0.0, 0.0), 5.0,
+                  "radial pole: S_kappa1(r) ~ 0"),
+    "runaway": (Family.KEPLER_NC, SpaceParams(0.4, 1.0, 0.45),
+                (1.0, 1.2, 0.4, 0.5, 0.2, 0.6), 30.0, "step-underflow"),
+}
+
+
+@pytest.mark.parametrize("ending", _ENDINGS)
+def test_early_endings_are_those_of_the_pair_guard(ending):
+    """The collision and runaway orbits end for the same reason, at the same
+    state, under chart_guard as under the pair guard."""
+    family, params, coords, t_end, reason = _ENDINGS[ending]
+    chart = family.polar_chart
+    h = hamiltonian(HamiltonianSpec(family, params), chart)
+    cfg = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12, t_end=t_end)
+    runs = []
+    for guard in (chart_guard(chart, params), _pair_guard(chart, params)):
+        try:
+            tr = integrate(h, PhaseState(chart, coords), cfg, domain_guard=guard)
+        except StepUnderflowError as err:
+            tr = err.trajectory
+        runs.append(tr)
+    new, old = runs
+    assert new.terminated_early and new.termination_reason == reason
+    assert new.termination_reason == old.termination_reason
+    assert new.times.tobytes() == old.times.tobytes()
+    assert new.states.tobytes() == old.states.tobytes()
 
 
 def _old_polar_variable_guard(params, c, eps=1e-6):
