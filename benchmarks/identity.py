@@ -21,10 +21,12 @@ SHA-256 per output family:
   summary of a ``simulate`` call;
 * ``curvature-csv``, ``export-presets``: the output of those commands.
 
-A CLI family also digests the command's exit code.  With ``--against``
-each family is marked ``same`` or ``differs``, and the exit status is 1 if
-any family differs.  The seeds are fixed, and the benchmark inputs
-(``perfbench/inputs.py``) do not use them.
+A CLI family also digests the command's exit code.  Each tree's header line
+names its commit (``-`` outside git) and its ``src_sha256``, the digest
+``benchmarks/bench.py`` records.  With ``--against`` each family is marked
+``same`` or ``differs``, and the exit status is 1 if any family differs.
+The seeds are fixed, and the benchmark inputs (``perfbench/inputs.py``) do
+not use them.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ import subprocess
 import sys
 import tempfile
 
-from bench import _ROOT, _git
+from bench import _ROOT, _git, _tree_sha256
 
 _SEEDS = ("16001", "16002")
 _SPACE = ("--preset", "hyperbolic", "--gamma", "0.4")
@@ -158,7 +160,8 @@ def main(argv=None):
         return 0
     trees = [os.path.abspath(args.src)] + ([os.path.abspath(args.against)] if args.against else [])
     for tree in trees:
-        print(f"# {tree} {_git(tree, 'rev-parse', '--short', 'HEAD')}")
+        print(f"# {tree} {_git(tree, 'rev-parse', '--short', 'HEAD') or '-'} "
+              f"src_sha256 {_tree_sha256(tree)}")
     got = [_in_fresh_interpreter(tree) for tree in trees]
     differs = 0
     for name, sha in got[0].items():

@@ -249,13 +249,13 @@ def integrate(h, s0, cfg, monitors=None, domain_guard=None):
     ``monitors`` maps names to observables evaluated every sampled step.
     ``domain_guard`` maps raw coordinates to a reason string when the state
     has entered the epsilon-neighborhood of a chart singularity; the run
-    then terminates cleanly with the reason recorded.  A start state the
-    guard rejects raises :class:`ChartSingularityError` before anything is
-    evaluated; a Hamiltonian or monitor observable declared on another
-    chart than ``s0``'s raises ``ChartMismatchError`` there too.  A
-    step-size underflow (h < 1e-14 t_end) raises :class:`StepUnderflowError`
-    carrying the partial trajectory and the reason; an implicit midpoint
-    step that does not converge ends the run early.
+    then terminates cleanly with the reason recorded.  A start state with a non-finite
+    coordinate raises :class:`DomainError` naming it, and one the guard rejects
+    :class:`ChartSingularityError`, before anything is evaluated; a Hamiltonian or
+    monitor observable declared on another chart than ``s0``'s raises
+    ``ChartMismatchError`` there too.  A step-size underflow (h < 1e-14 t_end) raises
+    :class:`StepUnderflowError` carrying the partial trajectory and the reason; an
+    implicit midpoint step that does not converge ends the run early.
 
     An :class:`Observable` ``h`` gets its gradient compiled and every
     monitor its values-only code (once each; the code is kept on the
@@ -264,6 +264,9 @@ def integrate(h, s0, cfg, monitors=None, domain_guard=None):
     state, a list of six floats (as are the stages: a step makes no numpy
     call).  A callable ``h`` maps a :class:`PhaseState` to the gradient array.
     """
+    for i, c in enumerate(s0.coords):
+        if not math.isfinite(c):
+            raise DomainError(f"start state coordinate {i + 1} of 6 is not finite: {c!r}")
     if domain_guard is not None:
         reason = domain_guard(s0.coords)
         if reason is not None:

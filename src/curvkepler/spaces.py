@@ -347,7 +347,8 @@ def metric(chart, kind, point, params):
     ``kind`` is "nc" (variable curvature) or "cc" (constant curvature).  The
     normalization is the one whose Beltrami-chart coefficients tend to
     2*identity in the flat limit; the free Hamiltonians satisfy
-    H = (1/2) p^T g^{-1} p with this g in every chart.
+    H = (1/2) p^T g^{-1} p with this g in every chart.  g is diagonal in every
+    chart, so :func:`curvature` reads its diagonal alone.
     """
     if kind not in ("nc", "cc"):
         raise DomainError("kind must be 'nc' or 'cc'")
@@ -384,28 +385,24 @@ def metric(chart, kind, point, params):
 
 
 def _christoffel(gfn, x, h):
-    """Metric and Christoffel symbols at ``x``.  Every chart's :func:`metric` is
-    diagonal, so only ``l = i`` is nonzero in the sum over ``l``; ``0.0 +``
-    keeps the sign of zero that the full sum gave."""
+    """Metric and Christoffel symbols at ``x``, read off the metric's diagonal (it has no
+    other entries).  The reciprocals are ``np.linalg.inv``'s diagonal bit for bit, and a
+    zero of either sign is the singular matrix ``inv`` refused: hence ``0.0 in diag``.
+    ``dg[k]`` = d_k g is 0.0 off the diagonal; ``0.0 +`` keeps the full sum's zero sign."""
     g = gfn(x)
-    try:
-        ginv = np.linalg.inv(g).tolist()
-    except np.linalg.LinAlgError:
+    diag = g.diagonal().tolist()
+    if 0.0 in diag:
         raise ChartSingularityError("metric degenerate at evaluation point")
     dg = []
     for k in range(3):
         xp = x.copy(); xp[k] += h
         xm = x.copy(); xm[k] -= h
-        dg.append(((gfn(xp) - gfn(xm)) / (2.0 * h)).tolist())
-    # On Python floats: numpy scalars' IEEE operations, same order, less cost.
-    gamma = np.empty((3, 3, 3))
-    for i in range(3):
-        gii = ginv[i][i]
-        for j in range(3):
-            for k in range(3):
-                gamma[i, j, k] = 0.5 * (0.0 + gii * (dg[j][k][i] + dg[k][j][i]
-                                                     - dg[i][j][k]))
-    return g, gamma
+        d = [(p - m) / (2.0 * h) for p, m in zip(gfn(xp).diagonal().tolist(),
+                                                  gfn(xm).diagonal().tolist())]
+        dg.append([[d[0], 0.0, 0.0], [0.0, d[1], 0.0], [0.0, 0.0, d[2]]])
+    gamma = [[[0.5 * (0.0 + gi * (dg[j][k][i] + dg[k][j][i] - dg[i][j][k])) for k in range(3)]
+              for j in range(3)] for i, gi in enumerate(1.0 / v for v in diag)]
+    return g, np.array(gamma)
 
 
 @dataclass(frozen=True)
@@ -425,22 +422,23 @@ def curvature(chart, kind, point, params, h=1e-4):
     closed-form values are attached for the charts where they are known.
     A step with x + h == x - h for some coordinate raises DomainError, and
     so does any step below 1e-6 max(1, |x_k|): its rounding noise, about
-    eps/h**2, is above the 1e-4 curvature tolerance.
+    eps/h**2, is above the 1e-4 curvature tolerance.  The metric is
+    diagonal, so the contractions read its diagonal entries as floats.
     """
     if not (math.isfinite(h) and h > 0):
         raise DomainError(f"finite-difference step must be finite and > 0, got {h!r}")
     try:
-        x = np.asarray(point, dtype=float)
-        ok = x.shape == (3,) and bool(np.isfinite(x).all())
+        x = np.asarray(point, dtype=float).tolist()
+        ok = len(x) == 3 and all(map(math.isfinite, x))
     except (TypeError, ValueError):
         ok = False
     if not ok:
         raise DomainError(f"curvature needs a point of three finite numbers, got {point!r}")
-    for k, xk in enumerate(x.tolist()):
+    for k, xk in enumerate(x):
         if xk + h == xk - h:
             raise DomainError(f"finite-difference step {h!r} does not move "
                               f"coordinate x{k + 1} = {xk!r}")
-    for k, xk in enumerate(x.tolist()):
+    for k, xk in enumerate(x):
         if h < 1e-6 * max(1.0, abs(xk)):
             raise DomainError(f"finite-difference step {h!r} is below 1e-6 max(1, |x{k + 1}|) "
                               f"at x{k + 1} = {xk!r}: its rounding noise swamps the curvature")
@@ -464,18 +462,17 @@ def curvature(chart, kind, point, params, h=1e-4):
                         acc += gam[i][k][m] * gam[m][l][j] \
                              - gam[i][l][m] * gam[m][k][j]
                     riem.append(acc)
-    riem = np.array(riem).reshape(3, 3, 3, 3)
-    low = np.einsum("im,mjkl->ijkl", g, riem)
-
-    def sec(i, j):
-        denom = g[i, i] * g[j, j] - g[i, j] ** 2
-        return low[i, j, i, j] / denom
-
-    ric = np.einsum("ijil->jl", riem)
-    kscal = float(np.einsum("jl,jl->", np.linalg.inv(g), ric))
-    closed = _closed_curvature(chart, kind, x, params)
-    return CurvatureResult(float(sec(0, 1)), float(sec(0, 2)), float(sec(1, 2)),
-                           kscal, closed)
+    # R^i_{jkl} = riem[27 i + 9 j + 3 k + l]; each sum from 0.0 in np.einsum's order
+    gd = g.diagonal().tolist()
+    sec = []
+    for i, j in ((0, 1), (0, 2), (1, 2)):  # g_im R^m_{jij} / (g_ii g_jj), x / 0 as numpy
+        t = [(gd[i] if m == i else 0.0) * riem[27 * m + 9 * j + 3 * i + j] for m in range(3)]
+        sec.append(float(np.float64(0.0 + t[0] + t[1] + t[2]) / (gd[i] * gd[j])))
+    kscal = 0.0                            # g^jl R^i_{jil}
+    for j, l in ((j, l) for j in range(3) for l in range(3)):
+        kscal += (1.0 / gd[j] if j == l else 0.0) * (
+            0.0 + riem[9 * j + l] + riem[30 + 9 * j + l] + riem[60 + 9 * j + l])
+    return CurvatureResult(*sec, kscal, _closed_curvature(chart, kind, x, params))
 
 
 def _closed_curvature(chart, kind, x, params):

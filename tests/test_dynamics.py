@@ -364,6 +364,25 @@ def test_singular_start_state_is_rejected_before_any_evaluation():
     assert calls == []
 
 
+@pytest.mark.parametrize("slot, value", [(3, math.nan), (0, math.inf), (5, -math.inf)],
+                         ids=["nan-p_r", "inf-r", "-inf-p_phi"])
+def test_non_finite_start_state_is_rejected_before_any_evaluation(slot, value):
+    """A NaN p_r used to run 85 RHS evaluations and end in a
+    StepUnderflowError that blamed the error control (0 accepted, 14
+    rejected steps); the coordinate is now named up front."""
+    params = SpaceParams.preset("spherical", gamma=0.5)
+    h = hamiltonian(HamiltonianSpec(Family.KEPLER_CC, params), Chart.POLAR_CONSTANT)
+    calls = []
+    counted = Observable(lambda *s: calls.append(s) or h.fn(*s))
+    state = list(_MIDPOINT_STATE)
+    state[slot] = value
+    with pytest.raises(DomainError, match=f"coordinate {slot + 1} of 6 is not finite"):
+        integrate(counted, PhaseState(Chart.POLAR_CONSTANT, tuple(state)),
+                  IntegratorConfig(t_end=1.0), monitors={"H": counted},
+                  domain_guard=chart_guard(Chart.POLAR_CONSTANT, params))
+    assert calls == []
+
+
 _MIDPOINT_STATE = (1.1, 1.2, 0.4, 0.2, 0.4, 0.9)
 
 

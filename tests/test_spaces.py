@@ -289,6 +289,82 @@ def test_metric_chart_kind_pairs():
         metric(Chart.BELTRAMI, "flat", (1, 1, 1), params)
 
 
+def diag_form_metric(chart, kind, point, params):
+    """The metric as ``np.diag`` of its diagonal, scaled by ``* e`` (Beltrami
+    cc) or ``/ cm`` (polar-variable): the reference for its bits."""
+    z, kappa2 = params.z, params.kappa2
+    x = [float(v) for v in point]
+    if chart is Chart.BELTRAMI:
+        q1, q2, q3 = x
+        g = np.diag((2.0 * math.exp(-z * (q2 * q2 + q3 * q3)) / kernel.sinhc(z * q1 * q1),
+                     2.0 * math.exp(z * (q1 * q1 - q3 * q3)) / kernel.sinhc(z * q2 * q2),
+                     2.0 * math.exp(z * (q1 * q1 + q2 * q2)) / kernel.sinhc(z * q3 * q3)))
+        if kind == "cc":
+            g = g * math.exp(-z * (q1 * q1 + q2 * q2 + q3 * q3))
+        return g
+    rad, th = x[0], x[1]
+    s2 = kernel.skappa(kappa2, th)
+    if chart is Chart.POLAR_VARIABLE:
+        sm, cm = kernel._kappa_pair(-z, rad)
+        return np.diag((1.0, kappa2 * sm * sm, kappa2 * sm * sm * s2 * s2)) / cm
+    sz = kernel.skappa(z, rad)
+    return np.diag((1.0, kappa2 * sz * sz, kappa2 * sz * sz * s2 * s2))
+
+
+@pytest.mark.parametrize("chart, kind, point, z, kappa2, off", [
+    (Chart.BELTRAMI, "nc", (0.3, 0.8, 1.2), -0.4, 1.0, 1.0),
+    (Chart.BELTRAMI, "cc", (0.3, 0.8, 1.2), 0.7, 1.0, 1.0),
+    (Chart.BELTRAMI, "cc", (0.9, 0.25, 0.6), -0.3, 1.0, 1.0),
+    (Chart.POLAR_VARIABLE, "nc", (0.9, 1.1, 0.4), 0.5, 1.0, 1.0),
+    (Chart.POLAR_VARIABLE, "nc", (2.0, 1.1, 0.4), -1.0, 1.0, -1.0),  # C_{-z}(rho) < 0
+    (Chart.POLAR_VARIABLE, "nc", (2.0, 1.1, 0.4), -1.0, -1.0, -1.0),
+    (Chart.POLAR_CONSTANT, "cc", (0.9, 1.1, 0.4), 0.3, 1.0, 1.0),
+    (Chart.POLAR_CONSTANT, "cc", (0.9, 1.1, 0.4), -0.3, -2.0, 1.0),
+], ids=["beltrami-nc", "beltrami-cc", "beltrami-cc-neg-z", "polar-variable",
+        "polar-variable-cm-neg", "polar-variable-cm-neg-k2-neg", "polar-constant",
+        "polar-constant-k2-neg"])
+def test_metric_has_the_bits_of_the_diag_forms(chart, kind, point, z, kappa2, off):
+    """All nine entries, the sign ``off`` of the off-diagonal zeros included
+    (-0.0 where C_{-z}(rho) < 0)."""
+    params = SpaceParams(z, kappa2)
+    got = metric(chart, kind, point, params)
+    want = diag_form_metric(chart, kind, point, params)
+    assert got.shape == (3, 3) and got.dtype == np.float64
+    assert [float(v).hex() for v in got.ravel()] == [float(v).hex() for v in want.ravel()]
+    assert all(math.copysign(1.0, got[i, j]) == off
+               for i in range(3) for j in range(3) if i != j)
+
+
+@pytest.mark.parametrize("point, kappa2, sign", [
+    ((0.0, 1.0, 0.7), 1.0, 1.0), ((0.0, 1.0, 0.7), -1.0, -1.0),
+    ((0.9, 0.0, 0.7), 1.0, 1.0), ((0.9, 0.0, 0.7), -1.0, -1.0),
+], ids=["r0-plus-zero", "r0-minus-zero", "theta0-plus-zero", "theta0-minus-zero"])
+def test_christoffel_refuses_a_zero_metric_entry_of_either_sign(point, kappa2, sign):
+    """r = 0 or theta = 0 puts a zero on the polar-constant diagonal, -0.0
+    for negative kappa2; either is the singular matrix inv refused."""
+    params = SpaceParams(0.3, kappa2)
+    gfn = lambda y: metric(Chart.POLAR_CONSTANT, "cc", y, params)
+    zero = gfn(point)[2, 2]
+    assert zero == 0.0 and math.copysign(1.0, zero) == sign
+    with pytest.raises(ChartSingularityError, match="metric degenerate"):
+        spaces._christoffel(gfn, np.asarray(point), 1e-4)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_christoffel_gives_nan_for_a_nan_metric_entry(n):
+    """A NaN on the diagonal is no singularity: no raise, and every
+    Christoffel symbol with upper index n is NaN."""
+    params = SpaceParams(0.3, 1.0)
+
+    def gfn(y):
+        g = metric(Chart.POLAR_CONSTANT, "cc", y, params)
+        g[n, n] = math.nan
+        return g
+
+    gamma = spaces._christoffel(gfn, np.asarray((0.9, 1.1, 0.7)), 1e-4)[1]
+    assert gamma.shape == (3, 3, 3) and np.isnan(gamma[n]).all()
+
+
 @pytest.mark.parametrize("family,kind,chart", [
     (Family.FREE_NC, "nc", Chart.BELTRAMI),
     (Family.FREE_NC, "nc", Chart.POLAR_VARIABLE),
