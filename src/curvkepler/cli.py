@@ -99,21 +99,26 @@ _SCALAR_JSON = {str: _ENCODE_STR, int: int.__repr__, type(None): lambda _: "null
 def _json_text(o, pad="\n"):
     """``json.dumps(o, indent=2, sort_keys=True)`` byte for byte (str keys
     only), without the pure-Python encoder that ``indent`` selects.  Scalars
-    go by exact type, then in json's ``isinstance`` order, so ``np.float64``
-    writes as a float; any other type raises TypeError, as in json."""
-    write = _SCALAR_JSON.get(type(o)) or next(
-        (_SCALAR_JSON[t] for t in (str, int, float) if isinstance(o, t)), None)
-    if write:
-        return write(o)
-    inner = pad + "  "
-    if isinstance(o, (list, tuple)):
-        ends, items = "[]", [_json_text(v, inner) for v in o]
+    go by exact type, then in json's ``isinstance`` order (``np.float64`` is a
+    float); other types raise TypeError.  A float list is one join of reprs."""
+    inner, sep = pad + "  ", "," + pad + "  "
+    if isinstance(o, (list, tuple)):    # no type is both a container and a scalar
+        floats = set(map(type, o)) == {float}
+        ends, text = "[]", sep.join(map(float.__repr__, o)) if floats else "n"
+        if "n" in text:                 # not all floats, or inf or nan among them
+            text = sep.join([w(v) if (w := _SCALAR_JSON.get(type(v)))
+                             else _json_text(v, inner) for v in o])
     elif isinstance(o, dict):
-        ends, items = "{}", [_ENCODE_STR(k) + ": " + _json_text(v, inner)
-                             for k, v in sorted(o.items())]
+        ends, text = "{}", sep.join([_ENCODE_STR(k) + ": " + (
+            w(v) if (w := _SCALAR_JSON.get(type(v))) else _json_text(v, inner))
+            for k, v in sorted(o.items())])
     else:
-        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
-    return ends[0] + inner + ("," + inner).join(items) + pad + ends[1] if items else ends
+        write = _SCALAR_JSON.get(type(o)) or next(
+            (_SCALAR_JSON[t] for t in (str, int, float) if isinstance(o, t)), None)
+        if write is None:
+            raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+        return write(o)
+    return ends[0] + inner + text + pad + ends[1] if o else ends
 
 
 def _dump_json(doc, path):
@@ -136,34 +141,28 @@ def _route_perturb(suite, perturb):
         raise DomainError(f"unknown generator {perturb!r}; coalgebra suites "
                           f"take {sorted(_COALGEBRA_GENS)}, polar suites "
                           f"{sorted(_SO4_GENS)}")
-    cperturb = perturb if perturb in _COALGEBRA_GENS else None
-    sperturb = perturb if perturb in _SO4_GENS else None
-    if suite in ("sl2z", "casimirs") and cperturb is None:
-        raise DomainError(f"{perturb!r} does not name a generator of the "
-                          f"{suite} suite")
-    if suite in ("so4", "lrl") and sperturb is None:
-        raise DomainError(f"{perturb!r} does not name a generator of the "
-                          f"{suite} suite")
-    return cperturb, sperturb
+    coalgebra_gen = perturb in _COALGEBRA_GENS
+    if suite != "all" and coalgebra_gen != (suite in ("sl2z", "casimirs")):
+        raise DomainError(f"{perturb!r} does not name a generator of the {suite} suite")
+    return (perturb, None) if coalgebra_gen else (None, perturb)
 
 
 def _run_suites(suite, params, samples, seed, perturb):
+    """sl2z (one and three sites), casimirs, so4, lrl: one batch per sampler."""
     cperturb, sperturb = _route_perturb(suite, perturb)
-    reports = []
+    beltrami, polar = [], []
     if suite in ("sl2z", "all"):
-        for r in (coalgebra.one_site(params.z), coalgebra.three_site(params.z)):
-            reports.append(coalgebra.verify_sl2z(
-                r, samples=samples, seed=seed, perturb=cperturb))
+        beltrami += [coalgebra._sl2z_job(r, cperturb) for r in
+                     (coalgebra.one_site(params.z), coalgebra.three_site(params.z))]
     if suite in ("casimirs", "all"):
-        reports.append(coalgebra.verify_casimirs(
-            params.z, samples=samples, seed=seed, perturb=cperturb))
+        beltrami.append(coalgebra._casimirs_job(params.z, cperturb))
     if suite in ("so4", "all"):
-        reports.append(symmetry.verify_so4(
-            params, samples=samples, seed=seed, perturb=sperturb))
+        polar.append(symmetry._so4_job(params, sperturb))
     if suite in ("lrl", "all"):
-        reports.append(symmetry.verify_lrl_algebra(
-            params, samples=samples, seed=seed, perturb=sperturb))
-    return reports
+        polar.append(symmetry._lrl_job(params, sperturb))
+    batches = ((beltrami, coalgebra.sample_beltrami), (polar, symmetry._polar_sampler(params)))
+    return [report for jobs, sampler in batches if jobs
+            for report in coalgebra.run_tables(jobs, sampler, samples, seed)]
 
 
 def _cmd_verify(args):

@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
+from itertools import islice
 
 import numpy as np
 
@@ -28,8 +29,8 @@ from .phase import (P1, P2, P3, Q1, Q2, Q3, Chart, Observable, PhaseState,
 __all__ = [
     "Realization", "CasimirSet", "one_site", "coproduct_join", "three_site",
     "three_site_closed_form", "casimirs", "casimir_of", "pbracket",
-    "Identity", "IdentityResult", "BracketReport", "run_table", "uniform_coords",
-    "sample_beltrami", "verify_sl2z", "verify_casimirs", "sl2z_table",
+    "Identity", "IdentityResult", "BracketReport", "run_table", "run_tables",
+    "uniform_coords", "sample_beltrami", "verify_sl2z", "verify_casimirs", "sl2z_table",
 ]
 
 
@@ -294,6 +295,15 @@ def run_table(suite, table, sampler, samples, seed, params=None):
     return BracketReport(suite, samples, seed, params or {}, results)
 
 
+def run_tables(jobs, sampler, samples, seed):
+    """One :class:`BracketReport` per ``(suite, table, params)`` job, what a separate
+    call gives, from one :func:`run_table` call: each point drawn and evaluated once."""
+    results = iter(run_table("+".join(job[0] for job in jobs), [
+        ident for _, table, _ in jobs for ident in table], sampler, samples, seed).results)
+    return [BracketReport(suite, samples, seed, params, list(islice(results, len(table))))
+            for suite, table, params in jobs]
+
+
 _MAX_REDRAWS = 1000    # rejected draws in a row; ~1e-2800 on the default box
 
 
@@ -352,15 +362,23 @@ def sl2z_table(r):
     ]
 
 
+# Each suite as a run_tables job: its name, table and params, written once.
+def _sl2z_job(r, perturb):
+    r = _perturbed(r, perturb)
+    return "sl2z", sl2z_table(r), {"z": r.z, "sites": r.sites, "perturb": perturb or ""}
+
+
+def _casimirs_job(z, perturb):
+    return "casimirs", _casimir_table(z, perturb), {"z": z, "perturb": perturb or ""}
+
+
 def verify_sl2z(r, samples=100, seed=0, perturb=None):
     """Check the deformed brackets for a realization at random regular points.
 
     `perturb` optionally scales one generator by 1.01 first; a healthy run
     must then report a residual above the detection floor (negative control).
     """
-    r = _perturbed(r, perturb)
-    return run_table("sl2z", sl2z_table(r), sample_beltrami, samples, seed,
-                     params={"z": r.z, "sites": r.sites, "perturb": perturb or ""})
+    return run_tables([_sl2z_job(r, perturb)], sample_beltrami, samples, seed)[0]
 
 
 def verify_casimirs(z, samples=100, seed=0, perturb=None):
@@ -373,8 +391,7 @@ def verify_casimirs(z, samples=100, seed=0, perturb=None):
     three-site generators).  `perturb` scales one generator of the
     coproduct-built realizations by 1.01.
     """
-    return run_table("casimirs", _casimir_table(z, perturb), sample_beltrami,
-                     samples, seed, params={"z": z, "perturb": perturb or ""})
+    return run_tables([_casimirs_job(z, perturb)], sample_beltrami, samples, seed)[0]
 
 
 @memo

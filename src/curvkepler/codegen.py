@@ -427,7 +427,7 @@ class _Emitter:
 
 
 # Compiled code objects by lowered structure and mode.  One pass of the
-# verify benchmark needs about ten; the bound keeps memory fixed.  Callers
+# verify benchmark needs about a dozen; the bound keeps memory fixed.  Callers
 # pass both arguments positionally, so each structure has one key per mode.
 @functools.lru_cache(maxsize=64)
 def _code(structure, values):
@@ -460,7 +460,7 @@ def _lower(roots):
     return (tuple(low.ins), refs), tuple(low.consts)
 
 
-# A verify, rank or simulate call lowers 5 to 8 root sets; the bound keeps memory fixed.
+# verify and rank lower 1 or 2 root sets per call, simulate 5 to 8; the bound keeps memory fixed.
 @functools.lru_cache(maxsize=256)
 def _lowered(roots):
     return _lower(roots)

@@ -20,6 +20,7 @@ import dataclasses
 import enum
 import functools
 import inspect
+import itertools
 import struct
 from dataclasses import dataclass
 
@@ -121,8 +122,8 @@ def values_and_gradients(observables, states):
     out = np.empty((len(states), len(observables), 1 + NVARS))
     compiled, graphs = codegen.compile_some([o._node for o in observables])
     if compiled:
-        rows = [compiled(*c) for c in coords]
-        out[:, graphs] = np.reshape(rows, (len(states), len(graphs), 1 + NVARS))
+        rows = itertools.chain.from_iterable([compiled(*c) for c in coords])
+        out[:, graphs] = np.fromiter(rows, float).reshape(len(states), len(graphs), 1 + NVARS)
     for j, o in enumerate(observables):
         if j not in graphs:
             for i, c in enumerate(coords):

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coalgebra import (BracketReport, Identity, casimirs, run_table,
-                        three_site_closed_form, uniform_coords)
+from .coalgebra import run_table  # noqa: F401  (kept: perfbench/spans.py wraps symmetry.run_table)
+from .coalgebra import Identity, casimirs, run_tables, uniform_coords
 from .kernel import DomainError
 from .phase import grad  # noqa: F401  (kept: perfbench/spans.py wraps symmetry.grad)
 from .phase import (P1, Q1, Chart, Observable, PhaseState, ckappa, cos,
@@ -213,6 +213,10 @@ def sample_polar(params, rng, chart=Chart.POLAR_CONSTANT, momentum_scale=2.0):
         rng, ((rlo, rmax), (tlo, tmax), (0.0, 2.0 * math.pi), mom, mom, mom)))
 
 
+def _polar_sampler(params):
+    return lambda rng: sample_polar(params, rng)
+
+
 @memo
 def _so4_table(gens, params):
     k1, k2 = params.kappa1, params.kappa2
@@ -246,14 +250,14 @@ def _so4_table(gens, params):
     return table
 
 
+def _so4_job(params, perturb):
+    table = _so4_table(so4_generators(params, perturb=perturb), params)
+    return "so4", table, {"z": params.z, "kappa2": params.kappa2, "perturb": perturb or ""}
+
+
 def verify_so4(params, samples=100, seed=0, perturb=None):
     """Check the fifteen so_{k1,k2}(4) brackets plus the Casimir identity."""
-    gens = so4_generators(params, perturb=perturb)
-    table = _so4_table(gens, params)
-    sampler = lambda rng: sample_polar(params, rng)
-    return run_table("so4", table, sampler, samples, seed,
-                     params={"z": params.z, "kappa2": params.kappa2,
-                             "perturb": perturb or ""})
+    return run_tables([_so4_job(params, perturb)], _polar_sampler(params), samples, seed)[0]
 
 
 @memo
@@ -322,13 +326,14 @@ def _lrl_table(params, perturb=None):
     return rows
 
 
+def _lrl_job(params, perturb):
+    return "lrl", _lrl_table(params, perturb=perturb), {
+        "z": params.z, "kappa2": params.kappa2, "gamma": params.gamma, "perturb": perturb or ""}
+
+
 def verify_lrl_algebra(params, samples=100, seed=0, perturb=None):
     """Check conservation of the L_i and the full rotation/mutual/cubic tables."""
-    table = _lrl_table(params, perturb=perturb)
-    sampler = lambda rng: sample_polar(params, rng)
-    return run_table("lrl", table, sampler, samples, seed,
-                     params={"z": params.z, "kappa2": params.kappa2,
-                             "gamma": params.gamma, "perturb": perturb or ""})
+    return run_tables([_lrl_job(params, perturb)], _polar_sampler(params), samples, seed)[0]
 
 
 def independence_ranks(observables, states, threshold=1e-8):

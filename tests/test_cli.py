@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from curvkepler import cli, spaces
+from curvkepler import cli, coalgebra, spaces, symmetry
 from curvkepler.cli import main
 from curvkepler.coalgebra import BracketReport, IdentityResult
 
@@ -455,6 +455,47 @@ def test_verify_nan_residual_fails_the_run(capsys, monkeypatch):
     assert math.isnan(doc["max_residual"]) and doc["passed"] is False
 
 
+_COALGEBRA_GENS = ("jminus", "jplus", "jthree")
+_SO4_GENS = ("j01", "j02", "j03", "j12", "j13", "j23")
+_SUITE_GENS = {"all": _COALGEBRA_GENS + _SO4_GENS, "sl2z": _COALGEBRA_GENS,
+               "casimirs": _COALGEBRA_GENS, "so4": _SO4_GENS, "lrl": _SO4_GENS}
+
+
+def _separate_reports(suite, params, samples, seed, perturb):
+    """Each suite's reports from its own verify_* call, in the CLI's order."""
+    cperturb = perturb if perturb in _COALGEBRA_GENS else None
+    sperturb = perturb if perturb in _SO4_GENS else None
+    z, kw = params.z, {"samples": samples, "seed": seed}
+    reports = []
+    if suite in ("sl2z", "all"):
+        reports += [coalgebra.verify_sl2z(r, perturb=cperturb, **kw)
+                    for r in (coalgebra.one_site(z), coalgebra.three_site(z))]
+    if suite in ("casimirs", "all"):
+        reports.append(coalgebra.verify_casimirs(z, perturb=cperturb, **kw))
+    if suite in ("so4", "all"):
+        reports.append(symmetry.verify_so4(params, perturb=sperturb, **kw))
+    if suite in ("lrl", "all"):
+        reports.append(symmetry.verify_lrl_algebra(params, perturb=sperturb, **kw))
+    return reports
+
+
+@pytest.mark.parametrize("suite", sorted(_SUITE_GENS))
+@pytest.mark.parametrize("params", [
+    spaces.SpaceParams(0.0, 1.0, 0.5), spaces.SpaceParams(0.3, -1.0, 0.5),
+    spaces.SpaceParams(-0.3, 1.0, 0.9), spaces.SpaceParams(0.3, 1.0, 1.7),
+], ids=["z=0", "z=0.3 k2=-1", "z=-0.3 gamma=0.9", "z=0.3 gamma=1.7"])
+def test_batched_suites_report_what_separate_calls_report(suite, params):
+    """The suites that share a sampler run as one batch; each report is the
+    one its own verify_* call gives, perturbed or not."""
+    for perturb in (None, *_SUITE_GENS[suite]):
+        batched = cli._run_suites(suite, params, 4, 11, perturb)
+        separate = _separate_reports(suite, params, 4, 11, perturb)
+        assert len(batched) == len(separate) == (5 if suite == "all" else
+                                                 2 if suite == "sl2z" else 1)
+        for b, s in zip(batched, separate):
+            assert b.to_json() == s.to_json(), (suite, perturb, s.suite)
+
+
 _CURVATURE_CC = ("curvature", "--kind", "cc", "--chart", "polar-constant",
                  "--preset", "spherical")
 _GRID = "0.5:0.6:2,1:1.1:1,0.3:0.3:1"
@@ -654,6 +695,20 @@ _DOCS = st.recursive(_SCALARS, lambda kids: st.one_of(
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(doc=_DOCS)
 def test_report_writer_writes_what_json_dumps_writes(doc):
+    assert cli._json_text(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("doc", [
+    [-0.0, 5e-324, 1e16, 1e-7],
+    [1.0, math.inf, 2.0], [-math.inf, 0.5], [0.25, math.nan],
+    {"worst_point": [1.5, math.nan, -2.0], "max_residual": math.inf},
+    [1.0, np.float64(2.5), -0.0], [np.float64(1e-7), 3.0],
+    (1.0, -0.0, 1e300), [], {"a": [], "b": ()},
+    [[1.0, 2.0], [math.inf], (0.5,)],
+], ids=["floats", "inf", "-inf", "nan", "dict with nan and inf",
+        "float and np.float64", "np.float64 first", "tuple", "empty", "empty in dict",
+        "nested"])
+def test_report_writer_joins_float_lists_as_json_dumps_writes_them(doc):
     assert cli._json_text(doc) == json.dumps(doc, indent=2, sort_keys=True)
 
 

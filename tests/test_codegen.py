@@ -341,8 +341,9 @@ def test_structure_cache_compiles_each_table_structure_once(monkeypatch):
 
 def test_verify_all_at_new_parameters_emits_and_compiles_nothing(monkeypatch):
     """A second `verify --suite all` in the process, at new (z, kappa2,
-    gamma), finds all five table structures in the cache: it lowers each
-    graph and emits no source and calls no compile()."""
+    gamma), finds both batch structures (the Beltrami tables and the polar
+    ones) in the cache: it lowers each graph and emits no source and calls
+    no compile()."""
     codegen._code.cache_clear()
     calls = _compile_calls(monkeypatch)
     emitted = []
@@ -351,13 +352,13 @@ def test_verify_all_at_new_parameters_emits_and_compiles_nothing(monkeypatch):
                         lambda self, structure: emitted.append(structure) or real(self, structure))
     argv = ["verify", "--suite", "all", "--samples", "3"]
     assert cli.main(argv + ["--preset", "spherical"]) == 0
-    assert len(calls) == len(emitted) == 5
+    assert len(calls) == len(emitted) == 2
     for params in (["--z", "0.3", "--kappa2", "-0.7", "--gamma", "1.1"],
                    ["--z", "0.0", "--kappa2", "1.0"],
                    ["--preset", "hyperbolic", "--gamma", "0.25"]):
         assert cli.main(argv + params) == 0
-    assert len(calls) == len(emitted) == 5
-    assert codegen._code.cache_info().currsize == 5
+    assert len(calls) == len(emitted) == 2
+    assert codegen._code.cache_info().currsize == 2
 
 
 def test_structure_cache_stays_at_its_bound():
