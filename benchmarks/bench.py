@@ -7,7 +7,12 @@ Usage (from the repository root):
     python3 benchmarks/bench.py --src ../parent/src --label parent --out bench.json
 
 Every row is timed ``--repeats`` times (default 5); the file keeps each
-repeat and their median.  A run is stored under its ``--label``, and the
+repeat and their median.  Before each repeat the script takes one sample of
+``perfbench/hostspeed.py``'s host-speed index (1.0 on the nominal host, 1.2
+on one 20% slower) and stores it in ``host_index``, beside ``repeats``;
+``scaled_median`` is the median of each repeat divided by its index, so
+host drift between repeats moves it less than the raw ``median``.  A run is
+stored under its ``--label``, and the
 runs with other labels already in the file are kept, so one file holds the
 parent and the change measured on the same machine.  With ``--against``,
 the tree given there (stored as ``parent``) and ``--src`` are timed
@@ -18,7 +23,7 @@ SHA of the tree that holds ``--src`` (``-dirty`` when tracked files differ
 from it; empty outside a git checkout), the SHA-256 of the tree's ``*.py``
 files (``src_sha256``, the recipe ``perfbench/run.py`` uses), the Python and
 numpy versions and the host.  The script needs
-only the library and numpy; the ``tier1_suite`` row runs pytest on that
+only the library, numpy and this checkout's ``perfbench/hostspeed.py``; the ``tier1_suite`` row runs pytest on that
 tree's ``tests/`` in a fresh interpreter.
 
 In-process rows run once untimed first, so lazily built state (compiled
@@ -266,8 +271,16 @@ ROWS = (
 )
 
 
+def _set_medians(row):
+    """The raw median of a row's repeats and the median scaled by host speed."""
+    row["median"] = statistics.median(row["repeats"])
+    row["scaled_median"] = statistics.median(
+        t / x for t, x in zip(row["repeats"], row["host_index"]))
+
+
 def measure(src, repeats):
-    sys.path.insert(0, src)
+    sys.path[:0] = [src, os.path.join(_ROOT, "perfbench")]
+    import hostspeed
     import numpy
 
     sha = _git(src, "rev-parse", "HEAD")
@@ -288,10 +301,13 @@ def measure(src, repeats):
             fn = getattr(rows, name)
             if warm:
                 fn()
-            times = [fn() for _ in range(repeats)]
-            run["rows"][name] = {"unit": unit, "median": statistics.median(times),
-                                 "repeats": times}
-            print(f"{name:34s} {statistics.median(times):12.6g} {unit}", flush=True)
+            row = run["rows"][name] = {"unit": unit, "repeats": [], "host_index": []}
+            for _ in range(repeats):
+                row["host_index"].append(hostspeed.sample()[0])
+                row["repeats"].append(fn())
+            _set_medians(row)
+            print(f"{name:34s} {row['median']:12.6g} {unit} "
+                  f"(scaled {row['scaled_median']:.6g})", flush=True)
     return run
 
 
@@ -313,11 +329,13 @@ def alternate(trees, repeats):
                 run = runs.setdefault(label, dict(one, repeats=0, rows={}, alternated=True))
                 run["repeats"] += 1
                 for name, row in one["rows"].items():
-                    run["rows"].setdefault(name, {"unit": row["unit"], "repeats": []})
-                    run["rows"][name]["repeats"] += row["repeats"]
+                    into = run["rows"].setdefault(
+                        name, {"unit": row["unit"], "repeats": [], "host_index": []})
+                    into["repeats"] += row["repeats"]
+                    into["host_index"] += row["host_index"]
     for run in runs.values():
         for row in run["rows"].values():
-            row["median"] = statistics.median(row["repeats"])
+            _set_medians(row)
     return runs
 
 

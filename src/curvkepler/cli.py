@@ -37,12 +37,6 @@ EXIT_FAIL = 1
 EXIT_CONFIG = 2
 EXIT_SINGULAR = 3
 
-_CHARTS = {
-    "beltrami": Chart.BELTRAMI,
-    "polar-variable": Chart.POLAR_VARIABLE,
-    "polar-constant": Chart.POLAR_CONSTANT,
-}
-
 
 def _load_config(path):
     values = {}
@@ -166,6 +160,8 @@ def _run_suites(suite, params, samples, seed, perturb):
 
 
 def _cmd_verify(args):
+    if not (math.isfinite(args.threshold) and args.threshold > 0):
+        raise DomainError(f"--threshold must be finite and > 0, got {args.threshold!r}")
     if args.suite in ("sl2z", "casimirs") and not args.preset \
             and args.kappa2 is None:
         args.kappa2 = 1.0  # these suites depend on z only
@@ -294,8 +290,8 @@ def _chart_of(args):
     if not getattr(args, "chart", None):
         raise DomainError("--chart is required")
     try:
-        return _CHARTS[args.chart]
-    except KeyError:
+        return Chart(args.chart)
+    except ValueError:
         raise DomainError(f"unknown chart {args.chart!r}") from None
 
 
@@ -440,7 +436,7 @@ def build_parser():
     _add_space_args(p)
     p.add_argument("--state", default=None,
                    help="6 comma-separated phase coordinates")
-    p.add_argument("--chart", choices=sorted(_CHARTS), default=None,
+    p.add_argument("--chart", choices=sorted(c.value for c in Chart), default=None,
                    help="chart of --state (default: the family's polar chart)")
     p.add_argument("--t-end", type=float, default=10.0)
     p.add_argument("--rel-tol", type=float, default=1e-10)

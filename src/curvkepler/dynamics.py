@@ -211,13 +211,20 @@ def _dp_source():
 exec(compile(_dp_source(), "<dormand-prince step>", "exec"), globals())
 
 
-def _midpoint_step(f, y, h, tol=1e-14, iters=60):
+# The implicit midpoint's fixed-point iteration: its convergence tolerance
+# and the most updates it makes before the step fails.
+_MIDPOINT_TOL = 1e-14
+_MIDPOINT_ITERS = 60
+
+
+def _midpoint_step(f, y, h):
     """One implicit midpoint step; None if the fixed-point iteration for the
-    midpoint does not converge to ``tol`` within ``iters`` updates."""
+    midpoint does not converge to ``_MIDPOINT_TOL`` within ``_MIDPOINT_ITERS``
+    updates."""
     ym = [a + 0.5 * h * b for a, b in zip(y, f(y))]
-    for _ in range(iters):
+    for _ in range(_MIDPOINT_ITERS):
         ynew = [a + 0.5 * h * b for a, b in zip(y, f(ym))]
-        if all(abs(a - b) < tol for a, b in zip(ynew, ym)):
+        if all(abs(a - b) < _MIDPOINT_TOL for a, b in zip(ynew, ym)):
             return [a + h * b for a, b in zip(y, f(ynew))]
         ym = ynew
     return None

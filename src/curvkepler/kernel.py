@@ -181,12 +181,14 @@ def value_of(x):
 # argument applies it in one chain step; the straight-line gradients of
 # :mod:`.codegen` call the same rules, so both paths do the same arithmetic.
 
-# The float function of each unary, by name: what it applies to a float.
+# The float function and the float rule of each unary, by name.
 FLOAT_FNS = {}
+RULES = {}
 
 
 def _unary(name, float_fn, rule):
     FLOAT_FNS[name] = float_fn
+    RULES[name] = rule
 
     def fn(x):
         if isinstance(x, KScalar):
@@ -208,31 +210,13 @@ def _sqrt_rule(v):
     return r, 0.5 / r
 
 
-RULES = {
-    "exp": _exp_rule,
-    "log": lambda v: (math.log(v), 1.0 / v),
-    "sqrt": _sqrt_rule,
-    "sin": lambda v: (math.sin(v), math.cos(v)),
-    "cos": lambda v: (math.cos(v), -math.sin(v)),
-    "sinh": lambda v: (math.sinh(v), math.cosh(v)),
-    "cosh": lambda v: (math.cosh(v), math.sinh(v)),
-    "arcsin": lambda v: (math.asin(v), 1.0 / math.sqrt(1.0 - v * v)),
-    "arcsinh": lambda v: (math.asinh(v), 1.0 / math.sqrt(1.0 + v * v)),
-    "arctan": lambda v: (math.atan(v), 1.0 / (1.0 + v * v)),
-    "arctanh": lambda v: (math.atanh(v), 1.0 / (1.0 - v * v)),
-}
-
-exp = _unary("exp", math.exp, RULES["exp"])
-log = _unary("log", math.log, RULES["log"])
-sqrt = _unary("sqrt", math.sqrt, RULES["sqrt"])
-sin = _unary("sin", math.sin, RULES["sin"])
-cos = _unary("cos", math.cos, RULES["cos"])
-sinh = _unary("sinh", math.sinh, RULES["sinh"])
-cosh = _unary("cosh", math.cosh, RULES["cosh"])
-arcsin = _unary("arcsin", math.asin, RULES["arcsin"])
-arcsinh = _unary("arcsinh", math.asinh, RULES["arcsinh"])
-arctan = _unary("arctan", math.atan, RULES["arctan"])
-arctanh = _unary("arctanh", math.atanh, RULES["arctanh"])
+exp = _unary("exp", math.exp, _exp_rule)
+log = _unary("log", math.log, lambda v: (math.log(v), 1.0 / v))
+sqrt = _unary("sqrt", math.sqrt, _sqrt_rule)
+sin = _unary("sin", math.sin, lambda v: (math.sin(v), math.cos(v)))
+cos = _unary("cos", math.cos, lambda v: (math.cos(v), -math.sin(v)))
+sinh = _unary("sinh", math.sinh, lambda v: (math.sinh(v), math.cosh(v)))
+cosh = _unary("cosh", math.cosh, lambda v: (math.cosh(v), math.sinh(v)))
 
 
 def _sinhc_f(v):
@@ -279,8 +263,6 @@ def _expm1c_rule(v):
     return val, (math.exp(v) - val) / v
 
 
-RULES["sinhc"] = _sinhc_rule
-RULES["expm1c"] = _expm1c_rule
 sinhc = _unary("sinhc", _sinhc_f, _sinhc_rule)
 expm1c = _unary("expm1c", _expm1c_f, _expm1c_rule)
 
@@ -368,76 +350,46 @@ def _cotkappa_rule(kappa, x, s, c):
     return c / s, -1.0 / (s * s)
 
 
-def _ckappa_rule(kappa, x, s, c):
-    return c, -kappa * s
-
-
-def _skappa_rule(kappa, x, s, c):
-    return s, c
-
-
-# Float rules (kappa, x, S, C) -> (value, d/dx) for a plain kappa, with
-# (S, C) = _kappa_pair(kappa, x):
+# Rules (kappa, x, S, C) -> (value, d/dx), by name:
 #   S' = C,  C' = -kappa S,  T' = 1/C**2,  cot' = -1/S**2.
-# A dual x applies them in one chain step; a dual kappa takes the generic
-# composite path.
-KAPPA_RULES = {
-    "ckappa": _ckappa_rule,
-    "skappa": _skappa_rule,
-    "tkappa": _tkappa_rule,
-    "cotkappa": _cotkappa_rule,
-}
+KAPPA_RULES = {}
 
 
-def _kappa_chain(rule, kappa, x):
-    v = x.val
-    return _chain(x, *rule(kappa, v, *_kappa_pair(kappa, v)))
+def _kappa_fn(name, rule, float_fn):
+    """Register ``rule`` and return the function of (kappa, x): a dual x
+    applies the rule to ``_kappa_pair`` in one chain step; a dual kappa
+    applies it to the composite S and C on u = kappa x**2 (its pole checks
+    read the dual's value); floats call ``float_fn``."""
+    KAPPA_RULES[name] = rule
+
+    def fn(kappa, x):
+        if isinstance(kappa, KScalar):
+            u = kappa * x * x
+            return rule(kappa, x, x * _circ_sinc(u), _circ_cos(u))[0]
+        if isinstance(x, KScalar):
+            v = x.val
+            return _chain(x, *rule(kappa, v, *_kappa_pair(kappa, v)))
+        return float_fn(kappa, x)
+
+    fn.__name__ = name
+    return fn
 
 
-def ckappa(kappa, x):
-    """Generalized cosine C_kappa(x); total in both arguments."""
-    if isinstance(kappa, KScalar):
-        return _circ_cos(kappa * x * x)
-    if isinstance(x, KScalar):
-        return _kappa_chain(_ckappa_rule, kappa, x)
-    return _kappa_pair(kappa, x)[1]
+ckappa = _kappa_fn("ckappa", lambda kappa, x, s, c: (c, -kappa * s),
+                   lambda kappa, x: _kappa_pair(kappa, x)[1])
+ckappa.__doc__ = """Generalized cosine C_kappa(x); total in both arguments."""
+skappa = _kappa_fn("skappa", lambda kappa, x, s, c: (s, c), _kappa_s)
+skappa.__doc__ = """Generalized sine S_kappa(x); S_0(x) = x."""
+tkappa = _kappa_fn("tkappa", _tkappa_rule,
+                   lambda kappa, x: _tkappa_rule(kappa, x, *_kappa_pair(kappa, x))[0])
+tkappa.__doc__ = """Generalized tangent S_kappa/C_kappa; raises PoleError at C = 0."""
+cotkappa = _kappa_fn("cotkappa", _cotkappa_rule,
+                     lambda kappa, x: _cotkappa_rule(kappa, x, *_kappa_pair(kappa, x))[0])
+cotkappa.__doc__ = """Generalized cotangent C_kappa/S_kappa; raises PoleError at S = 0.
 
-
-def skappa(kappa, x):
-    """Generalized sine S_kappa(x); S_0(x) = x."""
-    if isinstance(kappa, KScalar):
-        return x * _circ_sinc(kappa * x * x)
-    if isinstance(x, KScalar):
-        return _kappa_chain(_skappa_rule, kappa, x)
-    return _kappa_s(kappa, x)
-
-
-def tkappa(kappa, x):
-    """Generalized tangent S_kappa/C_kappa; raises PoleError at C = 0."""
-    if isinstance(kappa, KScalar):
-        c = ckappa(kappa, x)
-        if abs(value_of(c)) < _POLE_EPS:
-            raise PoleError(f"tkappa pole: C_kappa vanishes at kappa={kappa}, x={x}")
-        return skappa(kappa, x) / c
-    if isinstance(x, KScalar):
-        return _kappa_chain(_tkappa_rule, kappa, x)
-    return _tkappa_rule(kappa, x, *_kappa_pair(kappa, x))[0]
-
-
-def cotkappa(kappa, x):
-    """Generalized cotangent C_kappa/S_kappa; raises PoleError at S = 0.
-
-    This is the factor written as lambda/tan(lambda x) in curved-Kepler
-    potentials; it stays real for every real curvature label.
-    """
-    if isinstance(kappa, KScalar):
-        s = skappa(kappa, x)
-        if abs(value_of(s)) < _POLE_EPS:
-            raise PoleError(f"cotkappa pole: S_kappa vanishes at kappa={kappa}, x={x}")
-        return ckappa(kappa, x) / s
-    if isinstance(x, KScalar):
-        return _kappa_chain(_cotkappa_rule, kappa, x)
-    return _cotkappa_rule(kappa, x, *_kappa_pair(kappa, x))[0]
+This is the factor written as lambda/tan(lambda x) in curved-Kepler
+potentials; it stays real for every real curvature label.
+"""
 
 
 # -- inverse maps (plain floats only; used by chart transforms) ------------

@@ -333,9 +333,12 @@ Q1, Q2, Q3 = (coordinate(i, n) for i, n in enumerate(("q1", "q2", "q3")))
 P1, P2, P3 = (coordinate(i + 3, n) for i, n in enumerate(("p1", "p2", "p3")))
 
 
-def _lift(scalar_fn, op="fn"):
+def _lift(scalar_fn):
     """``scalar_fn`` on floats and duals; on an observable (the last
-    argument) an ``op`` node, with a leading curvature label as a const kid."""
+    argument) an ``fn`` node, or a ``kfn`` node for a curvature-labelled
+    function, whose leading label is a const kid."""
+    op = "kfn" if scalar_fn.__name__ in kernel.KAPPA_RULES else "fn"
+
     def lifted(*args):
         *labels, x = args
         if isinstance(x, Observable):
@@ -356,10 +359,10 @@ sinh = _lift(kernel.sinh)
 cosh = _lift(kernel.cosh)
 sinhc = _lift(kernel.sinhc)
 expm1c = _lift(kernel.expm1c)
-ckappa = _lift(kernel.ckappa, "kfn")
-skappa = _lift(kernel.skappa, "kfn")
-tkappa = _lift(kernel.tkappa, "kfn")
-cotkappa = _lift(kernel.cotkappa, "kfn")
+ckappa = _lift(kernel.ckappa)
+skappa = _lift(kernel.skappa)
+tkappa = _lift(kernel.tkappa)
+cotkappa = _lift(kernel.cotkappa)
 
 
 def grad(f, state):

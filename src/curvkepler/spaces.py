@@ -221,6 +221,8 @@ def _polar_hamiltonian(family, params, rad, prad, angular):
 # --------------------------------------------------------------------------
 
 _AXIS_EPS = 1e-8
+# chart_guard stops an orbit where a chart factor falls below this.
+_GUARD_EPS = 1e-6
 
 
 def _require_bridge(params):
@@ -537,32 +539,32 @@ def radial_reduction(spec, c3):
 # Chart-domain guard for trajectory integration
 # --------------------------------------------------------------------------
 
-def chart_guard(chart, params, eps=1e-6):
+def chart_guard(chart, params):
     """A callable mapping raw coordinates to a singularity reason or None."""
     z, kappa2, sk = params.z, params.kappa2, kernel._kappa_s
 
     if chart is Chart.POLAR_CONSTANT:
         def guard(c):
-            if abs(sk(z, c[0])) < eps:
+            if abs(sk(z, c[0])) < _GUARD_EPS:
                 return "radial pole: S_kappa1(r) ~ 0"
-            if abs(sk(kappa2, c[1])) < eps:
+            if abs(sk(kappa2, c[1])) < _GUARD_EPS:
                 return "polar axis: S_kappa2(theta) ~ 0"
             return None
         return guard
     if chart is Chart.POLAR_VARIABLE:
         def guard(c):
             s, cm = kernel._kappa_pair(-z, c[0])
-            if abs(s) < eps:
+            if abs(s) < _GUARD_EPS:
                 return "radial pole: S_{-kappa1}(rho) ~ 0"
-            if abs(sk(kappa2, c[1])) < eps:
+            if abs(sk(kappa2, c[1])) < _GUARD_EPS:
                 return "polar axis: S_kappa2(theta) ~ 0"
-            if abs(cm) < eps:
+            if abs(cm) < _GUARD_EPS:
                 return "chart edge: C_{-kappa1}(rho) ~ 0"
             return None
         return guard
 
     def guard(c):
-        if c[0] ** 2 + c[1] ** 2 + c[2] ** 2 < eps * eps:
+        if c[0] ** 2 + c[1] ** 2 + c[2] ** 2 < _GUARD_EPS * _GUARD_EPS:
             return "collision: q -> 0"
         return None
     return guard

@@ -455,6 +455,21 @@ def test_verify_nan_residual_fails_the_run(capsys, monkeypatch):
     assert math.isnan(doc["max_residual"]) and doc["passed"] is False
 
 
+@pytest.mark.parametrize("threshold", ["nan", "inf", "-inf", "-1", "0", "-0.0"])
+def test_verify_threshold_that_is_not_finite_and_positive_exits_2(capsys, threshold):
+    code, out, err = run_cli(capsys, "verify", "--suite", "sl2z", "--z", "0",
+                             "--samples", "3", f"--threshold={threshold}")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "--threshold" in err
+
+
+def test_curvature_unknown_chart_exits_2(capsys):
+    code, out, err = run_cli(capsys, "curvature", "--kind", "cc", "--chart", "bogus",
+                             "--preset", "spherical", "--grid", "0.5:0.6:2,1:1.1:1,0.3:0.3:1")
+    assert code == 2 and out == ""
+    assert err.startswith("error: unknown chart 'bogus'")
+
+
 _COALGEBRA_GENS = ("jminus", "jplus", "jthree")
 _SO4_GENS = ("j01", "j02", "j03", "j12", "j13", "j23")
 _SUITE_GENS = {"all": _COALGEBRA_GENS + _SO4_GENS, "sl2z": _COALGEBRA_GENS,

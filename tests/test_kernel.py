@@ -393,13 +393,43 @@ def test_sinhc_and_expm1c_derivatives_are_accurate_across_the_series_switch():
 
 
 def test_kappa_trig_dual_input_at_pole_raises():
+    """A dual x or a dual label at a pole raises PoleError."""
     with pytest.raises(PoleError):
         tkappa(1.0, KScalar.seed(math.pi / 2, 0))
     with pytest.raises(PoleError):
         tkappa(0.3, KScalar.seed(math.pi / (2.0 * math.sqrt(0.3)), 2))
+    with pytest.raises(PoleError):
+        tkappa(KScalar(1.0), math.pi / 2)
     for kappa in _KAPPAS:
         with pytest.raises(PoleError):
             cotkappa(kappa, KScalar.seed(0.0, 1))
+        with pytest.raises(PoleError):
+            cotkappa(KScalar(kappa), 0.0)
+
+
+def _composite(name, kappa, x):
+    """The kappa-trig function on the composite S = x _circ_sinc(u) and
+    C = _circ_cos(u), u = kappa x**2."""
+    u = kappa * x * x
+    s, c = x * kernel._circ_sinc(u), kernel._circ_cos(u)
+    return {"skappa": s, "ckappa": c, "tkappa": s / c, "cotkappa": c / s}[name]
+
+
+def _bits(v):
+    return [v.val.hex(), *(d.hex() for d in v.d)]
+
+
+@pytest.mark.parametrize("kappa", _KAPPAS)
+@pytest.mark.parametrize("name", sorted(_TRIG))
+def test_kappa_trig_dual_label_is_the_composite_arithmetic(name, kappa):
+    """A dual label, with a float or a dual x, gives the value and partials
+    of the composite S, C and their quotients bit for bit."""
+    fn = _TRIG[name]
+    for label in (KScalar(kappa), KScalar.seed(kappa, 5)):
+        for x in _trig_points(kappa, name):
+            for arg in (x, KScalar.seed(x, 0)):
+                want = _composite(name, label, arg)
+                assert _bits(fn(label, arg)) == _bits(want), (label, arg)
 
 
 def test_observable_square_evaluates_once():
