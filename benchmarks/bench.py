@@ -197,6 +197,18 @@ class Rows:
             "verify", "--suite", "all", "--preset", "hyperbolic", "--samples", "10",
             "--seed", "7"), 100)
 
+    def report_text_verify_all_samples10(self):
+        """The report writer alone (median call), on the document of
+        verify_all_samples10_in_process, captured from the CLI once per repeat."""
+        docs, real = [], self.cli._dump_json
+        self.cli._dump_json = lambda doc, path: docs.append(doc)
+        try:
+            self._cli("verify", "--suite", "all", "--preset", "hyperbolic", "--samples", "10",
+                      "--seed", "7")
+        finally:
+            self.cli._dump_json = real
+        return 1e6 * _median_call(lambda: self.cli._json_text(docs[0]), 300)
+
     def rank_samples50_in_process(self):
         """A verify-sweep rank item's shape: 50 samples (median call)."""
         return 1e3 * _median_call(lambda: self._cli(
@@ -261,6 +273,7 @@ ROWS = (
     ("verify_all_in_process", "s", True),
     ("verify_all_new_params_in_process", "s", True),
     ("verify_all_samples10_in_process", "ms", True),
+    ("report_text_verify_all_samples10", "us", True),
     ("rank_in_process", "s", True),
     ("rank_samples50_in_process", "ms", True),
     ("verify_lrl_algebra", "s", True),

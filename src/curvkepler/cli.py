@@ -24,6 +24,7 @@ import functools
 import json
 import math
 import os
+import struct
 import sys
 
 import numpy as np
@@ -90,29 +91,47 @@ _SCALAR_JSON = {str: _ENCODE_STR, int: int.__repr__, type(None): lambda _: "null
                 else "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"}
 
 
-def _json_text(o, pad="\n"):
-    """``json.dumps(o, indent=2, sort_keys=True)`` byte for byte (str keys
+@functools.lru_cache(maxsize=256)
+def _dict_layout(keys, pad):
+    """Sorted keys, each with the text before its value: brace or comma, indent, key."""
+    return tuple((k, ("," if i else "{") + pad + "  " + _ENCODE_STR(k) + ": ")
+                 for i, k in enumerate(sorted(keys)))
+
+
+def _json_text(doc):
+    """``json.dumps(doc, indent=2, sort_keys=True)`` byte for byte (str keys
     only), without the pure-Python encoder that ``indent`` selects.  Scalars
     go by exact type, then in json's ``isinstance`` order (``np.float64`` is a
-    float); other types raise TypeError.  A float list is one join of reprs."""
-    inner, sep = pad + "  ", "," + pad + "  "
-    if isinstance(o, (list, tuple)):    # no type is both a container and a scalar
-        floats = set(map(type, o)) == {float}
-        ends, text = "[]", sep.join(map(float.__repr__, o)) if floats else "n"
-        if "n" in text:                 # not all floats, or inf or nan among them
-            text = sep.join([w(v) if (w := _SCALAR_JSON.get(type(v)))
-                             else _json_text(v, inner) for v in o])
-    elif isinstance(o, dict):
-        ends, text = "{}", sep.join([_ENCODE_STR(k) + ": " + (
-            w(v) if (w := _SCALAR_JSON.get(type(v))) else _json_text(v, inner))
-            for k, v in sorted(o.items())])
-    else:
-        write = _SCALAR_JSON.get(type(o)) or next(
+    float); other types raise TypeError.  Dicts follow a cached key layout; a
+    list of exact floats is one join of reprs, once per indent and bit pattern."""
+    float_lists = {}
+
+    def write(o, pad):
+        inner = pad + "  "
+        if isinstance(o, dict):         # no type is both a container and a scalar
+            return "".join([pre + (w(v) if (w := _SCALAR_JSON.get(type(v := o[k])))
+                                   else write(v, inner)) for k, pre in
+                            _dict_layout(tuple(o), pad)]) + pad + "}" if o else "{}"
+        if isinstance(o, (list, tuple)):
+            sep = "," + inner
+            if set(map(type, o)) != {float}:    # or empty
+                text = sep.join([w(v) if (w := _SCALAR_JSON.get(type(v))) else write(v, inner)
+                                 for v in o])
+                return "[" + inner + text + pad + "]" if o else "[]"
+            key = pad, struct.pack(f"{len(o)}d", *o)
+            if (text := float_lists.get(key)) is None:
+                text = sep.join(map(float.__repr__, o))
+                if "n" in text:         # only inf and nan reprs hold an n
+                    text = sep.join(map(_SCALAR_JSON[float], o))
+                text = float_lists[key] = "[" + inner + text + pad + "]"
+            return text
+        w = _SCALAR_JSON.get(type(o)) or next(
             (_SCALAR_JSON[t] for t in (str, int, float) if isinstance(o, t)), None)
-        if write is None:
+        if w is None:
             raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
-        return write(o)
-    return ends[0] + inner + text + pad + ends[1] if o else ends
+        return w(o)
+
+    return write(doc, "\n")
 
 
 def _dump_json(doc, path):
@@ -169,8 +188,9 @@ def _cmd_verify(args):
     if params.gamma == 0.0 and args.suite in ("lrl", "all"):
         params = spaces.SpaceParams(params.z, params.kappa2, gamma=0.5)
     seed = _seed(args)
-    reports = _run_suites(args.suite, params, args.samples, seed, args.perturb)
-    worst = float(np.max([r.max_residual for r in reports]))  # NaN wins
+    reports = [r.as_dict() for r in
+               _run_suites(args.suite, params, args.samples, seed, args.perturb)]
+    worst = float(np.max([r["max_residual"] for r in reports]))  # NaN wins
     passed = worst < args.threshold
     doc = {
         "schema": 1,
@@ -182,7 +202,7 @@ def _cmd_verify(args):
         "threshold": args.threshold,
         "max_residual": worst,
         "passed": passed,
-        "reports": [r.as_dict() for r in reports],
+        "reports": reports,
     }
     _dump_json(doc, args.out)
     return EXIT_OK if passed else EXIT_FAIL

@@ -85,8 +85,11 @@ class IntegratorConfig:
         if self.max_step <= 0 or self.max_step < 1e-14 * self.t_end:
             raise DomainError("max_step must be > 0 and >= 1e-14 t_end "
                               "(inf for no limit)")
-        if not math.isfinite(self.fixed_step):
-            raise DomainError("fixed_step must be finite")
+        if not 0 <= self.fixed_step < math.inf:
+            raise DomainError("fixed_step must be finite and >= 0 (0 for adaptive steps)")
+        step = min(self.fixed_step or math.inf, self.max_step)
+        if self.t_end > self.max_steps * step:
+            raise DomainError(f"t_end is past max_steps * step = {self.max_steps} * {step!r}")
         if self.sample_stride < 1:
             raise DomainError("sample_stride must be >= 1")
         if self.method not in ("dopri54", "implicit-midpoint"):
@@ -386,7 +389,8 @@ def integrate(h, s0, cfg, monitors=None, domain_guard=None):
             factor = 0.9 * err_ratio ** -0.2 if err_ratio > 0 else 5.0
             hstep *= min(5.0, max(0.2, factor))
     else:
-        return build(early=True, reason="max-steps-exceeded")
+        if t_end - t > underflow:       # the last allowed step may end the run
+            return build(early=True, reason="max-steps-exceeded")
     if times[-1] < t:
         record(t, y)
     return build()

@@ -5,6 +5,7 @@ import dataclasses
 import io
 import json
 import math
+import struct
 import time
 
 import numpy as np
@@ -431,6 +432,46 @@ def test_invalid_step_or_singular_start_exits_2(capsys, tmp_path, flags):
     assert time.perf_counter() - t0 < 5.0
 
 
+@pytest.mark.parametrize("flags", [
+    ("--fixed-step", "-1"),
+    ("--fixed-step", "1e-9"),
+    ("--max-step", "1e-9"),
+], ids=lambda flags: " ".join(flags))
+def test_step_that_cannot_reach_t_end_exits_2_quickly(capsys, tmp_path, flags):
+    """A negative fixed step used to run adaptively and exit 0; a 1e-9 step
+    to t = 10 ran on (past 15 s) towards max-steps-exceeded."""
+    t0 = time.perf_counter()
+    code, _, err = run_cli(capsys, "simulate", *_ORBIT, "--t-end", "10", *flags,
+                           "--csv", str(tmp_path / "o.csv"),
+                           "--summary", str(tmp_path / "s.json"))
+    assert code == 2
+    assert err.startswith("error:") and "Traceback" not in err
+    assert time.perf_counter() - t0 < 1.0
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
+def test_verify_all_passes_where_a_cancelling_casimir_only_rounds(capsys, tmp_path):
+    """perfbench verify-sweep item verify033 at seed 20201: casimir(generators)
+    = C123 reads 1.30e-8 at a state where it cancels two terms near 4e7."""
+    code, _, _ = run_cli(capsys, "verify", "--suite", "all", "--preset", "spherical",
+                         "--samples", "10", "--seed", "383022396",
+                         "--out", str(tmp_path / "v.json"))
+    assert code == 0
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 3")
+@pytest.mark.parametrize("argv", [
+    ("--family", "free-cc", "--state", "0.6,1.5707963,0,-1,0,0"),
+    ("--family", "kepler-cc", "--gamma", "0.5", "--state", "1.0,0.3,0,0,-1,0"),
+], ids=["through the radial pole", "over the polar axis"])
+def test_a_step_across_a_chart_singularity_ends_the_run(capsys, tmp_path, argv):
+    code, _, _ = run_cli(capsys, "simulate", "--preset", "spherical", *argv,
+                         "--t-end", "2", "--csv", str(tmp_path / "o.csv"),
+                         "--summary", str(tmp_path / "s.json"))
+    assert code == 3
+    assert json.loads((tmp_path / "s.json").read_text())["termination_reason"]
+
+
 def test_simulate_midpoint_divergence_exits_3(capsys, tmp_path):
     code, _, _ = run_cli(capsys, "simulate", *_ORBIT, "--t-end", "4",
                          "--method", "implicit-midpoint", "--fixed-step", "2.0",
@@ -724,6 +765,27 @@ def test_report_writer_writes_what_json_dumps_writes(doc):
         "float and np.float64", "np.float64 first", "tuple", "empty", "empty in dict",
         "nested"])
 def test_report_writer_joins_float_lists_as_json_dumps_writes_them(doc):
+    assert cli._json_text(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+_NAN2 = struct.unpack("<d", struct.pack("<Q", 0x7FF8000000000002))[0]
+
+
+@pytest.mark.parametrize("doc", [
+    [[x, 1.0] for x in (0.0, -0.0, math.nan, _NAN2) * 2],
+    {"a": [0.0, 1.0], "b": [-0.0, 1.0], "c": [math.nan, 1.0],
+     "d": [0.0, 1.0], "e": [-0.0, 1.0], "f": [math.nan, 1.0]},
+    {"a": [0.5, 1.5], "b": {"c": [0.5, 1.5], "d": [[0.5, 1.5]]}},
+    [[0.5, 1.5], [[0.5, 1.5]], [[[0.5, 1.5]]]],
+    [{"b": 1, "a": [2.0]}, {"a": [2.0], "b": 1}, {"b": {"b": 1, "a": 2}, "a": {"a": 3, "b": 4}}],
+    {'"q"': 1, "back\\slash": 2, "\n": 3, "tab\t": [1.0], "é": 4, "\x00": 5, "😀": 6},
+], ids=["signed zeros and nans twice", "signed zeros and nans in a dict",
+        "one list at three depths in dicts", "one list at three depths in lists",
+        "same keys in two orders", "keys that need escaping"])
+def test_report_writer_keeps_bits_depths_and_key_orders_apart(doc):
+    """What the per-document float-list memo and the cached dict layouts
+    must not share: lists whose floats compare equal but differ in bits, one
+    list at two indents, one key set in two insertion orders."""
     assert cli._json_text(doc) == json.dumps(doc, indent=2, sort_keys=True)
 
 

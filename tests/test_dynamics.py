@@ -210,6 +210,29 @@ def test_tolerances_whose_scale_overflows_fall_back_to_a_finite_start_step():
     assert "the error control shrank the step" in str(err.value)
 
 
+@pytest.mark.parametrize("bad", [
+    {"fixed_step": -1.0},
+    {"fixed_step": 1e-9, "t_end": 10.0},
+    {"max_step": 1e-9, "t_end": 10.0},
+], ids=["negative fixed step", "fixed step too short", "max step too short"])
+def test_step_settings_that_cannot_reach_t_end_are_rejected(bad):
+    """A negative fixed step used to run adaptively, and a step that needs
+    more than max_steps steps to reach t_end ran until max-steps-exceeded."""
+    with pytest.raises(DomainError):
+        IntegratorConfig(**bad)
+
+
+def test_a_run_that_needs_exactly_max_steps_steps_ends_normally():
+    """t_end = max_steps * step ends on its last allowed step (it used to
+    end as max-steps-exceeded there); one allowed step fewer is rejected."""
+    with pytest.raises(DomainError):
+        IntegratorConfig(t_end=1.0, fixed_step=0.5, max_steps=1)
+    tr = integrate(0.5 * P1 * P1 + 0.5 * Q1 * Q1, PhaseState.beltrami(1, 0, 0, 0, 0, 0),
+                   IntegratorConfig(t_end=1.0, fixed_step=0.5, max_steps=2))
+    assert not tr.terminated_early and tr.termination_reason == ""
+    assert tr.times.tolist() == [0.0, 0.5, 1.0]
+
+
 @pytest.mark.parametrize("fixed_step", [0.0, 0.1], ids=["dopri54", "fixed-step"])
 def test_chart_mismatch_raises_before_the_first_step(fixed_step):
     """The Hamiltonian's chart is checked once, up front, on every method

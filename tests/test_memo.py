@@ -4,6 +4,7 @@ import contextlib
 import importlib.util
 import inspect
 import io
+import json
 import os
 import struct
 import subprocess
@@ -111,6 +112,17 @@ def test_every_memo_stays_at_its_bound():
         assert codegen._lowered.cache_info().currsize <= lowered
     assert [len(m.cache) for m in MEMOS] == [phase._MEMO_SIZE] * len(MEMOS)
     assert codegen._lowered.cache_info().currsize == lowered
+
+
+def test_the_report_writer_layout_cache_stays_at_its_bound():
+    """Dicts with more key sets than the layout cache holds: it fills up,
+    stays there, and every text is still json.dumps's."""
+    bound = cli._dict_layout.cache_info().maxsize
+    for i in range(bound + 5):
+        doc = {"outer": {f"k{i}": [1.0], "a": None}}
+        assert cli._json_text(doc) == json.dumps(doc, indent=2, sort_keys=True)
+        assert cli._dict_layout.cache_info().currsize <= bound
+    assert cli._dict_layout.cache_info().currsize == bound
 
 
 def _counted_builds(monkeypatch):
