@@ -7,11 +7,13 @@ Usage (from the repository root):
     python3 benchmarks/bench.py --src ../parent/src --label parent --out bench.json
 
 Every row is timed ``--repeats`` times (default 5); the file keeps each
-repeat and their median.  Before each repeat the script takes one sample of
+repeat and their median.  Around each repeat the script reads
 ``perfbench/hostspeed.py``'s host-speed index (1.0 on the nominal host, 1.2
-on one 20% slower) and stores it in ``host_index``, beside ``repeats``;
-``scaled_median`` is the median of each repeat divided by its index, so
-host drift between repeats moves it less than the raw ``median``.  A run is
+on one 20% slower) ``_HOST_READINGS`` times just before and as many times
+just after, and stores the median of those readings in ``host_index``,
+beside ``repeats``; ``scaled_median`` is the median of each repeat divided
+by its index, so host drift between repeats moves it less than the raw
+``median``, and one stray reading does not move it.  A run is
 stored under its ``--label``, and the
 runs with other labels already in the file are kept, so one file holds the
 parent and the change measured on the same machine.  With ``--against``,
@@ -94,11 +96,23 @@ def _timed(fn):
     return time.perf_counter() - t0
 
 
+# Host-speed readings taken just before each repeat, and as many just after.
+_HOST_READINGS = 2
+
+
+def _scaled_repeat(hostspeed, fn):
+    """``fn()``'s result and the median of the host-speed readings around it."""
+    readings = [hostspeed.sample()[0] for _ in range(_HOST_READINGS)]
+    result = fn()
+    readings += [hostspeed.sample()[0] for _ in range(_HOST_READINGS)]
+    return result, statistics.median(readings)
+
+
 class Rows:
     """The cost-table rows; each method times one repeat of its row."""
 
     def __init__(self, src, tmp):
-        from curvkepler import cli, kernel
+        from curvkepler import cli, coalgebra, kernel
         from curvkepler.dynamics import IntegratorConfig, integrate
         from curvkepler.phase import Chart, Observable, PhaseState
         from curvkepler.spaces import (Family, HamiltonianSpec, SpaceParams,
@@ -127,6 +141,14 @@ class Rows:
         self.new_z = (0.2 + i / 997 for i in itertools.count())
         self.curvature_point = functools.partial(
             curvature, Chart.POLAR_VARIABLE, "nc", (1.0, 1.1, 0.8), SpaceParams(-0.4, 1.0))
+        # The (jobs, sampler) of each run_tables batch of _VERIFY_10, as the CLI builds them.
+        self.run_tables, self.batches = coalgebra.run_tables, []
+        coalgebra.run_tables = lambda jobs, sampler, samples, seed: self.batches.append(
+            (jobs, sampler)) or self.run_tables(jobs, sampler, samples, seed)
+        try:
+            self._cli(*self._VERIFY_10)
+        finally:
+            coalgebra.run_tables = self.run_tables
 
     # micro rows, in microseconds per call
     def kscalar_mul(self):
@@ -187,15 +209,29 @@ class Rows:
 
     _VERIFY = ("verify", "--suite", "all", "--preset", "spherical",
                "--samples", "100", "--seed", "7")
+    _VERIFY_10 = ("verify", "--suite", "all", "--preset", "hyperbolic", "--samples", "10",
+                  "--seed", "7")
 
     def verify_all_in_process(self):
         return _timed(lambda: self._cli(*self._VERIFY))
 
     def verify_all_samples10_in_process(self):
         """A verify-sweep item's shape: all suites at 10 samples (median call)."""
-        return 1e3 * _median_call(lambda: self._cli(
-            "verify", "--suite", "all", "--preset", "hyperbolic", "--samples", "10",
-            "--seed", "7"), 100)
+        return 1e3 * _median_call(lambda: self._cli(*self._VERIFY_10), 100)
+
+    def _run_tables_samples10(self, batch):
+        jobs, sampler = self.batches[batch]
+        return 1e6 * _median_call(lambda: self.run_tables(jobs, sampler, 10, 7), 300)
+
+    def run_tables_beltrami_samples10(self):
+        """The Beltrami batch of verify_all_samples10_in_process (sl2z on one
+        and three sites, casimirs) as one warm run_tables call (median call)."""
+        return self._run_tables_samples10(0)
+
+    def run_tables_polar_samples10(self):
+        """The polar batch of verify_all_samples10_in_process (so4, lrl) as
+        one warm run_tables call (median call)."""
+        return self._run_tables_samples10(1)
 
     def report_text_verify_all_samples10(self):
         """The report writer alone (median call), on the document of
@@ -203,8 +239,7 @@ class Rows:
         docs, real = [], self.cli._dump_json
         self.cli._dump_json = lambda doc, path: docs.append(doc)
         try:
-            self._cli("verify", "--suite", "all", "--preset", "hyperbolic", "--samples", "10",
-                      "--seed", "7")
+            self._cli(*self._VERIFY_10)
         finally:
             self.cli._dump_json = real
         return 1e6 * _median_call(lambda: self.cli._json_text(docs[0]), 300)
@@ -273,6 +308,8 @@ ROWS = (
     ("verify_all_in_process", "s", True),
     ("verify_all_new_params_in_process", "s", True),
     ("verify_all_samples10_in_process", "ms", True),
+    ("run_tables_beltrami_samples10", "us", True),
+    ("run_tables_polar_samples10", "us", True),
     ("report_text_verify_all_samples10", "us", True),
     ("rank_in_process", "s", True),
     ("rank_samples50_in_process", "ms", True),
@@ -316,8 +353,9 @@ def measure(src, repeats):
                 fn()
             row = run["rows"][name] = {"unit": unit, "repeats": [], "host_index": []}
             for _ in range(repeats):
-                row["host_index"].append(hostspeed.sample()[0])
-                row["repeats"].append(fn())
+                result, index = _scaled_repeat(hostspeed, fn)
+                row["repeats"].append(result)
+                row["host_index"].append(index)
             _set_medians(row)
             print(f"{name:34s} {row['median']:12.6g} {unit} "
                   f"(scaled {row['scaled_median']:.6g})", flush=True)

@@ -376,8 +376,7 @@ def _cmd_rank(args):
         obs.append(consts[args.append_lrl])
         expected = 5
     rng = np.random.default_rng(_seed(args))
-    states = [symmetry.sample_polar(params, rng, chart=polar)
-              for _ in range(args.samples)]
+    states = symmetry.sample_polar(params, rng, chart=polar, n=args.samples)
     histogram = {}
     for r in symmetry.independence_ranks(obs, states):
         histogram[r] = histogram.get(r, 0) + 1

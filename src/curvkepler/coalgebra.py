@@ -16,15 +16,17 @@ Hamiltonian built from the three-site generators shares.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import operator
 from dataclasses import dataclass, field, replace
 from itertools import islice
 
 import numpy as np
 
-from .phase import (P1, P2, P3, Q1, Q2, Q3, Chart, Observable, PhaseState,
-                    cosh, exp, grad, memo, sinhc, values_and_gradients)
+from .phase import (P1, P2, P3, Q1, Q2, Q3, Chart, Columns, Observable, PhaseState,
+                    cosh, exp, grad, memo, sinhc)
 
 __all__ = [
     "Realization", "CasimirSet", "one_site", "coproduct_join", "three_site",
@@ -245,59 +247,102 @@ class BracketReport:
 _GRAD_SCALE = 1e-4
 
 
+class _Identities(tuple):
+    """A table's identities as a cache key, equal to another only when it
+    holds the same objects in the same order; the key holds them, so no id
+    is reused while it is cached."""
+
+    __slots__ = ()
+
+    def __hash__(self):
+        return hash(tuple(map(id, self)))
+
+    def __eq__(self, other):
+        return len(self) == len(other) and all(map(operator.is_, self, other))
+
+
+class _Plan:
+    """A table's columns, set up once: its distinct observables as one
+    :class:`.phase.Columns`, the value column of each identity's ``f``, the
+    gradient columns of each bracket's ``f`` and ``g``, the value column of
+    each observable right-hand side and the constant right-hand sides."""
+
+    def __init__(self, table):
+        obs = {id(o): o for ident in table for o in (ident.f, ident.g, ident.rhs)
+               if isinstance(o, Observable)}
+        col = {key: j for j, key in enumerate(obs)}
+        self.columns = Columns(list(obs.values()))
+        self.f = [col[id(ident.f)] for ident in table]
+        self.rows = [i for i, ident in enumerate(table) if ident.g is not None]
+        self.gf = [self.f[i] for i in self.rows]
+        self.gg = [col[id(table[i].g)] for i in self.rows]
+        self.rhs = [col[id(ident.rhs)] if isinstance(ident.rhs, Observable) else 0
+                    for ident in table]
+        self.const_rows = [i for i, ident in enumerate(table)
+                           if not isinstance(ident.rhs, Observable)]
+        self.consts = np.array([float(table[i].rhs) for i in self.const_rows])
+        self.labels = [(ident.name, ident.group) for ident in table]
+        self.every = np.arange(len(table))
+
+
+# Column plans by table.  verify --suite all uses two per parameter set (one
+# per sampler); the bound keeps memory fixed.
+@functools.lru_cache(maxsize=128)
+def _plan(identities):
+    return _Plan(identities)
+
+
 def run_table(suite, table, sampler, samples, seed, params=None):
     """Evaluate every identity of a table at `samples` random points.
 
-    The table's distinct observables are compiled together once, before
-    the samples are evaluated, and one compiled call per point gives all
-    their values and gradients (:func:`.phase.values_and_gradients`; an
-    opaque observable takes the dual path).  Brackets, gradient norms and
-    residuals then come from one numpy pass over all points.  Residuals are
-    relative: the mismatch is scaled by the magnitudes of both sides and
-    (for brackets) by the gradient product that bounds the achievable
-    precision.  A NaN residual is the worst one; its first point is kept.
+    ``sampler(rng, n=samples)`` draws the points, in one generator call
+    for the built-in samplers.  The table's column plan is built once per
+    table (the same identity objects in the same order) and kept in a
+    bounded cache: its distinct observables are compiled together, and one
+    compiled call per point gives all their values and gradients
+    (:class:`.phase.Columns`; an opaque observable takes the dual path).
+    Brackets, gradient norms and residuals then come from one numpy pass
+    over all points.  Residuals are relative: the mismatch is scaled by the
+    magnitudes of both sides and (for brackets) by the gradient product
+    that bounds the achievable precision.  A NaN residual is the worst one;
+    its first point is kept.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    rng = np.random.default_rng(seed)
-    states = [sampler(rng) for _ in range(samples)]
-    obs = {id(o): o for ident in table for o in (ident.f, ident.g, ident.rhs)
-           if isinstance(o, Observable)}
-    col = {key: j for j, key in enumerate(obs)}
-    vg = values_and_gradients(list(obs.values()), states)
+    states = sampler(np.random.default_rng(seed), n=samples)
+    plan = _plan(_Identities(table))
+    vg = plan.columns(states)
     values, grads = vg[..., 0], vg[..., 1:]
 
-    f = [col[id(ident.f)] for ident in table]
-    lhs = values[:, f]
+    lhs = values[:, plan.f]
     scale = np.ones_like(lhs)
-    rows = [i for i, ident in enumerate(table) if ident.g is not None]
-    if rows:
-        gf = grads[:, [f[i] for i in rows]]
-        gg = grads[:, [col[id(table[i].g)] for i in rows]]
-        lhs[:, rows] = _bracket(gf, gg)
+    if plan.rows:
+        gf, gg = grads[:, plan.gf], grads[:, plan.gg]
+        lhs[:, plan.rows] = _bracket(gf, gg)
         norm_f, norm_g = np.sqrt(_dot(gf, gf)), np.sqrt(_dot(gg, gg))
-        scale[:, rows] = _GRAD_SCALE * (norm_f * norm_g)
-    rhs = np.array([values[:, col[id(ident.rhs)]] if isinstance(ident.rhs, Observable)
-                    else np.full(samples, float(ident.rhs)) for ident in table]).T
+        scale[:, plan.rows] = _GRAD_SCALE * (norm_f * norm_g)
+    rhs = values[:, plan.rhs]
+    rhs[:, plan.const_rows] = plan.consts
     # Float arithmetic as on Python floats: inf and NaN pass silently (a NaN
     # residual fails the report), and fmax skips a NaN operand as max() does.
     with np.errstate(invalid="ignore", over="ignore"):
         res = np.abs(lhs - rhs) / np.fmax(np.fmax(np.fmax(1.0, np.abs(lhs)),
                                                   np.abs(rhs)), scale)
     worst = np.argmax(res, axis=0)       # the first NaN, else the first maximum
-    nans = np.isnan(res).sum(axis=0)
-    results = []
-    for i, ident in enumerate(table):
-        s = states[worst[i]]
-        results.append(IdentityResult(
-            ident.name, ident.group, samples, float(res[worst[i], i]),
-            s.coords if isinstance(s, PhaseState) else tuple(s), int(nans[i])))
+    points = [s.coords if isinstance(s, PhaseState) else tuple(s) for s in states]
+    results = [IdentityResult(name, group, samples, r, points[w], nans)
+               for (name, group), r, w, nans in zip(
+                   plan.labels, res[worst, plan.every].tolist(), worst.tolist(),
+                   np.isnan(res).sum(axis=0).tolist())]
     return BracketReport(suite, samples, seed, params or {}, results)
 
 
 def run_tables(jobs, sampler, samples, seed):
     """One :class:`BracketReport` per ``(suite, table, params)`` job, what a separate
-    call gives, from one :func:`run_table` call: each point drawn and evaluated once."""
+    call gives, from one :func:`run_table` call: each point drawn and evaluated once.
+    The jobs' concatenated identities key the batch's column plan, so a repeated batch
+    of the same (memoized) tables costs its draws, its compiled calls and one residual
+    pass."""
     results = iter(run_table("+".join(job[0] for job in jobs), [
         ident for _, table, _ in jobs for ident in table], sampler, samples, seed).results)
     return [BracketReport(suite, samples, seed, params, list(islice(results, len(table))))
@@ -307,13 +352,15 @@ def run_tables(jobs, sampler, samples, seed):
 _MAX_REDRAWS = 1000    # rejected draws in a row; ~1e-2800 on the default box
 
 
-def uniform_coords(rng, bounds):
+def uniform_coords(rng, bounds, n=None):
     """One point uniform in the box ``bounds``, one ``(lo, hi)`` per
-    coordinate, from one ``rng.random`` call.
+    coordinate, from one ``rng.random`` call; with ``n``, a list of ``n``
+    points from one ``rng.random((n, len(bounds)))`` call, which draws the
+    same doubles in the same order as ``n`` calls of ``rng.random(len(bounds))``.
 
-    ``lo + (hi - lo) * u`` on floats is ``Generator.uniform``'s own formula,
-    so the coordinates (Python floats), their bits and the generator's next
-    state are those of one ``rng.uniform(lo, hi)`` per coordinate, as are the
+    ``lo + (hi - lo) * u`` is ``Generator.uniform``'s own formula, so the
+    coordinates (Python floats), their bits and the generator's next state
+    are those of one ``rng.uniform(lo, hi)`` per coordinate, as are the
     errors: OverflowError when ``hi - lo`` is not finite, ValueError when it
     is negative.
     """
@@ -323,22 +370,43 @@ def uniform_coords(rng, bounds):
             raise OverflowError("high - low range exceeds valid bounds")
         if span < 0:
             raise ValueError("high - low < 0")
-    return tuple([b[0] + span * u for b, span, u in
-                  zip(bounds, spans, rng.random(len(spans)).tolist())])
+    lows = np.array([b[0] for b in bounds], dtype=float)
+    u = rng.random((1 if n is None else n, len(spans)))
+    points = list(map(tuple, (lows + np.array(spans, dtype=float) * u).tolist()))
+    return points[0] if n is None else points
 
 
-def sample_beltrami(rng, lo=-2.0, hi=2.0, min_abs=1e-3):
-    """Random regular point: uniform in [lo, hi], positions away from zero."""
+def sample_beltrami(rng, lo=-2.0, hi=2.0, min_abs=1e-3, *, n=None):
+    """Random regular point: uniform in [lo, hi], positions away from zero;
+    with ``n``, a list of ``n`` of them.
+
+    Each round draws the points still missing in one :func:`uniform_coords`
+    call and keeps those with every ``|q_i| > min_abs``, in order, so the
+    points and the generator's next state are those of ``n`` calls that each
+    redraw until they accept.  A box with no admissible ``|q|`` raises
+    ValueError at the first draw, and so does a run of ``_MAX_REDRAWS``
+    rejected draws in a row, after the draws ``n`` calls make.
+    """
     bounds = ((lo, hi),) * 6
-    for _ in range(_MAX_REDRAWS):
-        coords = uniform_coords(rng, bounds)
-        if abs(coords[0]) > min_abs and abs(coords[1]) > min_abs \
-                and abs(coords[2]) > min_abs:
-            return PhaseState(Chart.BELTRAMI, coords)
-        if not max(abs(lo), abs(hi)) > min_abs:     # NaN fails too
+    need = 1 if n is None else n
+    admissible = max(abs(lo), abs(hi)) > min_abs        # NaN fails too
+    states, run = [], 0     # run: rejected draws in a row
+    while len(states) < need:
+        # Never more draws than the missing points, nor past the redraw
+        # limit, and one where no point can pass.
+        size = min(need - len(states), _MAX_REDRAWS - run) if admissible else 1
+        for c in uniform_coords(rng, bounds, size):
+            if abs(c[0]) > min_abs and abs(c[1]) > min_abs and abs(c[2]) > min_abs:
+                states.append(PhaseState(Chart.BELTRAMI, c))
+                run = 0
+            else:
+                run += 1
+        if run and not admissible:
             raise ValueError(f"no point of [{lo}, {hi}] has |q| > {min_abs}")
-    raise ValueError(f"{_MAX_REDRAWS} draws in a row from [{lo}, {hi}] had "
-                     f"some |q| <= {min_abs}")
+        if run == _MAX_REDRAWS:
+            raise ValueError(f"{_MAX_REDRAWS} draws in a row from [{lo}, {hi}] had "
+                             f"some |q| <= {min_abs}")
+    return states[0] if n is None else states
 
 
 @memo

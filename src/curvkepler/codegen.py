@@ -43,8 +43,11 @@ turns it into a code object.  One process-wide LRU cache of fixed size
 objects, so emission and ``compile()`` run only on a miss.  A graph of a
 known structure at new parameters costs one lowering walk and one ``exec``
 of the cached code, with the constants bound in the function's globals as
-``k0, k1, ...`` and the kernel rules by name; a graph lowered before costs
-the ``exec`` alone.
+``k0, k1, ...`` beside the kernel rules by name (one shared base dict,
+copied once per root set).  A second bounded LRU cache (:func:`_bound`),
+keyed by the root nodes (identity), keeps the lowering, its globals and the
+function of each mode made from them, so a repeated call on the same roots
+costs one cache lookup.
 
 Values-only mode (``compile_some(roots, values=True)``) emits the same
 lowering with no coordinate seeded: every node's lanes are empty, so no
@@ -72,10 +75,10 @@ Nothing else is merged by value: two equal subexpressions built as
 separate nodes are evaluated twice, so the builders (:func:`.phase.memo`)
 build each subexpression once per parameter set and share it.  Interning by
 value would let parameters into the structure key: at ``kappa1 = kappa2 =
-1.0`` equal constants would merge and rewire a table.  :func:`_lowered`
-memoizes :func:`_lower` by root nodes (identity) instead, for both modes;
-:func:`compile_some` still binds the constants and kernel rules and runs
-``exec`` at every call, so each caller gets its own function.
+1.0`` equal constants would merge and rewire a table.  :func:`_bound`
+keys by root nodes (identity) instead, for both modes, so every caller of
+:func:`compile_some` on the same roots and mode shares one function (the
+compiled code keeps no state between calls).
 """
 
 from __future__ import annotations
@@ -437,16 +440,15 @@ def _code(structure, values):
                    "<compiled values>" if values else "<compiled gradient>", "exec")
 
 
-def _globals(consts):
-    """The compiled function's globals: the kernel rules and float functions
-    by name, the ``math`` functions of the (S, C) pairs and the constants as
-    ``k0, k1, ...``."""
-    env = {f"{name}_rule": rule for name, rule in kernel.RULES.items()}
-    env.update((f"{name}_rule", rule) for name, rule in kernel.KAPPA_RULES.items())
-    env.update((f"{name}_float", fn) for name, fn in kernel.FLOAT_FNS.items())
-    env.update((name, getattr(math, name)) for name in ("sqrt", "sin", "cos", "sinh", "cosh"))
-    env.update((f"k{i}", c) for i, c in enumerate(consts))
-    return env
+# The globals every compiled function shares: the kernel rules and float
+# functions by name and the ``math`` functions of the (S, C) pairs.  Each
+# bound function adds its constants as ``k0, k1, ...`` to a copy.
+_BASE_GLOBALS = {
+    **{f"{name}_rule": rule for name, rule in kernel.RULES.items()},
+    **{f"{name}_rule": rule for name, rule in kernel.KAPPA_RULES.items()},
+    **{f"{name}_float": fn for name, fn in kernel.FLOAT_FNS.items()},
+    **{name: getattr(math, name) for name in ("sqrt", "sin", "cos", "sinh", "cosh")},
+}
 
 
 def _lower(roots):
@@ -460,10 +462,35 @@ def _lower(roots):
     return (tuple(low.ins), refs), tuple(low.consts)
 
 
-# verify and rank lower 1 or 2 root sets per call, simulate 5 to 8; the bound keeps memory fixed.
+class _Bound:
+    """One root set's lowering with its constants bound: the kept roots'
+    indices and, per mode, the function made on first use."""
+
+    __slots__ = ("structure", "env", "kept", "fns")
+
+    def __init__(self, roots):
+        structure, consts = _lower(roots)
+        self.kept = [i for i, r in enumerate(structure[1]) if r is not None]
+        if self.kept and len(self.kept) < len(roots):
+            # Lowered again, without the instructions only the others need.
+            structure, consts = _lower(tuple(roots[i] for i in self.kept))
+        self.structure = structure
+        self.env = dict(_BASE_GLOBALS, **{f"k{i}": c for i, c in enumerate(consts)})
+        self.fns = {}
+
+    def function(self, values):
+        if values not in self.fns:
+            exec(_code(self.structure, values), self.env)
+            self.fns[values] = self.env.pop("compiled")
+        return self.fns[values]
+
+
+# Bound root sets by root nodes (identity), which the key holds.  verify and
+# rank bind 1 or 2 root sets per call, simulate 5 to 8; the bound keeps
+# memory fixed.
 @functools.lru_cache(maxsize=256)
-def _lowered(roots):
-    return _lower(roots)
+def _bound(roots):
+    return _Bound(roots)
 
 
 def compile_some(roots, values=False):
@@ -480,18 +507,13 @@ def compile_some(roots, values=False):
 
     With ``values`` true, ``f`` returns only the kept roots' values.  In
     both modes each value is bit for bit what :func:`evaluator` gives on
-    the same floats.
+    the same floats.  A repeated call on the same root nodes returns the
+    same function.
     """
-    structure, consts = _lowered(tuple(roots))
-    kept = [i for i, r in enumerate(structure[1]) if r is not None]
-    if not kept:
-        return None, kept
-    if len(kept) < len(roots):
-        # Lowered again, without the instructions only the others need.
-        structure, consts = _lowered(tuple(roots[i] for i in kept))
-    env = _globals(consts)
-    exec(_code(structure, values), env)
-    return env["compiled"], kept
+    bound = _bound(tuple(roots))
+    if not bound.kept:
+        return None, []
+    return bound.function(values), list(bound.kept)
 
 
 def compile_gradients(roots):

@@ -259,13 +259,18 @@ def integrate(h, s0, cfg, monitors=None, domain_guard=None):
     ``monitors`` maps names to observables evaluated every sampled step.
     ``domain_guard`` maps raw coordinates to a reason string when the state
     has entered the epsilon-neighborhood of a chart singularity; the run
-    then terminates cleanly with the reason recorded.  A start state with a non-finite
-    coordinate raises :class:`DomainError` naming it, and one the guard rejects
-    :class:`ChartSingularityError`, before anything is evaluated; a Hamiltonian or
-    monitor observable declared on another chart than ``s0``'s raises
-    ``ChartMismatchError`` there too.  A step-size underflow (h < 1e-14 t_end) raises
-    :class:`StepUnderflowError` carrying the partial trajectory and the reason; an
-    implicit midpoint step that does not converge ends the run early.
+    then terminates cleanly with the reason recorded.  A guard from
+    :func:`.spaces.chart_guard` also ends the run when a function that
+    vanishes on the singular set changes sign between two accepted states
+    (a step over the singular set), with a reason that names the crossing.
+    A start state with a non-finite coordinate raises :class:`DomainError`
+    naming it, and one the guard rejects :class:`ChartSingularityError`,
+    before anything is evaluated; a Hamiltonian or monitor observable
+    declared on another chart than ``s0``'s raises ``ChartMismatchError``
+    there too.  A step-size underflow (h < 1e-14 t_end) raises
+    :class:`StepUnderflowError` carrying the partial trajectory and the
+    reason; an implicit midpoint step that does not converge ends the run
+    early.
 
     An :class:`Observable` ``h`` gets its gradient compiled and every
     monitor its values-only code (once each; the code is kept on the
@@ -277,8 +282,15 @@ def integrate(h, s0, cfg, monitors=None, domain_guard=None):
     for i, c in enumerate(s0.coords):
         if not math.isfinite(c):
             raise DomainError(f"start state coordinate {i + 1} of 6 is not finite: {c!r}")
-    if domain_guard is not None:
-        reason = domain_guard(s0.coords)
+    # guard(c, signs before) -> (reason, signs at c); only a chart_guard
+    # watches for sign changes between accepted states.
+    guard = getattr(domain_guard, "step", None)
+    if guard is None and domain_guard is not None:
+        def guard(c, before):
+            return domain_guard(c), None
+    signs = None
+    if guard is not None:
+        reason, signs = guard(s0.coords, None)
         if reason is not None:
             raise ChartSingularityError(f"start state is singular: {reason}")
     chart = s0.chart
@@ -376,8 +388,8 @@ def integrate(h, s0, cfg, monitors=None, domain_guard=None):
             t += hstep
             y, k1 = ynew, knew
             stats.accept(hstep)
-            if domain_guard is not None:
-                reason = domain_guard(y)
+            if guard is not None:
+                reason, signs = guard(y, signs)
                 if reason is not None:
                     record(t, y)
                     return build(early=True, reason=reason)

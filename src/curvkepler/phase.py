@@ -104,31 +104,47 @@ def _value_and_gradient(node, compiled, coords):
     return float(out), np.zeros(NVARS)
 
 
-def values_and_gradients(observables, states):
-    """Values and gradients of several observables at several states.
+class Columns:
+    """Several observables set up once for evaluation at many states: their
+    charts, one compiled function for those that compile
+    (:func:`.codegen.compile_some`) and the graphs of the others, which
+    take one dual evaluation each per state.
 
-    Returns an array of shape ``(len(states), len(observables), 7)``: the
-    value and the six partials of each observable at each state, as
-    :meth:`Observable.value_and_gradient` gives them.  The observables that
-    can be compiled are compiled together (:func:`.codegen.compile_some`)
-    and cost one call per state; the others take one dual evaluation each.
+    Calling it on a list of states returns an array of shape
+    ``(len(states), len(observables), 7)``: the value and the six partials
+    of each observable at each state, as :meth:`Observable.value_and_gradient`
+    gives them.  A state on another chart than an observable's raises
+    ``ChartMismatchError`` before anything is evaluated.
     """
-    charts = {o.chart for o in observables} - {None}
-    coords = []
-    for state in states:
-        for chart in charts:                # raises on a chart mismatch
-            _coords_of(state, chart)
-        coords.append(_coords_of(state, None))
-    out = np.empty((len(states), len(observables), 1 + NVARS))
-    compiled, graphs = codegen.compile_some([o._node for o in observables])
-    if compiled:
-        rows = itertools.chain.from_iterable([compiled(*c) for c in coords])
-        out[:, graphs] = np.fromiter(rows, float).reshape(len(states), len(graphs), 1 + NVARS)
-    for j, o in enumerate(observables):
-        if j not in graphs:
+
+    __slots__ = ("charts", "compiled", "graphs", "duals", "width")
+
+    def __init__(self, observables):
+        self.charts = tuple({o.chart for o in observables} - {None})
+        self.compiled, self.graphs = codegen.compile_some([o._node for o in observables])
+        self.duals = [(j, o._node) for j, o in enumerate(observables) if j not in self.graphs]
+        self.width = len(observables)
+
+    def __call__(self, states):
+        coords = []
+        for state in states:
+            for chart in self.charts:           # raises on a chart mismatch
+                _coords_of(state, chart)
+            coords.append(_coords_of(state, None))
+        n = len(coords)
+        if self.compiled:
+            compiled = self.compiled
+            rows = np.fromiter(itertools.chain.from_iterable([compiled(*c) for c in coords]),
+                               float).reshape(n, len(self.graphs), 1 + NVARS)
+            if not self.duals:
+                return rows
+        out = np.empty((n, self.width, 1 + NVARS))
+        if self.compiled:
+            out[:, self.graphs] = rows
+        for j, node in self.duals:
             for i, c in enumerate(coords):
-                out[i, j, 0], out[i, j, 1:] = _value_and_gradient(o._node, None, c)
-    return out
+                out[i, j, 0], out[i, j, 1:] = _value_and_gradient(node, None, c)
+        return out
 
 
 def _node_of(o):

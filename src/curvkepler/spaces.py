@@ -539,32 +539,69 @@ def radial_reduction(spec, c3):
 # Chart-domain guard for trajectory integration
 # --------------------------------------------------------------------------
 
+# Each function a chart guard watches for a sign change: the singular set
+# where it vanishes, and its name.
+_WATCH = {
+    Chart.POLAR_CONSTANT: (("radial pole", "S_kappa1(r)"), ("polar axis", "S_kappa2(theta)")),
+    Chart.POLAR_VARIABLE: (("radial pole", "S_{-kappa1}(rho)"), ("polar axis", "S_kappa2(theta)"),
+                           ("chart edge", "C_{-kappa1}(rho)")),
+    Chart.BELTRAMI: tuple((f"coordinate plane q{i} = 0", f"q{i}") for i in (1, 2, 3)),
+}
+
+
+def _crossed(chart, before, signs):
+    what, fn = next(w for w, b, s in zip(_WATCH[chart], before, signs) if b != s)
+    return f"{what} crossed between steps: {fn} changed sign"
+
+
 def chart_guard(chart, params):
-    """A callable mapping raw coordinates to a singularity reason or None."""
+    """A callable mapping raw coordinates to a singularity reason or None.
+
+    Its ``step(c, before)`` attribute returns ``(reason, signs)``: the same
+    reason, and otherwise the signs of the functions that vanish on the
+    chart's singular set (``_WATCH``).  Given the signs at the previous
+    state as ``before``, a sign change is a reason too: a step that jumped
+    over the singular set, which the epsilon test at each state cannot see.
+    ``integrate`` calls it at each accepted state.
+    """
     z, kappa2, sk = params.z, params.kappa2, kernel._kappa_s
 
     if chart is Chart.POLAR_CONSTANT:
-        def guard(c):
-            if abs(sk(z, c[0])) < _GUARD_EPS:
-                return "radial pole: S_kappa1(r) ~ 0"
-            if abs(sk(kappa2, c[1])) < _GUARD_EPS:
-                return "polar axis: S_kappa2(theta) ~ 0"
-            return None
-        return guard
-    if chart is Chart.POLAR_VARIABLE:
-        def guard(c):
+        def step(c, before):
+            s1 = sk(z, c[0])
+            if abs(s1) < _GUARD_EPS:
+                return "radial pole: S_kappa1(r) ~ 0", None
+            s2 = sk(kappa2, c[1])
+            if abs(s2) < _GUARD_EPS:
+                return "polar axis: S_kappa2(theta) ~ 0", None
+            signs = (s1 > 0.0, s2 > 0.0)
+            if signs != before and before is not None:
+                return _crossed(chart, before, signs), signs
+            return None, signs
+    elif chart is Chart.POLAR_VARIABLE:
+        def step(c, before):
             s, cm = kernel._kappa_pair(-z, c[0])
             if abs(s) < _GUARD_EPS:
-                return "radial pole: S_{-kappa1}(rho) ~ 0"
-            if abs(sk(kappa2, c[1])) < _GUARD_EPS:
-                return "polar axis: S_kappa2(theta) ~ 0"
+                return "radial pole: S_{-kappa1}(rho) ~ 0", None
+            s2 = sk(kappa2, c[1])
+            if abs(s2) < _GUARD_EPS:
+                return "polar axis: S_kappa2(theta) ~ 0", None
             if abs(cm) < _GUARD_EPS:
-                return "chart edge: C_{-kappa1}(rho) ~ 0"
-            return None
-        return guard
+                return "chart edge: C_{-kappa1}(rho) ~ 0", None
+            signs = (s > 0.0, s2 > 0.0, cm > 0.0)
+            if signs != before and before is not None:
+                return _crossed(chart, before, signs), signs
+            return None, signs
+    else:
+        def step(c, before):
+            if c[0] ** 2 + c[1] ** 2 + c[2] ** 2 < _GUARD_EPS * _GUARD_EPS:
+                return "collision: q -> 0", None
+            signs = (c[0] > 0.0, c[1] > 0.0, c[2] > 0.0)
+            if signs != before and before is not None:
+                return _crossed(chart, before, signs), signs
+            return None, signs
 
     def guard(c):
-        if c[0] ** 2 + c[1] ** 2 + c[2] ** 2 < _GUARD_EPS * _GUARD_EPS:
-            return "collision: q -> 0"
-        return None
+        return step(c, None)[0]
+    guard.step = step
     return guard

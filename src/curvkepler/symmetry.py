@@ -14,6 +14,7 @@ bracket table is verified in the equivalent even form.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -23,9 +24,8 @@ from .coalgebra import run_table  # noqa: F401  (kept: perfbench/spans.py wraps 
 from .coalgebra import Identity, casimirs, run_tables, uniform_coords
 from .kernel import DomainError
 from .phase import grad  # noqa: F401  (kept: perfbench/spans.py wraps symmetry.grad)
-from .phase import (P1, Q1, Chart, Observable, PhaseState, ckappa, cos,
-                    cotkappa, exp, memo, sin, sinhc, skappa,
-                    values_and_gradients)
+from .phase import (P1, Q1, Chart, Columns, Observable, PhaseState, ckappa,
+                    cos, cotkappa, exp, memo, sin, sinhc, skappa)
 from .spaces import (_PH, _PPH, _PRAD, _PTH, _RAD, _TH, Family,
                      HamiltonianSpec, SpaceParams, _check_chart, hamiltonian,
                      to_polar)
@@ -197,8 +197,10 @@ def transported(obs, params, source=Chart.BELTRAMI):
 # Randomized verification
 # --------------------------------------------------------------------------
 
-def sample_polar(params, rng, chart=Chart.POLAR_CONSTANT, momentum_scale=2.0):
-    """Random regular polar-chart point, away from poles and chart edges."""
+def sample_polar(params, rng, chart=Chart.POLAR_CONSTANT, momentum_scale=2.0, *, n=None):
+    """Random regular polar-chart point, away from poles and chart edges;
+    with ``n``, a list of ``n`` of them from one generator call
+    (:func:`.coalgebra.uniform_coords`)."""
     k1, k2 = params.kappa1, params.kappa2
     if chart is Chart.POLAR_CONSTANT:
         rmax = 0.85 * math.pi / math.sqrt(k1) if k1 > 0 else 1.8
@@ -209,12 +211,13 @@ def sample_polar(params, rng, chart=Chart.POLAR_CONSTANT, momentum_scale=2.0):
     tmax = 0.85 * math.pi / math.sqrt(k2) if k2 > 0 else 1.5
     tlo = min(0.25, 0.3 * tmax)
     mom = (-momentum_scale, momentum_scale)
-    return PhaseState(chart, uniform_coords(
-        rng, ((rlo, rmax), (tlo, tmax), (0.0, 2.0 * math.pi), mom, mom, mom)))
+    bounds = ((rlo, rmax), (tlo, tmax), (0.0, 2.0 * math.pi), mom, mom, mom)
+    states = [PhaseState(chart, c) for c in uniform_coords(rng, bounds, 1 if n is None else n)]
+    return states[0] if n is None else states
 
 
 def _polar_sampler(params):
-    return lambda rng: sample_polar(params, rng)
+    return functools.partial(sample_polar, params)
 
 
 @memo
@@ -340,11 +343,11 @@ def independence_ranks(observables, states, threshold=1e-8):
     """Numerical rank of the Jacobian of a list of observables at each state.
 
     One compiled call per state gives every gradient
-    (:func:`.phase.values_and_gradients`), and one stacked SVD all the
+    (:class:`.phase.Columns`), and one stacked SVD all the
     singular values; a rank counts those above ``threshold`` times the
     largest (0 for a zero Jacobian).
     """
-    jac = values_and_gradients(observables, states)[..., 1:]
+    jac = Columns(observables)(states)[..., 1:]
     sv = np.linalg.svd(jac, compute_uv=False)
     return np.sum(sv > threshold * sv[:, :1], axis=1).tolist()
 

@@ -459,7 +459,6 @@ def test_verify_all_passes_where_a_cancelling_casimir_only_rounds(capsys, tmp_pa
     assert code == 0
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 3")
 @pytest.mark.parametrize("argv", [
     ("--family", "free-cc", "--state", "0.6,1.5707963,0,-1,0,0"),
     ("--family", "kepler-cc", "--gamma", "0.5", "--state", "1.0,0.3,0,0,-1,0"),
@@ -542,14 +541,16 @@ def _separate_reports(suite, params, samples, seed, perturb):
 ], ids=["z=0", "z=0.3 k2=-1", "z=-0.3 gamma=0.9", "z=0.3 gamma=1.7"])
 def test_batched_suites_report_what_separate_calls_report(suite, params):
     """The suites that share a sampler run as one batch; each report is the
-    one its own verify_* call gives, perturbed or not."""
+    one its own verify_* call gives, perturbed or not, and a second call,
+    which finds its column plans and compiled code cached, gives it again."""
     for perturb in (None, *_SUITE_GENS[suite]):
         batched = cli._run_suites(suite, params, 4, 11, perturb)
         separate = _separate_reports(suite, params, 4, 11, perturb)
-        assert len(batched) == len(separate) == (5 if suite == "all" else
-                                                 2 if suite == "sl2z" else 1)
-        for b, s in zip(batched, separate):
-            assert b.to_json() == s.to_json(), (suite, perturb, s.suite)
+        warm = cli._run_suites(suite, params, 4, 11, perturb)
+        assert len(batched) == len(separate) == len(warm) == (
+            5 if suite == "all" else 2 if suite == "sl2z" else 1)
+        for b, s, w in zip(batched, separate, warm):
+            assert b.to_json() == s.to_json() == w.to_json(), (suite, perturb, s.suite)
 
 
 _CURVATURE_CC = ("curvature", "--kind", "cc", "--chart", "polar-constant",

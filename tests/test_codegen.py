@@ -98,7 +98,9 @@ def test_compiled_ratio_calls_its_rule_only_at_the_pole(kfn, kappa, x, monkeypat
     name = kfn.__name__
     calls = []
     rule = kernel.KAPPA_RULES[name]
-    monkeypatch.setitem(kernel.KAPPA_RULES, name, lambda *a: calls.append(a) or rule(*a))
+    # Compiled code reads its rules from the shared base globals when bound.
+    monkeypatch.setitem(codegen._BASE_GLOBALS, f"{name}_rule",
+                        lambda *a: calls.append(a) or rule(*a))
     assert ob.compile_gradient()
     regular = PhaseState.beltrami(x + 0.25, 0.4, 0.0, 0.3, 0.0, 0.0)
     assert np.array_equal(ob.gradient(regular), _dual(ob).gradient(regular))
@@ -322,8 +324,16 @@ def _compile_calls(monkeypatch):
     return calls
 
 
-def test_structure_cache_compiles_each_table_structure_once(monkeypatch):
+def _clear_code_caches():
+    """Empty the code objects, the bound functions and the table plans, so
+    the next call compiles every structure it needs."""
     codegen._code.cache_clear()
+    codegen._bound.cache_clear()
+    coalgebra._plan.cache_clear()
+
+
+def test_structure_cache_compiles_each_table_structure_once(monkeypatch):
+    _clear_code_caches()
     calls = _compile_calls(monkeypatch)
     first = symmetry.verify_lrl_algebra(SpaceParams.preset("spherical", 0.5), samples=3)
     assert len(calls) == 1 and codegen._code.cache_info().currsize == 1
@@ -344,7 +354,7 @@ def test_verify_all_at_new_parameters_emits_and_compiles_nothing(monkeypatch):
     gamma), finds both batch structures (the Beltrami tables and the polar
     ones) in the cache: it lowers each graph and emits no source and calls
     no compile()."""
-    codegen._code.cache_clear()
+    _clear_code_caches()
     calls = _compile_calls(monkeypatch)
     emitted = []
     real = codegen._Emitter.body
@@ -490,8 +500,7 @@ def test_one_lowering_serves_both_modes(monkeypatch):
     walks = []
     real = codegen._lower
     monkeypatch.setattr(codegen, "_lower", lambda *a: walks.append(a) or real(*a))
-    codegen._lowered.cache_clear()
-    codegen._code.cache_clear()
+    _clear_code_caches()
     codegen.compile_some(nodes)
     codegen.compile_some(nodes, values=True)
     codegen.compile_some(nodes, values=True)

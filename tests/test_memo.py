@@ -100,18 +100,79 @@ def test_returned_constants_and_hamiltonians_are_fresh():
 
 
 def test_every_memo_stays_at_its_bound():
-    """More new z values than any bound: every builder memo and the
-    lowering memo fill up and stay there."""
-    lowered = codegen._lowered.cache_info().maxsize
-    steps = max(phase._MEMO_SIZE, lowered // 2) + 5     # verify all lowers 2 batches
+    """More new z values than any bound: every builder memo, the cache of
+    bound compiled functions and the cache of table plans fill up and stay
+    there."""
+    bound = codegen._bound.cache_info().maxsize
+    plans = coalgebra._plan.cache_info().maxsize
+    steps = max(phase._MEMO_SIZE, bound // 2, plans // 2) + 5   # verify all binds 2 batches
     for i in range(steps):
         params = SpaceParams(0.01 + i / 1024, 1.0, 0.5)  # z values no other test uses
         cli._run_suites("all", params, 1, 0, None)
         symmetry.constants(HamiltonianSpec(Family.FREE_CC, params), Chart.POLAR_CONSTANT)
         assert all(len(m.cache) <= phase._MEMO_SIZE for m in MEMOS)
-        assert codegen._lowered.cache_info().currsize <= lowered
+        assert codegen._bound.cache_info().currsize <= bound
+        assert coalgebra._plan.cache_info().currsize <= plans
     assert [len(m.cache) for m in MEMOS] == [phase._MEMO_SIZE] * len(MEMOS)
-    assert codegen._lowered.cache_info().currsize == lowered
+    assert codegen._bound.cache_info().currsize == bound
+    assert coalgebra._plan.cache_info().currsize == plans
+
+
+def test_the_bound_function_cache_stays_at_its_bound():
+    """More new root sets than the cache of bound functions holds: it fills
+    up and stays there, and a repeated root set gets its function back."""
+    bound = codegen._bound.cache_info().maxsize
+    for i in range(bound + 5):
+        roots = [(phase.Q1 * (1.0 + i) + phase.P2).node]
+        f, kept = codegen.compile_some(roots)
+        assert kept == [0] and f(1.0, 0, 0, 0, 2.0, 0)[0] == 1.0 + i + 2.0
+        assert codegen.compile_some(roots) == (f, kept)
+        assert codegen._bound.cache_info().currsize <= bound
+    assert codegen._bound.cache_info().currsize == bound
+
+
+def test_the_table_plan_cache_stays_at_its_bound():
+    """More new tables than the cache of column plans holds: it fills up and
+    stays there, and every report is still the one a fresh plan gives."""
+    bound = coalgebra._plan.cache_info().maxsize
+    jm = coalgebra.one_site(0.25).jminus
+    first = None
+    for i in range(bound + 5):
+        table = [coalgebra.Identity("value", jm * (1.0 + i), rhs=jm * (1.0 + i))]
+        report = coalgebra.run_table("t", table, coalgebra.sample_beltrami, 2, 5)
+        assert report.results[0].max_residual == 0.0
+        first = first or report.results[0].worst_point
+        assert report.results[0].worst_point == first
+        assert coalgebra._plan.cache_info().currsize <= bound
+    assert coalgebra._plan.cache_info().currsize == bound
+
+
+def test_a_perturbed_table_and_a_new_z_get_their_own_plans():
+    """verify --suite all keeps one plan per batch of job tables: a repeated
+    call finds both, a --perturb control misses for its own batch only, and
+    a new z misses for both."""
+    params = SpaceParams(0.0237, 1.0, 0.5)              # a z no other test uses
+
+    def misses_and_hits(perturb, p=params):
+        before = coalgebra._plan.cache_info()
+        reports = cli._run_suites("all", p, 2, 0, perturb)
+        after = coalgebra._plan.cache_info()
+        return (after.misses - before.misses, after.hits - before.hits), reports
+
+    assert misses_and_hits(None)[0] == (2, 0)
+    (counts, healthy) = misses_and_hits(None)
+    assert counts == (0, 2)
+    for perturb in ("jplus", "j02"):
+        counts, perturbed = misses_and_hits(perturb)
+        assert counts == (1, 1)
+        assert max(r.max_residual for r in perturbed) > 1e-3 > max(
+            r.max_residual for r in healthy)
+        assert misses_and_hits(perturb)[0] == (0, 2)
+    assert misses_and_hits(None, SpaceParams(0.0238, 1.0, 0.5))[0] == (2, 0)
+    tables = [job[1] for job in (coalgebra._casimirs_job(params.z, None),
+                                 coalgebra._casimirs_job(params.z, "jplus"))]
+    plans = [coalgebra._plan(coalgebra._Identities(t)) for t in tables]
+    assert plans[0] is not plans[1]
 
 
 def test_the_report_writer_layout_cache_stays_at_its_bound():
@@ -167,8 +228,17 @@ def test_warm_verify_all_evaluates_few_sinhc_per_sample(monkeypatch, tmp_path):
     assert cli.main(argv) == 0
     calls = []
     real = kernel.RULES["sinhc"]
-    monkeypatch.setitem(kernel.RULES, "sinhc", lambda v: calls.append(v) or real(v))
-    assert cli.main(argv) == 0
+    # Compiled code reads its rules from the shared base globals when it is
+    # bound, so the counting rule goes there and the warm builders' graphs
+    # are bound again.
+    monkeypatch.setitem(codegen._BASE_GLOBALS, "sinhc_rule", lambda v: calls.append(v) or real(v))
+    codegen._bound.cache_clear()
+    coalgebra._plan.cache_clear()
+    try:
+        assert cli.main(argv) == 0
+    finally:        # no later call may run the counting rule
+        codegen._bound.cache_clear()
+        coalgebra._plan.cache_clear()
     assert 0 < len(calls) <= 12 * samples
 
 

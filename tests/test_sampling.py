@@ -8,7 +8,7 @@ import re
 import numpy as np
 import pytest
 
-from curvkepler.coalgebra import sample_beltrami
+from curvkepler.coalgebra import sample_beltrami, uniform_coords
 from curvkepler.phase import Chart, Observable, PhaseState, grad
 from curvkepler.spaces import PRESETS, Family, HamiltonianSpec, SpaceParams, hamiltonian
 from curvkepler.symmetry import (constants, independence_rank, independence_ranks,
@@ -69,6 +69,67 @@ def test_beltrami_draws_are_uniforms_bit_for_bit(kwargs):
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         assert_same_draw(sample_beltrami(rng, **kwargs),
                          reference_beltrami(ref_rng, **kwargs), rng, ref_rng)
+
+
+def _same_states(new, ref):
+    assert [s.chart for s in new] == [s.chart for s in ref]
+    assert [[c.hex() for c in s.coords] for s in new] == \
+        [[c.hex() for c in s.coords] for s in ref]
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 50])
+def test_a_batch_of_polar_draws_is_the_draws_one_at_a_time(n):
+    """n states from one generator call are the n states of n calls, bit for
+    bit, and leave the generator where the n calls leave it."""
+    params = SpaceParams.preset("hyperbolic")
+    for seed in range(50):
+        for chart in CHARTS:
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            batch = sample_polar(params, rng, chart, n=n)
+            _same_states(batch, [sample_polar(params, ref_rng, chart) for _ in range(n)])
+            assert rng.random() == ref_rng.random()
+    assert sample_polar(params, np.random.default_rng(0), n=0) == []
+
+
+@pytest.mark.parametrize("kwargs", [{}, {"lo": -2.0, "hi": 2.0, "min_abs": 1.0},
+                                    {"lo": -1.0, "hi": 1.0, "min_abs": 0.75}])
+@pytest.mark.parametrize("n", [1, 3, 10, 64])
+def test_a_batch_of_beltrami_draws_is_the_draws_one_at_a_time(kwargs, n):
+    """Rejected draws included: with min_abs = 0.75 on [-1, 1] 63 draws in 64
+    are redrawn, so a batch takes many rounds of redraws, in order."""
+    for seed in range(20):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        batch = sample_beltrami(rng, n=n, **kwargs)
+        _same_states(batch, [sample_beltrami(ref_rng, **kwargs) for _ in range(n)])
+        assert rng.random() == ref_rng.random()
+
+
+def test_a_batch_of_uniform_points_is_one_point_at_a_time():
+    bounds = ((-1, 1), (0.25, 3.0), (0.0, 2.0 * math.pi), (-2.0, 2.0), (5.0, 5.0), (-1e300, 1e300))
+    rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
+    batch = uniform_coords(rng, bounds, 40)
+    ref = [uniform_coords(ref_rng, bounds) for _ in range(40)]
+    assert all(type(c) is float for p in batch for c in p)
+    assert [[c.hex() for c in p] for p in batch] == [[c.hex() for c in p] for p in ref]
+    assert rng.random() == ref_rng.random()
+
+
+@pytest.mark.parametrize("kwargs", [{"lo": -1.0, "hi": 1.0, "min_abs": 2.0},
+                                    {"min_abs": math.nan}, {"lo": 0.0, "hi": 1.0,
+                                                            "min_abs": 0.9999999999999999}])
+def test_a_batch_raises_what_one_draw_raises(kwargs):
+    """A box with no admissible |q| and a run of _MAX_REDRAWS rejected draws
+    raise in a batch with the message of a single draw, after as many
+    draws."""
+    with pytest.raises(ValueError) as one:
+        sample_beltrami(np.random.default_rng(0), **kwargs)
+    rng, ref_rng = _BoundedRng(), _BoundedRng()
+    with pytest.raises(ValueError) as batch:
+        sample_beltrami(rng, n=5, **kwargs)
+    assert str(batch.value) == str(one.value)
+    with pytest.raises(ValueError):
+        sample_beltrami(ref_rng, **kwargs)
+    assert rng.rng.random() == ref_rng.rng.random()
 
 
 @pytest.mark.parametrize("kwargs, error", [

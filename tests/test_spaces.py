@@ -531,6 +531,36 @@ def test_chart_guard_reports_reasons():
     assert guard_b((1e-9, 1e-9, 1e-9, 0, 0, 0)) is not None
 
 
+@pytest.mark.parametrize("chart, params, before, after, reason", [
+    (Chart.POLAR_CONSTANT, SpaceParams.preset("spherical"), (0.6, 1.0), (-1.4, 1.0),
+     "radial pole crossed between steps: S_kappa1(r) changed sign"),
+    (Chart.POLAR_CONSTANT, SpaceParams.preset("spherical"), (3.0, 1.0), (3.3, 1.0),
+     "radial pole crossed between steps: S_kappa1(r) changed sign"),
+    (Chart.POLAR_CONSTANT, SpaceParams.preset("hyperbolic"), (1.0, 0.3), (1.0, -0.2),
+     "polar axis crossed between steps: S_kappa2(theta) changed sign"),
+    (Chart.POLAR_VARIABLE, SpaceParams(0.5, 1.0), (0.3, 1.0), (-0.2, 1.0),
+     "radial pole crossed between steps: S_{-kappa1}(rho) changed sign"),
+    (Chart.POLAR_VARIABLE, SpaceParams(0.5, 1.0), (1.0, 3.0), (1.0, 3.3),
+     "polar axis crossed between steps: S_kappa2(theta) changed sign"),
+    (Chart.POLAR_VARIABLE, SpaceParams(-1.0, 1.0), (1.4, 1.0), (1.8, 1.0),
+     "chart edge crossed between steps: C_{-kappa1}(rho) changed sign"),
+    (Chart.BELTRAMI, SpaceParams(0.5, 1.0), (0.3, 0.2, 0.4), (0.3, -0.1, 0.4),
+     "coordinate plane q2 = 0 crossed between steps: q2 changed sign"),
+], ids=["pole", "antipode", "axis", "rho pole", "theta antipode", "edge", "beltrami q2"])
+def test_a_step_over_the_singular_set_is_a_crossing(chart, params, before, after, reason):
+    """Neither end is within the guard's epsilon of the singular set, so only
+    the sign change between them shows the step across it."""
+    guard = chart_guard(chart, params)
+    pad = (0.0,) * (6 - len(before))
+    start, end = before + pad, after + pad
+    assert guard(start) is None and guard(end) is None
+    ok, signs = guard.step(start, None)
+    assert ok is None
+    assert guard.step(start, signs) == (None, signs)
+    got, _ = guard.step(end, signs)
+    assert got == reason
+
+
 def _pair_guard(chart, params, eps=1e-6):
     """chart_guard on a polar chart written on kernel._kappa_pair, reading
     S (and C) from the pair, as it was before the S-only helper."""
