@@ -47,7 +47,6 @@ _SPACE = ("--preset", "hyperbolic", "--gamma", "0.4")
 
 
 def _monitor_code(sha, tmp):
-    from curvkepler import codegen
     from curvkepler.spaces import PRESETS, Family, HamiltonianSpec, SpaceParams, hamiltonian
     from curvkepler.symmetry import constants
 
@@ -57,11 +56,11 @@ def _monitor_code(sha, tmp):
             for chart in spec.compatible_charts():
                 monitors = dict(constants(spec, chart), H=hamiltonian(spec, chart))
                 for name, ob in monitors.items():
-                    f = codegen.compile_some([ob._node], values=True)[0]
                     sha.update(f"{family.value} {preset} {chart.value} {name}\n".encode())
-                    if f is None:
+                    if not ob.compile_values():
                         sha.update(b"not compiled\n")
                         continue
+                    f = ob._values
                     code = f.__code__
                     bound = [f.__globals__[n] for n in code.co_names if re.fullmatch(r"k\d+", n)]
                     sha.update(code.co_code)

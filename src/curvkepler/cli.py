@@ -31,7 +31,7 @@ import numpy as np
 
 from . import coalgebra, dynamics, spaces, symmetry
 from .kernel import DomainError
-from .phase import Chart, ChartMismatchError, ChartSingularityError, PhaseState
+from .phase import Chart, ChartSingularityError, PhaseState
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -545,8 +545,7 @@ def main(argv=None):
         # their way into a NaN.
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             return args.func(args)
-    except (DomainError, ChartMismatchError, ChartSingularityError,
-            ValueError, OSError) as err:
+    except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     except ArithmeticError as err:

@@ -297,15 +297,16 @@ def run_table(suite, table, sampler, samples, seed, params=None):
 
     ``sampler(rng, n=samples)`` draws the points, in one generator call
     for the built-in samplers.  The table's column plan is built once per
-    table (the same identity objects in the same order) and kept in a
+    table (the same identity objects in the same order) and held in a
     bounded cache: its distinct observables are compiled together, and one
     compiled call per point gives all their values and gradients
-    (:class:`.phase.Columns`; an opaque observable takes the dual path).
+    (:class:`.phase.Columns`; a table with an opaque observable takes the
+    dual path for all of them).
     Brackets, gradient norms and residuals then come from one numpy pass
     over all points.  Residuals are relative: the mismatch is scaled by the
     magnitudes of both sides and (for brackets) by the gradient product
     that bounds the achievable precision.  A NaN residual is the worst one;
-    its first point is kept.
+    its first point is reported.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")

@@ -3,11 +3,13 @@
 An observable is a graph of :class:`Node` objects over coordinates,
 constants and ``opaque`` leaves (user callables).  :func:`evaluator` gives
 its value on floats or ``KScalar`` duals alike in one post-order pass that
-evaluates a shared node once.  :func:`compile_gradients` turns the graphs
-of several observables (the roots) into one Python function of the six
-coordinates.  For each root in order it returns what a 6-lane ``KScalar``
-evaluation returns, the value and then six partials, in one flat tuple of
-``7 * len(roots)`` floats.  It gets there with less work:
+evaluates a shared node once.  :func:`compile_roots` turns the graphs of
+several observables (the roots) into one Python function of the six
+coordinates, or gives None when any root cannot be compiled: a root set
+compiles whole or not at all.  For each root in order the function returns
+what a 6-lane ``KScalar`` evaluation returns, the value and then six
+partials, in one flat tuple of ``7 * len(roots)`` floats.  It gets there
+with less work:
 
 * it computes only the derivative lanes a node structurally depends on
   (sparse forward mode, Griewank-Walther, *Evaluating Derivatives*, ch. 7);
@@ -46,10 +48,10 @@ of the cached code, with the constants bound in the function's globals as
 ``k0, k1, ...`` beside the kernel rules by name (one shared base dict,
 copied once per root set).  A second bounded LRU cache (:func:`_bound`),
 keyed by the root nodes (identity), keeps the lowering, its globals and the
-function of each mode made from them, so a repeated call on the same roots
-costs one cache lookup.
+function of each mode made from them, or None for a root set that does not
+compile, so a repeated call on the same roots costs one cache lookup.
 
-Values-only mode (``compile_some(roots, values=True)``) emits the same
+Values-only mode (``compile_roots(roots, values=True)``) emits the same
 lowering with no coordinate seeded: every node's lanes are empty, so no
 derivative factor is written (``n - 1`` and ``1.0 / c`` go unread), a
 unary is its kernel float function and ``tkappa``/``cotkappa`` take the
@@ -77,7 +79,7 @@ build each subexpression once per parameter set and share it.  Interning by
 value would let parameters into the structure key: at ``kappa1 = kappa2 =
 1.0`` equal constants would merge and rewire a table.  :func:`_bound`
 keys by root nodes (identity) instead, for both modes, so every caller of
-:func:`compile_some` on the same roots and mode shares one function (the
+:func:`compile_roots` on the same roots and mode shares one function (the
 compiled code keeps no state between calls).
 """
 
@@ -147,7 +149,7 @@ def _postorder(roots):
 
 def evaluator(root):
     """``root``'s value as a function ``f(x0, ..., x5)`` of the coordinates,
-    on floats or duals alike; built on first use and kept on the node, so
+    on floats or duals alike; built on first use and stored on the node, so
     observables sharing a graph share it.  An opaque leaf's evaluator is its
     callable."""
     if root.op == "opaque":
@@ -463,17 +465,12 @@ def _lower(roots):
 
 
 class _Bound:
-    """One root set's lowering with its constants bound: the kept roots'
-    indices and, per mode, the function made on first use."""
+    """One root set's lowering with its constants bound and, per mode, the
+    function made on first use."""
 
-    __slots__ = ("structure", "env", "kept", "fns")
+    __slots__ = ("structure", "env", "fns")
 
-    def __init__(self, roots):
-        structure, consts = _lower(roots)
-        self.kept = [i for i, r in enumerate(structure[1]) if r is not None]
-        if self.kept and len(self.kept) < len(roots):
-            # Lowered again, without the instructions only the others need.
-            structure, consts = _lower(tuple(roots[i] for i in self.kept))
+    def __init__(self, structure, consts):
         self.structure = structure
         self.env = dict(_BASE_GLOBALS, **{f"k{i}": c for i, c in enumerate(consts)})
         self.fns = {}
@@ -485,39 +482,30 @@ class _Bound:
         return self.fns[values]
 
 
-# Bound root sets by root nodes (identity), which the key holds.  verify and
-# rank bind 1 or 2 root sets per call, simulate 5 to 8; the bound keeps
-# memory fixed.
+# Bound root sets by root nodes (identity), which the key holds; None for a
+# set with a root that cannot be compiled.  verify and rank bind 1 or 2 root
+# sets per call, simulate 5 to 8; the bound keeps memory fixed.
 @functools.lru_cache(maxsize=256)
 def _bound(roots):
-    return _Bound(roots)
+    structure, consts = _lower(roots)
+    return None if None in structure[1] else _Bound(structure, consts)
 
 
-def compile_some(roots, values=False):
-    """``(f, kept)``: one compiled function for the roots that can be
-    compiled, and their indices in ``roots``.
+def compile_roots(roots, values=False):
+    """One compiled function of the six coordinates for all of ``roots``,
+    or None when any root cannot be compiled.
 
-    ``f(x0, ..., x5)`` returns, for each kept root in order, the value and
-    the six partials in one flat tuple; it is None when no root can be
-    compiled.  :func:`_lower` leaves out, once per node, a root that holds
+    ``f(x0, ..., x5)`` returns, for each root in order, the value and the
+    six partials in one flat tuple.  A root cannot be compiled when it holds
     an opaque leaf, a constant, exponent or curvature label that is not a
     number, or a coordinate-free subtree or divisor that raises when folded
-    (the evaluator raises there too), and a root that does not depend on
-    the coordinates.
+    (the evaluator raises there too), or when it does not depend on the
+    coordinates.
 
-    With ``values`` true, ``f`` returns only the kept roots' values.  In
-    both modes each value is bit for bit what :func:`evaluator` gives on
-    the same floats.  A repeated call on the same root nodes returns the
-    same function.
+    With ``values`` true, ``f`` returns only the roots' values.  In both
+    modes each value is bit for bit what :func:`evaluator` gives on the same
+    floats.  A repeated call on the same root nodes returns the same
+    function.
     """
     bound = _bound(tuple(roots))
-    if not bound.kept:
-        return None, []
-    return bound.function(values), list(bound.kept)
-
-
-def compile_gradients(roots):
-    """Compile several graphs to ``f(x0, ..., x5) -> (value, 6 partials) * n``,
-    or None when one of them cannot be compiled (see :func:`compile_some`)."""
-    f, kept = compile_some(roots)
-    return f if len(kept) == len(roots) else None
+    return bound and bound.function(values)

@@ -54,7 +54,7 @@ class StepUnderflowError(RuntimeError):
 
     The message says why: the starting step estimate was already too small
     (the vector field at the start state is too large), the error control
-    shrank the step (a singularity is near), or evaluations kept failing,
+    shrank the step (a singularity is near), or evaluations went on failing,
     with the last failure's class and message.  Carries the partial
     trajectory accumulated so far in ``.trajectory``.
     """
@@ -273,7 +273,7 @@ def integrate(h, s0, cfg, monitors=None, domain_guard=None):
     early.
 
     An :class:`Observable` ``h`` gets its gradient compiled and every
-    monitor its values-only code (once each; the code is kept on the
+    monitor its values-only code (once each; the code is stored on the
     observable), so each RHS evaluation is one ``h.gradient`` call and each
     sample one call per monitor, all running straight-line code on the
     state, a list of six floats (as are the stages: a step makes no numpy

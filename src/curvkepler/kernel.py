@@ -5,7 +5,8 @@ The whole library works on a 6-dimensional phase space, so the dual scalar
 a full gradient.  All elementary functions below accept either a plain float
 or a ``KScalar`` and propagate derivatives through the chain rule.
 
-Curvature-labeled trigonometry: for a real label ``kappa``,
+Curvature-labeled trigonometry: the label ``kappa`` is a real number, never
+a dual (only ``x`` carries partials), and
 
     ckappa(kappa, x) = cos(sqrt(kappa) x)          kappa > 0
                      = 1                           kappa = 0
@@ -171,10 +172,6 @@ def seeded(coords):
     return [KScalar(float(c), e) for c, e in zip(coords, _UNIT)]
 
 
-def value_of(x):
-    return x.val if isinstance(x, KScalar) else x
-
-
 # -- elementary functions (float | KScalar) -------------------------------
 #
 # Each unary function has one float rule v -> (value, derivative).  A dual
@@ -269,7 +266,7 @@ expm1c = _unary("expm1c", _expm1c_f, _expm1c_rule)
 
 def log1pc(u):
     """log(1 + u)/u with its removable singularity at u = 0 handled."""
-    v = value_of(u)
+    v = u.val if isinstance(u, KScalar) else u
     if abs(v) < _EXPM1C_TAYLOR:
         return 1.0 + u * (-0.5 + u * (1.0 / 3.0 + u * (-0.25 + u / 5.0)))
     if isinstance(u, KScalar):
@@ -277,31 +274,9 @@ def log1pc(u):
     return math.log1p(v) / v
 
 
-def _circ_cos(u):
-    """cos(sqrt(u)) continued evenly to u < 0 (= cosh(sqrt(-u)))."""
-    v = value_of(u)
-    if abs(v) < _KTRIG_TAYLOR:
-        return 1.0 + u * (-0.5 + u * (1.0 / 24.0 - u / 720.0))
-    if v > 0.0:
-        return cos(sqrt(u))
-    return cosh(sqrt(-u))
-
-
-def _circ_sinc(u):
-    """sin(sqrt(u))/sqrt(u) continued evenly to u < 0."""
-    v = value_of(u)
-    if abs(v) < _KTRIG_TAYLOR:
-        return 1.0 + u * (-1.0 / 6.0 + u * (1.0 / 120.0 - u / 5040.0))
-    if v > 0.0:
-        s = sqrt(u)
-        return sin(s) / s
-    s = sqrt(-u)
-    return sinh(s) / s
-
-
 # Float S_kappa and C_kappa together: the same arithmetic as the composite
-# path (u = kappa x**2, then the Taylor branch or circular/hyperbolic
-# functions) without the dual dispatch, computing u and sqrt(u) once.  The
+# of the elementary functions on u = kappa x**2 (the Taylor branch or
+# circular/hyperbolic functions), computing u and sqrt(u) once.  The
 # plain float functions and every rule below take S and C from here, except
 # that the float ``skappa`` and the chart guards take S alone from
 # ``_kappa_s``, the same statements less the cosine; the compiled code of
@@ -355,17 +330,16 @@ def _cotkappa_rule(kappa, x, s, c):
 KAPPA_RULES = {}
 
 
-def _kappa_fn(name, rule, float_fn):
-    """Register ``rule`` and return the function of (kappa, x): a dual x
-    applies the rule to ``_kappa_pair`` in one chain step; a dual kappa
-    applies it to the composite S and C on u = kappa x**2 (its pole checks
-    read the dual's value); floats call ``float_fn``."""
+def _kappa_fn(name, rule, float_fn=None):
+    """Register ``rule`` and return the function of a float label and x: a
+    dual x applies the rule to ``_kappa_pair`` in one chain step; a float x
+    calls ``float_fn``, by default the rule's value on ``_kappa_pair``."""
     KAPPA_RULES[name] = rule
+    if float_fn is None:
+        def float_fn(kappa, x):
+            return rule(kappa, x, *_kappa_pair(kappa, x))[0]
 
     def fn(kappa, x):
-        if isinstance(kappa, KScalar):
-            u = kappa * x * x
-            return rule(kappa, x, x * _circ_sinc(u), _circ_cos(u))[0]
         if isinstance(x, KScalar):
             v = x.val
             return _chain(x, *rule(kappa, v, *_kappa_pair(kappa, v)))
@@ -375,16 +349,13 @@ def _kappa_fn(name, rule, float_fn):
     return fn
 
 
-ckappa = _kappa_fn("ckappa", lambda kappa, x, s, c: (c, -kappa * s),
-                   lambda kappa, x: _kappa_pair(kappa, x)[1])
+ckappa = _kappa_fn("ckappa", lambda kappa, x, s, c: (c, -kappa * s))
 ckappa.__doc__ = """Generalized cosine C_kappa(x); total in both arguments."""
 skappa = _kappa_fn("skappa", lambda kappa, x, s, c: (s, c), _kappa_s)
 skappa.__doc__ = """Generalized sine S_kappa(x); S_0(x) = x."""
-tkappa = _kappa_fn("tkappa", _tkappa_rule,
-                   lambda kappa, x: _tkappa_rule(kappa, x, *_kappa_pair(kappa, x))[0])
+tkappa = _kappa_fn("tkappa", _tkappa_rule)
 tkappa.__doc__ = """Generalized tangent S_kappa/C_kappa; raises PoleError at C = 0."""
-cotkappa = _kappa_fn("cotkappa", _cotkappa_rule,
-                     lambda kappa, x: _cotkappa_rule(kappa, x, *_kappa_pair(kappa, x))[0])
+cotkappa = _kappa_fn("cotkappa", _cotkappa_rule)
 cotkappa.__doc__ = """Generalized cotangent C_kappa/S_kappa; raises PoleError at S = 0.
 
 This is the factor written as lambda/tan(lambda x) in curved-Kepler

@@ -9,9 +9,10 @@ differentiable for free.  For observables evaluated many times,
 :meth:`Observable.compile_gradient` builds straight-line gradient code from
 the graph (an integrated Hamiltonian) and :meth:`Observable.compile_values`
 straight-line values-only code (the monitors of an orbit), both from one
-lowering.  An observable has one value: the evaluator on floats or duals
-and both kinds of compiled code give it bit for bit, and compiled partials
-are the dual evaluation's.
+lowering; :class:`Columns` compiles a bracket table's observables into one
+function, all of them or none.  An observable has one value: the evaluator
+on floats or duals and both kinds of compiled code give it bit for bit, and
+compiled partials are the dual evaluation's.
 """
 
 from __future__ import annotations
@@ -106,9 +107,10 @@ def _value_and_gradient(node, compiled, coords):
 
 class Columns:
     """Several observables set up once for evaluation at many states: their
-    charts, one compiled function for those that compile
-    (:func:`.codegen.compile_some`) and the graphs of the others, which
-    take one dual evaluation each per state.
+    charts, their graphs and one compiled function for all of them
+    (:func:`.codegen.compile_roots`), or None when one of them does not
+    compile, in which case every observable takes one dual evaluation per
+    state.
 
     Calling it on a list of states returns an array of shape
     ``(len(states), len(observables), 7)``: the value and the six partials
@@ -117,13 +119,12 @@ class Columns:
     ``ChartMismatchError`` before anything is evaluated.
     """
 
-    __slots__ = ("charts", "compiled", "graphs", "duals", "width")
+    __slots__ = ("charts", "nodes", "compiled")
 
     def __init__(self, observables):
         self.charts = tuple({o.chart for o in observables} - {None})
-        self.compiled, self.graphs = codegen.compile_some([o._node for o in observables])
-        self.duals = [(j, o._node) for j, o in enumerate(observables) if j not in self.graphs]
-        self.width = len(observables)
+        self.nodes = [o._node for o in observables]
+        self.compiled = codegen.compile_roots(self.nodes)
 
     def __call__(self, states):
         coords = []
@@ -131,17 +132,13 @@ class Columns:
             for chart in self.charts:           # raises on a chart mismatch
                 _coords_of(state, chart)
             coords.append(_coords_of(state, None))
-        n = len(coords)
+        shape = (len(coords), len(self.nodes), 1 + NVARS)
         if self.compiled:
             compiled = self.compiled
-            rows = np.fromiter(itertools.chain.from_iterable([compiled(*c) for c in coords]),
-                               float).reshape(n, len(self.graphs), 1 + NVARS)
-            if not self.duals:
-                return rows
-        out = np.empty((n, self.width, 1 + NVARS))
-        if self.compiled:
-            out[:, self.graphs] = rows
-        for j, node in self.duals:
+            return np.fromiter(itertools.chain.from_iterable([compiled(*c) for c in coords]),
+                               float).reshape(shape)
+        out = np.empty(shape)
+        for j, node in enumerate(self.nodes):
             for i, c in enumerate(coords):
                 out[i, j, 0], out[i, j, 1:] = _value_and_gradient(node, None, c)
         return out
@@ -197,7 +194,7 @@ class Observable:
         float coordinates may then be passed; ``fn`` still takes duals.
         """
         if self._values is None:
-            self._values = codegen.compile_some([self._node], values=True)[0] or False
+            self._values = codegen.compile_roots([self._node], values=True) or False
         return bool(self._values)
 
     def compile_gradient(self):
@@ -207,7 +204,7 @@ class Observable:
         compiled code, which returns what the dual evaluation returns.
         """
         if self._compiled is None:
-            self._compiled = codegen.compile_gradients([self._node]) or False
+            self._compiled = codegen.compile_roots([self._node]) or False
         return bool(self._compiled)
 
     def gradient(self, state):

@@ -6,7 +6,7 @@ the angular constants are also valid verbatim on POLAR_VARIABLE, and the
 Beltrami-chart representatives of the quadratic constants are the coalgebra
 Casimir images (with one factor kappa2 where an angle enters squared).
 
-All identities are kept real for Lorentzian signature (kappa2 < 0) by
+All identities stay real for Lorentzian signature (kappa2 < 0) by
 writing every formula through kappa-trigonometry; the odd-in-lambda2 scaled
 vector components P_i are only materialized for kappa2 > 0, while their
 bracket table is verified in the equivalent even form.
@@ -20,10 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coalgebra import run_table  # noqa: F401  (kept: perfbench/spans.py wraps symmetry.run_table)
+from .coalgebra import run_table  # noqa: F401  (retained: perfbench/spans.py wraps symmetry.run_table)
 from .coalgebra import Identity, casimirs, run_tables, uniform_coords
 from .kernel import DomainError
-from .phase import grad  # noqa: F401  (kept: perfbench/spans.py wraps symmetry.grad)
+from .phase import grad  # noqa: F401  (retained: perfbench/spans.py wraps symmetry.grad)
 from .phase import (P1, Q1, Chart, Columns, Observable, PhaseState, ckappa,
                     cos, cotkappa, exp, memo, sin, sinhc, skappa)
 from .spaces import (_PH, _PPH, _PRAD, _PTH, _RAD, _TH, Family,

@@ -138,7 +138,7 @@ def test_written_out_pair_is_kernel_kappa_pair_and_the_dual_path_bit_for_bit(kap
     both sides of it, and where u or sinh(sqrt(-u)) overflows.  Where the
     pair raises, both modes raise the same class."""
     roots = [skappa(kappa, Q1), ckappa(kappa, Q1)]
-    grad = codegen.compile_gradients([r.node for r in roots])
+    grad = codegen.compile_roots([r.node for r in roots])
     vals = _values_only(roots)
     # 1e-5: Taylor at kappa = +-0.3; 1e155: u = +-inf (sin raises at +inf,
     # S = NaN and C = inf at -inf); 2e3: sinh overflows at kappa = -0.3.
@@ -170,7 +170,7 @@ def test_kappa_pairs_are_keyed_by_the_label_bits():
              tkappa(0.3, Q2) + skappa(-0.0, Q1), ckappa(0, Q1)]
     (ins, _), _ = codegen._lower([r.node for r in roots])
     assert sum(op == "pair" for op, *_ in ins) == 5
-    f = codegen.compile_gradients([r.node for r in roots])
+    f = codegen.compile_roots([r.node for r in roots])
     s = (0.7, 0.4, 0.0, 0.0, 0.0, 0.0)
     out = f(*s)
     for j, ob in enumerate(roots):
@@ -435,7 +435,7 @@ def test_deep_graph_evaluates_on_floats_and_duals_and_compiles():
     assert got[0] == val and np.array_equal(got[1], g)
 
 
-def test_opaque_leaf_joins_a_graph_and_keeps_the_rest_compiled(monkeypatch):
+def test_opaque_leaf_joins_a_graph_and_a_mixed_set_compiles_nothing(monkeypatch):
     opaque = Observable(lambda *s: s[0] * s[4])
     ob = opaque + Q1
     s = PhaseState.beltrami(0.6, 0.2, -0.3, 0.1, 0.5, 0.7)
@@ -445,8 +445,8 @@ def test_opaque_leaf_joins_a_graph_and_keeps_the_rest_compiled(monkeypatch):
     assert not ob.compile_gradient()
 
     calls = []
-    real = codegen.compile_some
-    monkeypatch.setattr(codegen, "compile_some",
+    real = codegen.compile_roots
+    monkeypatch.setattr(codegen, "compile_roots",
                         lambda roots: calls.append(roots) or real(roots))
     pure = [Q1 * P2, exp(Q2) + P3, Q1 * Q1]
     table = [coalgebra.Identity("pure", pure[0], pure[1], rhs=pure[2]),
@@ -454,16 +454,17 @@ def test_opaque_leaf_joins_a_graph_and_keeps_the_rest_compiled(monkeypatch):
     report = coalgebra.run_table("t", table, sample_beltrami, 5, 1)
     assert [(r.max_residual, r.worst_point) for r in report.results] == \
         _reference_run_table(table, sample_beltrami, 5, 1)
-    assert len(calls) == 1
-    f, kept = real(calls[0])
-    assert [calls[0][i] for i in kept] == [p.node for p in pure]
+    # The graphs and the opaque leaf make one root set, which builds no
+    # compiled function: every observable takes the dual path.
+    assert len(calls) == 1 and set(calls[0]) == {p.node for p in pure} | {ob._node}
+    assert real(calls[0]) is None and real([p.node for p in pure]) is not None
 
 
 # -- values-only mode ------------------------------------------------------------
 
 def _values_only(roots):
-    f, kept = codegen.compile_some([r.node for r in roots], values=True)
-    assert kept == list(range(len(roots)))
+    f = codegen.compile_roots([r.node for r in roots], values=True)
+    assert f is not None
     return f
 
 
@@ -486,7 +487,7 @@ def test_values_only_mode_matches_the_evaluator_bit_for_bit():
         got = f(*s)
         assert len(got) == len(roots)
         assert [float.hex(v) for v in got] == [float.hex(ob(s)) for ob in roots], s
-    grad = codegen.compile_gradients([roots[-4].node])
+    grad = codegen.compile_roots([roots[-4].node])
     assert grad(*points[0])[0] == f(*points[0])[-4] == 0.8 / 10 != 0.8 * (1 / 10)
 
 
@@ -501,9 +502,9 @@ def test_one_lowering_serves_both_modes(monkeypatch):
     real = codegen._lower
     monkeypatch.setattr(codegen, "_lower", lambda *a: walks.append(a) or real(*a))
     _clear_code_caches()
-    codegen.compile_some(nodes)
-    codegen.compile_some(nodes, values=True)
-    codegen.compile_some(nodes, values=True)
+    codegen.compile_roots(nodes)
+    codegen.compile_roots(nodes, values=True)
+    codegen.compile_roots(nodes, values=True)
     assert len(walks) == 1 and codegen._code.cache_info().currsize == 2
     with pytest.raises(kernel.PoleError):
         _values_only(roots[1:])(0.0, math.pi / 2 / math.sqrt(0.4), 0.0, 0.0, 0.0, 0.0)

@@ -19,7 +19,7 @@ from curvkepler.phase import (P1, P2, P3, Q1, Q2, Q3, Chart, ChartMismatchError,
                               coordinate, exp, sqrt)
 from curvkepler.spaces import (Family, HamiltonianSpec, SpaceParams,
                                chart_guard, hamiltonian, radial_reduction)
-from curvkepler.symmetry import constants
+from curvkepler.symmetry import constants, lrl
 
 GAMMA_K1 = 1.0 / (2.0 * math.sqrt(2.0))   # gamma giving k = 1
 
@@ -286,6 +286,21 @@ def test_implicit_midpoint_option():
         IntegratorConfig(method="rk99")
 
 
+def _bisect(f, a, b):
+    """A root of f in [a, b] (f(a), f(b) of opposite signs) to the last bit."""
+    fa = f(a)
+    for _ in range(200):
+        m = 0.5 * (a + b)
+        fm = f(m)
+        if fm == 0.0:
+            return m
+        if (fm > 0.0) == (fa > 0.0):
+            a, fa = m, fm
+        else:
+            b = m
+    return 0.5 * (a + b)
+
+
 def test_free_cc_geodesic_turning_points_match_radial_reduction():
     """Great-circle geodesic on the sphere: radial turning points solve the
     one-dimensional reduction found independently by bisection."""
@@ -302,26 +317,13 @@ def test_free_cc_geodesic_turning_points_match_radial_reduction():
     energy = h(s0)
     rad = radial_reduction(spec, consts["C3"](s0))
 
-    def bisect(f, a, b, iters=200):
-        fa = f(a)
-        for _ in range(iters):
-            m = 0.5 * (a + b)
-            if f(m) == 0.0:
-                return m
-            if (f(m) > 0) == (fa > 0):
-                a = m
-                fa = f(m)
-            else:
-                b = m
-        return 0.5 * (a + b)
-
     rs = tr.states[:, 0]
     r_lo, r_hi = rs.min(), rs.max()
     g = lambda r: rad.potential(r) - energy
     # potential well: g > 0 at both walls, < 0 at the interior minimum
     r_mid = 0.5 * (r_lo + r_hi)
-    turning_lo = bisect(g, 1e-3, r_mid)
-    turning_hi = bisect(g, r_mid, math.pi - 1e-3)
+    turning_lo = _bisect(g, 1e-3, r_mid)
+    turning_hi = _bisect(g, r_mid, math.pi - 1e-3)
     assert abs(r_lo - turning_lo) < 1e-6
     assert abs(r_hi - turning_hi) < 1e-6
     assert tr.drift["C3"] < 1e-10
@@ -755,3 +757,74 @@ def test_csv_rows_are_each_number_with_17_significant_digits():
         writer.writerow(f"{v:.17g}" for v in [t, *states[i], monitors["H"][i],
                                               monitors["a,b"][i]])
     assert trajectory_csv(tr) == buf.getvalue()
+
+
+# -- closed orbits as an accuracy oracle ---------------------------------------
+#
+# On the constant-curvature spaces the Kepler flow is superintegrable (the
+# LRL vector is conserved), so every bounded orbit closes: after one radial
+# period T, r and p_r return and phi has advanced by exactly 2 pi.  T comes
+# from the radial reduction by quadrature, independently of the integrator.
+
+_CLOSED = {"spherical": 0.848490336290, "hyperbolic": 0.945939559881}
+
+
+def _radial_period(rad, energy, r1, r2, nodes):
+    """2 * integral of dr / sqrt(2 A(r) (E - V(r))) from r1 to r2, with
+    A = 2 (h(r, 1) - h(r, 0)), by Gauss-Legendre after r = mid - half cos u."""
+    mid, half = 0.5 * (r1 + r2), 0.5 * (r2 - r1)
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    terms = []
+    for u, wu in zip(0.5 * math.pi * (x + 1.0), 0.5 * math.pi * w):
+        r = mid - half * math.cos(u)
+        a = 2.0 * (rad.hamiltonian(r, 1.0) - rad.hamiltonian(r, 0.0))
+        terms.append(wu * half * math.sin(u) / math.sqrt(2.0 * a * (energy - rad.potential(r))))
+    return 2.0 * math.fsum(terms)
+
+
+def _closed_orbit(preset):
+    """Kepler-CC at gamma = 0.5 with p_phi = 0.5 on the equator, at the
+    energy of (0.5, pi/2, 0, 0.2, 0, 0.5): (h, LRL vector, pericentre start
+    state, radial period from 200 and 100 nodes)."""
+    params = SpaceParams.preset(preset, gamma=0.5)
+    spec = HamiltonianSpec(Family.KEPLER_CC, params)
+    h = hamiltonian(spec, Chart.POLAR_CONSTANT)
+    s = PhaseState.polar_constant(0.5, math.pi / 2, 0.0, 0.2, 0.0, 0.5)
+    energy = h(s)
+    rad = radial_reduction(spec, constants(spec, Chart.POLAR_CONSTANT)["C3"](s))
+    g = lambda r: rad.potential(r) - energy
+    r1, r2 = _bisect(g, 1e-3, 0.5), _bisect(g, 0.5, 1.5)      # turning points
+    periods = [_radial_period(rad, energy, r1, r2, n) for n in (200, 100)]
+    return h, lrl(params), PhaseState.polar_constant(r1, math.pi / 2, 0.0, 0.0, 0.0, 0.5), periods
+
+
+def _closure_bound(rtol):
+    """1e4 rtol: at rtol 1e-12 and 1e-10 the closure errors of these orbits
+    were at most 9.5e-10 and 7.6e-9, at least 10x below it."""
+    return 1e4 * rtol
+
+
+@pytest.mark.parametrize("rtol", [1e-12, 1e-10])
+@pytest.mark.parametrize("preset", sorted(_CLOSED))
+def test_bounded_kepler_orbit_closes_after_one_radial_period(preset, rtol):
+    """After T, r and p_r have returned and phi has advanced by 2 pi; the
+    LRL vector stays on the pericentre's line all along (with the paper's
+    sign, (L2, L3) points from the pericentre through the centre).  T is
+    the expected value, and halving the quadrature's nodes moves it by less
+    than the bound, so a closure failure is the integrator's."""
+    h, vec, s0, (period, coarse) = _closed_orbit(preset)
+    bound = _closure_bound(rtol)
+    assert period == pytest.approx(_CLOSED[preset], abs=1e-10)
+    assert abs(coarse - period) < bound
+    tr = integrate(h, s0, IntegratorConfig(rel_tol=rtol, abs_tol=1e-2 * rtol, t_end=period),
+                   domain_guard=chart_guard(Chart.POLAR_CONSTANT, vec.params))
+    assert not tr.terminated_early and tr.times[-1] == period
+    r, theta, phi, pr, ptheta, pphi = tr.states[-1]
+    assert abs(r - s0.coords[0]) < bound and abs(pr) < bound
+    assert abs(phi - 2.0 * math.pi) < bound
+    peri = (math.cos(s0.coords[2]), math.sin(s0.coords[2]))
+    for i in range(len(tr.times)):
+        state = tr.state(i)
+        l2, l3 = vec.l2(state), vec.l3(state)
+        norm = math.hypot(l2, l3)
+        assert abs(l2 / norm + peri[0]) < bound and abs(l3 / norm + peri[1]) < bound, i

@@ -124,9 +124,9 @@ def test_the_bound_function_cache_stays_at_its_bound():
     bound = codegen._bound.cache_info().maxsize
     for i in range(bound + 5):
         roots = [(phase.Q1 * (1.0 + i) + phase.P2).node]
-        f, kept = codegen.compile_some(roots)
-        assert kept == [0] and f(1.0, 0, 0, 0, 2.0, 0)[0] == 1.0 + i + 2.0
-        assert codegen.compile_some(roots) == (f, kept)
+        f = codegen.compile_roots(roots)
+        assert f(1.0, 0, 0, 0, 2.0, 0)[0] == 1.0 + i + 2.0
+        assert codegen.compile_roots(roots) is f
         assert codegen._bound.cache_info().currsize <= bound
     assert codegen._bound.cache_info().currsize == bound
 
