@@ -90,6 +90,22 @@ def _median_call(fn, number):
     return statistics.median(_timed(fn) for _ in range(number))
 
 
+# Seconds between the rounds of _least_median_call.
+_ROUND_GAP_S = 0.5
+
+
+def _least_median_call(fn, rounds, number):
+    """The least of ``rounds`` medians of ``number`` calls each, the rounds
+    ``_ROUND_GAP_S`` apart: for calls of well under a ms.  A shared host can
+    run slower for seconds at a time, longer than a median of many such
+    calls, so rounds spread over seconds catch it at its usual speed."""
+    best = _median_call(fn, number)
+    for _ in range(rounds - 1):
+        time.sleep(_ROUND_GAP_S)
+        best = min(best, _median_call(fn, number))
+    return best
+
+
 def _timed(fn):
     t0 = time.perf_counter()
     fn()
@@ -136,8 +152,7 @@ class Rows:
             raise RuntimeError("a monitor has no values-only code")
         self.guard = chart_guard(Chart.POLAR_CONSTANT, self.params)
         self.state = PhaseState.polar_constant(1.1, 1.2, 0.4, 0.2, 0.4, 0.9)
-        self.a = kernel.KScalar.seed(1.3, 0)
-        self.b = kernel.KScalar.seed(0.7, 1)
+        self.a, self.b = kernel.seeded((1.3, 0.7))
         self.new_z = (0.2 + i / 997 for i in itertools.count())
         self.curvature_point = functools.partial(
             curvature, Chart.POLAR_VARIABLE, "nc", (1.0, 1.1, 0.8), SpaceParams(-0.4, 1.0))
@@ -221,16 +236,17 @@ class Rows:
 
     def _run_tables_samples10(self, batch):
         jobs, sampler = self.batches[batch]
-        return 1e6 * _median_call(lambda: self.run_tables(jobs, sampler, 10, 7), 300)
+        return 1e6 * _least_median_call(lambda: self.run_tables(jobs, sampler, 10, 7), 5, 60)
 
     def run_tables_beltrami_samples10(self):
         """The Beltrami batch of verify_all_samples10_in_process (sl2z on one
-        and three sites, casimirs) as one warm run_tables call (median call)."""
+        and three sites, casimirs) as one warm run_tables call (least of 5
+        medians of 60 calls, 0.5 s apart)."""
         return self._run_tables_samples10(0)
 
     def run_tables_polar_samples10(self):
         """The polar batch of verify_all_samples10_in_process (so4, lrl) as
-        one warm run_tables call (median call)."""
+        one warm run_tables call (least of 5 medians of 60 calls, 0.5 s apart)."""
         return self._run_tables_samples10(1)
 
     def report_text_verify_all_samples10(self):

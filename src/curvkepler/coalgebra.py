@@ -18,8 +18,6 @@ from __future__ import annotations
 
 import functools
 import json
-import math
-import operator
 from dataclasses import dataclass, field, replace
 from itertools import islice
 
@@ -32,7 +30,7 @@ __all__ = [
     "Realization", "CasimirSet", "one_site", "coproduct_join", "three_site",
     "three_site_closed_form", "casimirs", "casimir_of", "pbracket",
     "Identity", "IdentityResult", "BracketReport", "run_table", "run_tables",
-    "uniform_coords", "sample_beltrami", "verify_sl2z", "verify_casimirs", "sl2z_table",
+    "sample_beltrami", "verify_sl2z", "verify_casimirs", "sl2z_table",
 ]
 
 
@@ -174,9 +172,10 @@ def pbracket(f, g, state):
 # Declarative bracket tables and randomized verification
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Identity:
-    """One expected identity: a bracket {f, g} = rhs, or a value f = rhs."""
+    """One expected identity: a bracket {f, g} = rhs, or a value f = rhs.
+    Equal only to itself and hashed by id: a table's tuple keys its plan."""
 
     name: str
     f: Observable
@@ -247,20 +246,6 @@ class BracketReport:
 _GRAD_SCALE = 1e-4
 
 
-class _Identities(tuple):
-    """A table's identities as a cache key, equal to another only when it
-    holds the same objects in the same order; the key holds them, so no id
-    is reused while it is cached."""
-
-    __slots__ = ()
-
-    def __hash__(self):
-        return hash(tuple(map(id, self)))
-
-    def __eq__(self, other):
-        return len(self) == len(other) and all(map(operator.is_, self, other))
-
-
 class _Plan:
     """A table's columns, set up once: its distinct observables as one
     :class:`.phase.Columns`, the value column of each identity's ``f``, the
@@ -285,8 +270,10 @@ class _Plan:
         self.every = np.arange(len(table))
 
 
-# Column plans by table.  verify --suite all uses two per parameter set (one
-# per sampler); the bound keeps memory fixed.
+# Column plans by the tuple of a table's identities, equal to another only when
+# it holds the same objects in the same order; it holds them, so no id is reused
+# while cached.  verify --suite all uses two per parameter set (one per
+# sampler); the bound keeps memory fixed.
 @functools.lru_cache(maxsize=128)
 def _plan(identities):
     return _Plan(identities)
@@ -297,7 +284,7 @@ def run_table(suite, table, sampler, samples, seed, params=None):
 
     ``sampler(rng, n=samples)`` draws the points, in one generator call
     for the built-in samplers.  The table's column plan is built once per
-    table (the same identity objects in the same order) and held in a
+    ``tuple(table)`` (identities compare by identity) and held in a
     bounded cache: its distinct observables are compiled together, and one
     compiled call per point gives all their values and gradients
     (:class:`.phase.Columns`; a table with an opaque observable takes the
@@ -311,7 +298,7 @@ def run_table(suite, table, sampler, samples, seed, params=None):
     if samples < 1:
         raise ValueError("samples must be >= 1")
     states = sampler(np.random.default_rng(seed), n=samples)
-    plan = _plan(_Identities(table))
+    plan = _plan(tuple(table))
     vg = plan.columns(states)
     values, grads = vg[..., 0], vg[..., 1:]
 
@@ -350,10 +337,12 @@ def run_tables(jobs, sampler, samples, seed):
             for suite, table, params in jobs]
 
 
-_MAX_REDRAWS = 1000    # rejected draws in a row; ~1e-2800 on the default box
+# The Beltrami sampling box: every coordinate in [-2, 2], positions |q_i| > 1e-3.
+_BOX = ((-2.0, 2.0),) * 6
+_MIN_ABS = 1e-3
 
 
-def uniform_coords(rng, bounds, n=None):
+def _uniform_coords(rng, bounds, n=None):
     """One point uniform in the box ``bounds``, one ``(lo, hi)`` per
     coordinate, from one ``rng.random`` call; with ``n``, a list of ``n``
     points from one ``rng.random((n, len(bounds)))`` call, which draws the
@@ -361,52 +350,34 @@ def uniform_coords(rng, bounds, n=None):
 
     ``lo + (hi - lo) * u`` is ``Generator.uniform``'s own formula, so the
     coordinates (Python floats), their bits and the generator's next state
-    are those of one ``rng.uniform(lo, hi)`` per coordinate, as are the
-    errors: OverflowError when ``hi - lo`` is not finite, ValueError when it
-    is negative.
+    are those of one ``rng.uniform(lo, hi)`` per coordinate.  No span is
+    checked: the Beltrami box is fixed, and the polar box is finite with
+    ``lo <= hi`` for every valid :class:`.spaces.SpaceParams` (``0.85 pi /
+    sqrt(kappa)`` is finite down to the smallest subnormal kappa, and
+    ``rlo = min(0.25, 0.3 rmax) < rmax``).
     """
-    spans = [hi - lo for lo, hi in bounds]
-    for span in spans:
-        if not math.isfinite(span):
-            raise OverflowError("high - low range exceeds valid bounds")
-        if span < 0:
-            raise ValueError("high - low < 0")
-    lows = np.array([b[0] for b in bounds], dtype=float)
-    u = rng.random((1 if n is None else n, len(spans)))
-    points = list(map(tuple, (lows + np.array(spans, dtype=float) * u).tolist()))
+    lows = np.array([lo for lo, _ in bounds])
+    spans = np.array([hi - lo for lo, hi in bounds])
+    u = rng.random((1 if n is None else n, len(bounds)))
+    points = list(map(tuple, (lows + spans * u).tolist()))
     return points[0] if n is None else points
 
 
-def sample_beltrami(rng, lo=-2.0, hi=2.0, min_abs=1e-3, *, n=None):
-    """Random regular point: uniform in [lo, hi], positions away from zero;
+def sample_beltrami(rng, *, n=None):
+    """Random regular point: uniform in [-2, 2]^6, with every ``|q_i| > 1e-3``;
     with ``n``, a list of ``n`` of them.
 
-    Each round draws the points still missing in one :func:`uniform_coords`
-    call and keeps those with every ``|q_i| > min_abs``, in order, so the
-    points and the generator's next state are those of ``n`` calls that each
-    redraw until they accept.  A box with no admissible ``|q|`` raises
-    ValueError at the first draw, and so does a run of ``_MAX_REDRAWS``
-    rejected draws in a row, after the draws ``n`` calls make.
+    Each round draws the points still missing in one :func:`_uniform_coords`
+    call and keeps the regular ones, in order, so the points and the
+    generator's next state are those of ``n`` calls that each redraw until
+    they accept (about 0.15% of draws are rejected).
     """
-    bounds = ((lo, hi),) * 6
     need = 1 if n is None else n
-    admissible = max(abs(lo), abs(hi)) > min_abs        # NaN fails too
-    states, run = [], 0     # run: rejected draws in a row
+    states = []
     while len(states) < need:
-        # Never more draws than the missing points, nor past the redraw
-        # limit, and one where no point can pass.
-        size = min(need - len(states), _MAX_REDRAWS - run) if admissible else 1
-        for c in uniform_coords(rng, bounds, size):
-            if abs(c[0]) > min_abs and abs(c[1]) > min_abs and abs(c[2]) > min_abs:
+        for c in _uniform_coords(rng, _BOX, need - len(states)):
+            if abs(c[0]) > _MIN_ABS and abs(c[1]) > _MIN_ABS and abs(c[2]) > _MIN_ABS:
                 states.append(PhaseState(Chart.BELTRAMI, c))
-                run = 0
-            else:
-                run += 1
-        if run and not admissible:
-            raise ValueError(f"no point of [{lo}, {hi}] has |q| > {min_abs}")
-        if run == _MAX_REDRAWS:
-            raise ValueError(f"{_MAX_REDRAWS} draws in a row from [{lo}, {hi}] had "
-                             f"some |q| <= {min_abs}")
     return states[0] if n is None else states
 
 

@@ -70,10 +70,6 @@ class KScalar:
         self.val = val
         self.d = d
 
-    @staticmethod
-    def seed(val, slot):
-        return KScalar(val, _UNIT[slot])
-
     # -- arithmetic -------------------------------------------------------
     def __add__(self, o):
         if isinstance(o, KScalar):

@@ -21,11 +21,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coalgebra import run_table  # noqa: F401  (retained: perfbench/spans.py wraps symmetry.run_table)
-from .coalgebra import Identity, casimirs, run_tables, uniform_coords
+from .coalgebra import Identity, _uniform_coords, casimirs, run_tables
 from .kernel import DomainError
 from .phase import grad  # noqa: F401  (retained: perfbench/spans.py wraps symmetry.grad)
-from .phase import (P1, Q1, Chart, Columns, Observable, PhaseState, ckappa,
-                    cos, cotkappa, exp, memo, sin, sinhc, skappa)
+from .phase import (P1, Q1, Chart, ChartMismatchError, Columns, Observable, PhaseState,
+                    ckappa, cos, cotkappa, exp, memo, sin, sinhc, skappa)
 from .spaces import (_PH, _PPH, _PRAD, _PTH, _RAD, _TH, Family,
                      HamiltonianSpec, SpaceParams, _check_chart, hamiltonian,
                      to_polar)
@@ -197,22 +197,25 @@ def transported(obs, params, source=Chart.BELTRAMI):
 # Randomized verification
 # --------------------------------------------------------------------------
 
-def sample_polar(params, rng, chart=Chart.POLAR_CONSTANT, momentum_scale=2.0, *, n=None):
+def sample_polar(params, rng, chart=Chart.POLAR_CONSTANT, *, n=None):
     """Random regular polar-chart point, away from poles and chart edges;
     with ``n``, a list of ``n`` of them from one generator call
-    (:func:`.coalgebra.uniform_coords`)."""
+    (:func:`.coalgebra._uniform_coords`).  A chart other than the two polar
+    ones raises ChartMismatchError before anything is drawn."""
     k1, k2 = params.kappa1, params.kappa2
     if chart is Chart.POLAR_CONSTANT:
         rmax = 0.85 * math.pi / math.sqrt(k1) if k1 > 0 else 1.8
-    else:
+    elif chart is Chart.POLAR_VARIABLE:
         # rho chart: the edge sits where C_{-k1}(rho) vanishes (k1 < 0).
         rmax = 0.8 * 0.5 * math.pi / math.sqrt(-k1) if k1 < 0 else 1.8
+    else:
+        raise ChartMismatchError(f"no polar sampling box on chart {chart!r}")
     rlo = min(0.25, 0.3 * rmax)
     tmax = 0.85 * math.pi / math.sqrt(k2) if k2 > 0 else 1.5
     tlo = min(0.25, 0.3 * tmax)
-    mom = (-momentum_scale, momentum_scale)
+    mom = (-2.0, 2.0)
     bounds = ((rlo, rmax), (tlo, tmax), (0.0, 2.0 * math.pi), mom, mom, mom)
-    states = [PhaseState(chart, c) for c in uniform_coords(rng, bounds, 1 if n is None else n)]
+    states = [PhaseState(chart, c) for c in _uniform_coords(rng, bounds, 1 if n is None else n)]
     return states[0] if n is None else states
 
 

@@ -16,9 +16,9 @@ from curvkepler.phase import P1, Q1, Chart, Observable, PhaseState
 from curvkepler.symmetry import independence_rank
 
 
-def random_states(n, seed=0, lo=-2.0, hi=2.0):
+def random_states(n, seed=0):
     rng = np.random.default_rng(seed)
-    return [sample_beltrami(rng, lo, hi) for _ in range(n)]
+    return [sample_beltrami(rng) for _ in range(n)]
 
 
 def test_one_site_classical_limit():

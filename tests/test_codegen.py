@@ -155,8 +155,8 @@ def test_written_out_pair_is_kernel_kappa_pair_and_the_dual_path_bit_for_bit(kap
         assert [v.hex() for v in vals(*s)] == want, x
         out = grad(*s)
         assert [out[0].hex(), out[7].hex()] == want, x
-        dual = [kernel.skappa(kappa, kernel.KScalar.seed(x, 0)),
-                kernel.ckappa(kappa, kernel.KScalar.seed(x, 0))]
+        dual = [kernel.skappa(kappa, kernel.KScalar(x, kernel._UNIT[0])),
+                kernel.ckappa(kappa, kernel.KScalar(x, kernel._UNIT[0]))]
         assert [d.val.hex() for d in dual] == want, x
         # the q1 lane; the others are exact zeros (NaN on the dual path
         # when the derivative is infinite)

@@ -762,11 +762,15 @@ def test_csv_rows_are_each_number_with_17_significant_digits():
 # -- closed orbits as an accuracy oracle ---------------------------------------
 #
 # On the constant-curvature spaces the Kepler flow is superintegrable (the
-# LRL vector is conserved), so every bounded orbit closes: after one radial
-# period T, r and p_r return and phi has advanced by exactly 2 pi.  T comes
+# LRL vector is conserved), so every bounded orbit closes: after N radial
+# periods T, r and p_r return and phi has advanced by exactly 2 pi N.  T comes
 # from the radial reduction by quadrature, independently of the integrator.
 
-_CLOSED = {"spherical": 0.848490336290, "hyperbolic": 0.945939559881}
+# T by (preset, p_r of the energy state).  At p_r = 1 the orbit is more
+# eccentric: apocentre over pericentre 6.4 (spherical) and 6.9 (hyperbolic),
+# against 4.8 and 4.6 at p_r = 0.2.
+_CLOSED = {("spherical", 0.2): 0.848490336290, ("hyperbolic", 0.2): 0.945939559881,
+           ("spherical", 1.0): 1.111967962244, ("hyperbolic", 1.0): 1.497577218803}
 
 
 def _radial_period(rad, energy, r1, r2, nodes):
@@ -782,14 +786,14 @@ def _radial_period(rad, energy, r1, r2, nodes):
     return 2.0 * math.fsum(terms)
 
 
-def _closed_orbit(preset):
+def _closed_orbit(preset, p_r):
     """Kepler-CC at gamma = 0.5 with p_phi = 0.5 on the equator, at the
-    energy of (0.5, pi/2, 0, 0.2, 0, 0.5): (h, LRL vector, pericentre start
+    energy of (0.5, pi/2, 0, p_r, 0, 0.5): (h, LRL vector, pericentre start
     state, radial period from 200 and 100 nodes)."""
     params = SpaceParams.preset(preset, gamma=0.5)
     spec = HamiltonianSpec(Family.KEPLER_CC, params)
     h = hamiltonian(spec, Chart.POLAR_CONSTANT)
-    s = PhaseState.polar_constant(0.5, math.pi / 2, 0.0, 0.2, 0.0, 0.5)
+    s = PhaseState.polar_constant(0.5, math.pi / 2, 0.0, p_r, 0.0, 0.5)
     energy = h(s)
     rad = radial_reduction(spec, constants(spec, Chart.POLAR_CONSTANT)["C3"](s))
     g = lambda r: rad.potential(r) - energy
@@ -798,33 +802,46 @@ def _closed_orbit(preset):
     return h, lrl(params), PhaseState.polar_constant(r1, math.pi / 2, 0.0, 0.0, 0.0, 0.5), periods
 
 
-def _closure_bound(rtol):
-    """1e4 rtol: at rtol 1e-12 and 1e-10 the closure errors of these orbits
-    were at most 9.5e-10 and 7.6e-9, at least 10x below it."""
-    return 1e4 * rtol
+def _closure_bound(rtol, periods):
+    """1e4 rtol per radial period: at rtol 1e-12 and 1e-10 the closure
+    errors were at most 9.5e-10 and 7.6e-9 over one period of the p_r = 0.2
+    orbits, and 6.6e-9 and 4.8e-7 over three periods of all four (|p_r| of
+    the eccentric hyperbolic orbit), 4.5x and 6x below it."""
+    return periods * 1e4 * rtol
 
 
-@pytest.mark.parametrize("rtol", [1e-12, 1e-10])
-@pytest.mark.parametrize("preset", sorted(_CLOSED))
-def test_bounded_kepler_orbit_closes_after_one_radial_period(preset, rtol):
-    """After T, r and p_r have returned and phi has advanced by 2 pi; the
+def _check_closure(preset, p_r, rtol, periods):
+    """After N T, r and p_r have returned and phi has advanced by 2 pi N; the
     LRL vector stays on the pericentre's line all along (with the paper's
     sign, (L2, L3) points from the pericentre through the centre).  T is
     the expected value, and halving the quadrature's nodes moves it by less
     than the bound, so a closure failure is the integrator's."""
-    h, vec, s0, (period, coarse) = _closed_orbit(preset)
-    bound = _closure_bound(rtol)
-    assert period == pytest.approx(_CLOSED[preset], abs=1e-10)
+    h, vec, s0, (period, coarse) = _closed_orbit(preset, p_r)
+    bound = _closure_bound(rtol, periods)
+    assert period == pytest.approx(_CLOSED[preset, p_r], abs=1e-10)
     assert abs(coarse - period) < bound
-    tr = integrate(h, s0, IntegratorConfig(rel_tol=rtol, abs_tol=1e-2 * rtol, t_end=period),
+    t_end = periods * period
+    tr = integrate(h, s0, IntegratorConfig(rel_tol=rtol, abs_tol=1e-2 * rtol, t_end=t_end),
                    domain_guard=chart_guard(Chart.POLAR_CONSTANT, vec.params))
-    assert not tr.terminated_early and tr.times[-1] == period
+    assert not tr.terminated_early and tr.times[-1] == t_end
     r, theta, phi, pr, ptheta, pphi = tr.states[-1]
     assert abs(r - s0.coords[0]) < bound and abs(pr) < bound
-    assert abs(phi - 2.0 * math.pi) < bound
+    assert abs(phi - 2.0 * math.pi * periods) < bound
     peri = (math.cos(s0.coords[2]), math.sin(s0.coords[2]))
     for i in range(len(tr.times)):
         state = tr.state(i)
         l2, l3 = vec.l2(state), vec.l3(state)
         norm = math.hypot(l2, l3)
         assert abs(l2 / norm + peri[0]) < bound and abs(l3 / norm + peri[1]) < bound, i
+
+
+@pytest.mark.parametrize("rtol", [1e-12, 1e-10])
+@pytest.mark.parametrize("preset", ["hyperbolic", "spherical"])
+def test_bounded_kepler_orbit_closes_after_one_radial_period(preset, rtol):
+    _check_closure(preset, 0.2, rtol, 1)
+
+
+@pytest.mark.parametrize("rtol", [1e-12, 1e-10])
+@pytest.mark.parametrize("preset, p_r", sorted(_CLOSED))
+def test_bounded_kepler_orbit_closes_after_three_radial_periods(preset, p_r, rtol):
+    _check_closure(preset, p_r, rtol, 3)

@@ -234,15 +234,15 @@ def test_dual_chain_rule_property(x, y):
 
 
 def test_kscalar_arithmetic_edge_ops():
-    x = KScalar.seed(2.0, 0)
-    y = KScalar.seed(3.0, 3)
+    x = KScalar(2.0, kernel._UNIT[0])
+    y = KScalar(3.0, kernel._UNIT[3])
     expr = (1.0 - x) * y / x + 2.0 / y - (x - 1.0) ** 2 + abs(-1.0 * x)
     val = (1.0 - 2.0) * 3.0 / 2.0 + 2.0 / 3.0 - 1.0 + 2.0
     assert expr.val == pytest.approx(val, rel=1e-15)
     assert x < y and y > x and x <= 2.0 and y >= 3.0
     # A quotient's value is the float quotient, for a dual and a float divisor.
-    u = KScalar.seed(0.8, 0)
-    assert (u / KScalar.seed(10.0, 1)).val == (u / 10.0).val == 0.8 / 10 != 0.8 * (1 / 10)
+    u, v = kernel.seeded((0.8, 10.0))
+    assert (u / v).val == (u / 10.0).val == 0.8 / 10 != 0.8 * (1 / 10)
 
 
 # -- closed-form dual rules of the kappa-trig functions ---------------------
@@ -332,9 +332,9 @@ def _richardson_fd(fn, kappa, x):
 def test_kappa_trig_dual_rules_match_generic_path_and_fd(name, kappa):
     fn = _TRIG[name]
     for x in _trig_points(kappa, name):
-        dual = fn(kappa, KScalar.seed(x, 0))
+        dual = fn(kappa, KScalar(x, kernel._UNIT[0]))
         # The composite of the elementary functions on the same dual x.
-        generic = _composite(name, kappa, KScalar.seed(x, 0))
+        generic = _composite(name, kappa, KScalar(x, kernel._UNIT[0]))
         d = dual.d[0]
         assert dual.d[1:] == (0.0,) * 5
         assert abs(d - generic.d[0]) <= 1e-12 * max(1.0, abs(d)), (x, d, generic.d[0])
@@ -351,7 +351,7 @@ def test_kappa_trig_dual_rules_match_generic_path_and_fd(name, kappa):
 def test_kappa_trig_dual_value_is_the_float_value(name, kappa):
     fn = _TRIG[name]
     for x in _trig_points(kappa, name):
-        assert fn(kappa, KScalar.seed(x, 0)).val == fn(kappa, x)
+        assert fn(kappa, KScalar(x, kernel._UNIT[0])).val == fn(kappa, x)
 
 
 @pytest.mark.parametrize("kappa", _KAPPAS)
@@ -364,7 +364,7 @@ def test_kappa_trig_dual_x_carries_every_tangent_slot(name, kappa):
     tangent = (1.0, -0.5, 3.0, 0.0, -2.0, 0.1)
     for x in _trig_points(kappa, name):
         dual = fn(kappa, KScalar(x, tangent))
-        d = fn(kappa, KScalar.seed(x, 0)).d[0]
+        d = fn(kappa, KScalar(x, kernel._UNIT[0])).d[0]
         assert dual.val == fn(kappa, x), x
         assert [v.hex() for v in dual.d] == [(d * t).hex() for t in tangent], x
         generic = _composite(name, kappa, KScalar(x, tangent))
@@ -419,7 +419,7 @@ def test_sinhc_and_expm1c_duals_apply_their_float_rules(v):
     dsinhc = sum(2 * n * v ** (2 * n - 1) / math.factorial(2 * n + 1) for n in range(1, 30))
     dexpm1c = sum(n * v ** (n - 1) / math.factorial(n + 1) for n in range(1, 40))
     for fn, want in ((kernel.sinhc, dsinhc), (kernel.expm1c, dexpm1c)):
-        out = fn(KScalar.seed(v, 2))
+        out = fn(KScalar(v, kernel._UNIT[2]))
         assert out.val == fn(v)
         assert out.d == (0.0, 0.0, kernel.RULES[fn.__name__](v)[1], 0.0, 0.0, 0.0)
         assert abs(out.d[2] - want) <= 1e-14 * max(1.0, abs(want)), (fn, v)
@@ -454,12 +454,12 @@ def test_sinhc_and_expm1c_derivatives_are_accurate_across_the_series_switch():
 def test_kappa_trig_dual_input_at_pole_raises():
     """A dual x at a pole raises PoleError."""
     with pytest.raises(PoleError):
-        tkappa(1.0, KScalar.seed(math.pi / 2, 0))
+        tkappa(1.0, KScalar(math.pi / 2, kernel._UNIT[0]))
     with pytest.raises(PoleError):
-        tkappa(0.3, KScalar.seed(math.pi / (2.0 * math.sqrt(0.3)), 2))
+        tkappa(0.3, KScalar(math.pi / (2.0 * math.sqrt(0.3)), kernel._UNIT[2]))
     for kappa in _KAPPAS:
         with pytest.raises(PoleError):
-            cotkappa(kappa, KScalar.seed(0.0, 1))
+            cotkappa(kappa, KScalar(0.0, kernel._UNIT[1]))
 
 
 def test_observable_square_evaluates_once():

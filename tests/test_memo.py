@@ -171,8 +171,38 @@ def test_a_perturbed_table_and_a_new_z_get_their_own_plans():
     assert misses_and_hits(None, SpaceParams(0.0238, 1.0, 0.5))[0] == (2, 0)
     tables = [job[1] for job in (coalgebra._casimirs_job(params.z, None),
                                  coalgebra._casimirs_job(params.z, "jplus"))]
-    plans = [coalgebra._plan(coalgebra._Identities(t)) for t in tables]
+    plans = [coalgebra._plan(tuple(t)) for t in tables]
     assert plans[0] is not plans[1]
+
+
+def test_identities_are_equal_only_to_themselves():
+    """Two identities with equal fields are two identities: a table's tuple
+    compares and hashes by the objects it holds."""
+    jm = coalgebra.one_site(0.25).jminus
+    a, b = (coalgebra.Identity("value", jm, rhs=jm) for _ in range(2))
+    assert a == a and a != b and len({a, b}) == 2
+    assert hash(a) == object.__hash__(a)
+    assert (a, b) == (a, b) and (a, b) != (a, a)
+
+
+def test_a_table_keys_its_plan_by_its_identity_objects():
+    """The same identities in the same order, as a list or a tuple, find one
+    plan; equal identities that are other objects, or the same ones in
+    another order, get their own."""
+    site = coalgebra.one_site(0.25)
+
+    def table():
+        return [coalgebra.Identity("jm", site.jminus, rhs=site.jminus),
+                coalgebra.Identity("jp", site.jplus, rhs=site.jplus)]
+
+    first = table()
+    plan = coalgebra._plan(tuple(first))
+    assert coalgebra._plan(tuple(list(first))) is plan
+    assert coalgebra._plan(tuple(table())) is not plan
+    assert coalgebra._plan(tuple(reversed(first))) is not plan
+    report = coalgebra.run_table("t", first, coalgebra.sample_beltrami, 2, 5)
+    assert [r.max_residual for r in report.results] == [0.0, 0.0]
+    assert coalgebra._plan(tuple(first)) is plan
 
 
 def test_the_report_writer_layout_cache_stays_at_its_bound():

@@ -3,13 +3,12 @@ per batch, against references written as one ``rng.uniform`` per coordinate
 and one SVD per state."""
 
 import math
-import re
 
 import numpy as np
 import pytest
 
-from curvkepler.coalgebra import sample_beltrami, uniform_coords
-from curvkepler.phase import Chart, Observable, PhaseState, grad
+from curvkepler.coalgebra import _uniform_coords, sample_beltrami
+from curvkepler.phase import Chart, ChartMismatchError, Observable, PhaseState, grad
 from curvkepler.spaces import PRESETS, Family, HamiltonianSpec, SpaceParams, hamiltonian
 from curvkepler.symmetry import (constants, independence_rank, independence_ranks,
                                  sample_polar)
@@ -17,14 +16,18 @@ from curvkepler.symmetry import (constants, independence_rank, independence_rank
 CHARTS = (Chart.POLAR_CONSTANT, Chart.POLAR_VARIABLE)
 
 
-def reference_beltrami(rng, lo=-2.0, hi=2.0, min_abs=1e-3):
+def reference_beltrami(rng, rejected=None):
+    """A draw from [-2, 2]^6 with every |q_i| > 1e-3; the rejected draws
+    before it are appended to ``rejected``."""
     while True:
-        coords = rng.uniform(lo, hi, 6)
-        if np.all(np.abs(coords[:3]) > min_abs):
+        coords = rng.uniform(-2.0, 2.0, 6)
+        if np.all(np.abs(coords[:3]) > 1e-3):
             return PhaseState(Chart.BELTRAMI, tuple(coords))
+        if rejected is not None:
+            rejected.append(coords)
 
 
-def reference_polar(params, rng, chart=Chart.POLAR_CONSTANT, momentum_scale=2.0):
+def reference_polar(params, rng, chart=Chart.POLAR_CONSTANT):
     k1, k2 = params.kappa1, params.kappa2
     if chart is Chart.POLAR_CONSTANT:
         rmax = 0.85 * math.pi / math.sqrt(k1) if k1 > 0 else 1.8
@@ -36,7 +39,7 @@ def reference_polar(params, rng, chart=Chart.POLAR_CONSTANT, momentum_scale=2.0)
     r = rng.uniform(rlo, rmax)
     th = rng.uniform(tlo, tmax)
     ph = rng.uniform(0.0, 2.0 * math.pi)
-    mom = rng.uniform(-momentum_scale, momentum_scale, 3)
+    mom = rng.uniform(-2.0, 2.0, 3)
     return PhaseState(chart, (r, th, ph) + tuple(mom))
 
 
@@ -56,19 +59,66 @@ def test_polar_draws_are_uniforms_bit_for_bit():
             for chart in CHARTS:
                 assert_same_draw(sample_polar(params, rng, chart),
                                  reference_polar(params, ref_rng, chart), rng, ref_rng)
-        assert_same_draw(sample_polar(spaces[0], rng, momentum_scale=0.3),
-                         reference_polar(spaces[0], ref_rng, momentum_scale=0.3),
-                         rng, ref_rng)
 
 
-@pytest.mark.parametrize("kwargs", [{}, {"lo": -2.0, "hi": 2.0, "min_abs": 1.0},
-                                    {"lo": 0.5, "hi": 3.0}, {"lo": -1, "hi": 1, "min_abs": 0}])
-def test_beltrami_draws_are_uniforms_bit_for_bit(kwargs):
-    """Rejected draws included: with min_abs = 1 seven points in eight are redrawn."""
+def test_beltrami_draws_are_uniforms_bit_for_bit():
+    """Rejected draws included: about 0.15% of draws have some |q_i| <= 1e-3."""
+    rejected = []
     for seed in range(1000):
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        assert_same_draw(sample_beltrami(rng, **kwargs),
-                         reference_beltrami(ref_rng, **kwargs), rng, ref_rng)
+        for _ in range(3):
+            assert_same_draw(sample_beltrami(rng),
+                             reference_beltrami(ref_rng, rejected), rng, ref_rng)
+    assert rejected
+
+
+@pytest.mark.parametrize("chart", [Chart.BELTRAMI, "polar-constant", None])
+def test_polar_sampler_rejects_a_chart_it_has_no_box_for(chart):
+    """Only the two polar charts have a sampling box; any other chart raises
+    before the generator advances, as one state and as a batch."""
+    params = SpaceParams.preset("spherical")
+    for n in (None, 5):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ChartMismatchError):
+            sample_polar(params, rng, chart, n=n)
+        assert rng.random() == np.random.default_rng(0).random()
+
+
+@pytest.mark.parametrize("kappa", [5e-324, 1e-300, 1.0, 1e300, -5e-324, -1e300])
+@pytest.mark.parametrize("chart", CHARTS)
+def test_polar_box_is_finite_and_ordered_at_extreme_curvatures(chart, kappa):
+    """The polar box needs no span check: at the smallest subnormal |kappa|
+    0.85 pi / sqrt(kappa) is still finite, and rlo < rmax at any kappa.  The
+    reference draws with ``rng.uniform``, which raises on a span that is not
+    finite or is negative, and the sampler gives its draws bit for bit."""
+    params = SpaceParams(kappa, kappa)
+    rng, ref_rng = np.random.default_rng(1), np.random.default_rng(1)
+    batch = sample_polar(params, rng, chart, n=50)
+    ref = [reference_polar(params, ref_rng, chart) for _ in range(50)]
+    _same_states(batch, ref)
+    assert rng.random() == ref_rng.random()
+    assert all(math.isfinite(c) for state in batch for c in state.coords)
+    assert all(state.coords[0] > 0.0 and state.coords[1] > 0.0 for state in batch)
+
+
+_PARAMS = SpaceParams.preset("spherical")
+
+
+@pytest.mark.parametrize("call", [
+    lambda rng: sample_beltrami(rng, -2.0, 2.0),
+    lambda rng: sample_beltrami(rng, lo=-2.0),
+    lambda rng: sample_beltrami(rng, hi=2.0),
+    lambda rng: sample_beltrami(rng, min_abs=1e-3),
+    lambda rng: sample_polar(_PARAMS, rng, Chart.POLAR_CONSTANT, 2.0),
+    lambda rng: sample_polar(_PARAMS, rng, momentum_scale=2.0),
+], ids=["beltrami-positional", "lo", "hi", "min_abs", "polar-positional", "momentum_scale"])
+def test_the_samplers_take_no_box_parameters(call):
+    """The boxes are fixed: a box argument is a TypeError, raised before the
+    generator advances."""
+    rng = np.random.default_rng(0)
+    with pytest.raises(TypeError):
+        call(rng)
+    assert rng.random() == np.random.default_rng(0).random()
 
 
 def _same_states(new, ref):
@@ -91,110 +141,30 @@ def test_a_batch_of_polar_draws_is_the_draws_one_at_a_time(n):
     assert sample_polar(params, np.random.default_rng(0), n=0) == []
 
 
-@pytest.mark.parametrize("kwargs", [{}, {"lo": -2.0, "hi": 2.0, "min_abs": 1.0},
-                                    {"lo": -1.0, "hi": 1.0, "min_abs": 0.75}])
-@pytest.mark.parametrize("n", [1, 3, 10, 64])
-def test_a_batch_of_beltrami_draws_is_the_draws_one_at_a_time(kwargs, n):
-    """Rejected draws included: with min_abs = 0.75 on [-1, 1] 63 draws in 64
-    are redrawn, so a batch takes many rounds of redraws, in order."""
+@pytest.mark.parametrize("n", [1, 3, 10, 64, 2000])
+def test_a_batch_of_beltrami_draws_is_the_draws_one_at_a_time(n):
+    """A batch is the reference's draws and those of n calls, bit for bit,
+    and leaves the generator where they leave it.  At n = 2000 about three
+    draws per batch are rejected, so the batch takes rounds of redraws."""
+    rejected = []
     for seed in range(20):
-        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        batch = sample_beltrami(rng, n=n, **kwargs)
-        _same_states(batch, [sample_beltrami(ref_rng, **kwargs) for _ in range(n)])
-        assert rng.random() == ref_rng.random()
+        rng, one_rng, ref_rng = (np.random.default_rng(seed) for _ in range(3))
+        batch = sample_beltrami(rng, n=n)
+        _same_states(batch, [reference_beltrami(ref_rng, rejected) for _ in range(n)])
+        _same_states(batch, [sample_beltrami(one_rng) for _ in range(n)])
+        assert rng.random() == one_rng.random() == ref_rng.random()
+    assert rejected or n < 2000
+    assert sample_beltrami(np.random.default_rng(0), n=0) == []
 
 
 def test_a_batch_of_uniform_points_is_one_point_at_a_time():
     bounds = ((-1, 1), (0.25, 3.0), (0.0, 2.0 * math.pi), (-2.0, 2.0), (5.0, 5.0), (-1e300, 1e300))
     rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
-    batch = uniform_coords(rng, bounds, 40)
-    ref = [uniform_coords(ref_rng, bounds) for _ in range(40)]
+    batch = _uniform_coords(rng, bounds, 40)
+    ref = [_uniform_coords(ref_rng, bounds) for _ in range(40)]
     assert all(type(c) is float for p in batch for c in p)
     assert [[c.hex() for c in p] for p in batch] == [[c.hex() for c in p] for p in ref]
     assert rng.random() == ref_rng.random()
-
-
-@pytest.mark.parametrize("kwargs", [{"lo": -1.0, "hi": 1.0, "min_abs": 2.0},
-                                    {"min_abs": math.nan}, {"lo": 0.0, "hi": 1.0,
-                                                            "min_abs": 0.9999999999999999}])
-def test_a_batch_raises_what_one_draw_raises(kwargs):
-    """A box with no admissible |q| and a run of _MAX_REDRAWS rejected draws
-    raise in a batch with the message of a single draw, after as many
-    draws."""
-    with pytest.raises(ValueError) as one:
-        sample_beltrami(np.random.default_rng(0), **kwargs)
-    rng, ref_rng = _BoundedRng(), _BoundedRng()
-    with pytest.raises(ValueError) as batch:
-        sample_beltrami(rng, n=5, **kwargs)
-    assert str(batch.value) == str(one.value)
-    with pytest.raises(ValueError):
-        sample_beltrami(ref_rng, **kwargs)
-    assert rng.rng.random() == ref_rng.rng.random()
-
-
-@pytest.mark.parametrize("kwargs, error", [
-    ({"lo": 1.0, "hi": 0.0}, ValueError),
-    ({"lo": 0.0, "hi": math.inf}, OverflowError),
-    ({"lo": -math.inf, "hi": 0.0}, OverflowError),
-    ({"lo": 0.0, "hi": math.nan}, OverflowError),
-    ({"lo": -1e308, "hi": 1e308}, OverflowError),
-])
-def test_beltrami_keeps_uniforms_argument_errors(kwargs, error):
-    with pytest.raises(error):
-        reference_beltrami(np.random.default_rng(0), **kwargs)
-    with pytest.raises(error):
-        sample_beltrami(np.random.default_rng(0), **kwargs)
-
-
-@pytest.mark.parametrize("scale, error", [(-1.0, ValueError), (math.inf, OverflowError),
-                                          (math.nan, OverflowError)])
-def test_polar_keeps_uniforms_argument_errors(scale, error):
-    params = SpaceParams.preset("spherical")
-    with pytest.raises(error):
-        reference_polar(params, np.random.default_rng(0), momentum_scale=scale)
-    with pytest.raises(error):
-        sample_polar(params, np.random.default_rng(0), momentum_scale=scale)
-
-
-class _BoundedRng:
-    """A generator that fails the test instead of drawing forever."""
-
-    def __init__(self):
-        self.rng, self.calls = np.random.default_rng(0), 0
-
-    def random(self, size=None):
-        self.calls += 1
-        assert self.calls < 10_000, "the sampler kept redrawing"
-        return self.rng.random(size)
-
-
-@pytest.mark.parametrize("kwargs", [{"lo": -1.0, "hi": 1.0, "min_abs": 2.0},
-                                    {"lo": -1.0, "hi": 1.0, "min_abs": 1.0},
-                                    {"min_abs": math.nan}, {"lo": 0.0, "hi": 0.0}])
-def test_beltrami_rejects_a_box_with_no_regular_point(kwargs):
-    """No |q| > min_abs in [lo, hi] (or a NaN bound) used to redraw forever;
-    now the first rejected draw raises."""
-    rng = _BoundedRng()
-    with pytest.raises(ValueError):
-        sample_beltrami(rng, **kwargs)
-    assert rng.calls == 1
-
-
-@pytest.mark.parametrize("kwargs", [{"lo": 0.0, "hi": 1.0, "min_abs": 0.9999999999999999},
-                                    {"lo": -1.0, "hi": 1.0, "min_abs": 1.0 - 1e-12}])
-def test_beltrami_gives_up_on_a_box_it_cannot_draw_from(kwargs):
-    """A box whose regular part the draws never (u < 1 keeps lo + (hi - lo) u
-    below 1 - 2**-53) or all but never reach used to redraw forever; now the
-    sampler raises after 1,000 rejected draws in a row and names the box."""
-    rng = _BoundedRng()
-    box = f"[{kwargs['lo']}, {kwargs['hi']}]"
-    with pytest.raises(ValueError, match=re.escape(box)):
-        sample_beltrami(rng, **kwargs)
-    assert rng.calls == 1000
-    ref = np.random.default_rng(0)
-    for _ in range(1000):
-        ref.random(6)
-    assert rng.rng.random() == ref.random()
 
 
 def _family_observables(family):
