@@ -13,8 +13,10 @@ on one 20% slower) ``_HOST_READINGS`` times just before and as many times
 just after, and stores the median of those readings in ``host_index``,
 beside ``repeats``; ``scaled_median`` is the median of each repeat divided
 by its index, so host drift between repeats moves it less than the raw
-``median``, and one stray reading does not move it.  A run is
-stored under its ``--label``, and the
+``median``, and one stray reading does not move it.  A row timed in
+rounds spread over seconds (the ``run_tables_*`` rows) takes the readings
+around each round instead, keeps the round with the least scaled time and
+stores that round's index.  A run is stored under its ``--label``, and the
 runs with other labels already in the file are kept, so one file holds the
 parent and the change measured on the same machine.  With ``--against``,
 the tree given there (stored as ``parent``) and ``--src`` are timed
@@ -90,19 +92,25 @@ def _median_call(fn, number):
     return statistics.median(_timed(fn) for _ in range(number))
 
 
-# Seconds between the rounds of _least_median_call.
+# Seconds between the rounds of _least_scaled_median_call.
 _ROUND_GAP_S = 0.5
 
 
-def _least_median_call(fn, rounds, number):
-    """The least of ``rounds`` medians of ``number`` calls each, the rounds
-    ``_ROUND_GAP_S`` apart: for calls of well under a ms.  A shared host can
-    run slower for seconds at a time, longer than a median of many such
-    calls, so rounds spread over seconds catch it at its usual speed."""
-    best = _median_call(fn, number)
-    for _ in range(rounds - 1):
-        time.sleep(_ROUND_GAP_S)
-        best = min(best, _median_call(fn, number))
+def _least_scaled_median_call(hostspeed, fn, rounds, number):
+    """(median, host index) of the round with the least scaled time among
+    ``rounds`` medians of ``number`` calls each, the rounds
+    ``_ROUND_GAP_S`` apart, each with the host readings around it: for
+    calls of well under a ms.  A shared host can run slower for seconds at a
+    time, longer than a median of many such calls, so rounds spread over
+    seconds catch it at its usual speed, and each round is scaled by the
+    readings taken next to it rather than by readings seconds away."""
+    best = None
+    for i in range(rounds):
+        if i:
+            time.sleep(_ROUND_GAP_S)
+        t, index = _scaled_repeat(hostspeed, lambda: _median_call(fn, number))
+        if best is None or t / index < best[0] / best[1]:
+            best = t, index
     return best
 
 
@@ -127,7 +135,7 @@ def _scaled_repeat(hostspeed, fn):
 class Rows:
     """The cost-table rows; each method times one repeat of its row."""
 
-    def __init__(self, src, tmp):
+    def __init__(self, src, tmp, hostspeed):
         from curvkepler import cli, coalgebra, kernel
         from curvkepler.dynamics import IntegratorConfig, integrate
         from curvkepler.phase import Chart, Observable, PhaseState
@@ -135,7 +143,7 @@ class Rows:
                                        chart_guard, curvature, hamiltonian)
         from curvkepler.symmetry import constants, verify_lrl_algebra
 
-        self.src, self.tmp, self.cli = src, tmp, cli
+        self.src, self.tmp, self.cli, self.hostspeed = src, tmp, cli, hostspeed
         self.integrate, self.config = integrate, IntegratorConfig
         self.lrl_suite = verify_lrl_algebra
         self.params = SpaceParams.preset("spherical", gamma=0.45)
@@ -236,17 +244,20 @@ class Rows:
 
     def _run_tables_samples10(self, batch):
         jobs, sampler = self.batches[batch]
-        return 1e6 * _least_median_call(lambda: self.run_tables(jobs, sampler, 10, 7), 5, 60)
+        t, index = _least_scaled_median_call(
+            self.hostspeed, lambda: self.run_tables(jobs, sampler, 10, 7), 5, 60)
+        return 1e6 * t, index
 
     def run_tables_beltrami_samples10(self):
         """The Beltrami batch of verify_all_samples10_in_process (sl2z on one
-        and three sites, casimirs) as one warm run_tables call (least of 5
-        medians of 60 calls, 0.5 s apart)."""
+        and three sites, casimirs) as one warm run_tables call (of 5 medians
+        of 60 calls, 0.5 s apart, the least scaled one, with its index)."""
         return self._run_tables_samples10(0)
 
     def run_tables_polar_samples10(self):
         """The polar batch of verify_all_samples10_in_process (so4, lrl) as
-        one warm run_tables call (least of 5 medians of 60 calls, 0.5 s apart)."""
+        one warm run_tables call (of 5 medians of 60 calls, 0.5 s apart, the
+        least scaled one, with its index)."""
         return self._run_tables_samples10(1)
 
     def report_text_verify_all_samples10(self):
@@ -310,6 +321,9 @@ class Rows:
                                              stdout=subprocess.DEVNULL))
 
 
+# Rows timed in spaced rounds, which return (time, host index) themselves.
+_SPACED = frozenset(("run_tables_beltrami_samples10", "run_tables_polar_samples10"))
+
 # (row, unit, warm-up first); the order of the cost table
 ROWS = (
     ("kscalar_mul", "us", False),
@@ -362,14 +376,14 @@ def measure(src, repeats):
         "rows": {},
     }
     with tempfile.TemporaryDirectory() as tmp:
-        rows = Rows(src, tmp)
+        rows = Rows(src, tmp, hostspeed)
         for name, unit, warm in ROWS:
             fn = getattr(rows, name)
             if warm:
                 fn()
             row = run["rows"][name] = {"unit": unit, "repeats": [], "host_index": []}
             for _ in range(repeats):
-                result, index = _scaled_repeat(hostspeed, fn)
+                result, index = fn() if name in _SPACED else _scaled_repeat(hostspeed, fn)
                 row["repeats"].append(result)
                 row["host_index"].append(index)
             _set_medians(row)

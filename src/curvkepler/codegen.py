@@ -47,17 +47,16 @@ known structure at new parameters costs one lowering walk and one ``exec``
 of the cached code, with the constants bound in the function's globals as
 ``k0, k1, ...`` beside the kernel rules by name (one shared base dict,
 copied once per root set).  A second bounded LRU cache (:func:`_bound`),
-keyed by the root nodes (identity), keeps the lowering, its globals and the
-function of each mode made from them, or None for a root set that does not
-compile, so a repeated call on the same roots costs one cache lookup.
+keyed by the root nodes (identity) and the mode, keeps the function, or None
+for a root set that does not compile, so a repeated call on the same roots
+and mode costs one cache lookup; a root set compiled in both modes is
+lowered once per mode.
 
 Values-only mode (``compile_roots(roots, values=True)``) emits the same
 lowering with no coordinate seeded: every node's lanes are empty, so no
-derivative factor is written (``n - 1`` and ``1.0 / c`` go unread), a
-unary is its kernel float function and ``tkappa``/``cotkappa`` take the
-value of their rule, which raises at a pole as the evaluator does.  ``f``
-returns the roots' values and nothing else.  Monitors evaluated at every
-sample of an orbit use it.
+derivative factor is written (``n - 1`` and ``1.0 / c`` go unread) and a
+unary is its kernel float function.  ``f`` returns the roots' values and
+nothing else.  Monitors evaluated at every sample of an orbit use it.
 
 Curvature-labelled trigonometry shares its work: every ``skappa``,
 ``ckappa``, ``tkappa`` and ``cotkappa`` node on one ``(kappa, x)`` reads one
@@ -65,11 +64,11 @@ pair instruction.  Both modes write it as the statements of
 ``kernel._kappa_pair`` (``u = kappa * x * x``, then the Taylor, ``sin``/``cos``
 or ``sinh``/``cosh`` branch), not as a call.  From the pair ``skappa`` is
 ``(S, C)`` and ``ckappa`` is ``(C, -kappa * S)``, what the dual path's rules
-give.  ``tkappa`` and ``cotkappa`` take the value of their
-``kernel.KAPPA_RULES`` entry in values-only mode; in gradient mode the
-rule's quotient and derivative are written out, and the rule is called only
-where its denominator is below ``kernel._POLE_EPS``, so it raises the same
-``PoleError`` at a pole.  Labels are compared by their type and bits, so
+give.  For ``tkappa`` and ``cotkappa`` both modes write out the quotient
+of their ``kernel.KAPPA_RULES`` entry (gradient mode its derivative too),
+and call the rule only where its denominator is below
+``kernel._POLE_EPS``, so it raises the same ``PoleError`` at a pole.
+Labels are compared by their type and bits, so
 ``0.0``, ``-0.0`` and the int ``0`` (whose ``C' = -kappa S`` differ in the
 sign of a zero) never share a pair.
 
@@ -78,7 +77,7 @@ separate nodes are evaluated twice, so the builders (:func:`.phase.memo`)
 build each subexpression once per parameter set and share it.  Interning by
 value would let parameters into the structure key: at ``kappa1 = kappa2 =
 1.0`` equal constants would merge and rewire a table.  :func:`_bound`
-keys by root nodes (identity) instead, for both modes, so every caller of
+keys by root nodes (identity) instead, so every caller of
 :func:`compile_roots` on the same roots and mode shares one function (the
 compiled code keeps no state between calls).
 """
@@ -190,8 +189,8 @@ class _Lowering:
     op, its operands and any name it needs; an operand is the index of an
     earlier instruction, or ``~slot`` (a negative number) for constant
     ``slot``.  Instructions are appended in the order the walk finishes
-    them, which is the order the emitter writes them in.  One lowering
-    serves both modes: a constant divisor ``c`` brings its reciprocal and a
+    them, which is the order the emitter writes them in.  Both modes emit
+    the same lowering: a constant divisor ``c`` brings its reciprocal and a
     power ``n`` brings ``n - 1``, which only a derivative lane reads.
     """
 
@@ -419,16 +418,12 @@ class _Emitter:
             return s, self.scaled(c, lx)
         if name == "ckappa":
             return self.chained(c, f"-{kappa} * {s}", lx)
-        call = f"{name}_rule({kappa}, {ex}, {s}, {c})"
-        if not lx:
-            return self.var(call + "[0]"), {}
         # The rule's float operations written out; it is called only at its
         # pole, to raise what it raises there.  T' = 1/C**2, cot' = -1/S**2.
         num, den, sign = (s, c, "") if name == "tkappa" else (c, s, "-")
-        val, d = self.fresh(), self.fresh()
-        self.lines += [f"if abs({den}) < {kernel._POLE_EPS!r}: {call}",
-                       f"{val} = {num} / {den}", f"{d} = {sign}1.0 / ({den} * {den})"]
-        return val, self.scaled(d, lx)
+        self.lines.append(f"if abs({den}) < {kernel._POLE_EPS!r}: "
+                          f"{name}_rule({kappa}, {ex}, {s}, {c})")
+        return self.chained(self.var(f"{num} / {den}"), f"{sign}1.0 / ({den} * {den})", lx)
 
 
 # Compiled code objects by lowered structure and mode.  One pass of the
@@ -464,31 +459,18 @@ def _lower(roots):
     return (tuple(low.ins), refs), tuple(low.consts)
 
 
-class _Bound:
-    """One root set's lowering with its constants bound and, per mode, the
-    function made on first use."""
-
-    __slots__ = ("structure", "env", "fns")
-
-    def __init__(self, structure, consts):
-        self.structure = structure
-        self.env = dict(_BASE_GLOBALS, **{f"k{i}": c for i, c in enumerate(consts)})
-        self.fns = {}
-
-    def function(self, values):
-        if values not in self.fns:
-            exec(_code(self.structure, values), self.env)
-            self.fns[values] = self.env.pop("compiled")
-        return self.fns[values]
-
-
-# Bound root sets by root nodes (identity), which the key holds; None for a
-# set with a root that cannot be compiled.  verify and rank bind 1 or 2 root
-# sets per call, simulate 5 to 8; the bound keeps memory fixed.
+# Compiled functions by root nodes (identity), which the key holds, and
+# mode; None for a set with a root that cannot be compiled.  verify and rank
+# bind 1 or 2 root sets per call, simulate 5 to 8; the bound keeps memory
+# fixed.  Each entry lowers its roots and binds its constants on its own.
 @functools.lru_cache(maxsize=256)
-def _bound(roots):
+def _bound(roots, values):
     structure, consts = _lower(roots)
-    return None if None in structure[1] else _Bound(structure, consts)
+    if None in structure[1]:
+        return None
+    env = dict(_BASE_GLOBALS, **{f"k{i}": c for i, c in enumerate(consts)})
+    exec(_code(structure, values), env)
+    return env.pop("compiled")
 
 
 def compile_roots(roots, values=False):
@@ -504,8 +486,7 @@ def compile_roots(roots, values=False):
 
     With ``values`` true, ``f`` returns only the roots' values.  In both
     modes each value is bit for bit what :func:`evaluator` gives on the same
-    floats.  A repeated call on the same root nodes returns the same
-    function.
+    floats.  A repeated call on the same root nodes and mode returns the
+    same function.
     """
-    bound = _bound(tuple(roots))
-    return bound and bound.function(values)
+    return _bound(tuple(roots), values)

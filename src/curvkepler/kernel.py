@@ -21,6 +21,7 @@ hyperbolic/Lorentzian cases without complex arithmetic.
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -61,7 +62,9 @@ class KScalar:
     ``val`` is the value, ``d`` a 6-tuple of partials with respect to the
     phase-space slots (q1, q2, q3, p1, p2, p3) or their chart equivalents.
     Arithmetic follows the product/quotient/chain rules exactly, and a value
-    is the float operation's result: a quotient's is ``u / v``.
+    is the float operation's result: a quotient's is ``u / v``.  A rule with
+    one dual operand is one :func:`_chain` step; sums and negation act lane
+    by lane.  It is the fallback of observables that do not compile.
     """
 
     __slots__ = ("val", "d")
@@ -73,41 +76,31 @@ class KScalar:
     # -- arithmetic -------------------------------------------------------
     def __add__(self, o):
         if isinstance(o, KScalar):
-            a, b = self.d, o.d
-            return KScalar(self.val + o.val,
-                           (a[0] + b[0], a[1] + b[1], a[2] + b[2],
-                            a[3] + b[3], a[4] + b[4], a[5] + b[5]))
+            return KScalar(self.val + o.val, tuple(map(operator.add, self.d, o.d)))
         return KScalar(self.val + o, self.d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        a = self.d
-        return KScalar(-self.val, (-a[0], -a[1], -a[2], -a[3], -a[4], -a[5]))
+        return KScalar(-self.val, tuple(map(operator.neg, self.d)))
 
     def __sub__(self, o):
         if isinstance(o, KScalar):
-            a, b = self.d, o.d
-            return KScalar(self.val - o.val,
-                           (a[0] - b[0], a[1] - b[1], a[2] - b[2],
-                            a[3] - b[3], a[4] - b[4], a[5] - b[5]))
+            return KScalar(self.val - o.val, tuple(map(operator.sub, self.d, o.d)))
         return KScalar(self.val - o, self.d)
 
     def __rsub__(self, o):
-        a = self.d
-        return KScalar(o - self.val, (-a[0], -a[1], -a[2], -a[3], -a[4], -a[5]))
+        return KScalar(o - self.val, tuple(map(operator.neg, self.d)))
 
     def __mul__(self, o):
-        a = self.d
         if isinstance(o, KScalar):
-            b = o.d
+            a, b = self.d, o.d
             u, v = self.val, o.val
             return KScalar(u * v,
                            (v * a[0] + u * b[0], v * a[1] + u * b[1],
                             v * a[2] + u * b[2], v * a[3] + u * b[3],
                             v * a[4] + u * b[4], v * a[5] + u * b[5]))
-        return KScalar(self.val * o, (o * a[0], o * a[1], o * a[2],
-                                      o * a[3], o * a[4], o * a[5]))
+        return _chain(self, self.val * o, o)
 
     __rmul__ = __mul__
 
@@ -121,21 +114,15 @@ class KScalar:
                            (w * a[0] + c * b[0], w * a[1] + c * b[1],
                             w * a[2] + c * b[2], w * a[3] + c * b[3],
                             w * a[4] + c * b[4], w * a[5] + c * b[5]))
-        return KScalar(self.val / o, (self * (1.0 / o)).d)
+        return _chain(self, self.val / o, 1.0 / o)
 
     def __rtruediv__(self, o):
-        a = self.d
         u = self.val
-        c = -o / (u * u)
-        return KScalar(o / u, (c * a[0], c * a[1], c * a[2],
-                               c * a[3], c * a[4], c * a[5]))
+        return _chain(self, o / u, -o / (u * u))
 
     def __pow__(self, n):
         u = self.val
-        c = n * u ** (n - 1)
-        a = self.d
-        return KScalar(u ** n, (c * a[0], c * a[1], c * a[2],
-                                c * a[3], c * a[4], c * a[5]))
+        return _chain(self, u ** n, n * u ** (n - 1))
 
     # -- comparisons act on the value part --------------------------------
     def __lt__(self, o):
@@ -158,6 +145,8 @@ class KScalar:
 
 
 def _chain(x, val, dval):
+    """The dual of ``val`` whose partials are ``x``'s times the derivative
+    ``dval``: the chain step of every rule with one dual operand."""
     a = x.d
     return KScalar(val, (dval * a[0], dval * a[1], dval * a[2],
                          dval * a[3], dval * a[4], dval * a[5]))

@@ -491,9 +491,12 @@ def test_values_only_mode_matches_the_evaluator_bit_for_bit():
     assert grad(*points[0])[0] == f(*points[0])[-4] == 0.8 / 10 != 0.8 * (1 / 10)
 
 
-def test_one_lowering_serves_both_modes(monkeypatch):
-    """The gradient and values-only code of the same roots come from one
-    lowering walk; the mode is part of the code cache's key only."""
+def test_each_mode_lowers_and_binds_its_roots_once(monkeypatch):
+    """The gradient and values-only functions of the same roots are two
+    entries of the bound-function cache, keyed by roots and mode: one
+    lowering walk and one code object each, and a repeated call in either
+    mode returns its function from the cache.  The values-only code of a
+    ratio raises at its pole as the evaluator does."""
     roots = [(Q1 * P2 + 1) / 3, phase.tkappa(0.4, Q2)]
     nodes = [r.node for r in roots]
     (ins, refs), consts = codegen._lower(nodes)
@@ -502,9 +505,122 @@ def test_one_lowering_serves_both_modes(monkeypatch):
     real = codegen._lower
     monkeypatch.setattr(codegen, "_lower", lambda *a: walks.append(a) or real(*a))
     _clear_code_caches()
-    codegen.compile_roots(nodes)
-    codegen.compile_roots(nodes, values=True)
-    codegen.compile_roots(nodes, values=True)
-    assert len(walks) == 1 and codegen._code.cache_info().currsize == 2
+    grad = codegen.compile_roots(nodes)
+    values = codegen.compile_roots(nodes, values=True)
+    assert codegen.compile_roots(nodes, values=True) is values
+    assert codegen.compile_roots(nodes) is grad and values is not grad
+    assert len(walks) == 2 and codegen._code.cache_info().currsize == 2
+    assert codegen._bound.cache_info().currsize == 2
+    s = (0.6, 0.3, 0.0, 0.0, 0.5, 0.0)
+    assert values(*s) == grad(*s)[::7] == tuple(ob(s) for ob in roots)
     with pytest.raises(kernel.PoleError):
         _values_only(roots[1:])(0.0, math.pi / 2 / math.sqrt(0.4), 0.0, 0.0, 0.0, 0.0)
+
+
+def _ratio_poles(name, kappa):
+    """The poles of tkappa (C = 0) or cotkappa (S = 0) in [0, pi / sqrt(kappa)]."""
+    if name == "cotkappa":
+        return [0.0] + ([math.pi / math.sqrt(kappa)] if kappa > 0 else [])
+    return [math.pi / 2 / math.sqrt(kappa)] if kappa > 0 else []
+
+
+@pytest.mark.parametrize("kappa", [0.4, 0.0, -0.4], ids=repr)
+@pytest.mark.parametrize("kfn", [tkappa, cotkappa], ids=lambda f: f.__name__)
+def test_values_only_ratio_is_the_kernel_ratio_and_raises_at_its_pole(kfn, kappa, monkeypatch):
+    """Values-only code writes a ratio's quotient out: off a pole, on either
+    side of it and just outside ``_POLE_EPS`` of ``cotkappa``'s pole at 0,
+    it gives the kernel function's bits without calling the rule; within
+    ``_POLE_EPS`` of a pole it calls the rule, which raises the kernel's
+    ``PoleError``."""
+    name = kfn.__name__
+    ref, rule, calls = getattr(kernel, name), kernel.KAPPA_RULES[name], []
+    monkeypatch.setitem(codegen._BASE_GLOBALS, f"{name}_rule",
+                        lambda *a: calls.append(a) or rule(*a))
+    codegen._bound.cache_clear()        # bind again, on the counting rule
+    try:
+        f = _values_only([kfn(kappa, Q2) + P1])
+    finally:        # no later call may run the counting rule
+        codegen._bound.cache_clear()
+    poles = _ratio_poles(name, kappa)
+    near = [p + d for p in poles for d in (-1e-3, -1e-9, 1e-9, 1e-3)]
+    if name == "cotkappa":
+        near += [-2 * kernel._POLE_EPS, 2 * kernel._POLE_EPS]
+    for x in [0.3, -0.7, 1.9, *near]:
+        want = ref(kappa, x) + 0.5
+        assert float.hex(f(0.0, x, 0.0, 0.5, 0.0, 0.0)[0]) == float.hex(want), x
+    assert calls == []
+    at_pole = poles + ([0.5 * kernel._POLE_EPS, -0.5 * kernel._POLE_EPS]
+                       if name == "cotkappa" else [])
+    for x in at_pole:
+        with pytest.raises(kernel.PoleError) as want:
+            ref(kappa, x)
+        with pytest.raises(kernel.PoleError) as got:
+            f(0.0, x, 0.0, 0.5, 0.0, 0.0)
+        assert str(got.value) == str(want.value)
+    assert len(calls) == len(at_pole)
+
+
+# -- every observable set the library builds compiles -----------------------------
+#
+# The dual path is the fallback of a root set that does not compile; these
+# tests pin that none of the library's own sets needs it.
+
+@pytest.mark.parametrize("family", _NAMED, ids=lambda f: f.value)
+def test_every_hamiltonian_and_monitor_compiles(family):
+    """On every preset and compatible chart the Hamiltonian compiles in
+    gradient mode, and each monitor (the constants and H) in values mode."""
+    for preset in sorted(PRESETS):
+        spec = HamiltonianSpec(family, SpaceParams.preset(preset, gamma=0.5))
+        for chart in spec.compatible_charts():
+            assert codegen.compile_roots([hamiltonian(spec, chart)._node]), (preset, chart)
+            for name, ob in _observables(spec, chart).items():
+                assert codegen.compile_roots([ob._node], values=True), (preset, chart, name)
+
+
+_SUITE_PARAMS = ([SpaceParams.preset(p, gamma=0.5) for p in sorted(PRESETS)]
+                 + [SpaceParams(z, kappa2, 0.5) for z in (0.5, -0.5) for kappa2 in (1.0, -1.0)]
+                 + [SpaceParams(0.3, 1.0, 0.5)])
+_GENERATORS = (None, *sorted(cli._COALGEBRA_GENS), *sorted(cli._SO4_GENS))
+
+
+@pytest.mark.parametrize("params", _SUITE_PARAMS, ids=lambda p: f"z={p.z},kappa2={p.kappa2}")
+def test_both_verify_batches_compile_as_one_root_set_each(params, monkeypatch):
+    """The Beltrami and the polar batch of ``verify --suite all``, built as
+    the CLI builds them with no --perturb and with each generator, each
+    compile whole as the one root set of their column plan."""
+    batches = []
+    monkeypatch.setattr(coalgebra, "run_tables",
+                        lambda jobs, sampler, samples, seed: batches.append(jobs) or [])
+    for perturb in _GENERATORS:
+        batches.clear()
+        cli._run_suites("all", params, 1, 0, perturb)
+        assert len(batches) == 2
+        for jobs in batches:
+            identities = tuple(ident for _, table, _ in jobs for ident in table)
+            assert coalgebra._plan(identities).columns.compiled is not None, (perturb, jobs[0][0])
+
+
+@pytest.mark.parametrize("family", _NAMED, ids=lambda f: f.value)
+def test_every_rank_observable_set_compiles(family):
+    """C2, C2mid, C3 and H on the family's polar chart, and on kepler-cc
+    each with one LRL component appended, compile as one root set."""
+    lrl = ("L1", "L2", "L3") if family is Family.KEPLER_CC else ()
+    for preset in sorted(PRESETS):
+        spec = HamiltonianSpec(family, SpaceParams.preset(preset, gamma=0.5))
+        consts = constants(spec, family.polar_chart)
+        obs = [consts["C2"], consts["C2mid"], consts["C3"],
+               hamiltonian(spec, family.polar_chart)]
+        for extra in [[]] + [[consts[name]] for name in lrl]:
+            assert phase.Columns(obs + extra).compiled is not None, (preset, extra)
+
+
+def test_the_custom_hamiltonian_is_the_fallbacks_one_built_in_user():
+    """A ``Family.CUSTOM`` Hamiltonian wraps user callables, so it does not
+    compile: it is the one observable the library builds that takes the
+    dual path."""
+    spec = HamiltonianSpec(
+        Family.CUSTOM, SpaceParams(0.1, 1.0, 0.4), f=kernel.exp,
+        potential=lambda z, jm: -0.4 / kernel.sqrt(jm * kernel.expm1c(2.0 * z * jm)))
+    h = hamiltonian(spec, Chart.BELTRAMI)
+    assert codegen.compile_roots([h._node]) is None
+    assert codegen.compile_roots([h._node], values=True) is None

@@ -773,6 +773,20 @@ _CLOSED = {("spherical", 0.2): 0.848490336290, ("hyperbolic", 0.2): 0.9459395598
            ("spherical", 1.0): 1.111967962244, ("hyperbolic", 1.0): 1.497577218803}
 
 
+def _third_law_period(p_r, gamma=0.5):
+    """Kepler's third law at z = 0, the flat contraction: H = p^2 / 2 - k / r
+    with k = 2 sqrt(2) gamma, so T = 2 pi a^(3/2) / sqrt(k) with a = -k / (2 E),
+    E taken at r = 0.5, p_phi = 0.5 on the equator.  It reads neither the
+    quadrature nor the integrator."""
+    k = 2.0 * math.sqrt(2.0) * gamma
+    energy = 0.5 * (p_r * p_r + (0.5 / 0.5) ** 2) - k / 0.5
+    a = -k / (2.0 * energy)
+    return 2.0 * math.pi * a ** 1.5 / math.sqrt(k)
+
+
+_CLOSED.update({("euclidean", p_r): _third_law_period(p_r) for p_r in (0.2, 1.0)})
+
+
 def _radial_period(rad, energy, r1, r2, nodes):
     """2 * integral of dr / sqrt(2 A(r) (E - V(r))) from r1 to r2, with
     A = 2 (h(r, 1) - h(r, 0)), by Gauss-Legendre after r = mid - half cos u."""
@@ -836,7 +850,7 @@ def _check_closure(preset, p_r, rtol, periods):
 
 
 @pytest.mark.parametrize("rtol", [1e-12, 1e-10])
-@pytest.mark.parametrize("preset", ["hyperbolic", "spherical"])
+@pytest.mark.parametrize("preset", ["euclidean", "hyperbolic", "spherical"])
 def test_bounded_kepler_orbit_closes_after_one_radial_period(preset, rtol):
     _check_closure(preset, 0.2, rtol, 1)
 
@@ -845,3 +859,19 @@ def test_bounded_kepler_orbit_closes_after_one_radial_period(preset, rtol):
 @pytest.mark.parametrize("preset, p_r", sorted(_CLOSED))
 def test_bounded_kepler_orbit_closes_after_three_radial_periods(preset, p_r, rtol):
     _check_closure(preset, p_r, rtol, 3)
+
+
+@pytest.mark.parametrize("preset", ["antidesitter", "minkowski", "desitter"])
+def test_lorentzian_kepler_potential_has_no_inner_turning_point(preset):
+    """At kappa2 < 0 the centrifugal term c3 / (2 kappa2 S_z(r)^2) attracts,
+    so the effective potential falls to -inf at r = 0 and the closed-orbit
+    states have no pericentre: V - E stays negative from r = 1e-3 to the
+    start radius, where the bisection looks for the inner turning point."""
+    params = SpaceParams.preset(preset, gamma=0.5)
+    spec = HamiltonianSpec(Family.KEPLER_CC, params)
+    h = hamiltonian(spec, Chart.POLAR_CONSTANT)
+    for p_r in (0.2, 1.0):
+        s = PhaseState.polar_constant(0.5, math.pi / 2, 0.0, p_r, 0.0, 0.5)
+        rad = radial_reduction(spec, constants(spec, Chart.POLAR_CONSTANT)["C3"](s))
+        assert rad.c3 > 0.0
+        assert all(rad.potential(r) < h(s) for r in np.linspace(1e-3, 0.5, 200)), p_r
