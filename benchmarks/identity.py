@@ -13,6 +13,10 @@ SHA-256 per output family:
   (``symmetry.constants`` plus ``H``, for each named family, preset and
   chart): its bytecode, names and literals and the bits of the constants it
   reads;
+* ``hamiltonian-code``: the same digest of the gradient code of every
+  Hamiltonian (each named family, preset and compatible chart), the code
+  that integrates each orbit; both code families compile through the
+  ``Observable`` methods only, so they also run against an older tree;
 * ``orbit-states``: the times, states and monitor series of one fixed
   Kepler-CC orbit, as float bits;
 * ``verify-json``, ``rank-json``: the reports of ``verify --suite all`` and
@@ -46,27 +50,49 @@ _SEEDS = ("16001", "16002")
 _SPACE = ("--preset", "hyperbolic", "--gamma", "0.4")
 
 
-def _monitor_code(sha, tmp):
-    from curvkepler.spaces import PRESETS, Family, HamiltonianSpec, SpaceParams, hamiltonian
-    from curvkepler.symmetry import constants
+def _named_charts():
+    """(label, spec, chart) of each named family, preset and compatible chart."""
+    from curvkepler.spaces import PRESETS, Family, HamiltonianSpec, SpaceParams
 
     for family in (Family.FREE_NC, Family.FREE_CC, Family.KEPLER_NC, Family.KEPLER_CC):
         for preset in sorted(PRESETS):
             spec = HamiltonianSpec(family, SpaceParams.preset(preset, gamma=0.5))
             for chart in spec.compatible_charts():
-                monitors = dict(constants(spec, chart), H=hamiltonian(spec, chart))
-                for name, ob in monitors.items():
-                    sha.update(f"{family.value} {preset} {chart.value} {name}\n".encode())
-                    if not ob.compile_values():
-                        sha.update(b"not compiled\n")
-                        continue
-                    f = ob._values
-                    code = f.__code__
-                    bound = [f.__globals__[n] for n in code.co_names if re.fullmatch(r"k\d+", n)]
-                    sha.update(code.co_code)
-                    sha.update(repr((code.co_names, code.co_varnames, code.co_consts)).encode())
-                    sha.update(repr([v.hex() if isinstance(v, float) else repr(v)
-                                     for v in bound]).encode())
+                yield f"{family.value} {preset} {chart.value}", spec, chart
+
+
+def _digest_compiled(sha, f):
+    """A compiled function's bytecode, names and literals and the bits of
+    the constants it reads; ``f`` is False for an observable that does not
+    compile."""
+    if not f:
+        sha.update(b"not compiled\n")
+        return
+    code = f.__code__
+    bound = [f.__globals__[n] for n in code.co_names if re.fullmatch(r"k\d+", n)]
+    sha.update(code.co_code)
+    sha.update(repr((code.co_names, code.co_varnames, code.co_consts)).encode())
+    sha.update(repr([v.hex() if isinstance(v, float) else repr(v) for v in bound]).encode())
+
+
+def _monitor_code(sha, tmp):
+    from curvkepler.spaces import hamiltonian
+    from curvkepler.symmetry import constants
+
+    for label, spec, chart in _named_charts():
+        monitors = dict(constants(spec, chart), H=hamiltonian(spec, chart))
+        for name, ob in monitors.items():
+            sha.update(f"{label} {name}\n".encode())
+            _digest_compiled(sha, ob.compile_values() and ob._values)
+
+
+def _hamiltonian_code(sha, tmp):
+    from curvkepler.spaces import hamiltonian
+
+    for label, spec, chart in _named_charts():
+        h = hamiltonian(spec, chart)
+        sha.update(f"{label} H\n".encode())
+        _digest_compiled(sha, h.compile_gradient() and h._compiled)
 
 
 def _orbit_states(sha, tmp):
@@ -114,6 +140,7 @@ _SIMULATE = ["simulate", "--family", "kepler-nc", "--z", "0.35", "--kappa2", "1"
 
 FAMILIES = {
     "monitor-code": _monitor_code,
+    "hamiltonian-code": _hamiltonian_code,
     "orbit-states": _orbit_states,
     "verify-json": _cli(["verify", "--suite", "all", *_SPACE, "--samples", "50",
                          "--seed", _SEEDS[0]]),

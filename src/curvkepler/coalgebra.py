@@ -249,18 +249,22 @@ _GRAD_SCALE = 1e-4
 class _Plan:
     """A table's columns, set up once: its distinct observables as one
     :class:`.phase.Columns`, the value column of each identity's ``f``, the
-    gradient columns of each bracket's ``f`` and ``g``, the value column of
-    each observable right-hand side and the constant right-hand sides."""
+    rows of each bracket's ``f`` and ``g`` in the block of partials (only
+    bracket operands get one), the value column of each observable
+    right-hand side and the constant right-hand sides."""
 
     def __init__(self, table):
         obs = {id(o): o for ident in table for o in (ident.f, ident.g, ident.rhs)
                if isinstance(o, Observable)}
         col = {key: j for j, key in enumerate(obs)}
-        self.columns = Columns(list(obs.values()))
         self.f = [col[id(ident.f)] for ident in table]
         self.rows = [i for i, ident in enumerate(table) if ident.g is not None]
-        self.gf = [self.f[i] for i in self.rows]
-        self.gg = [col[id(table[i].g)] for i in self.rows]
+        brackets = [table[i] for i in self.rows]
+        operands = {id(o) for ident in brackets for o in (ident.f, ident.g)}
+        block = {key: m for m, key in enumerate(k for k in obs if k in operands)}
+        self.columns = Columns(list(obs.values()), [key in block for key in obs])
+        self.gf = [block[id(ident.f)] for ident in brackets]
+        self.gg = [block[id(ident.g)] for ident in brackets]
         self.rhs = [col[id(ident.rhs)] if isinstance(ident.rhs, Observable) else 0
                     for ident in table]
         self.const_rows = [i for i, ident in enumerate(table)
@@ -286,9 +290,9 @@ def run_table(suite, table, sampler, samples, seed, params=None):
     for the built-in samplers.  The table's column plan is built once per
     ``tuple(table)`` (identities compare by identity) and held in a
     bounded cache: its distinct observables are compiled together, and one
-    compiled call per point gives all their values and gradients
-    (:class:`.phase.Columns`; a table with an opaque observable takes the
-    dual path for all of them).
+    compiled call per point gives all their values and the gradients of the
+    bracket operands (:class:`.phase.Columns`; one opaque observable puts
+    them all on the dual path).
     Brackets, gradient norms and residuals then come from one numpy pass
     over all points.  Residuals are relative: the mismatch is scaled by the
     magnitudes of both sides and (for brackets) by the gradient product
@@ -299,8 +303,7 @@ def run_table(suite, table, sampler, samples, seed, params=None):
         raise ValueError("samples must be >= 1")
     states = sampler(np.random.default_rng(seed), n=samples)
     plan = _plan(tuple(table))
-    vg = plan.columns(states)
-    values, grads = vg[..., 0], vg[..., 1:]
+    values, grads = plan.columns(states)
 
     lhs = values[:, plan.f]
     scale = np.ones_like(lhs)

@@ -7,9 +7,9 @@ evaluates a shared node once.  :func:`compile_roots` turns the graphs of
 several observables (the roots) into one Python function of the six
 coordinates, or gives None when any root cannot be compiled: a root set
 compiles whole or not at all.  For each root in order the function returns
-what a 6-lane ``KScalar`` evaluation returns, the value and then six
-partials, in one flat tuple of ``7 * len(roots)`` floats.  It gets there
-with less work:
+its value and, when the root's flag in the gradient mask is true, the six
+partials a 6-lane ``KScalar`` evaluation gives, in one flat tuple.  It gets
+there with less work:
 
 * it computes only the derivative lanes a node structurally depends on
   (sparse forward mode, Griewank-Walther, *Evaluating Derivatives*, ch. 7);
@@ -22,7 +22,7 @@ with less work:
 One value per observable: a node's value is the float operation the
 evaluator applies to it (a quotient is ``a / b``, a power ``a ** n``), and
 a ``KScalar``'s value follows the same rule, so the evaluator on floats or
-duals and the compiled code in either mode give every value bit for bit.
+duals and the compiled code under any mask give every value bit for bit.
 Each retained lane applies the float operations of the ``KScalar`` rule its
 node replaces, in the same order, so the partials equal the dual path's.  A
 skipped lane is an exact zero that the dual path adds or multiplies in,
@@ -39,33 +39,34 @@ and the roots form the structure key, a tuple that holds no constant, so it
 depends only on the graph's structure (its operations, their wiring and
 sharing, the coordinate slots, and which curvature labels on one argument
 are equal), not on ``z``, ``kappa2`` or ``gamma``.  Emission reads only
-that key and the mode: it writes the source and Python's ``compile()``
+that key and the mask: it writes the source and Python's ``compile()``
 turns it into a code object.  One process-wide LRU cache of fixed size
-(:func:`_code`), keyed by the structure and the mode, keeps the code
+(:func:`_code`), keyed by the structure and the mask, keeps the code
 objects, so emission and ``compile()`` run only on a miss.  A graph of a
 known structure at new parameters costs one lowering walk and one ``exec``
 of the cached code, with the constants bound in the function's globals as
 ``k0, k1, ...`` beside the kernel rules by name (one shared base dict,
 copied once per root set).  A second bounded LRU cache (:func:`_bound`),
-keyed by the root nodes (identity) and the mode, keeps the function, or None
+keyed by the root nodes (identity) and the mask, keeps the function, or None
 for a root set that does not compile, so a repeated call on the same roots
-and mode costs one cache lookup; a root set compiled in both modes is
-lowered once per mode.
+and mask costs one cache lookup; a root set compiled under two masks is
+lowered once per mask.
 
-Values-only mode (``compile_roots(roots, values=True)``) emits the same
-lowering with no coordinate seeded: every node's lanes are empty, so no
-derivative factor is written (``n - 1`` and ``1.0 / c`` go unread) and a
-unary is its kernel float function.  ``f`` returns the roots' values and
-nothing else.  Monitors evaluated at every sample of an orbit use it.
+The gradient mask (one flag per root) is activity analysis (Hascoet-Pascual,
+*ACM TOMS* 39(3), 2013): an instruction is active when a flagged root
+reaches it, so its operands are active and its lanes are the all-true
+mask's.  An inactive one reads its operands with empty lanes and is written
+values-only (a unary as its kernel float function), and only an active
+coordinate is seeded (``x = float(x)``).  Orbit monitors flag no root.
 
 Curvature-labelled trigonometry shares its work: every ``skappa``,
 ``ckappa``, ``tkappa`` and ``cotkappa`` node on one ``(kappa, x)`` reads one
-pair instruction.  Both modes write it as the statements of
+pair instruction.  Active or not, it is written as the statements of
 ``kernel._kappa_pair`` (``u = kappa * x * x``, then the Taylor, ``sin``/``cos``
 or ``sinh``/``cosh`` branch), not as a call.  From the pair ``skappa`` is
 ``(S, C)`` and ``ckappa`` is ``(C, -kappa * S)``, what the dual path's rules
-give.  For ``tkappa`` and ``cotkappa`` both modes write out the quotient
-of their ``kernel.KAPPA_RULES`` entry (gradient mode its derivative too),
+give.  For ``tkappa`` and ``cotkappa`` the code writes out the quotient
+of their ``kernel.KAPPA_RULES`` entry (an active node its derivative too),
 and call the rule only where its denominator is below
 ``kernel._POLE_EPS``, so it raises the same ``PoleError`` at a pole.
 Labels are compared by their type and bits, so
@@ -78,7 +79,7 @@ build each subexpression once per parameter set and share it.  Interning by
 value would let parameters into the structure key: at ``kappa1 = kappa2 =
 1.0`` equal constants would merge and rewire a table.  :func:`_bound`
 keys by root nodes (identity) instead, so every caller of
-:func:`compile_roots` on the same roots and mode shares one function (the
+:func:`compile_roots` on the same roots and mask shares one function (the
 compiled code keeps no state between calls).
 """
 
@@ -95,14 +96,8 @@ from .kernel import NVARS
 # one map the evaluator and constant folding apply.  Only
 # ``number - observable`` builds a sub node, and ``x * x`` is a mul node
 # whose two operands are one node.
-_OPS = {
-    "add": operator.add,
-    "sub": operator.sub,
-    "mul": operator.mul,
-    "div": operator.truediv,
-    "neg": operator.neg,
-    "pow": operator.pow,
-}
+_OPS = {"add": operator.add, "sub": operator.sub, "mul": operator.mul,
+        "div": operator.truediv, "neg": operator.neg, "pow": operator.pow}
 
 
 class Node:
@@ -189,7 +184,7 @@ class _Lowering:
     op, its operands and any name it needs; an operand is the index of an
     earlier instruction, or ``~slot`` (a negative number) for constant
     ``slot``.  Instructions are appended in the order the walk finishes
-    them, which is the order the emitter writes them in.  Both modes emit
+    them, which is the order the emitter writes them in.  Every mask emits
     the same lowering: a constant divisor ``c`` brings its reciprocal and a
     power ``n`` brings ``n - 1``, which only a derivative lane reads.
     """
@@ -279,12 +274,10 @@ _PAIR = (
 class _Emitter:
     """Writes the straight-line body of a structure, one statement per float
     operation.  A value is (expr, lanes): lanes maps a slot to the name of
-    its partial, and is None for a constant.  Only the coordinates in
-    ``seed`` get lanes: all six for gradients, none for values only, where
-    every node's lanes are empty and no derivative factor is written."""
+    its partial, and is None for a constant.  Only an active coordinate gets
+    lanes; an inactive instruction reads its operands with empty ones."""
 
-    def __init__(self, seed):
-        self.seed = tuple(seed)
+    def __init__(self):
         self.lines = []
         self.vars = set()
 
@@ -325,25 +318,29 @@ class _Emitter:
         written only when there are lanes."""
         return val, self.scaled(self.var(factor), lanes) if lanes else {}
 
-    def body(self, structure):
+    def body(self, structure, grads):
         ins, roots = structure
+        active = {r for r, g in zip(roots, grads) if g}
+        for i in reversed(range(len(ins))):     # an active node's operands are active
+            if i in active and ins[i][0] != "coord":
+                active.update(a for a in ins[i][1:] if isinstance(a, int) and a >= 0)
         done = []
-        for op, *args in ins:
-            if op != "coord":
-                args = [a if isinstance(a, str) else
-                        (f"k{~a}", None) if a < 0 else done[a] for a in args]
+        for i, (op, *args) in enumerate(ins):
+            if op == "coord":
+                args.append(i in active)
+            else:
+                args = [a if isinstance(a, str) else (f"k{~a}", None) if a < 0
+                        else done[a] if i in active else (*done[a][:-1], {}) for a in args]
             done.append(getattr(self, "op_" + op)(*args))
-        return self.lines + [f"return ({self.result(done[r] for r in roots)})"]
-
-    def result(self, roots):
-        return "".join(f"{name}, " for val, lanes in roots
-                       for name in (val, *(lanes.get(i, "0.0") for i in self.seed)))
+        out = "".join(f"{name}, " for r, g in zip(roots, grads) for name in
+                      (done[r][0], *(done[r][1].get(i, "0.0") for i in range(NVARS) if g)))
+        return self.lines + [f"return ({out})"]
 
     # -- one method per KScalar rule ----------------------------------------
 
-    def op_coord(self, slot):
+    def op_coord(self, slot, seed):
         name = f"x{slot}"
-        if slot not in self.seed:
+        if not seed:
             return name, {}
         self.lines.append(f"{name} = float({name})")     # seeded() takes float(coordinate)
         self.vars.add(name)
@@ -393,27 +390,23 @@ class _Emitter:
         (ea, la), (n, _), (n1, _) = a, n, n1
         return self.chained(self.var(f"{ea} ** {n}"), f"{n} * {ea} ** {n1}", la)
 
-    def _rule_call(self, call, value, la):
-        """A kernel rule's (value, derivative) call, or ``value`` alone
-        when there are no lanes."""
-        if not la:
-            return self.var(value), {}
-        val, d = self.fresh(), self.fresh()
-        self.lines.append(f"{val}, {d} = {call}")
-        return val, self.scaled(d, la)
-
     def op_fn(self, a, name):
+        # The kernel rule's (value, derivative) call; with no lanes, its float function.
         ea, la = a
-        return self._rule_call(f"{name}_rule({ea})", f"{name}_float({ea})", la)
+        if not la:
+            return self.var(f"{name}_float({ea})"), {}
+        val, d = self.fresh(), self.fresh()
+        self.lines.append(f"{val}, {d} = {name}_rule({ea})")
+        return val, self.scaled(d, la)
 
     def op_pair(self, x, kappa):
         u, r, s, c = (self.fresh() for _ in range(4))
         self.lines += _PAIR.format(u=u, r=r, s=s, c=c, k=kappa[0], x=x[0]).split("\n")
-        return s, c, kappa[0], x
+        return s, c, kappa[0], *x
 
     def op_kfn(self, pair, name):
         # S' = C and C' = -kappa S; a ratio's rule raises at its pole.
-        s, c, kappa, (ex, lx) = pair
+        s, c, kappa, ex, lx = pair
         if name == "skappa":
             return s, self.scaled(c, lx)
         if name == "ckappa":
@@ -426,15 +419,16 @@ class _Emitter:
         return self.chained(self.var(f"{num} / {den}"), f"{sign}1.0 / ({den} * {den})", lx)
 
 
-# Compiled code objects by lowered structure and mode.  One pass of the
-# verify benchmark needs about a dozen; the bound keeps memory fixed.  Callers
-# pass both arguments positionally, so each structure has one key per mode.
+# Compiled code objects by lowered structure and gradient mask.  One pass of
+# the verify benchmark needs about a dozen; the bound keeps memory fixed.
+# Callers pass both arguments positionally, so each structure has one key per
+# mask.
 @functools.lru_cache(maxsize=64)
-def _code(structure, values):
+def _code(structure, grads):
     args = ", ".join(f"x{i}" for i in range(NVARS))
-    body = "\n    ".join(_Emitter(() if values else range(NVARS)).body(structure))
+    body = "\n    ".join(_Emitter().body(structure, grads))
     return compile(f"def compiled({args}):\n    {body}\n",
-                   "<compiled values>" if values else "<compiled gradient>", "exec")
+                   "<compiled gradient>" if any(grads) else "<compiled values>", "exec")
 
 
 # The globals every compiled function shares: the kernel rules and float
@@ -460,33 +454,32 @@ def _lower(roots):
 
 
 # Compiled functions by root nodes (identity), which the key holds, and
-# mode; None for a set with a root that cannot be compiled.  verify and rank
-# bind 1 or 2 root sets per call, simulate 5 to 8; the bound keeps memory
-# fixed.  Each entry lowers its roots and binds its constants on its own.
+# gradient mask; None for a set with a root that cannot be compiled.  verify
+# and rank bind 1 or 2 root sets per call, simulate 5 to 8; the bound keeps
+# memory fixed.  Each entry lowers its roots and binds its constants on its own.
 @functools.lru_cache(maxsize=256)
-def _bound(roots, values):
+def _bound(roots, grads):
     structure, consts = _lower(roots)
     if None in structure[1]:
         return None
     env = dict(_BASE_GLOBALS, **{f"k{i}": c for i, c in enumerate(consts)})
-    exec(_code(structure, values), env)
+    exec(_code(structure, grads), env)
     return env.pop("compiled")
 
 
-def compile_roots(roots, values=False):
+def compile_roots(roots, grads):
     """One compiled function of the six coordinates for all of ``roots``,
     or None when any root cannot be compiled.
 
-    ``f(x0, ..., x5)`` returns, for each root in order, the value and the
-    six partials in one flat tuple.  A root cannot be compiled when it holds
-    an opaque leaf, a constant, exponent or curvature label that is not a
-    number, or a coordinate-free subtree or divisor that raises when folded
-    (the evaluator raises there too), or when it does not depend on the
-    coordinates.
+    ``f(x0, ..., x5)`` returns, for each root in order, its value and,
+    when its flag in ``grads`` is true, its six partials, in one flat
+    tuple.  A root cannot be compiled when it holds an opaque leaf, a
+    constant, exponent or curvature label that is not a number, or a
+    coordinate-free subtree or divisor that raises when folded (as the
+    evaluator does), or when it ignores the coordinates.
 
-    With ``values`` true, ``f`` returns only the roots' values.  In both
-    modes each value is bit for bit what :func:`evaluator` gives on the same
-    floats.  A repeated call on the same root nodes and mode returns the
-    same function.
+    Under any mask each value is bit for bit what :func:`evaluator` gives
+    on the same floats, and each partial is the all-true function's.  A
+    repeated call on the same root nodes and mask returns the same function.
     """
-    return _bound(tuple(roots), values)
+    return _bound(tuple(roots), tuple(map(bool, grads)))

@@ -9,10 +9,10 @@ differentiable for free.  For observables evaluated many times,
 :meth:`Observable.compile_gradient` builds straight-line gradient code from
 the graph (an integrated Hamiltonian) and :meth:`Observable.compile_values`
 straight-line values-only code (the monitors of an orbit), both from one
-lowering; :class:`Columns` compiles a bracket table's observables into one
-function, all of them or none.  An observable has one value: the evaluator
-on floats or duals and both kinds of compiled code give it bit for bit, and
-compiled partials are the dual evaluation's.
+lowering; :class:`Columns` compiles a table's observables into one function,
+all of them or none, partials only where a mask asks.  An observable has one
+value: the evaluator on floats or duals and compiled code under any mask
+give it bit for bit, and compiled partials are the dual evaluation's.
 """
 
 from __future__ import annotations
@@ -107,24 +107,28 @@ def _value_and_gradient(node, compiled, coords):
 
 class Columns:
     """Several observables set up once for evaluation at many states: their
-    charts, their graphs and one compiled function for all of them
-    (:func:`.codegen.compile_roots`), or None when one of them does not
-    compile, in which case every observable takes one dual evaluation per
-    state.
+    charts, their graphs, the gradient mask ``grads`` (all true by default)
+    and one compiled function for all of them (:func:`.codegen.compile_roots`),
+    or None when one of them does not compile, in which case every
+    observable takes one dual evaluation per state.
 
-    Calling it on a list of states returns an array of shape
-    ``(len(states), len(observables), 7)``: the value and the six partials
-    of each observable at each state, as :meth:`Observable.value_and_gradient`
-    gives them.  A state on another chart than an observable's raises
-    ``ChartMismatchError`` before anything is evaluated.
+    Calling it on a list of states returns the values, shape ``(len(states),
+    len(observables))``, and the six partials of the flagged observables in
+    order, one C-contiguous block of shape ``(len(states), M, 6)``, as
+    :meth:`Observable.value_and_gradient` gives them.  A state on another
+    chart than an observable's raises ``ChartMismatchError`` first.
     """
 
-    __slots__ = ("charts", "nodes", "compiled")
+    __slots__ = ("charts", "nodes", "grads", "compiled", "at", "lanes")
 
-    def __init__(self, observables):
+    def __init__(self, observables, grads=None):
         self.charts = tuple({o.chart for o in observables} - {None})
         self.nodes = [o._node for o in observables]
-        self.compiled = codegen.compile_roots(self.nodes)
+        self.grads = (True,) * len(self.nodes) if grads is None else tuple(map(bool, grads))
+        self.compiled = codegen.compile_roots(self.nodes, self.grads)
+        # A row holds each value followed by its partials when flagged.
+        lane = np.array([k for g in self.grads for k in range(1 + NVARS * g)])
+        self.at, self.lanes = np.flatnonzero(lane == 0), np.flatnonzero(lane).reshape(-1, NVARS)
 
     def __call__(self, states):
         coords = []
@@ -132,16 +136,16 @@ class Columns:
             for chart in self.charts:           # raises on a chart mismatch
                 _coords_of(state, chart)
             coords.append(_coords_of(state, None))
-        shape = (len(coords), len(self.nodes), 1 + NVARS)
         if self.compiled:
-            compiled = self.compiled
-            return np.fromiter(itertools.chain.from_iterable([compiled(*c) for c in coords]),
-                               float).reshape(shape)
-        out = np.empty(shape)
-        for j, node in enumerate(self.nodes):
-            for i, c in enumerate(coords):
-                out[i, j, 0], out[i, j, 1:] = _value_and_gradient(node, None, c)
-        return out
+            rows = itertools.starmap(self.compiled, coords)
+        else:
+            rows = ([x for node, g in zip(self.nodes, self.grads)
+                     for val, d in [_value_and_gradient(node, None, c)]
+                     for x in (val, *d)[:1 + NVARS * g]] for c in coords)
+        flat = np.fromiter(itertools.chain.from_iterable(rows), float).reshape(
+            len(coords), len(self.at) + self.lanes.size)
+        # Contiguous: matmul picks its kernel by the strides of the gathers.
+        return flat.take(self.at, axis=1), np.ascontiguousarray(flat.take(self.lanes, axis=1))
 
 
 def _node_of(o):
@@ -194,7 +198,7 @@ class Observable:
         float coordinates may then be passed; ``fn`` still takes duals.
         """
         if self._values is None:
-            self._values = codegen.compile_roots([self._node], values=True) or False
+            self._values = codegen.compile_roots([self._node], (False,)) or False
         return bool(self._values)
 
     def compile_gradient(self):
@@ -204,7 +208,7 @@ class Observable:
         compiled code, which returns what the dual evaluation returns.
         """
         if self._compiled is None:
-            self._compiled = codegen.compile_roots([self._node]) or False
+            self._compiled = codegen.compile_roots([self._node], (True,)) or False
         return bool(self._compiled)
 
     def gradient(self, state):

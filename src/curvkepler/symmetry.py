@@ -350,7 +350,7 @@ def independence_ranks(observables, states, threshold=1e-8):
     singular values; a rank counts those above ``threshold`` times the
     largest (0 for a zero Jacobian).
     """
-    jac = Columns(observables)(states)[..., 1:]
+    jac = Columns(observables)(states)[1]
     sv = np.linalg.svd(jac, compute_uv=False)
     return np.sum(sv > threshold * sv[:, :1], axis=1).tolist()
 

@@ -1,11 +1,13 @@
 """Coalgebra tests: realizations, coproduct vs closed forms, Casimirs, brackets."""
 
+import itertools
 import math
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from curvkepler import cli, codegen, coalgebra
 from curvkepler.coalgebra import (BracketReport, Identity, IdentityResult,
                                   casimir_of, casimirs,
                                   coproduct_join, one_site, pbracket,
@@ -13,6 +15,7 @@ from curvkepler.coalgebra import (BracketReport, Identity, IdentityResult,
                                   three_site_closed_form, verify_casimirs,
                                   verify_sl2z)
 from curvkepler.phase import P1, Q1, Chart, Observable, PhaseState
+from curvkepler.spaces import SpaceParams
 from curvkepler.symmetry import independence_rank
 
 
@@ -270,3 +273,52 @@ def test_bracket_report_max_residual_sees_nan():
     assert math.isnan(report.max_residual)
     assert not report.passed(1e300)
     assert BracketReport("empty", 1, 0).max_residual == 0.0
+
+
+def _full_array_pass(table, sampler, samples, seed):
+    """(max_residual, worst_point) of each identity from one all-true
+    compiled function: the values and partials of every observable as one
+    (N, R, 7) array, the bracket operands gathered from its partials view,
+    then run_table's residual formula."""
+    obs = {id(o): o for t in table for o in (t.f, t.g, t.rhs) if isinstance(o, Observable)}
+    col = {key: j for j, key in enumerate(obs)}
+    f = codegen.compile_roots([o.node for o in obs.values()], [True] * len(obs))
+    states = sampler(np.random.default_rng(seed), n=samples)
+    vg = np.fromiter(itertools.chain.from_iterable([f(*s.coords) for s in states]),
+                     float).reshape(samples, len(obs), 7)
+    values, grads = vg[..., 0], vg[..., 1:]
+    rows = [i for i, t in enumerate(table) if t.g is not None]
+    lhs = values[:, [col[id(t.f)] for t in table]]
+    scale = np.ones_like(lhs)
+    gf = grads[:, [col[id(table[i].f)] for i in rows]]
+    gg = grads[:, [col[id(table[i].g)] for i in rows]]
+    lhs[:, rows] = coalgebra._bracket(gf, gg)
+    norm_f, norm_g = np.sqrt(coalgebra._dot(gf, gf)), np.sqrt(coalgebra._dot(gg, gg))
+    scale[:, rows] = coalgebra._GRAD_SCALE * (norm_f * norm_g)
+    rhs = values[:, [col[id(t.rhs)] if isinstance(t.rhs, Observable) else 0 for t in table]]
+    consts = [i for i, t in enumerate(table) if not isinstance(t.rhs, Observable)]
+    rhs[:, consts] = [float(table[i].rhs) for i in consts]
+    with np.errstate(invalid="ignore", over="ignore"):
+        res = np.abs(lhs - rhs) / np.fmax(np.fmax(np.fmax(1.0, np.abs(lhs)), np.abs(rhs)), scale)
+    worst = np.argmax(res, axis=0)
+    return [(res[w, i], states[w].coords) for i, w in enumerate(worst.tolist())]
+
+
+@pytest.mark.parametrize("preset", ["spherical", "hyperbolic", "minkowski"])
+def test_masked_columns_give_the_full_array_residuals_bit_for_bit(preset, monkeypatch):
+    """Both batches of ``verify --suite all`` at 50 samples: run_table, which
+    asks partials of the bracket operands only, reports every residual and
+    worst point bit for bit as the pass over the full (N, R, 7) array.  The
+    gathered operands must keep the full array's strides, since matmul
+    picks its kernel by them."""
+    batches = []
+    monkeypatch.setattr(coalgebra, "run_tables",
+                        lambda jobs, sampler, samples, seed: batches.append((jobs, sampler)) or [])
+    cli._run_suites("all", SpaceParams.preset(preset, gamma=0.4), 1, 0, None)
+    assert len(batches) == 2
+    for jobs, sampler in batches:
+        table = [ident for _, t, _ in jobs for ident in t]
+        report = run_table("batch", table, sampler, 50, 26)
+        want = _full_array_pass(table, sampler, 50, 26)
+        assert [(r.max_residual.hex(), r.worst_point) for r in report.results] == \
+            [(float(r).hex(), p) for r, p in want], jobs[0][0]

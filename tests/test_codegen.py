@@ -116,17 +116,17 @@ def test_compiled_kepler_gradient_evaluates_one_kappa_pair_per_argument():
     """skappa(z, r) and cotkappa(z, r) share one (S, C) pair, and
     skappa(kappa2, theta) has its own: two pair instructions per gradient,
     where each of the three kappa-trig nodes used to evaluate S and C
-    itself.  One lowering serves both modes, and both seeds (all six
-    coordinates for the gradient, none for values only) write each pair out
-    as statements, with no call of kernel._kappa_pair."""
+    itself.  One lowering serves both masks, and both (the gradient and
+    values only) write each pair out as statements, with no call of
+    kernel._kappa_pair."""
     params = SpaceParams.preset("spherical", 0.5)
     h = hamiltonian(HamiltonianSpec(Family.KEPLER_CC, params), Chart.POLAR_CONSTANT)
     structure, consts = codegen._lower([h.node])
     ins = structure[0]
     pairs = sorted((ins[i[1]], consts[~i[2]]) for i in ins if i[0] == "pair")
     assert pairs == [(("coord", 0), params.z), (("coord", 1), params.kappa2)]
-    for seed in (range(6), ()):
-        source = "\n".join(codegen._Emitter(seed).body(structure))
+    for grads in ((True,), (False,)):
+        source = "\n".join(codegen._Emitter().body(structure, grads))
         assert "kappa_pair(" not in source and source.count("sqrt(") == 4
 
 
@@ -138,7 +138,7 @@ def test_written_out_pair_is_kernel_kappa_pair_and_the_dual_path_bit_for_bit(kap
     both sides of it, and where u or sinh(sqrt(-u)) overflows.  Where the
     pair raises, both modes raise the same class."""
     roots = [skappa(kappa, Q1), ckappa(kappa, Q1)]
-    grad = codegen.compile_roots([r.node for r in roots])
+    grad = _gradient(roots)
     vals = _values_only(roots)
     # 1e-5: Taylor at kappa = +-0.3; 1e155: u = +-inf (sin raises at +inf,
     # S = NaN and C = inf at -inf); 2e3: sinh overflows at kappa = -0.3.
@@ -170,7 +170,7 @@ def test_kappa_pairs_are_keyed_by_the_label_bits():
              tkappa(0.3, Q2) + skappa(-0.0, Q1), ckappa(0, Q1)]
     (ins, _), _ = codegen._lower([r.node for r in roots])
     assert sum(op == "pair" for op, *_ in ins) == 5
-    f = codegen.compile_roots([r.node for r in roots])
+    f = _gradient(roots)
     s = (0.7, 0.4, 0.0, 0.0, 0.0, 0.0)
     out = f(*s)
     for j, ob in enumerate(roots):
@@ -359,7 +359,8 @@ def test_verify_all_at_new_parameters_emits_and_compiles_nothing(monkeypatch):
     emitted = []
     real = codegen._Emitter.body
     monkeypatch.setattr(codegen._Emitter, "body",
-                        lambda self, structure: emitted.append(structure) or real(self, structure))
+                        lambda self, structure, grads: emitted.append(structure)
+                        or real(self, structure, grads))
     argv = ["verify", "--suite", "all", "--samples", "3"]
     assert cli.main(argv + ["--preset", "spherical"]) == 0
     assert len(calls) == len(emitted) == 2
@@ -447,7 +448,7 @@ def test_opaque_leaf_joins_a_graph_and_a_mixed_set_compiles_nothing(monkeypatch)
     calls = []
     real = codegen.compile_roots
     monkeypatch.setattr(codegen, "compile_roots",
-                        lambda roots: calls.append(roots) or real(roots))
+                        lambda roots, grads: calls.append((roots, grads)) or real(roots, grads))
     pure = [Q1 * P2, exp(Q2) + P3, Q1 * Q1]
     table = [coalgebra.Identity("pure", pure[0], pure[1], rhs=pure[2]),
              coalgebra.Identity("mixed", ob, rhs=ob)]
@@ -456,14 +457,23 @@ def test_opaque_leaf_joins_a_graph_and_a_mixed_set_compiles_nothing(monkeypatch)
         _reference_run_table(table, sample_beltrami, 5, 1)
     # The graphs and the opaque leaf make one root set, which builds no
     # compiled function: every observable takes the dual path.
-    assert len(calls) == 1 and set(calls[0]) == {p.node for p in pure} | {ob._node}
-    assert real(calls[0]) is None and real([p.node for p in pure]) is not None
+    # Only the bracket's operands are asked for partials.
+    (roots, grads), = calls
+    assert set(roots) == {p.node for p in pure} | {ob._node}
+    assert {nd for nd, g in zip(roots, grads) if g} == {pure[0].node, pure[1].node}
+    assert real(roots, grads) is None and real([p.node for p in pure], (True,) * 3) is not None
 
 
 # -- values-only mode ------------------------------------------------------------
 
+def _gradient(roots):
+    f = codegen.compile_roots([r.node for r in roots], [True] * len(roots))
+    assert f is not None
+    return f
+
+
 def _values_only(roots):
-    f = codegen.compile_roots([r.node for r in roots], values=True)
+    f = codegen.compile_roots([r.node for r in roots], [False] * len(roots))
     assert f is not None
     return f
 
@@ -487,15 +497,15 @@ def test_values_only_mode_matches_the_evaluator_bit_for_bit():
         got = f(*s)
         assert len(got) == len(roots)
         assert [float.hex(v) for v in got] == [float.hex(ob(s)) for ob in roots], s
-    grad = codegen.compile_roots([roots[-4].node])
+    grad = _gradient(roots[-4:-3])
     assert grad(*points[0])[0] == f(*points[0])[-4] == 0.8 / 10 != 0.8 * (1 / 10)
 
 
-def test_each_mode_lowers_and_binds_its_roots_once(monkeypatch):
-    """The gradient and values-only functions of the same roots are two
-    entries of the bound-function cache, keyed by roots and mode: one
-    lowering walk and one code object each, and a repeated call in either
-    mode returns its function from the cache.  The values-only code of a
+def test_each_mask_lowers_and_binds_its_roots_once(monkeypatch):
+    """The gradient, mixed and values-only functions of the same roots are
+    three entries of the bound-function cache, keyed by roots and mask: one
+    lowering walk and one code object each, and a repeated call under any
+    mask returns its function from the cache.  The values-only code of a
     ratio raises at its pole as the evaluator does."""
     roots = [(Q1 * P2 + 1) / 3, phase.tkappa(0.4, Q2)]
     nodes = [r.node for r in roots]
@@ -505,14 +515,17 @@ def test_each_mode_lowers_and_binds_its_roots_once(monkeypatch):
     real = codegen._lower
     monkeypatch.setattr(codegen, "_lower", lambda *a: walks.append(a) or real(*a))
     _clear_code_caches()
-    grad = codegen.compile_roots(nodes)
-    values = codegen.compile_roots(nodes, values=True)
-    assert codegen.compile_roots(nodes, values=True) is values
-    assert codegen.compile_roots(nodes) is grad and values is not grad
-    assert len(walks) == 2 and codegen._code.cache_info().currsize == 2
-    assert codegen._bound.cache_info().currsize == 2
+    grad = codegen.compile_roots(nodes, (True, True))
+    values = codegen.compile_roots(nodes, (False, False))
+    mixed = codegen.compile_roots(nodes, [False, True])
+    assert codegen.compile_roots(nodes, (False, False)) is values
+    assert codegen.compile_roots(nodes, (True, True)) is grad and values is not grad
+    assert codegen.compile_roots(nodes, (False, True)) is mixed
+    assert len(walks) == 3 and codegen._code.cache_info().currsize == 3
+    assert codegen._bound.cache_info().currsize == 3
     s = (0.6, 0.3, 0.0, 0.0, 0.5, 0.0)
     assert values(*s) == grad(*s)[::7] == tuple(ob(s) for ob in roots)
+    assert mixed(*s) == grad(*s)[:1] + grad(*s)[7:]
     with pytest.raises(kernel.PoleError):
         _values_only(roots[1:])(0.0, math.pi / 2 / math.sqrt(0.4), 0.0, 0.0, 0.0, 0.0)
 
@@ -572,9 +585,10 @@ def test_every_hamiltonian_and_monitor_compiles(family):
     for preset in sorted(PRESETS):
         spec = HamiltonianSpec(family, SpaceParams.preset(preset, gamma=0.5))
         for chart in spec.compatible_charts():
-            assert codegen.compile_roots([hamiltonian(spec, chart)._node]), (preset, chart)
+            assert codegen.compile_roots([hamiltonian(spec, chart)._node], (True,)), \
+                (preset, chart)
             for name, ob in _observables(spec, chart).items():
-                assert codegen.compile_roots([ob._node], values=True), (preset, chart, name)
+                assert codegen.compile_roots([ob._node], (False,)), (preset, chart, name)
 
 
 _SUITE_PARAMS = ([SpaceParams.preset(p, gamma=0.5) for p in sorted(PRESETS)]
@@ -622,5 +636,94 @@ def test_the_custom_hamiltonian_is_the_fallbacks_one_built_in_user():
         Family.CUSTOM, SpaceParams(0.1, 1.0, 0.4), f=kernel.exp,
         potential=lambda z, jm: -0.4 / kernel.sqrt(jm * kernel.expm1c(2.0 * z * jm)))
     h = hamiltonian(spec, Chart.BELTRAMI)
-    assert codegen.compile_roots([h._node]) is None
-    assert codegen.compile_roots([h._node], values=True) is None
+    assert codegen.compile_roots([h._node], (True,)) is None
+    assert codegen.compile_roots([h._node], (False,)) is None
+
+
+# -- gradient masks ---------------------------------------------------------------
+
+def _hexes(values):
+    return [float.hex(float(v)) for v in values]
+
+
+def _verify_batches(params, perturb, monkeypatch):
+    """(observables, sampler) of each batch of ``verify --suite all``, the
+    observables in the order of the batch's column plan."""
+    batches = []
+    with monkeypatch.context() as m:
+        m.setattr(coalgebra, "run_tables",
+                  lambda jobs, sampler, samples, seed: batches.append((jobs, sampler)) or [])
+        cli._run_suites("all", params, 1, 0, perturb)
+    return [(list({id(o): o for _, table, _ in jobs for ident in table
+                   for o in (ident.f, ident.g, ident.rhs) if isinstance(o, Observable)}.values()),
+             sampler) for jobs, sampler in batches]
+
+
+@pytest.mark.parametrize("preset, perturb", [(p, None) for p in sorted(PRESETS)]
+                         + [("hyperbolic", "jplus"), ("hyperbolic", "j02")])
+def test_every_mask_gives_the_all_true_functions_bits(preset, perturb, monkeypatch):
+    """Seeded random masks over both batches of ``verify --suite all`` (and
+    one --perturb table of each): at 50 states of the batch's own sampler,
+    every root's value and every flagged root's six partials are the
+    all-true function's bits.  The all-false function returns each
+    observable's ``compile_values`` value and seeds no coordinate."""
+    rng = np.random.default_rng(26)
+    for obs, sampler in _verify_batches(SpaceParams.preset(preset, gamma=0.5), perturb,
+                                        monkeypatch):
+        nodes, n = [o.node for o in obs], len(obs)
+        full = codegen.compile_roots(nodes, [True] * n)
+        none = codegen.compile_roots(nodes, [False] * n)
+        masked = [(m, codegen.compile_roots(nodes, m))
+                  for m in (rng.random(n) < p for p in (0.2, 0.5, 0.8))]
+        monitors = [o.renamed(o.name) for o in obs]     # fresh copies to compile
+        assert all(o.compile_values() for o in monitors)
+        for s in sampler(np.random.default_rng(rng.integers(2 ** 32)), n=50):
+            want = full(*s.coords)
+            assert len(want) == 7 * n
+            for m, f in masked:
+                assert _hexes(f(*s.coords)) == _hexes(
+                    x for j in range(n) for x in want[7 * j:7 * j + (7 if m[j] else 1)])
+            got = none(*s.coords)
+            assert _hexes(got) == _hexes(want[::7]), s
+            assert _hexes(got) == _hexes(o._values(*s.coords)[0] for o in monitors), s
+        structure, _ = codegen._lower(nodes)
+        source = codegen._Emitter().body(structure, [False] * n)
+        assert [line for line in source if " = float(" in line] == []
+
+
+def test_an_inactive_root_reads_an_active_operand_without_lanes():
+    """exp(q1) is flagged and shared with an unflagged root exp(q1) * p2:
+    the product is written values-only, on exp(q1)'s value, and p2 is not
+    seeded."""
+    e = exp(Q1)
+    structure, _ = codegen._lower([(e * P2).node, e.node])
+    assert codegen._Emitter().body(structure, (False, True)) == [
+        "x0 = float(x0)", "t1, t2 = exp_rule(x0)", "t3 = t1 * x4",
+        "return (t3, t1, t2, 0.0, 0.0, 0.0, 0.0, 0.0, )"]
+
+
+@pytest.mark.parametrize("grads", [(True, False, False, True), (False, True, True, False)])
+def test_dual_fallback_under_a_mask_gives_the_dual_paths_values_and_partials(grads):
+    """A column set holding an opaque ``Observable(fn)`` takes the dual path
+    for every observable: under a mask it gives each one's dual value and
+    each flagged one's dual partials, as one contiguous block.  A state on
+    the wrong chart raises before any observable is evaluated."""
+    calls = []
+    opaque = Observable(lambda *x: calls.append(x) or x[0] * kernel.exp(x[4]),
+                        chart=Chart.BELTRAMI)
+    obs = [Q1 * P2, opaque, exp(Q2) + P3, Q1 * Q1 / P1]
+    cols = phase.Columns(obs, grads)
+    assert cols.compiled is None
+    states = sample_beltrami(np.random.default_rng(4), n=20)
+    values, partials = cols(states)
+    assert values.shape == (20, 4) and partials.shape == (20, sum(grads), 6)
+    assert partials.flags.c_contiguous
+    for i, s in enumerate(states):
+        ref = [ob.value_and_gradient(s) for ob in obs]
+        assert _hexes(values[i]) == _hexes(v for v, _ in ref)
+        assert _hexes(partials[i].ravel()) == _hexes(
+            x for (_, g), flag in zip(ref, grads) if flag for x in g)
+    calls.clear()
+    with pytest.raises(phase.ChartMismatchError):
+        cols(states[:3] + [PhaseState.polar_constant(1.1, 1.2, 0.4, 0.2, 0.4, 0.9)])
+    assert calls == []

@@ -124,9 +124,9 @@ def test_the_bound_function_cache_stays_at_its_bound():
     bound = codegen._bound.cache_info().maxsize
     for i in range(bound + 5):
         roots = [(phase.Q1 * (1.0 + i) + phase.P2).node]
-        f = codegen.compile_roots(roots)
+        f = codegen.compile_roots(roots, (True,))
         assert f(1.0, 0, 0, 0, 2.0, 0)[0] == 1.0 + i + 2.0
-        assert codegen.compile_roots(roots) is f
+        assert codegen.compile_roots(roots, (True,)) is f
         assert codegen._bound.cache_info().currsize <= bound
     assert codegen._bound.cache_info().currsize == bound
 
