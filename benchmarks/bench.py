@@ -136,7 +136,7 @@ class Rows:
     """The cost-table rows; each method times one repeat of its row."""
 
     def __init__(self, src, tmp, hostspeed):
-        from curvkepler import cli, coalgebra, kernel
+        from curvkepler import cli, coalgebra, codegen, kernel
         from curvkepler.dynamics import IntegratorConfig, integrate
         from curvkepler.phase import Chart, Observable, PhaseState
         from curvkepler.spaces import (Family, HamiltonianSpec, SpaceParams,
@@ -149,15 +149,17 @@ class Rows:
         self.params = SpaceParams.preset("spherical", gamma=0.45)
         spec = HamiltonianSpec(Family.KEPLER_CC, self.params)
         self.h = hamiltonian(spec, Chart.POLAR_CONSTANT)
-        self.h.compile_gradient()
         self.h_dual = Observable(self.h.fn, chart=self.h.chart)
         self.monitors = dict(constants(spec, Chart.POLAR_CONSTANT), H=self.h)
-        # Copies on the same graphs: the first never compiled, the second
-        # with the values-only code that integrate runs at each sample.
-        self.evaluated = [m.renamed(m.name) for m in self.monitors.values()]
-        self.compiled = [m.renamed(m.name) for m in self.monitors.values()]
-        if not all(m.compile_values() for m in self.compiled):
-            raise RuntimeError("a monitor has no values-only code")
+        self.compiled = list(self.monitors.values())
+        # An observable keeps its code in these slots.  Filled here from
+        # codegen.compile_roots, the rows time the compiled code on a tree
+        # that compiles on first use and on one that compiles on request.
+        self.h._compiled = codegen.compile_roots([self.h._node], (True,))
+        for m in self.compiled:
+            m._values = codegen.compile_roots([m._node], (False,))
+        if not (self.h._compiled and all(m._values for m in self.compiled)):
+            raise RuntimeError("the Hamiltonian or a monitor does not compile")
         self.guard = chart_guard(Chart.POLAR_CONSTANT, self.params)
         self.state = PhaseState.polar_constant(1.1, 1.2, 0.4, 0.2, 0.4, 0.9)
         self.a, self.b = kernel.seeded((1.3, 0.7))
@@ -187,8 +189,8 @@ class Rows:
         return 1e6 * _per_call(lambda: h.gradient(s), 2000)
 
     def monitors_7_evaluator(self):
-        mons, s = self.evaluated, self.state
-        return 1e6 * _per_call(lambda: [m(s) for m in mons], 500)
+        mons, coords = self.compiled, self.state.coords
+        return 1e6 * _per_call(lambda: [m.fn(*coords) for m in mons], 500)
 
     def monitors_7_compiled(self):
         mons, s = self.compiled, self.state

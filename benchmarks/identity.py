@@ -15,8 +15,8 @@ SHA-256 per output family:
   reads;
 * ``hamiltonian-code``: the same digest of the gradient code of every
   Hamiltonian (each named family, preset and compatible chart), the code
-  that integrates each orbit; both code families compile through the
-  ``Observable`` methods only, so they also run against an older tree;
+  that integrates each orbit; both code families read the code through
+  ``codegen.compile_roots``, which an older tree has too;
 * ``orbit-states``: the times, states and monitor series of one fixed
   Kepler-CC orbit, as float bits;
 * ``verify-json``, ``rank-json``: the reports of ``verify --suite all`` and
@@ -63,7 +63,7 @@ def _named_charts():
 
 def _digest_compiled(sha, f):
     """A compiled function's bytecode, names and literals and the bits of
-    the constants it reads; ``f`` is False for an observable that does not
+    the constants it reads; ``f`` is None for an observable that does not
     compile."""
     if not f:
         sha.update(b"not compiled\n")
@@ -76,6 +76,7 @@ def _digest_compiled(sha, f):
 
 
 def _monitor_code(sha, tmp):
+    from curvkepler.codegen import compile_roots
     from curvkepler.spaces import hamiltonian
     from curvkepler.symmetry import constants
 
@@ -83,16 +84,17 @@ def _monitor_code(sha, tmp):
         monitors = dict(constants(spec, chart), H=hamiltonian(spec, chart))
         for name, ob in monitors.items():
             sha.update(f"{label} {name}\n".encode())
-            _digest_compiled(sha, ob.compile_values() and ob._values)
+            _digest_compiled(sha, compile_roots([ob._node], (False,)))
 
 
 def _hamiltonian_code(sha, tmp):
+    from curvkepler.codegen import compile_roots
     from curvkepler.spaces import hamiltonian
 
     for label, spec, chart in _named_charts():
         h = hamiltonian(spec, chart)
         sha.update(f"{label} H\n".encode())
-        _digest_compiled(sha, h.compile_gradient() and h._compiled)
+        _digest_compiled(sha, compile_roots([h._node], (True,)))
 
 
 def _orbit_states(sha, tmp):

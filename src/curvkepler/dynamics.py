@@ -2,8 +2,8 @@
 
 The right-hand side comes straight from the exact gradient of the
 Hamiltonian observable, so any observable the library can build can also be
-integrated; ``integrate`` compiles that gradient to straight-line code once
-per Hamiltonian (opaque observables keep the dual-number evaluation).  The
+integrated; that gradient is straight-line code the observable compiles on
+first use (opaque observables keep the dual-number evaluation).  The
 default stepper is an embedded Dormand-Prince 5(4) pair that reuses its last
 stage as the next step's first (six RHS evaluations per step); a fixed-step
 implicit midpoint rule is available behind the same interface for long
@@ -14,9 +14,9 @@ bits depend on neither numpy's BLAS nor the Python version; the step's error
 ratio (the RMS of the scaled error estimate that the step-size control
 reads) is generated into the same code.  Conservation is
 asserted by monitoring, not by structure: every sampled step evaluates the
-requested monitor observables, each compiled once to straight-line
-values-only code (:mod:`.codegen`) that gives what its evaluator gives, and
-the trajectory carries their maximum relative drift.
+requested monitor observables, each running the values-only code it
+compiles on first use (:mod:`.codegen`), which gives what its evaluator
+gives, and the trajectory carries their maximum relative drift.
 """
 
 from __future__ import annotations
@@ -44,9 +44,16 @@ def _flow(g):
     return [g3, g4, g5, -g0, -g1, -g2]
 
 
+def _gradient_of(h):
+    """``h.gradient``; a Hamiltonian that is not an Observable raises TypeError."""
+    if not isinstance(h, Observable):
+        raise TypeError(f"h is a {type(h).__name__}, not an Observable: wrap it as Observable(fn)")
+    return h.gradient
+
+
 def rhs(h, state):
-    """Hamiltonian vector field (dq/dt, dp/dt) = (dH/dp, -dH/dq) as an array."""
-    return np.array(_flow(h.gradient(state) if isinstance(h, Observable) else h(state)))
+    """Hamiltonian vector field (dq/dt, dp/dt) = (dH/dp, -dH/dq) of an Observable."""
+    return np.array(_flow(_gradient_of(h)(state)))
 
 
 class StepUnderflowError(RuntimeError):
@@ -87,11 +94,13 @@ class IntegratorConfig:
                               "(inf for no limit)")
         if not 0 <= self.fixed_step < math.inf:
             raise DomainError("fixed_step must be finite and >= 0 (0 for adaptive steps)")
+        if not isinstance(self.max_steps, int):
+            raise DomainError(f"max_steps must be an int, not {self.max_steps!r}")
         step = min(self.fixed_step or math.inf, self.max_step)
         if self.t_end > self.max_steps * step:
             raise DomainError(f"t_end is past max_steps * step = {self.max_steps} * {step!r}")
-        if self.sample_stride < 1:
-            raise DomainError("sample_stride must be >= 1")
+        if not isinstance(self.sample_stride, int) or self.sample_stride < 1:
+            raise DomainError(f"sample_stride must be an int >= 1, not {self.sample_stride!r}")
         if self.method not in ("dopri54", "implicit-midpoint"):
             raise DomainError(f"unknown method {self.method!r}")
         if self.method == "implicit-midpoint" and self.fixed_step <= 0:
@@ -272,13 +281,12 @@ def integrate(h, s0, cfg, monitors=None, domain_guard=None):
     reason; an implicit midpoint step that does not converge ends the run
     early.
 
-    An :class:`Observable` ``h`` gets its gradient compiled and every
-    monitor its values-only code (once each; the code is stored on the
-    observable), so each RHS evaluation is one ``h.gradient`` call and each
-    sample one call per monitor, all running straight-line code on the
-    state, a list of six floats (as are the stages: a step makes no numpy
-    call).  A callable ``h`` maps a :class:`PhaseState` to the gradient array.
+    ``h`` is an :class:`Observable`; anything else raises TypeError first.
+    Each RHS evaluation is one ``h.gradient`` call and each sample one call
+    per monitor, all on the state, a list of six floats (as are the stages:
+    a step makes no numpy call).
     """
+    gradient = _gradient_of(h)
     for i, c in enumerate(s0.coords):
         if not math.isfinite(c):
             raise DomainError(f"start state coordinate {i + 1} of 6 is not finite: {c!r}")
@@ -293,18 +301,9 @@ def integrate(h, s0, cfg, monitors=None, domain_guard=None):
         reason, signs = guard(s0.coords, None)
         if reason is not None:
             raise ChartSingularityError(f"start state is singular: {reason}")
-    chart = s0.chart
-    if isinstance(h, Observable):
-        _coords_of(s0, h.chart)         # a chart mismatch raises here, once
-        h.compile_gradient()
-        gradient = h.gradient
-    else:
-        def gradient(coords):
-            return h(PhaseState(chart, tuple(coords)))
     monitors = dict(monitors or {})
-    for ob in monitors.values():
-        _coords_of(s0, ob.chart)        # and here for a monitor
-        ob.compile_values()
+    for ob in (h, *monitors.values()):
+        _coords_of(s0, ob.chart)        # a chart mismatch raises here, once
     stats = StepStats()
     last_failure = None
 
@@ -322,7 +321,7 @@ def integrate(h, s0, cfg, monitors=None, domain_guard=None):
             series[name].append(ob(y))
 
     def build(early=False, reason=""):
-        return Trajectory(chart, np.asarray(times), np.asarray(states),
+        return Trajectory(s0.chart, np.asarray(times), np.asarray(states),
                           {n: np.asarray(v) for n, v in series.items()},
                           terminated_early=early, termination_reason=reason,
                           stats=stats)

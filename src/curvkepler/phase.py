@@ -5,14 +5,14 @@ one expression graph (:mod:`.codegen`): the arithmetic operators and the
 lifted functions below build nodes, and ``Observable(fn)`` around any other
 callable is an opaque leaf.  The graph's evaluator runs on floats (values)
 or on ``KScalar`` duals (exact gradients), so every observable is
-differentiable for free.  For observables evaluated many times,
-:meth:`Observable.compile_gradient` builds straight-line gradient code from
-the graph (an integrated Hamiltonian) and :meth:`Observable.compile_values`
-straight-line values-only code (the monitors of an orbit), both from one
-lowering; :class:`Columns` compiles a table's observables into one function,
-all of them or none, partials only where a mask asks.  An observable has one
-value: the evaluator on floats or duals and compiled code under any mask
-give it bit for bit, and compiled partials are the dual evaluation's.
+differentiable for free.  An observable compiles on first use: a call
+builds straight-line values-only code (an orbit's monitors) and
+:meth:`Observable.gradient` gradient code (an integrated Hamiltonian), and
+only a graph that does not compile runs the evaluator or the duals;
+:class:`Columns` compiles a table's observables into one function, all of
+them or none, partials only where a mask asks.  An observable has one value:
+the evaluator on floats or duals and compiled code under any mask give it
+bit for bit, and compiled partials are the dual evaluation's.
 """
 
 from __future__ import annotations
@@ -92,17 +92,16 @@ def _coords_of(state, chart):
     return tuple(state)
 
 
-def _value_and_gradient(node, compiled, coords):
-    """(value, gradient) of a graph at ``coords``: the compiled code when
-    there is one, else one evaluation on seeded duals; a result that is not
-    a dual (the graph ignores the coordinates) has a zero gradient."""
-    if compiled:
-        out = compiled(*coords)
-        return out[0], np.asarray(out[1:], dtype=float)
+def _interpreted(node, grads, *coords):
+    """What compiled code returns, from the graph's evaluator: ``(value,)``
+    on floats, or with ``grads`` the value and six partials on seeded duals
+    (zero partials where the graph ignores the coordinates)."""
+    if not grads:
+        return (codegen.evaluator(node)(*coords),)
     out = codegen.evaluator(node)(*seeded(coords))
     if isinstance(out, KScalar):
-        return out.val, np.asarray(out.d, dtype=float)
-    return float(out), np.zeros(NVARS)
+        return (out.val, *out.d)
+    return (float(out),) + (0.0,) * NVARS
 
 
 class Columns:
@@ -140,8 +139,7 @@ class Columns:
             rows = itertools.starmap(self.compiled, coords)
         else:
             rows = ([x for node, g in zip(self.nodes, self.grads)
-                     for val, d in [_value_and_gradient(node, None, c)]
-                     for x in (val, *d)[:1 + NVARS * g]] for c in coords)
+                     for x in _interpreted(node, True, *c)[:1 + NVARS * g]] for c in coords)
         flat = np.fromiter(itertools.chain.from_iterable(rows), float).reshape(
             len(coords), len(self.at) + self.lanes.size)
         # Contiguous: matmul picks its kernel by the strides of the gathers.
@@ -160,7 +158,9 @@ class Observable:
     states the observable accepts.  An observable is an expression graph
     (:mod:`.codegen`): ``Observable(fn)`` around a callable of the six
     coordinates is an opaque leaf, and this module's operators and
-    functions build nodes over their operands' graphs.
+    functions build nodes over their operands' graphs.  A call (on float
+    coordinates; ``fn`` takes duals) and :meth:`gradient` run code compiled
+    on first use, or interpret a graph that does not compile.
     """
 
     __slots__ = ("_node", "name", "chart", "_compiled", "_values")
@@ -169,8 +169,7 @@ class Observable:
         self._node = codegen.Node("opaque", param=fn) if node is None else node
         self.name = name
         self.chart = chart
-        self._compiled = None      # None: not tried; False: not compilable
-        self._values = None        # the same, for the values-only code
+        self._compiled = self._values = None    # gradient, values-only: built by _code
 
     @property
     def node(self):
@@ -184,43 +183,29 @@ class Observable:
         duals: the graph's evaluator (:func:`.codegen.evaluator`)."""
         return codegen.evaluator(self._node)
 
+    def _code(self, grads):
+        """This graph's code in one mode, built on first use and kept in the
+        mode's slot: compiled, or interpreted where the graph does not
+        compile (an opaque leaf never tries)."""
+        node = self._node
+        code = (node.op != "opaque" and codegen.compile_roots([node], (grads,))
+                or functools.partial(_interpreted, node, grads))
+        setattr(self, "_compiled" if grads else "_values", code)
+        return code
+
     def __call__(self, state):
         coords = _coords_of(state, self.chart)
-        if self._values:
-            return self._values(*coords)[0]
-        return codegen.evaluator(self._node)(*coords)
-
-    def compile_values(self):
-        """Build straight-line values-only code once; True if built.
-
-        Afterwards calling the observable on a state runs the compiled code,
-        which returns the evaluator's value on floats bit for bit.  Only
-        float coordinates may then be passed; ``fn`` still takes duals.
-        """
-        if self._values is None:
-            self._values = codegen.compile_roots([self._node], (False,)) or False
-        return bool(self._values)
-
-    def compile_gradient(self):
-        """Build straight-line value-and-gradient code once; True if built.
-
-        Afterwards :meth:`gradient` and :meth:`value_and_gradient` run the
-        compiled code, which returns what the dual evaluation returns.
-        """
-        if self._compiled is None:
-            self._compiled = codegen.compile_roots([self._node], (True,)) or False
-        return bool(self._compiled)
+        return (self._values or self._code(False))(*coords)[0]
 
     def gradient(self, state):
-        """Exact gradient: compiled code if built, else one 6-lane dual evaluation."""
+        """Exact gradient: what one 6-lane dual evaluation gives."""
         coords = _coords_of(state, self.chart)
-        if self._compiled:
-            return np.asarray(self._compiled(*coords)[1:], dtype=float)
-        return _value_and_gradient(self._node, None, coords)[1]
+        return np.asarray((self._compiled or self._code(True))(*coords)[1:], dtype=float)
 
     def value_and_gradient(self, state):
-        return _value_and_gradient(self._node, self._compiled,
-                                   _coords_of(state, self.chart))
+        coords = _coords_of(state, self.chart)
+        out = (self._compiled or self._code(True))(*coords)
+        return out[0], np.asarray(out[1:], dtype=float)
 
     # -- combination helpers ----------------------------------------------
     def _merge_chart(self, other):
@@ -303,8 +288,9 @@ def memo(fn):
     call that does not bind (a missing or unknown argument) goes to ``fn``
     uncached, to raise there.  A repeated call returns the same objects,
     except that an Observable, or a dict of them, comes back as a new one on
-    the same graph, so compiled code and edits stay with the caller.
-    Callers must not mutate any other result."""
+    the same graph, so edits stay with the caller (a copy's first call finds
+    its graph's code in the compile cache).  Callers must not mutate any
+    other result."""
     cache = {}
     params = inspect.signature(fn).parameters
     if any(p.kind is not p.POSITIONAL_OR_KEYWORD for p in params.values()):
@@ -383,7 +369,7 @@ cotkappa = _lift(kernel.cotkappa)
 
 
 def grad(f, state):
-    """Exact gradient of an observable at a state (dual-number propagation)."""
+    """Exact gradient of an observable, or of a callable as ``Observable(fn)``."""
     return (f if isinstance(f, Observable) else Observable(f)).gradient(state)
 
 

@@ -24,6 +24,11 @@ def _dual(ob):
     return Observable(ob.fn, chart=ob.chart)
 
 
+def _compiles(ob, grads=True):
+    """Whether the observable's graph compiles in the mode ``grads``."""
+    return codegen.compile_roots([ob._node], (grads,)) is not None
+
+
 def _observables(spec, chart):
     obs = dict(constants(spec, chart))
     obs["H"] = hamiltonian(spec, chart)
@@ -39,7 +44,7 @@ def test_compiled_matches_dual_on_every_family_chart_and_preset(family):
         spec = HamiltonianSpec(family, params)
         for chart in spec.compatible_charts():
             for name, ob in _observables(spec, chart).items():
-                assert ob.compile_gradient(), (preset, chart, name)
+                assert _compiles(ob), (preset, chart, name)
                 ref = _dual(ob)
                 for _ in range(15):
                     s = (sample_beltrami(rng) if chart is Chart.BELTRAMI
@@ -70,7 +75,7 @@ def test_compiled_raises_what_the_dual_path_raises():
         (pole, PhaseState.beltrami(math.pi / 2, 0.4, 0.0, 0.3, 0.0, 0.0)),
     ]
     for ob, state in cases:
-        assert ob.compile_gradient()
+        assert _compiles(ob)
         ref = _dual(ob)
         for method in ("gradient", "value_and_gradient"):
             want = _raised(getattr(ref, method), state)
@@ -89,19 +94,19 @@ def test_compiled_raises_what_the_dual_path_raises():
 def test_compiled_ratio_calls_its_rule_only_at_the_pole(kfn, kappa, x, monkeypatch):
     """The compiled gradient writes a ratio's quotient and derivative out and
     calls its kernel rule only where the denominator is below the pole
-    threshold: there it raises the PoleError of the dual path (the
-    observable's gradient before compile_gradient), message included."""
+    threshold: there it raises the PoleError of the dual path, message
+    included."""
     ob = kfn(kappa, Q1) * P1 + Q2
     pole = PhaseState.beltrami(x, 0.4, 0.0, 0.3, 0.0, 0.0)
     with pytest.raises(kernel.PoleError) as dual:
-        ob.gradient(pole)
+        _dual(ob).gradient(pole)
     name = kfn.__name__
     calls = []
     rule = kernel.KAPPA_RULES[name]
     # Compiled code reads its rules from the shared base globals when bound.
     monkeypatch.setitem(codegen._BASE_GLOBALS, f"{name}_rule",
                         lambda *a: calls.append(a) or rule(*a))
-    assert ob.compile_gradient()
+    assert _compiles(ob)        # bound now, with the spy in its globals
     regular = PhaseState.beltrami(x + 0.25, 0.4, 0.0, 0.3, 0.0, 0.0)
     assert np.array_equal(ob.gradient(regular), _dual(ob).gradient(regular))
     assert calls == []
@@ -185,12 +190,12 @@ def test_kappa_pairs_are_keyed_by_the_label_bits():
 
 def test_constant_subtrees_fold_and_raising_ones_stay_on_duals():
     ob = exp(constant(0.5)) * Q1 + P3 / constant(4.0)
-    assert ob.compile_gradient()
+    assert _compiles(ob)
     s = (0.3, 0.0, 0.0, 0.0, 0.0, 1.5)
     assert ob.value_and_gradient(s)[0] == _dual(ob).value_and_gradient(s)[0]
     assert np.array_equal(ob.gradient(s), [math.exp(0.5), 0, 0, 0, 0, 0.25])
     bad = Q1 / constant(0.0)
-    assert not bad.compile_gradient() and not bad.compile_values()
+    assert not _compiles(bad) and not _compiles(bad, grads=False)
     for call in (bad.gradient, bad):
         with pytest.raises(ZeroDivisionError):
             call(s)
@@ -198,8 +203,8 @@ def test_constant_subtrees_fold_and_raising_ones_stay_on_duals():
 
 def test_opaque_and_custom_hamiltonians_are_not_compiled_and_still_integrate():
     opaque = Observable(lambda *s: 0.5 * (s[3] * s[3] + s[0] * s[0]))
-    assert opaque.node is None and not opaque.compile_gradient()
-    assert not (opaque + Q1).compile_gradient()
+    assert opaque.node is None and not _compiles(opaque)
+    assert not _compiles(opaque + Q1)
     tr = integrate(opaque, PhaseState.beltrami(1.0, 0, 0, 0, 0, 0),
                    IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12, t_end=math.pi))
     assert abs(tr.states[-1][0] + 1.0) < 1e-8
@@ -210,13 +215,59 @@ def test_opaque_and_custom_hamiltonians_are_not_compiled_and_still_integrate():
         Family.CUSTOM, params, f=kernel.exp,
         potential=lambda z, jm: -gamma / kernel.sqrt(jm * kernel.expm1c(2.0 * z * jm)))
     h = hamiltonian(spec, Chart.BELTRAMI)
-    assert not h.compile_gradient()
+    assert not _compiles(h)
     tr = integrate(h, PhaseState.beltrami(0.4, 0.7, 0.3, 0.6, -0.2, 0.9),
                    IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12, t_end=0.5),
                    monitors={"H": h},
                    domain_guard=chart_guard(Chart.BELTRAMI, params))
     assert not tr.terminated_early
     assert tr.drift["H"] < 1e-8
+
+
+def test_an_observable_compiles_on_first_use_and_lowers_once_per_mode(monkeypatch):
+    """On graphs never compiled before (every named family's Hamiltonian
+    and constants at a gamma no other test uses), the first call gives the
+    evaluator's value bit for bit and the first gradient the dual path's
+    value and partials, up to the sign of a zero.  Each mode lowers its
+    graph once, on its first call: no later call in that mode, on the same
+    observable or on a copy a memoized builder returns, lowers again."""
+    lowered = []
+    real = codegen._lower
+    monkeypatch.setattr(codegen, "_lower", lambda roots: lowered.append(roots) or real(roots))
+    rng = np.random.default_rng(27)
+    for family in _NAMED:
+        params = SpaceParams.preset("spherical", gamma=0.4271)
+        spec = HamiltonianSpec(family, params)
+        chart = family.polar_chart
+        for name, ob in _observables(spec, chart).items():
+            s, again = sample_polar(params, rng, chart), sample_polar(params, rng, chart)
+            ref_val, ref_g = _dual(ob).value_and_gradient(s)
+            lowered.clear()
+            assert ob(s).hex() == ob.fn(*s.coords).hex() == ref_val.hex(), (family, name)
+            assert len(lowered) == 1
+            g = ob.gradient(s)
+            assert len(lowered) == 2 and np.array_equal(g, ref_g), (family, name, g - ref_g)
+            val, g2 = ob.value_and_gradient(s)
+            assert val.hex() == ref_val.hex() and np.array_equal(g2, g)
+            copy = _observables(spec, chart)[name]
+            assert copy is not ob and copy.node is ob.node
+            for o in (ob, copy):
+                o(again), o.gradient(again), o.value_and_gradient(again)
+            assert len(lowered) == 2, (family, name)
+
+
+def test_grad_of_a_callable_touches_no_compile_cache():
+    """``phase.grad`` on a plain callable wraps it in an opaque
+    ``Observable(fn)``, which never asks codegen for code: the cache of
+    bound functions sees no lookup, so no dead entry is left behind."""
+    f = lambda *x: x[0] * kernel.exp(x[4]) + x[1]
+    s = PhaseState.beltrami(0.6, 0.2, -0.3, 0.1, 0.5, 0.7)
+    before = codegen._bound.cache_info()
+    grads = [phase.grad(f, s) for _ in range(3)]
+    assert Observable(f)(s) == f(*s.coords)
+    assert codegen._bound.cache_info() == before
+    want = [math.exp(0.5), 1.0, 0.0, 0.0, 0.6 * math.exp(0.5), 0.0]
+    assert all(np.array_equal(g, want) for g in grads)
 
 
 @pytest.mark.parametrize("family, chart, params, state", [
@@ -232,7 +283,7 @@ def test_compiled_integration_is_bitwise_the_dual_integration(family, chart, par
     guard = chart_guard(chart, params)
     fast = integrate(h, s0, cfg, monitors={"H": h}, domain_guard=guard)
     slow = integrate(_dual(h), s0, cfg, monitors={"H": h}, domain_guard=guard)
-    assert h.compile_gradient()
+    assert _compiles(h)
     assert np.array_equal(fast.times, slow.times)
     assert np.array_equal(fast.states, slow.states)
     assert np.array_equal(fast.monitors["H"], slow.monitors["H"])
@@ -377,7 +428,7 @@ def test_structure_cache_stays_at_its_bound():
     chain = Q1
     for _ in range(bound + 5):                  # one new structure each time
         chain = chain * Q2 + P1
-        assert chain.compile_gradient()
+        assert _compiles(chain)
         assert codegen._code.cache_info().currsize <= bound
     assert codegen._code.cache_info().currsize == bound
 
@@ -428,10 +479,10 @@ def test_deep_graph_evaluates_on_floats_and_duals_and_compiles():
     for k in range(3000):
         ob = ob + (k % 7) * P2
         ref = ref + 0.5 * (k % 7)
-    assert ob(s) == ref
-    val, g = ob.value_and_gradient(s)
+    assert ob.fn(*s) == ob(s) == ref
+    val, g = _dual(ob).value_and_gradient(s)
     assert val == ref and np.array_equal(g, [1.0, 0, 0, 0, sum(k % 7 for k in range(3000)), 0])
-    assert ob.compile_gradient()
+    assert _compiles(ob)
     got = ob.value_and_gradient(s)
     assert got[0] == val and np.array_equal(got[1], g)
 
@@ -443,18 +494,18 @@ def test_opaque_leaf_joins_a_graph_and_a_mixed_set_compiles_nothing(monkeypatch)
     (v1, g1), (v2, g2) = opaque.value_and_gradient(s), Q1.value_and_gradient(s)
     val, g = ob.value_and_gradient(s)
     assert ob(s) == val == v1 + v2 and np.array_equal(g, g1 + g2)
-    assert not ob.compile_gradient()
+    assert not _compiles(ob)
 
+    pure = [Q1 * P2, exp(Q2) + P3, Q1 * Q1]
+    table = [coalgebra.Identity("pure", pure[0], pure[1], rhs=pure[2]),
+             coalgebra.Identity("mixed", ob, rhs=ob)]
+    want = _reference_run_table(table, sample_beltrami, 5, 1)
     calls = []
     real = codegen.compile_roots
     monkeypatch.setattr(codegen, "compile_roots",
                         lambda roots, grads: calls.append((roots, grads)) or real(roots, grads))
-    pure = [Q1 * P2, exp(Q2) + P3, Q1 * Q1]
-    table = [coalgebra.Identity("pure", pure[0], pure[1], rhs=pure[2]),
-             coalgebra.Identity("mixed", ob, rhs=ob)]
     report = coalgebra.run_table("t", table, sample_beltrami, 5, 1)
-    assert [(r.max_residual, r.worst_point) for r in report.results] == \
-        _reference_run_table(table, sample_beltrami, 5, 1)
+    assert [(r.max_residual, r.worst_point) for r in report.results] == want
     # The graphs and the opaque leaf make one root set, which builds no
     # compiled function: every observable takes the dual path.
     # Only the bracket's operands are asked for partials.
@@ -666,7 +717,7 @@ def test_every_mask_gives_the_all_true_functions_bits(preset, perturb, monkeypat
     one --perturb table of each): at 50 states of the batch's own sampler,
     every root's value and every flagged root's six partials are the
     all-true function's bits.  The all-false function returns each
-    observable's ``compile_values`` value and seeds no coordinate."""
+    observable's value (its own values-only code) and seeds no coordinate."""
     rng = np.random.default_rng(26)
     for obs, sampler in _verify_batches(SpaceParams.preset(preset, gamma=0.5), perturb,
                                         monkeypatch):
@@ -675,8 +726,7 @@ def test_every_mask_gives_the_all_true_functions_bits(preset, perturb, monkeypat
         none = codegen.compile_roots(nodes, [False] * n)
         masked = [(m, codegen.compile_roots(nodes, m))
                   for m in (rng.random(n) < p for p in (0.2, 0.5, 0.8))]
-        monitors = [o.renamed(o.name) for o in obs]     # fresh copies to compile
-        assert all(o.compile_values() for o in monitors)
+        assert all(_compiles(o, grads=False) for o in obs)
         for s in sampler(np.random.default_rng(rng.integers(2 ** 32)), n=50):
             want = full(*s.coords)
             assert len(want) == 7 * n
@@ -685,7 +735,7 @@ def test_every_mask_gives_the_all_true_functions_bits(preset, perturb, monkeypat
                     x for j in range(n) for x in want[7 * j:7 * j + (7 if m[j] else 1)])
             got = none(*s.coords)
             assert _hexes(got) == _hexes(want[::7]), s
-            assert _hexes(got) == _hexes(o._values(*s.coords)[0] for o in monitors), s
+            assert _hexes(got) == _hexes(o(s) for o in obs), s
         structure, _ = codegen._lower(nodes)
         source = codegen._Emitter().body(structure, [False] * n)
         assert [line for line in source if " = float(" in line] == []
@@ -719,7 +769,7 @@ def test_dual_fallback_under_a_mask_gives_the_dual_paths_values_and_partials(gra
     assert values.shape == (20, 4) and partials.shape == (20, sum(grads), 6)
     assert partials.flags.c_contiguous
     for i, s in enumerate(states):
-        ref = [ob.value_and_gradient(s) for ob in obs]
+        ref = [_dual(ob).value_and_gradient(s) for ob in obs]
         assert _hexes(values[i]) == _hexes(v for v, _ in ref)
         assert _hexes(partials[i].ravel()) == _hexes(
             x for (_, g), flag in zip(ref, grads) if flag for x in g)

@@ -356,6 +356,30 @@ def test_trajectory_validation_and_csv():
                                   np.zeros((1, 6))))
 
 
+@pytest.mark.parametrize("field, value", [("sample_stride", 1.5), ("sample_stride", 2.0),
+                                          ("sample_stride", "2"), ("max_steps", 2.5),
+                                          ("max_steps", 1e6), ("max_steps", None)])
+def test_config_rejects_a_count_that_is_not_an_int(field, value):
+    """sample_stride = 1.5 used to sample every third step and max_steps =
+    2.5 to fail in range() with a bare TypeError; both are counts."""
+    with pytest.raises(DomainError, match=field):
+        IntegratorConfig(**{field: value})
+
+
+def test_a_hamiltonian_that_is_not_an_observable_raises_before_any_evaluation():
+    """integrate and rhs take an Observable only: a callable raises
+    TypeError, naming Observable(fn), without being called."""
+    calls = []
+    h = hamiltonian(HamiltonianSpec(Family.KEPLER_CC, SpaceParams.preset("spherical", 0.5)),
+                    Chart.POLAR_CONSTANT)
+    for fn in (lambda *x: calls.append(x) or h.fn(*x), h.gradient, h.fn):
+        with pytest.raises(TypeError, match=r"Observable\(fn\)"):
+            integrate(fn, _KEPLER_STATE, _KEPLER_CFG)
+        with pytest.raises(TypeError, match=r"Observable\(fn\)"):
+            rhs(fn, _KEPLER_STATE)
+    assert calls == []
+
+
 def test_config_validation():
     with pytest.raises(DomainError):
         IntegratorConfig(rel_tol=-1.0)
@@ -691,7 +715,7 @@ def test_monitor_series_are_each_observable_at_each_sample(monkeypatch):
     h, mon, guard = _spherical_kepler()
     tr = integrate(h, _KEPLER_STATE, _KEPLER_CFG, monitors=mon, domain_guard=guard)
     assert len(tr.times) > 20 and list(tr.monitors) == list(mon)
-    assert all(ob._values for ob in mon.values())
+    assert all(ob._values is codegen.compile_roots([ob.node], (False,)) for ob in mon.values())
     for name, ob in mon.items():
         want = [ob.fn(*y.tolist()) for y in tr.states]
         assert [v.hex() for v in tr.monitors[name]] == [v.hex() for v in want], name
@@ -705,25 +729,24 @@ def test_monitor_series_are_each_observable_at_each_sample(monkeypatch):
 
 
 def test_opaque_hamiltonians_and_monitors_follow_the_compiled_run():
-    """An Observable(fn) Hamiltonian (dual evaluation) and a callable
-    h(state) -> gradient, with an opaque monitor among graph monitors, give
-    the compiled run's trajectory, series and stats bit for bit."""
+    """An Observable(fn) Hamiltonian (dual evaluation), with an opaque
+    monitor among graph monitors, gives the compiled run's trajectory,
+    series and stats bit for bit."""
     h, mon, guard = _spherical_kepler()
     ref = integrate(h, _KEPLER_STATE, _KEPLER_CFG, monitors=mon, domain_guard=guard)
     mixed = {name: Observable(ob.fn, chart=ob.chart) if name == "C2mid" else ob
              for name, ob in mon.items()}
     assert mixed["C2mid"].node is None
-    for hamiltonian_ in (Observable(h.fn, chart=h.chart), h.gradient):
-        tr = integrate(hamiltonian_, _KEPLER_STATE, _KEPLER_CFG, monitors=mixed,
-                       domain_guard=guard)
-        assert np.array_equal(tr.times, ref.times)
-        assert np.array_equal(tr.states, ref.states)
-        assert list(tr.monitors) == list(mon)
-        for name in mon:
-            assert np.array_equal(tr.monitors[name], ref.monitors[name]), name
-        st = tr.stats
-        assert st == ref.stats
-        assert st.rhs_evals == 1 + 6 * (st.accepted + st.rejected)
+    tr = integrate(Observable(h.fn, chart=h.chart), _KEPLER_STATE, _KEPLER_CFG,
+                   monitors=mixed, domain_guard=guard)
+    assert np.array_equal(tr.times, ref.times)
+    assert np.array_equal(tr.states, ref.states)
+    assert list(tr.monitors) == list(mon)
+    for name in mon:
+        assert np.array_equal(tr.monitors[name], ref.monitors[name]), name
+    st = tr.stats
+    assert st == ref.stats
+    assert st.rhs_evals == 1 + 6 * (st.accepted + st.rejected)
 
 
 def test_monitor_on_another_chart_raises_before_anything_is_evaluated():
@@ -759,18 +782,34 @@ def test_csv_rows_are_each_number_with_17_significant_digits():
     assert trajectory_csv(tr) == buf.getvalue()
 
 
-# -- closed orbits as an accuracy oracle ---------------------------------------
+# -- the rotation number as an accuracy oracle ---------------------------------
 #
-# On the constant-curvature spaces the Kepler flow is superintegrable (the
-# LRL vector is conserved), so every bounded orbit closes: after N radial
-# periods T, r and p_r return and phi has advanced by exactly 2 pi N.  T comes
+# On the equator (theta = pi/2, p_theta = 0) the radial reduction gives both
+# rates of an orbit: dr/dt = A p_r and dphi/dt = 2 p_phi dh/dc3, where
+# dh/dc3 = (V(r; c3) - V(r; 0)) / c3 since V is linear in c3.  So after N
+# radial periods T, r and p_r return and phi has advanced by 2 pi N W, with
+# the rotation number W = (advance of phi per period) / 2 pi.  T and W come
 # from the radial reduction by quadrature, independently of the integrator.
+# On the constant-curvature spaces the Kepler-CC flow is superintegrable
+# (the LRL vector is conserved), so every bounded orbit closes: W = 1.
 
 # T by (preset, p_r of the energy state).  At p_r = 1 the orbit is more
 # eccentric: apocentre over pericentre 6.4 (spherical) and 6.9 (hyperbolic),
 # against 4.8 and 4.6 at p_r = 0.2.
 _CLOSED = {("spherical", 0.2): 0.848490336290, ("hyperbolic", 0.2): 0.945939559881,
            ("spherical", 1.0): 1.111967962244, ("hyperbolic", 1.0): 1.497577218803}
+
+# Kepler-NC (T, W) by (preset, p_r): W moves with the energy, so its bounded
+# orbits precess, and those with an irrational W never close.  On spherical
+# its effective potential has a maximum near r = 0.8 and falls beyond it: at
+# p_r = 1 the orbit passes over it and has no outer turning point.
+_PRECESSING = {("spherical", 0.2): (1.0517059751, 1.0835031377),
+               ("spherical", 0.5): (1.2748321203, 1.1071965337),
+               ("hyperbolic", 0.2): (0.8392178677, 0.9615637742),
+               ("hyperbolic", 0.5): (0.8797873341, 0.9603733122)}
+
+# Where the outer turning point is bracketed, from r = 0.5 up.
+_OUTER = {Family.KEPLER_CC: 1.5, Family.KEPLER_NC: 0.8}
 
 
 def _third_law_period(p_r, gamma=0.5):
@@ -787,33 +826,41 @@ def _third_law_period(p_r, gamma=0.5):
 _CLOSED.update({("euclidean", p_r): _third_law_period(p_r) for p_r in (0.2, 1.0)})
 
 
-def _radial_period(rad, energy, r1, r2, nodes):
-    """2 * integral of dr / sqrt(2 A(r) (E - V(r))) from r1 to r2, with
-    A = 2 (h(r, 1) - h(r, 0)), by Gauss-Legendre after r = mid - half cos u."""
+def _radial_period(rad, energy, r1, r2, nodes, rate=lambda r: 1.0):
+    """2 * integral of rate(r) dr / sqrt(2 A(r) (E - V(r))) from r1 to r2,
+    with A = 2 (h(r, 1) - h(r, 0)), by Gauss-Legendre after r = mid - half
+    cos u: the integral of ``rate`` over one radial period, T itself for
+    the default rate 1."""
     mid, half = 0.5 * (r1 + r2), 0.5 * (r2 - r1)
     x, w = np.polynomial.legendre.leggauss(nodes)
     terms = []
     for u, wu in zip(0.5 * math.pi * (x + 1.0), 0.5 * math.pi * w):
         r = mid - half * math.cos(u)
         a = 2.0 * (rad.hamiltonian(r, 1.0) - rad.hamiltonian(r, 0.0))
-        terms.append(wu * half * math.sin(u) / math.sqrt(2.0 * a * (energy - rad.potential(r))))
+        terms.append(wu * half * math.sin(u) * rate(r)
+                     / math.sqrt(2.0 * a * (energy - rad.potential(r))))
     return 2.0 * math.fsum(terms)
 
 
-def _closed_orbit(preset, p_r):
-    """Kepler-CC at gamma = 0.5 with p_phi = 0.5 on the equator, at the
-    energy of (0.5, pi/2, 0, p_r, 0, 0.5): (h, LRL vector, pericentre start
-    state, radial period from 200 and 100 nodes)."""
+def _bounded_orbit(family, preset, p_r):
+    """A Kepler family at gamma = 0.5 with p_phi = 0.5 on the equator of its
+    polar chart, at the energy of (0.5, pi/2, 0, p_r, 0, 0.5): (h, params,
+    pericentre start state, (T, W) from 200 nodes, the same from 100)."""
     params = SpaceParams.preset(preset, gamma=0.5)
-    spec = HamiltonianSpec(Family.KEPLER_CC, params)
-    h = hamiltonian(spec, Chart.POLAR_CONSTANT)
-    s = PhaseState.polar_constant(0.5, math.pi / 2, 0.0, p_r, 0.0, 0.5)
+    spec = HamiltonianSpec(family, params)
+    chart = family.polar_chart
+    h = hamiltonian(spec, chart)
+    s = PhaseState(chart, (0.5, math.pi / 2, 0.0, p_r, 0.0, 0.5))
     energy = h(s)
-    rad = radial_reduction(spec, constants(spec, Chart.POLAR_CONSTANT)["C3"](s))
+    rad = radial_reduction(spec, constants(spec, chart)["C3"](s))
+    free = radial_reduction(spec, 0.0)
     g = lambda r: rad.potential(r) - energy
-    r1, r2 = _bisect(g, 1e-3, 0.5), _bisect(g, 0.5, 1.5)      # turning points
-    periods = [_radial_period(rad, energy, r1, r2, n) for n in (200, 100)]
-    return h, lrl(params), PhaseState.polar_constant(r1, math.pi / 2, 0.0, 0.0, 0.0, 0.5), periods
+    r1, r2 = _bisect(g, 1e-3, 0.5), _bisect(g, 0.5, _OUTER[family])     # turning points
+    phi_rate = lambda r: 2.0 * 0.5 * (rad.potential(r) - free.potential(r)) / rad.c3
+    quadratures = [(_radial_period(rad, energy, r1, r2, n),
+                    _radial_period(rad, energy, r1, r2, n, phi_rate) / (2.0 * math.pi))
+                   for n in (200, 100)]
+    return h, params, PhaseState(chart, (r1, math.pi / 2, 0.0, 0.0, 0.0, 0.5)), *quadratures
 
 
 def _closure_bound(rtol, periods):
@@ -824,23 +871,32 @@ def _closure_bound(rtol, periods):
     return periods * 1e4 * rtol
 
 
-def _check_closure(preset, p_r, rtol, periods):
-    """After N T, r and p_r have returned and phi has advanced by 2 pi N; the
-    LRL vector stays on the pericentre's line all along (with the paper's
-    sign, (L2, L3) points from the pericentre through the centre).  T is
-    the expected value, and halving the quadrature's nodes moves it by less
-    than the bound, so a closure failure is the integrator's."""
-    h, vec, s0, (period, coarse) = _closed_orbit(preset, p_r)
+def _check_rotation(family, preset, p_r, rtol, periods):
+    """After N T, r and p_r have returned and phi has advanced by 2 pi N W.
+    T and W are the expected values (W = 1 for Kepler-CC), and halving the
+    quadrature's nodes moves them by less than the bound, so a failure is
+    the integrator's.  For Kepler-CC the LRL vector also stays on the
+    pericentre's line all along (with the paper's sign, (L2, L3) points from
+    the pericentre through the centre)."""
+    h, params, s0, (period, rotation), coarse = _bounded_orbit(family, preset, p_r)
     bound = _closure_bound(rtol, periods)
-    assert period == pytest.approx(_CLOSED[preset, p_r], abs=1e-10)
-    assert abs(coarse - period) < bound
+    if family is Family.KEPLER_CC:
+        assert period == pytest.approx(_CLOSED[preset, p_r], abs=1e-10)
+        rotation = 1.0
+    else:
+        assert (period, rotation) == pytest.approx(_PRECESSING[preset, p_r], abs=1e-10)
+        assert abs(coarse[1] - rotation) < bound
+    assert abs(coarse[0] - period) < bound
     t_end = periods * period
     tr = integrate(h, s0, IntegratorConfig(rel_tol=rtol, abs_tol=1e-2 * rtol, t_end=t_end),
-                   domain_guard=chart_guard(Chart.POLAR_CONSTANT, vec.params))
+                   domain_guard=chart_guard(s0.chart, params))
     assert not tr.terminated_early and tr.times[-1] == t_end
     r, theta, phi, pr, ptheta, pphi = tr.states[-1]
     assert abs(r - s0.coords[0]) < bound and abs(pr) < bound
-    assert abs(phi - 2.0 * math.pi * periods) < bound
+    assert abs(phi - 2.0 * math.pi * periods * rotation) < bound
+    if family is not Family.KEPLER_CC:
+        return
+    vec = lrl(params)
     peri = (math.cos(s0.coords[2]), math.sin(s0.coords[2]))
     for i in range(len(tr.times)):
         state = tr.state(i)
@@ -852,13 +908,31 @@ def _check_closure(preset, p_r, rtol, periods):
 @pytest.mark.parametrize("rtol", [1e-12, 1e-10])
 @pytest.mark.parametrize("preset", ["euclidean", "hyperbolic", "spherical"])
 def test_bounded_kepler_orbit_closes_after_one_radial_period(preset, rtol):
-    _check_closure(preset, 0.2, rtol, 1)
+    _check_rotation(Family.KEPLER_CC, preset, 0.2, rtol, 1)
 
 
 @pytest.mark.parametrize("rtol", [1e-12, 1e-10])
 @pytest.mark.parametrize("preset, p_r", sorted(_CLOSED))
 def test_bounded_kepler_orbit_closes_after_three_radial_periods(preset, p_r, rtol):
-    _check_closure(preset, p_r, rtol, 3)
+    _check_rotation(Family.KEPLER_CC, preset, p_r, rtol, 3)
+
+
+@pytest.mark.parametrize("periods", [1, 3])
+@pytest.mark.parametrize("preset, p_r", sorted(_PRECESSING))
+def test_bounded_kepler_nc_orbit_advances_phi_by_its_rotation_number(preset, p_r, periods):
+    _check_rotation(Family.KEPLER_NC, preset, p_r, 1e-12, periods)
+
+
+@pytest.mark.parametrize("preset", ["hyperbolic", "spherical"])
+def test_kepler_nc_rotation_number_moves_with_the_energy(preset):
+    """W at p_r = 0.2 and 0.5 differs by more than 1e-3 (by 0.024 on
+    spherical, 0.0012 on hyperbolic), far beyond the quadrature's own error
+    (200 against 100 nodes), so Kepler-NC's non-closure is measured: its
+    orbits precess at a rate that depends on the energy."""
+    (low, low_coarse), (high, high_coarse) = (
+        [w for _, w in _bounded_orbit(Family.KEPLER_NC, preset, p_r)[3:]] for p_r in (0.2, 0.5))
+    assert abs(low_coarse - low) < 1e-10 and abs(high_coarse - high) < 1e-10
+    assert abs(high - low) > 1e-3
 
 
 @pytest.mark.parametrize("preset", ["antidesitter", "minkowski", "desitter"])

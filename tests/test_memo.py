@@ -77,26 +77,29 @@ def test_signed_and_integer_zeros_give_what_a_fresh_process_gives():
     assert here == [_in_a_fresh_process(case) for case in _CASES]
 
 
-def test_returned_constants_and_hamiltonians_are_fresh():
-    """Callers share the graphs, never the dict, the observables or their
-    compiled code."""
+def test_returned_constants_and_hamiltonians_are_fresh(monkeypatch):
+    """Callers share the graphs, never the dict or the observables; a memo
+    hit's copy finds the code its graph already has and lowers nothing."""
     spec = HamiltonianSpec(Family.KEPLER_CC, SpaceParams.preset("spherical", 0.5))
     chart = Chart.POLAR_CONSTANT
+    s = phase.PhaseState.polar_constant(1.1, 1.2, 0.4, 0.2, 0.4, 0.9)
     first = symmetry.constants(spec, chart)
     names = list(first)
-    assert first["C3"].compile_gradient() and first["C3"].compile_values()
+    h = spaces.hamiltonian(spec, chart)
+    want = [(ob(s), ob.gradient(s).tolist()) for ob in (first["C3"], h)]
     del first["L1"]
     first["C2"] = phase.Q1
-    h = spaces.hamiltonian(spec, chart)
-    assert h.compile_gradient() and h.compile_values()
 
+    lowered = []
+    real = codegen._lower
+    monkeypatch.setattr(codegen, "_lower", lambda roots: lowered.append(roots) or real(roots))
     again = symmetry.constants(spec, chart)
     assert list(again) == names and again["C2"].name == "C2"
     assert again["C3"] is not first["C3"] and again["C3"].node is first["C3"].node
-    assert again["C3"]._compiled is None and again["C3"]._values is None
     h2 = spaces.hamiltonian(spec, chart)
     assert h2 is not h and h2.node is h.node and h2.name == h.name and h2.chart is chart
-    assert h2._compiled is None and h2._values is None
+    assert [(ob(s), ob.gradient(s).tolist()) for ob in (again["C3"], h2)] == want
+    assert lowered == []
 
 
 def test_every_memo_stays_at_its_bound():
