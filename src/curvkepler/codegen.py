@@ -1,4 +1,4 @@
-"""Expression graphs of observables: their evaluator, compiled gradients and values.
+"""Expression graphs of observables: their evaluator, partials and compiled code.
 
 An observable is a graph of :class:`Node` objects over coordinates,
 constants and ``opaque`` leaves (user callables).  :func:`evaluator` gives
@@ -8,68 +8,56 @@ several observables (the roots) into one Python function of the six
 coordinates, or gives None when any root cannot be compiled: a root set
 compiles whole or not at all.  For each root in order the function returns
 its value and, when the root's flag in the gradient mask is true, the six
-partials a 6-lane ``KScalar`` evaluation gives, in one flat tuple.  It gets
-there with less work:
+partials a 6-lane ``KScalar`` evaluation gives, in one flat tuple.
 
-* it computes only the derivative lanes a node structurally depends on
-  (sparse forward mode, Griewank-Walther, *Evaluating Derivatives*, ch. 7);
-* a node shared by several parents or several roots is evaluated once
-  (node identity), so the so(4) generators inside every observable of a
-  bracket table are computed once per point;
-* subtrees that do not depend on the coordinates are folded at compile time
-  with the operations the evaluator applies to them (``_OPS``).
+Partials are graphs (Griewank-Walther, *Evaluating Derivatives*, ch. 6-7):
+:func:`_partials` writes each node's ``KScalar`` rule as nodes in one
+post-order pass, with the same float operations in the same order.  A
+partial a node does not structurally depend on is None, an exact zero that
+the dual path adds or multiplies in, which can change the sign of a zero
+and nothing else (barring an infinite operand, where the dual lane turns
+NaN), and nothing is multiplied by a coordinate's unit partial.  Unary
+derivatives come from a table (``_DERIVATIVES``: ``exp`` is its own node,
+``sqrt`` is ``0.5 /`` its node, ``sinhc`` calls ``kernel.dsinhc``).  A
+flagged root's six partial graphs are compiled as more roots, so the code
+is written one way, values only.  A node's value is the float operation the
+evaluator applies to it (a quotient is ``a / b``), as a ``KScalar``'s is,
+so the evaluator on floats or duals and the compiled code under any mask
+give every value bit for bit, and every partial is the dual path's.
 
-One value per observable: a node's value is the float operation the
-evaluator applies to it (a quotient is ``a / b``, a power ``a ** n``), and
-a ``KScalar``'s value follows the same rule, so the evaluator on floats or
-duals and the compiled code under any mask give every value bit for bit.
-Each retained lane applies the float operations of the ``KScalar`` rule its
-node replaces, in the same order, so the partials equal the dual path's.  A
-skipped lane is an exact zero that the dual path adds or multiplies in,
-which can change the sign of a zero and nothing else (barring an infinite
-operand, where the dual lane turns NaN).
-
-Two stages: lower, then emit on a miss.  :func:`_lower` walks the graphs
-once, in post-order.  It folds the coordinate-free subtrees, turns each
-other node into one instruction (its op, its operands, a function name),
-and pulls every constant into slot order: numbers, folded subtrees, the
-curvature labels, the exponents ``n`` and ``n - 1`` of a power and a
-constant divisor ``c`` with its reciprocal ``1.0 / c``.  The instructions
-and the roots form the structure key, a tuple that holds no constant, so it
-depends only on the graph's structure (its operations, their wiring and
-sharing, the coordinate slots, and which curvature labels on one argument
-are equal), not on ``z``, ``kappa2`` or ``gamma``.  Emission reads only
-that key and the mask: it writes the source and Python's ``compile()``
-turns it into a code object.  One process-wide LRU cache of fixed size
-(:func:`_code`), keyed by the structure and the mask, keeps the code
-objects, so emission and ``compile()`` run only on a miss.  A graph of a
-known structure at new parameters costs one lowering walk and one ``exec``
-of the cached code, with the constants bound in the function's globals as
-``k0, k1, ...`` beside the kernel rules by name (one shared base dict,
-copied once per root set).  A second bounded LRU cache (:func:`_bound`),
-keyed by the root nodes (identity) and the mask, keeps the function, or None
-for a root set that does not compile, so a repeated call on the same roots
-and mask costs one cache lookup; a root set compiled under two masks is
-lowered once per mask.
-
-The gradient mask (one flag per root) is activity analysis (Hascoet-Pascual,
-*ACM TOMS* 39(3), 2013): an instruction is active when a flagged root
-reaches it, so its operands are active and its lanes are the all-true
-mask's.  An inactive one reads its operands with empty lanes and is written
-values-only (a unary as its kernel float function), and only an active
-coordinate is seeded (``x = float(x)``).  Orbit monitors flag no root.
+Two stages: lower, then emit on a miss.  :func:`_lower` walks the values'
+graphs, then the flagged roots' partials, in post-order.  It folds the
+coordinate-free subtrees with the operations the evaluator applies
+(``_OPS``), turns each other node into one instruction (its op, its
+operands, a function name), so a shared node is computed once, and pulls
+every constant (numbers, folded subtrees, curvature labels) into slot
+order.  The instructions and the outputs form the structure key, which
+holds no constant: it depends on the graphs' operations, wiring, sharing
+and coordinate slots, and on which curvature labels on one argument are
+equal, not on ``z``, ``kappa2`` or ``gamma``.  Emission reads the key and
+whether any root is flagged, when each coordinate is seeded as ``KScalar``
+seeds it (``x = float(x)``).  It writes one statement per instruction,
+except that an ``add``, ``sub``, ``neg`` or ``mul`` read once whose
+operands are plain names is written into its reader's statement: it cannot
+raise, so no exception moves, and nothing nests, so a deep graph compiles.
+An LRU cache of fixed size (:func:`_code`), keyed by the structure and that
+flag, keeps the code objects, so emission and ``compile()`` run only on a
+miss; a known structure at new parameters costs one lowering walk and one
+``exec``, with the constants bound as ``k0, k1, ...`` in a copy of the base
+globals (the kernel functions by name).  A second bounded LRU cache
+(:func:`_bound`), keyed by the root nodes (identity) and the mask, keeps
+the function, or None for a root set that does not compile, so a repeated
+call costs one lookup; a root set is lowered once per mask.
 
 Curvature-labelled trigonometry shares its work: every ``skappa``,
-``ckappa``, ``tkappa`` and ``cotkappa`` node on one ``(kappa, x)`` reads one
-pair instruction.  Active or not, it is written as the statements of
-``kernel._kappa_pair`` (``u = kappa * x * x``, then the Taylor, ``sin``/``cos``
-or ``sinh``/``cosh`` branch), not as a call.  From the pair ``skappa`` is
-``(S, C)`` and ``ckappa`` is ``(C, -kappa * S)``, what the dual path's rules
-give.  For ``tkappa`` and ``cotkappa`` the code writes out the quotient
-of their ``kernel.KAPPA_RULES`` entry (an active node its derivative too),
-and call the rule only where its denominator is below
-``kernel._POLE_EPS``, so it raises the same ``PoleError`` at a pole.
-Labels are compared by their type and bits, so
+``ckappa``, ``tkappa`` and ``cotkappa`` node on one ``(kappa, x)``, a
+partial's included, reads one pair instruction, written as the statements
+of ``kernel._kappa_pair`` (``u = kappa * x * x``, then the Taylor,
+``sin``/``cos`` or ``sinh``/``cosh`` branch).  ``skappa`` is its ``S`` and
+``ckappa`` its ``C``; ``tkappa`` and ``cotkappa`` write out the quotient of
+their ``kernel.KAPPA_RULES`` entry and call the rule only where its
+denominator is below ``kernel._POLE_EPS``, so it raises the same
+``PoleError`` at a pole.  Labels are compared by their type and bits, so
 ``0.0``, ``-0.0`` and the int ``0`` (whose ``C' = -kappa S`` differ in the
 sign of a zero) never share a pair.
 
@@ -85,17 +73,18 @@ compiled code keeps no state between calls).
 
 from __future__ import annotations
 
+import collections
 import functools
-import math
+import itertools
 import operator
 
 from . import kernel
 from .kernel import NVARS
 
 # The Python operation of each arithmetic op on its operands' values: the
-# one map the evaluator and constant folding apply.  Only
-# ``number - observable`` builds a sub node, and ``x * x`` is a mul node
-# whose two operands are one node.
+# one map the evaluator and constant folding apply.  On the coordinates only
+# ``number - observable`` builds a sub node (a power's partial folds
+# ``n - 1``), and ``x * x`` is a mul node whose two operands are one node.
 _OPS = {"add": operator.add, "sub": operator.sub, "mul": operator.mul,
         "div": operator.truediv, "neg": operator.neg, "pow": operator.pow}
 
@@ -105,7 +94,8 @@ class Node:
 
     ``op`` is one of coord, const, opaque, add, sub, mul, div, neg, pow, fn,
     kfn; ``kids`` are the operand nodes (the exponent of pow and the
-    curvature label of kfn are const kids).  ``param`` is the slot of a
+    curvature label of kfn are const kids; the fn of a partial of sinhc or
+    expm1c reads the argument and the value).  ``param`` is the slot of a
     coord, the value of a const, and the operation of every other node: its
     ``_OPS`` entry, the kernel function of fn and kfn, or the callable of
     the six coordinates of an opaque leaf.  ``dual`` is true when the node
@@ -123,11 +113,12 @@ class Node:
         self.fn = None
 
 
-def _postorder(roots):
+def _postorder(roots, seen=None):
     """Every node reachable from ``roots`` once, kids before parents, in
     the order a depth-first walk (kids left to right, roots in order)
-    finishes them.  Iterative, so a graph of any depth is walked."""
-    order, seen = [], set()
+    finishes them, skipping the nodes in ``seen`` and below them.
+    Iterative, so a graph of any depth is walked."""
+    order, seen = [], set() if seen is None else seen
     stack = [(root, False) for root in reversed(roots)]
     while stack:
         nd, finished = stack.pop()
@@ -177,6 +168,94 @@ def evaluator(root):
     return evaluate
 
 
+# -- partials as graphs ----------------------------------------------------------
+
+def _n(op, *kids, param=None):
+    return Node(op, kids, param)
+
+
+# A coordinate's own partial, the 1.0 of the rules; the other constants the
+# rules read; and the partials of a coordinate-free node.
+_ONE, _HALF, _MINUS_ONE, _INT_ONE = (_n("const", param=c) for c in (1.0, 0.5, -1.0, 1))
+_NONE = (None,) * NVARS
+
+
+def _chain(dval, lanes):
+    """The lanes times the derivative ``dval``: one chain step.  A unit lane
+    gives ``dval`` itself when it is a float at run time; a coordinate-free
+    one folds ``dval * 1.0``, which makes an int a float."""
+    if lanes is _NONE:
+        return _NONE
+    unit = dval if dval.dual or _ONE not in lanes else Node("mul", (dval, _ONE))
+    return tuple([lane and (unit if lane is _ONE else Node("mul", (dval, lane)))
+                  for lane in lanes])
+
+
+def _plus(la, lb):
+    """The lanes of ``la + lb``, slot by slot."""
+    if la is _NONE or lb is _NONE:
+        return lb if la is _NONE else la
+    return tuple([b if a is None else a if b is None else Node("add", (a, b))
+                  for a, b in zip(la, lb)])
+
+
+# The derivative of each unary and curvature-labelled function as nodes over
+# the node ``nd`` and its operands, what its kernel rule computes:
+# S' = C, C' = -kappa S, T' = 1/C**2, cot' = -1/S**2.
+_DERIVATIVES = {
+    "exp": lambda nd, x: nd,
+    "log": lambda nd, x: _n("div", _ONE, x),
+    "sqrt": lambda nd, x: _n("div", _HALF, nd),
+    "sin": lambda nd, x: _n("fn", x, param=kernel.cos),
+    "cos": lambda nd, x: _n("neg", _n("fn", x, param=kernel.sin)),
+    "sinh": lambda nd, x: _n("fn", x, param=kernel.cosh),
+    "cosh": lambda nd, x: _n("fn", x, param=kernel.sinh),
+    "sinhc": lambda nd, x: _n("fn", x, nd, param=kernel.dsinhc),
+    "expm1c": lambda nd, x: _n("fn", x, nd, param=kernel.dexpm1c),
+    "skappa": lambda nd, k, x: _n("kfn", k, x, param=kernel.ckappa),
+    "ckappa": lambda nd, k, x: _n("mul", _n("neg", k), _n("kfn", k, x, param=kernel.skappa)),
+    "tkappa": lambda nd, k, x: _n("div", _ONE,
+                                  _n("mul", *[_n("kfn", k, x, param=kernel.ckappa)] * 2)),
+    "cotkappa": lambda nd, k, x: _n("div", _MINUS_ONE,
+                                    _n("mul", *[_n("kfn", k, x, param=kernel.skappa)] * 2)),
+}
+
+
+def _rule(nd, lanes):
+    """The six partials of a coordinate-dependent node, from its kids' ``lanes``."""
+    op, kids = nd.op, nd.kids
+    if op == "coord":
+        return tuple(_ONE if i == nd.param else None for i in range(NVARS))
+    if op in ("fn", "kfn"):
+        return _chain(_DERIVATIVES[nd.param.__name__](nd, *kids), lanes[kids[-1]])
+    if op in ("neg", "sub"):        # only ``number - observable`` builds a sub node
+        return tuple(lane and _n("neg", lane) for lane in lanes[kids[-1]])
+    (u, v), (a, b) = kids, (lanes[k] for k in kids)
+    if op == "add":
+        return _plus(a, b)
+    if op == "mul":
+        return _plus(_chain(v, a), _chain(u, b))
+    if op == "pow":
+        return _chain(_n("mul", v, _n("pow", u, _n("sub", v, _INT_ONE))), a)
+    if not u.dual:                  # o / KScalar
+        return _chain(_n("div", _n("neg", u), _n("mul", v, v)), b)
+    w = _n("div", _ONE, v)
+    if not v.dual:                  # KScalar / o
+        return _chain(w, a)
+    return _plus(_chain(w, a), _chain(_n("mul", _n("mul", _n("neg", u), w), w), b))
+
+
+def _partials(roots):
+    """Each root's six partials as graphs (None for a structural zero), in
+    one post-order pass over graphs without opaque leaves."""
+    lanes = {}
+    for nd in _postorder(roots):
+        lanes[nd] = _rule(nd, lanes) if nd.dual else _NONE
+    return [lanes[r] for r in roots]
+
+
+# -- lowering and emission ---------------------------------------------------------
+
 class _Lowering:
     """One walk of the graphs: the structure and the constants in slot order.
 
@@ -184,9 +263,7 @@ class _Lowering:
     op, its operands and any name it needs; an operand is the index of an
     earlier instruction, or ``~slot`` (a negative number) for constant
     ``slot``.  Instructions are appended in the order the walk finishes
-    them, which is the order the emitter writes them in.  Every mask emits
-    the same lowering: a constant divisor ``c`` brings its reciprocal and a
-    power ``n`` brings ``n - 1``, which only a derivative lane reads.
+    them, which is the order the emitter writes them in.
     """
 
     def __init__(self):
@@ -238,15 +315,6 @@ class _Lowering:
             if nd.param not in self.coords:
                 self.coords[nd.param] = self.add("coord", nd.param)
             return self.coords[nd.param]
-        if op == "div" and not kids[1].dual:
-            # KScalar / o scales the partials by the float 1.0 / o.
-            w = 1.0 / self.folded[kids[1]]
-            return self.add("div", *map(self.operand, kids), self.const(w))
-        if op == "pow":
-            n = self.folded[kids[1]]
-            return self.add("pow", self.operand(kids[0]), self.const(n), self.const(n - 1))
-        if op == "fn":
-            return self.add("fn", self.operand(kids[0]), nd.param.__name__)
         if op == "kfn":
             # One (S, C) pair per curvature label and argument.  The label is
             # keyed by its type and bits, so 0.0, -0.0 and the int 0 (whose
@@ -256,10 +324,9 @@ class _Lowering:
             if key not in self.pairs:
                 self.pairs[key] = self.add("pair", x, self.const(kappa))
             return self.add("kfn", self.pairs[key], nd.param.__name__)
-        return self.add(op, *map(self.operand, kids))
+        args = map(self.operand, kids)
+        return self.add(op, *args, nd.param.__name__) if op == "fn" else self.add(op, *args)
 
-
-_ONE = "1.0"      # the lane of a seeded coordinate; x * 1.0 == x exactly
 
 # kernel._kappa_pair as statements: S into {s}, C into {c}, r = sqrt(|u|).
 _PAIR = (
@@ -270,187 +337,114 @@ _PAIR = (
     "elif {u} > 0.0: {r} = sqrt({u}); {s} = {x} * (sin({r}) / {r}); {c} = cos({r})\n"
     "else: {r} = sqrt(-{u}); {s} = {x} * (sinh({r}) / {r}); {c} = cosh({r})")
 
+# The source of each arithmetic op.  The first four cannot raise: one read
+# once whose operands are plain names is written into its reader.
+_TEXT = {"add": "{} + {}", "sub": "{} - {}", "mul": "{} * {}", "neg": "-{}",
+         "div": "{} / {}", "pow": "{} ** {}"}
+_PURE = ("add", "sub", "mul", "neg")
+
 
 class _Emitter:
-    """Writes the straight-line body of a structure, one statement per float
-    operation.  A value is (expr, lanes): lanes maps a slot to the name of
-    its partial, and is None for a constant.  Only an active coordinate gets
-    lanes; an inactive instruction reads its operands with empty ones."""
+    """Writes the straight-line body of a structure: one statement per
+    instruction, except the pure ones read once on plain names, which are
+    written in parentheses into their reader."""
 
     def __init__(self):
         self.lines = []
-        self.vars = set()
-
-    def fresh(self):
-        name = f"t{len(self.vars)}"
-        self.vars.add(name)
-        return name
+        self.done = []      # per instruction: a name, an inlined text, or a pair
+        self.fresh = map("t{}".format, itertools.count()).__next__
 
     def var(self, expr):
         name = self.fresh()
         self.lines.append(f"{name} = {expr}")
         return name
 
-    def times(self, c, lane):
-        """Source text for c * lane; a unit lane gives c itself."""
-        return c if lane == _ONE and c in self.vars else f"{c} * {lane}"
+    def ref(self, a):
+        return "0.0" if a is None else f"k{~a}" if a < 0 else self.done[a]
 
-    def mul(self, c, lane):
-        """A variable (or c itself) holding c * lane."""
-        text = self.times(c, lane)
-        return text if text == c else self.var(text)
-
-    def scaled(self, c, lanes):
-        return {i: self.mul(c, l) for i, l in lanes.items()}
-
-    def combined(self, x, la, y, lb):
-        """The lanes of ``x * la + y * lb``, slot by slot."""
-        lanes = {}
-        for i in sorted(la.keys() | lb.keys()):
-            if i in la and i in lb:
-                lanes[i] = self.var(f"{self.times(x, la[i])} + {self.times(y, lb[i])}")
-            else:
-                lanes[i] = self.mul(x, la[i]) if i in la else self.mul(y, lb[i])
-        return lanes
-
-    def chained(self, val, factor, lanes):
-        """``val`` with ``lanes`` times the derivative ``factor``, which is
-        written only when there are lanes."""
-        return val, self.scaled(self.var(factor), lanes) if lanes else {}
-
-    def body(self, structure, grads):
-        ins, roots = structure
-        active = {r for r, g in zip(roots, grads) if g}
-        for i in reversed(range(len(ins))):     # an active node's operands are active
-            if i in active and ins[i][0] != "coord":
-                active.update(a for a in ins[i][1:] if isinstance(a, int) and a >= 0)
-        done = []
+    def body(self, structure, seed):
+        ins, outs = structure
+        self.seed = seed
+        reads = collections.Counter(outs)
+        for op, *args in ins:
+            if op != "coord":       # a pair's statements read its x more than once
+                reads.update(args * 2 if op == "pair" else args)
+        inlined = set()
         for i, (op, *args) in enumerate(ins):
-            if op == "coord":
-                args.append(i in active)
+            if op not in _TEXT:
+                self.done.append(getattr(self, "op_" + op)(*args))
+            elif op in _PURE and reads[i] == 1 and inlined.isdisjoint(args):
+                inlined.add(i)
+                self.done.append("(" + _TEXT[op].format(*map(self.ref, args)) + ")")
             else:
-                args = [a if isinstance(a, str) else (f"k{~a}", None) if a < 0
-                        else done[a] if i in active else (*done[a][:-1], {}) for a in args]
-            done.append(getattr(self, "op_" + op)(*args))
-        out = "".join(f"{name}, " for r, g in zip(roots, grads) for name in
-                      (done[r][0], *(done[r][1].get(i, "0.0") for i in range(NVARS) if g)))
-        return self.lines + [f"return ({out})"]
+                self.done.append(self.var(_TEXT[op].format(*map(self.ref, args))))
+        return self.lines + ["return (" + "".join(f"{self.ref(a)}, " for a in outs) + ")"]
 
-    # -- one method per KScalar rule ----------------------------------------
-
-    def op_coord(self, slot, seed):
+    def op_coord(self, slot):
         name = f"x{slot}"
-        if not seed:
-            return name, {}
-        self.lines.append(f"{name} = float({name})")     # seeded() takes float(coordinate)
-        self.vars.add(name)
-        return name, {slot: _ONE}
+        if self.seed:
+            self.lines.append(f"{name} = float({name})")     # seeded() takes float(coordinate)
+        return name
 
-    def op_add(self, a, b):
-        (ea, la), (eb, lb) = a, b
-        val = self.var(f"{ea} + {eb}")
-        if la is None or lb is None:
-            return val, la if lb is None else lb
-        lanes = dict(la)
-        for i, l in lb.items():
-            lanes[i] = self.var(f"{la[i]} + {l}") if i in la else l
-        return val, lanes
-
-    def op_sub(self, a, b):
-        # Only ``number - observable`` builds a sub node (see Observable).
-        (ea, _), (eb, lb) = a, b
-        return self.var(f"{ea} - {eb}"), {i: self.var(f"-{l}") for i, l in lb.items()}
-
-    def op_neg(self, a):
-        ea, la = a
-        return self.var(f"-{ea}"), {i: self.var(f"-{l}") for i, l in la.items()}
-
-    def op_mul(self, a, b):
-        (ea, la), (eb, lb) = a, b
-        val = self.var(f"{ea} * {eb}")
-        if la is None or lb is None:
-            return val, self.scaled(ea, lb) if la is None else self.scaled(eb, la)
-        return val, self.combined(eb, la, ea, lb)
-
-    def op_div(self, a, b, w=None):
-        # A constant divisor comes with its reciprocal w, which scales the lanes.
-        (ea, la), (eb, lb) = a, b
-        val = self.var(f"{ea} / {eb}")
-        if lb is None:
-            return val, self.scaled(w[0], la)
-        if la is None:
-            return self.chained(val, f"-{ea} / ({eb} * {eb})", lb)
-        if not (la or lb):
-            return val, {}
-        w = self.var(f"1.0 / {eb}")
-        c = self.var(f"-{ea} * {w} * {w}")
-        return val, self.combined(w, la, c, lb)
-
-    def op_pow(self, a, n, n1):
-        (ea, la), (n, _), (n1, _) = a, n, n1
-        return self.chained(self.var(f"{ea} ** {n}"), f"{n} * {ea} ** {n1}", la)
-
-    def op_fn(self, a, name):
-        # The kernel rule's (value, derivative) call; with no lanes, its float function.
-        ea, la = a
-        if not la:
-            return self.var(f"{name}_float({ea})"), {}
-        val, d = self.fresh(), self.fresh()
-        self.lines.append(f"{val}, {d} = {name}_rule({ea})")
-        return val, self.scaled(d, la)
+    def op_fn(self, *args):
+        *operands, name = args
+        return self.var(f"{name}({', '.join(map(self.ref, operands))})")
 
     def op_pair(self, x, kappa):
         u, r, s, c = (self.fresh() for _ in range(4))
-        self.lines += _PAIR.format(u=u, r=r, s=s, c=c, k=kappa[0], x=x[0]).split("\n")
-        return s, c, kappa[0], *x
+        k, x = self.ref(kappa), self.ref(x)
+        self.lines += _PAIR.format(u=u, r=r, s=s, c=c, k=k, x=x).split("\n")
+        return s, c, k, x
 
     def op_kfn(self, pair, name):
-        # S' = C and C' = -kappa S; a ratio's rule raises at its pole.
-        s, c, kappa, ex, lx = pair
-        if name == "skappa":
-            return s, self.scaled(c, lx)
-        if name == "ckappa":
-            return self.chained(c, f"-{kappa} * {s}", lx)
-        # The rule's float operations written out; it is called only at its
-        # pole, to raise what it raises there.  T' = 1/C**2, cot' = -1/S**2.
-        num, den, sign = (s, c, "") if name == "tkappa" else (c, s, "-")
+        s, c, kappa, x = self.done[pair]
+        if name in ("skappa", "ckappa"):
+            return s if name == "skappa" else c
+        # The rule's quotient written out; it is called only at its pole, to
+        # raise what it raises there.
+        num, den = (s, c) if name == "tkappa" else (c, s)
         self.lines.append(f"if abs({den}) < {kernel._POLE_EPS!r}: "
-                          f"{name}_rule({kappa}, {ex}, {s}, {c})")
-        return self.chained(self.var(f"{num} / {den}"), f"{sign}1.0 / ({den} * {den})", lx)
+                          f"{name}_rule({kappa}, {x}, {s}, {c})")
+        return self.var(f"{num} / {den}")
 
 
-# Compiled code objects by lowered structure and gradient mask.  One pass of
-# the verify benchmark needs about a dozen; the bound keeps memory fixed.
-# Callers pass both arguments positionally, so each structure has one key per
-# mask.
+# Compiled code objects by lowered structure and seed flag.  One pass of the
+# verify benchmark needs about a dozen; the bound keeps memory fixed.
 @functools.lru_cache(maxsize=64)
-def _code(structure, grads):
+def _code(structure, seed):
     args = ", ".join(f"x{i}" for i in range(NVARS))
-    body = "\n    ".join(_Emitter().body(structure, grads))
+    body = "\n    ".join(_Emitter().body(structure, seed))
     return compile(f"def compiled({args}):\n    {body}\n",
-                   "<compiled gradient>" if any(grads) else "<compiled values>", "exec")
+                   "<compiled gradient>" if seed else "<compiled values>", "exec")
 
 
-# The globals every compiled function shares: the kernel rules and float
-# functions by name and the ``math`` functions of the (S, C) pairs.  Each
-# bound function adds its constants as ``k0, k1, ...`` to a copy.
-_BASE_GLOBALS = {
-    **{f"{name}_rule": rule for name, rule in kernel.RULES.items()},
-    **{f"{name}_rule": rule for name, rule in kernel.KAPPA_RULES.items()},
-    **{f"{name}_float": fn for name, fn in kernel.FLOAT_FNS.items()},
-    **{name: getattr(math, name) for name in ("sqrt", "sin", "cos", "sinh", "cosh")},
-}
+# The globals every compiled function shares: the kernel's float functions
+# (those of the (S, C) pairs are math's) and ratio rules by name.  Each bound
+# function adds its constants as ``k0, k1, ...`` to a copy.
+_BASE_GLOBALS = {**kernel.FLOAT_FNS, **{f"{n}_rule": r for n, r in kernel.KAPPA_RULES.items()}}
 
 
-def _lower(roots):
-    """(structure, constants) of several graphs: the hashable structure key
-    (instructions and root operands) and the constants in slot order.  The
-    operand of a root that cannot be compiled is None."""
+def _lower(roots, grads):
+    """(structure, constants) of several graphs, or None when a root cannot
+    be compiled: the hashable structure key (instructions and outputs: each
+    root's operand, then its flagged partials', None for a zero) and the
+    constants in slot order."""
     low = _Lowering()
-    for nd in _postorder(roots):
+    order = _postorder(roots)
+    for nd in order:
         low.lower(nd)
-    refs = tuple(low.refs.get(r) if r.dual else None for r in roots)
-    return (tuple(low.ins), refs), tuple(low.consts)
+    if not all(r.dual and r in low.refs for r in roots):
+        return None
+    parts = _partials([r for r, g in zip(roots, grads) if g])
+    for nd in _postorder([p for lanes in parts for p in lanes if p is not None], set(order)):
+        low.lower(nd)
+    outs, parts = [], iter(parts)
+    for r, g in zip(roots, grads):
+        lanes = next(parts) if g else ()
+        if low.bad.intersection(lanes):
+            return None
+        outs += [low.refs[r], *(p and low.operand(p) for p in lanes)]
+    return (tuple(low.ins), tuple(outs)), tuple(low.consts)
 
 
 # Compiled functions by root nodes (identity), which the key holds, and
@@ -459,11 +453,12 @@ def _lower(roots):
 # memory fixed.  Each entry lowers its roots and binds its constants on its own.
 @functools.lru_cache(maxsize=256)
 def _bound(roots, grads):
-    structure, consts = _lower(roots)
-    if None in structure[1]:
+    lowered = _lower(roots, grads)
+    if lowered is None:
         return None
+    structure, consts = lowered
     env = dict(_BASE_GLOBALS, **{f"k{i}": c for i, c in enumerate(consts)})
-    exec(_code(structure, grads), env)
+    exec(_code(structure, any(grads)), env)
     return env.pop("compiled")
 
 
@@ -475,8 +470,9 @@ def compile_roots(roots, grads):
     when its flag in ``grads`` is true, its six partials, in one flat
     tuple.  A root cannot be compiled when it holds an opaque leaf, a
     constant, exponent or curvature label that is not a number, or a
-    coordinate-free subtree or divisor that raises when folded (as the
-    evaluator does), or when it ignores the coordinates.
+    coordinate-free subtree that raises when folded (as the evaluator
+    does; a flagged root's partials too), or when it ignores the
+    coordinates.
 
     Under any mask each value is bit for bit what :func:`evaluator` gives
     on the same floats, and each partial is the all-true function's.  A

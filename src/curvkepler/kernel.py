@@ -23,8 +23,6 @@ from __future__ import annotations
 import math
 import operator
 
-import numpy as np
-
 NVARS = 6
 
 # Taylor-branch thresholds for removable singularities.  Below these the
@@ -160,17 +158,16 @@ def seeded(coords):
 # -- elementary functions (float | KScalar) -------------------------------
 #
 # Each unary function has one float rule v -> (value, derivative).  A dual
-# argument applies it in one chain step; the straight-line gradients of
-# :mod:`.codegen` call the same rules, so both paths do the same arithmetic.
+# argument applies it in one chain step; :mod:`.codegen` writes the same
+# derivative as graph nodes, so both paths do the same arithmetic.
 
-# The float function and the float rule of each unary, by name.
+# The float function of each unary by name, and sinhc's and expm1c's
+# derivatives: what compiled code calls.
 FLOAT_FNS = {}
-RULES = {}
 
 
 def _unary(name, float_fn, rule):
     FLOAT_FNS[name] = float_fn
-    RULES[name] = rule
 
     def fn(x):
         if isinstance(x, KScalar):
@@ -224,11 +221,11 @@ _SINHC_D = tuple(2 * k / math.factorial(2 * k + 1) for k in range(1, 9))
 _EXPM1C_D = tuple(k / math.factorial(k + 1) for k in range(1, 17))
 
 
-def _sinhc_rule(v):
-    val = _sinhc_f(v)
+def dsinhc(v, s):
+    """sinhc'(v), given s = sinhc(v)."""
     if abs(v) < _DERIV_SERIES:
-        return val, v * _horner(v * v, _SINHC_D)
-    return val, (math.cosh(v) - val) / v
+        return v * _horner(v * v, _SINHC_D)
+    return (math.cosh(v) - s) / v
 
 
 def _expm1c_f(v):
@@ -238,15 +235,16 @@ def _expm1c_f(v):
     return math.expm1(v) / v
 
 
-def _expm1c_rule(v):
-    val = _expm1c_f(v)
+def dexpm1c(v, e):
+    """expm1c'(v), given e = expm1c(v)."""
     if abs(v) < _DERIV_SERIES:
-        return val, _horner(v, _EXPM1C_D)
-    return val, (math.exp(v) - val) / v
+        return _horner(v, _EXPM1C_D)
+    return (math.exp(v) - e) / v
 
 
-sinhc = _unary("sinhc", _sinhc_f, _sinhc_rule)
-expm1c = _unary("expm1c", _expm1c_f, _expm1c_rule)
+sinhc = _unary("sinhc", _sinhc_f, lambda v: ((s := _sinhc_f(v)), dsinhc(v, s)))
+expm1c = _unary("expm1c", _expm1c_f, lambda v: ((e := _expm1c_f(v)), dexpm1c(v, e)))
+FLOAT_FNS.update(dsinhc=dsinhc, dexpm1c=dexpm1c)
 
 
 def log1pc(u):

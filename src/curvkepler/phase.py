@@ -139,7 +139,7 @@ class Columns:
             rows = itertools.starmap(self.compiled, coords)
         else:
             rows = ([x for node, g in zip(self.nodes, self.grads)
-                     for x in _interpreted(node, True, *c)[:1 + NVARS * g]] for c in coords)
+                     for x in _interpreted(node, g, *c)] for c in coords)
         flat = np.fromiter(itertools.chain.from_iterable(rows), float).reshape(
             len(coords), len(self.at) + self.lanes.size)
         # Contiguous: matmul picks its kernel by the strides of the gathers.

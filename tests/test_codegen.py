@@ -121,17 +121,17 @@ def test_compiled_kepler_gradient_evaluates_one_kappa_pair_per_argument():
     """skappa(z, r) and cotkappa(z, r) share one (S, C) pair, and
     skappa(kappa2, theta) has its own: two pair instructions per gradient,
     where each of the three kappa-trig nodes used to evaluate S and C
-    itself.  One lowering serves both masks, and both (the gradient and
-    values only) write each pair out as statements, with no call of
-    kernel._kappa_pair."""
+    itself.  The partial graphs' kappa-trig nodes read the same pairs, and
+    both modes (the gradient and values only) write each pair out as
+    statements, with no call of kernel._kappa_pair."""
     params = SpaceParams.preset("spherical", 0.5)
     h = hamiltonian(HamiltonianSpec(Family.KEPLER_CC, params), Chart.POLAR_CONSTANT)
-    structure, consts = codegen._lower([h.node])
-    ins = structure[0]
-    pairs = sorted((ins[i[1]], consts[~i[2]]) for i in ins if i[0] == "pair")
-    assert pairs == [(("coord", 0), params.z), (("coord", 1), params.kappa2)]
     for grads in ((True,), (False,)):
-        source = "\n".join(codegen._Emitter().body(structure, grads))
+        structure, consts = codegen._lower([h.node], grads)
+        ins = structure[0]
+        pairs = sorted((ins[i[1]], consts[~i[2]]) for i in ins if i[0] == "pair")
+        assert pairs == [(("coord", 0), params.z), (("coord", 1), params.kappa2)]
+        source = "\n".join(codegen._Emitter().body(structure, grads[0]))
         assert "kappa_pair(" not in source and source.count("sqrt(") == 4
 
 
@@ -173,7 +173,7 @@ def test_kappa_pairs_are_keyed_by_the_label_bits():
     C' = -kappa S of different zero sign, so they must not share a pair."""
     roots = [ckappa(0.0, Q1), ckappa(-0.0, Q1), skappa(0.3, Q1) * cotkappa(0.3, Q1),
              tkappa(0.3, Q2) + skappa(-0.0, Q1), ckappa(0, Q1)]
-    (ins, _), _ = codegen._lower([r.node for r in roots])
+    (ins, _), _ = codegen._lower([r.node for r in roots], [True] * len(roots))
     assert sum(op == "pair" for op, *_ in ins) == 5
     f = _gradient(roots)
     s = (0.7, 0.4, 0.0, 0.0, 0.0, 0.0)
@@ -189,14 +189,17 @@ def test_kappa_pairs_are_keyed_by_the_label_bits():
 
 
 def test_constant_subtrees_fold_and_raising_ones_stay_on_duals():
+    """A constant divisor of zero: the partial's ``1.0 / 0.0`` raises when
+    folded, so the gradient takes the dual path, and the values-only code
+    compiles the quotient, which raises at the call as the evaluator does."""
     ob = exp(constant(0.5)) * Q1 + P3 / constant(4.0)
     assert _compiles(ob)
     s = (0.3, 0.0, 0.0, 0.0, 0.0, 1.5)
     assert ob.value_and_gradient(s)[0] == _dual(ob).value_and_gradient(s)[0]
     assert np.array_equal(ob.gradient(s), [math.exp(0.5), 0, 0, 0, 0, 0.25])
     bad = Q1 / constant(0.0)
-    assert not _compiles(bad) and not _compiles(bad, grads=False)
-    for call in (bad.gradient, bad):
+    assert not _compiles(bad) and _compiles(bad, grads=False)
+    for call in (bad.gradient, bad, lambda s: bad.fn(*s)):
         with pytest.raises(ZeroDivisionError):
             call(s)
 
@@ -233,7 +236,7 @@ def test_an_observable_compiles_on_first_use_and_lowers_once_per_mode(monkeypatc
     observable or on a copy a memoized builder returns, lowers again."""
     lowered = []
     real = codegen._lower
-    monkeypatch.setattr(codegen, "_lower", lambda roots: lowered.append(roots) or real(roots))
+    monkeypatch.setattr(codegen, "_lower", lambda *a: lowered.append(a) or real(*a))
     rng = np.random.default_rng(27)
     for family in _NAMED:
         params = SpaceParams.preset("spherical", gamma=0.4271)
@@ -560,8 +563,8 @@ def test_each_mask_lowers_and_binds_its_roots_once(monkeypatch):
     ratio raises at its pole as the evaluator does."""
     roots = [(Q1 * P2 + 1) / 3, phase.tkappa(0.4, Q2)]
     nodes = [r.node for r in roots]
-    (ins, refs), consts = codegen._lower(nodes)
-    assert [op for op, *_ in ins].count("div") == 1 and len(refs) == 2
+    (ins, outs), consts = codegen._lower(nodes, (False, False))
+    assert [op for op, *_ in ins].count("div") == 1 and len(outs) == 2
     walks = []
     real = codegen._lower
     monkeypatch.setattr(codegen, "_lower", lambda *a: walks.append(a) or real(*a))
@@ -736,20 +739,25 @@ def test_every_mask_gives_the_all_true_functions_bits(preset, perturb, monkeypat
             got = none(*s.coords)
             assert _hexes(got) == _hexes(want[::7]), s
             assert _hexes(got) == _hexes(o(s) for o in obs), s
-        structure, _ = codegen._lower(nodes)
-        source = codegen._Emitter().body(structure, [False] * n)
+        structure, _ = codegen._lower(nodes, [False] * n)
+        source = codegen._Emitter().body(structure, False)
         assert [line for line in source if " = float(" in line] == []
 
 
-def test_an_inactive_root_reads_an_active_operand_without_lanes():
+def test_an_unflagged_root_gets_no_partial_graph(monkeypatch):
     """exp(q1) is flagged and shared with an unflagged root exp(q1) * p2:
-    the product is written values-only, on exp(q1)'s value, and p2 is not
-    seeded."""
+    only exp(q1) gets partial graphs, whose d/dq1 is exp(q1)'s own node,
+    so the code computes exp once and no partial of the product; the
+    product, read once, is written into the return statement."""
     e = exp(Q1)
-    structure, _ = codegen._lower([(e * P2).node, e.node])
-    assert codegen._Emitter().body(structure, (False, True)) == [
-        "x0 = float(x0)", "t1, t2 = exp_rule(x0)", "t3 = t1 * x4",
-        "return (t3, t1, t2, 0.0, 0.0, 0.0, 0.0, 0.0, )"]
+    asked = []
+    real = codegen._partials
+    monkeypatch.setattr(codegen, "_partials", lambda roots: asked.append(roots) or real(roots))
+    structure, _ = codegen._lower([(e * P2).node, e.node], (False, True))
+    assert asked == [[e.node]]
+    assert codegen._Emitter().body(structure, True) == [
+        "x0 = float(x0)", "t0 = exp(x0)", "x4 = float(x4)",
+        "return ((t0 * x4), t0, t0, 0.0, 0.0, 0.0, 0.0, 0.0, )"]
 
 
 @pytest.mark.parametrize("grads", [(True, False, False, True), (False, True, True, False)])
@@ -777,3 +785,47 @@ def test_dual_fallback_under_a_mask_gives_the_dual_paths_values_and_partials(gra
     with pytest.raises(phase.ChartMismatchError):
         cols(states[:3] + [PhaseState.polar_constant(1.1, 1.2, 0.4, 0.2, 0.4, 0.9)])
     assert calls == []
+
+
+def test_dual_fallback_evaluates_an_unflagged_root_on_floats(monkeypatch):
+    """Under the all-false mask a column set holding an opaque leaf runs
+    every observable on floats: it builds no KScalar, and its values are
+    the all-true set's bit for bit."""
+    opaque = Observable(lambda *x: x[0] * kernel.exp(x[4]))
+    obs = [Q1 * P2, opaque, exp(Q2) + P3, Q1 * Q1 / P1]
+    states = sample_beltrami(np.random.default_rng(5), n=10)
+    want, _ = phase.Columns(obs)(states)
+    built = []
+    real = kernel.KScalar.__init__
+    monkeypatch.setattr(kernel.KScalar, "__init__",
+                        lambda self, *a: built.append(a) or real(self, *a))
+    cols = phase.Columns(obs, [False] * len(obs))
+    assert cols.compiled is None
+    values, partials = cols(states)
+    assert built == [] and partials.shape == (10, 0, 6)
+    assert _hexes(values.ravel()) == _hexes(want.ravel())
+
+
+def test_second_partials_of_the_partial_graphs_are_the_gradients_difference():
+    """``_partials`` applied to the Kepler-CC polar-constant H's partial
+    graphs gives its Hessian: a central difference of the compiled gradient
+    with step h is within 10 h**2 of it at two steps (the error is 3.6 h**2
+    here), and the mixed partials are symmetric to rounding."""
+    params = SpaceParams.preset("spherical", 0.5)
+    h = hamiltonian(HamiltonianSpec(Family.KEPLER_CC, params), Chart.POLAR_CONSTANT)
+    point = (1.1, 1.2, 0.4, 0.2, 0.4, 0.9)
+    first, = codegen._partials([h.node])
+    second = iter(codegen._partials([p for p in first if p is not None]))
+    hess = np.array([[0.0 if q is None else codegen.evaluator(q)(*point)
+                      for q in (codegen._NONE if p is None else next(second))]
+                     for p in first])
+    grad = codegen.compile_roots([h.node], (True,))
+    for step in (1e-3, 5e-4):
+        for j in range(6):
+            up, dn = list(point), list(point)
+            up[j] += step
+            dn[j] -= step
+            fd = (np.array(grad(*up)[1:]) - np.array(grad(*dn)[1:])) / (2 * step)
+            assert np.all(np.abs(fd - hess[:, j]) <= 10 * step ** 2), (step, j)
+    assert np.count_nonzero(hess) > 6
+    assert np.allclose(hess, hess.T, rtol=0, atol=1e-14)

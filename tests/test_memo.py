@@ -252,27 +252,41 @@ def test_a_repeated_call_builds_and_lowers_nothing(argv, monkeypatch, tmp_path):
     assert walks == [] and nodes == []
 
 
-def test_warm_verify_all_evaluates_few_sinhc_per_sample(monkeypatch, tmp_path):
+def test_warm_verify_all_evaluates_one_sinhc_per_shared_node(monkeypatch, tmp_path):
     """one_site, the closed forms and the Casimirs share one sinhc(z q_i^2)
-    node per site: 12 calls per sample (22 when each built its own)."""
+    node per site, so a sample evaluates each sinhc node of the compiled
+    root sets once and the derivative of each one a flagged root reads
+    once: 8 values and 3 derivatives per sample."""
     samples = 100
     argv = ["verify", "--suite", "all", "--preset", "spherical", "--samples", str(samples),
             "--out", str(tmp_path / "out.json")]
     assert cli.main(argv) == 0
-    calls = []
-    real = kernel.RULES["sinhc"]
-    # Compiled code reads its rules from the shared base globals when it is
-    # bound, so the counting rule goes there and the warm builders' graphs
+    calls, root_sets = {"sinhc": [], "dsinhc": []}, []
+    # Compiled code reads its functions from the shared base globals when it
+    # is bound, so the counting ones go there and the warm builders' graphs
     # are bound again.
-    monkeypatch.setitem(codegen._BASE_GLOBALS, "sinhc_rule", lambda v: calls.append(v) or real(v))
+    for name, seen in calls.items():
+        real = codegen._BASE_GLOBALS[name]
+        monkeypatch.setitem(codegen._BASE_GLOBALS, name,
+                            lambda *a, real=real, seen=seen: seen.append(a) or real(*a))
+    real_compile = codegen.compile_roots
+    monkeypatch.setattr(codegen, "compile_roots", lambda roots, grads: root_sets.append(
+        (roots, grads)) or real_compile(roots, grads))
     codegen._bound.cache_clear()
     coalgebra._plan.cache_clear()
     try:
         assert cli.main(argv) == 0
-    finally:        # no later call may run the counting rule
+    finally:        # no later call may run the counting functions
         codegen._bound.cache_clear()
         coalgebra._plan.cache_clear()
-    assert 0 < len(calls) <= 12 * samples
+
+    def sinhc_nodes(roots):
+        return sum(nd.op == "fn" and nd.param is kernel.sinhc for nd in codegen._postorder(roots))
+
+    values = sum(sinhc_nodes(roots) for roots, _ in root_sets)
+    flagged = sum(sinhc_nodes([r for r, g in zip(roots, grads) if g]) for roots, grads in root_sets)
+    assert (values, flagged) == (8, 3)
+    assert [len(calls["sinhc"]), len(calls["dsinhc"])] == [values * samples, flagged * samples]
 
 
 def test_a_call_is_keyed_by_its_bound_arguments(monkeypatch):
