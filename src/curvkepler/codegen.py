@@ -109,7 +109,7 @@ class Node:
         self.op = op
         self.kids = kids
         self.param = _OPS.get(op, param)
-        self.dual = op in ("coord", "opaque") or any(k.dual for k in kids)
+        self.dual = op in ("coord", "opaque") or any([k.dual for k in kids])
         self.fn = None
 
 

@@ -108,8 +108,8 @@ class Columns:
     """Several observables set up once for evaluation at many states: their
     charts, their graphs, the gradient mask ``grads`` (all true by default)
     and one compiled function for all of them (:func:`.codegen.compile_roots`),
-    or None when one of them does not compile, in which case every
-    observable takes one dual evaluation per state.
+    or None when one of them does not compile, in which case each state
+    takes one evaluation per observable, on duals only where it is flagged.
 
     Calling it on a list of states returns the values, shape ``(len(states),
     len(observables))``, and the six partials of the flagged observables in
