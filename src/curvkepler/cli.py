@@ -12,9 +12,9 @@ curvature       numeric-vs-closed-form curvature scan over a regular grid.
 rank            functional-independence rank histogram over random states.
 export-presets  dump the named (kappa1, kappa2) presets.
 
-A flat key=value config file can preload any long option (flags win); the
-environment variable CURVKEPLER_SEED is the seed fallback.  Identical
-invocations (including seed) produce byte-identical outputs.
+A flat key=value config file can preload any long option (flags win).  The
+seed is ``--seed`` (or the config file's ``seed = N``), else 0, so identical
+invocations produce byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ import argparse
 import functools
 import json
 import math
-import os
 import struct
 import sys
 
@@ -53,7 +52,7 @@ def _load_config(path):
     return values
 
 
-def _space_params(args, need_gamma=False):
+def _space_params(args):
     if getattr(args, "preset", None):
         params = spaces.SpaceParams.preset(args.preset, gamma=args.gamma)
     else:
@@ -61,17 +60,11 @@ def _space_params(args, need_gamma=False):
             raise DomainError("provide --preset or both --z and --kappa2")
         params = spaces.SpaceParams(z=args.z, kappa2=args.kappa2,
                                     gamma=args.gamma)
-    if need_gamma and params.gamma == 0.0:
-        raise DomainError("this command needs a nonzero --gamma "
-                          "(Kepler coupling)")
     return params
 
 
 def _seed(args):
-    if args.seed is not None:
-        return int(args.seed)
-    env = os.environ.get("CURVKEPLER_SEED")
-    return int(env) if env else 0
+    return 0 if args.seed is None else int(args.seed)
 
 
 def _emit(text, path):
@@ -185,8 +178,6 @@ def _cmd_verify(args):
             and args.kappa2 is None:
         args.kappa2 = 1.0  # these suites depend on z only
     params = _space_params(args)
-    if params.gamma == 0.0 and args.suite in ("lrl", "all"):
-        params = spaces.SpaceParams(params.z, params.kappa2, gamma=0.5)
     seed = _seed(args)
     reports = [r.as_dict() for r in
                _run_suites(args.suite, params, args.samples, seed, args.perturb)]
@@ -341,14 +332,11 @@ def _cmd_curvature(args):
                 except (ValueError, ArithmeticError) as exc:
                     name = "" if isinstance(exc, ValueError) else f"{type(exc).__name__}: "
                     raise DomainError(f"{where}: {name}{exc}") from None
-                closed = res.closed.get("kscalar")
-                err = abs(res.kscalar - closed) if closed is not None else ""
-                if err != "":
-                    errs.append(err)
-                row = [x1, x2, x3, res.k12, res.k13, res.k23, res.kscalar]
-                row.append("" if closed is None else closed)
-                row.append(err)
-                lines.append(",".join("" if v == "" else f"{v:.17g}" for v in row))
+                closed = res.closed["kscalar"]
+                err = abs(res.kscalar - closed)
+                errs.append(err)
+                row = [x1, x2, x3, res.k12, res.k13, res.k23, res.kscalar, closed, err]
+                lines.append(",".join(f"{v:.17g}" for v in row))
     max_err = float(np.max(errs, initial=0.0))  # NaN if any row's is NaN
     lines.append(f"max_abs_err,,,,,,,,{max_err:.17g}")
     _emit("\n".join(lines) + "\n", args.out)
@@ -425,7 +413,7 @@ def _add_common(p, out=True):
     p.add_argument("--config", default=None,
                    help="flat key = value file preloading any long option")
     p.add_argument("--seed", type=int, default=None,
-                   help="RNG seed (fallback: CURVKEPLER_SEED, then 0)")
+                   help="RNG seed (default 0)")
     if out:     # simulate writes --csv and --summary instead
         p.add_argument("--out", default=None, help="output path (default stdout)")
 

@@ -59,9 +59,6 @@ class CasimirSet:
     c23: Observable
     c123: Observable
 
-    def as_dict(self):
-        return {"c12": self.c12, "c23": self.c23, "c123": self.c123}
-
 
 @memo
 def one_site(z, site=1):
@@ -232,10 +229,8 @@ class BracketReport:
             "results": [r.as_dict() for r in self.results],
         }
 
-    def to_json(self, **kwargs):
-        kwargs.setdefault("indent", 2)
-        kwargs.setdefault("sort_keys", True)
-        return json.dumps(self.as_dict(), **kwargs)
+    def to_json(self):
+        return json.dumps(self.as_dict(), indent=2, sort_keys=True)
 
 
 # Weight of the gradient-magnitude term in the residual scale.  A bracket of

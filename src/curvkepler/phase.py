@@ -326,8 +326,8 @@ def constant(c):
     return Observable(name=f"{c}", node=codegen.Node("const", param=c))
 
 
-def coordinate(slot, name="", chart=None):
-    return Observable(name=name, chart=chart, node=codegen.Node("coord", param=slot))
+def coordinate(slot, name=""):
+    return Observable(name=name, node=codegen.Node("coord", param=slot))
 
 
 # Canonical coordinate observables on the raw (q, p) slots; chart-agnostic so

@@ -409,6 +409,9 @@ def _christoffel(gfn, x, h):
 
 @dataclass(frozen=True)
 class CurvatureResult:
+    """Sectional curvatures, the scalar curvature and ``closed``, their
+    closed forms under the same four keys."""
+
     k12: float
     k13: float
     k23: float
@@ -421,7 +424,8 @@ def curvature(chart, kind, point, params, h=1e-4):
 
     The metric is differenced twice (step h for Christoffel symbols and for
     their derivatives), so the result carries an O(h^2) truncation error;
-    closed-form values are attached for the charts where they are known.
+    the closed-form values are attached for every chart and kind that
+    :func:`metric` accepts.
     A step with x + h == x - h for some coordinate raises DomainError, and
     so does any step below 1e-6 max(1, |x_k|): its rounding noise, about
     eps/h**2, is above the 1e-4 curvature tolerance.  The metric is
@@ -496,12 +500,10 @@ def _closed_curvature(chart, kind, x, params):
             "k23": pref * (2.0 - e23 - e_all),
             "kscalar": -5.0 * z * math.sinh(z * qq),
         }
-    if chart is Chart.POLAR_VARIABLE:
-        rho = x[0]
-        sm, cm = kernel._kappa_pair(-z, rho)
-        k12 = -0.5 * z * z * sm * sm / cm
-        return {"k12": k12, "k13": k12, "k23": 0.5 * k12, "kscalar": 5.0 * k12}
-    return {}
+    # polar-variable: metric() refuses every other (chart, kind)
+    sm, cm = kernel._kappa_pair(-z, x[0])
+    k12 = -0.5 * z * z * sm * sm / cm
+    return {"k12": k12, "k13": k12, "k23": 0.5 * k12, "kscalar": 5.0 * k12}
 
 
 # --------------------------------------------------------------------------

@@ -175,11 +175,14 @@ def constants(spec, chart):
     return {name: ob.renamed(name).with_chart(chart) for name, ob in out.items()}
 
 
-def transported(obs, params, source=Chart.BELTRAMI):
-    """Value-level transport of a polar-chart observable to another chart.
+def transported(obs, params):
+    """Value-level transport of a polar-chart observable to the Beltrami chart.
 
-    Returns a plain callable (not an Observable): the composed map is not
-    dual-differentiable, so it supports evaluation but not brackets.
+    The callable takes a state on the observable's own chart, or a Beltrami
+    state (a :class:`PhaseState` or a raw 6-tuple), which it maps with
+    :func:`to_polar`.  It is a plain callable (not an Observable): the
+    composed map is not dual-differentiable, so it supports evaluation but
+    not brackets.
     """
     target = obs.chart or Chart.POLAR_CONSTANT
 
@@ -187,7 +190,7 @@ def transported(obs, params, source=Chart.BELTRAMI):
         if isinstance(state, PhaseState) and state.chart is target:
             return obs(state)
         if not isinstance(state, PhaseState):
-            state = PhaseState(source, tuple(state))
+            state = PhaseState(Chart.BELTRAMI, tuple(state))
         return obs(to_polar(state, params, target))
 
     return evaluate
@@ -342,19 +345,22 @@ def verify_lrl_algebra(params, samples=100, seed=0, perturb=None):
     return run_tables([_lrl_job(params, perturb)], _polar_sampler(params), samples, seed)[0]
 
 
-def independence_ranks(observables, states, threshold=1e-8):
+_RANK_TOL = 1e-8
+
+
+def independence_ranks(observables, states):
     """Numerical rank of the Jacobian of a list of observables at each state.
 
     One compiled call per state gives every gradient
     (:class:`.phase.Columns`), and one stacked SVD all the
-    singular values; a rank counts those above ``threshold`` times the
-    largest (0 for a zero Jacobian).
+    singular values; a rank counts those above 1e-8 times the largest (0 for
+    a zero Jacobian).
     """
     jac = Columns(observables)(states)[1]
     sv = np.linalg.svd(jac, compute_uv=False)
-    return np.sum(sv > threshold * sv[:, :1], axis=1).tolist()
+    return np.sum(sv > _RANK_TOL * sv[:, :1], axis=1).tolist()
 
 
-def independence_rank(observables, state, threshold=1e-8):
+def independence_rank(observables, state):
     """Numerical rank of the Jacobian of a list of observables at a state."""
-    return independence_ranks(observables, [state], threshold)[0]
+    return independence_ranks(observables, [state])[0]

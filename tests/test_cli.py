@@ -255,10 +255,9 @@ def test_config_file_and_flag_override(capsys, tmp_path):
     assert json.loads(out)["samples"] == 10
 
 
-def test_config_defaults_do_not_leak_into_later_calls(capsys, tmp_path, monkeypatch):
+def test_config_defaults_do_not_leak_into_later_calls(capsys, tmp_path):
     """Calls without --config share one parser; a --config call in between
     must not change the defaults it hands out."""
-    monkeypatch.delenv("CURVKEPLER_SEED", raising=False)
     cfg = tmp_path / "run.cfg"
     cfg.write_text("samples = 3\nseed = 5\nthreshold = 0.5\n")
     plain = ("verify", "--suite", "so4", "--preset", "hyperbolic")
@@ -383,12 +382,14 @@ def test_simulate_and_rank_deterministic(capsys, tmp_path):
     assert out1 == out2
 
 
-def test_seed_env_fallback(capsys, monkeypatch):
-    monkeypatch.setenv("CURVKEPLER_SEED", "21")
-    code, out, _ = run_cli(capsys, "verify", "--suite", "sl2z", "--z", "0.2",
-                           "--samples", "10")
-    assert code == 0
-    assert json.loads(out)["seed"] == 21
+def test_verify_lrl_runs_at_the_gamma_it_is_given(capsys):
+    """An explicit --gamma 0 is checked at gamma = 0, not swapped for 0.5."""
+    code, out, _ = run_cli(capsys, "verify", "--suite", "lrl", "--preset",
+                           "spherical", "--gamma", "0")
+    doc = json.loads(out)
+    assert code == 0 and doc["passed"] is True
+    assert doc["params"]["gamma"] == 0.0
+    assert doc["reports"][0]["params"]["gamma"] == 0.0
 
 
 _ORBIT = ("--family", "kepler-cc", "--preset", "spherical", "--gamma", "0.5",
