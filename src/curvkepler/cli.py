@@ -12,9 +12,10 @@ curvature       numeric-vs-closed-form curvature scan over a regular grid.
 rank            functional-independence rank histogram over random states.
 export-presets  dump the named (kappa1, kappa2) presets.
 
-A flat key=value config file can preload any long option (flags win).  The
-seed is ``--seed`` (or the config file's ``seed = N``), else 0, so identical
-invocations produce byte-identical outputs.
+A flat key=value config file (UTF-8) can preload any long option (flags
+win); one that cannot be read or decoded exits 2.  The seed is ``--seed``
+(or the config file's ``seed = N``), else 0, so identical invocations
+produce byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -40,15 +41,19 @@ EXIT_SINGULAR = 3
 
 def _load_config(path):
     values = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise DomainError(f"{path}:{lineno}: expected key = value")
-            key, val = (part.strip() for part in line.split("=", 1))
-            values[key.replace("-", "_")] = val
+    with open(path, encoding="utf-8") as fh:
+        try:
+            lines = fh.readlines()
+        except UnicodeDecodeError as err:
+            raise DomainError(f"{path}: not UTF-8 text: {err}") from None
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise DomainError(f"{path}:{lineno}: expected key = value")
+        key, val = (part.strip() for part in line.split("=", 1))
+        values[key.replace("-", "_")] = val
     return values
 
 
@@ -73,7 +78,7 @@ def _emit(text, path):
         if not text.endswith("\n"):
             sys.stdout.write("\n")
     else:
-        with open(path, "w") as fh:
+        with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
 
 

@@ -313,6 +313,16 @@ def test_config_file_bad_line(capsys, tmp_path):
     assert "key = value" in err
 
 
+def test_config_file_that_is_not_utf8_exits_2_naming_it(capsys, tmp_path):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"samples = 5\n\xff\xfe = 3\n")
+    code, out, err = run_cli(capsys, "verify", "--config", str(cfg),
+                             "--preset", "spherical")
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {cfg}: ") and len(err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
 def test_verify_casimirs_suite_and_out_file(capsys, tmp_path):
     out = tmp_path / "report.json"
     code, stdout, _ = run_cli(capsys, "verify", "--suite", "casimirs", "--z",
