@@ -234,6 +234,9 @@ def _rule(nd, lanes):
     if op == "add":
         return _plus(a, b)
     if op == "mul":
+        if u is v:                  # a square: v·a + v·a, one product node
+            t = _chain(v, a)
+            return _plus(t, t)
         return _plus(_chain(v, a), _chain(u, b))
     if op == "pow":
         return _chain(_n("mul", v, _n("pow", u, _n("sub", v, _INT_ONE))), a)

@@ -829,3 +829,13 @@ def test_second_partials_of_the_partial_graphs_are_the_gradients_difference():
             assert np.all(np.abs(fd - hess[:, j]) <= 10 * step ** 2), (step, j)
     assert np.count_nonzero(hess) > 6
     assert np.allclose(hess, hess.T, rtol=0, atol=1e-14)
+
+
+def test_a_squares_partial_builds_its_product_once():
+    """The partial of ``s * s`` is ``s·s' + s·s'`` over one product node, so
+    the compiled code multiplies once where it multiplied twice."""
+    s = Q1 * P1
+    lanes, = codegen._partials([(s * s).node])
+    for lane in (lanes[0], lanes[3]):
+        assert lane.op == "add" and lane.kids[0] is lane.kids[1]
+        assert lane.kids[0].op == "mul"
