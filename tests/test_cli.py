@@ -652,6 +652,28 @@ def test_arithmetic_breakdown_exits_2_with_one_error_line(capsys, argv):
     assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
+_CURVATURE_GRID = ("curvature", "--kind", "cc", "--chart", "polar-constant",
+                   "--preset", "spherical")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("simulate", "--preset", "spherical", "--state", "1.1,1.2,0.4,0.2,0.4,0.9"),
+     "--family is required"),
+    (("simulate", "--family", "kepler-cc", "--preset", "spherical"), "--state is required"),
+    (("rank", "--preset", "spherical"), "--family is required"),
+    (_CURVATURE_GRID, "--grid is required"),
+    (("curvature", "--kind", "cc", "--preset", "spherical", "--grid", "1:1:1,1:1:1,1:1:1"),
+     "--chart is required"),
+    ((*_CURVATURE_GRID, "--grid", "0.5:1.2:2,0.6:1.4:2"), "--grid needs three ranges lo:hi:n"),
+    ((*_CURVATURE_GRID, "--grid", "0.5:1.2,0.6:1.4:2,0.2:1.2:2"),
+     "bad grid axis '0.5:1.2'; want lo:hi:n"),
+])
+def test_a_missing_or_malformed_argument_exits_2_with_one_error_line(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_rank_zero_samples_exits_2(capsys):
     code, _, err = run_cli(capsys, "rank", "--family", "kepler-cc",
                            "--preset", "spherical", "--samples", "0")

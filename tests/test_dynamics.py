@@ -622,6 +622,37 @@ def test_stats_record_swallowed_evaluation_failures():
     assert st.rhs_evals > 1 + 6 * (st.accepted + st.rejected)
 
 
+@pytest.mark.parametrize("h, start, reason", [
+    # the first step's trial stages leave the domain |q1| <= 1 of sqrt(1 - q1^2)
+    (0.5 * P1 * P1 - sqrt(1.0 - Q1 * Q1), (0.0, 0, 0, 2.0, 0, 0), "evaluation-failure"),
+    # the force 4 q1^3 overflows quietly to inf at a trial stage
+    (0.5 * P1 * P1 + Q1 * Q1 * Q1 * Q1, (1e80, 0, 0, 0, 0, 0), "non-finite state"),
+])
+def test_a_fixed_step_run_ends_at_its_first_failed_step(h, start, reason):
+    """A fixed step cannot shrink, so the run ends with no accepted step."""
+    tr = integrate(h, PhaseState.beltrami(*start),
+                   IntegratorConfig(t_end=4.0, fixed_step=2.0))
+    assert tr.terminated_early and tr.termination_reason == reason
+    assert tr.stats.accepted == 0 and tr.times.tolist() == [0.0]
+
+
+def test_an_adaptive_run_out_of_steps_ends_as_max_steps_exceeded():
+    h = 0.5 * (P1 * P1 + Q1 * Q1)
+    tr = integrate(h, PhaseState.beltrami(1.0, 0, 0, 0, 0, 0),
+                   IntegratorConfig(t_end=10.0, max_steps=5))
+    assert tr.terminated_early and tr.termination_reason == "max-steps-exceeded"
+    assert tr.stats.accepted + tr.stats.rejected == 5
+    assert tr.times[-1] < 10.0
+
+
+def test_observables_on_two_charts_do_not_combine():
+    r = coordinate(0, "r").with_chart(Chart.POLAR_CONSTANT)
+    q = coordinate(0, "q1").with_chart(Chart.BELTRAMI)
+    with pytest.raises(ChartMismatchError, match="cannot combine observables on "
+                                                 "polar-constant and beltrami"):
+        r + q
+
+
 def test_every_family_conserves_its_constants():
     """Three seeded bounded orbits per family, t_end = 20 at tol 1e-12:
     every constant returned by the symmetry module drifts below 1e-8.

@@ -206,6 +206,20 @@ def test_chart_domain_guards():
         from_polar(PhaseState.polar_constant(1.0, 1e-12, 0.4, 0, 0, 0), params)
 
 
+@pytest.mark.parametrize("preset, state, error, message", [
+    ("spherical", PhaseState.polar_constant(1e-12, 1.0, 0.4, 0, 0, 0),
+     ChartSingularityError, "radial pole"),
+    ("spherical", PhaseState.polar_constant(2.0, 1.0, 0.4, 0, 0, 0),
+     DomainError, "beyond the hemisphere"),
+    ("hyperbolic", PhaseState.polar_variable(2.0, 1.0, 0.4, 0, 0, 0),
+     DomainError, "beyond the chart edge"),
+], ids=["radial pole", "beyond the hemisphere", "beyond the chart edge"])
+def test_from_polar_refuses_states_the_beltrami_chart_does_not_cover(
+        preset, state, error, message):
+    with pytest.raises(error, match=message):
+        from_polar(state, SpaceParams.preset(preset))
+
+
 def numeric_transform_jacobian(s, params, target, h=1e-4):
     """6x6 Jacobian of the full transform: Richardson-extrapolated central
     differences (truncation O(h^4)); an oracle independent of the duals."""
