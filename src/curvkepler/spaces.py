@@ -409,8 +409,7 @@ def _christoffel(gfn, x, h):
 
 @dataclass(frozen=True)
 class CurvatureResult:
-    """Sectional curvatures, the scalar curvature and ``closed``, their
-    closed forms under the same four keys."""
+    """Sectional and scalar curvatures; ``closed`` holds their closed forms by field name."""
 
     k12: float
     k13: float

@@ -178,11 +178,10 @@ def constants(spec, chart):
 def transported(obs, params):
     """Value-level transport of a polar-chart observable to the Beltrami chart.
 
-    The callable takes a state on the observable's own chart, or a Beltrami
-    state (a :class:`PhaseState` or a raw 6-tuple), which it maps with
-    :func:`to_polar`.  It is a plain callable (not an Observable): the
-    composed map is not dual-differentiable, so it supports evaluation but
-    not brackets.
+    The callable takes Beltrami states (a raw 6-tuple is one) and states on
+    the observable's own chart.  It is a plain callable (not an Observable):
+    the composed map is not dual-differentiable, so it supports evaluation
+    but not brackets.
     """
     target = obs.chart or Chart.POLAR_CONSTANT
 
