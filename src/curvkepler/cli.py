@@ -517,7 +517,7 @@ def main(argv=None):
         try:
             # Strings, which argparse converts with each option's own type.
             overrides = _load_config(cfg_path)
-        except (OSError, DomainError) as err:
+        except (OSError, ValueError) as err:
             print(f"error: {err}", file=sys.stderr)
             return EXIT_CONFIG
         # A key may name an option of another subcommand, so one file can
