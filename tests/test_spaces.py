@@ -15,6 +15,7 @@ from curvkepler.phase import (Chart, ChartMismatchError, ChartSingularityError,
 from curvkepler.spaces import (PRESETS, Family, HamiltonianSpec, SpaceParams,
                                chart_guard, curvature, from_polar, hamiltonian,
                                metric, radial_reduction, to_polar)
+from test_christoffel import SIGNED, SIGNED_IDS, jittered_grid
 
 ALL_FAMILIES = [
     (Family.FREE_NC, Chart.POLAR_VARIABLE),
@@ -347,6 +348,31 @@ def test_metric_has_the_bits_of_the_diag_forms(chart, kind, point, z, kappa2, of
     assert [float(v).hex() for v in got.ravel()] == [float(v).hex() for v in want.ravel()]
     assert all(math.copysign(1.0, got[i, j]) == off
                for i in range(3) for j in range(3) if i != j)
+
+
+# SIGNED's boxes keep C_{-z}(rho) > 0 on the polar-variable chart; at -z = 1
+# this box lies past the cosine's zero at pi/2 and short of the pole at pi.
+CM_NEGATIVE = [(Chart.POLAR_VARIABLE, "nc", ((1.7, 2.8), (0.6, 1.4), (0.2, 1.2)), -1.0, k2)
+               for k2 in (1.0, -1.0)]
+
+
+@pytest.mark.parametrize(
+    "chart, kind, ranges, z, kappa2, off",
+    [(*case, 1.0) for case in SIGNED] + [(*case, -1.0) for case in CM_NEGATIVE],
+    ids=SIGNED_IDS + [f"polar-variable-cm-neg-k2{k2}" for *_, k2 in CM_NEGATIVE])
+def test_metric_has_the_bits_of_the_diag_forms_on_jittered_grids(chart, kind, ranges, z,
+                                                                 kappa2, off):
+    """The fixed points above, widened to the jittered grids of the
+    curvature tests: every entry's bits, and a C-contiguous float64 3x3."""
+    params = SpaceParams(z, kappa2)
+    for point in jittered_grid(ranges, seed=50):
+        got = metric(chart, kind, point, params)
+        want = diag_form_metric(chart, kind, point, params)
+        assert got.shape == (3, 3) and got.dtype == np.float64
+        assert got.flags.c_contiguous
+        assert [float(v).hex() for v in got.ravel()] == [float(v).hex() for v in want.ravel()]
+        assert all(math.copysign(1.0, got[i, j]) == off
+                   for i in range(3) for j in range(3) if i != j)
 
 
 @pytest.mark.parametrize("point, kappa2, sign", [
