@@ -538,13 +538,11 @@ def main(argv=None):
         # their way into a NaN.
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             return args.func(args)
-    except (ValueError, OSError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ArithmeticError as err:
-        # Inputs for which the arithmetic itself breaks down: a kernel
-        # PoleError, a float OverflowError, a numpy FloatingPointError.
-        print(f"error: {type(err).__name__}: {err}", file=sys.stderr)
+    except (ValueError, OSError, ArithmeticError, MemoryError) as err:
+        # Arithmetic that breaks down, or a size numpy cannot allocate, is named by its class.
+        name = "" if isinstance(err, (ValueError, OSError)) else (
+            "MemoryError: " if isinstance(err, MemoryError) else f"{type(err).__name__}: ")
+        print(f"error: {name}{err}", file=sys.stderr)
         return EXIT_CONFIG
 
 

@@ -631,6 +631,17 @@ def test_curvature_error_names_its_grid_point(capsys, kind, reason):
     assert err == f"error: grid point (0.9, 0.9, 0.9): {reason}\n"
 
 
+def test_curvature_metric_overflow_exits_2_naming_its_grid_point(capsys):
+    """The Beltrami cc scale overflows a finite metric entry here; the run
+    must stop there rather than carry an inf into the curvature."""
+    code, out, err = run_cli(capsys, "curvature", "--kind", "cc", "--chart", "beltrami",
+                             "--z", "-400", "--kappa2", "1",
+                             "--grid", "0.01:0.01:1,1:1:1,0.5:0.5:1")
+    assert code == 2 and out == ""
+    assert err == ("error: grid point (0.01, 1, 0.5): FloatingPointError: "
+                   "overflow encountered in multiply\n")
+
+
 def test_curvature_bad_step_is_not_blamed_on_a_grid_point(capsys, monkeypatch):
     monkeypatch.setattr(spaces, "curvature", lambda *a, **k: pytest.fail("point evaluated"))
     code, out, err = run_cli(capsys, *_CURVATURE_CC, "--grid", _GRID, "--step", "0")
@@ -650,6 +661,26 @@ def test_arithmetic_breakdown_exits_2_with_one_error_line(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+# 1e14 rows of float64 is hundreds of TiB, more than any address space holds,
+# so numpy refuses the allocation at once.
+_UNALLOCATABLE = "100000000000000"
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--suite", "sl2z", "--z", "0.3", "--samples", _UNALLOCATABLE),
+    ("rank", "--family", "free-cc", "--preset", "spherical", "--samples", _UNALLOCATABLE),
+    ("curvature", "--kind", "nc", "--chart", "beltrami", "--z", "0.3", "--kappa2", "1",
+     "--grid", f"0.5:0.5:1,0.5:0.5:1,0.5:0.5:{_UNALLOCATABLE}"),
+], ids=["verify samples", "rank samples", "curvature grid"])
+def test_a_size_numpy_cannot_allocate_exits_2_with_one_error_line(capsys, argv):
+    """numpy's allocation failure used to escape ``main`` as a traceback and
+    exit 1, the verification-failure code."""
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert err.startswith("error: MemoryError: Unable to allocate ")
+    assert len(err.splitlines()) == 1
 
 
 _CURVATURE_GRID = ("curvature", "--kind", "cc", "--chart", "polar-constant",
