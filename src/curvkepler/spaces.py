@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -349,8 +350,8 @@ def metric(chart, kind, point, params):
     ``kind`` is "nc" (variable curvature) or "cc" (constant curvature).  The
     normalization is the one whose Beltrami-chart coefficients tend to
     2*identity in the flat limit; the free Hamiltonians satisfy
-    H = (1/2) p^T g^{-1} p with this g in every chart.  g is diagonal in every
-    chart, so :func:`curvature` reads its diagonal alone.
+    H = (1/2) p^T g^{-1} p with this g in every chart.  g is diagonal in every chart,
+    built in one array call (:func:`_diag`), and :func:`curvature` reads its diagonal alone.
     """
     if kind not in ("nc", "cc"):
         raise DomainError("kind must be 'nc' or 'cc'")
@@ -358,32 +359,38 @@ def metric(chart, kind, point, params):
     x = [float(v) for v in point]
     if chart is Chart.BELTRAMI:
         q1, q2, q3 = x
-        f1 = 2.0 * math.exp(-z * (q2 * q2 + q3 * q3)) / kernel.sinhc(z * q1 * q1)
-        f2 = 2.0 * math.exp(z * (q1 * q1 - q3 * q3)) / kernel.sinhc(z * q2 * q2)
-        f3 = 2.0 * math.exp(z * (q1 * q1 + q2 * q2)) / kernel.sinhc(z * q3 * q3)
-        g = np.diag((f1, f2, f3))
-        if kind == "cc":
-            g = g * math.exp(-z * (q1 * q1 + q2 * q2 + q3 * q3))
-        return g
+        d = (2.0 * math.exp(-z * (q2 * q2 + q3 * q3)) / kernel._sinhc_f(z * q1 * q1),
+             2.0 * math.exp(z * (q1 * q1 - q3 * q3)) / kernel._sinhc_f(z * q2 * q2),
+             2.0 * math.exp(z * (q1 * q1 + q2 * q2)) / kernel._sinhc_f(z * q3 * q3))
+        return _diag(d, None if kind == "nc" else math.exp(-z * (q1 * q1 + q2 * q2 + q3 * q3)))
     if chart is Chart.POLAR_VARIABLE:
         if kind != "nc":
             raise ChartMismatchError("polar-variable chart carries the "
                                      "variable-curvature metric")
         rho, th, _ = x
         sm, cm = kernel._kappa_pair(-z, rho)
-        s2 = kernel.skappa(kappa2, th)
+        s2 = kernel._kappa_s(kappa2, th)
         if cm == 0.0:
             raise ChartSingularityError("chart edge: C_{-z}(rho) = 0")
-        return np.diag((1.0, kappa2 * sm * sm, kappa2 * sm * sm * s2 * s2)) / cm
+        return _diag((1.0, kappa2 * sm * sm, kappa2 * sm * sm * s2 * s2), cm, operator.truediv)
     if chart is Chart.POLAR_CONSTANT:
         if kind != "cc":
             raise ChartMismatchError("polar-constant chart carries the "
                                      "constant-curvature metric")
         r, th, _ = x
-        sz = kernel.skappa(z, r)
-        s2 = kernel.skappa(kappa2, th)
-        return np.diag((1.0, kappa2 * sz * sz, kappa2 * sz * sz * s2 * s2))
+        sz = kernel._kappa_s(z, r)
+        s2 = kernel._kappa_s(kappa2, th)
+        return _diag((1.0, kappa2 * sz * sz, kappa2 * sz * sz * s2 * s2))
     raise ChartMismatchError(f"no metric on chart {chart}")
+
+
+def _diag(d, s=None, op=operator.mul):
+    """``np.diag(d)``, or ``op(np.diag(d), s)``, in one array call and bit for bit (``op(0.0, s)``
+    off the diagonal); a non-finite entry takes numpy's op, so an overflow warns or raises."""
+    a, b, c, o = (*d, 0.0) if s is None else (op(d[0], s), op(d[1], s), op(d[2], s), op(0.0, s))
+    if s is None or math.isfinite(a + b + c):
+        return np.array(((a, o, o), (o, b, o), (o, o, c)))
+    return op(np.diag(d), s)
 
 
 def _christoffel(gfn, x, h):

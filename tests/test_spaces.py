@@ -375,6 +375,26 @@ def test_metric_has_the_bits_of_the_diag_forms_on_jittered_grids(chart, kind, ra
                    for i in range(3) for j in range(3) if i != j)
 
 
+@pytest.mark.parametrize("chart, kind, point, z, kappa2, entry, op", [
+    (Chart.BELTRAMI, "cc", (0.01, 1.0, 0.5), -400.0, 1.0, (0, 0), "multiply"),
+    (Chart.POLAR_VARIABLE, "nc", (1.5, 1.0, 0.5), -1.0, 1e308, (1, 1), "divide"),
+], ids=["beltrami-cc-times-e", "polar-variable-over-cm"])
+def test_a_scale_that_overflows_warns_and_raises_as_the_diag_form_did(
+        chart, kind, point, z, kappa2, entry, op):
+    """A finite entry that ``* e`` or ``/ cm`` takes past the largest float
+    warns, and raises under the CLI's ``np.errstate(over="raise")``, as the
+    numpy operation did; it never becomes an inf in silence."""
+    params = SpaceParams(z, kappa2)
+    with pytest.warns(RuntimeWarning, match=f"overflow encountered in {op}"):
+        got = metric(chart, kind, point, params)
+    with np.errstate(over="ignore"):
+        want = diag_form_metric(chart, kind, point, params)
+    assert got[entry] == math.inf
+    assert [float(v).hex() for v in got.ravel()] == [float(v).hex() for v in want.ravel()]
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError, match=op):
+        metric(chart, kind, point, params)
+
+
 @pytest.mark.parametrize("point, kappa2, sign", [
     ((0.0, 1.0, 0.7), 1.0, 1.0), ((0.0, 1.0, 0.7), -1.0, -1.0),
     ((0.9, 0.0, 0.7), 1.0, 1.0), ((0.9, 0.0, 0.7), -1.0, -1.0),
