@@ -23,9 +23,12 @@ SHA-256 per output family:
   ``rank``;
 * ``simulate-csv``, ``simulate-summary``: the trajectory CSV and the drift
   summary of a ``simulate`` call;
-* ``curvature-csv``, ``export-presets``: the output of those commands.
+* ``curvature-csv``: the output of ``curvature`` on a grid of each chart
+  and kind, two of them on the polar-variable chart (one where
+  C_{-z}(rho) < 0);
+* ``export-presets``: the output of that command.
 
-A CLI family also digests the command's exit code.  Each tree's header line
+A CLI family also digests each command's exit code.  Each tree's header line
 names its commit (``-`` outside git) and its ``src_sha256``, the digest
 ``benchmarks/bench.py`` records.  With ``--against`` each family is marked
 ``same`` or ``differs``, and the exit status is 1 if any family differs.
@@ -115,25 +118,44 @@ def _orbit_states(sha, tmp):
         sha.update(name.encode() + series.tobytes())
 
 
-def _cli(argv, digested="out"):
-    """A digest family of one CLI call: its exit code and the bytes of the
-    file ``digested`` (``out``, ``csv`` or ``summary``) that it writes."""
+def _cli(*argvs, digested="out"):
+    """A digest family of CLI calls, in order: each call's exit code and the
+    bytes of the file ``digested`` (``out``, ``csv`` or ``summary``) that it
+    writes."""
     def family(sha, tmp):
         from curvkepler import cli
 
         paths = {name: os.path.join(tmp, name) for name in ("out", "csv", "summary")}
-        for path in paths.values():
-            if os.path.exists(path):
-                os.remove(path)
-        # simulate takes no --out: it writes --csv and --summary
-        out = [] if argv[0] == "simulate" else ["--out", paths["out"]]
-        args = [a.format(**paths) for a in argv] + out
-        sha.update(f"exit {cli.main(args)}\n".encode())
-        if os.path.exists(paths[digested]):
-            with open(paths[digested], "rb") as fh:
-                sha.update(fh.read())
+        for argv in argvs:
+            for path in paths.values():
+                if os.path.exists(path):
+                    os.remove(path)
+            # simulate takes no --out: it writes --csv and --summary
+            out = [] if argv[0] == "simulate" else ["--out", paths["out"]]
+            args = [a.format(**paths) for a in argv] + out
+            sha.update(f"exit {cli.main(args)}\n".encode())
+            if os.path.exists(paths[digested]):
+                with open(paths[digested], "rb") as fh:
+                    sha.update(fh.read())
     return family
 
+
+# One grid per chart/kind pair that ``spaces.metric`` builds, so every branch
+# of it runs: the Beltrami ``cc`` grid its ``* e`` scale, the polar-variable
+# grids its ``/ C_{-z}(rho)``, the second past rho = pi/2 at -z = 1, where
+# that cosine is negative and the metric's off-diagonal zeros are -0.0.
+_CURVATURE = (
+    ("--kind", "nc", "--chart", "beltrami", "--z", "0.3", "--kappa2", "1",
+     "--grid", "0.25:0.95:3,0.25:0.95:3,0.25:0.95:3"),
+    ("--kind", "cc", "--chart", "beltrami", "--z", "-0.3", "--kappa2", "1",
+     "--grid", "0.25:0.95:3,0.25:0.95:3,0.25:0.95:3"),
+    ("--kind", "cc", "--chart", "polar-constant", "--z", "0.5", "--kappa2", "-1",
+     "--grid", "0.5:1.2:3,0.6:1.4:3,0.2:1.2:3"),
+    ("--kind", "nc", "--chart", "polar-variable", "--z", "-0.4", "--kappa2", "1",
+     "--grid", "0.5:1.2:3,0.6:1.4:3,0.2:1.2:3"),
+    ("--kind", "nc", "--chart", "polar-variable", "--z", "-1", "--kappa2", "1",
+     "--grid", "1.7:2.8:3,0.6:1.4:3,0.2:1.2:3"),
+)
 
 _SIMULATE = ["simulate", "--family", "kepler-nc", "--z", "0.35", "--kappa2", "1",
              "--gamma", "0.2", "--state", "1.0,1.2,0.4,0.15,0.4,0.8", "--t-end", "2",
@@ -148,11 +170,9 @@ FAMILIES = {
                          "--seed", _SEEDS[0]]),
     "rank-json": _cli(["rank", "--family", "kepler-cc", *_SPACE, "--samples", "50",
                        "--append-lrl", "L3", "--seed", _SEEDS[1]]),
-    "simulate-csv": _cli(_SIMULATE, "csv"),
-    "simulate-summary": _cli(_SIMULATE, "summary"),
-    "curvature-csv": _cli(["curvature", "--kind", "nc", "--chart", "polar-variable",
-                           "--z", "-0.4", "--kappa2", "1",
-                           "--grid", "0.5:1.2:3,0.6:1.4:3,0.2:1.2:3"]),
+    "simulate-csv": _cli(_SIMULATE, digested="csv"),
+    "simulate-summary": _cli(_SIMULATE, digested="summary"),
+    "curvature-csv": _cli(*(["curvature", *grid] for grid in _CURVATURE)),
     "export-presets": _cli(["export-presets"]),
 }
 
