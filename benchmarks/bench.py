@@ -16,8 +16,13 @@ by its index, so host drift between repeats moves it less than the raw
 ``median``, and one stray reading does not move it.  A row timed in
 rounds spread over seconds (the ``run_tables_*`` rows) takes the readings
 around each round instead, keeps the round with the least scaled time and
-stores that round's index.  A run is stored under its ``--label``, and the
-runs with other labels already in the file are kept, so one file holds the
+stores that round's index.  The ``tier1_suite`` row, a pytest run of some
+20 s, keeps its readings in ``host_index`` but reports its raw median as
+``scaled_median`` too: readings taken in the moments around so long a run
+swing more than the run itself on a shared host, and dividing by them once
+turned a 9% fall of the raw median into a 20% rise.  A run is stored
+under its ``--label``, and the runs with other labels already in the file
+are kept, so one file holds the
 parent and the change measured on the same machine.  With ``--against``,
 the tree given there (stored as ``parent``) and ``--src`` are timed
 alternately, one fresh interpreter per repeat and tree, so drift of the host
@@ -353,10 +358,14 @@ ROWS = (
 )
 
 
-def _set_medians(row):
+# Rows whose scaled median is their raw median (see the module docstring).
+_RAW = frozenset(("tier1_suite",))
+
+
+def _set_medians(name, row):
     """The raw median of a row's repeats and the median scaled by host speed."""
     row["median"] = statistics.median(row["repeats"])
-    row["scaled_median"] = statistics.median(
+    row["scaled_median"] = row["median"] if name in _RAW else statistics.median(
         t / x for t, x in zip(row["repeats"], row["host_index"]))
 
 
@@ -388,7 +397,7 @@ def measure(src, repeats):
                 result, index = fn() if name in _SPACED else _scaled_repeat(hostspeed, fn)
                 row["repeats"].append(result)
                 row["host_index"].append(index)
-            _set_medians(row)
+            _set_medians(name, row)
             print(f"{name:34s} {row['median']:12.6g} {unit} "
                   f"(scaled {row['scaled_median']:.6g})", flush=True)
     return run
@@ -417,8 +426,8 @@ def alternate(trees, repeats):
                     into["repeats"] += row["repeats"]
                     into["host_index"] += row["host_index"]
     for run in runs.values():
-        for row in run["rows"].values():
-            _set_medians(row)
+        for name, row in run["rows"].items():
+            _set_medians(name, row)
     return runs
 
 
