@@ -326,50 +326,38 @@ def diag_form_metric(chart, kind, point, params):
     return np.diag((1.0, kappa2 * sz * sz, kappa2 * sz * sz * s2 * s2))
 
 
-@pytest.mark.parametrize("chart, kind, point, z, kappa2, off", [
-    (Chart.BELTRAMI, "nc", (0.3, 0.8, 1.2), -0.4, 1.0, 1.0),
-    (Chart.BELTRAMI, "cc", (0.3, 0.8, 1.2), 0.7, 1.0, 1.0),
-    (Chart.BELTRAMI, "cc", (0.9, 0.25, 0.6), -0.3, 1.0, 1.0),
-    (Chart.POLAR_VARIABLE, "nc", (0.9, 1.1, 0.4), 0.5, 1.0, 1.0),
-    (Chart.POLAR_VARIABLE, "nc", (2.0, 1.1, 0.4), -1.0, 1.0, -1.0),  # C_{-z}(rho) < 0
-    (Chart.POLAR_VARIABLE, "nc", (2.0, 1.1, 0.4), -1.0, -1.0, -1.0),
-    (Chart.POLAR_CONSTANT, "cc", (0.9, 1.1, 0.4), 0.3, 1.0, 1.0),
-    (Chart.POLAR_CONSTANT, "cc", (0.9, 1.1, 0.4), -0.3, -2.0, 1.0),
-], ids=["beltrami-nc", "beltrami-cc", "beltrami-cc-neg-z", "polar-variable",
-        "polar-variable-cm-neg", "polar-variable-cm-neg-k2-neg", "polar-constant",
-        "polar-constant-k2-neg"])
-def test_metric_has_the_bits_of_the_diag_forms(chart, kind, point, z, kappa2, off):
-    """All nine entries, the sign ``off`` of the off-diagonal zeros included
-    (-0.0 where C_{-z}(rho) < 0)."""
-    params = SpaceParams(z, kappa2)
-    got = metric(chart, kind, point, params)
-    want = diag_form_metric(chart, kind, point, params)
-    assert got.shape == (3, 3) and got.dtype == np.float64
-    assert [float(v).hex() for v in got.ravel()] == [float(v).hex() for v in want.ravel()]
-    assert all(math.copysign(1.0, got[i, j]) == off
-               for i in range(3) for j in range(3) if i != j)
-
-
 # SIGNED's boxes keep C_{-z}(rho) > 0 on the polar-variable chart; at -z = 1
 # this box lies past the cosine's zero at pi/2 and short of the pole at pi.
 CM_NEGATIVE = [(Chart.POLAR_VARIABLE, "nc", ((1.7, 2.8), (0.6, 1.4), (0.2, 1.2)), -1.0, k2)
                for k2 in (1.0, -1.0)]
 
 
-@pytest.mark.parametrize(
-    "chart, kind, ranges, z, kappa2, off",
-    [(*case, 1.0) for case in SIGNED] + [(*case, -1.0) for case in CM_NEGATIVE],
-    ids=SIGNED_IDS + [f"polar-variable-cm-neg-k2{k2}" for *_, k2 in CM_NEGATIVE])
-def test_metric_has_the_bits_of_the_diag_forms_on_jittered_grids(chart, kind, ranges, z,
-                                                                 kappa2, off):
-    """The fixed points above, widened to the jittered grids of the
-    curvature tests: every entry's bits, and a C-contiguous float64 3x3."""
+@pytest.mark.parametrize("chart, kind, points, z, kappa2, off", [
+    (Chart.BELTRAMI, "nc", [(0.3, 0.8, 1.2)], -0.4, 1.0, 1.0),
+    (Chart.BELTRAMI, "cc", [(0.3, 0.8, 1.2)], 0.7, 1.0, 1.0),
+    (Chart.BELTRAMI, "cc", [(0.9, 0.25, 0.6)], -0.3, 1.0, 1.0),
+    (Chart.POLAR_VARIABLE, "nc", [(0.9, 1.1, 0.4)], 0.5, 1.0, 1.0),
+    (Chart.POLAR_VARIABLE, "nc", [(2.0, 1.1, 0.4)], -1.0, 1.0, -1.0),  # C_{-z}(rho) < 0
+    (Chart.POLAR_VARIABLE, "nc", [(2.0, 1.1, 0.4)], -1.0, -1.0, -1.0),
+    (Chart.POLAR_CONSTANT, "cc", [(0.9, 1.1, 0.4)], 0.3, 1.0, 1.0),
+    (Chart.POLAR_CONSTANT, "cc", [(0.9, 1.1, 0.4)], -0.3, -2.0, 1.0),
+] + [(chart, kind, jittered_grid(ranges, seed=50), z, kappa2, off)
+     for cases, off in ((SIGNED, 1.0), (CM_NEGATIVE, -1.0))
+     for chart, kind, ranges, z, kappa2 in cases],
+    ids=["beltrami-nc", "beltrami-cc", "beltrami-cc-neg-z", "polar-variable",
+         "polar-variable-cm-neg", "polar-variable-cm-neg-k2-neg", "polar-constant",
+         "polar-constant-k2-neg"]
+    + [f"grid-{i}" for i in SIGNED_IDS] + [f"grid-polar-variable-cm-neg-k2{k2}"
+                                           for *_, k2 in CM_NEGATIVE])
+def test_metric_has_the_bits_of_the_diag_forms(chart, kind, points, z, kappa2, off):
+    """All nine entries of a C-contiguous float64 3x3, the sign ``off`` of the
+    off-diagonal zeros included (-0.0 where C_{-z}(rho) < 0), at fixed points
+    and on the jittered grids of the curvature tests."""
     params = SpaceParams(z, kappa2)
-    for point in jittered_grid(ranges, seed=50):
+    for point in points:
         got = metric(chart, kind, point, params)
         want = diag_form_metric(chart, kind, point, params)
-        assert got.shape == (3, 3) and got.dtype == np.float64
-        assert got.flags.c_contiguous
+        assert got.shape == (3, 3) and got.dtype == np.float64 and got.flags.c_contiguous
         assert [float(v).hex() for v in got.ravel()] == [float(v).hex() for v in want.ravel()]
         assert all(math.copysign(1.0, got[i, j]) == off
                    for i in range(3) for j in range(3) if i != j)
