@@ -22,12 +22,11 @@ stores that round's index.  The ``tier1_suite`` row, a pytest run of some
 swing more than the run itself on a shared host, and dividing by them once
 turned a 9% fall of the raw median into a 20% rise.  A run is stored
 under its ``--label``, and the runs with other labels already in the file
-are kept, so one file holds the
-parent and the change measured on the same machine.  With ``--against``,
-the tree given there (stored as ``parent``) and ``--src`` are timed
-alternately, one fresh interpreter per repeat and tree, so drift of the host
-over the minutes of a session moves both runs alike; use that mode for any
-comparison between two trees.  A run records the git
+are kept, so one file holds the parent and the change measured on the same
+machine.  With ``--against``, the tree given there (stored as ``parent``)
+and ``--src`` are timed alternately, one fresh interpreter per repeat and
+tree, so drift of the host over the minutes of a session moves both runs
+alike; use that mode for any comparison between two trees.  A run records the git
 SHA of the tree that holds ``--src`` (``-dirty`` when tracked files differ
 from it; empty outside a git checkout), the SHA-256 of the tree's ``*.py``
 files (``src_sha256``, the recipe ``perfbench/run.py`` uses), the Python and

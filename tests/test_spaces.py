@@ -347,8 +347,8 @@ CM_NEGATIVE = [(Chart.POLAR_VARIABLE, "nc", ((1.7, 2.8), (0.6, 1.4), (0.2, 1.2))
     ids=["beltrami-nc", "beltrami-cc", "beltrami-cc-neg-z", "polar-variable",
          "polar-variable-cm-neg", "polar-variable-cm-neg-k2-neg", "polar-constant",
          "polar-constant-k2-neg"]
-    + [f"grid-{i}" for i in SIGNED_IDS] + [f"grid-polar-variable-cm-neg-k2{k2}"
-                                           for *_, k2 in CM_NEGATIVE])
+    + [f"grid-{case}" for case in SIGNED_IDS]
+    + [f"grid-polar-variable-cm-neg-k2{k2}" for *_, k2 in CM_NEGATIVE])
 def test_metric_has_the_bits_of_the_diag_forms(chart, kind, points, z, kappa2, off):
     """All nine entries of a C-contiguous float64 3x3, the sign ``off`` of the
     off-diagonal zeros included (-0.0 where C_{-z}(rho) < 0), at fixed points
