@@ -38,7 +38,8 @@ In-process rows run once untimed first, so lazily built state (compiled
 code, caches) is warm, as it is for a library caller that repeats a call;
 ``verify_all_fresh_process`` times the same call as the first one in a new
 interpreter (imports excluded), as one CLI invocation pays it, and
-``verify_all_new_params_in_process`` at a ``z`` the process has never seen,
+``verify_all_new_params_in_process``, ``rank_new_params_in_process`` and
+``simulate_new_params_in_process`` at a ``z`` the process has never seen,
 so work moved into the per-process caches still shows.
 """
 
@@ -136,6 +137,13 @@ def _scaled_repeat(hostspeed, fn):
     return result, statistics.median(readings)
 
 
+def _compile_roots(codegen, ob, grads):
+    """``codegen.compile_roots`` of one observable in one mode, at its
+    binding on a tree whose observables carry one."""
+    binding = [ob.binding] if hasattr(ob, "binding") else []
+    return codegen.compile_roots([ob._node], (grads,), *binding)
+
+
 class Rows:
     """The cost-table rows; each method times one repeat of its row."""
 
@@ -159,15 +167,18 @@ class Rows:
         # An observable keeps its code in these slots.  Filled here from
         # codegen.compile_roots, the rows time the compiled code on a tree
         # that compiles on first use and on one that compiles on request.
-        self.h._compiled = codegen.compile_roots([self.h._node], (True,))
+        self.h._compiled = _compile_roots(codegen, self.h, True)
         for m in self.compiled:
-            m._values = codegen.compile_roots([m._node], (False,))
+            m._values = _compile_roots(codegen, m, False)
         if not (self.h._compiled and all(m._values for m in self.compiled)):
             raise RuntimeError("the Hamiltonian or a monitor does not compile")
         self.guard = chart_guard(Chart.POLAR_CONSTANT, self.params)
         self.state = PhaseState.polar_constant(1.1, 1.2, 0.4, 0.2, 0.4, 0.9)
         self.a, self.b = kernel.seeded((1.3, 0.7))
         self.new_z = (0.2 + i / 997 for i in itertools.count())
+        # Near the spherical preset, so an orbit and a rank call at it do what
+        # simulate_in_process and rank_in_process do.
+        self.new_spherical_z = (1.0 + i * 1e-6 for i in itertools.count(1))
         self.curvature_point = functools.partial(
             curvature, Chart.POLAR_VARIABLE, "nc", (1.0, 1.1, 0.8), SpaceParams(-0.4, 1.0))
         # The (jobs, sampler) of each run_tables batch of _VERIFY_10, as the CLI builds them.
@@ -236,6 +247,16 @@ class Rows:
             "--stride", "1", "--csv", os.path.join(self.tmp, "orbit.csv"),
             "--summary", os.path.join(self.tmp, "summary.json")))
 
+    def simulate_new_params_in_process(self):
+        """simulate_in_process's orbit at a z this process has not seen: the
+        Hamiltonian and the monitors are bound to it first."""
+        z = f"{next(self.new_spherical_z):.9f}"
+        return _timed(lambda: self._cli(
+            "simulate", "--family", "kepler-cc", "--z", z, "--kappa2", "1",
+            "--gamma", "0.45", "--state", "1.1,1.2,0.4,0.2,0.4,0.9", "--t-end", "20",
+            "--stride", "1", "--csv", os.path.join(self.tmp, "orbit.csv"),
+            "--summary", os.path.join(self.tmp, "summary.json")))
+
     _VERIFY = ("verify", "--suite", "all", "--preset", "spherical",
                "--samples", "100", "--seed", "7")
     _VERIFY_10 = ("verify", "--suite", "all", "--preset", "hyperbolic", "--samples", "10",
@@ -284,8 +305,10 @@ class Rows:
             "--samples", "50", "--append-lrl", "L2", "--seed", "7"), 100)
 
     def verify_all_new_params_in_process(self):
-        """verify --suite all at a z this process has not seen: the builder
-        and lowering caches miss, the compiled-code cache hits by structure."""
+        """verify --suite all at a z this process has not seen: whatever the
+        library keeps per parameter set (bound functions; on older trees also
+        graphs and lowerings) is made again, and code objects are found by
+        structure."""
         z = f"{next(self.new_z):.6f}"
         return _timed(lambda: self._cli("verify", "--suite", "all", "--z", z, "--kappa2", "1",
                                         "--samples", "100", "--seed", "7"))
@@ -293,6 +316,13 @@ class Rows:
     def rank_in_process(self):
         return _timed(lambda: self._cli(
             "rank", "--family", "kepler-cc", "--preset", "spherical", "--gamma", "0.45",
+            "--samples", "200", "--append-lrl", "L1", "--seed", "7"))
+
+    def rank_new_params_in_process(self):
+        """rank_in_process's call at a z this process has not seen."""
+        z = f"{next(self.new_spherical_z):.9f}"
+        return _timed(lambda: self._cli(
+            "rank", "--family", "kepler-cc", "--z", z, "--kappa2", "1", "--gamma", "0.45",
             "--samples", "200", "--append-lrl", "L1", "--seed", "7"))
 
     def verify_lrl_algebra(self):
@@ -341,6 +371,7 @@ ROWS = (
     ("orbit_t20_monitors", "s", False),
     ("orbit_t20", "s", False),
     ("simulate_in_process", "s", True),
+    ("simulate_new_params_in_process", "s", True),
     ("verify_all_in_process", "s", True),
     ("verify_all_new_params_in_process", "s", True),
     ("verify_all_samples10_in_process", "ms", True),
@@ -348,6 +379,7 @@ ROWS = (
     ("run_tables_polar_samples10", "us", True),
     ("report_text_verify_all_samples10", "us", True),
     ("rank_in_process", "s", True),
+    ("rank_new_params_in_process", "s", True),
     ("rank_samples50_in_process", "ms", True),
     ("verify_lrl_algebra", "s", True),
     ("verify_all_fresh_process", "s", False),

@@ -16,7 +16,8 @@ SHA-256 per output family:
 * ``hamiltonian-code``: the same digest of the gradient code of every
   Hamiltonian (each named family, preset and compatible chart), the code
   that integrates each orbit; both code families read the code through
-  ``codegen.compile_roots``, which an older tree has too;
+  ``codegen.compile_roots``, which an older tree has too (there it takes no
+  binding, since its observables hold their parameters as constants);
 * ``orbit-states``: the times, states and monitor series of one fixed
   Kepler-CC orbit, as float bits;
 * ``verify-json``, ``rank-json``: the reports of ``verify --suite all`` and
@@ -78,8 +79,16 @@ def _digest_compiled(sha, f):
     sha.update(repr([v.hex() if isinstance(v, float) else repr(v) for v in bound]).encode())
 
 
-def _monitor_code(sha, tmp):
+def _compiled(ob, grads):
+    """The observable's compiled code in one mode, at its binding on a tree
+    whose observables carry one."""
     from curvkepler.codegen import compile_roots
+
+    binding = [ob.binding] if hasattr(ob, "binding") else []
+    return compile_roots([ob._node], (grads,), *binding)
+
+
+def _monitor_code(sha, tmp):
     from curvkepler.spaces import hamiltonian
     from curvkepler.symmetry import constants
 
@@ -87,17 +96,16 @@ def _monitor_code(sha, tmp):
         monitors = dict(constants(spec, chart), H=hamiltonian(spec, chart))
         for name, ob in monitors.items():
             sha.update(f"{label} {name}\n".encode())
-            _digest_compiled(sha, compile_roots([ob._node], (False,)))
+            _digest_compiled(sha, _compiled(ob, False))
 
 
 def _hamiltonian_code(sha, tmp):
-    from curvkepler.codegen import compile_roots
     from curvkepler.spaces import hamiltonian
 
     for label, spec, chart in _named_charts():
         h = hamiltonian(spec, chart)
         sha.update(f"{label} H\n".encode())
-        _digest_compiled(sha, compile_roots([h._node], (True,)))
+        _digest_compiled(sha, _compiled(h, True))
 
 
 def _orbit_states(sha, tmp):

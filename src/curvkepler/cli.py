@@ -24,6 +24,7 @@ import argparse
 import functools
 import json
 import math
+import re
 import struct
 import sys
 
@@ -285,11 +286,15 @@ def _cmd_simulate(args):
 # curvature
 # --------------------------------------------------------------------------
 
+# The most points one curvature scan takes: about 8 minutes at 0.49 ms a point.
+_MAX_GRID_POINTS = 10 ** 6
+
+
 def _parse_grid(text):
     axes = text.split(",")
     if len(axes) != 3:
         raise DomainError("--grid needs three ranges lo:hi:n")
-    out = []
+    ranges = []
     for axis in axes:
         bits = axis.split(":")
         if len(bits) != 3:
@@ -299,8 +304,12 @@ def _parse_grid(text):
             raise DomainError(f"grid bounds must be finite, got {axis!r}")
         if n < 1:
             raise DomainError("grid axis needs n >= 1")
-        out.append(np.linspace(lo, hi, n))
-    return out
+        ranges.append((lo, hi, n))
+    points = math.prod(n for _, _, n in ranges)
+    if points > _MAX_GRID_POINTS:
+        raise DomainError(f"--grid holds {points} points, more than the "
+                          f"{_MAX_GRID_POINTS} a scan may take")
+    return [np.linspace(lo, hi, n) for lo, hi, n in ranges]
 
 def _chart_of(args):
     if not getattr(args, "chart", None):
@@ -490,7 +499,17 @@ def build_parser():
     p.set_defaults(func=_cmd_export_presets)
 
     parser.command_parsers = tuple(sub.choices.values())
+    for p in (parser, *parser.command_parsers):
+        p._negative_number_matcher = _NEGATIVE_NUMBER
     return parser
+
+
+# argparse reads the token after an option as its value unless it takes the
+# token for an option, as it does for any token that starts with "-" and is
+# not a plain decimal (-\d+ or -\d*.\d+): -3e-1, -1E5 and a --state list
+# that starts with a minus sign were refused.  A minus sign before a digit,
+# or before a point and a digit, starts a value; no option name starts so.
+_NEGATIVE_NUMBER = re.compile(r"^-\.?\d")
 
 
 def _extract_config_path(argv):

@@ -12,6 +12,9 @@ realization lives on one canonical pair; the coproduct
 glues realizations on disjoint pairs into many-body ones.  The two- and
 three-site images of the Casimir are the conserved quantities every
 Hamiltonian built from the three-site generators shares.
+
+Each realization, the Casimirs and each bracket table are built once, over
+the parameter leaf :data:`.phase.Z`, and bound to a z on every call.
 """
 
 from __future__ import annotations
@@ -23,14 +26,14 @@ from itertools import islice
 
 import numpy as np
 
-from .phase import (P1, P2, P3, Q1, Q2, Q3, Chart, Columns, Observable, PhaseState,
-                    cosh, exp, grad, memo, sinhc)
+from .phase import (P1, P2, P3, Q1, Q2, Q3, Z, Chart, Columns, Observable, PhaseState,
+                    bound, cosh, exp, grad, joined, sinhc)
 
 __all__ = [
     "Realization", "CasimirSet", "one_site", "coproduct_join", "three_site",
     "three_site_closed_form", "casimirs", "casimir_of", "pbracket",
     "Identity", "IdentityResult", "BracketReport", "run_table", "run_tables",
-    "sample_beltrami", "verify_sl2z", "verify_casimirs", "sl2z_table",
+    "sample_beltrami", "verify_sl2z", "verify_casimirs", "sl2z_table", "Table",
 ]
 
 
@@ -60,28 +63,26 @@ class CasimirSet:
     c123: Observable
 
 
-@memo
+def _at(obj, z):
+    """A realization or Casimir set built over Z, bound to the deformation ``z``."""
+    return bound(obj, (z, None, None), z=z)
+
+
 def one_site(z, site=1):
     """One-pair realization: J- = q^2, J+ = sinhc(z q^2) p^2, J3 = sinhc(z q^2) q p."""
     if site not in (1, 2, 3):
         raise ValueError("site must be 1, 2 or 3")
-    q = (Q1, Q2, Q3)[site - 1]
-    p = (P1, P2, P3)[site - 1]
-    jm = q * q
-    w = _sinhc_exp_factors(z)[0][site - 1]      # the closed forms' node
-    return Realization(z, 1, (site,), jm, w * p * p, w * q * p)
+    return _at(_realization((site,)), z)
 
 
-@memo
 def coproduct_join(a, b):
     """Join two realizations on disjoint pairs via the deformed coproduct.
 
     The left factor takes the e^{+zJ-} tail of the right one and vice versa,
     which is the ordering that reproduces the closed three-site formulas when
-    sites are joined in increasing order.
+    sites are joined in increasing order.  Realizations bound to different
+    z do not combine (:class:`.phase.ParameterMismatchError`).
     """
-    if a.z != b.z:
-        raise ValueError(f"deformation mismatch: {a.z} != {b.z}")
     if set(a.indices) & set(b.indices):
         raise ValueError(f"overlapping sites: {a.indices} and {b.indices}")
     if a.sites + b.sites > 3:
@@ -97,35 +98,53 @@ def coproduct_join(a, b):
     )
 
 
-@memo
 def three_site(z):
     """Three-site realization built by iterating the coproduct."""
-    return coproduct_join(coproduct_join(one_site(z, 1), one_site(z, 2)),
-                          one_site(z, 3))
+    return _at(_realization((1, 2, 3)), z)
 
 
-@memo
-def _sinhc_exp_factors(z):
-    s = tuple(sinhc(z * q * q) for q in (Q1, Q2, Q3))
-    e = tuple(exp(z * q * q) for q in (Q1, Q2, Q3))
+@functools.cache
+def _realization(sites):
+    """The realization on ``sites`` over Z: one pair, or the coproduct of
+    the sites joined in increasing order."""
+    if len(sites) > 1:
+        return coproduct_join(_realization(sites[:-1]), _realization(sites[-1:]))
+    q = (Q1, Q2, Q3)[sites[0] - 1]
+    p = (P1, P2, P3)[sites[0] - 1]
+    w = _sinhc_exp_factors()[0][sites[0] - 1]      # the closed forms' node
+    return Realization(Z, 1, sites, q * q, w * p * p, w * q * p)
+
+
+@functools.cache
+def _sinhc_exp_factors():
+    s = tuple(sinhc(Z * q * q) for q in (Q1, Q2, Q3))
+    e = tuple(exp(Z * q * q) for q in (Q1, Q2, Q3))
     return s, e
 
 
-@memo
 def three_site_closed_form(z):
     """The explicit three-site generators; independent oracle for the coproduct."""
-    (s1, s2, s3), (e1, e2, e3) = _sinhc_exp_factors(z)
+    return _at(_closed_form(), z)
+
+
+@functools.cache
+def _closed_form():
+    (s1, s2, s3), (e1, e2, e3) = _sinhc_exp_factors()
     jm = Q1 * Q1 + Q2 * Q2 + Q3 * Q3
     jp = s1 * P1 * P1 * e2 * e3 + s2 * P2 * P2 * e3 / e1 + s3 * P3 * P3 / (e1 * e2)
     j3 = (s1 * Q1 * P1 * e2 * e3 + s2 * Q2 * P2 * e3 / e1
           + s3 * Q3 * P3 / (e1 * e2))
-    return Realization(z, 3, (1, 2, 3), jm, jp, j3)
+    return Realization(Z, 3, (1, 2, 3), jm, jp, j3)
 
 
-@memo
 def casimirs(z):
     """Closed-form Casimir images on sites (1,2), (2,3) and (1,2,3)."""
-    (s1, s2, s3), (e1, e2, e3) = _sinhc_exp_factors(z)
+    return _at(_casimirs(), z)
+
+
+@functools.cache
+def _casimirs():
+    (s1, s2, s3), (e1, e2, e3) = _sinhc_exp_factors()
     m12 = Q1 * P2 - Q2 * P1
     m13 = Q1 * P3 - Q3 * P1
     m23 = Q2 * P3 - Q3 * P2
@@ -134,8 +153,7 @@ def casimirs(z):
     c123 = (s1 * s2 * m12 * m12 * (e2 / e1) * e3 * e3
             + s1 * s3 * m13 * m13 * e3 / e1
             + s2 * s3 * m23 * m23 * e3 / (e1 * e1 * e2))
-    return CasimirSet(z, c12.renamed("C12"), c23.renamed("C23"),
-                      c123.renamed("C123"))
+    return CasimirSet(Z, c12.renamed("C12"), c23.renamed("C23"), c123.renamed("C123"))
 
 
 def casimir_of(r):
@@ -179,6 +197,17 @@ class Identity:
     g: Observable = None          # None -> value identity
     rhs: object = 0.0             # Observable or float
     group: str = ""
+
+
+class Table(tuple):
+    """A table's identities with the ``binding`` they are checked at: the
+    library builds each table once, over the parameter leaves, and binds
+    it on each call (:func:`run_table`)."""
+
+    def __new__(cls, identities, binding=None):
+        table = super().__new__(cls, identities)
+        table.binding = binding
+        return table
 
 
 @dataclass
@@ -271,8 +300,8 @@ class _Plan:
 
 # Column plans by the tuple of a table's identities, equal to another only when
 # it holds the same objects in the same order; it holds them, so no id is reused
-# while cached.  verify --suite all uses two per parameter set (one per
-# sampler); the bound keeps memory fixed.
+# while cached.  verify --suite all uses two (one per sampler) at every
+# parameter set, and one more per --perturb name; the bound keeps memory fixed.
 @functools.lru_cache(maxsize=128)
 def _plan(identities):
     return _Plan(identities)
@@ -284,10 +313,11 @@ def run_table(suite, table, sampler, samples, seed, params=None):
     ``sampler(rng, n=samples)`` draws the points, in one generator call
     for the built-in samplers.  The table's column plan is built once per
     ``tuple(table)`` (identities compare by identity) and held in a
-    bounded cache: its distinct observables are compiled together, and one
-    compiled call per point gives all their values and the gradients of the
-    bracket operands (:class:`.phase.Columns`; one opaque observable puts
-    them all on the dual path).
+    bounded cache: its distinct observables are compiled together, at the
+    binding of a :class:`Table` joined to their own, and one compiled call
+    per point gives all their values and the gradients of the bracket
+    operands (:class:`.phase.Columns`; one opaque observable puts them all
+    on the dual path).
     Brackets, gradient norms and residuals then come from one numpy pass
     over all points.  Residuals are relative: the mismatch is scaled by the
     magnitudes of both sides and (for brackets) by the gradient product
@@ -298,7 +328,7 @@ def run_table(suite, table, sampler, samples, seed, params=None):
         raise ValueError("samples must be >= 1")
     states = sampler(np.random.default_rng(seed), n=samples)
     plan = _plan(tuple(table))
-    values, grads = plan.columns(states)
+    values, grads = plan.columns(states, getattr(table, "binding", None))
 
     lhs = values[:, plan.f]
     scale = np.ones_like(lhs)
@@ -326,13 +356,19 @@ def run_table(suite, table, sampler, samples, seed, params=None):
 def run_tables(jobs, sampler, samples, seed):
     """One :class:`BracketReport` per ``(suite, table, params)`` job, what a separate
     call gives, from one :func:`run_table` call: each point drawn and evaluated once.
-    The jobs' concatenated identities key the batch's column plan, so a repeated batch
-    of the same (memoized) tables costs its draws, its compiled calls and one residual
-    pass."""
-    results = iter(run_table("+".join(job[0] for job in jobs), [
-        ident for _, table, _ in jobs for ident in table], sampler, samples, seed).results)
+    The jobs' concatenated identities, at their joined bindings, key the batch's column
+    plan, so a repeated batch of the same tables, at any parameters, costs its draws,
+    its compiled calls and one residual pass."""
+    results = iter(run_table("+".join(job[0] for job in jobs), _batch(jobs), sampler, samples,
+                             seed).results)
     return [BracketReport(suite, samples, seed, params, list(islice(results, len(table))))
             for suite, table, params in jobs]
+
+
+def _batch(jobs):
+    """The jobs' identities as one :class:`Table`, at their joined bindings."""
+    return Table([ident for _, table, _ in jobs for ident in table], functools.reduce(
+        joined, [getattr(table, "binding", None) for _, table, _ in jobs], None))
 
 
 # The Beltrami sampling box: every coordinate in [-2, 2], positions |q_i| > 1e-3.
@@ -379,7 +415,6 @@ def sample_beltrami(rng, *, n=None):
     return states[0] if n is None else states
 
 
-@memo
 def _perturbed(r, perturb):
     if perturb is None:
         return r
@@ -388,26 +423,36 @@ def _perturbed(r, perturb):
     return replace(r, **{perturb: r.generator(perturb) * 1.01})
 
 
-@memo
 def sl2z_table(r):
-    """The three deformed commutation rules for a realization."""
+    """The three deformed commutation rules for a realization, as a
+    :class:`Table` bound to its z."""
+    return _sl2z_job(r, None)[1]
+
+
+# sl2z identities over Z by generator graphs (identity) and perturbed name;
+# the library's realizations need six, the bound keeps memory fixed.
+@functools.lru_cache(maxsize=64)
+def _sl2z_table(graphs, perturb):
+    r = _perturbed(Realization(Z, 0, (), *(Observable(node=nd) for nd in graphs)), perturb)
     z = r.z
     jm, jp, j3 = r.jminus, r.jplus, r.jthree
-    return [
+    return (
         Identity("{J3,J+} = 2 J+ cosh(z J-)", j3, jp, 2.0 * jp * cosh(z * jm)),
         Identity("{J3,J-} = -2 J- sinhc(z J-)", j3, jm, -2.0 * jm * sinhc(z * jm)),
         Identity("{J-,J+} = 4 J3", jm, jp, 4.0 * j3),
-    ]
+    )
 
 
 # Each suite as a run_tables job: its name, table and params, written once.
 def _sl2z_job(r, perturb):
-    r = _perturbed(r, perturb)
-    return "sl2z", sl2z_table(r), {"z": r.z, "sites": r.sites, "perturb": perturb or ""}
+    graphs = r.jminus._node, r.jplus._node, r.jthree._node
+    table = Table(_sl2z_table(graphs, perturb), (r.z, None, None))
+    return "sl2z", table, {"z": r.z, "sites": r.sites, "perturb": perturb or ""}
 
 
 def _casimirs_job(z, perturb):
-    return "casimirs", _casimir_table(z, perturb), {"z": z, "perturb": perturb or ""}
+    table = Table(_casimir_table(perturb), (z, None, None))
+    return "casimirs", table, {"z": z, "perturb": perturb or ""}
 
 
 def verify_sl2z(r, samples=100, seed=0, perturb=None):
@@ -432,13 +477,12 @@ def verify_casimirs(z, samples=100, seed=0, perturb=None):
     return run_tables([_casimirs_job(z, perturb)], sample_beltrami, samples, seed)[0]
 
 
-@memo
-def _casimir_table(z, perturb):
-    cs = casimirs(z)
-    closed = three_site_closed_form(z)
-    r12 = _perturbed(coproduct_join(one_site(z, 1), one_site(z, 2)), perturb)
-    r23 = _perturbed(coproduct_join(one_site(z, 2), one_site(z, 3)), perturb)
-    r123 = _perturbed(three_site(z), perturb)
+@functools.cache
+def _casimir_table(perturb):
+    cs = _casimirs()
+    closed = _closed_form()
+    r12, r23, r123 = (_perturbed(_realization(sites), perturb)
+                      for sites in ((1, 2), (2, 3), (1, 2, 3)))
     table = []
     for cname, cob in (("C12", cs.c12), ("C23", cs.c23), ("C123", cs.c123)):
         for jname in ("jminus", "jplus", "jthree"):
@@ -460,4 +504,4 @@ def _casimir_table(z, perturb):
         table.append(Identity(f"coproduct {jname} = closed form",
                               r123.generator(jname), None,
                               closed.generator(jname), group="coproduct"))
-    return table
+    return tuple(table)

@@ -1,74 +1,57 @@
 """Expression graphs of observables: their evaluator, partials and compiled code.
 
 An observable is a graph of :class:`Node` objects over coordinates,
-constants and ``opaque`` leaves (user callables).  :func:`evaluator` gives
-its value on floats or ``KScalar`` duals alike in one post-order pass that
-evaluates a shared node once.  :func:`compile_roots` turns the graphs of
-several observables (the roots) into one Python function of the six
-coordinates, or gives None when any root cannot be compiled: a root set
-compiles whole or not at all.  For each root in order the function returns
-its value and, when the root's flag in the gradient mask is true, the six
-partials a 6-lane ``KScalar`` evaluation gives, in one flat tuple.
+parameters (z, kappa2 and gamma, :data:`PARAMS`), constants and ``opaque``
+leaves (user callables).  :func:`evaluator` gives its value on floats or
+``KScalar`` duals alike, the parameters read from a binding, in one
+post-order pass that evaluates a shared node once.  :func:`compile_roots`
+turns the graphs of several observables (the roots) into one Python
+function of the six coordinates at a binding, or gives None when any root
+cannot be compiled: a root set compiles whole or not at all.  For each root
+in order the function returns its value and, when the root's flag in the
+gradient mask is true, the six partials a 6-lane ``KScalar`` evaluation
+gives, in one flat tuple.
 
 Partials are graphs (Griewank-Walther, *Evaluating Derivatives*, ch. 6-7):
 :func:`_partials` writes each node's ``KScalar`` rule as nodes in one
-post-order pass, with the same float operations in the same order.  A
-partial a node does not structurally depend on is None, an exact zero that
-the dual path adds or multiplies in, which can change the sign of a zero
-and nothing else (barring an infinite operand, where the dual lane turns
-NaN), and nothing is multiplied by a coordinate's unit partial.  Unary
-derivatives come from a table (``_DERIVATIVES``: ``exp`` is its own node,
-``sqrt`` is ``0.5 /`` its node, ``sinhc`` calls ``kernel.dsinhc``).  A
-flagged root's six partial graphs are compiled as more roots, so the code
-is written one way, values only.  A node's value is the float operation the
-evaluator applies to it (a quotient is ``a / b``), as a ``KScalar``'s is,
-so the evaluator on floats or duals and the compiled code under any mask
-give every value bit for bit, and every partial is the dual path's.
+post-order pass, with the same float operations in the same order, None
+for a partial a node does not structurally depend on (an exact zero, which
+can change the sign of a zero and nothing else), and no product with a
+coordinate's unit partial; unary derivatives come from ``_DERIVATIVES``.
+A flagged root's partials are compiled as more roots, so the code is
+written one way, values only.  A node's value is the float operation the
+evaluator applies to it, as a ``KScalar``'s is, so the evaluator on floats
+or duals and the compiled code under any mask give every value bit for
+bit, and every partial is the dual path's.
 
-Two stages: lower, then emit on a miss.  :func:`_lower` walks the values'
-graphs, then the flagged roots' partials, in post-order.  It folds the
-coordinate-free subtrees with the operations the evaluator applies
-(``_OPS``), turns each other node into one instruction (its op, its
-operands, a function name), so a shared node is computed once, and pulls
-every constant (numbers, folded subtrees, curvature labels) into slot
-order.  The instructions and the outputs form the structure key, which
-holds no constant: it depends on the graphs' operations, wiring, sharing
-and coordinate slots, and on which curvature labels on one argument are
-equal, not on ``z``, ``kappa2`` or ``gamma``.  Emission reads the key and
-whether any root is flagged, when each coordinate is seeded as ``KScalar``
-seeds it (``x = float(x)``).  It writes one statement per instruction,
-except that an ``add``, ``sub``, ``neg`` or ``mul`` read once whose
-operands are plain names is written into its reader's statement: it cannot
-raise, so no exception moves, and nothing nests, so a deep graph compiles.
-An LRU cache of fixed size (:func:`_code`), keyed by the structure and that
-flag, keeps the code objects, so emission and ``compile()`` run only on a
-miss; a known structure at new parameters costs one lowering walk and one
-``exec``, with the constants bound as ``k0, k1, ...`` in a copy of the base
-globals (the kernel functions by name).  A second bounded LRU cache
-(:func:`_bound`), keyed by the root nodes (identity) and the mask, keeps
-the function, or None for a root set that does not compile, so a repeated
-call costs one lookup; a root set is lowered once per mask.
+:func:`_lower` walks a root set once per mask (:func:`_lowered` keeps it).
+Each coordinate-dependent node becomes one instruction, so a shared node is
+computed once, and each coordinate-free operand (a number, a parameter
+expression, a curvature label) a constant slot, whose value a bind step
+computes with the evaluator's operations in the evaluator's order, so every
+constant keeps its bits.  The instructions and outputs form the structure
+key, which holds no constant and serves every binding.  The emitter writes
+one statement per instruction, except that an ``add``, ``sub``, ``neg`` or
+``mul`` read once on plain names goes into its reader's statement (it
+cannot raise, and nothing nests, so a deep graph compiles), and seeds each
+coordinate as ``KScalar`` does (``x = float(x)``) when a root is flagged;
+:func:`_code` keeps the code objects by structure.  :func:`_bound` keeps
+the functions by roots, mask and the binding's bits (0.0, -0.0 and the int
+0 differ): a known root set at new parameters costs one bind step and one
+``exec``, the constants bound as ``k0, k1, ...`` in a copy of the base
+globals (the kernel functions by name).
 
-Curvature-labelled trigonometry shares its work: every ``skappa``,
-``ckappa``, ``tkappa`` and ``cotkappa`` node on one ``(kappa, x)``, a
-partial's included, reads one pair instruction, written as the statements
-of ``kernel._kappa_pair`` (``u = kappa * x * x``, then the Taylor,
-``sin``/``cos`` or ``sinh``/``cosh`` branch).  ``skappa`` is its ``S`` and
-``ckappa`` its ``C``; ``tkappa`` and ``cotkappa`` write out the quotient of
-their ``kernel.KAPPA_RULES`` entry and call the rule only where its
-denominator is below ``kernel._POLE_EPS``, so it raises the same
-``PoleError`` at a pole.  Labels are compared by their type and bits, so
-``0.0``, ``-0.0`` and the int ``0`` (whose ``C' = -kappa S`` differ in the
-sign of a zero) never share a pair.
-
-Nothing else is merged by value: two equal subexpressions built as
-separate nodes are evaluated twice, so the builders (:func:`.phase.memo`)
-build each subexpression once per parameter set and share it.  Interning by
-value would let parameters into the structure key: at ``kappa1 = kappa2 =
-1.0`` equal constants would merge and rewire a table.  :func:`_bound`
-keys by root nodes (identity) instead, so every caller of
-:func:`compile_roots` on the same roots and mask shares one function (the
-compiled code keeps no state between calls).
+Every ``skappa``, ``ckappa``, ``tkappa`` and ``cotkappa`` node on one
+curvature label value and argument, a partial's included, reads one pair
+instruction, the statements of ``kernel._kappa_pair`` written out;
+``tkappa`` and ``cotkappa`` write their quotient out and call their
+``kernel.KAPPA_RULES`` entry only where the denominator is below
+``kernel._POLE_EPS``, to raise its ``PoleError``.  Labels 0.0, -0.0 and the
+int 0 never share a pair: their ``C' = -kappa S`` differ in the sign of a
+zero.  Nothing else is merged by value, since equal values would let the
+parameters into the structure key (at ``kappa1 = kappa2 = 1.0`` equal
+constants would merge and rewire a table): builders build a shared
+subexpression once instead.
 """
 
 from __future__ import annotations
@@ -77,9 +60,13 @@ import collections
 import functools
 import itertools
 import operator
+import struct
 
 from . import kernel
 from .kernel import NVARS
+
+# The parameters a param leaf reads, by slot, and the order of a binding.
+PARAMS = ("z", "kappa2", "gamma")
 
 # The Python operation of each arithmetic op on its operands' values: the
 # one map the evaluator and constant folding apply.  On the coordinates only
@@ -92,15 +79,16 @@ _OPS = {"add": operator.add, "sub": operator.sub, "mul": operator.mul,
 class Node:
     """One operation of an observable's expression graph.
 
-    ``op`` is one of coord, const, opaque, add, sub, mul, div, neg, pow, fn,
-    kfn; ``kids`` are the operand nodes (the exponent of pow and the
-    curvature label of kfn are const kids; the fn of a partial of sinhc or
-    expm1c reads the argument and the value).  ``param`` is the slot of a
-    coord, the value of a const, and the operation of every other node: its
-    ``_OPS`` entry, the kernel function of fn and kfn, or the callable of
-    the six coordinates of an opaque leaf.  ``dual`` is true when the node
-    depends on the coordinates, i.e. when a dual evaluation makes its value
-    a ``KScalar``.  ``fn`` caches the node's :func:`evaluator`.
+    ``op`` is one of coord, param, const, opaque, add, sub, mul, div, neg,
+    pow, fn, kfn; ``kids`` are the operand nodes (the exponent of pow and
+    the curvature label of kfn are coordinate-free kids; the fn of a partial
+    of sinhc or expm1c reads the argument and the value).  ``param`` is the
+    slot of a coord or of a param (an index of :data:`PARAMS`), the value of
+    a const, and the operation of every other node: its ``_OPS`` entry, the
+    kernel function of fn and kfn, or the callable of the six coordinates
+    of an opaque leaf.  ``dual`` is true when the node depends on the
+    coordinates, i.e. when a dual evaluation makes its value a ``KScalar``.
+    ``fn`` caches the node's evaluation program (:func:`evaluator`).
     """
 
     __slots__ = ("op", "kids", "param", "dual", "fn")
@@ -132,40 +120,63 @@ def _postorder(roots, seen=None):
     return order
 
 
-def evaluator(root):
+def _bits(value):
+    """A key equal only for interchangeable numbers: the type and, for a
+    float, the bits (0.0, -0.0, the int 0 and each NaN payload differ)."""
+    return type(value), struct.pack("<d", value) if isinstance(value, float) else value
+
+
+def evaluator(root, binding=None):
     """``root``'s value as a function ``f(x0, ..., x5)`` of the coordinates,
-    on floats or duals alike; built on first use and stored on the node, so
-    observables sharing a graph share it.  An opaque leaf's evaluator is its
-    callable."""
+    on floats or duals alike, its param leaves read from ``binding``.  The
+    program is built on first use and stored on the node, so observables
+    sharing a graph share it.  An opaque leaf's evaluator is its callable."""
     if root.op == "opaque":
         return root.param
-    if root.fn is not None:
-        return root.fn
-    # The value list holds the coordinates, the constants, the values of
-    # the opaque leaves (each called once, first) and one value per
-    # operation, in post-order.
-    order = _postorder([root])
+    if root.fn is None:
+        root.fn = _program([root])
+    return root.fn(binding)
+
+
+def _program(roots, many=False):
+    """The evaluation program of ``roots``: given a binding (one value per
+    :data:`PARAMS` slot, None where unbound; an unbound slot a root reads
+    raises), the function of the six coordinates that returns the first
+    root's value, or with ``many`` the list of the roots' values."""
+    # The value list holds the coordinates, the parameters, the constants,
+    # the values of the opaque leaves (each called once, first) and one
+    # value per operation, in post-order.
+    order = _postorder(roots)
     index = {nd: nd.param for nd in order if nd.op == "coord"}
+    index.update((nd, NVARS + nd.param) for nd in order if nd.op == "param")
     consts = [nd for nd in order if nd.op == "const"]
     leaves = [nd for nd in order if nd.op == "opaque"]
     ops = [nd for nd in order if nd.kids]
-    index.update((nd, i) for i, nd in enumerate(consts + leaves + ops, NVARS))
+    index.update((nd, i) for i, nd in enumerate(consts + leaves + ops, NVARS + len(PARAMS)))
     values = [nd.param for nd in consts]
     calls = [nd.param for nd in leaves]
     steps = [(nd.param, index[nd.kids[0]], index[nd.kids[1]] if len(nd.kids) > 1 else None)
              for nd in ops]
-    out = index[root]
+    outs = [index[r] for r in roots]
+    out = outs[0] if roots else None
+    used = sorted({nd.param for nd in order if nd.op == "param"})
 
-    def evaluate(x0, x1, x2, x3, x4, x5):
-        v = [x0, x1, x2, x3, x4, x5, *values]
-        push = v.append
-        for f in calls:
-            push(f(x0, x1, x2, x3, x4, x5))
-        for f, a, b in steps:
-            push(f(v[a]) if b is None else f(v[a], v[b]))
-        return v[out]
-    root.fn = evaluate
-    return evaluate
+    def bind(binding):
+        pre = list(binding or (None,) * len(PARAMS))
+        if missing := [PARAMS[i] for i in used if pre[i] is None]:
+            raise kernel.DomainError(f"no value is bound to the parameter {', '.join(missing)}")
+        pre += values
+
+        def evaluate(x0, x1, x2, x3, x4, x5):
+            v = [x0, x1, x2, x3, x4, x5, *pre]
+            push = v.append
+            for f in calls:
+                push(f(x0, x1, x2, x3, x4, x5))
+            for f, a, b in steps:
+                push(f(v[a]) if b is None else f(v[a], v[b]))
+            return [v[i] for i in outs] if many else v[out]
+        return evaluate
+    return bind
 
 
 # -- partials as graphs ----------------------------------------------------------
@@ -259,8 +270,15 @@ def _partials(roots):
 
 # -- lowering and emission ---------------------------------------------------------
 
+def _value_key(nd):
+    """A key equal for two coordinate-free nodes of one value: the same
+    parameter expression, or numbers of one type and bits."""
+    return _bits(nd.param) if nd.op == "const" else (nd.param, *map(_value_key, nd.kids))
+
+
 class _Lowering:
-    """One walk of the graphs: the structure and the constants in slot order.
+    """One walk of the graphs: the structure, and the coordinate-free node
+    of each constant slot.
 
     Each coordinate-dependent node becomes one instruction, a tuple of its
     op, its operands and any name it needs; an operand is the index of an
@@ -271,46 +289,36 @@ class _Lowering:
 
     def __init__(self):
         self.ins = []
-        self.consts = []
+        self.slots = []     # the coordinate-free node of each constant slot
         self.refs = {}      # node -> operand
-        self.folded = {}    # coordinate-free node -> its value
         self.bad = set()    # nodes that cannot be compiled
         self.coords = {}    # slot -> instruction
-        self.pairs = {}     # (kappa type, bits, x operand) -> "pair" instruction
+        self.pairs = {}     # (kappa value key, x operand) -> "pair" instruction
 
-    def const(self, value):
-        self.consts.append(value)
-        return ~(len(self.consts) - 1)
+    def const(self, nd):
+        self.slots.append(nd)
+        return ~(len(self.slots) - 1)
 
     def add(self, *instr):
         self.ins.append(instr)
         return len(self.ins) - 1
 
     def operand(self, nd):
-        """A lowered node's operand; a folded node takes a constant slot on
-        first use."""
+        """A lowered node's operand; a coordinate-free node takes a constant
+        slot on first use."""
         if nd not in self.refs:
-            self.refs[nd] = self.const(self.folded[nd])
+            self.refs[nd] = self.const(nd)
         return self.refs[nd]
 
     def lower(self, nd):
-        """Lower one node whose kids are lowered: fold it, make it an
-        instruction, or mark it as not compilable."""
-        if nd.op == "opaque" or not self.bad.isdisjoint(nd.kids):
+        """Lower one node whose kids are lowered: make it an instruction,
+        leave it to the bind step when it is coordinate-free, or mark it as
+        not compilable."""
+        if (nd.op == "opaque" or not self.bad.isdisjoint(nd.kids)
+                or nd.op == "const" and not isinstance(nd.param, (int, float))):
             self.bad.add(nd)
-            return
-        try:
-            if nd.dual:
-                self.refs[nd] = self.instruction(nd)
-                return
-            val = (nd.param if nd.op == "const"
-                   else nd.param(*[self.folded[k] for k in nd.kids]))
-        except (ArithmeticError, ValueError):
-            val = None          # the evaluator raises here too
-        if isinstance(val, (int, float)):
-            self.folded[nd] = val
-        else:
-            self.bad.add(nd)
+        elif nd.dual:
+            self.refs[nd] = self.instruction(nd)
 
     def instruction(self, nd):
         op, kids = nd.op, nd.kids
@@ -319,13 +327,12 @@ class _Lowering:
                 self.coords[nd.param] = self.add("coord", nd.param)
             return self.coords[nd.param]
         if op == "kfn":
-            # One (S, C) pair per curvature label and argument.  The label is
-            # keyed by its type and bits, so 0.0, -0.0 and the int 0 (whose
-            # C' = -kappa S differ in the sign of a zero) never share a pair.
-            kappa, x = self.folded[kids[0]], self.operand(kids[1])
-            key = (type(kappa), float(kappa).hex(), x)
+            # One (S, C) pair per curvature label value and argument: 0.0,
+            # -0.0 and the int 0 (whose C' = -kappa S differ in the sign of
+            # a zero) never share one.
+            key = _value_key(kids[0]), self.operand(kids[1])
             if key not in self.pairs:
-                self.pairs[key] = self.add("pair", x, self.const(kappa))
+                self.pairs[key] = self.add("pair", key[1], self.const(kids[0]))
             return self.add("kfn", self.pairs[key], nd.param.__name__)
         args = map(self.operand, kids)
         return self.add(op, *args, nd.param.__name__) if op == "fn" else self.add(op, *args)
@@ -428,10 +435,10 @@ _BASE_GLOBALS = {**kernel.FLOAT_FNS, **{f"{n}_rule": r for n, r in kernel.KAPPA_
 
 
 def _lower(roots, grads):
-    """(structure, constants) of several graphs, or None when a root cannot
+    """(structure, bind step) of several graphs, or None when a root cannot
     be compiled: the hashable structure key (instructions and outputs: each
     root's operand, then its flagged partials', None for a zero) and the
-    constants in slot order."""
+    function that gives a binding's constants in slot order."""
     low = _Lowering()
     order = _postorder(roots)
     for nd in order:
@@ -447,38 +454,56 @@ def _lower(roots, grads):
         if low.bad.intersection(lanes):
             return None
         outs += [low.refs[r], *(p and low.operand(p) for p in lanes)]
-    return (tuple(low.ins), tuple(outs)), tuple(low.consts)
+    program = _program(low.slots, many=True)
+    return (tuple(low.ins), tuple(outs)), lambda binding: program(binding)(*_NONE)
 
 
-# Compiled functions by root nodes (identity), which the key holds, and
-# gradient mask; None for a set with a root that cannot be compiled.  verify
-# and rank bind 1 or 2 root sets per call, simulate 5 to 8; the bound keeps
-# memory fixed.  Each entry lowers its roots and binds its constants on its own.
+# Lowered root sets by root nodes (identity) and gradient mask, shared by
+# every binding; the bound keeps memory fixed.
 @functools.lru_cache(maxsize=256)
-def _bound(roots, grads):
-    lowered = _lower(roots, grads)
+def _lowered(roots, grads):
+    return _lower(roots, grads)
+
+
+# Compiled functions by root nodes (identity), gradient mask and binding,
+# keyed by the bits of its values; None for a set with a root that cannot be
+# compiled, a constant that is not a number, or one that raises as the
+# evaluator would.  verify and rank bind 1 or 2 root sets per call, simulate
+# 5 to 8; the bound keeps memory fixed.
+@functools.lru_cache(maxsize=256)
+def _bound(roots, grads, binding, bits):
+    lowered = _lowered(roots, grads)
     if lowered is None:
         return None
-    structure, consts = lowered
+    try:
+        consts = lowered[1](binding)
+    except (ArithmeticError, ValueError):
+        return None
+    if not all(isinstance(c, (int, float)) for c in consts):
+        return None
     env = dict(_BASE_GLOBALS, **{f"k{i}": c for i, c in enumerate(consts)})
-    exec(_code(structure, any(grads)), env)
+    exec(_code(lowered[0], any(grads)), env)
     return env.pop("compiled")
 
 
-def compile_roots(roots, grads):
+def compile_roots(roots, grads, binding=None):
     """One compiled function of the six coordinates for all of ``roots``,
-    or None when any root cannot be compiled.
+    their param leaves bound to ``binding``, or None when any root cannot
+    be compiled.
 
     ``f(x0, ..., x5)`` returns, for each root in order, its value and,
     when its flag in ``grads`` is true, its six partials, in one flat
     tuple.  A root cannot be compiled when it holds an opaque leaf, a
     constant, exponent or curvature label that is not a number, or a
-    coordinate-free subtree that raises when folded (as the evaluator
+    coordinate-free subtree that raises when bound (as the evaluator
     does; a flagged root's partials too), or when it ignores the
-    coordinates.
+    coordinates, or when ``binding`` leaves a param leaf unbound (the
+    evaluator raises there).
 
     Under any mask each value is bit for bit what :func:`evaluator` gives
-    on the same floats, and each partial is the all-true function's.  A
-    repeated call on the same root nodes and mask returns the same function.
+    on the same floats and binding, and each partial is the all-true
+    function's.  A repeated call on the same root nodes, mask and binding
+    bits returns the same function.
     """
-    return _bound(tuple(roots), tuple(map(bool, grads)))
+    bits = None if binding is None else tuple(map(_bits, binding))
+    return _bound(tuple(roots), tuple(map(bool, grads)), binding, bits)

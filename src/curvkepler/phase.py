@@ -13,6 +13,12 @@ only a graph that does not compile runs the evaluator or the duals;
 them or none, partials only where a mask asks.  An observable has one value:
 the evaluator on floats or duals and compiled code under any mask give it
 bit for bit, and compiled partials are the dual evaluation's.
+
+The parameters z, kappa2 and gamma are graph leaves (:data:`Z`,
+:data:`KAPPA2`, :data:`GAMMA`): a builder writes its formula once over
+them, and an observable carries its binding, the values they take.
+Combining observables bound to different values raises, as combining
+charts does.
 """
 
 from __future__ import annotations
@@ -20,9 +26,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import functools
-import inspect
 import itertools
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +49,10 @@ class ChartMismatchError(DomainError):
 
 class ChartSingularityError(DomainError):
     """A state touched a chart degeneracy (axis, pole, or domain edge)."""
+
+
+class ParameterMismatchError(DomainError):
+    """An operation combined observables bound to different parameter values."""
 
 
 @dataclass(frozen=True)
@@ -92,13 +100,13 @@ def _coords_of(state, chart):
     return tuple(state)
 
 
-def _interpreted(node, grads, *coords):
-    """What compiled code returns, from the graph's evaluator: ``(value,)``
-    on floats, or with ``grads`` the value and six partials on seeded duals
-    (zero partials where the graph ignores the coordinates)."""
+def _interpreted(f, grads, *coords):
+    """What compiled code returns, from a graph's evaluator ``f``:
+    ``(value,)`` on floats, or with ``grads`` the value and six partials on
+    seeded duals (zero partials where the graph ignores the coordinates)."""
     if not grads:
-        return (codegen.evaluator(node)(*coords),)
-    out = codegen.evaluator(node)(*seeded(coords))
+        return (f(*coords),)
+    out = f(*seeded(coords))
     if isinstance(out, KScalar):
         return (out.val, *out.d)
     return (float(out),) + (0.0,) * NVARS
@@ -106,48 +114,82 @@ def _interpreted(node, grads, *coords):
 
 class Columns:
     """Several observables set up once for evaluation at many states: their
-    charts, their graphs, the gradient mask ``grads`` (all true by default)
-    and one compiled function for all of them (:func:`.codegen.compile_roots`),
-    or None when one of them does not compile, in which case each state
-    takes one evaluation per observable, on duals only where it is flagged.
+    charts, their graphs, their joined binding, and the gradient mask
+    ``grads`` (all true by default).  Each call runs one compiled function
+    for all of them at its binding (:func:`.codegen.compile_roots`), or,
+    when one of them does not compile, one evaluation per observable and
+    state, on duals only where it is flagged.
 
-    Calling it on a list of states returns the values, shape ``(len(states),
+    Calling it on a list of states, with an optional ``binding`` joined to
+    the observables' own, returns the values, shape ``(len(states),
     len(observables))``, and the six partials of the flagged observables in
     order, one C-contiguous block of shape ``(len(states), M, 6)``, as
     :meth:`Observable.value_and_gradient` gives them.  A state on another
     chart than an observable's raises ``ChartMismatchError`` first.
     """
 
-    __slots__ = ("charts", "nodes", "grads", "compiled", "at", "lanes")
+    __slots__ = ("charts", "nodes", "grads", "binding", "at", "lanes")
 
     def __init__(self, observables, grads=None):
         self.charts = tuple({o.chart for o in observables} - {None})
-        self.nodes = [o._node for o in observables]
+        self.nodes = tuple([o._node for o in observables])
+        self.binding = functools.reduce(joined, [o.binding for o in observables], None)
         self.grads = (True,) * len(self.nodes) if grads is None else tuple(map(bool, grads))
-        self.compiled = codegen.compile_roots(self.nodes, self.grads)
         # A row holds each value followed by its partials when flagged.
         lane = np.array([k for g in self.grads for k in range(1 + NVARS * g)])
         self.at, self.lanes = np.flatnonzero(lane == 0), np.flatnonzero(lane).reshape(-1, NVARS)
 
-    def __call__(self, states):
+    @property
+    def compiled(self):
+        """The compiled function at the observables' own binding, or None."""
+        return codegen.compile_roots(self.nodes, self.grads, self.binding)
+
+    def __call__(self, states, binding=None):
         coords = []
         for state in states:
             for chart in self.charts:           # raises on a chart mismatch
                 _coords_of(state, chart)
             coords.append(_coords_of(state, None))
-        if self.compiled:
-            rows = itertools.starmap(self.compiled, coords)
+        binding = joined(self.binding, binding)
+        compiled = codegen.compile_roots(self.nodes, self.grads, binding)
+        if compiled:
+            rows = itertools.starmap(compiled, coords)
         else:
-            rows = ([x for node, g in zip(self.nodes, self.grads)
-                     for x in _interpreted(node, g, *c)] for c in coords)
+            fns = [codegen.evaluator(node, binding) for node in self.nodes]
+            rows = ([x for f, g in zip(fns, self.grads) for x in _interpreted(f, g, *c)]
+                    for c in coords)
         flat = np.fromiter(itertools.chain.from_iterable(rows), float).reshape(
             len(coords), len(self.at) + self.lanes.size)
         # Contiguous: matmul picks its kernel by the strides of the gathers.
         return flat.take(self.at, axis=1), np.ascontiguousarray(flat.take(self.lanes, axis=1))
 
 
+def joined(a, b):
+    """The binding of a combination of observables bound to ``a`` and ``b``
+    (tuples of :data:`.codegen.PARAMS` values, None where unbound): each
+    parameter's value from whichever binds it.  Two values that differ in
+    type or bits raise ParameterMismatchError."""
+    if a is None or b is None or a is b:
+        return b if a is None else a
+    for name, x, y in zip(codegen.PARAMS, a, b):
+        if x is not None and y is not None and codegen._bits(x) != codegen._bits(y):
+            raise ParameterMismatchError(
+                f"cannot combine observables bound to {name} = {x!r} and {name} = {y!r}")
+    return tuple([y if x is None else x for x, y in zip(a, b)])
+
+
+def _constant(c):
+    """A new node for one use of a constant operand: a copy of the root of
+    an observable that ignores the coordinates (a parameter expression), so
+    that each use takes its own constant slot as a number's const node
+    does, or a const node."""
+    if isinstance(c, Observable) and not c._node.dual:
+        return codegen.Node(c._node.op, c._node.kids, c._node.param)
+    return codegen.Node("const", param=c)
+
+
 def _node_of(o):
-    return o._node if isinstance(o, Observable) else codegen.Node("const", param=o)
+    return o._node if isinstance(o, Observable) and o._node.dual else _constant(o)
 
 
 class Observable:
@@ -158,17 +200,20 @@ class Observable:
     states the observable accepts.  An observable is an expression graph
     (:mod:`.codegen`): ``Observable(fn)`` around a callable of the six
     coordinates is an opaque leaf, and this module's operators and
-    functions build nodes over their operands' graphs.  A call (on float
-    coordinates; ``fn`` takes duals) and :meth:`gradient` run code compiled
-    on first use, or interpret a graph that does not compile.
+    functions build nodes over their operands' graphs.  ``binding`` holds
+    the values of the graph's parameter leaves, one per
+    :data:`.codegen.PARAMS` slot (None where unbound), or is None.  A call
+    (on float coordinates; ``fn`` takes duals) and :meth:`gradient` run code
+    compiled on first use, or interpret a graph that does not compile.
     """
 
-    __slots__ = ("_node", "name", "chart", "_compiled", "_values")
+    __slots__ = ("_node", "name", "chart", "binding", "_compiled", "_values")
 
-    def __init__(self, fn=None, name="", chart=None, node=None):
+    def __init__(self, fn=None, name="", chart=None, node=None, binding=None):
         self._node = codegen.Node("opaque", param=fn) if node is None else node
         self.name = name
         self.chart = chart
+        self.binding = binding
         self._compiled = self._values = None    # gradient, values-only: built by _code
 
     @property
@@ -180,16 +225,16 @@ class Observable:
     @property
     def fn(self):
         """The value as a function of the six coordinates, on floats or
-        duals: the graph's evaluator (:func:`.codegen.evaluator`)."""
-        return codegen.evaluator(self._node)
+        duals: the graph's evaluator at the binding (:func:`.codegen.evaluator`)."""
+        return codegen.evaluator(self._node, self.binding)
 
     def _code(self, grads):
         """This graph's code in one mode, built on first use and kept in the
         mode's slot: compiled, or interpreted where the graph does not
         compile (an opaque leaf never tries)."""
-        node = self._node
-        code = (node.op != "opaque" and codegen.compile_roots([node], (grads,))
-                or functools.partial(_interpreted, node, grads))
+        node, binding = self._node, self.binding
+        code = (node.op != "opaque" and codegen.compile_roots([node], (grads,), binding)
+                or functools.partial(_interpreted, codegen.evaluator(node, binding), grads))
         setattr(self, "_compiled" if grads else "_values", code)
         return code
 
@@ -218,12 +263,24 @@ class Observable:
             f"cannot combine observables on {self.chart.value} and {oc.value}")
 
     def _op(self, op, *kids, other=None, param=None):
-        """``op`` over ``kids``, on the chart this observable shares with ``other``."""
-        return Observable(chart=self._merge_chart(other),
+        """``op`` over ``kids``, on the chart and binding this observable
+        shares with ``other``."""
+        binding = joined(self.binding, other.binding) if isinstance(other, Observable) \
+            else self.binding
+        return Observable(chart=self._merge_chart(other), binding=binding,
                           node=codegen.Node(op, kids, param))
 
+    def _as_number(self, o):
+        """Whether this observable stands where a number would against
+        ``o``: it ignores the coordinates (a parameter expression) and ``o``
+        does not, so ``Z * q`` builds the ``q * z`` that ``z * q`` builds on
+        a float ``z``."""
+        return not self._node.dual and isinstance(o, Observable) and o._node.dual
+
     def __add__(self, o):
-        return self._op("add", self._node, _node_of(o), other=o)
+        if self._as_number(o):
+            return o + self
+        return self._op("add", _node_of(self), _node_of(o), other=o)
 
     __radd__ = __add__
 
@@ -231,95 +288,56 @@ class Observable:
         return self._op("neg", self._node)
 
     def __sub__(self, o):
-        return self + (-o)
+        return o.__rsub__(self) if self._as_number(o) else self + (-o)
 
     def __rsub__(self, o):
-        return self._op("sub", _node_of(o), self._node)
+        return self._op("sub", _node_of(o), _node_of(self), other=o)
 
     def __mul__(self, o):
-        return self._op("mul", self._node, _node_of(o), other=o)
+        if self._as_number(o):
+            return o * self
+        return self._op("mul", _node_of(self), _node_of(o), other=o)
 
     __rmul__ = __mul__
 
     def __truediv__(self, o):
-        return self._op("div", self._node, _node_of(o), other=o)
+        return self._op("div", _node_of(self), _node_of(o), other=o)
 
     def __rtruediv__(self, o):
-        return self._op("div", _node_of(o), self._node)
+        return self._op("div", _node_of(o), _node_of(self), other=o)
 
     def __pow__(self, n):
-        return self._op("pow", self._node, codegen.Node("const", param=n))
+        return self._op("pow", self._node, _constant(n))
 
     def renamed(self, name):
-        return Observable(name=name, chart=self.chart, node=self._node)
+        return Observable(name=name, chart=self.chart, node=self._node, binding=self.binding)
 
     def with_chart(self, chart):
-        return Observable(name=self.name, chart=chart, node=self._node)
+        return Observable(name=self.name, chart=chart, node=self._node, binding=self.binding)
 
     def __repr__(self):
         tag = f" on {self.chart.value}" if self.chart else ""
         return f"<Observable {self.name or '<anon>'}{tag}>"
 
 
-_MEMO_SIZE = 64     # per builder: the parameter sets a session revisits
+# The parameter leaves z (= kappa1), kappa2 and gamma: observables that
+# ignore the coordinates, whose values a binding gives.
+Z, KAPPA2, GAMMA = (Observable(name=name, node=codegen.Node("param", param=i))
+                    for i, name in enumerate(codegen.PARAMS))
 
 
-def _memo_key(arg):
-    """A key equal only for interchangeable arguments: a float by type and
-    bits (0.0, -0.0, the int 0 and each NaN payload differ), an Observable
-    by identity, a tuple or frozen dataclass field by field.  Anything
-    without one (a ``CUSTOM`` callable) raises TypeError."""
-    if isinstance(arg, float):
-        return type(arg), struct.pack("<d", arg)
-    if arg is None or isinstance(arg, (int, str, enum.Enum, Observable)):
-        return type(arg), arg
-    if isinstance(arg, tuple):
-        return (tuple, *map(_memo_key, arg))
-    if not dataclasses.is_dataclass(arg) or not arg.__dataclass_params__.frozen:
-        raise TypeError(f"no memo key for {type(arg).__name__}")
-    return (type(arg), *map(_memo_key, vars(arg).values()))
-
-
-def memo(fn):
-    """``fn`` keeping its results for the last ``_MEMO_SIZE`` argument keys
-    in ``cache``; an argument without a key bypasses it.  A call is keyed by
-    its arguments bound to ``fn``'s parameters, defaults applied, so
-    ``f(x)``, ``f(x, default)`` and ``f(x, name=default)`` share an entry; a
-    call that does not bind (a missing or unknown argument) goes to ``fn``
-    uncached, to raise there.  A repeated call returns the same objects,
-    except that an Observable, or a dict of them, comes back as a new one on
-    the same graph, so edits stay with the caller (a copy's first call finds
-    its graph's code in the compile cache).  Callers must not mutate any
-    other result."""
-    cache = {}
-    params = inspect.signature(fn).parameters
-    if any(p.kind is not p.POSITIONAL_OR_KEYWORD for p in params.values()):
-        raise TypeError("memo needs plain positional-or-keyword parameters")
-    names, defaults = tuple(params), tuple(p.default for p in params.values())
-
-    @functools.wraps(fn)
-    def cached(*args, **kwargs):
-        # A missing argument stays Parameter.empty, which has no key, and an
-        # unknown or repeated one fails the subset test: fn raises for both.
-        n = len(args)
-        bound = args + tuple([kwargs.get(name, d) for name, d in
-                              zip(names[n:], defaults[n:])])
-        try:
-            if not kwargs.keys() <= set(names[n:]):
-                raise TypeError
-            key = _memo_key(bound)
-        except TypeError:
-            return fn(*args, **kwargs)
-        out = cache.pop(key) if key in cache else fn(*bound)
-        if len(cache) >= _MEMO_SIZE:
-            del cache[next(iter(cache))]        # the least recently used
-        cache[key] = out
-        if isinstance(out, dict):
-            return {name: ob.renamed(ob.name) for name, ob in out.items()}
-        return out.renamed(out.name) if isinstance(out, Observable) else out
-
-    cached.cache = cache
-    return cached
+def bound(obj, binding, **fields):
+    """``obj`` on the same graphs with every observable bound to
+    ``binding``: an observable, a dict of them, or a frozen dataclass that
+    holds them, with ``fields`` replaced.  The objects are new, so edits
+    stay with the caller."""
+    if isinstance(obj, Observable):
+        return Observable(name=obj.name, chart=obj.chart, node=obj._node, binding=binding)
+    if isinstance(obj, dict):
+        return {name: bound(ob, binding) for name, ob in obj.items()}
+    obs = {f.name: bound(v, binding) for f in dataclasses.fields(obj)
+           if isinstance(v := getattr(obj, f.name), Observable)}
+    return dataclasses.replace(obj, **{**obs, **fields})
 
 
 def constant(c):
@@ -339,14 +357,13 @@ P1, P2, P3 = (coordinate(i + 3, n) for i, n in enumerate(("p1", "p2", "p3")))
 def _lift(scalar_fn):
     """``scalar_fn`` on floats and duals; on an observable (the last
     argument) an ``fn`` node, or a ``kfn`` node for a curvature-labelled
-    function, whose leading label is a const kid."""
+    function, whose leading labels are constant kids (:func:`_constant`)."""
     op = "kfn" if scalar_fn.__name__ in kernel.KAPPA_RULES else "fn"
 
     def lifted(*args):
         *labels, x = args
         if isinstance(x, Observable):
-            labels = [codegen.Node("const", param=k) for k in labels]
-            return x._op(op, *labels, x._node, param=scalar_fn)
+            return x._op(op, *map(_constant, labels), x._node, param=scalar_fn)
         return scalar_fn(*args)
 
     lifted.__name__ = scalar_fn.__name__

@@ -25,6 +25,7 @@ Hcal = J+ f(zJ-)/2 + U(zJ-) the kinetic part therefore carries a factor
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -32,11 +33,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernel
-from .coalgebra import three_site_closed_form
+from .coalgebra import _closed_form, three_site_closed_form
 from .kernel import DomainError
-from .phase import (Chart, ChartMismatchError, ChartSingularityError,
-                    Observable, PhaseState, ckappa, coordinate, cotkappa,
-                    exp, expm1c, memo, skappa, sqrt)
+from .phase import (GAMMA, KAPPA2, Z, Chart, ChartMismatchError, ChartSingularityError,
+                    Observable, PhaseState, bound, ckappa, coordinate, cotkappa,
+                    exp, expm1c, skappa, sqrt)
 
 __all__ = [
     "SpaceParams", "PRESETS", "Family", "HamiltonianSpec", "hamiltonian",
@@ -81,6 +82,11 @@ class SpaceParams:
         """Kepler coupling of the polar-chart potential, k = 2 sqrt(2) gamma."""
         return 2.0 * math.sqrt(2.0) * self.gamma
 
+    @property
+    def binding(self):
+        """The values of the graphs' parameter leaves z, kappa2 and gamma."""
+        return self.z, self.kappa2, self.gamma
+
     @classmethod
     def preset(cls, name, gamma=0.0):
         try:
@@ -89,6 +95,17 @@ class SpaceParams:
             raise DomainError(f"unknown preset {name!r}; "
                               f"choose from {sorted(PRESETS)}") from None
         return cls(z=kappa1, kappa2=kappa2, gamma=gamma)
+
+
+class _Symbols:
+    """SpaceParams over the parameter leaves: builders given it build a
+    graph once for every parameter set."""
+
+    z, kappa2, gamma = Z, KAPPA2, GAMMA
+    kappa1, k = SpaceParams.kappa1, SpaceParams.k
+
+
+_SYMBOLS = _Symbols()
 
 
 class Family(enum.Enum):
@@ -158,41 +175,50 @@ _PPH = coordinate(5, "p_phi")
 def _beltrami_kepler_potential(params):
     """2 U(zJ-): pullback of the polar Kepler terms to the Beltrami chart."""
     z, gamma = params.z, params.gamma
-    r3 = three_site_closed_form(z)
-    jm = r3.jminus
+    jm = _closed_form().jminus
     return -2.0 * gamma / sqrt(jm * expm1c(2.0 * z * jm))
 
 
-@memo
 def hamiltonian(spec, chart):
     """The family Hamiltonian as an observable on the requested chart."""
     _check_chart(spec, chart)
-    params = spec.params
-    z = params.z
+    if spec.family is not Family.CUSTOM:
+        return bound(_hamiltonian(spec.family, chart), spec.params.binding)
+    # A custom family builds its own graph, with z bound in the closures of
+    # its callables.
+    z = spec.params.z
+    r3 = three_site_closed_form(z)
+    jm, jp = r3.jminus, r3.jplus
+    f, pot = spec.f, spec.potential
+    zjm, jm_of = (z * jm).fn, jm.fn
+    fn_f = Observable(lambda *s: f(zjm(*s)))
+    fn_u = Observable(lambda *s: pot(z, jm_of(*s)))
+    h = jp * fn_f + 2.0 * fn_u
+    return h.renamed(f"H[{spec.family.value}]").with_chart(Chart.BELTRAMI)
 
+
+@functools.cache
+def _hamiltonian(family, chart):
+    """A named family's Hamiltonian on a chart, over the parameter leaves."""
+    params = _SYMBOLS
     if chart is Chart.BELTRAMI:
-        r3 = three_site_closed_form(z)
+        z = params.z
+        r3 = _closed_form()
         jm, jp = r3.jminus, r3.jplus
-        if spec.family is Family.CUSTOM:
-            f, pot = spec.f, spec.potential
-            zjm, jm_of = (z * jm).fn, jm.fn
-            fn_f = Observable(lambda *s: f(zjm(*s)))
-            fn_u = Observable(lambda *s: pot(z, jm_of(*s)))
-            h = jp * fn_f + 2.0 * fn_u
-        elif spec.family is Family.FREE_NC:
+        if family is Family.FREE_NC:
             h = 0.25 * jp
-        elif spec.family is Family.FREE_CC:
+        elif family is Family.FREE_CC:
             h = 0.25 * jp * exp(z * jm)
-        elif spec.family is Family.KEPLER_NC:
+        elif family is Family.KEPLER_NC:
             h = 0.25 * jp + exp(2.0 * z * jm) * _beltrami_kepler_potential(params)
         else:  # KEPLER_CC
             h = 0.25 * jp * exp(z * jm) + _beltrami_kepler_potential(params)
-        return h.renamed(f"H[{spec.family.value}]").with_chart(Chart.BELTRAMI)
+        return h.renamed(f"H[{family.value}]").with_chart(Chart.BELTRAMI)
 
     s2 = skappa(params.kappa2, _TH)
     angular = _PTH * _PTH + _PPH * _PPH / (s2 * s2)
-    h = _polar_hamiltonian(spec.family, params, _RAD, _PRAD, angular)
-    return h.renamed(f"H[{spec.family.value}]").with_chart(chart)
+    h = _polar_hamiltonian(family, params, _RAD, _PRAD, angular)
+    return h.renamed(f"H[{family.value}]").with_chart(chart)
 
 
 def _polar_hamiltonian(family, params, rad, prad, angular):

@@ -10,6 +10,10 @@ All identities stay real for Lorentzian signature (kappa2 < 0) by
 writing every formula through kappa-trigonometry; the odd-in-lambda2 scaled
 vector components P_i are only materialized for kappa2 > 0, while their
 bracket table is verified in the equivalent even form.
+
+The generators, the constants, the Runge-Lenz vector and both tables are
+built once, over the parameter leaves, and bound to the parameters of each
+call.
 """
 
 from __future__ import annotations
@@ -21,14 +25,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coalgebra import run_table  # noqa: F401  (retained: perfbench/spans.py wraps symmetry.run_table)
-from .coalgebra import Identity, _uniform_coords, casimirs, run_tables
+from .coalgebra import Identity, Table, _casimirs, _uniform_coords, run_tables
 from .kernel import DomainError
 from .phase import grad  # noqa: F401  (retained: perfbench/spans.py wraps symmetry.grad)
 from .phase import (P1, Q1, Chart, ChartMismatchError, Columns, Observable, PhaseState,
-                    ckappa, cos, cotkappa, exp, memo, sin, sinhc, skappa)
-from .spaces import (_PH, _PPH, _PRAD, _PTH, _RAD, _TH, Family,
-                     HamiltonianSpec, SpaceParams, _check_chart, hamiltonian,
-                     to_polar)
+                    bound, ckappa, cos, cotkappa, exp, sin, sinhc, skappa)
+from .spaces import hamiltonian  # noqa: F401  (retained: perfbench/spans.py wraps it)
+from .spaces import (_PH, _PPH, _PRAD, _PTH, _RAD, _SYMBOLS, _TH, Family, SpaceParams,
+                     _check_chart, _hamiltonian, to_polar)
 
 __all__ = [
     "GeneratorSet", "LRLVector", "so4_generators", "constants", "lrl",
@@ -53,12 +57,17 @@ class GeneratorSet:
                 "j12": self.j12, "j13": self.j13, "j23": self.j23}
 
 
-@memo
 def so4_generators(params, perturb=None):
     """The six generators on the polar chart; closes so_{kappa1,kappa2}(4).
 
     `perturb` scales one named generator by 1.01 (negative-control hook).
     """
+    return bound(_so4_generators(perturb), params.binding, params=params)
+
+
+@functools.cache
+def _so4_generators(perturb):
+    params = _SYMBOLS
     k1, k2 = params.kappa1, params.kappa2
     cot1 = cotkappa(k1, _RAD)
     s2 = skappa(k2, _TH)
@@ -115,15 +124,20 @@ class LRLVector:
                 "P3": l2 * self.l3}
 
 
-@memo
-def lrl(params, gens=None):
+def lrl(params):
     """Runge-Lenz vector built on the so(4) generators, plus the cubic mu.
 
     mu = 2 (kappa1 C^(3) - kappa2 H) with H the constant-curvature Kepler
     Hamiltonian; {L_i, L_j} = mu J_ij closes the cubic (Higgs-type) algebra.
     """
-    if gens is None:
-        gens = so4_generators(params)
+    return bound(_lrl(None), params.binding, params=params)
+
+
+@functools.cache
+def _lrl(perturb):
+    """The vector on the generators with ``perturb`` scaled, over the parameter leaves."""
+    params, gens = _SYMBOLS, _so4_generators(perturb)
+    h = _hamiltonian(Family.KEPLER_CC, Chart.POLAR_CONSTANT)
     k1, k2, k = params.kappa1, params.kappa2, params.k
     s2 = skappa(k2, _TH)
     c2 = ckappa(k2, _TH)
@@ -132,7 +146,6 @@ def lrl(params, gens=None):
     l2 = (gens.j01 * gens.j12 - gens.j03 * gens.j23 + k * k2 * s2 * cp).renamed("L2")
     l3 = (gens.j01 * gens.j13 + gens.j02 * gens.j23 + k * k2 * s2 * sp).renamed("L3")
     c3 = gens.j12 * gens.j12 + gens.j13 * gens.j13 + k2 * gens.j23 * gens.j23
-    h = hamiltonian(HamiltonianSpec(Family.KEPLER_CC, params), Chart.POLAR_CONSTANT)
     mu = (2.0 * (k1 * c3 - k2 * h)).renamed("mu")
     return LRLVector(params, l1.with_chart(Chart.POLAR_CONSTANT),
                      l2.with_chart(Chart.POLAR_CONSTANT),
@@ -140,7 +153,6 @@ def lrl(params, gens=None):
                      mu.with_chart(Chart.POLAR_CONSTANT))
 
 
-@memo
 def constants(spec, chart):
     """Constants of motion of a family, as named observables on a chart.
 
@@ -150,28 +162,31 @@ def constants(spec, chart):
     Every returned observable Poisson-commutes with hamiltonian(spec, chart).
     """
     _check_chart(spec, chart)
-    params = spec.params
-    kappa2 = params.kappa2
+    return bound(_constants(spec.family, chart), spec.params.binding)
+
+
+@functools.cache
+def _constants(family, chart):
+    kappa2 = _SYMBOLS.kappa2
     out = {}
     if chart is Chart.BELTRAMI:
-        cs = casimirs(params.z)
+        cs = _casimirs()
         out["C2"] = cs.c12.renamed("C2")
         out["C2mid"] = (kappa2 * cs.c23).renamed("C2mid")
         out["C3"] = (kappa2 * cs.c123).renamed("C3")
-        if spec.family is Family.FREE_CC:
-            z = params.z
+        if family is Family.FREE_CC:
+            z = _SYMBOLS.z
             i2 = 0.5 * sinhc(z * Q1 * Q1) * exp(z * Q1 * Q1) * P1 * P1
             out["I2"] = (kappa2 * i2).renamed("I2")
         return {name: ob.renamed(name).with_chart(Chart.BELTRAMI)
                 for name, ob in out.items()}
     c2, c2mid, c3 = _angular_constants(kappa2)
     out = {"C2": c2, "C2mid": c2mid, "C3": c3}
-    if spec.family is Family.FREE_CC:
-        gens = so4_generators(params)
+    if family is Family.FREE_CC:
+        gens = _so4_generators(None)
         out["I2"] = (gens.j03 * gens.j03).renamed("I2")
-    if spec.family is Family.KEPLER_CC and chart is Chart.POLAR_CONSTANT:
-        vec = lrl(params)
-        out.update(vec.components())
+    if family is Family.KEPLER_CC and chart is Chart.POLAR_CONSTANT:
+        out.update(_lrl(None).components())
     return {name: ob.renamed(name).with_chart(chart) for name, ob in out.items()}
 
 
@@ -225,8 +240,9 @@ def _polar_sampler(params):
     return functools.partial(sample_polar, params)
 
 
-@memo
-def _so4_table(gens, params):
+@functools.cache
+def _so4_table(perturb):
+    gens, params = _so4_generators(perturb), _SYMBOLS
     k1, k2 = params.kappa1, params.kappa2
     j01, j02, j03 = gens.j01, gens.j02, gens.j03
     j12, j13, j23 = gens.j12, gens.j13, gens.j23
@@ -249,17 +265,16 @@ def _so4_table(gens, params):
     ]
     table = [Identity(name, f, g, rhs, group="so4") for name, f, g, rhs in rows]
     # The free Hamiltonian is the quadratic Casimir of the algebra.
-    hfree = hamiltonian(HamiltonianSpec(Family.FREE_CC, params),
-                        Chart.POLAR_CONSTANT)
+    hfree = _hamiltonian(Family.FREE_CC, Chart.POLAR_CONSTANT)
     casimir = (k2 * j01 * j01 + j02 * j02 + j03 * j03
                + k1 * (j12 * j12 + j13 * j13 + k2 * j23 * j23))
     table.append(Identity("2 k2 H_cc = quadratic Casimir", 2.0 * k2 * hfree,
                           None, casimir, group="casimir"))
-    return table
+    return tuple(table)
 
 
 def _so4_job(params, perturb):
-    table = _so4_table(so4_generators(params, perturb=perturb), params)
+    table = Table(_so4_table(perturb), params.binding)
     return "so4", table, {"z": params.z, "kappa2": params.kappa2, "perturb": perturb or ""}
 
 
@@ -268,15 +283,13 @@ def verify_so4(params, samples=100, seed=0, perturb=None):
     return run_tables([_so4_job(params, perturb)], _polar_sampler(params), samples, seed)[0]
 
 
-@memo
-def _lrl_table(params, perturb=None):
-    k1, k2 = params.kappa1, params.kappa2
-    gens = so4_generators(params, perturb=perturb)
-    vec = lrl(params, gens=gens)
+@functools.cache
+def _lrl_table(perturb):
+    k1, k2 = _SYMBOLS.kappa1, _SYMBOLS.kappa2
+    gens, vec = _so4_generators(perturb), _lrl(perturb)
     l1, l2, l3, mu = vec.l1, vec.l2, vec.l3, vec.mu
     j12, j13, j23 = gens.j12, gens.j13, gens.j23
-    h = hamiltonian(HamiltonianSpec(Family.KEPLER_CC, params),
-                    Chart.POLAR_CONSTANT)
+    h = _hamiltonian(Family.KEPLER_CC, Chart.POLAR_CONSTANT)
     rows = []
     for name, ob in vec.components().items():
         rows.append(Identity(f"{{{name}, H_cc_kepler}} = 0", ob, h, 0.0,
@@ -331,11 +344,11 @@ def _lrl_table(params, perturb=None):
     ]
     for group, items in cubic:
         rows += [Identity(n, f, g, r, group=group) for n, f, g, r in items]
-    return rows
+    return tuple(rows)
 
 
 def _lrl_job(params, perturb):
-    return "lrl", _lrl_table(params, perturb=perturb), {
+    return "lrl", Table(_lrl_table(perturb), params.binding), {
         "z": params.z, "kappa2": params.kappa2, "gamma": params.gamma, "perturb": perturb or ""}
 
 

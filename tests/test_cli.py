@@ -671,9 +671,7 @@ _UNALLOCATABLE = "100000000000000"
 @pytest.mark.parametrize("argv", [
     ("verify", "--suite", "sl2z", "--z", "0.3", "--samples", _UNALLOCATABLE),
     ("rank", "--family", "free-cc", "--preset", "spherical", "--samples", _UNALLOCATABLE),
-    ("curvature", "--kind", "nc", "--chart", "beltrami", "--z", "0.3", "--kappa2", "1",
-     "--grid", f"0.5:0.5:1,0.5:0.5:1,0.5:0.5:{_UNALLOCATABLE}"),
-], ids=["verify samples", "rank samples", "curvature grid"])
+], ids=["verify samples", "rank samples"])
 def test_a_size_numpy_cannot_allocate_exits_2_with_one_error_line(capsys, argv):
     """numpy's allocation failure used to escape ``main`` as a traceback and
     exit 1, the verification-failure code."""
@@ -681,6 +679,68 @@ def test_a_size_numpy_cannot_allocate_exits_2_with_one_error_line(capsys, argv):
     assert code == 2 and out == "" and "Traceback" not in err
     assert err.startswith("error: MemoryError: Unable to allocate ")
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("grid, points", [
+    (f"0.5:0.5:1,0.5:0.5:1,0.5:0.5:{_UNALLOCATABLE}", int(_UNALLOCATABLE)),
+    ("0.5:0.9:100,0.5:0.9:100,0.5:0.9:101", 100 * 100 * 101),
+    ("0.5:0.9:465,0.5:0.9:465,0.5:0.9:465", 465 ** 3),
+], ids=["unallocatable axis", "just past the cap", "10^8 points"])
+def test_a_grid_past_the_point_cap_exits_2_before_any_axis_is_built(capsys, monkeypatch,
+                                                                     grid, points):
+    """A grid numpy could allocate but that holds about 10^8 points ran for
+    hours; past cli._MAX_GRID_POINTS points the product of the axis counts
+    is refused before any axis array is built."""
+    monkeypatch.setattr(cli.np, "linspace", lambda *a, **k: pytest.fail("linspace called"))
+    code, out, err = run_cli(capsys, "curvature", "--kind", "nc", "--chart", "beltrami",
+                             "--z", "0.3", "--kappa2", "1", "--grid", grid)
+    assert code == 2 and out == ""
+    assert err == (f"error: --grid holds {points} points, more than the "
+                   f"{cli._MAX_GRID_POINTS} a scan may take\n")
+
+
+def test_a_grid_at_the_point_cap_is_accepted():
+    axes = cli._parse_grid("0.5:0.9:100,0.5:0.9:100,0.5:0.9:100")
+    assert cli._MAX_GRID_POINTS == 10 ** 6 == math.prod(map(len, axes))
+
+
+# Negative values after a space that are not plain decimals: argparse took
+# each for an option unless it matched -\d+ or -\d*.\d+.
+_NEGATIVE = ("-3e-1", "-1e-05", "-1E5")
+
+
+@pytest.mark.parametrize("value", _NEGATIVE)
+@pytest.mark.parametrize("option", ["--z", "--kappa2", "--gamma"])
+def test_a_negative_value_in_exponent_notation_is_read_after_a_space(option, value):
+    args = {"--z": "0.2", "--kappa2": "1", "--gamma": "0.5", option: value}
+    for command in ("verify", "simulate", "curvature", "rank"):
+        parsed = cli.build_parser().parse_args(
+            [command, *(x for item in args.items() for x in item)])
+        assert getattr(parsed, option[2:]) == float(value), command
+
+
+@pytest.mark.parametrize("spaced, joined", [
+    (("--z", "-3e-1"), ("--z=-3e-1",)),
+    (("--z", "-1e-05"), ("--z=-1e-05",)),
+    (("--z", "-3e-1", "--kappa2", "-1E5", "--gamma", "-1e-05"),
+     ("--z=-3e-1", "--kappa2=-1E5", "--gamma=-1e-05")),
+])
+def test_verify_reads_a_negative_exponent_value_as_its_equals_form(capsys, spaced, joined):
+    runs = [run_cli(capsys, "verify", "--suite", "sl2z", *flags, "--samples", "2")
+            for flags in (spaced, joined)]
+    assert runs[0][0] == 0 and runs[0] == runs[1]
+
+
+def test_simulate_reads_a_state_that_starts_with_a_minus_sign_after_a_space(capsys, tmp_path):
+    state = "-1.1,1.2,0.4,0.2,0.4,0.9"
+    outputs = []
+    for flags in (("--state", state), (f"--state={state}",)):
+        csv, summary = tmp_path / "t.csv", tmp_path / "s.json"
+        code, out, err = run_cli(capsys, "simulate", "--family", "kepler-cc",
+                                 "--preset", "spherical", "--gamma", "0.45", *flags,
+                                 "--t-end", "0.1", "--csv", str(csv), "--summary", str(summary))
+        outputs.append((code, out, err, csv.read_bytes(), summary.read_bytes()))
+    assert outputs[0][0] in (0, 3) and outputs[0] == outputs[1]
 
 
 _CURVATURE_GRID = ("curvature", "--kind", "cc", "--chart", "polar-constant",

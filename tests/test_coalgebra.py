@@ -282,7 +282,7 @@ def _full_array_pass(table, sampler, samples, seed):
     then run_table's residual formula."""
     obs = {id(o): o for t in table for o in (t.f, t.g, t.rhs) if isinstance(o, Observable)}
     col = {key: j for j, key in enumerate(obs)}
-    f = codegen.compile_roots([o.node for o in obs.values()], [True] * len(obs))
+    f = codegen.compile_roots([o.node for o in obs.values()], [True] * len(obs), table.binding)
     states = sampler(np.random.default_rng(seed), n=samples)
     vg = np.fromiter(itertools.chain.from_iterable([f(*s.coords) for s in states]),
                      float).reshape(samples, len(obs), 7)
@@ -317,7 +317,7 @@ def test_masked_columns_give_the_full_array_residuals_bit_for_bit(preset, monkey
     cli._run_suites("all", SpaceParams.preset(preset, gamma=0.4), 1, 0, None)
     assert len(batches) == 2
     for jobs, sampler in batches:
-        table = [ident for _, t, _ in jobs for ident in t]
+        table = coalgebra._batch(jobs)
         report = run_table("batch", table, sampler, 50, 26)
         want = _full_array_pass(table, sampler, 50, 26)
         assert [(r.max_residual.hex(), r.worst_point) for r in report.results] == \

@@ -26,7 +26,7 @@ def _dual(ob):
 
 def _compiles(ob, grads=True):
     """Whether the observable's graph compiles in the mode ``grads``."""
-    return codegen.compile_roots([ob._node], (grads,)) is not None
+    return codegen.compile_roots([ob._node], (grads,), ob.binding) is not None
 
 
 def _observables(spec, chart):
@@ -127,8 +127,8 @@ def test_compiled_kepler_gradient_evaluates_one_kappa_pair_per_argument():
     params = SpaceParams.preset("spherical", 0.5)
     h = hamiltonian(HamiltonianSpec(Family.KEPLER_CC, params), Chart.POLAR_CONSTANT)
     for grads in ((True,), (False,)):
-        structure, consts = codegen._lower([h.node], grads)
-        ins = structure[0]
+        structure, bind = codegen._lower([h.node], grads)
+        ins, consts = structure[0], bind(h.binding)
         pairs = sorted((ins[i[1]], consts[~i[2]]) for i in ins if i[0] == "pair")
         assert pairs == [(("coord", 0), params.z), (("coord", 1), params.kappa2)]
         source = "\n".join(codegen._Emitter().body(structure, grads[0]))
@@ -232,8 +232,11 @@ def test_an_observable_compiles_on_first_use_and_lowers_once_per_mode(monkeypatc
     and constants at a gamma no other test uses), the first call gives the
     evaluator's value bit for bit and the first gradient the dual path's
     value and partials, up to the sign of a zero.  Each mode lowers its
-    graph once, on its first call: no later call in that mode, on the same
-    observable or on a copy a memoized builder returns, lowers again."""
+    graph once, on its first call (the lowering cache emptied first, since
+    graphs are shared by every parameter set): no later call in that mode,
+    on the same observable or on a copy a builder returns, lowers again."""
+    codegen._lowered.cache_clear()
+    codegen._bound.cache_clear()
     lowered = []
     real = codegen._lower
     monkeypatch.setattr(codegen, "_lower", lambda *a: lowered.append(a) or real(*a))
@@ -296,12 +299,13 @@ def test_compiled_integration_is_bitwise_the_dual_integration(family, chart, par
 # -- compiled bracket tables and the code cache ------------------------------
 
 def _captured_tables(monkeypatch):
-    """(suite, table, sampler) of each run_table call of the four suites."""
+    """(suite, table, sampler) of each run_table call of the four suites,
+    each table's identities holding its observables bound."""
     seen = []
     real = coalgebra.run_table
 
     def capture(suite, table, sampler, samples, seed, params=None):
-        seen.append((suite, table, sampler))
+        seen.append((suite, [phase.bound(t, table.binding) for t in table], sampler))
         return real(suite, table, sampler, samples, seed, params)
 
     monkeypatch.setattr(coalgebra, "run_table", capture)
@@ -506,7 +510,8 @@ def test_opaque_leaf_joins_a_graph_and_a_mixed_set_compiles_nothing(monkeypatch)
     calls = []
     real = codegen.compile_roots
     monkeypatch.setattr(codegen, "compile_roots",
-                        lambda roots, grads: calls.append((roots, grads)) or real(roots, grads))
+                        lambda roots, grads, binding=None: calls.append((roots, grads))
+                        or real(roots, grads, binding))
     report = coalgebra.run_table("t", table, sample_beltrami, 5, 1)
     assert [(r.max_residual, r.worst_point) for r in report.results] == want
     # The graphs and the opaque leaf make one root set, which builds no
@@ -639,10 +644,9 @@ def test_every_hamiltonian_and_monitor_compiles(family):
     for preset in sorted(PRESETS):
         spec = HamiltonianSpec(family, SpaceParams.preset(preset, gamma=0.5))
         for chart in spec.compatible_charts():
-            assert codegen.compile_roots([hamiltonian(spec, chart)._node], (True,)), \
-                (preset, chart)
+            assert _compiles(hamiltonian(spec, chart)), (preset, chart)
             for name, ob in _observables(spec, chart).items():
-                assert codegen.compile_roots([ob._node], (False,)), (preset, chart, name)
+                assert _compiles(ob, grads=False), (preset, chart, name)
 
 
 _SUITE_PARAMS = ([SpaceParams.preset(p, gamma=0.5) for p in sorted(PRESETS)]
@@ -664,8 +668,10 @@ def test_both_verify_batches_compile_as_one_root_set_each(params, monkeypatch):
         cli._run_suites("all", params, 1, 0, perturb)
         assert len(batches) == 2
         for jobs in batches:
-            identities = tuple(ident for _, table, _ in jobs for ident in table)
-            assert coalgebra._plan(identities).columns.compiled is not None, (perturb, jobs[0][0])
+            batch = coalgebra._batch(jobs)
+            columns = coalgebra._plan(tuple(batch)).columns
+            assert codegen.compile_roots(columns.nodes, columns.grads, batch.binding) \
+                is not None, (perturb, jobs[0][0])
 
 
 @pytest.mark.parametrize("family", _NAMED, ids=lambda f: f.value)
@@ -690,8 +696,7 @@ def test_the_custom_hamiltonian_is_the_fallbacks_one_built_in_user():
         Family.CUSTOM, SpaceParams(0.1, 1.0, 0.4), f=kernel.exp,
         potential=lambda z, jm: -0.4 / kernel.sqrt(jm * kernel.expm1c(2.0 * z * jm)))
     h = hamiltonian(spec, Chart.BELTRAMI)
-    assert codegen.compile_roots([h._node], (True,)) is None
-    assert codegen.compile_roots([h._node], (False,)) is None
+    assert not _compiles(h) and not _compiles(h, grads=False)
 
 
 # -- gradient masks ---------------------------------------------------------------
@@ -701,16 +706,21 @@ def _hexes(values):
 
 
 def _verify_batches(params, perturb, monkeypatch):
-    """(observables, sampler) of each batch of ``verify --suite all``, the
-    observables in the order of the batch's column plan."""
+    """(observables, sampler, binding) of each batch of ``verify --suite
+    all``, the observables in the order of the batch's column plan, bound."""
     batches = []
     with monkeypatch.context() as m:
         m.setattr(coalgebra, "run_tables",
                   lambda jobs, sampler, samples, seed: batches.append((jobs, sampler)) or [])
         cli._run_suites("all", params, 1, 0, perturb)
-    return [(list({id(o): o for _, table, _ in jobs for ident in table
-                   for o in (ident.f, ident.g, ident.rhs) if isinstance(o, Observable)}.values()),
-             sampler) for jobs, sampler in batches]
+    out = []
+    for jobs, sampler in batches:
+        batch = coalgebra._batch(jobs)
+        obs = {id(o): o for ident in batch for o in (ident.f, ident.g, ident.rhs)
+               if isinstance(o, Observable)}
+        out.append(([phase.bound(o, batch.binding) for o in obs.values()], sampler,
+                    batch.binding))
+    return out
 
 
 @pytest.mark.parametrize("preset, perturb", [(p, None) for p in sorted(PRESETS)]
@@ -722,12 +732,12 @@ def test_every_mask_gives_the_all_true_functions_bits(preset, perturb, monkeypat
     all-true function's bits.  The all-false function returns each
     observable's value (its own values-only code) and seeds no coordinate."""
     rng = np.random.default_rng(26)
-    for obs, sampler in _verify_batches(SpaceParams.preset(preset, gamma=0.5), perturb,
-                                        monkeypatch):
+    for obs, sampler, binding in _verify_batches(SpaceParams.preset(preset, gamma=0.5),
+                                                 perturb, monkeypatch):
         nodes, n = [o.node for o in obs], len(obs)
-        full = codegen.compile_roots(nodes, [True] * n)
-        none = codegen.compile_roots(nodes, [False] * n)
-        masked = [(m, codegen.compile_roots(nodes, m))
+        full = codegen.compile_roots(nodes, [True] * n, binding)
+        none = codegen.compile_roots(nodes, [False] * n, binding)
+        masked = [(m, codegen.compile_roots(nodes, m, binding))
                   for m in (rng.random(n) < p for p in (0.2, 0.5, 0.8))]
         assert all(_compiles(o, grads=False) for o in obs)
         for s in sampler(np.random.default_rng(rng.integers(2 ** 32)), n=50):
@@ -816,10 +826,10 @@ def test_second_partials_of_the_partial_graphs_are_the_gradients_difference():
     point = (1.1, 1.2, 0.4, 0.2, 0.4, 0.9)
     first, = codegen._partials([h.node])
     second = iter(codegen._partials([p for p in first if p is not None]))
-    hess = np.array([[0.0 if q is None else codegen.evaluator(q)(*point)
+    hess = np.array([[0.0 if q is None else codegen.evaluator(q, h.binding)(*point)
                       for q in (codegen._NONE if p is None else next(second))]
                      for p in first])
-    grad = codegen.compile_roots([h.node], (True,))
+    grad = codegen.compile_roots([h.node], (True,), h.binding)
     for step in (1e-3, 5e-4):
         for j in range(6):
             up, dn = list(point), list(point)

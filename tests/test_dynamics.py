@@ -746,7 +746,8 @@ def test_monitor_series_are_each_observable_at_each_sample(monkeypatch):
     h, mon, guard = _spherical_kepler()
     tr = integrate(h, _KEPLER_STATE, _KEPLER_CFG, monitors=mon, domain_guard=guard)
     assert len(tr.times) > 20 and list(tr.monitors) == list(mon)
-    assert all(ob._values is codegen.compile_roots([ob.node], (False,)) for ob in mon.values())
+    assert all(ob._values is codegen.compile_roots([ob.node], (False,), ob.binding)
+               for ob in mon.values())
     for name, ob in mon.items():
         want = [ob.fn(*y.tolist()) for y in tr.states]
         assert [v.hex() for v in tr.monitors[name]] == [v.hex() for v in want], name

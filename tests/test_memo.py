@@ -1,9 +1,9 @@
-"""The process-wide memos: observable builders by parameter bits, lowering by root nodes."""
+"""The process-wide caches: graphs built once over the parameter leaves,
+lowering by root nodes, compiled functions by root nodes and parameter bits."""
 
 import contextlib
-import importlib.util
-import inspect
 import io
+import itertools
 import json
 import os
 import struct
@@ -18,33 +18,37 @@ from curvkepler.spaces import Family, HamiltonianSpec, SpaceParams
 
 _SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
-MEMOS = (coalgebra.one_site, coalgebra.coproduct_join, coalgebra.three_site,
-         coalgebra._sinhc_exp_factors, coalgebra.three_site_closed_form,
-         coalgebra.casimirs, coalgebra._perturbed, coalgebra.sl2z_table,
-         coalgebra._casimir_table, symmetry.so4_generators, symmetry.lrl,
-         symmetry._so4_table, symmetry._lrl_table, symmetry.constants,
-         spaces.hamiltonian)
 
-
-def test_memo_keys_tell_apart_what_compares_equal():
+def test_signed_and_integer_zeros_bind_apart():
     """0.0, -0.0 and the int 0 compare equal, and NaNs compare unequal to
-    everything; the keys go by type and bits instead."""
+    everything; bindings are keyed by type and bits instead, so each zero
+    gets its own compiled function, and observables bound to two of them
+    do not combine."""
     nan2 = struct.unpack("<d", struct.pack("<Q", 0x7FF8000000000002))[0]
-    keys = [phase._memo_key(v) for v in (0.0, -0.0, 0, False, float("nan"), nan2)]
+    keys = [codegen._bits(v) for v in (0.0, -0.0, 0, False, float("nan"), nan2)]
     assert len(set(keys)) == 6
-    assert phase._memo_key(float("nan")) == phase._memo_key(float("nan"))
-    assert coalgebra.casimirs(0.0) is coalgebra.casimirs(0.0)
-    assert len({id(coalgebra.casimirs(z)) for z in (0.0, -0.0, 0)}) == 3
-    assert phase._memo_key(SpaceParams(0.0, 1.0)) != phase._memo_key(SpaceParams(0, 1.0))
+    assert codegen._bits(float("nan")) == codegen._bits(float("nan"))
+    jplus = [coalgebra.one_site(z).jplus for z in (0.0, -0.0, 0)]
+    assert len({ob._node for ob in jplus}) == 1             # one graph, three bindings
+    s = phase.PhaseState.beltrami(1.0, 0.0, 0.0, 1.0, 0.0, 0.0)
+    assert [ob(s) for ob in jplus] == [1.0, 1.0, 1.0]
+    assert len({id(ob._values) for ob in jplus}) == 3
+    for a, b in itertools.combinations(jplus, 2):
+        with pytest.raises(phase.ParameterMismatchError):
+            a + b
 
 
-def test_a_custom_spec_bypasses_the_cache():
+def test_a_custom_spec_builds_its_own_graph_with_z_in_its_closures():
+    """A CUSTOM spec's callables cannot key a cache: each call builds its
+    own graph, and the potential receives the spec's z."""
+    seen = []
     spec = HamiltonianSpec(Family.CUSTOM, SpaceParams(0.1, 1.0, 0.4), f=kernel.exp,
-                           potential=lambda z, jm: -0.4 / kernel.sqrt(jm))
-    size = len(spaces.hamiltonian.cache)
+                           potential=lambda z, jm: seen.append(z) or -0.4 / kernel.sqrt(jm))
     first = spaces.hamiltonian(spec, Chart.BELTRAMI)
     assert spaces.hamiltonian(spec, Chart.BELTRAMI)._node is not first._node
-    assert len(spaces.hamiltonian.cache) == size
+    seen.clear()
+    first(phase.PhaseState.beltrami(0.4, 0.7, 0.3, 0.6, -0.2, 0.9))
+    assert seen == [0.1]
 
 
 _PRELUDE = "from curvkepler import cli\nfrom curvkepler.spaces import SpaceParams\n"
@@ -78,8 +82,9 @@ def test_signed_and_integer_zeros_give_what_a_fresh_process_gives():
 
 
 def test_returned_constants_and_hamiltonians_are_fresh(monkeypatch):
-    """Callers share the graphs, never the dict or the observables; a memo
-    hit's copy finds the code its graph already has and lowers nothing."""
+    """Callers share the graphs, never the dict or the observables; a
+    repeated call's copy finds the code its graph already has and lowers
+    nothing."""
     spec = HamiltonianSpec(Family.KEPLER_CC, SpaceParams.preset("spherical", 0.5))
     chart = Chart.POLAR_CONSTANT
     s = phase.PhaseState.polar_constant(1.1, 1.2, 0.4, 0.2, 0.4, 0.9)
@@ -92,7 +97,7 @@ def test_returned_constants_and_hamiltonians_are_fresh(monkeypatch):
 
     lowered = []
     real = codegen._lower
-    monkeypatch.setattr(codegen, "_lower", lambda roots: lowered.append(roots) or real(roots))
+    monkeypatch.setattr(codegen, "_lower", lambda *a: lowered.append(a) or real(*a))
     again = symmetry.constants(spec, chart)
     assert list(again) == names and again["C2"].name == "C2"
     assert again["C3"] is not first["C3"] and again["C3"].node is first["C3"].node
@@ -103,22 +108,18 @@ def test_returned_constants_and_hamiltonians_are_fresh(monkeypatch):
 
 
 def test_every_memo_stays_at_its_bound():
-    """More new z values than any bound: every builder memo, the cache of
-    bound compiled functions and the cache of table plans fill up and stay
-    there."""
+    """More new z values than the cache of bound compiled functions holds:
+    it fills up and stays there, while the table plans and the lowered root
+    sets, keyed by graphs that every parameter set shares, do not grow."""
     bound = codegen._bound.cache_info().maxsize
-    plans = coalgebra._plan.cache_info().maxsize
-    steps = max(phase._MEMO_SIZE, bound // 2, plans // 2) + 5   # verify all binds 2 batches
-    for i in range(steps):
-        params = SpaceParams(0.01 + i / 1024, 1.0, 0.5)  # z values no other test uses
-        cli._run_suites("all", params, 1, 0, None)
-        symmetry.constants(HamiltonianSpec(Family.FREE_CC, params), Chart.POLAR_CONSTANT)
-        assert all(len(m.cache) <= phase._MEMO_SIZE for m in MEMOS)
+    plans, lowered = coalgebra._plan.cache_info(), codegen._lowered.cache_info()
+    for i in range(bound // 2 + 5):                     # verify all binds 2 batches
+        cli._run_suites("all", SpaceParams(0.01 + i / 1024, 1.0, 0.5), 1, 0, None)
         assert codegen._bound.cache_info().currsize <= bound
-        assert coalgebra._plan.cache_info().currsize <= plans
-    assert [len(m.cache) for m in MEMOS] == [phase._MEMO_SIZE] * len(MEMOS)
+        assert coalgebra._plan.cache_info().currsize <= plans.maxsize
     assert codegen._bound.cache_info().currsize == bound
-    assert coalgebra._plan.cache_info().currsize == plans
+    assert coalgebra._plan.cache_info().misses - plans.misses <= 2
+    assert codegen._lowered.cache_info().misses - lowered.misses <= 2
 
 
 def test_the_bound_function_cache_stays_at_its_bound():
@@ -150,11 +151,11 @@ def test_the_table_plan_cache_stays_at_its_bound():
     assert coalgebra._plan.cache_info().currsize == bound
 
 
-def test_a_perturbed_table_and_a_new_z_get_their_own_plans():
-    """verify --suite all keeps one plan per batch of job tables: a repeated
-    call finds both, a --perturb control misses for its own batch only, and
-    a new z misses for both."""
-    params = SpaceParams(0.0237, 1.0, 0.5)              # a z no other test uses
+def test_a_perturbed_table_gets_its_own_plan_and_a_new_z_shares_them():
+    """verify --suite all keeps one plan per batch of job tables, built once
+    over the parameter leaves: a repeated call finds both, a --perturb
+    control misses for its own batch only, and a new z finds both."""
+    params = SpaceParams(0.0237, 1.0, 0.5)
 
     def misses_and_hits(perturb, p=params):
         before = coalgebra._plan.cache_info()
@@ -162,6 +163,7 @@ def test_a_perturbed_table_and_a_new_z_get_their_own_plans():
         after = coalgebra._plan.cache_info()
         return (after.misses - before.misses, after.hits - before.hits), reports
 
+    coalgebra._plan.cache_clear()
     assert misses_and_hits(None)[0] == (2, 0)
     (counts, healthy) = misses_and_hits(None)
     assert counts == (0, 2)
@@ -171,7 +173,7 @@ def test_a_perturbed_table_and_a_new_z_get_their_own_plans():
         assert max(r.max_residual for r in perturbed) > 1e-3 > max(
             r.max_residual for r in healthy)
         assert misses_and_hits(perturb)[0] == (0, 2)
-    assert misses_and_hits(None, SpaceParams(0.0238, 1.0, 0.5))[0] == (2, 0)
+    assert misses_and_hits(None, SpaceParams(0.0238, 1.0, 0.5))[0] == (0, 2)
     tables = [job[1] for job in (coalgebra._casimirs_job(params.z, None),
                                  coalgebra._casimirs_job(params.z, "jplus"))]
     plans = [coalgebra._plan(tuple(t)) for t in tables]
@@ -233,23 +235,69 @@ def _counted_builds(monkeypatch):
     return walks, nodes
 
 
-@pytest.mark.parametrize("argv", [
-    ["verify", "--suite", "all", "--z", "0.35", "--kappa2", "-1", "--samples", "3"],
-    ["verify", "--suite", "sl2z", "--z", "0.35", "--samples", "3", "--perturb", "jplus"],
-    ["rank", "--family", "kepler-cc", "--preset", "hyperbolic", "--gamma", "0.4",
-     "--samples", "3", "--append-lrl", "L2"],
-    ["simulate", "--family", "kepler-nc", "--z", "0.35", "--kappa2", "1", "--gamma", "0.2",
-     "--state", "1.0,1.2,0.4,0.15,0.4,0.8", "--t-end", "0.2"],
-], ids=["verify-all", "verify-perturbed", "rank", "simulate"])
-def test_a_repeated_call_builds_and_lowers_nothing(argv, monkeypatch, tmp_path):
-    if argv[0] == "simulate":
-        argv = argv + ["--csv", str(tmp_path / "t.csv"), "--summary", str(tmp_path / "s.json")]
-    else:
-        argv = argv + ["--out", str(tmp_path / "out.json")]
-    code = cli.main(argv)
+# Each command with its parameters as fields, and a distinct shift of them
+# per new-parameters case, so its second call binds values no call has seen.
+_COMMANDS = {
+    "verify-all": ["verify", "--suite", "all", "--z", "{z}", "--kappa2", "{k2}", "--gamma", "{g}",
+                   "--samples", "3"],
+    "verify-perturbed": ["verify", "--suite", "sl2z", "--z", "{z}", "--samples", "3",
+                         "--perturb", "jplus"],
+    "rank": ["rank", "--family", "kepler-cc", "--z", "{z}", "--kappa2", "{k2}", "--gamma", "{g}",
+             "--samples", "3", "--append-lrl", "L2"],
+    "simulate": ["simulate", "--family", "kepler-nc", "--z", "{z}", "--kappa2", "{k2}",
+                 "--gamma", "{g}", "--state", "1.0,1.2,0.4,0.15,0.4,0.8", "--t-end", "0.2"],
+}
+_PARAMS = {"verify-all": (0.35, -1.0, 0.5), "verify-perturbed": (0.35, 1.0, 0.5),
+           "rank": (-1.0, 1.0, 0.4), "simulate": (0.35, 1.0, 0.2)}
+_SHIFTS = itertools.count(1)
+
+
+@pytest.mark.parametrize("new_params", [False, True], ids=["same-parameters", "new-parameters"])
+@pytest.mark.parametrize("command", list(_COMMANDS))
+def test_a_repeated_call_builds_and_lowers_nothing(command, new_params, monkeypatch, tmp_path):
+    """A second call of each command, at the same parameters or at a
+    (z, kappa2, gamma) the process has not seen, walks no graph and builds
+    no Node: the builders' graphs and the lowered root sets serve every
+    parameter set, and new values cost a bind step and an ``exec``."""
+    z, k2, g = _PARAMS[command]
+
+    def argv(shift):
+        args = [a.format(z=z + shift, k2=k2 * (1.0 + shift), g=g + shift)
+                for a in _COMMANDS[command]]
+        if command == "simulate":
+            return args + ["--csv", str(tmp_path / "t.csv"), "--summary", str(tmp_path / "s.json")]
+        return args + ["--out", str(tmp_path / "out.json")]
+
+    code = cli.main(argv(0.0))
     walks, nodes = _counted_builds(monkeypatch)
-    assert cli.main(argv) == code
+    assert cli.main(argv(next(_SHIFTS) * 1e-6 if new_params else 0.0)) == code
     assert walks == [] and nodes == []
+
+
+def test_combining_observables_bound_to_different_parameters_raises():
+    """An observable carries its binding: combining two bound to different
+    values of a parameter raises, as combining two charts does, in an
+    operator, in a column set and in a batch of tables.  Equal values, a
+    parameter only one side binds, and observables without a binding
+    combine, and a graph read without a value for a parameter it holds
+    raises."""
+    def h(gamma):
+        spec = HamiltonianSpec(Family.KEPLER_CC, SpaceParams(0.3, 1.0, gamma))
+        return spaces.hamiltonian(spec, Chart.POLAR_CONSTANT)
+
+    for combine in (lambda a, b: a + b, lambda a, b: b * a, lambda a, b: phase.Columns([a, b])):
+        with pytest.raises(phase.ParameterMismatchError, match="bound to gamma = "):
+            combine(h(0.5), h(0.25))
+    jobs = [coalgebra._sl2z_job(coalgebra.one_site(z), None) for z in (0.1, 0.2)]
+    with pytest.raises(phase.ParameterMismatchError):
+        coalgebra.run_tables(jobs, coalgebra.sample_beltrami, 1, 0)
+    both = coalgebra.one_site(0.3).jplus * h(0.5) + h(0.5) + phase.Q1
+    assert both.binding == (0.3, 1.0, 0.5)
+    assert (phase.Q1 * phase.P1).binding is None
+    unbound = phase.Z * phase.Q1
+    with pytest.raises(kernel.DomainError, match="parameter z"):
+        unbound((1.0, 0.0, 0.0, 0.0, 0.0, 0.0))
+    assert phase.bound(unbound, (2.0, None, None))((1.5, 0.0, 0.0, 0.0, 0.0, 0.0)) == 3.0
 
 
 def test_warm_verify_all_evaluates_one_sinhc_per_shared_node(monkeypatch, tmp_path):
@@ -270,8 +318,8 @@ def test_warm_verify_all_evaluates_one_sinhc_per_shared_node(monkeypatch, tmp_pa
         monkeypatch.setitem(codegen._BASE_GLOBALS, name,
                             lambda *a, real=real, seen=seen: seen.append(a) or real(*a))
     real_compile = codegen.compile_roots
-    monkeypatch.setattr(codegen, "compile_roots", lambda roots, grads: root_sets.append(
-        (roots, grads)) or real_compile(roots, grads))
+    monkeypatch.setattr(codegen, "compile_roots", lambda roots, grads, binding=None: root_sets.append(
+        (roots, grads)) or real_compile(roots, grads, binding))
     codegen._bound.cache_clear()
     coalgebra._plan.cache_clear()
     try:
@@ -287,82 +335,3 @@ def test_warm_verify_all_evaluates_one_sinhc_per_shared_node(monkeypatch, tmp_pa
     flagged = sum(sinhc_nodes([r for r, g in zip(roots, grads) if g]) for roots, grads in root_sets)
     assert (values, flagged) == (8, 3)
     assert [len(calls["sinhc"]), len(calls["dsinhc"])] == [values * samples, flagged * samples]
-
-
-def test_a_call_is_keyed_by_its_bound_arguments(monkeypatch):
-    """Defaults applied, positional or by name: one entry per call, and the
-    names and defaults are read once, when the builder is decorated."""
-    z = 0.0123                                          # a z no other test uses
-    first = coalgebra.one_site(z)
-    params = SpaceParams(z, 1.0)
-    gens = symmetry.so4_generators(params)
-    size = len(coalgebra.one_site.cache)
-    monkeypatch.setattr(inspect, "signature", None)     # a hit needs no signature
-    for again in (coalgebra.one_site(z, 1), coalgebra.one_site(z, site=1),
-                  coalgebra.one_site(site=1, z=z)):
-        assert again is first
-    assert len(coalgebra.one_site.cache) == size
-    assert symmetry.so4_generators(params, None) is gens
-    assert symmetry.so4_generators(params, perturb=None) is gens
-
-
-@pytest.mark.parametrize("args, kwargs", [((), {}), ((0.1, 1, 2), {}), ((0.1,), {"sit": 1}),
-                                          ((0.1,), {"z": 0.1}), ((0.1, 1), {"site": 1})])
-def test_a_call_that_does_not_bind_raises_as_the_builder_does(args, kwargs):
-    size = len(coalgebra.one_site.cache)
-    with pytest.raises(TypeError):
-        coalgebra.one_site(*args, **kwargs)
-    with pytest.raises(TypeError):
-        coalgebra.one_site.__wrapped__(*args, **kwargs)
-    assert len(coalgebra.one_site.cache) == size
-
-
-def test_memo_rejects_a_builder_with_variadic_parameters():
-    with pytest.raises(TypeError):
-        phase.memo(lambda *args: args)
-
-
-def _verify_sweep_invocations(seed, monkeypatch):
-    """The verify-sweep benchmark's calls, from its input generator."""
-    path = os.path.join(os.path.dirname(_SRC), "perfbench", "inputs.py")
-    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
-    inputs = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, inputs)
-    spec.loader.exec_module(inputs)
-    return inputs.verify_invocations(seed)
-
-
-def _recording(monkeypatch, module, name):
-    """Every call of ``module.name``, bound with its defaults applied."""
-    real, calls = getattr(module, name), []
-    signature = inspect.signature(real.__wrapped__)
-
-    def spy(*args, **kwargs):
-        bound = signature.bind(*args, **kwargs)
-        bound.apply_defaults()
-        calls.append(phase._memo_key(tuple(bound.arguments.values())))
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(module, name, spy)
-    return calls
-
-
-def test_a_verify_sweep_keeps_one_entry_per_bound_call(monkeypatch, tmp_path):
-    """The benchmark's 104 verify, control and rank calls for one seed spell
-    one_site(z) and one_site(z, 1), and so4_generators(params) and
-    so4_generators(params, perturb=None), both ways; each pair is one entry."""
-    for m in MEMOS:
-        m.cache.clear()
-    one_site, so4_generators = coalgebra.one_site, symmetry.so4_generators
-    sites = _recording(monkeypatch, coalgebra, "one_site")
-    gens = _recording(monkeypatch, symmetry, "so4_generators")
-    invocations = _verify_sweep_invocations(3, monkeypatch)
-    assert len(invocations) == 104
-    with contextlib.redirect_stdout(io.StringIO()):
-        for inv in invocations:
-            assert cli.main(inv.resolve(str(tmp_path))[0]) == inv.expect_code
-    assert len(set(sites)) < phase._MEMO_SIZE and len(set(gens)) < phase._MEMO_SIZE
-    assert len(one_site.cache) == len(set(sites))
-    zs = {key[1] for key in one_site.cache}             # (tuple, z key, site key)
-    assert len(one_site.cache) == 3 * len(zs)
-    assert len(so4_generators.cache) == len(set(gens)) > 0

@@ -11,7 +11,7 @@ from curvkepler.kernel import DomainError
 from curvkepler.phase import Chart, ChartMismatchError, PhaseState
 from curvkepler.spaces import (Family, HamiltonianSpec, SpaceParams,
                                from_polar, hamiltonian, to_polar)
-from curvkepler.symmetry import (constants, independence_rank, lrl,
+from curvkepler.symmetry import (constants, independence_rank, independence_ranks, lrl,
                                  sample_polar, so4_generators, transported,
                                  verify_lrl_algebra, verify_so4)
 
@@ -221,6 +221,54 @@ def test_lrl_scaled_components():
     vec_l = lrl(SpaceParams.preset("desitter", gamma=0.4))
     with pytest.raises(DomainError):
         vec_l.scaled()
+
+
+# The six presets at gamma = 0.5 and one space off the presets' labels.
+_LRL_SPACES = ([SpaceParams.preset(name, gamma=0.5) for name in PRESET_NAMES]
+               + [SpaceParams(0.37, 0.6, 0.3)])
+
+
+def _lrl_values(params, n=40, seed=41):
+    """C2, C2mid, C3, H, L1, L2, L3 and J12, J13, J23 at ``n`` sample_polar
+    states, by name, and the states."""
+    spec = HamiltonianSpec(Family.KEPLER_CC, params)
+    obs = dict(constants(spec, Chart.POLAR_CONSTANT),
+               H=hamiltonian(spec, Chart.POLAR_CONSTANT))
+    gens = so4_generators(params)
+    obs.update(J12=gens.j12, J13=gens.j13, J23=gens.j23)
+    states = sample_polar(params, np.random.default_rng(seed), n=n)
+    return [{name: ob(s) for name, ob in obs.items()} for s in states], obs, states
+
+
+@pytest.mark.parametrize("params", _LRL_SPACES, ids=lambda p: f"z={p.z},kappa2={p.kappa2}")
+def test_lrl_quadratic_relation(params):
+    """L1^2 + kappa2 (L2^2 + L3^2) = k^2 kappa2^2 + 2 kappa2 H C3 - kappa1 C3^2
+    at every state, the residual judged against the size of the terms (the
+    worst relative residual here is 1.1e-15)."""
+    k1, k2, k = params.kappa1, params.kappa2, params.k
+    for v in _lrl_values(params)[0]:
+        lhs = [v["L1"] ** 2, k2 * v["L2"] ** 2, k2 * v["L3"] ** 2]
+        rhs = [k * k * k2 * k2, 2.0 * k2 * v["H"] * v["C3"], -k1 * v["C3"] ** 2]
+        size = max(map(abs, lhs + rhs))
+        assert abs(sum(lhs) - sum(rhs)) <= 1e-12 * size, v
+
+
+@pytest.mark.parametrize("params", _LRL_SPACES, ids=lambda p: f"z={p.z},kappa2={p.kappa2}")
+def test_lrl_linear_relation(params):
+    """L1 J23 - L2 J13 + L3 J12 = 0 at every state (A . L = 0 in the flat
+    limit), judged against the size of the terms."""
+    for v in _lrl_values(params)[0]:
+        terms = [v["L1"] * v["J23"], -v["L2"] * v["J13"], v["L3"] * v["J12"]]
+        assert abs(sum(terms)) <= 1e-12 * max(map(abs, terms)), v
+
+
+@pytest.mark.parametrize("params", _LRL_SPACES, ids=lambda p: f"z={p.z},kappa2={p.kappa2}")
+def test_constants_with_the_whole_lrl_vector_have_rank_five(params):
+    """{C2, C2mid, C3, H, L1, L2, L3} has rank 5 = 2N - 1 at every sampled
+    state: the two relations are its two dependencies."""
+    _, obs, states = _lrl_values(params)
+    names = ("C2", "C2mid", "C3", "H", "L1", "L2", "L3")
+    assert independence_ranks([obs[n] for n in names], states) == [5] * len(states)
 
 
 @pytest.mark.parametrize("name", PRESET_NAMES)
