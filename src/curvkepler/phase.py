@@ -207,14 +207,14 @@ class Observable:
     compiled on first use, or interpret a graph that does not compile.
     """
 
-    __slots__ = ("_node", "name", "chart", "binding", "_compiled", "_values")
+    __slots__ = ("_node", "name", "chart", "binding", "_fn", "_compiled", "_values")
 
     def __init__(self, fn=None, name="", chart=None, node=None, binding=None):
         self._node = codegen.Node("opaque", param=fn) if node is None else node
         self.name = name
         self.chart = chart
         self.binding = binding
-        self._compiled = self._values = None    # gradient, values-only: built by _code
+        self._fn = self._compiled = self._values = None     # built on first use
 
     @property
     def node(self):
@@ -226,7 +226,9 @@ class Observable:
     def fn(self):
         """The value as a function of the six coordinates, on floats or
         duals: the graph's evaluator at the binding (:func:`.codegen.evaluator`)."""
-        return codegen.evaluator(self._node, self.binding)
+        if self._fn is None:
+            self._fn = codegen.evaluator(self._node, self.binding)
+        return self._fn
 
     def _code(self, grads):
         """This graph's code in one mode, built on first use and kept in the
@@ -234,7 +236,7 @@ class Observable:
         compile (an opaque leaf never tries)."""
         node, binding = self._node, self.binding
         code = (node.op != "opaque" and codegen.compile_roots([node], (grads,), binding)
-                or functools.partial(_interpreted, codegen.evaluator(node, binding), grads))
+                or functools.partial(_interpreted, self.fn, grads))
         setattr(self, "_compiled" if grads else "_values", code)
         return code
 
