@@ -504,11 +504,9 @@ def build_parser():
     return parser
 
 
-# argparse reads the token after an option as its value unless it takes the
-# token for an option, as it does for any token that starts with "-" and is
-# not a plain decimal (-\d+ or -\d*.\d+): -3e-1, -1E5 and a --state list
-# that starts with a minus sign were refused.  A minus sign before a digit,
-# or before a point and a digit, starts a value; no option name starts so.
+# A token that starts with a minus sign before a digit, or before a point and
+# a digit, is a value, not an option (argparse's own matcher refuses -3e-1,
+# -1E5 and a --state list); no option name starts so.
 _NEGATIVE_NUMBER = re.compile(r"^-\.?\d")
 
 

@@ -49,8 +49,7 @@ class Realization:
     jthree: Observable
 
     def generator(self, name):
-        return {"jminus": self.jminus, "jplus": self.jplus,
-                "jthree": self.jthree}[name]
+        return {"jminus": self.jminus, "jplus": self.jplus, "jthree": self.jthree}[name]
 
 
 @dataclass(frozen=True)
@@ -109,17 +108,14 @@ def _realization(sites):
     the sites joined in increasing order."""
     if len(sites) > 1:
         return coproduct_join(_realization(sites[:-1]), _realization(sites[-1:]))
-    q = (Q1, Q2, Q3)[sites[0] - 1]
-    p = (P1, P2, P3)[sites[0] - 1]
-    w = _sinhc_exp_factors()[0][sites[0] - 1]      # the closed forms' node
+    i = sites[0] - 1
+    q, p, w = (Q1, Q2, Q3)[i], (P1, P2, P3)[i], _SINHC[i]     # w: the closed forms' node
     return Realization(Z, 1, sites, q * q, w * p * p, w * q * p)
 
 
-@functools.cache
-def _sinhc_exp_factors():
-    s = tuple(sinhc(Z * q * q) for q in (Q1, Q2, Q3))
-    e = tuple(exp(Z * q * q) for q in (Q1, Q2, Q3))
-    return s, e
+# sinhc(z q_i^2) and exp(z q_i^2), each one node that every builder shares.
+_SINHC = tuple(sinhc(Z * q * q) for q in (Q1, Q2, Q3))
+_EXP = tuple(exp(Z * q * q) for q in (Q1, Q2, Q3))
 
 
 def three_site_closed_form(z):
@@ -129,7 +125,7 @@ def three_site_closed_form(z):
 
 @functools.cache
 def _closed_form():
-    (s1, s2, s3), (e1, e2, e3) = _sinhc_exp_factors()
+    (s1, s2, s3), (e1, e2, e3) = _SINHC, _EXP
     jm = Q1 * Q1 + Q2 * Q2 + Q3 * Q3
     jp = s1 * P1 * P1 * e2 * e3 + s2 * P2 * P2 * e3 / e1 + s3 * P3 * P3 / (e1 * e2)
     j3 = (s1 * Q1 * P1 * e2 * e3 + s2 * Q2 * P2 * e3 / e1
@@ -144,7 +140,7 @@ def casimirs(z):
 
 @functools.cache
 def _casimirs():
-    (s1, s2, s3), (e1, e2, e3) = _sinhc_exp_factors()
+    (s1, s2, s3), (e1, e2, e3) = _SINHC, _EXP
     m12 = Q1 * P2 - Q2 * P1
     m13 = Q1 * P3 - Q3 * P1
     m23 = Q2 * P3 - Q3 * P2
@@ -162,11 +158,8 @@ def casimir_of(r):
 
 
 def _dot(a, b):
-    """Dot products over the last axis; each equals ``a @ b`` of its rows.
-
-    ``matmul`` over stacked 1 x n by n x 1 blocks takes the same dot product
-    as ``@`` on one pair of vectors, so a batch rounds as single calls do.
-    """
+    """Dot products over the last axis, each ``a @ b`` of its rows bit for bit:
+    ``matmul`` over stacked 1 x n by n x 1 blocks rounds as ``@`` does."""
     return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 
@@ -200,9 +193,8 @@ class Identity:
 
 
 class Table(tuple):
-    """A table's identities with the ``binding`` they are checked at: the
-    library builds each table once, over the parameter leaves, and binds
-    it on each call (:func:`run_table`)."""
+    """A table's identities, built once over the parameter leaves, with the
+    ``binding`` they are checked at (:func:`run_table`)."""
 
     def __new__(cls, identities, binding=None):
         table = super().__new__(cls, identities)
@@ -271,11 +263,8 @@ _GRAD_SCALE = 1e-4
 
 
 class _Plan:
-    """A table's columns, set up once: its distinct observables as one
-    :class:`.phase.Columns`, the value column of each identity's ``f``, the
-    rows of each bracket's ``f`` and ``g`` in the block of partials (only
-    bracket operands get one), the value column of each observable
-    right-hand side and the constant right-hand sides."""
+    """A table's columns: its distinct observables as one :class:`.phase.Columns`
+    (partials for bracket operands only), and where each identity reads them."""
 
     def __init__(self, table):
         obs = {id(o): o for ident in table for o in (ident.f, ident.g, ident.rhs)
@@ -298,9 +287,8 @@ class _Plan:
         self.every = np.arange(len(table))
 
 
-# Column plans by the tuple of a table's identities, equal to another only when
-# it holds the same objects in the same order; it holds them, so no id is reused
-# while cached.  verify --suite all uses two (one per sampler) at every
+# Column plans by the tuple of a table's identities (which compare by identity
+# and are held, so no id is reused).  verify --suite all uses two at every
 # parameter set, and one more per --perturb name; the bound keeps memory fixed.
 @functools.lru_cache(maxsize=128)
 def _plan(identities):
@@ -310,19 +298,15 @@ def _plan(identities):
 def run_table(suite, table, sampler, samples, seed, params=None):
     """Evaluate every identity of a table at `samples` random points.
 
-    ``sampler(rng, n=samples)`` draws the points, in one generator call
-    for the built-in samplers.  The table's column plan is built once per
-    ``tuple(table)`` (identities compare by identity) and held in a
-    bounded cache: its distinct observables are compiled together, at the
-    binding of a :class:`Table` joined to their own, and one compiled call
-    per point gives all their values and the gradients of the bracket
-    operands (:class:`.phase.Columns`; one opaque observable puts them all
-    on the dual path).
-    Brackets, gradient norms and residuals then come from one numpy pass
-    over all points.  Residuals are relative: the mismatch is scaled by the
-    magnitudes of both sides and (for brackets) by the gradient product
-    that bounds the achievable precision.  A NaN residual is the worst one;
-    its first point is reported.
+    ``sampler(rng, n=samples)`` draws the points.  The table's column plan
+    is built once per ``tuple(table)`` (identities compare by identity):
+    one compiled call per point, at the binding of a :class:`Table` joined
+    to the observables' own, gives all their values and the gradients of
+    the bracket operands (:class:`.phase.Columns`), and one numpy pass the
+    brackets and residuals.  Residuals are relative: the mismatch is scaled
+    by the magnitudes of both sides and (for brackets) by the gradient
+    product that bounds the achievable precision.  A NaN residual is the
+    worst one; its first point is reported.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -355,10 +339,8 @@ def run_table(suite, table, sampler, samples, seed, params=None):
 
 def run_tables(jobs, sampler, samples, seed):
     """One :class:`BracketReport` per ``(suite, table, params)`` job, what a separate
-    call gives, from one :func:`run_table` call: each point drawn and evaluated once.
-    The jobs' concatenated identities, at their joined bindings, key the batch's column
-    plan, so a repeated batch of the same tables, at any parameters, costs its draws,
-    its compiled calls and one residual pass."""
+    call gives, from one :func:`run_table` call on the jobs' concatenated identities
+    at their joined bindings: each point drawn and evaluated once."""
     results = iter(run_table("+".join(job[0] for job in jobs), _batch(jobs), sampler, samples,
                              seed).results)
     return [BracketReport(suite, samples, seed, params, list(islice(results, len(table))))
@@ -378,17 +360,14 @@ _MIN_ABS = 1e-3
 
 def _uniform_coords(rng, bounds, n=None):
     """One point uniform in the box ``bounds``, one ``(lo, hi)`` per
-    coordinate, from one ``rng.random`` call; with ``n``, a list of ``n``
-    points from one ``rng.random((n, len(bounds)))`` call, which draws the
-    same doubles in the same order as ``n`` calls of ``rng.random(len(bounds))``.
+    coordinate; with ``n``, a list of ``n`` points from one ``rng.random((n,
+    len(bounds)))`` call, which draws the doubles ``n`` calls would.
 
     ``lo + (hi - lo) * u`` is ``Generator.uniform``'s own formula, so the
-    coordinates (Python floats), their bits and the generator's next state
-    are those of one ``rng.uniform(lo, hi)`` per coordinate.  No span is
-    checked: the Beltrami box is fixed, and the polar box is finite with
-    ``lo <= hi`` for every valid :class:`.spaces.SpaceParams` (``0.85 pi /
-    sqrt(kappa)`` is finite down to the smallest subnormal kappa, and
-    ``rlo = min(0.25, 0.3 rmax) < rmax``).
+    coordinates, their bits and the generator's next state are those of one
+    ``rng.uniform(lo, hi)`` per coordinate.  No span is checked: the
+    Beltrami box is fixed, and the polar box is finite with ``lo <= hi`` for
+    every valid :class:`.spaces.SpaceParams`.
     """
     lows = np.array([lo for lo, _ in bounds])
     spans = np.array([hi - lo for lo, hi in bounds])
@@ -399,12 +378,9 @@ def _uniform_coords(rng, bounds, n=None):
 
 def sample_beltrami(rng, *, n=None):
     """Random regular point: uniform in [-2, 2]^6, with every ``|q_i| > 1e-3``;
-    with ``n``, a list of ``n`` of them.
-
-    Each round draws the points still missing in one :func:`_uniform_coords`
-    call and keeps the regular ones, in order, so the points and the
-    generator's next state are those of ``n`` calls that each redraw until
-    they accept (about 0.15% of draws are rejected).
+    with ``n``, a list of ``n`` of them.  Each round draws the points still
+    missing in one call and keeps the regular ones, in order: the points and
+    the generator's next state of ``n`` calls that each redraw until they accept.
     """
     need = 1 if n is None else n
     states = []
@@ -434,11 +410,10 @@ def sl2z_table(r):
 @functools.lru_cache(maxsize=64)
 def _sl2z_table(graphs, perturb):
     r = _perturbed(Realization(Z, 0, (), *(Observable(node=nd) for nd in graphs)), perturb)
-    z = r.z
     jm, jp, j3 = r.jminus, r.jplus, r.jthree
     return (
-        Identity("{J3,J+} = 2 J+ cosh(z J-)", j3, jp, 2.0 * jp * cosh(z * jm)),
-        Identity("{J3,J-} = -2 J- sinhc(z J-)", j3, jm, -2.0 * jm * sinhc(z * jm)),
+        Identity("{J3,J+} = 2 J+ cosh(z J-)", j3, jp, 2.0 * jp * cosh(Z * jm)),
+        Identity("{J3,J-} = -2 J- sinhc(z J-)", j3, jm, -2.0 * jm * sinhc(Z * jm)),
         Identity("{J-,J+} = 4 J3", jm, jp, 4.0 * j3),
     )
 
@@ -479,29 +454,20 @@ def verify_casimirs(z, samples=100, seed=0, perturb=None):
 
 @functools.cache
 def _casimir_table(perturb):
-    cs = _casimirs()
-    closed = _closed_form()
+    cs, closed = _casimirs(), _closed_form()
     r12, r23, r123 = (_perturbed(_realization(sites), perturb)
                       for sites in ((1, 2), (2, 3), (1, 2, 3)))
-    table = []
-    for cname, cob in (("C12", cs.c12), ("C23", cs.c23), ("C123", cs.c123)):
-        for jname in ("jminus", "jplus", "jthree"):
-            table.append(Identity(f"{{{cname}, {jname}^(3)}} = 0", cob,
-                                  closed.generator(jname), 0.0,
-                                  group="centrality"))
-    table.append(Identity("{C12, C123} = 0", cs.c12, cs.c123, 0.0,
-                          group="involution"))
-    table.append(Identity("{C23, C123} = 0", cs.c23, cs.c123, 0.0,
-                          group="involution"))
+    named = (("C12", r12, cs.c12), ("C23", r23, cs.c23), ("C123", r123, cs.c123))
+    jnames = ("jminus", "jplus", "jthree")
+    table = [Identity(f"{{{c}, {j}^(3)}} = 0", cob, closed.generator(j), 0.0, group="centrality")
+             for c, _, cob in named for j in jnames]
+    table += [Identity(f"{{{c}, C123}} = 0", cob, cs.c123, 0.0, group="involution")
+              for c, _, cob in named[:2]]
     # casimir_of(r) = C with its two cancelling terms on opposite sides, so
     # the residual is judged against their size, not against C's.
-    for name, r, cob in (("C12", r12, cs.c12), ("C23", r23, cs.c23),
-                         ("C123", r123, cs.c123)):
-        table.append(Identity(f"casimir(generators) = {name}",
-                              r.jminus * sinhc(r.z * r.jminus) * r.jplus, None,
-                              cob + r.jthree * r.jthree, group="closed-form"))
-    for jname in ("jminus", "jplus", "jthree"):
-        table.append(Identity(f"coproduct {jname} = closed form",
-                              r123.generator(jname), None,
-                              closed.generator(jname), group="coproduct"))
+    table += [Identity(f"casimir(generators) = {c}", r.jminus * sinhc(r.z * r.jminus) * r.jplus,
+                       None, cob + r.jthree * r.jthree, group="closed-form")
+              for c, r, cob in named]
+    table += [Identity(f"coproduct {j} = closed form", r123.generator(j), None,
+                       closed.generator(j), group="coproduct") for j in jnames]
     return tuple(table)

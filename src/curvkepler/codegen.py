@@ -3,53 +3,32 @@
 An observable is a graph of :class:`Node` objects over coordinates,
 parameters (z, kappa2 and gamma, :data:`PARAMS`), constants and ``opaque``
 leaves (user callables).  :func:`evaluator` gives its value on floats or
-``KScalar`` duals alike, the parameters read from a binding, in one
-post-order pass that evaluates a shared node once.  :func:`compile_roots`
-turns the graphs of several observables (the roots) into one Python
-function of the six coordinates at a binding, or gives None when any root
-cannot be compiled: a root set compiles whole or not at all.  For each root
-in order the function returns its value and, when the root's flag in the
-gradient mask is true, the six partials a 6-lane ``KScalar`` evaluation
-gives, in one flat tuple.
+``KScalar`` duals alike, the parameters read from a binding.
+:func:`compile_roots` turns several graphs (the roots) into one Python
+function of the six coordinates at a binding, which returns each root's
+value and, where the gradient mask flags it, its six partials; or gives
+None when any root cannot be compiled.
 
 Partials are graphs (Griewank-Walther, *Evaluating Derivatives*, ch. 6-7):
-:func:`_partials` writes each node's ``KScalar`` rule as nodes in one
-post-order pass, with the same float operations in the same order, None
-for a partial a node does not structurally depend on (an exact zero, which
-can change the sign of a zero and nothing else), and no product with a
-coordinate's unit partial; unary derivatives come from ``_DERIVATIVES``.
-A flagged root's partials are compiled as more roots, so the code is
-written one way, values only.  A node's value is the float operation the
-evaluator applies to it, as a ``KScalar``'s is, so the evaluator on floats
-or duals and the compiled code under any mask give every value bit for
-bit, and every partial is the dual path's.
+:func:`_partials` writes each node's ``KScalar`` rule as nodes, with the
+same float operations in the same order, so the evaluator on floats or
+duals and the compiled code under any mask give every value bit for bit,
+and every partial is the dual path's.
 
-:func:`_lower` walks a root set once per mask (:func:`_lowered` keeps it).
-Each coordinate-dependent node becomes one instruction, so a shared node is
-computed once, and each coordinate-free operand (a number, a parameter
-expression, a curvature label) a constant slot, whose value a bind step
-computes with the evaluator's operations in the evaluator's order, so every
-constant keeps its bits.  The instructions and outputs form the structure
-key, which holds no constant and serves every binding.  The emitter writes
-one statement per instruction, except that an ``add``, ``sub``, ``neg`` or
-``mul`` read once on plain names goes into its reader's statement (it
-cannot raise, and nothing nests, so a deep graph compiles), and seeds each
-coordinate as ``KScalar`` does (``x = float(x)``) when a root is flagged;
-:func:`_code` keeps the code objects by structure.  :func:`_bound` keeps
-the functions by roots, mask and the binding's bits (0.0, -0.0 and the int
-0 differ): a known root set at new parameters costs one bind step and one
-``exec``, the constants bound as ``k0, k1, ...`` in a copy of the base
-globals (the kernel functions by name).
+A root set is lowered once per mask (:func:`_lowered`) and serves every
+binding: each coordinate-dependent node becomes one instruction, and each
+coordinate-free operand (a number, a parameter expression, a curvature
+label) a constant slot, whose value a bind step computes with the
+evaluator's operations in the evaluator's order, so every constant keeps
+its bits.  Code objects are kept by structure (:func:`_code`) and bound
+functions by roots, mask and the binding's bits (:func:`_bound`), so new
+parameters cost one bind step and one ``exec``.
 
 Every ``skappa``, ``ckappa``, ``tkappa`` and ``cotkappa`` node on one
-curvature label value and argument, a partial's included, reads one pair
-instruction, the statements of ``kernel._kappa_pair`` written out;
-``tkappa`` and ``cotkappa`` write their quotient out and call their
-``kernel.KAPPA_RULES`` entry only where the denominator is below
-``kernel._POLE_EPS``, to raise its ``PoleError``.  Labels 0.0, -0.0 and the
-int 0 never share a pair: their ``C' = -kappa S`` differ in the sign of a
-zero.  Nothing else is merged by value, since equal values would let the
-parameters into the structure key (at ``kappa1 = kappa2 = 1.0`` equal
+curvature label value and argument reads one pair instruction, the
+statements of ``kernel._kappa_pair`` written out; labels 0.0, -0.0 and the
+int 0 never share one.  Nothing else is merged by value, which would let
+the parameters into the structure key (at ``kappa1 = kappa2 = 1.0`` equal
 constants would merge and rewire a table): builders build a shared
 subexpression once instead.
 """
@@ -127,10 +106,9 @@ def _bits(value):
 
 
 def evaluator(root, binding=None):
-    """``root``'s value as a function ``f(x0, ..., x5)`` of the coordinates,
-    on floats or duals alike, its param leaves read from ``binding``.  The
-    program is built on first use and stored on the node, so observables
-    sharing a graph share it.  An opaque leaf's evaluator is its callable."""
+    """``root``'s value as a function ``f(x0, ..., x5)`` on floats or duals,
+    its param leaves read from ``binding``; the program is kept on the node.
+    An opaque leaf's evaluator is its callable."""
     if root.op == "opaque":
         return root.param
     if root.fn is None:
@@ -140,12 +118,11 @@ def evaluator(root, binding=None):
 
 def _program(roots, many=False):
     """The evaluation program of ``roots``: given a binding (one value per
-    :data:`PARAMS` slot, None where unbound; an unbound slot a root reads
-    raises), the function of the six coordinates that returns the first
-    root's value, or with ``many`` the list of the roots' values."""
-    # The value list holds the coordinates, the parameters, the constants,
-    # the values of the opaque leaves (each called once, first) and one
-    # value per operation, in post-order.
+    :data:`PARAMS` slot, None where unbound), the function of the six
+    coordinates that returns the first root's value, or with ``many`` the
+    list of the roots' values.  The value list holds the coordinates, the
+    parameters, the constants, the opaque leaves' values (each called once,
+    first) and one value per operation, in post-order."""
     order = _postorder(roots)
     index = {nd: nd.param for nd in order if nd.op == "coord"}
     index.update((nd, NVARS + nd.param) for nd in order if nd.op == "param")
@@ -277,15 +254,10 @@ def _value_key(nd):
 
 
 class _Lowering:
-    """One walk of the graphs: the structure, and the coordinate-free node
-    of each constant slot.
-
-    Each coordinate-dependent node becomes one instruction, a tuple of its
-    op, its operands and any name it needs; an operand is the index of an
-    earlier instruction, or ``~slot`` (a negative number) for constant
-    ``slot``.  Instructions are appended in the order the walk finishes
-    them, which is the order the emitter writes them in.
-    """
+    """One walk of the graphs: the instructions, in the order the emitter
+    writes them, and the coordinate-free node of each constant slot.  An
+    instruction is a tuple of its op, its operands and any name it needs;
+    an operand is the index of an instruction, or ``~slot`` for a constant."""
 
     def __init__(self):
         self.ins = []
@@ -304,16 +276,14 @@ class _Lowering:
         return len(self.ins) - 1
 
     def operand(self, nd):
-        """A lowered node's operand; a coordinate-free node takes a constant
-        slot on first use."""
+        """A lowered node's operand; a coordinate-free node takes a constant slot."""
         if nd not in self.refs:
             self.refs[nd] = self.const(nd)
         return self.refs[nd]
 
     def lower(self, nd):
-        """Lower one node whose kids are lowered: make it an instruction,
-        leave it to the bind step when it is coordinate-free, or mark it as
-        not compilable."""
+        """Lower one node whose kids are lowered: an instruction, a node for
+        the bind step (coordinate-free), or one that cannot be compiled."""
         if (nd.op == "opaque" or not self.bad.isdisjoint(nd.kids)
                 or nd.op == "const" and not isinstance(nd.param, (int, float))):
             self.bad.add(nd)
@@ -326,10 +296,7 @@ class _Lowering:
             if nd.param not in self.coords:
                 self.coords[nd.param] = self.add("coord", nd.param)
             return self.coords[nd.param]
-        if op == "kfn":
-            # One (S, C) pair per curvature label value and argument: 0.0,
-            # -0.0 and the int 0 (whose C' = -kappa S differ in the sign of
-            # a zero) never share one.
+        if op == "kfn":     # one (S, C) pair per curvature label value and argument
             key = _value_key(kids[0]), self.operand(kids[1])
             if key not in self.pairs:
                 self.pairs[key] = self.add("pair", key[1], self.const(kids[0]))
@@ -436,9 +403,9 @@ _BASE_GLOBALS = {**kernel.FLOAT_FNS, **{f"{n}_rule": r for n, r in kernel.KAPPA_
 
 def _lower(roots, grads):
     """(structure, bind step) of several graphs, or None when a root cannot
-    be compiled: the hashable structure key (instructions and outputs: each
-    root's operand, then its flagged partials', None for a zero) and the
-    function that gives a binding's constants in slot order."""
+    be compiled: the structure key (instructions and outputs: each root's
+    operand, then its flagged partials', None for a zero), and the function
+    of a binding that gives the constants in slot order."""
     low = _Lowering()
     order = _postorder(roots)
     for nd in order:
@@ -465,11 +432,9 @@ def _lowered(roots, grads):
     return _lower(roots, grads)
 
 
-# Compiled functions by root nodes (identity), gradient mask and binding,
-# keyed by the bits of its values; None for a set with a root that cannot be
-# compiled, a constant that is not a number, or one that raises as the
-# evaluator would.  verify and rank bind 1 or 2 root sets per call, simulate
-# 5 to 8; the bound keeps memory fixed.
+# Compiled functions by root nodes (identity), gradient mask and the bits of
+# the binding; None where compile_roots gives None.  verify and rank bind 1 or
+# 2 root sets per call, simulate 5 to 8; the bound keeps memory fixed.
 @functools.lru_cache(maxsize=256)
 def _bound(roots, grads, binding, bits):
     lowered = _lowered(roots, grads)
@@ -487,23 +452,16 @@ def _bound(roots, grads, binding, bits):
 
 
 def compile_roots(roots, grads, binding=None):
-    """One compiled function of the six coordinates for all of ``roots``,
-    their param leaves bound to ``binding``, or None when any root cannot
-    be compiled.
+    """One compiled function ``f(x0, ..., x5)`` for all of ``roots`` at
+    ``binding``: for each root in order its value and, when its flag in
+    ``grads`` is true, its six partials, in one flat tuple.  Each value is
+    bit for bit what :func:`evaluator` gives, and the same roots, mask and
+    binding bits give the same function.
 
-    ``f(x0, ..., x5)`` returns, for each root in order, its value and,
-    when its flag in ``grads`` is true, its six partials, in one flat
-    tuple.  A root cannot be compiled when it holds an opaque leaf, a
-    constant, exponent or curvature label that is not a number, or a
-    coordinate-free subtree that raises when bound (as the evaluator
-    does; a flagged root's partials too), or when it ignores the
-    coordinates, or when ``binding`` leaves a param leaf unbound (the
-    evaluator raises there).
-
-    Under any mask each value is bit for bit what :func:`evaluator` gives
-    on the same floats and binding, and each partial is the all-true
-    function's.  A repeated call on the same root nodes, mask and binding
-    bits returns the same function.
+    None when a root holds an opaque leaf or a constant that is not a
+    number, ignores the coordinates, or has a coordinate-free subtree
+    (its partials' included) that raises at ``binding`` or reads a
+    parameter it leaves unbound, as the evaluator raises there.
     """
     bits = None if binding is None else tuple(map(_bits, binding))
     return _bound(tuple(roots), tuple(map(bool, grads)), binding, bits)

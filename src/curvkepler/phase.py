@@ -5,14 +5,11 @@ one expression graph (:mod:`.codegen`): the arithmetic operators and the
 lifted functions below build nodes, and ``Observable(fn)`` around any other
 callable is an opaque leaf.  The graph's evaluator runs on floats (values)
 or on ``KScalar`` duals (exact gradients), so every observable is
-differentiable for free.  An observable compiles on first use: a call
-builds straight-line values-only code (an orbit's monitors) and
-:meth:`Observable.gradient` gradient code (an integrated Hamiltonian), and
-only a graph that does not compile runs the evaluator or the duals;
-:class:`Columns` compiles a table's observables into one function, all of
-them or none, partials only where a mask asks.  An observable has one value:
-the evaluator on floats or duals and compiled code under any mask give it
-bit for bit, and compiled partials are the dual evaluation's.
+differentiable for free.  A call and :meth:`Observable.gradient` run
+straight-line code compiled on first use, and only a graph that does not
+compile runs the evaluator or the duals; :class:`Columns` compiles a table's
+observables into one function.  Either way an observable has one value, bit
+for bit.
 
 The parameters z, kappa2 and gamma are graph leaves (:data:`Z`,
 :data:`KAPPA2`, :data:`GAMMA`): a builder writes its formula once over
@@ -113,18 +110,16 @@ def _interpreted(f, grads, *coords):
 
 
 class Columns:
-    """Several observables set up once for evaluation at many states: their
-    charts, their graphs, their joined binding, and the gradient mask
-    ``grads`` (all true by default).  Each call runs one compiled function
-    for all of them at its binding (:func:`.codegen.compile_roots`), or,
-    when one of them does not compile, one evaluation per observable and
-    state, on duals only where it is flagged.
+    """Several observables set up once for evaluation at many states, with
+    the gradient mask ``grads`` (all true by default).  Each call runs one
+    compiled function for all of them (:func:`.codegen.compile_roots`), or,
+    when one does not compile, the evaluator per observable and state, on
+    duals only where it is flagged.
 
     Calling it on a list of states, with an optional ``binding`` joined to
     the observables' own, returns the values, shape ``(len(states),
-    len(observables))``, and the six partials of the flagged observables in
-    order, one C-contiguous block of shape ``(len(states), M, 6)``, as
-    :meth:`Observable.value_and_gradient` gives them.  A state on another
+    len(observables))``, and the six partials of the flagged observables, one
+    C-contiguous block of shape ``(len(states), M, 6)``.  A state on another
     chart than an observable's raises ``ChartMismatchError`` first.
     """
 
@@ -165,10 +160,9 @@ class Columns:
 
 
 def joined(a, b):
-    """The binding of a combination of observables bound to ``a`` and ``b``
-    (tuples of :data:`.codegen.PARAMS` values, None where unbound): each
-    parameter's value from whichever binds it.  Two values that differ in
-    type or bits raise ParameterMismatchError."""
+    """The binding of a combination of observables bound to ``a`` and ``b``:
+    each parameter's value from whichever binds it.  Two values that differ
+    in type or bits raise ParameterMismatchError."""
     if a is None or b is None or a is b:
         return b if a is None else a
     for name, x, y in zip(codegen.PARAMS, a, b):
@@ -179,10 +173,8 @@ def joined(a, b):
 
 
 def _constant(c):
-    """A new node for one use of a constant operand: a copy of the root of
-    an observable that ignores the coordinates (a parameter expression), so
-    that each use takes its own constant slot as a number's const node
-    does, or a const node."""
+    """A new node for one use of a constant operand, a number or a parameter
+    expression (whose root it copies), so each use takes its own constant slot."""
     if isinstance(c, Observable) and not c._node.dual:
         return codegen.Node(c._node.op, c._node.kids, c._node.param)
     return codegen.Node("const", param=c)
@@ -193,18 +185,12 @@ def _node_of(o):
 
 
 class Observable:
-    """A differentiable scalar field on phase space.
-
-    Supports ``+ - * / **`` against other observables and plain numbers; the
-    result is again an observable.  ``chart`` (when not None) restricts which
-    states the observable accepts.  An observable is an expression graph
-    (:mod:`.codegen`): ``Observable(fn)`` around a callable of the six
-    coordinates is an opaque leaf, and this module's operators and
-    functions build nodes over their operands' graphs.  ``binding`` holds
-    the values of the graph's parameter leaves, one per
-    :data:`.codegen.PARAMS` slot (None where unbound), or is None.  A call
-    (on float coordinates; ``fn`` takes duals) and :meth:`gradient` run code
-    compiled on first use, or interpret a graph that does not compile.
+    """A differentiable scalar field on phase space: an expression graph
+    (:mod:`.codegen`), or ``Observable(fn)`` around a callable of the six
+    coordinates, an opaque leaf.  ``+ - * / **`` against observables and
+    numbers build new observables.  ``chart`` (when not None) restricts the
+    states it accepts; ``binding`` holds the values of its parameter leaves,
+    one per :data:`.codegen.PARAMS` slot (None where unbound), or is None.
     """
 
     __slots__ = ("_node", "name", "chart", "binding", "_fn", "_compiled", "_values")
@@ -231,9 +217,8 @@ class Observable:
         return self._fn
 
     def _code(self, grads):
-        """This graph's code in one mode, built on first use and kept in the
-        mode's slot: compiled, or interpreted where the graph does not
-        compile (an opaque leaf never tries)."""
+        """This graph's code in one mode, kept in the mode's slot: compiled,
+        or interpreted where it does not compile (an opaque leaf never tries)."""
         node, binding = self._node, self.binding
         code = (node.op != "opaque" and codegen.compile_roots([node], (grads,), binding)
                 or functools.partial(_interpreted, self.fn, grads))
@@ -329,10 +314,9 @@ Z, KAPPA2, GAMMA = (Observable(name=name, node=codegen.Node("param", param=i))
 
 
 def bound(obj, binding, **fields):
-    """``obj`` on the same graphs with every observable bound to
-    ``binding``: an observable, a dict of them, or a frozen dataclass that
-    holds them, with ``fields`` replaced.  The objects are new, so edits
-    stay with the caller."""
+    """``obj`` (an observable, a dict of them, or a frozen dataclass that holds
+    them, with ``fields`` replaced) as new objects on the same graphs, bound
+    to ``binding``."""
     if isinstance(obj, Observable):
         return Observable(name=obj.name, chart=obj.chart, node=obj._node, binding=binding)
     if isinstance(obj, dict):
@@ -400,8 +384,7 @@ def fd_grad(f, state, h=1e-6):
     call = f.fn if isinstance(f, Observable) else f
     out = np.empty(NVARS)
     for i in range(NVARS):
-        up = list(coords)
-        dn = list(coords)
+        up, dn = list(coords), list(coords)
         up[i] += h
         dn[i] -= h
         out[i] = (call(*up) - call(*dn)) / (2.0 * h)

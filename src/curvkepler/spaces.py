@@ -98,11 +98,9 @@ class SpaceParams:
 
 
 class _Symbols:
-    """SpaceParams over the parameter leaves: builders given it build a
-    graph once for every parameter set."""
+    """SpaceParams over the parameter leaves, for builders that build a graph once."""
 
-    z, kappa2, gamma = Z, KAPPA2, GAMMA
-    kappa1, k = SpaceParams.kappa1, SpaceParams.k
+    z, kappa2, gamma, kappa1, k = Z, KAPPA2, GAMMA, SpaceParams.kappa1, SpaceParams.k
 
 
 _SYMBOLS = _Symbols()
@@ -164,19 +162,8 @@ def _check_chart(spec, chart):
 
 
 # Polar coordinate observables (names only; slots are positional).
-_RAD = coordinate(0, "r")
-_TH = coordinate(1, "theta")
-_PH = coordinate(2, "phi")
-_PRAD = coordinate(3, "p_r")
-_PTH = coordinate(4, "p_theta")
-_PPH = coordinate(5, "p_phi")
-
-
-def _beltrami_kepler_potential(params):
-    """2 U(zJ-): pullback of the polar Kepler terms to the Beltrami chart."""
-    z, gamma = params.z, params.gamma
-    jm = _closed_form().jminus
-    return -2.0 * gamma / sqrt(jm * expm1c(2.0 * z * jm))
+_RAD, _TH, _PH, _PRAD, _PTH, _PPH = (
+    coordinate(i, n) for i, n in enumerate(("r", "theta", "phi", "p_r", "p_theta", "p_phi")))
 
 
 def hamiltonian(spec, chart):
@@ -186,14 +173,11 @@ def hamiltonian(spec, chart):
         return bound(_hamiltonian(spec.family, chart), spec.params.binding)
     # A custom family builds its own graph, with z bound in the closures of
     # its callables.
-    z = spec.params.z
+    z, f, pot = spec.params.z, spec.f, spec.potential
     r3 = three_site_closed_form(z)
-    jm, jp = r3.jminus, r3.jplus
-    f, pot = spec.f, spec.potential
-    zjm, jm_of = (z * jm).fn, jm.fn
-    fn_f = Observable(lambda *s: f(zjm(*s)))
-    fn_u = Observable(lambda *s: pot(z, jm_of(*s)))
-    h = jp * fn_f + 2.0 * fn_u
+    zjm, jm_of = (z * r3.jminus).fn, r3.jminus.fn
+    h = (r3.jplus * Observable(lambda *s: f(zjm(*s)))
+         + 2.0 * Observable(lambda *s: pot(z, jm_of(*s))))
     return h.renamed(f"H[{spec.family.value}]").with_chart(Chart.BELTRAMI)
 
 
@@ -202,17 +186,16 @@ def _hamiltonian(family, chart):
     """A named family's Hamiltonian on a chart, over the parameter leaves."""
     params = _SYMBOLS
     if chart is Chart.BELTRAMI:
-        z = params.z
-        r3 = _closed_form()
-        jm, jp = r3.jminus, r3.jplus
+        z, jm, jp = params.z, _closed_form().jminus, _closed_form().jplus
         if family is Family.FREE_NC:
             h = 0.25 * jp
         elif family is Family.FREE_CC:
             h = 0.25 * jp * exp(z * jm)
-        elif family is Family.KEPLER_NC:
-            h = 0.25 * jp + exp(2.0 * z * jm) * _beltrami_kepler_potential(params)
-        else:  # KEPLER_CC
-            h = 0.25 * jp * exp(z * jm) + _beltrami_kepler_potential(params)
+        else:
+            # 2 U(zJ-): the pullback of the polar Kepler terms to the Beltrami chart.
+            u2 = -2.0 * params.gamma / sqrt(jm * expm1c(2.0 * z * jm))
+            h = (0.25 * jp + exp(2.0 * z * jm) * u2 if family is Family.KEPLER_NC
+                 else 0.25 * jp * exp(z * jm) + u2)
         return h.renamed(f"H[{family.value}]").with_chart(Chart.BELTRAMI)
 
     s2 = skappa(params.kappa2, _TH)
@@ -223,15 +206,12 @@ def _hamiltonian(family, chart):
 
 def _polar_hamiltonian(family, params, rad, prad, angular):
     """H on the family's polar chart from the radial pair and the angular
-    term p_theta^2 + p_phi^2 / S_kappa2(theta)^2 (the constant C^(3)).
-
-    Takes observables or floats alike; one formula for :func:`hamiltonian`
-    and :class:`RadialSystem`.
+    term p_theta^2 + p_phi^2 / S_kappa2(theta)^2 (the constant C^(3)), on
+    observables or floats: one formula for :func:`hamiltonian` and :class:`RadialSystem`.
     """
     z, kappa2, k = params.z, params.kappa2, params.k
     if family.polar_chart is Chart.POLAR_VARIABLE:
-        cm = ckappa(-z, rad)
-        sm = skappa(-z, rad)
+        cm, sm = ckappa(-z, rad), skappa(-z, rad)
         h = 0.5 * cm * (prad * prad + angular / (kappa2 * sm * sm))
         if family is Family.KEPLER_NC:
             h = h - k * cm * cm / sm
@@ -288,11 +268,7 @@ def _beltrami_positions(kind, c, params):
 
 def _position_jacobian(kind, pos, params):
     """d q_i / d polar_a, exactly, by dual-number differentiation."""
-    out = _beltrami_positions(kind, kernel.seeded(pos), params)
-    jac = np.empty((3, 3))
-    for i in range(3):
-        jac[i, :] = out[i].d[:3]
-    return jac
+    return np.array([q.d[:3] for q in _beltrami_positions(kind, kernel.seeded(pos), params)])
 
 
 def to_polar(state, params, target):
@@ -456,12 +432,10 @@ def curvature(chart, kind, point, params, h=1e-4):
 
     The metric is differenced twice (step h for Christoffel symbols and for
     their derivatives), so the result carries an O(h^2) truncation error;
-    the closed-form values are attached for every chart and kind that
-    :func:`metric` accepts.
-    A step with x + h == x - h for some coordinate raises DomainError, and
-    so does any step below 1e-6 max(1, |x_k|): its rounding noise, about
-    eps/h**2, is above the 1e-4 curvature tolerance.  The metric is
-    diagonal, so the contractions read its diagonal entries as floats.
+    the closed-form values are attached.  A step with x + h == x - h for some
+    coordinate raises DomainError, and so does any step below 1e-6 max(1,
+    |x_k|): its rounding noise, about eps/h**2, is above the 1e-4 curvature
+    tolerance.  The contractions read the diagonal metric's entries as floats.
     """
     if not (math.isfinite(h) and h > 0):
         raise DomainError(f"finite-difference step must be finite and > 0, got {h!r}")
@@ -593,11 +567,9 @@ def chart_guard(chart, params):
 
     Its ``step(c, before)`` attribute returns ``(reason, signs)``: the same
     reason, and otherwise the signs of the functions that vanish on the
-    chart's singular set (``_WATCH``).  Given the signs at the previous
-    state as ``before``, a sign change is a reason too: a step that jumped
-    over the singular set, which the epsilon test at each state cannot see.
-    ``integrate`` calls it at each accepted state.
-    """
+    chart's singular set (``_WATCH``).  A sign change from ``before``, the
+    signs at the previous accepted state, is a reason too: a step over the
+    singular set, which the epsilon test cannot see."""
     z, kappa2, sk = params.z, params.kappa2, kernel._kappa_s
 
     if chart is Chart.POLAR_CONSTANT:

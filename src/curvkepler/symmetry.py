@@ -12,8 +12,7 @@ vector components P_i are only materialized for kappa2 > 0, while their
 bracket table is verified in the equivalent even form.
 
 The generators, the constants, the Runge-Lenz vector and both tables are
-built once, over the parameter leaves, and bound to the parameters of each
-call.
+built once, over the parameter leaves, and bound to each call's parameters.
 """
 
 from __future__ import annotations
@@ -53,8 +52,7 @@ class GeneratorSet:
     j23: Observable
 
     def named(self):
-        return {"j01": self.j01, "j02": self.j02, "j03": self.j03,
-                "j12": self.j12, "j13": self.j13, "j23": self.j23}
+        return {name: getattr(self, name) for name in ("j01", "j02", "j03", "j12", "j13", "j23")}
 
 
 def so4_generators(params, perturb=None):
@@ -67,11 +65,9 @@ def so4_generators(params, perturb=None):
 
 @functools.cache
 def _so4_generators(perturb):
-    params = _SYMBOLS
-    k1, k2 = params.kappa1, params.kappa2
+    k1, k2 = _SYMBOLS.kappa1, _SYMBOLS.kappa2
     cot1 = cotkappa(k1, _RAD)
-    s2 = skappa(k2, _TH)
-    c2 = ckappa(k2, _TH)
+    s2, c2 = skappa(k2, _TH), ckappa(k2, _TH)
     cot2 = c2 / s2
     sp, cp = sin(_PH), cos(_PH)
     gens = {
@@ -88,16 +84,7 @@ def _so4_generators(perturb):
         gens[perturb] = gens[perturb] * 1.01
     gens = {name: ob.renamed(name).with_chart(Chart.POLAR_CONSTANT)
             for name, ob in gens.items()}
-    return GeneratorSet(params, **gens)
-
-
-def _angular_constants(kappa2):
-    s2 = skappa(kappa2, _TH)
-    cot2 = ckappa(kappa2, _TH) / s2
-    c2 = (_PPH * _PPH).renamed("C2")
-    c2mid = ((cos(_PH) * _PTH - sin(_PH) * cot2 * _PPH) ** 2).renamed("C2mid")
-    c3 = (_PTH * _PTH + _PPH * _PPH / (s2 * s2)).renamed("C3")
-    return c2, c2mid, c3
+    return GeneratorSet(_SYMBOLS, **gens)
 
 
 @dataclass(frozen=True)
@@ -139,18 +126,14 @@ def _lrl(perturb):
     params, gens = _SYMBOLS, _so4_generators(perturb)
     h = _hamiltonian(Family.KEPLER_CC, Chart.POLAR_CONSTANT)
     k1, k2, k = params.kappa1, params.kappa2, params.k
-    s2 = skappa(k2, _TH)
-    c2 = ckappa(k2, _TH)
+    s2, c2 = skappa(k2, _TH), ckappa(k2, _TH)
     sp, cp = sin(_PH), cos(_PH)
     l1 = (-gens.j02 * gens.j12 - gens.j03 * gens.j13 + k * k2 * c2).renamed("L1")
     l2 = (gens.j01 * gens.j12 - gens.j03 * gens.j23 + k * k2 * s2 * cp).renamed("L2")
     l3 = (gens.j01 * gens.j13 + gens.j02 * gens.j23 + k * k2 * s2 * sp).renamed("L3")
     c3 = gens.j12 * gens.j12 + gens.j13 * gens.j13 + k2 * gens.j23 * gens.j23
     mu = (2.0 * (k1 * c3 - k2 * h)).renamed("mu")
-    return LRLVector(params, l1.with_chart(Chart.POLAR_CONSTANT),
-                     l2.with_chart(Chart.POLAR_CONSTANT),
-                     l3.with_chart(Chart.POLAR_CONSTANT),
-                     mu.with_chart(Chart.POLAR_CONSTANT))
+    return LRLVector(params, *(o.with_chart(Chart.POLAR_CONSTANT) for o in (l1, l2, l3, mu)))
 
 
 def constants(spec, chart):
@@ -167,21 +150,17 @@ def constants(spec, chart):
 
 @functools.cache
 def _constants(family, chart):
-    kappa2 = _SYMBOLS.kappa2
-    out = {}
+    z, kappa2 = _SYMBOLS.z, _SYMBOLS.kappa2
     if chart is Chart.BELTRAMI:
         cs = _casimirs()
-        out["C2"] = cs.c12.renamed("C2")
-        out["C2mid"] = (kappa2 * cs.c23).renamed("C2mid")
-        out["C3"] = (kappa2 * cs.c123).renamed("C3")
+        out = {"C2": cs.c12, "C2mid": kappa2 * cs.c23, "C3": kappa2 * cs.c123}
         if family is Family.FREE_CC:
-            z = _SYMBOLS.z
-            i2 = 0.5 * sinhc(z * Q1 * Q1) * exp(z * Q1 * Q1) * P1 * P1
-            out["I2"] = (kappa2 * i2).renamed("I2")
-        return {name: ob.renamed(name).with_chart(Chart.BELTRAMI)
-                for name, ob in out.items()}
-    c2, c2mid, c3 = _angular_constants(kappa2)
-    out = {"C2": c2, "C2mid": c2mid, "C3": c3}
+            out["I2"] = kappa2 * (0.5 * sinhc(z * Q1 * Q1) * exp(z * Q1 * Q1) * P1 * P1)
+        return {name: ob.renamed(name).with_chart(chart) for name, ob in out.items()}
+    s2 = skappa(kappa2, _TH)
+    cot2 = ckappa(kappa2, _TH) / s2
+    out = {"C2": _PPH * _PPH, "C2mid": (cos(_PH) * _PTH - sin(_PH) * cot2 * _PPH) ** 2,
+           "C3": _PTH * _PTH + _PPH * _PPH / (s2 * s2)}
     if family is Family.FREE_CC:
         gens = _so4_generators(None)
         out["I2"] = (gens.j03 * gens.j03).renamed("I2")
@@ -191,12 +170,10 @@ def _constants(family, chart):
 
 
 def transported(obs, params):
-    """Value-level transport of a polar-chart observable to the Beltrami chart.
-
-    The callable takes Beltrami states (a raw 6-tuple is one) and states on
-    the observable's own chart.  It is a plain callable (not an Observable):
-    the composed map is not dual-differentiable, so it supports evaluation
-    but not brackets.
+    """Value-level transport of a polar-chart observable to the Beltrami chart:
+    a plain callable of Beltrami states (a raw 6-tuple is one) and of states
+    on the observable's own chart, which supports evaluation but not brackets
+    (the composed map is not dual-differentiable).
     """
     target = obs.chart or Chart.POLAR_CONSTANT
 
@@ -242,8 +219,7 @@ def _polar_sampler(params):
 
 @functools.cache
 def _so4_table(perturb):
-    gens, params = _so4_generators(perturb), _SYMBOLS
-    k1, k2 = params.kappa1, params.kappa2
+    gens, k1, k2 = _so4_generators(perturb), _SYMBOLS.kappa1, _SYMBOLS.kappa2
     j01, j02, j03 = gens.j01, gens.j02, gens.j03
     j12, j13, j23 = gens.j12, gens.j13, gens.j23
     rows = [
@@ -290,31 +266,28 @@ def _lrl_table(perturb):
     l1, l2, l3, mu = vec.l1, vec.l2, vec.l3, vec.mu
     j12, j13, j23 = gens.j12, gens.j13, gens.j23
     h = _hamiltonian(Family.KEPLER_CC, Chart.POLAR_CONSTANT)
-    rows = []
-    for name, ob in vec.components().items():
-        rows.append(Identity(f"{{{name}, H_cc_kepler}} = 0", ob, h, 0.0,
-                             group="conservation"))
-    vector = [
-        ("{J12,L1} = k2 L2", j12, l1, k2 * l2),
-        ("{J12,L2} = -L1", j12, l2, -1.0 * l1),
-        ("{J12,L3} = 0", j12, l3, 0.0),
-        ("{J13,L1} = k2 L3", j13, l1, k2 * l3),
-        ("{J13,L2} = 0", j13, l2, 0.0),
-        ("{J13,L3} = -L1", j13, l3, -1.0 * l1),
-        ("{J23,L1} = 0", j23, l1, 0.0),
-        ("{J23,L2} = L3", j23, l2, l3),
-        ("{J23,L3} = -L2", j23, l3, -1.0 * l2),
-    ]
-    rows += [Identity(n, f, g, r, group="vector") for n, f, g, r in vector]
-    mutual = [
-        ("{L1,L2} = mu J12", l1, l2, mu * j12),
-        ("{L1,L3} = mu J13", l1, l3, mu * j13),
-        ("{L2,L3} = mu J23", l2, l3, mu * j23),
-    ]
-    rows += [Identity(n, f, g, r, group="mutual") for n, f, g, r in mutual]
-    # Full cubic table in even form (P1 = L1/l2, P2 = l2 L2, P3 = l2 L3;
-    # each row is multiplied by the lambda2 power that makes it even).
-    cubic = [
+    rows = [Identity(f"{{{name}, H_cc_kepler}} = 0", ob, h, 0.0, group="conservation")
+            for name, ob in vec.components().items()]
+    # The vector and mutual brackets, then the full cubic table in even form
+    # (P1 = L1/l2, P2 = l2 L2, P3 = l2 L3; each row is multiplied by the
+    # lambda2 power that makes it even).
+    groups = [
+        ("vector", [
+            ("{J12,L1} = k2 L2", j12, l1, k2 * l2),
+            ("{J12,L2} = -L1", j12, l2, -1.0 * l1),
+            ("{J12,L3} = 0", j12, l3, 0.0),
+            ("{J13,L1} = k2 L3", j13, l1, k2 * l3),
+            ("{J13,L2} = 0", j13, l2, 0.0),
+            ("{J13,L3} = -L1", j13, l3, -1.0 * l1),
+            ("{J23,L1} = 0", j23, l1, 0.0),
+            ("{J23,L2} = L3", j23, l2, l3),
+            ("{J23,L3} = -L2", j23, l3, -1.0 * l2),
+        ]),
+        ("mutual", [
+            ("{L1,L2} = mu J12", l1, l2, mu * j12),
+            ("{L1,L3} = mu J13", l1, l3, mu * j13),
+            ("{L2,L3} = mu J23", l2, l3, mu * j23),
+        ]),
         ("higgs(J12;P1,P2)", [
             ("{J12,P1} = P2   [even: {J12,L1} = k2 L2]", j12, l1, k2 * l2),
             ("{J12,P2} = -k2 P1   [even: {J12,L2} = -L1]", j12, l2, -1.0 * l1),
@@ -342,8 +315,7 @@ def _lrl_table(perturb):
             ("{P3,J12} = 0   [even: {L3,J12} = 0]", l3, j12, 0.0),
         ]),
     ]
-    for group, items in cubic:
-        rows += [Identity(n, f, g, r, group=group) for n, f, g, r in items]
+    rows += [Identity(n, f, g, r, group=group) for group, items in groups for n, f, g, r in items]
     return tuple(rows)
 
 
@@ -361,12 +333,9 @@ _RANK_TOL = 1e-8
 
 
 def independence_ranks(observables, states):
-    """Numerical rank of the Jacobian of a list of observables at each state.
-
-    One compiled call per state gives every gradient
-    (:class:`.phase.Columns`), and one stacked SVD all the
-    singular values; a rank counts those above 1e-8 times the largest (0 for
-    a zero Jacobian).
+    """Numerical rank of the Jacobian of a list of observables at each state,
+    from one compiled call per state (:class:`.phase.Columns`) and one stacked
+    SVD: a rank counts the singular values above 1e-8 times the largest.
     """
     jac = Columns(observables)(states)[1]
     sv = np.linalg.svd(jac, compute_uv=False)
