@@ -17,20 +17,20 @@ and every partial is the dual path's.
 
 A root set is lowered once per mask (:func:`_lowered`) and serves every
 binding: each coordinate-dependent node becomes one instruction, and each
-coordinate-free operand (a number, a parameter expression, a curvature
-label) a constant slot, whose value a bind step computes with the
-evaluator's operations in the evaluator's order, so every constant keeps
-its bits.  Code objects are kept by structure (:func:`_code`) and bound
-functions by roots, mask and the binding's bits (:func:`_bound`), so new
-parameters cost one bind step and one ``exec``.
+coordinate-free node an instruction reads one constant slot, whose value a
+bind step computes with the evaluator's operations in the evaluator's
+order, so every constant keeps its bits.  Code objects are kept by
+structure (:func:`_code`) and bound functions by roots, mask and the
+binding's bits (:func:`_bound`), so new parameters cost one bind step and
+one ``exec``.
 
 Every ``skappa``, ``ckappa``, ``tkappa`` and ``cotkappa`` node on one
-curvature label value and argument reads one pair instruction, the
-statements of ``kernel._kappa_pair`` written out; labels 0.0, -0.0 and the
-int 0 never share one.  Nothing else is merged by value, which would let
-the parameters into the structure key (at ``kappa1 = kappa2 = 1.0`` equal
-constants would merge and rewire a table): builders build a shared
-subexpression once instead.
+argument and one curvature label, a number (by :func:`_bits`: 0.0, -0.0
+and the int 0 never share one) or one parameter-expression node, reads one
+pair instruction, the statements of ``kernel._kappa_pair`` written out.
+Nothing else is merged by value, which would let the parameters into the
+structure key (at ``kappa1 = kappa2 = 1.0`` equal constants would merge
+and rewire a table): builders build a shared subexpression once instead.
 """
 
 from __future__ import annotations
@@ -247,12 +247,6 @@ def _partials(roots):
 
 # -- lowering and emission ---------------------------------------------------------
 
-def _value_key(nd):
-    """A key equal for two coordinate-free nodes of one value: the same
-    parameter expression, or numbers of one type and bits."""
-    return _bits(nd.param) if nd.op == "const" else (nd.param, *map(_value_key, nd.kids))
-
-
 class _Lowering:
     """One walk of the graphs: the instructions, in the order the emitter
     writes them, and the coordinate-free node of each constant slot.  An
@@ -265,11 +259,7 @@ class _Lowering:
         self.refs = {}      # node -> operand
         self.bad = set()    # nodes that cannot be compiled
         self.coords = {}    # slot -> instruction
-        self.pairs = {}     # (kappa value key, x operand) -> "pair" instruction
-
-    def const(self, nd):
-        self.slots.append(nd)
-        return ~(len(self.slots) - 1)
+        self.pairs = {}     # (label key, x operand) -> "pair" instruction
 
     def add(self, *instr):
         self.ins.append(instr)
@@ -278,7 +268,8 @@ class _Lowering:
     def operand(self, nd):
         """A lowered node's operand; a coordinate-free node takes a constant slot."""
         if nd not in self.refs:
-            self.refs[nd] = self.const(nd)
+            self.slots.append(nd)
+            self.refs[nd] = ~(len(self.slots) - 1)
         return self.refs[nd]
 
     def lower(self, nd):
@@ -296,10 +287,11 @@ class _Lowering:
             if nd.param not in self.coords:
                 self.coords[nd.param] = self.add("coord", nd.param)
             return self.coords[nd.param]
-        if op == "kfn":     # one (S, C) pair per curvature label value and argument
-            key = _value_key(kids[0]), self.operand(kids[1])
+        if op == "kfn":     # one (S, C) pair per curvature label and argument
+            k = kids[0]
+            key = (_bits(k.param) if k.op == "const" else k), self.operand(kids[1])
             if key not in self.pairs:
-                self.pairs[key] = self.add("pair", key[1], self.const(kids[0]))
+                self.pairs[key] = self.add("pair", key[1], self.operand(k))
             return self.add("kfn", self.pairs[key], nd.param.__name__)
         args = map(self.operand, kids)
         return self.add(op, *args, nd.param.__name__) if op == "fn" else self.add(op, *args)

@@ -12,10 +12,11 @@ observables into one function.  Either way an observable has one value, bit
 for bit.
 
 The parameters z, kappa2 and gamma are graph leaves (:data:`Z`,
-:data:`KAPPA2`, :data:`GAMMA`): a builder writes its formula once over
-them, and an observable carries its binding, the values they take.
-Combining observables bound to different values raises, as combining
-charts does.
+:data:`KAPPA2`, :data:`GAMMA`) and ordinary operands: a builder writes its
+formula once over them, and an observable carries its binding, the values
+they take.  Combining observables bound to different values raises, as
+combining charts does.  An exponent or a curvature label must ignore the
+coordinates.
 """
 
 from __future__ import annotations
@@ -172,16 +173,17 @@ def joined(a, b):
     return tuple([y if x is None else x for x, y in zip(a, b)])
 
 
-def _constant(c):
-    """A new node for one use of a constant operand, a number or a parameter
-    expression (whose root it copies), so each use takes its own constant slot."""
-    if isinstance(c, Observable) and not c._node.dual:
-        return codegen.Node(c._node.op, c._node.kids, c._node.param)
-    return codegen.Node("const", param=c)
-
-
 def _node_of(o):
-    return o._node if isinstance(o, Observable) and o._node.dual else _constant(o)
+    """An observable's own node, or a new const node for a number."""
+    return o._node if isinstance(o, Observable) else codegen.Node("const", param=o)
+
+
+def _free_of_coordinates(o, what):
+    """``o``'s node for an operand that must ignore the coordinates (an
+    exponent or a curvature label): a dual one would drop its partials."""
+    if isinstance(o, Observable) and o._node.dual:
+        raise TypeError(f"the {what} {o!r} depends on the coordinates")
+    return _node_of(o)
 
 
 class Observable:
@@ -257,17 +259,8 @@ class Observable:
         return Observable(chart=self._merge_chart(other), binding=binding,
                           node=codegen.Node(op, kids, param))
 
-    def _as_number(self, o):
-        """Whether this observable stands where a number would against
-        ``o``: it ignores the coordinates (a parameter expression) and ``o``
-        does not, so ``Z * q`` builds the ``q * z`` that ``z * q`` builds on
-        a float ``z``."""
-        return not self._node.dual and isinstance(o, Observable) and o._node.dual
-
     def __add__(self, o):
-        if self._as_number(o):
-            return o + self
-        return self._op("add", _node_of(self), _node_of(o), other=o)
+        return self._op("add", self._node, _node_of(o), other=o)
 
     __radd__ = __add__
 
@@ -275,26 +268,24 @@ class Observable:
         return self._op("neg", self._node)
 
     def __sub__(self, o):
-        return o.__rsub__(self) if self._as_number(o) else self + (-o)
+        return self + (-o)
 
     def __rsub__(self, o):
-        return self._op("sub", _node_of(o), _node_of(self), other=o)
+        return self._op("sub", _node_of(o), self._node, other=o)
 
     def __mul__(self, o):
-        if self._as_number(o):
-            return o * self
-        return self._op("mul", _node_of(self), _node_of(o), other=o)
+        return self._op("mul", self._node, _node_of(o), other=o)
 
     __rmul__ = __mul__
 
     def __truediv__(self, o):
-        return self._op("div", _node_of(self), _node_of(o), other=o)
+        return self._op("div", self._node, _node_of(o), other=o)
 
     def __rtruediv__(self, o):
-        return self._op("div", _node_of(o), _node_of(self), other=o)
+        return self._op("div", _node_of(o), self._node, other=o)
 
     def __pow__(self, n):
-        return self._op("pow", self._node, _constant(n))
+        return self._op("pow", self._node, _free_of_coordinates(n, "exponent"), other=n)
 
     def renamed(self, name):
         return Observable(name=name, chart=self.chart, node=self._node, binding=self.binding)
@@ -343,13 +334,16 @@ P1, P2, P3 = (coordinate(i + 3, n) for i, n in enumerate(("p1", "p2", "p3")))
 def _lift(scalar_fn):
     """``scalar_fn`` on floats and duals; on an observable (the last
     argument) an ``fn`` node, or a ``kfn`` node for a curvature-labelled
-    function, whose leading labels are constant kids (:func:`_constant`)."""
+    function, whose leading labels, numbers or parameter expressions, are
+    its first kids."""
     op = "kfn" if scalar_fn.__name__ in kernel.KAPPA_RULES else "fn"
 
     def lifted(*args):
         *labels, x = args
         if isinstance(x, Observable):
-            return x._op(op, *map(_constant, labels), x._node, param=scalar_fn)
+            kids = [_free_of_coordinates(k, "curvature label") for k in labels]
+            return x._op(op, *kids, x._node, other=labels[0] if labels else None,
+                         param=scalar_fn)
         return scalar_fn(*args)
 
     lifted.__name__ = scalar_fn.__name__

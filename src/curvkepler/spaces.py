@@ -211,7 +211,8 @@ def _polar_hamiltonian(family, params, rad, prad, angular):
     """
     z, kappa2, k = params.z, params.kappa2, params.k
     if family.polar_chart is Chart.POLAR_VARIABLE:
-        cm, sm = ckappa(-z, rad), skappa(-z, rad)
+        nz = -z     # one label, so the two functions share one (S, C) pair
+        cm, sm = ckappa(nz, rad), skappa(nz, rad)
         h = 0.5 * cm * (prad * prad + angular / (kappa2 * sm * sm))
         if family is Family.KEPLER_NC:
             h = h - k * cm * cm / sm

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -849,3 +850,108 @@ def test_a_squares_partial_builds_its_product_once():
     for lane in (lanes[0], lanes[3]):
         assert lane.op == "add" and lane.kids[0] is lane.kids[1]
         assert lane.kids[0].op == "mul"
+
+
+@pytest.mark.parametrize("what, build", [
+    ("exponent", lambda o: Q1 ** o),
+    ("curvature label", lambda o: skappa(o, Q1)),
+    ("curvature label", lambda o: cotkappa(o, Q1 + P2)),
+], ids=["pow", "skappa", "cotkappa"])
+@pytest.mark.parametrize("operand", [P1, P1 * phase.Z], ids=["p1", "p1*z"])
+def test_an_exponent_or_label_that_reads_the_coordinates_raises_when_built(what, build, operand):
+    """An exponent or a curvature label is a coordinate-free operand with no
+    partials of its own: one that reads the coordinates would drop them
+    (d/dp1 of q1 ** p1 would read 0), so building it raises, naming it.  A
+    parameter expression builds."""
+    with pytest.raises(TypeError, match=re.escape(f"the {what} {operand!r} depends on")):
+        build(operand)
+    assert _compiles(phase.bound(build(-phase.Z), (0.5, None, None)))
+
+
+@pytest.mark.parametrize("build", [lambda p, x: p * x, lambda p, x: x ** p,
+                                   lambda p, x: skappa(p, x)], ids=["mul", "pow", "skappa"])
+def test_a_bound_exponent_or_label_joins_its_binding(build):
+    """A bound parameter expression is an operand like any other: as a
+    factor, an exponent or a curvature label its binding joins the
+    result's, and one that differs from the other operand's raises."""
+    nz = phase.bound(-phase.Z, (0.5, None, None))
+    s = (1.2, 0.0, 0.0, 0.0, 0.0, 0.0)
+    ob = build(nz, Q1)
+    assert ob.binding == (0.5, None, None) and ob(s) == build(-0.5, Q1)(s)
+    with pytest.raises(phase.ParameterMismatchError, match="bound to z = "):
+        build(nz, phase.bound(Q1, (0.25, None, None)))
+
+
+# Formulas over a coordinate-free operand p (a parameter expression, or the
+# float it stands for) and an observable x.
+_P_FORMS = {
+    "p + x": lambda p, x: p + x, "x + p": lambda p, x: x + p,
+    "p - x": lambda p, x: p - x, "x - p": lambda p, x: x - p,
+    "p * x": lambda p, x: p * x, "x * p": lambda p, x: x * p,
+    "p / x": lambda p, x: p / x, "x / p": lambda p, x: x / p,
+    "p ** 2 * x": lambda p, x: p ** 2 * x, "(x * p) ** 2": lambda p, x: (x * p) ** 2,
+    **{f"{name}(p, x)": getattr(phase, name) for name in ("skappa", "ckappa", "tkappa", "cotkappa")},
+}
+# Parameter expressions, as functions of (z, kappa2, gamma).
+_P_EXPRESSIONS = {"z": lambda z, k, g: z, "-z": lambda z, k, g: -z,
+                  "kappa2 * z": lambda z, k, g: k * z, "z - gamma": lambda z, k, g: z - g}
+
+
+def _bits_or_raised(ob, s):
+    """The value and gradient as hex strings, or the class of what raises."""
+    try:
+        val, g = ob.value_and_gradient(s)
+    except Exception as exc:        # the class is what is compared
+        return type(exc)
+    return [float.hex(v) for v in (val, *g)]
+
+
+@pytest.mark.parametrize("form", sorted(_P_FORMS))
+@pytest.mark.parametrize("z", [0.3, -0.0, 0.0, -1.0], ids=repr)
+def test_a_graph_over_the_parameter_leaves_is_the_float_graphs_bits(z, form):
+    """Built over Z, KAPPA2 and GAMMA and bound, or built on the floats they
+    stand for, a formula gives one value and gradient, bit for bit, in
+    compiled code and on duals alike, or raises the same class (x / z at
+    z = 0)."""
+    rng = np.random.default_rng(32)
+    x = Q1 * P2 + Q2
+    for name, expr in _P_EXPRESSIONS.items():
+        binding = (z, float(rng.uniform(0.5, 1.5)), float(rng.uniform(-1.0, 1.0)))
+        over_leaves = phase.bound(_P_FORMS[form](expr(phase.Z, phase.KAPPA2, phase.GAMMA), x),
+                                  binding)
+        on_floats = _P_FORMS[form](expr(*binding), x)
+        for _ in range(8):
+            s = tuple(rng.uniform(-1.5, 1.5, 6))
+            for path in (lambda ob: ob, _dual):
+                assert (_bits_or_raised(path(over_leaves), s)
+                        == _bits_or_raised(path(on_floats), s)), (name, s)
+
+
+def test_a_parameter_expression_used_twice_takes_one_constant_slot():
+    """A parameter expression is one node, so its uses (as an operand and as
+    the label of two curvature functions) read one constant slot, and the
+    two functions one (S, C) pair."""
+    nz = -phase.Z
+    ob = nz * Q1 + ckappa(nz, Q2) * skappa(nz, Q2)
+    (ins, _), bind = codegen._lower([ob.node], (False,))
+    assert bind((0.3, None, None)) == [-0.3]
+    assert [op for op, *_ in ins].count("pair") == 1
+
+
+def test_verify_all_binds_one_constant_per_parameter_expression(monkeypatch):
+    """The two batches of ``verify --suite all`` at the spherical preset bind
+    17 and 26 constants over 590 and 421 instructions (32 and 46 when each
+    use of a parameter expression took its own slot)."""
+    _clear_code_caches()
+    codegen._lowered.cache_clear()
+    sizes, real = [], codegen._lower
+
+    def spy(roots, grads):
+        lowered = real(roots, grads)
+        sizes.append((len(lowered[0][0]), len(lowered[1](params.binding))))
+        return lowered
+
+    monkeypatch.setattr(codegen, "_lower", spy)
+    params = SpaceParams.preset("spherical", 0.5)
+    cli._run_suites("all", params, 1, 0, None)
+    assert sizes == [(590, 17), (421, 26)]
