@@ -108,14 +108,9 @@ def _realization(sites):
     the sites joined in increasing order."""
     if len(sites) > 1:
         return coproduct_join(_realization(sites[:-1]), _realization(sites[-1:]))
-    i = sites[0] - 1
-    q, p, w = (Q1, Q2, Q3)[i], (P1, P2, P3)[i], _SINHC[i]     # w: the closed forms' node
+    q, p = (Q1, Q2, Q3)[sites[0] - 1], (P1, P2, P3)[sites[0] - 1]
+    w = sinhc(Z * q * q)
     return Realization(Z, 1, sites, q * q, w * p * p, w * q * p)
-
-
-# sinhc(z q_i^2) and exp(z q_i^2), each one node that every builder shares.
-_SINHC = tuple(sinhc(Z * q * q) for q in (Q1, Q2, Q3))
-_EXP = tuple(exp(Z * q * q) for q in (Q1, Q2, Q3))
 
 
 def three_site_closed_form(z):
@@ -125,7 +120,8 @@ def three_site_closed_form(z):
 
 @functools.cache
 def _closed_form():
-    (s1, s2, s3), (e1, e2, e3) = _SINHC, _EXP
+    s1, s2, s3 = (sinhc(Z * q * q) for q in (Q1, Q2, Q3))
+    e1, e2, e3 = (exp(Z * q * q) for q in (Q1, Q2, Q3))
     jm = Q1 * Q1 + Q2 * Q2 + Q3 * Q3
     jp = s1 * P1 * P1 * e2 * e3 + s2 * P2 * P2 * e3 / e1 + s3 * P3 * P3 / (e1 * e2)
     j3 = (s1 * Q1 * P1 * e2 * e3 + s2 * Q2 * P2 * e3 / e1
@@ -140,7 +136,8 @@ def casimirs(z):
 
 @functools.cache
 def _casimirs():
-    (s1, s2, s3), (e1, e2, e3) = _SINHC, _EXP
+    s1, s2, s3 = (sinhc(Z * q * q) for q in (Q1, Q2, Q3))
+    e1, e2, e3 = (exp(Z * q * q) for q in (Q1, Q2, Q3))
     m12 = Q1 * P2 - Q2 * P1
     m13 = Q1 * P3 - Q3 * P1
     m23 = Q2 * P3 - Q3 * P2

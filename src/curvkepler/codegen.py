@@ -15,22 +15,20 @@ same float operations in the same order, so the evaluator on floats or
 duals and the compiled code under any mask give every value bit for bit,
 and every partial is the dual path's.
 
-A root set is lowered once per mask (:func:`_lowered`) and serves every
-binding: each coordinate-dependent node becomes one instruction, and each
-coordinate-free node an instruction reads one constant slot, whose value a
-bind step computes with the evaluator's operations in the evaluator's
-order, so every constant keeps its bits.  Code objects are kept by
-structure (:func:`_code`) and bound functions by roots, mask and the
-binding's bits (:func:`_bound`), so new parameters cost one bind step and
-one ``exec``.
+A root set is lowered and compiled once per mask (:func:`_lowered`) and
+serves every binding: each coordinate-dependent node becomes one
+instruction, and each coordinate-free node an instruction reads one
+constant slot, whose value a bind step computes with the evaluator's
+operations in the evaluator's order, so every constant keeps its bits.
+Bound functions are kept by roots, mask and the binding's bits
+(:func:`_bound`), so new parameters cost one bind step and one ``exec``.
 
-Every ``skappa``, ``ckappa``, ``tkappa`` and ``cotkappa`` node on one
-argument and one curvature label, a number (by :func:`_bits`: 0.0, -0.0
-and the int 0 never share one) or one parameter-expression node, reads one
-pair instruction, the statements of ``kernel._kappa_pair`` written out.
-Nothing else is merged by value, which would let the parameters into the
-structure key (at ``kappa1 = kappa2 = 1.0`` equal constants would merge
-and rewire a table): builders build a shared subexpression once instead.
+Nodes are interned (:class:`Node`): an expression built twice is one node,
+so its uses read one instruction or one constant slot, and the
+``skappa``, ``ckappa``, ``tkappa`` and ``cotkappa`` nodes on one argument
+and one curvature label read one pair instruction, the statements of
+``kernel._kappa_pair`` written out.  The parameters are leaves, so no
+parameter value enters a node's key, and equal graphs are one root set.
 """
 
 from __future__ import annotations
@@ -40,6 +38,7 @@ import functools
 import itertools
 import operator
 import struct
+import weakref
 
 from . import kernel
 from .kernel import NVARS
@@ -53,6 +52,10 @@ PARAMS = ("z", "kappa2", "gamma")
 # ``n - 1``), and ``x * x`` is a mul node whose two operands are one node.
 _OPS = {"add": operator.add, "sub": operator.sub, "mul": operator.mul,
         "div": operator.truediv, "neg": operator.neg, "pow": operator.pow}
+
+# Every live node by its key (:class:`Node`), held weakly: it goes with the
+# last graph that holds it.
+_NODES = weakref.WeakValueDictionary()
 
 
 class Node:
@@ -68,16 +71,26 @@ class Node:
     of an opaque leaf.  ``dual`` is true when the node depends on the
     coordinates, i.e. when a dual evaluation makes its value a ``KScalar``.
     ``fn`` caches the node's evaluation program (:func:`evaluator`).
+
+    Nodes are interned: ``Node(op, kids, param)`` returns the live node of
+    the same op, kid objects and param if there is one.  The param of a
+    number const is keyed by :func:`_bits`, any other const value and an
+    opaque leaf's callable by identity (so unhashable ones build).
     """
 
-    __slots__ = ("op", "kids", "param", "dual", "fn")
+    __slots__ = ("op", "kids", "param", "dual", "fn", "__weakref__")
 
-    def __init__(self, op, kids=(), param=None):
-        self.op = op
-        self.kids = kids
-        self.param = _OPS.get(op, param)
-        self.dual = op in ("coord", "opaque") or any([k.dual for k in kids])
-        self.fn = None
+    def __new__(cls, op, kids=(), param=None):
+        param = _OPS.get(op, param)
+        key = (op, kids, param if op not in ("const", "opaque")
+               else _bits(param) if op == "const" and isinstance(param, (int, float))
+               else id(param))
+        nd = _NODES.get(key)
+        if nd is None:
+            nd = _NODES[key] = super().__new__(cls)
+            nd.op, nd.kids, nd.param, nd.fn = op, kids, param, None
+            nd.dual = op in ("coord", "opaque") or any([k.dual for k in kids])
+        return nd
 
 
 def _postorder(roots, seen=None):
@@ -222,9 +235,6 @@ def _rule(nd, lanes):
     if op == "add":
         return _plus(a, b)
     if op == "mul":
-        if u is v:                  # a square: v·a + v·a, one product node
-            t = _chain(v, a)
-            return _plus(t, t)
         return _plus(_chain(v, a), _chain(u, b))
     if op == "pow":
         return _chain(_n("mul", v, _n("pow", u, _n("sub", v, _INT_ONE))), a)
@@ -258,8 +268,7 @@ class _Lowering:
         self.slots = []     # the coordinate-free node of each constant slot
         self.refs = {}      # node -> operand
         self.bad = set()    # nodes that cannot be compiled
-        self.coords = {}    # slot -> instruction
-        self.pairs = {}     # (label key, x operand) -> "pair" instruction
+        self.pairs = {}     # (label, argument) nodes -> "pair" instruction
 
     def add(self, *instr):
         self.ins.append(instr)
@@ -283,18 +292,12 @@ class _Lowering:
 
     def instruction(self, nd):
         op, kids = nd.op, nd.kids
-        if op == "coord":
-            if nd.param not in self.coords:
-                self.coords[nd.param] = self.add("coord", nd.param)
-            return self.coords[nd.param]
         if op == "kfn":     # one (S, C) pair per curvature label and argument
-            k = kids[0]
-            key = (_bits(k.param) if k.op == "const" else k), self.operand(kids[1])
-            if key not in self.pairs:
-                self.pairs[key] = self.add("pair", key[1], self.operand(k))
-            return self.add("kfn", self.pairs[key], nd.param.__name__)
-        args = map(self.operand, kids)
-        return self.add(op, *args, nd.param.__name__) if op == "fn" else self.add(op, *args)
+            if kids not in self.pairs:
+                self.pairs[kids] = self.add("pair", self.operand(kids[1]), self.operand(kids[0]))
+            return self.add("kfn", self.pairs[kids], nd.param.__name__)
+        extra = (nd.param.__name__,) if op == "fn" else (nd.param,) if op == "coord" else ()
+        return self.add(op, *map(self.operand, kids), *extra)
 
 
 # kernel._kappa_pair as statements: S into {s}, C into {c}, r = sqrt(|u|).
@@ -377,16 +380,6 @@ class _Emitter:
         return self.var(f"{num} / {den}")
 
 
-# Compiled code objects by lowered structure and seed flag.  One pass of the
-# verify benchmark needs about a dozen; the bound keeps memory fixed.
-@functools.lru_cache(maxsize=64)
-def _code(structure, seed):
-    args = ", ".join(f"x{i}" for i in range(NVARS))
-    body = "\n    ".join(_Emitter().body(structure, seed))
-    return compile(f"def compiled({args}):\n    {body}\n",
-                   "<compiled gradient>" if seed else "<compiled values>", "exec")
-
-
 # The globals every compiled function shares: the kernel's float functions
 # (those of the (S, C) pairs are math's) and ratio rules by name.  Each bound
 # function adds its constants as ``k0, k1, ...`` to a copy.
@@ -417,11 +410,18 @@ def _lower(roots, grads):
     return (tuple(low.ins), tuple(outs)), lambda binding: program(binding)(*_NONE)
 
 
-# Lowered root sets by root nodes (identity) and gradient mask, shared by
-# every binding; the bound keeps memory fixed.
-@functools.lru_cache(maxsize=256)
+# The code object and bind step of a root set under a gradient mask, by root
+# nodes (identity) and mask, for every binding; None where compile_roots gives
+# None.  Equal graphs are one node, so a structure is compiled from one root
+# set.  A verify benchmark pass needs about a dozen; the bound keeps memory fixed.
+@functools.lru_cache(maxsize=64)
 def _lowered(roots, grads):
-    return _lower(roots, grads)
+    if (lowered := _lower(roots, grads)) is None:
+        return None
+    seed, args = any(grads), ", ".join(f"x{i}" for i in range(NVARS))
+    body = "\n    ".join(_Emitter().body(lowered[0], seed))
+    return compile(f"def compiled({args}):\n    {body}\n",
+                   "<compiled gradient>" if seed else "<compiled values>", "exec"), lowered[1]
 
 
 # Compiled functions by root nodes (identity), gradient mask and the bits of
@@ -429,8 +429,7 @@ def _lowered(roots, grads):
 # 2 root sets per call, simulate 5 to 8; the bound keeps memory fixed.
 @functools.lru_cache(maxsize=256)
 def _bound(roots, grads, binding, bits):
-    lowered = _lowered(roots, grads)
-    if lowered is None:
+    if (lowered := _lowered(roots, grads)) is None:
         return None
     try:
         consts = lowered[1](binding)
@@ -439,7 +438,7 @@ def _bound(roots, grads, binding, bits):
     if not all(isinstance(c, (int, float)) for c in consts):
         return None
     env = dict(_BASE_GLOBALS, **{f"k{i}": c for i, c in enumerate(consts)})
-    exec(_code(lowered[0], any(grads)), env)
+    exec(lowered[0], env)
     return env.pop("compiled")
 
 

@@ -165,7 +165,7 @@ class Trajectory:
             raise ValueError("times must be strictly increasing")
 
     def state(self, i):
-        return PhaseState(self.chart, tuple(self.states[i]))
+        return PhaseState(self.chart, tuple(self.states[i].tolist()))
 
     @property
     def drift(self):
@@ -287,9 +287,7 @@ def integrate(h, s0, cfg, monitors=None, domain_guard=None):
     a step makes no numpy call).
     """
     gradient = _gradient_of(h)
-    for i, c in enumerate(s0.coords):
-        if not math.isfinite(c):
-            raise DomainError(f"start state coordinate {i + 1} of 6 is not finite: {c!r}")
+    s0.finite("start state")
     # guard(c, signs before) -> (reason, signs at c); only a chart_guard
     # watches for sign changes between accepted states.
     guard = getattr(domain_guard, "step", None)

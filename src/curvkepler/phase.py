@@ -25,6 +25,7 @@ import dataclasses
 import enum
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,6 +87,13 @@ class PhaseState:
 
     def asarray(self):
         return np.asarray(self.coords, dtype=float)
+
+    def finite(self, what="state"):
+        """The coordinates; DomainError names the first that is not finite."""
+        for i, c in enumerate(self.coords):
+            if not math.isfinite(c):
+                raise DomainError(f"{what} coordinate {i + 1} of 6 is not finite: {c!r}")
+        return self.coords
 
 
 def _coords_of(state, chart):
@@ -174,7 +182,7 @@ def joined(a, b):
 
 
 def _node_of(o):
-    """An observable's own node, or a new const node for a number."""
+    """An observable's own node, or the const node of a number."""
     return o._node if isinstance(o, Observable) else codegen.Node("const", param=o)
 
 

@@ -211,8 +211,7 @@ def _polar_hamiltonian(family, params, rad, prad, angular):
     """
     z, kappa2, k = params.z, params.kappa2, params.k
     if family.polar_chart is Chart.POLAR_VARIABLE:
-        nz = -z     # one label, so the two functions share one (S, C) pair
-        cm, sm = ckappa(nz, rad), skappa(nz, rad)
+        cm, sm = ckappa(-z, rad), skappa(-z, rad)
         h = 0.5 * cm * (prad * prad + angular / (kappa2 * sm * sm))
         if family is Family.KEPLER_NC:
             h = h - k * cm * cm / sm
@@ -285,8 +284,7 @@ def to_polar(state, params, target):
         raise ChartMismatchError("target must be a polar chart")
     _require_bridge(params)
     z, kappa2 = params.z, params.kappa2
-    q = np.asarray(state.positions)
-    p = np.asarray(state.momenta)
+    q, p = np.asarray(state.finite()[:3]), np.asarray(state.momenta)
     if np.any(q <= 0.0):
         raise DomainError("Beltrami chart is restricted to the open positive "
                           "octant (q_i > 0); integrate in a polar chart to "
@@ -316,7 +314,7 @@ def to_polar(state, params, target):
     pos = (rad, th, ph)
     jac = _position_jacobian(target, pos, params)
     pol_momenta = jac.T @ p
-    return PhaseState(target, pos + tuple(pol_momenta))
+    return PhaseState(target, pos + tuple(pol_momenta.tolist()))
 
 
 def from_polar(state, params):
@@ -324,7 +322,7 @@ def from_polar(state, params):
     if state.chart not in (Chart.POLAR_VARIABLE, Chart.POLAR_CONSTANT):
         raise ChartMismatchError("from_polar expects a polar-chart state")
     _require_bridge(params)
-    pos = state.positions
+    pos = state.finite()[:3]
     if abs(kernel.skappa(params.kappa2, pos[1])) < _AXIS_EPS:
         raise ChartSingularityError("point on the polar axis")
     if abs(pos[0]) < _AXIS_EPS:
@@ -340,7 +338,7 @@ def from_polar(state, params):
     q = _beltrami_positions(state.chart, pos, params)
     jac = _position_jacobian(state.chart, pos, params)
     p = np.linalg.solve(jac.T, np.asarray(state.momenta))
-    return PhaseState(Chart.BELTRAMI, tuple(float(v) for v in q) + tuple(p))
+    return PhaseState.beltrami(*q, *p)
 
 
 # --------------------------------------------------------------------------

@@ -104,9 +104,11 @@ def test_compiled_ratio_calls_its_rule_only_at_the_pole(kfn, kappa, x, monkeypat
     name = kfn.__name__
     calls = []
     rule = kernel.KAPPA_RULES[name]
-    # Compiled code reads its rules from the shared base globals when bound.
+    # Compiled code reads its rules from the shared base globals when bound,
+    # and an equal graph an earlier case bound is this one: bind it again.
     monkeypatch.setitem(codegen._BASE_GLOBALS, f"{name}_rule",
                         lambda *a: calls.append(a) or rule(*a))
+    codegen._bound.cache_clear()
     assert _compiles(ob)        # bound now, with the spy in its globals
     regular = PhaseState.beltrami(x + 0.25, 0.4, 0.0, 0.3, 0.0, 0.0)
     assert np.array_equal(ob.gradient(regular), _dual(ob).gradient(regular))
@@ -232,13 +234,15 @@ def test_an_observable_compiles_on_first_use_and_lowers_once_per_mode(monkeypatc
     """On graphs never compiled before (every named family's Hamiltonian
     and constants at a gamma no other test uses), the first call gives the
     evaluator's value bit for bit and the first gradient the dual path's
-    value and partials, up to the sign of a zero.  Each mode lowers its
-    graph once, on its first call (the lowering cache emptied first, since
-    graphs are shared by every parameter set): no later call in that mode,
-    on the same observable or on a copy a builder returns, lowers again."""
+    value and partials, up to the sign of a zero.  Each mode lowers a graph
+    once, on the first call of the loop on its node (the lowering cache
+    emptied first, since graphs are shared by every parameter set, and an
+    expression two families build, such as C3, is one node): no later call
+    in that mode, on the same observable or on a copy a builder returns,
+    lowers again."""
     codegen._lowered.cache_clear()
     codegen._bound.cache_clear()
-    lowered = []
+    lowered, seen = [], set()
     real = codegen._lower
     monkeypatch.setattr(codegen, "_lower", lambda *a: lowered.append(a) or real(*a))
     rng = np.random.default_rng(27)
@@ -249,18 +253,20 @@ def test_an_observable_compiles_on_first_use_and_lowers_once_per_mode(monkeypatc
         for name, ob in _observables(spec, chart).items():
             s, again = sample_polar(params, rng, chart), sample_polar(params, rng, chart)
             ref_val, ref_g = _dual(ob).value_and_gradient(s)
+            new = [(ob.node, mode) not in seen for mode in (False, True)]
+            seen.update((ob.node, mode) for mode in (False, True))
             lowered.clear()
             assert ob(s).hex() == ob.fn(*s.coords).hex() == ref_val.hex(), (family, name)
-            assert len(lowered) == 1
+            assert len(lowered) == new[0]
             g = ob.gradient(s)
-            assert len(lowered) == 2 and np.array_equal(g, ref_g), (family, name, g - ref_g)
+            assert len(lowered) == sum(new) and np.array_equal(g, ref_g), (family, name, g - ref_g)
             val, g2 = ob.value_and_gradient(s)
             assert val.hex() == ref_val.hex() and np.array_equal(g2, g)
             copy = _observables(spec, chart)[name]
             assert copy is not ob and copy.node is ob.node
             for o in (ob, copy):
                 o(again), o.gradient(again), o.value_and_gradient(again)
-            assert len(lowered) == 2, (family, name)
+            assert len(lowered) == sum(new), (family, name)
 
 
 def test_grad_of_a_callable_touches_no_compile_cache():
@@ -275,6 +281,52 @@ def test_grad_of_a_callable_touches_no_compile_cache():
     assert codegen._bound.cache_info() == before
     want = [math.exp(0.5), 1.0, 0.0, 0.0, 0.6 * math.exp(0.5), 0.0]
     assert all(np.array_equal(g, want) for g in grads)
+
+
+@dataclasses.dataclass
+class _Affine:
+    """A callable of the six coordinates that cannot be hashed (``eq``
+    without ``frozen``), as user callables often are."""
+    k: float
+
+    def __call__(self, *x):
+        return self.k * x[0] + x[4]
+
+
+def test_an_unhashable_callable_and_an_array_constant_build_and_evaluate():
+    """Nodes are interned, but an opaque leaf's callable and a const that is
+    not a number are keyed by identity, never hashed: ``Observable(fn)`` on
+    an unhashable callable and ``Q1 * np.array(2.0)`` build and evaluate on
+    the interpreted path, and an equal callable or array is another node."""
+    s = PhaseState.beltrami(0.6, 0.2, -0.3, 0.1, 0.5, 0.7)
+    f = _Affine(2.0)
+    ob = Observable(f)
+    assert ob(s) == f(*s.coords) == 1.7
+    assert np.array_equal(ob.gradient(s), [2.0, 0.0, 0.0, 0.0, 1.0, 0.0])
+    assert Observable(f).node is None and Observable(_Affine(2.0))._node is not ob._node
+    scaled = Q1 * np.array(2.0)
+    assert not _compiles(scaled) and scaled(s) == 1.2
+    val, g = scaled.value_and_gradient(s)
+    assert val == 1.2 and np.array_equal(g, [2.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+    assert (Q1 * np.array(2.0)).node is not scaled.node
+
+
+def test_an_expression_built_twice_is_one_node():
+    """Every node is interned: the same formula built twice, over equal
+    numbers that are different objects, parameters, kernel functions, a
+    curvature label and an opaque leaf, gives one node, and so do its
+    partial graphs."""
+    half, f = np.array(0.5), _Affine(3.0)
+
+    def build(two):
+        return (phase.sinhc(phase.Z * Q1 * Q1) * P1 ** two + ckappa(-phase.KAPPA2, Q2) / 3.0
+                - Observable(f) * half)
+
+    first, second = build(2.0), build(float("2"))
+    assert first.node is second.node and first is not second
+    x = Q1 * P2 + phase.GAMMA
+    assert (x * float("1.5")).node is (x * 1.5).node
+    assert codegen._partials([(x * 1.5).node]) == codegen._partials([(x * 1.5).node])
 
 
 @pytest.mark.parametrize("family, chart, params, state", [
@@ -384,9 +436,10 @@ def _compile_calls(monkeypatch):
 
 
 def _clear_code_caches():
-    """Empty the code objects, the bound functions and the table plans, so
-    the next call compiles every structure it needs."""
-    codegen._code.cache_clear()
+    """Empty the lowered root sets (with their code objects), the bound
+    functions and the table plans, so the next call compiles every
+    structure it needs."""
+    codegen._lowered.cache_clear()
     codegen._bound.cache_clear()
     coalgebra._plan.cache_clear()
 
@@ -395,7 +448,7 @@ def test_structure_cache_compiles_each_table_structure_once(monkeypatch):
     _clear_code_caches()
     calls = _compile_calls(monkeypatch)
     first = symmetry.verify_lrl_algebra(SpaceParams.preset("spherical", 0.5), samples=3)
-    assert len(calls) == 1 and codegen._code.cache_info().currsize == 1
+    assert len(calls) == 1 and codegen._lowered.cache_info().currsize == 1
     for params in (SpaceParams(0.3, -0.7, 1.1), SpaceParams(0.0, 1.0, 0.5),
                    SpaceParams.preset("hyperbolic", 0.25)):
         report = symmetry.verify_lrl_algebra(params, samples=3)
@@ -405,7 +458,7 @@ def test_structure_cache_compiles_each_table_structure_once(monkeypatch):
     control = symmetry.verify_lrl_algebra(SpaceParams.preset("spherical", 0.5),
                                           samples=3, perturb="j02")
     assert not control.passed(1e-3)
-    assert len(calls) == 2 and codegen._code.cache_info().currsize == 2
+    assert len(calls) == 2 and codegen._lowered.cache_info().currsize == 2
 
 
 def test_verify_all_at_new_parameters_emits_and_compiles_nothing(monkeypatch):
@@ -428,17 +481,17 @@ def test_verify_all_at_new_parameters_emits_and_compiles_nothing(monkeypatch):
                    ["--preset", "hyperbolic", "--gamma", "0.25"]):
         assert cli.main(argv + params) == 0
     assert len(calls) == len(emitted) == 2
-    assert codegen._code.cache_info().currsize == 2
+    assert codegen._lowered.cache_info().currsize == 2
 
 
 def test_structure_cache_stays_at_its_bound():
-    bound = codegen._code.cache_info().maxsize
+    bound = codegen._lowered.cache_info().maxsize
     chain = Q1
     for _ in range(bound + 5):                  # one new structure each time
         chain = chain * Q2 + P1
         assert _compiles(chain)
-        assert codegen._code.cache_info().currsize <= bound
-    assert codegen._code.cache_info().currsize == bound
+        assert codegen._lowered.cache_info().currsize <= bound
+    assert codegen._lowered.cache_info().currsize == bound
 
 
 # -- the graph evaluator -------------------------------------------------------
@@ -581,7 +634,7 @@ def test_each_mask_lowers_and_binds_its_roots_once(monkeypatch):
     assert codegen.compile_roots(nodes, (False, False)) is values
     assert codegen.compile_roots(nodes, (True, True)) is grad and values is not grad
     assert codegen.compile_roots(nodes, (False, True)) is mixed
-    assert len(walks) == 3 and codegen._code.cache_info().currsize == 3
+    assert len(walks) == 3 and codegen._lowered.cache_info().currsize == 3
     assert codegen._bound.cache_info().currsize == 3
     s = (0.6, 0.3, 0.0, 0.0, 0.5, 0.0)
     assert values(*s) == grad(*s)[::7] == tuple(ob(s) for ob in roots)
@@ -928,22 +981,24 @@ def test_a_graph_over_the_parameter_leaves_is_the_float_graphs_bits(z, form):
 
 
 def test_a_parameter_expression_used_twice_takes_one_constant_slot():
-    """A parameter expression is one node, so its uses (as an operand and as
-    the label of two curvature functions) read one constant slot, and the
-    two functions one (S, C) pair."""
+    """A parameter expression is one node, also when it is written out at
+    each use, so its uses (as an operand and as the label of two curvature
+    functions) read one constant slot, and the two functions one (S, C)
+    pair."""
     nz = -phase.Z
-    ob = nz * Q1 + ckappa(nz, Q2) * skappa(nz, Q2)
-    (ins, _), bind = codegen._lower([ob.node], (False,))
-    assert bind((0.3, None, None)) == [-0.3]
-    assert [op for op, *_ in ins].count("pair") == 1
+    for ob in (nz * Q1 + ckappa(nz, Q2) * skappa(nz, Q2),
+               -phase.Z * Q1 + ckappa(-phase.Z, Q2) * skappa(-phase.Z, Q2)):
+        (ins, _), bind = codegen._lower([ob.node], (False,))
+        assert bind((0.3, None, None)) == [-0.3]
+        assert [op for op, *_ in ins].count("pair") == 1
 
 
 def test_verify_all_binds_one_constant_per_parameter_expression(monkeypatch):
     """The two batches of ``verify --suite all`` at the spherical preset bind
-    17 and 26 constants over 590 and 421 instructions (32 and 46 when each
-    use of a parameter expression took its own slot)."""
+    7 and 11 constants over 462 and 352 instructions (17 and 26 over 590
+    and 421 when an expression built twice was two nodes, 32 and 46 when
+    each use of a parameter expression took its own slot)."""
     _clear_code_caches()
-    codegen._lowered.cache_clear()
     sizes, real = [], codegen._lower
 
     def spy(roots, grads):
@@ -954,4 +1009,4 @@ def test_verify_all_binds_one_constant_per_parameter_expression(monkeypatch):
     monkeypatch.setattr(codegen, "_lower", spy)
     params = SpaceParams.preset("spherical", 0.5)
     cli._run_suites("all", params, 1, 0, None)
-    assert sizes == [(590, 17), (421, 26)]
+    assert sizes == [(462, 7), (352, 11)]

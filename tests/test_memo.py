@@ -2,6 +2,7 @@
 lowering by root nodes, compiled functions by root nodes and parameter bits."""
 
 import contextlib
+import gc
 import io
 import itertools
 import json
@@ -21,12 +22,13 @@ _SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
 
 def test_signed_and_integer_zeros_bind_apart():
     """0.0, -0.0 and the int 0 compare equal, and NaNs compare unequal to
-    everything; bindings are keyed by type and bits instead, so each zero
-    gets its own compiled function, and observables bound to two of them
-    do not combine."""
+    everything; bindings and const nodes are keyed by type and bits instead,
+    so each zero is its own node and gets its own compiled function, and
+    observables bound to two of them do not combine."""
     nan2 = struct.unpack("<d", struct.pack("<Q", 0x7FF8000000000002))[0]
-    keys = [codegen._bits(v) for v in (0.0, -0.0, 0, False, float("nan"), nan2)]
-    assert len(set(keys)) == 6
+    values = (0.0, -0.0, 0, False, float("nan"), nan2)
+    assert len({codegen._bits(v) for v in values}) == 6
+    assert len({codegen.Node("const", param=v) for v in values}) == 6     # interned by bits
     assert codegen._bits(float("nan")) == codegen._bits(float("nan"))
     jplus = [coalgebra.one_site(z).jplus for z in (0.0, -0.0, 0)]
     assert len({ob._node for ob in jplus}) == 1             # one graph, three bindings
@@ -120,6 +122,19 @@ def test_every_memo_stays_at_its_bound():
     assert codegen._bound.cache_info().currsize == bound
     assert coalgebra._plan.cache_info().misses - plans.misses <= 2
     assert codegen._lowered.cache_info().misses - lowered.misses <= 2
+
+
+def test_the_node_table_keeps_only_live_nodes():
+    """The table of interned nodes holds them weakly: 10,000 distinct graphs
+    and their partial graphs, built and dropped, leave it as it was."""
+    gc.collect()
+    before = len(codegen._NODES)
+    for i in range(10_000):
+        ob = phase.sinhc(phase.Z * phase.Q1 * (1.0 + i)) + phase.P2 / (i + 0.5)
+        codegen._partials([ob.node])
+    del ob
+    gc.collect()
+    assert len(codegen._NODES) == before
 
 
 def test_the_bound_function_cache_stays_at_its_bound():
@@ -300,11 +315,26 @@ def test_combining_observables_bound_to_different_parameters_raises():
     assert phase.bound(unbound, (2.0, None, None))((1.5, 0.0, 0.0, 0.0, 0.0, 0.0)) == 3.0
 
 
+def _sinhc_nodes(roots):
+    return {nd for nd in codegen._postorder(roots) if nd.op == "fn" and nd.param is kernel.sinhc}
+
+
+def test_builders_that_write_one_expression_share_its_node():
+    """The Staeckel constant I2 of FREE_CC and one_site's J+ each write
+    sinhc(z q1^2) themselves, and read one node."""
+    spec = HamiltonianSpec(Family.FREE_CC, SpaceParams.preset("spherical", 0.5))
+    i2 = symmetry.constants(spec, Chart.BELTRAMI)["I2"]
+    jplus = coalgebra.one_site(0.3).jplus
+    assert len(_sinhc_nodes([i2.node])) == 1
+    assert _sinhc_nodes([i2.node]) == _sinhc_nodes([jplus.node])
+
+
 def test_warm_verify_all_evaluates_one_sinhc_per_shared_node(monkeypatch, tmp_path):
     """one_site, the closed forms and the Casimirs share one sinhc(z q_i^2)
-    node per site, so a sample evaluates each sinhc node of the compiled
+    node per site, and sl2z on three sites and the Casimir C123 row one
+    sinhc(z J-) node, so a sample evaluates each sinhc node of the compiled
     root sets once and the derivative of each one a flagged root reads
-    once: 8 values and 3 derivatives per sample."""
+    once: 7 values and 3 derivatives per sample."""
     samples = 100
     argv = ["verify", "--suite", "all", "--preset", "spherical", "--samples", str(samples),
             "--out", str(tmp_path / "out.json")]
@@ -328,10 +358,8 @@ def test_warm_verify_all_evaluates_one_sinhc_per_shared_node(monkeypatch, tmp_pa
         codegen._bound.cache_clear()
         coalgebra._plan.cache_clear()
 
-    def sinhc_nodes(roots):
-        return sum(nd.op == "fn" and nd.param is kernel.sinhc for nd in codegen._postorder(roots))
-
-    values = sum(sinhc_nodes(roots) for roots, _ in root_sets)
-    flagged = sum(sinhc_nodes([r for r, g in zip(roots, grads) if g]) for roots, grads in root_sets)
-    assert (values, flagged) == (8, 3)
+    values = sum(len(_sinhc_nodes(roots)) for roots, _ in root_sets)
+    flagged = sum(len(_sinhc_nodes([r for r, g in zip(roots, grads) if g]))
+                  for roots, grads in root_sets)
+    assert (values, flagged) == (7, 3)
     assert [len(calls["sinhc"]), len(calls["dsinhc"])] == [values * samples, flagged * samples]

@@ -1,6 +1,7 @@
 """Spaces tests: params, Hamiltonians, chart transforms, metrics, curvature."""
 
 import math
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from curvkepler import kernel, spaces
-from curvkepler.dynamics import IntegratorConfig, StepUnderflowError, integrate
+from curvkepler.dynamics import IntegratorConfig, StepUnderflowError, Trajectory, integrate
 from curvkepler.kernel import DomainError, expm1c
 from curvkepler.phase import (Chart, ChartMismatchError, ChartSingularityError,
                               PhaseState, grad)
@@ -205,6 +206,39 @@ def test_chart_domain_guards():
                  Chart.POLAR_CONSTANT)
     with pytest.raises(ChartSingularityError):
         from_polar(PhaseState.polar_constant(1.0, 1e-12, 0.4, 0, 0, 0), params)
+
+
+@pytest.mark.parametrize("slot, value", [(0, math.nan), (4, math.nan), (1, math.inf),
+                                         (5, -math.inf)],
+                         ids=["nan-position", "nan-momentum", "inf-position", "-inf-momentum"])
+@pytest.mark.parametrize("transform", ["to_polar", "from_polar"])
+def test_a_transform_names_a_non_finite_coordinate(transform, slot, value):
+    """A NaN position used to come back as an all-NaN state, a NaN momentum
+    as NaN momenta, and an infinite position warned from kernel._expm1c_f;
+    both transforms now raise DomainError naming the coordinate, as
+    integrate does for a start state, and warn nothing."""
+    params = SpaceParams.preset("spherical")
+    coords = [0.5, 0.4, 0.3, 0.2, -0.1, 0.3]
+    coords[slot] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=f"^state coordinate {slot + 1} of 6 is not finite"):
+            if transform == "to_polar":
+                to_polar(PhaseState.beltrami(*coords), params, Chart.POLAR_CONSTANT)
+            else:
+                from_polar(PhaseState.polar_constant(*coords), params)
+
+
+def test_transformed_and_sampled_states_hold_python_floats():
+    """Like the PhaseState constructors, both transforms and a trajectory's
+    state(i) give Python floats, not numpy scalars."""
+    params = SpaceParams(0.3, 1.0)
+    sp = to_polar(PhaseState.beltrami(0.5, 0.4, 0.3, 0.2, -0.1, 0.3), params,
+                  Chart.POLAR_CONSTANT)
+    back = from_polar(sp, params)
+    tr = Trajectory(Chart.POLAR_CONSTANT, np.array([0.0, 1.0]), np.array([sp.coords] * 2))
+    for state in (sp, back, tr.state(1)):
+        assert [type(c) for c in state.coords] == [float] * 6, state
 
 
 @pytest.mark.parametrize("preset, state, error, message", [
