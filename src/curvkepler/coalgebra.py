@@ -33,7 +33,7 @@ __all__ = [
     "Realization", "CasimirSet", "one_site", "coproduct_join", "three_site",
     "three_site_closed_form", "casimirs", "casimir_of", "pbracket",
     "Identity", "IdentityResult", "BracketReport", "run_table", "run_tables",
-    "sample_beltrami", "verify_sl2z", "verify_casimirs", "sl2z_table", "Table",
+    "sample_beltrami", "verify_sl2z", "verify_casimirs", "Table",
 ]
 
 
@@ -394,12 +394,6 @@ def _perturbed(r, perturb):
     if perturb not in ("jminus", "jplus", "jthree"):
         raise ValueError(f"unknown generator {perturb!r}")
     return replace(r, **{perturb: r.generator(perturb) * 1.01})
-
-
-def sl2z_table(r):
-    """The three deformed commutation rules for a realization, as a
-    :class:`Table` bound to its z."""
-    return _sl2z_job(r, None)[1]
 
 
 # sl2z identities over Z by generator graphs (identity) and perturbed name;

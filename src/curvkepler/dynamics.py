@@ -249,10 +249,11 @@ def _rms(v):
 
 
 def _initial_step(f, y0, cfg):
-    """Starting step size, and f(y0) for the first Dormand-Prince step; only
-    a vector field too large for the state gives a step below 1e-14 t_end.
-    A state norm that overflows (tolerances near 1e-300) takes the fallback
-    step, where ``inf / inf`` made it NaN."""
+    """Starting step size, and f(y0) for the first Dormand-Prince step.  It
+    falls below the floor 1e-14 t_end for a vector field too large for the
+    state, or for an ordinary one when t_end is long.  A state norm that
+    overflows (tolerances near 1e-300) takes the fallback step, where
+    ``inf / inf`` made it NaN."""
     sc = [cfg.abs_tol + cfg.rel_tol * abs(a) for a in y0]
     f0 = f(y0)
     d0 = _rms([a / s for a, s in zip(y0, sc)])
@@ -350,6 +351,9 @@ def integrate(h, s0, cfg, monitors=None, domain_guard=None):
             elif stats.accepted or stats.rejected:
                 why = (": the error control shrank the step over "
                        f"{stats.accepted} accepted and {stats.rejected} rejected steps")
+            elif hstep >= 1e-14:        # clears the floor at t_end = 1: a long t_end set it
+                why = (f": the starting step estimate {hstep:.3e} is below the floor "
+                       f"1e-14 t_end = {underflow:.3e} at t_end = {t_end:.6g}")
             else:
                 why = (": the starting step estimate underflowed because the "
                        "vector field at the start state is too large")

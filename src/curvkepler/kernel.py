@@ -2,8 +2,9 @@
 
 The whole library works on a 6-dimensional phase space, so the dual scalar
 ``KScalar`` carries exactly six partial derivatives and one evaluation yields
-a full gradient.  All elementary functions below accept either a plain float
-or a ``KScalar`` and propagate derivatives through the chain rule.
+a full gradient.  All elementary functions below accept a plain float, a
+``KScalar``, whose derivatives they propagate through the chain rule, or an
+observable (:mod:`.phase`), whose ``applied`` method builds their graph node.
 
 Curvature-labeled trigonometry: the label ``kappa`` is a real number, never
 a dual (only ``x`` carries partials), and
@@ -155,11 +156,12 @@ def seeded(coords):
     return [KScalar(float(c), e) for c, e in zip(coords, _UNIT)]
 
 
-# -- elementary functions (float | KScalar) -------------------------------
+# -- elementary functions (float | KScalar | observable) ------------------
 #
 # Each unary function has one float rule v -> (value, derivative).  A dual
 # argument applies it in one chain step; :mod:`.codegen` writes the same
-# derivative as graph nodes, so both paths do the same arithmetic.
+# derivative as graph nodes, so both paths do the same arithmetic.  An
+# observable argument (one with an ``applied`` method) becomes a node.
 
 # The float function of each unary by name, and sinhc's and expm1c's
 # derivatives: what compiled code calls.
@@ -173,6 +175,8 @@ def _unary(name, float_fn, rule):
         if isinstance(x, KScalar):
             val, dval = rule(x.val)
             return _chain(x, val, dval)
+        if hasattr(x, "applied"):
+            return x.applied(fn)
         return float_fn(x)
 
     fn.__name__ = name
@@ -314,9 +318,10 @@ KAPPA_RULES = {}
 
 
 def _kappa_fn(name, rule, float_fn=None):
-    """Register ``rule`` and return the function of a float label and x: a
-    dual x applies the rule to ``_kappa_pair`` in one chain step; a float x
-    calls ``float_fn``, by default the rule's value on ``_kappa_pair``."""
+    """Register ``rule`` and return the function of a label and x: a dual x
+    applies the rule to ``_kappa_pair`` in one chain step; an observable x
+    builds a ``kfn`` node; a float x calls ``float_fn``, by default the
+    rule's value on ``_kappa_pair``."""
     KAPPA_RULES[name] = rule
     if float_fn is None:
         def float_fn(kappa, x):
@@ -326,6 +331,8 @@ def _kappa_fn(name, rule, float_fn=None):
         if isinstance(x, KScalar):
             v = x.val
             return _chain(x, *rule(kappa, v, *_kappa_pair(kappa, v)))
+        if hasattr(x, "applied"):
+            return x.applied(fn, kappa)
         return float_fn(kappa, x)
 
     fn.__name__ = name

@@ -1,15 +1,15 @@
 """Phase-space states, chart tags, and differentiable observables.
 
 An ``Observable`` is a scalar field of the six phase-space slots, held as
-one expression graph (:mod:`.codegen`): the arithmetic operators and the
-lifted functions below build nodes, and ``Observable(fn)`` around any other
-callable is an opaque leaf.  The graph's evaluator runs on floats (values)
-or on ``KScalar`` duals (exact gradients), so every observable is
-differentiable for free.  A call and :meth:`Observable.gradient` run
-straight-line code compiled on first use, and only a graph that does not
-compile runs the evaluator or the duals; :class:`Columns` compiles a table's
-observables into one function.  Either way an observable has one value, bit
-for bit.
+one expression graph (:mod:`.codegen`): the arithmetic operators and
+:mod:`.kernel`'s elementary functions, re-exported here, build nodes, and
+``Observable(fn)`` around any other callable is an opaque leaf.  The
+graph's evaluator runs on floats (values) or on ``KScalar`` duals (exact
+gradients), so every observable is differentiable for free.  A call and
+:meth:`Observable.gradient` run straight-line code compiled on first use,
+and only a graph that does not compile runs the evaluator or the duals;
+:class:`Columns` compiles a table's observables into one function.  Either
+way an observable has one value, bit for bit.
 
 The parameters z, kappa2 and gamma are graph leaves (:data:`Z`,
 :data:`KAPPA2`, :data:`GAMMA`) and ordinary operands: a builder writes its
@@ -30,8 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import codegen, kernel
-from .kernel import NVARS, DomainError, KScalar, seeded
+from . import codegen
+from .kernel import (NVARS, DomainError, KScalar, ckappa, cos, cosh,  # noqa: F401
+                     cotkappa, exp, expm1c, log, seeded, sin, sinh, sinhc, skappa, sqrt, tkappa)
 
 
 class Chart(enum.Enum):
@@ -295,6 +296,14 @@ class Observable:
     def __pow__(self, n):
         return self._op("pow", self._node, _free_of_coordinates(n, "exponent"), other=n)
 
+    def applied(self, fn, *labels):
+        """``fn(*labels, self)`` for a kernel function ``fn``: an ``fn`` node,
+        or a ``kfn`` node whose first kid is the curvature label, a number or
+        a parameter expression, on the chart and binding they share."""
+        kids = [_free_of_coordinates(k, "curvature label") for k in labels]
+        return self._op("kfn" if labels else "fn", *kids, self._node,
+                        other=labels[0] if labels else None, param=fn)
+
     def renamed(self, name):
         return Observable(name=name, chart=self.chart, node=self._node, binding=self.binding)
 
@@ -337,40 +346,6 @@ def coordinate(slot, name=""):
 # they double as polar coordinate functions in canonicity tests.
 Q1, Q2, Q3 = (coordinate(i, n) for i, n in enumerate(("q1", "q2", "q3")))
 P1, P2, P3 = (coordinate(i + 3, n) for i, n in enumerate(("p1", "p2", "p3")))
-
-
-def _lift(scalar_fn):
-    """``scalar_fn`` on floats and duals; on an observable (the last
-    argument) an ``fn`` node, or a ``kfn`` node for a curvature-labelled
-    function, whose leading labels, numbers or parameter expressions, are
-    its first kids."""
-    op = "kfn" if scalar_fn.__name__ in kernel.KAPPA_RULES else "fn"
-
-    def lifted(*args):
-        *labels, x = args
-        if isinstance(x, Observable):
-            kids = [_free_of_coordinates(k, "curvature label") for k in labels]
-            return x._op(op, *kids, x._node, other=labels[0] if labels else None,
-                         param=scalar_fn)
-        return scalar_fn(*args)
-
-    lifted.__name__ = scalar_fn.__name__
-    return lifted
-
-
-exp = _lift(kernel.exp)
-log = _lift(kernel.log)
-sqrt = _lift(kernel.sqrt)
-sin = _lift(kernel.sin)
-cos = _lift(kernel.cos)
-sinh = _lift(kernel.sinh)
-cosh = _lift(kernel.cosh)
-sinhc = _lift(kernel.sinhc)
-expm1c = _lift(kernel.expm1c)
-ckappa = _lift(kernel.ckappa)
-skappa = _lift(kernel.skappa)
-tkappa = _lift(kernel.tkappa)
-cotkappa = _lift(kernel.cotkappa)
 
 
 def grad(f, state):

@@ -34,10 +34,9 @@ import numpy as np
 
 from . import kernel
 from .coalgebra import _closed_form, three_site_closed_form
-from .kernel import DomainError
+from .kernel import DomainError, ckappa, cos, cotkappa, exp, expm1c, sin, skappa, sqrt, tkappa
 from .phase import (GAMMA, KAPPA2, Z, Chart, ChartMismatchError, ChartSingularityError,
-                    Observable, PhaseState, bound, ckappa, coordinate, cotkappa,
-                    exp, expm1c, skappa, sqrt)
+                    Observable, PhaseState, bound, coordinate)
 
 __all__ = [
     "SpaceParams", "PRESETS", "Family", "HamiltonianSpec", "hamiltonian",
@@ -248,12 +247,12 @@ def _beltrami_positions(kind, c, params):
     z, kappa2 = params.z, params.kappa2
     rad, th, ph = c
     if kind is Chart.POLAR_CONSTANT:
-        s = kernel.tkappa(z, rad)      # S_{-z}(rho) = T_z(r)
+        s = tkappa(z, rad)      # S_{-z}(rho) = T_z(r)
     else:
-        s = kernel.skappa(-z, rad)
-    s2t = kernel.skappa(kappa2, th)
-    c2t = kernel.ckappa(kappa2, th)
-    sp, cp = kernel.sin(ph), kernel.cos(ph)
+        s = skappa(-z, rad)
+    s2t = skappa(kappa2, th)
+    c2t = ckappa(kappa2, th)
+    sp, cp = sin(ph), cos(ph)
     base = s * s * kappa2 * s2t * s2t          # sinh^2(l1 rho) sin^2(l2 th) / z
     w12 = z * base
     w1 = w12 * sp * sp
@@ -263,7 +262,7 @@ def _beltrami_positions(kind, c, params):
     base3 = s * s * c2t * c2t
     w3 = z * base3 / (1.0 + w12)
     q3sq = 0.5 * base3 / (1.0 + w12) * kernel.log1pc(w3)
-    return kernel.sqrt(q1sq), kernel.sqrt(q2sq), kernel.sqrt(q3sq)
+    return sqrt(q1sq), sqrt(q2sq), sqrt(q3sq)
 
 
 def _position_jacobian(kind, pos, params):
@@ -296,19 +295,19 @@ def to_polar(state, params, target):
         raise ChartSingularityError("point on the polar axis (sin(l2 theta)=0)")
 
     # S_{-z}(rho)^2 = 2 q^2 expm1c(2 z q^2); stable for every real z.
-    e_all = kernel.expm1c(2.0 * z * qq)
+    e_all = expm1c(2.0 * z * qq)
     s_rho = math.sqrt(2.0 * qq * e_all)
     rad = kernel.asink(-z, s_rho) if target is Chart.POLAR_VARIABLE \
         else kernel.atank(z, s_rho)
 
     # C_{k2}(theta)^2 = e^{2z(q1^2+q2^2)} q3^2 expm1c(2 z q3^2) / (q^2 expm1c(2 z q^2))
     c2v = (math.exp(2.0 * z * (q[0] ** 2 + q[1] ** 2)) * q[2] ** 2
-           * kernel.expm1c(2.0 * z * q[2] ** 2) / (qq * e_all))
+           * expm1c(2.0 * z * q[2] ** 2) / (qq * e_all))
     c2v = min(max(c2v, 0.0), 1.0)
     th = math.atan2(math.sqrt(1.0 - c2v), math.sqrt(c2v)) / math.sqrt(kappa2)
 
-    a1 = q[0] ** 2 * kernel.expm1c(2.0 * z * q[0] ** 2)
-    a2 = math.exp(2.0 * z * q[0] ** 2) * q[1] ** 2 * kernel.expm1c(2.0 * z * q[1] ** 2)
+    a1 = q[0] ** 2 * expm1c(2.0 * z * q[0] ** 2)
+    a2 = math.exp(2.0 * z * q[0] ** 2) * q[1] ** 2 * expm1c(2.0 * z * q[1] ** 2)
     ph = math.atan2(math.sqrt(a1), math.sqrt(a2))
 
     pos = (rad, th, ph)
@@ -323,17 +322,17 @@ def from_polar(state, params):
         raise ChartMismatchError("from_polar expects a polar-chart state")
     _require_bridge(params)
     pos = state.finite()[:3]
-    if abs(kernel.skappa(params.kappa2, pos[1])) < _AXIS_EPS:
+    if abs(skappa(params.kappa2, pos[1])) < _AXIS_EPS:
         raise ChartSingularityError("point on the polar axis")
     if abs(pos[0]) < _AXIS_EPS:
         raise ChartSingularityError("radial pole")
     # The Beltrami image only covers the patch where the radial cosine factor
     # stays positive (r < pi/(2 sqrt(z)) resp. rho < pi/(2 sqrt(-z))).
     if state.chart is Chart.POLAR_CONSTANT:
-        if kernel.ckappa(params.z, pos[0]) <= 0.0:
+        if ckappa(params.z, pos[0]) <= 0.0:
             raise DomainError("state beyond the hemisphere covered by the "
                               "Beltrami chart (C_kappa1(r) <= 0)")
-    elif kernel.ckappa(-params.z, pos[0]) <= 0.0:
+    elif ckappa(-params.z, pos[0]) <= 0.0:
         raise DomainError("state beyond the chart edge (C_{-kappa1}(rho) <= 0)")
     q = _beltrami_positions(state.chart, pos, params)
     jac = _position_jacobian(state.chart, pos, params)

@@ -905,6 +905,37 @@ def test_a_squares_partial_builds_its_product_once():
         assert lane.kids[0].op == "mul"
 
 
+_ELEMENTARY = ("exp", "log", "sqrt", "sin", "cos", "sinh", "cosh", "sinhc", "expm1c",
+               "skappa", "ckappa", "tkappa", "cotkappa")
+
+
+def test_phase_defines_no_function_of_its_own():
+    """One function per name: phase re-exports kernel's elementary functions."""
+    assert all(getattr(phase, name) is getattr(kernel, name) for name in _ELEMENTARY)
+    assert not hasattr(phase, "_lift")
+
+
+@pytest.mark.parametrize("build, op, kids, fn, on_floats", [
+    (lambda: kernel.skappa(0.3, Q1), "kfn", lambda: (codegen.Node("const", param=0.3), Q1.node),
+     kernel.skappa, lambda z, q1, q2: kernel.skappa(0.3, q1)),
+    (lambda: kernel.tkappa(phase.Z, Q2), "kfn", lambda: (phase.Z.node, Q2.node),
+     kernel.tkappa, lambda z, q1, q2: kernel.tkappa(z, q2)),
+    (lambda: kernel.sinhc(phase.Z * Q1 * Q1), "fn", lambda: ((phase.Z * Q1 * Q1).node,),
+     kernel.sinhc, lambda z, q1, q2: kernel.sinhc(z * q1 * q1)),
+], ids=["skappa", "tkappa", "sinhc"])
+def test_a_kernel_function_of_an_observable_is_its_graph_node(build, op, kids, fn, on_floats):
+    """kernel's functions take an observable as well as a float or a dual:
+    the result is the ``fn`` or ``kfn`` node over the label's and the
+    argument's nodes, which compiles, and whose value is the float
+    function's, bit for bit."""
+    ob = build()
+    assert isinstance(ob, Observable) and ob.node is codegen.Node(op, kids(), fn)
+    ob = phase.bound(ob, (0.3, None, None))
+    assert _compiles(ob) and _compiles(ob, False)
+    for s in [(0.7, 1.1, 0.2, 0.4, -0.3, 0.9), (-1.3, 0.4, 0.0, 1.0, 0.5, -0.2)]:
+        assert float.hex(ob(s)) == float.hex(on_floats(0.3, *s[:2]))
+
+
 @pytest.mark.parametrize("what, build", [
     ("exponent", lambda o: Q1 ** o),
     ("curvature label", lambda o: skappa(o, Q1)),

@@ -185,6 +185,21 @@ def test_starting_step_underflow_blames_the_vector_field():
         "at the start state is too large")
 
 
+def test_a_long_t_end_blames_the_floor_not_the_vector_field():
+    """From an ordinary Kepler-CC state the starting estimate is a normal
+    first step, 3.9e-3, but at t_end = 1e12 the floor 1e-14 t_end = 1e-2
+    lies above it.  The run names the estimate, the floor and t_end (it
+    blamed the vector field at the start state)."""
+    spec = HamiltonianSpec(Family.KEPLER_CC, SpaceParams.preset("spherical", 0.5))
+    with pytest.raises(StepUnderflowError) as err:
+        integrate(hamiltonian(spec, Chart.POLAR_CONSTANT),
+                  PhaseState.polar_constant(1.1, 1.2, 0.4, 0.2, 0.4, 0.9),
+                  IntegratorConfig(t_end=1e12))
+    assert str(err.value) == (
+        "step size 3.889e-03 underflowed at t = 0: the starting step estimate "
+        "3.889e-03 is below the floor 1e-14 t_end = 1.000e-02 at t_end = 1e+12")
+
+
 def test_long_run_from_an_equilibrium_starts_above_the_underflow():
     """At rest at the origin the starting estimate falls back to a fixed
     step; for t_end = 1e9 that must not be below 1e-14 t_end (it was 1e-6,

@@ -239,14 +239,14 @@ def test_the_report_writer_layout_cache_stays_at_its_bound():
 def _counted_builds(monkeypatch):
     """Lowering walks and Node constructions made from here on."""
     walks, nodes = [], []
-    real_lower, real_init = codegen._lower, codegen.Node.__init__
+    real_lower, real_new = codegen._lower, codegen.Node.__new__
     monkeypatch.setattr(codegen, "_lower", lambda *a: walks.append(a) or real_lower(*a))
 
-    def init(self, *args, **kwargs):
+    def new(cls, *args, **kwargs):      # Node is built (and interned) in __new__
         nodes.append(args)
-        real_init(self, *args, **kwargs)
+        return real_new(cls, *args, **kwargs)
 
-    monkeypatch.setattr(codegen.Node, "__init__", init)
+    monkeypatch.setattr(codegen.Node, "__new__", new)
     return walks, nodes
 
 
